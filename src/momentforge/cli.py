@@ -27,7 +27,6 @@ from momentforge.families import boolean, domino, invmaj, schur
 from momentforge.families.common import SYMBOL_LEGEND
 from momentforge.fitter import FitSpec, fit_quasi_polynomial
 from momentforge.moment_algebra import normality_report
-from momentforge.poly_series import Polynomial
 from momentforge import oracle as oracle_mod
 
 DEFAULT_THREADS = int(os.environ.get("MOMENTFORGE_THREADS", "1") or 1)
@@ -76,36 +75,26 @@ def _csv_table(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _family_params(family: str, n, c, m, k) -> dict:
+def _family_params(family: str, **given) -> tuple[families.Family, dict]:
+    """The family's table entry and its parameters, defaults filled in."""
     try:
-        families.validate_family(family)
+        entry = families.validate_family(family)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    given = {"n": n, "c": c, "m": m, "k": k}
-    wanted = families.FAMILY_PARAMS[family]
-    params = {}
-    for name in wanted:
-        value = given.get(name)
-        if value is None:
-            if family == "boolean" and name == "k":
-                value = 0
-            elif family == "domino" and name == "m":
-                value = 1
-            elif family == "schur" and name == "c":
-                value = 2
-            else:
-                raise click.UsageError(
-                    f"family {family!r} needs --{name}; required parameters: "
-                    + ", ".join(f"--{w}" for w in wanted)
-                )
-        params[name] = int(value)
-    return params
+    return entry, entry.resolve(given)
+
+
+def _family_options(fn):
+    """--family and the family parameters; families fill in their own defaults."""
+    for name, text in (("k", "boolean cube dimension (default 0)"), ("m", "domino rows (default 1)"), ("c", "schur colors (default 2)")):
+        fn = click.option(f"--{name}", type=int, default=None, help=text)(fn)
+    fn = click.option("--n", type=int, required=True)(fn)
+    return click.option("--family", required=True, help=" | ".join(families.FAMILIES))(fn)
 
 
 def _common_options(fn):
     fn = click.option("--format", "format", type=click.Choice(["json", "csv"]), default="json", show_default=True, help="Output format.")(fn)
     fn = click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None, help="Write the result to this path instead of stdout.")(fn)
-    fn = click.option("--threads", type=int, default=DEFAULT_THREADS, show_default="MOMENTFORGE_THREADS or 1", help="Worker cap for parallelizable steps.")(fn)
     return fn
 
 
@@ -116,16 +105,12 @@ def cli():
 
 
 def _moment_command(kind: str, subcommand: str):
-    @click.option("--family", required=True, help="schur | invmaj | boolean | domino")
-    @click.option("--n", type=int, required=True)
-    @click.option("--c", type=int, default=None, help="schur colors (default 2)")
-    @click.option("--m", type=int, default=None, help="domino rows (default 1)")
-    @click.option("--k", type=int, default=None, help="boolean cube dimension (default 0)")
+    @_family_options
     @click.option("--r", "--r-max", "r_max", type=int, default=4, show_default=True, help="Highest moment order.")
     @_common_options
-    def command(family, n, c, m, k, r_max, format, out, threads):
+    def command(family, n, c, m, k, r_max, format, out):
         started = time.monotonic()
-        params = _family_params(family, n, c, m, k)
+        _, params = _family_params(family, n=n, c=c, m=m, k=k)
         try:
             vec, closed_forms = families.moment_vector(family, kind, r_max, params)
         except ValueError as exc:
@@ -148,8 +133,7 @@ def _moment_command(kind: str, subcommand: str):
             result["scaled_entries"] = [_rat(e * space) for e in vec.entries]
         rows = [[r, _rat(e)] for r, e in enumerate(vec.entries)]
         _emit(
-            {"format": format, "out": out, "family": family, **params, "r_max": r_max,
-             "threads": threads},
+            {"format": format, "out": out, "family": family, **params, "r_max": r_max},
             subcommand,
             result,
             _csv_table(["r", "value"], rows),
@@ -166,18 +150,14 @@ cli.command(name="binomial-moments")(_moment_command("binomial", "binomial-momen
 
 
 @cli.command(name="pgf")
-@click.option("--family", required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--c", type=int, default=None)
-@click.option("--m", type=int, default=None)
-@click.option("--k", type=int, default=None)
+@_family_options
 @_common_options
-def pgf_cmd(family, n, c, m, k, format, out, threads):
+def pgf_cmd(family, n, c, m, k, format, out):
     """Exact probability generating function in canonical text."""
     started = time.monotonic()
-    params = _family_params(family, n, c, m, k)
+    entry, params = _family_params(family, n=n, c=c, m=m, k=k)
     try:
-        poly, source = _pgf_polynomial(family, params)
+        poly, source = entry.pgf(params)
     except (ValueError, MomentForgeError) as exc:
         raise click.UsageError(str(exc)) from exc
     coeffs = [_rat(poly.coefficient(d)) for d in range(max(poly.degree, 0) + 1)] if poly else ["0"]
@@ -190,37 +170,12 @@ def pgf_cmd(family, n, c, m, k, format, out, threads):
     }
     rows = [[d, v] for d, v in enumerate(coeffs)]
     _emit(
-        {"format": format, "out": out, "family": family, **params, "threads": threads},
+        {"format": format, "out": out, "family": family, **params},
         "pgf",
         result,
         _csv_table(["degree", "coefficient"], rows),
         started,
     )
-
-
-def _pgf_polynomial(family: str, params: dict) -> tuple[Polynomial, str]:
-    n = params["n"]
-    if family == "invmaj":
-        return invmaj.pgf(n), "closed-form"
-    if family == "domino" and params.get("m", 1) == 1:
-        # ((1+q)/2)^(n-1)
-        base = Polynomial("q", (Fraction(1, 2), Fraction(1, 2)))
-        return base ** max(n - 1, 0), "closed-form"
-    if family == "boolean" and params.get("k", 0) == 0:
-        if n > 12:
-            raise ValueError("boolean k=0 pgf supported for n <= 12 (2^n + 1 coefficients)")
-        base = Polynomial("q", (Fraction(1, 2), Fraction(1, 2)))
-        return base ** (2**n), "closed-form"
-    # remaining cases go through the exhaustive oracle (guards apply)
-    if family == "schur":
-        hist = oracle_mod.enumerate_schur(n, params["c"])
-    elif family == "boolean":
-        hist = oracle_mod.enumerate_boolean(n, params["k"])
-    elif family == "domino":
-        hist = oracle_mod.enumerate_boards(params["m"], n)
-    else:
-        raise ValueError(f"no pgf route for family {family!r}")
-    return hist.pgf(), "oracle"
 
 
 @cli.command(name="normality")
@@ -232,18 +187,14 @@ def _pgf_polynomial(family: str, params: dict) -> tuple[Polynomial, str]:
 @click.option("--threshold", type=float, default=0.05, show_default=True)
 @click.option("--precision", type=int, default=50, show_default=True, help="Significant digits.")
 @_common_options
-def normality_cmd(family, n_grid, m, k, r_max, threshold, precision, format, out, threads):
+def normality_cmd(family, n_grid, m, k, r_max, threshold, precision, format, out):
     """Normalized moments vs Gaussian targets along an n-grid."""
     started = time.monotonic()
     try:
         ns = [int(x) for x in n_grid.split(",")]
     except ValueError as exc:
         raise click.UsageError(f"bad --n-grid {n_grid!r}: {exc}") from exc
-    params = {}
-    if family == "domino":
-        params["m"] = m if m is not None else 1
-    if family == "boolean":
-        params["k"] = k if k is not None else 0
+    _, params = _family_params(family, m=m, k=k)
     try:
         grid = [(n, families.central_moments_at(family, n, r_max, params)) for n in ns]
         report = normality_report(family, params, grid, r_max, threshold=threshold, dps=precision)
@@ -251,7 +202,7 @@ def normality_cmd(family, n_grid, m, k, r_max, threshold, precision, format, out
         raise click.UsageError(str(exc)) from exc
     _emit(
         {"format": format, "out": out, "family": family, "n_grid": n_grid, **params,
-         "r_max": r_max, "threshold": threshold, "precision": precision, "threads": threads},
+         "r_max": r_max, "threshold": threshold, "precision": precision},
         "normality",
         report.to_json_dict(),
         report.to_csv_text(),
@@ -267,7 +218,7 @@ def normality_cmd(family, n_grid, m, k, r_max, threshold, precision, format, out
 @click.option("--t-steps", type=int, default=17, show_default=True)
 @click.option("--precision", type=int, default=50, show_default=True, help="Significant digits.")
 @_common_options
-def mgf_limit_cmd(family, n, t_min, t_max, t_steps, precision, format, out, threads):
+def mgf_limit_cmd(family, n, t_min, t_max, t_steps, precision, format, out):
     """Deviation of G_n(e^{t/sigma}) from e^{t^2/2} on a t grid."""
     started = time.monotonic()
     if t_steps < 2 or t_max <= t_min:
@@ -294,7 +245,7 @@ def mgf_limit_cmd(family, n, t_min, t_max, t_steps, precision, format, out, thre
         }
     _emit(
         {"format": format, "out": out, "family": family, "n": n, "t_min": t_min,
-         "t_max": t_max, "t_steps": t_steps, "precision": precision, "threads": threads},
+         "t_max": t_max, "t_steps": t_steps, "precision": precision},
         "mgf-limit",
         result,
         _csv_table(["t", "deviation"], [[r["t"], r["deviation"]] for r in row_dicts]),
@@ -303,56 +254,42 @@ def mgf_limit_cmd(family, n, t_min, t_max, t_steps, precision, format, out, thre
 
 
 @cli.command(name="oracle")
-@click.option("--family", required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--c", type=int, default=None)
-@click.option("--m", type=int, default=None)
-@click.option("--k", type=int, default=None)
+@_family_options
 @click.option("--r-max", type=int, default=4, show_default=True)
 @click.option("--samples", type=int, default=None, help="Boolean family: draw this many samples instead of exhausting.")
 @click.option("--seed", type=int, default=None, help="PRNG seed for sampling mode (Mersenne Twister).")
 @_common_options
-def oracle_cmd(family, n, c, m, k, r_max, samples, seed, format, out, threads):
+def oracle_cmd(family, n, c, m, k, r_max, samples, seed, format, out):
     """Exhaustive (or seeded-sample) histogram plus exact moments."""
     started = time.monotonic()
-    params = _family_params(family, n, c, m, k)
-    mode = "exhaustive"
-    joint = None
+    entry, params = _family_params(family, n=n, c=c, m=m, k=k)
+    if samples is not None:
+        if entry.sample is None:
+            raise click.UsageError(f"family {family!r} has no sampling mode; drop --samples")
+        if seed is None:
+            raise click.UsageError("sampling mode needs --seed for reproducibility")
     try:
-        if family == "schur":
-            hist = oracle_mod.enumerate_schur(n, params["c"], parts=max(1, threads))
-        elif family == "invmaj":
-            jh = oracle_mod.enumerate_permutations(n)
-            hist = jh.marginal_inv()
-            joint = {f"{a},{b}": cnt for (a, b), cnt in sorted(jh.counts.items())}
-        elif family == "boolean":
-            if samples is not None:
-                if seed is None:
-                    raise click.UsageError("sampling mode needs --seed for reproducibility")
-                hist = oracle_mod.sample_boolean(n, params["k"], samples, seed)
-                mode = "sample"
-            else:
-                hist = oracle_mod.enumerate_boolean(n, params["k"])
+        if samples is None:
+            hist, extra = entry.enumerate(params)
         else:
-            hist = oracle_mod.enumerate_boards(params["m"], n, parts=max(1, threads))
-    except MomentForgeError as exc:
+            hist, extra = entry.sample(params, samples, seed), {}
+    except (ValueError, MomentForgeError) as exc:
         raise click.UsageError(str(exc)) from exc
     moments = oracle_mod.histogram_moments(hist, r_max)
     result = {
         "family": family,
         "params": params,
-        "mode": mode,
+        "mode": "exhaustive" if samples is None else "sample",
         "seed": seed,
         "samples": samples,
         "total": str(hist.total),
         "histogram": {str(v): cnt for v, cnt in hist.to_csv_rows()},
         "moments": [_rat(e) for e in moments.entries],
+        **extra,
     }
-    if joint is not None:
-        result["joint"] = joint
     _emit(
         {"format": format, "out": out, "family": family, **params, "r_max": r_max,
-         "samples": samples, "seed": seed, "threads": threads},
+         "samples": samples, "seed": seed},
         "oracle",
         result,
         _csv_table(["value", "count"], hist.to_csv_rows()),
@@ -369,6 +306,7 @@ def oracle_cmd(family, n, c, m, k, r_max, samples, seed, format, out, threads):
 @click.option("--n-min", type=int, required=True)
 @click.option("--n-max", type=int, required=True)
 @click.option("--verify", type=int, default=3, show_default=True, help="Held-out points per residue class.")
+@click.option("--threads", type=int, default=DEFAULT_THREADS, show_default="MOMENTFORGE_THREADS or 1", help="Worker processes for the r = 2 Schur moment grid.")
 @_common_options
 def fit_cmd(family, r, c, period, degree, n_min, n_max, verify, format, out, threads):
     """Fit a quasi-polynomial to enumerated moment data and verify exactly."""
@@ -376,17 +314,17 @@ def fit_cmd(family, r, c, period, degree, n_min, n_max, verify, format, out, thr
     if n_min < 1 or n_max < n_min:
         raise click.UsageError("need 1 <= n-min <= n-max")
     ns = range(n_min, n_max + 1)
-    if r == 2:
-        data = schur.second_moment_grid(ns, c, workers=threads if threads > 1 else None)
-    else:
-        data = [(n, schur.first_moment(n, c)) for n in ns]
     try:
+        if r == 2:
+            data = schur.second_moment_grid(ns, c, workers=threads if threads > 1 else None)
+        else:
+            data = [(n, schur.first_moment(n, c)) for n in ns]
         res = fit_quasi_polynomial(
             FitSpec(period=period, degree=degree, samples=tuple(data), verify_count=verify)
         )
     except FitVerificationError as exc:
         raise ValidationFailure(str(exc)) from exc
-    except MomentForgeError as exc:
+    except (ValueError, MomentForgeError) as exc:
         raise click.UsageError(str(exc)) from exc
     quasi = res.quasi
     result = {
@@ -412,7 +350,7 @@ def fit_cmd(family, r, c, period, degree, n_min, n_max, verify, format, out, thr
 @cli.command(name="identities")
 @click.option("--r-max", type=int, default=10, show_default=True)
 @_common_options
-def identities_cmd(r_max, format, out, threads):
+def identities_cmd(r_max, format, out):
     """Check the central-coefficient identity battery for the 0-cube count."""
     started = time.monotonic()
     rows = []
@@ -432,7 +370,7 @@ def identities_cmd(r_max, format, out, threads):
             rows.append({"r": r, "t": t, "value": _rat(value), "expected": _rat(expected), "ok": ok})
     result = {"r_max": r_max, "rows": rows, "all_ok": all_ok}
     _emit(
-        {"format": format, "out": out, "r_max": r_max, "threads": threads},
+        {"format": format, "out": out, "r_max": r_max},
         "identities",
         result,
         _csv_table(
@@ -450,7 +388,7 @@ def identities_cmd(r_max, format, out, threads):
 @click.option("--k", type=int, default=1, show_default=True)
 @click.option("--with-polynomial", is_flag=True, help="Include the full H_n(q) polynomial (small n only).")
 @_common_options
-def approx_h_cmd(n, k, with_polynomial, format, out, threads):
+def approx_h_cmd(n, k, with_polynomial, format, out):
     """Independence approximation H_n(q): exact moments, optional polynomial."""
     started = time.monotonic()
     try:
@@ -481,8 +419,7 @@ def approx_h_cmd(n, k, with_polynomial, format, out, threads):
         result["probabilities"] = probs
         rows += [[f"q^{d}", v] for d, v in enumerate(probs)]
     _emit(
-        {"format": format, "out": out, "n": n, "k": k, "with_polynomial": with_polynomial,
-         "threads": threads},
+        {"format": format, "out": out, "n": n, "k": k, "with_polynomial": with_polynomial},
         "approx-h",
         result,
         _csv_table(["key", "value"], rows),

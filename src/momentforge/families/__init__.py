@@ -1,32 +1,40 @@
 """The four combinatorial families, addressed by canonical string IDs.
 
+``FAMILIES`` maps each ID to its table entry (``common.Family``), defined
+as ``FAMILY`` in the family's own module.  An entry declares the family's
+parameters and their defaults, its sample-space size, its moment route
+(with the highest order it serves and the closed-form texts where they are
+exact), its PGF route, its oracle (exhaustive, and sampled for boolean)
+and, where there is one, its normality grid.  The functions below and every
+CLI subcommand are lookups in this table.
+
 IDs and parameters:
 
-* ``schur``  — n (interval length), c (colors >= 2)
+* ``schur``  — n (interval length), c (colors >= 2, default 2)
 * ``invmaj`` — n (permutation length)
-* ``boolean`` — n (variables), k (cube dimension)
-* ``domino`` — m, n (board dimensions)
+* ``boolean`` — n (variables), k (cube dimension, default 0)
+* ``domino`` — m, n (board dimensions, m default 1)
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
 from momentforge.families import boolean, domino, invmaj, schur
-from momentforge.families.common import SYMBOL_LEGEND, eval_at_n
-from momentforge.moment_algebra import MomentVector
+from momentforge.families.common import SYMBOL_LEGEND, Family
+from momentforge.moment_algebra import KINDS, MomentVector
 
-FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
-    "schur": ("n", "c"),
-    "invmaj": ("n",),
-    "boolean": ("n", "k"),
-    "domino": ("m", "n"),
+FAMILIES: dict[str, Family] = {
+    f.name: f for f in (schur.FAMILY, invmaj.FAMILY, boolean.FAMILY, domino.FAMILY)
 }
 
+FAMILY_PARAMS: dict[str, tuple[str, ...]] = {name: f.params for name, f in FAMILIES.items()}
+
 __all__ = [
+    "FAMILIES",
     "FAMILY_PARAMS",
     "SYMBOL_LEGEND",
+    "Family",
     "boolean",
     "domino",
     "invmaj",
@@ -38,24 +46,18 @@ __all__ = [
 ]
 
 
-def validate_family(family: str) -> None:
-    if family not in FAMILY_PARAMS:
-        known = ", ".join(sorted(FAMILY_PARAMS))
+def validate_family(family: str) -> Family:
+    """The table entry of ``family``; ValueError for an unknown ID."""
+    entry = FAMILIES.get(family)
+    if entry is None:
+        known = ", ".join(sorted(FAMILIES))
         raise ValueError(f"unknown family {family!r}; choose one of: {known}")
+    return entry
 
 
 def sample_space_size(family: str, params: Mapping) -> int:
-    import math
-
-    if family == "schur":
-        return int(params["c"]) ** int(params["n"])
-    if family == "invmaj":
-        return math.factorial(int(params["n"]))
-    if family == "boolean":
-        return 1 << (1 << int(params["n"]))
-    if family == "domino":
-        return 1 << (int(params["m"]) * int(params["n"]))
-    raise ValueError(f"unknown family {family!r}")
+    entry = validate_family(family)
+    return entry.space_size(entry.resolve(params))
 
 
 def moment_vector(family: str, kind: str, r_max: int, params: Mapping):
@@ -69,128 +71,19 @@ def moment_vector(family: str, kind: str, r_max: int, params: Mapping):
     forms (the oracle subcommand covers those numerically), and
     SizeGuardError when a domino board is beyond the transfer-matrix guard.
     """
-    from momentforge.moment_algebra import (
-        MomentVector as MV,
-        central_to_raw,
-        raw_to_binomial,
-        raw_to_central,
-    )
-
-    validate_family(family)
-    if kind not in ("raw", "central", "binomial"):
+    entry = validate_family(family)
+    if kind not in KINDS:
         raise ValueError(f"unknown moment kind {kind!r}")
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
-    p = {k: int(v) for k, v in params.items()}
-
-    if family == "schur":
-        n, c = p["n"], p["c"]
-        if r_max > 2:
-            raise ValueError(
-                "schur closed forms stop at r = 2 (the paper's third moment is out "
-                "of scope); use the oracle subcommand for higher orders"
-            )
-        e1 = schur.first_moment(n, c)
-        entries_raw = [Fraction(1), e1, schur.second_moment(n, c)][: r_max + 1]
-        raw = MV("raw", entries_raw, family=family, params=p)
-        if kind == "raw":
-            return raw, None
-        if r_max < 1:
-            return MV(kind, [Fraction(1)], family=family, params=p, about_mean=True), None
-        central = raw_to_central(raw, e1)
-        if kind == "central":
-            return central, None
-        return raw_to_binomial(central), None
-
-    if family == "invmaj":
-        n = p["n"]
-        if kind == "binomial":
-            return invmaj.binomial_moments(n, r_max), None
-        central = invmaj.central_moments(n, r_max)
-        if kind == "central":
-            return central, None
-        mu, _ = invmaj.mean_variance(n)
-        return central_to_raw(central, mu), None
-
-    if family == "boolean":
-        n, k = p["n"], p["k"]
-        if not 0 <= k <= n:
-            raise ValueError("need 0 <= k <= n")
-        if k == 0:
-            if kind == "binomial":
-                sym = boolean.binomial_moments_k0(r_max)
-                entries = [eval_at_n(e, n) for e in sym.entries]
-                texts = [e.to_text() for e in sym.entries]
-                return (
-                    MV("binomial", entries, family=family, params=p, about_mean=True),
-                    texts,
-                )
-            sym = (
-                boolean.raw_moments_k0(r_max)
-                if kind == "raw"
-                else boolean.central_moments_k0(r_max)
-            )
-        else:
-            limit = 3 if k == 1 else 2
-            if r_max > limit:
-                raise ValueError(
-                    f"boolean closed forms for k={k} stop at r = {limit}; "
-                    "use the oracle subcommand for higher orders"
-                )
-            if kind == "raw":
-                sym = boolean.raw_moments_k1(r_max) if k == 1 else _boolean_raws_k(k, r_max)
-            else:
-                sym = (
-                    boolean.central_moments_k1(r_max)
-                    if k == 1
-                    else raw_to_central(_boolean_raws_k(k, r_max), boolean.first_moment_k(k))
-                )
-            if kind == "binomial":
-                central = (
-                    boolean.central_moments_k1(r_max)
-                    if k == 1
-                    else raw_to_central(_boolean_raws_k(k, r_max), boolean.first_moment_k(k))
-                )
-                numeric = MV(
-                    "central",
-                    [eval_at_n(e, n) for e in central.entries],
-                    family=family,
-                    params=p,
-                )
-                texts = [_poly_text(e) for e in central.entries]
-                return raw_to_binomial(numeric), texts
-        entries = [eval_at_n(e, n) for e in sym.entries]
-        texts = [_poly_text(e) for e in sym.entries]
-        vec = MV(kind, entries, family=family, params=p, about_mean=(kind == "central"))
-        return vec, texts
-
-    # domino: the mu-polynomials are printed only where they are exact
-    m, n = p["m"], p["n"]
-    exact_forms = domino.in_closed_form_domain(m, n, r_max)
-    if kind == "raw":
-        texts = [_poly_text(e) for e in domino.raw_moments_symbolic(r_max).entries]
-        return domino.raw_moments(m, n, r_max), texts if exact_forms else None
-    numeric = domino.central_moments(m, n, r_max)
-    if kind == "central":
-        texts = [_poly_text(e) for e in domino.central_moments_symbolic(r_max).entries]
-        return numeric, texts if exact_forms else None
-    return raw_to_binomial(numeric), None
-
-
-def _boolean_raws_k(k: int, r_max: int):
-    from momentforge.moment_algebra import MomentVector as MV
-    from momentforge.poly_series import Polynomial
-
-    entries: list = [Polynomial("W", (1,))]
-    if r_max >= 1:
-        entries.append(boolean.first_moment_k(k))
-    if r_max >= 2:
-        entries.append(boolean.second_moment_k(k))
-    return MV("raw", entries[: r_max + 1], family="boolean", params={"k": k})
-
-
-def _poly_text(entry) -> str:
-    return entry.to_text() if hasattr(entry, "to_text") else str(entry)
+    p = entry.resolve(params)
+    limit = entry.max_order(p)
+    if limit is not None and r_max > limit:
+        raise ValueError(
+            f"{family} closed forms for {p} stop at r = {limit}; "
+            "use the oracle subcommand for higher orders"
+        )
+    return entry.moments(kind, r_max, p)
 
 
 def central_moments_at(family: str, n: int, r_max: int, params: Mapping | None = None) -> MomentVector:
@@ -201,17 +94,7 @@ def central_moments_at(family: str, n: int, r_max: int, params: Mapping | None =
     boolean with k=0.  Schur has closed forms only through r = 2, too few
     for a normality verdict.
     """
-    params = dict(params or {})
-    if family == "invmaj":
-        return invmaj.central_moments(n, r_max)
-    if family == "domino":
-        m = int(params.get("m", 1))
-        return domino.central_moments(m, n, r_max)
-    if family == "boolean":
-        k = int(params.get("k", 0))
-        if k != 0:
-            raise ValueError("boolean normality grid supports k=0 only (closed forms)")
-        sym = boolean.central_moments_k0(r_max)
-        entries = [eval_at_n(e, n) if not isinstance(e, Fraction) else e for e in sym.entries]
-        return MomentVector("central", entries, family="boolean", params={"n": n, "k": 0})
-    raise ValueError(f"family {family!r} does not provide a closed-form central-moment grid")
+    entry = validate_family(family)
+    if entry.normality_grid is None:
+        raise ValueError(f"family {family!r} does not provide a closed-form central-moment grid")
+    return entry.normality_grid(entry.resolve({**(params or {}), "n": n}), r_max)

@@ -14,10 +14,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from momentforge import oracle
 from momentforge.errors import SizeGuardError
 from momentforge.exact_core import binomial, falling_factorial, stirling1_signed, stirling2
-from momentforge.families.common import log_centered_kernel
-from momentforge.moment_algebra import MomentVector, raw_to_central
+from momentforge.families.common import Family, eval_at_n, log_centered_kernel
+from momentforge.moment_algebra import MomentVector, raw_to_binomial, raw_to_central
 from momentforge.poly_series import Polynomial, TruncatedSeries, exp_series
 
 __all__ = [
@@ -108,18 +109,8 @@ def first_moment_k(k: int) -> Polynomial:
 
 
 def second_moment_k(k: int) -> Polynomial:
-    """E[X_k^2] via the overlap sum over pairs meeting in an i-cube."""
-    if k < 0:
-        raise ValueError("need k >= 0")
-    nn = _n_poly()
-    denom = 2 ** (2 ** (k + 1))
-    acc = Polynomial("W", ())
-    for i in range(k + 1):
-        weight = _multinomial_poly(k, i) * Fraction(2 ** (2**i) - 1, 2**i * denom)
-        acc = acc + Polynomial("W", (0, weight))
-    ck = falling_factorial(nn, k) * Fraction(1, math.factorial(k))
-    rest = ck * ck * Fraction(1, 2 ** (2 * k) * denom)
-    return acc + Polynomial("W", (0, 0, rest))
+    """E[X_k^2] = Var(X_k) + E[X_k]^2."""
+    return variance_k(k) + first_moment_k(k) ** 2
 
 
 def variance_k(k: int) -> Polynomial:
@@ -153,15 +144,15 @@ def raw_moments_k1(r_max: int) -> MomentVector:
     """Raw moments of the 1-cube count, r_max <= 3 (no closed form beyond)."""
     if r_max > 3:
         raise ValueError("k=1 closed forms stop at the third moment")
-    nn = _n_poly()
-    entries: list = [Polynomial("W", (1,))]
-    if r_max >= 1:
-        entries.append(first_moment_k(1))
-    if r_max >= 2:
-        entries.append(second_moment_k(1))
-    if r_max >= 3:
+    return _raw_moments_k(1, r_max)
+
+
+def _raw_moments_k(k: int, r_max: int) -> MomentVector:
+    """Raw moments of the k-cube count through r = 2 (r = 3 for k = 1), truncated at r_max."""
+    entries = [Polynomial("W", (1,)), first_moment_k(k), second_moment_k(k)]
+    if k == 1:
         entries.append(third_moment_k1())
-    return MomentVector("raw", entries, family="boolean", params={"k": 1})
+    return MomentVector("raw", entries[: r_max + 1], family="boolean", params={"k": k})
 
 
 def central_moments_k1(r_max: int) -> MomentVector:
@@ -265,3 +256,58 @@ def h_polynomial(n: int, k: int, max_degree: int = 2000) -> Polynomial:
             comb = comb * (N - m + 1) // m
         acc = acc + base ** math.comb(m, block) * comb
     return acc * Fraction(1, 2**N)
+
+
+def _max_order(p: dict) -> int | None:
+    if not 0 <= p["k"] <= p["n"]:
+        raise ValueError("need 0 <= k <= n")
+    return None if p["k"] == 0 else 3 if p["k"] == 1 else 2
+
+
+def _moments(kind: str, r_max: int, p: dict) -> tuple[MomentVector, list[str]]:
+    """Moments with their closed forms: in W (k = 0 binomial: in w), coefficients in n.
+
+    For k >= 1 the binomial moments come from the central ones, whose texts
+    are the ones returned.
+    """
+    n, k = p["n"], p["k"]
+    if k == 0:
+        sym = {"raw": raw_moments_k0, "central": central_moments_k0, "binomial": binomial_moments_k0}[kind](r_max)
+    else:
+        sym = _raw_moments_k(k, r_max)
+        if kind != "raw":
+            sym = raw_to_central(sym, first_moment_k(k))
+    entries = [eval_at_n(e, n) for e in sym.entries]
+    vec = MomentVector(sym.kind, entries, family="boolean", params=p, about_mean=sym.about_mean)
+    if sym.kind != kind:
+        vec = raw_to_binomial(vec)
+    return vec, [e.to_text() for e in sym.entries]
+
+
+def _closed_pgf(p: dict) -> Polynomial | None:
+    """((1+q)/2)^(2^n) for the 0-cube count."""
+    if p["k"] != 0:
+        return None
+    if p["n"] > 12:
+        raise ValueError("boolean k=0 pgf supported for n <= 12 (2^n + 1 coefficients)")
+    return Polynomial("q", (Fraction(1, 2), Fraction(1, 2))) ** (2 ** p["n"])
+
+
+def _normality_grid(p: dict, r_max: int) -> MomentVector:
+    if p["k"] != 0:
+        raise ValueError("boolean normality grid supports k=0 only (closed forms)")
+    return _moments("central", r_max, p)[0]
+
+
+FAMILY = Family(
+    name="boolean",
+    params=("n", "k"),
+    defaults={"k": 0},
+    space_size=lambda p: 1 << (1 << p["n"]),
+    max_order=_max_order,
+    moments=_moments,
+    closed_pgf=_closed_pgf,
+    enumerate=lambda p: (oracle.enumerate_boolean(p["n"], p["k"]), {}),
+    sample=lambda p, samples, seed: oracle.sample_boolean(p["n"], p["k"], samples, seed),
+    normality_grid=_normality_grid,
+)

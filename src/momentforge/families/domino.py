@@ -23,10 +23,11 @@ from functools import lru_cache
 
 import mpmath
 
+from momentforge import oracle
 from momentforge.errors import SizeGuardError
 from momentforge.exact_core import falling_factorial, stirling2
-from momentforge.families.common import log_centered_kernel
-from momentforge.moment_algebra import MomentVector, binomial_to_raw, raw_to_central
+from momentforge.families.common import Family, log_centered_kernel
+from momentforge.moment_algebra import MomentVector, binomial_to_raw, raw_to_binomial, raw_to_central
 from momentforge.poly_series import Polynomial, TruncatedSeries, exp_series
 
 __all__ = [
@@ -296,3 +297,36 @@ def mgf_deviation_1n(n: int, t_values, dps: int = 50):
 def _check(m: int, n: int) -> None:
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
+
+
+def _moments(kind: str, r_max: int, p: dict) -> tuple[MomentVector, list[str] | None]:
+    """Exact moments; the mu-polynomial texts only where every order is exact."""
+    m, n = p["m"], p["n"]
+    if kind == "binomial":
+        return raw_to_binomial(central_moments(m, n, r_max)), None
+    if kind == "raw":
+        vec, sym = raw_moments(m, n, r_max), raw_moments_symbolic(r_max)
+    else:
+        vec, sym = central_moments(m, n, r_max), central_moments_symbolic(r_max)
+    texts = [e.to_text() for e in sym.entries]
+    return vec, texts if in_closed_form_domain(m, n, r_max) else None
+
+
+def _closed_pgf(p: dict) -> Polynomial | None:
+    """((1+q)/2)^(n-1) on a 1-by-n board."""
+    if p["m"] != 1:
+        return None
+    return Polynomial("q", (Fraction(1, 2), Fraction(1, 2))) ** max(p["n"] - 1, 0)
+
+
+FAMILY = Family(
+    name="domino",
+    params=("m", "n"),
+    defaults={"m": 1},
+    space_size=lambda p: 1 << (p["m"] * p["n"]),
+    max_order=lambda p: None,
+    moments=_moments,
+    closed_pgf=_closed_pgf,
+    enumerate=lambda p: (oracle.enumerate_boards(p["m"], p["n"]), {}),
+    normality_grid=lambda p, r_max: central_moments(p["m"], p["n"], r_max),
+)

@@ -19,8 +19,10 @@ from functools import lru_cache
 
 import mpmath
 
+from momentforge import oracle
 from momentforge.exact_core import falling_factorial
-from momentforge.moment_algebra import MomentVector, binomial_to_raw
+from momentforge.families.common import Family
+from momentforge.moment_algebra import MomentVector, binomial_to_raw, central_to_raw
 from momentforge.poly_series import Polynomial
 
 __all__ = [
@@ -160,3 +162,33 @@ def mgf_deviation(n: int, t_values, dps: int = 50):
             rows.append((tt, dev))
             sup = max(sup, dev)
     return sup, rows
+
+
+def _moments(kind: str, r_max: int, p: dict) -> tuple[MomentVector, None]:
+    n = p["n"]
+    if kind == "binomial":
+        return binomial_moments(n, r_max), None
+    central = central_moments(n, r_max)
+    if kind == "central":
+        return central, None
+    mu, _ = mean_variance(n)
+    return central_to_raw(central, mu), None
+
+
+def _enumerate(p: dict) -> tuple[oracle.Histogram, dict]:
+    joint = oracle.enumerate_permutations(p["n"])
+    pairs = {f"{a},{b}": cnt for (a, b), cnt in sorted(joint.counts.items())}
+    return joint.marginal_inv(), {"joint": pairs}
+
+
+FAMILY = Family(
+    name="invmaj",
+    params=("n",),
+    defaults={},
+    space_size=lambda p: math.factorial(p["n"]),
+    max_order=lambda p: None,
+    moments=_moments,
+    closed_pgf=lambda p: pgf(p["n"]),
+    enumerate=_enumerate,
+    normality_grid=lambda p, r_max: central_moments(p["n"], r_max),
+)

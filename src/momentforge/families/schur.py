@@ -10,6 +10,7 @@ is a sum over ordered pairs of triples with
 
 The pair sum is organized so that only intersecting pairs are enumerated
 (bucketed by shared element); disjoint pairs are folded into E[X]^2.
+Closed forms stop at r = 2: the paper's third moment is out of scope.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from momentforge import oracle
+from momentforge.families.common import Family
+from momentforge.moment_algebra import MomentVector, raw_to_binomial, raw_to_central
 from momentforge.poly_series import Polynomial, QuasiPolynomial
 
 __all__ = [
@@ -164,3 +168,28 @@ def _check(n: int, c: int) -> None:
         raise ValueError("need n >= 1")
     if c < 2:
         raise ValueError("need c >= 2")
+
+
+def _moments(kind: str, r_max: int, p: dict) -> tuple[MomentVector, None]:
+    n, c = p["n"], p["c"]
+    e1 = first_moment(n, c)
+    entries = [Fraction(1), e1, second_moment(n, c)][: r_max + 1]
+    raw = MomentVector("raw", entries, family="schur", params=p)
+    if kind == "raw":
+        return raw, None
+    if r_max < 1:
+        return MomentVector(kind, [Fraction(1)], family="schur", params=p, about_mean=True), None
+    central = raw_to_central(raw, e1)
+    return (central if kind == "central" else raw_to_binomial(central)), None
+
+
+FAMILY = Family(
+    name="schur",
+    params=("n", "c"),
+    defaults={"c": 2},
+    space_size=lambda p: p["c"] ** p["n"],
+    max_order=lambda p: 2,
+    moments=_moments,
+    closed_pgf=lambda p: None,
+    enumerate=lambda p: (oracle.enumerate_schur(p["n"], p["c"]), {}),
+)

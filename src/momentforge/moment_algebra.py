@@ -81,11 +81,6 @@ class MomentVector:
     def entry(self, r: int):
         return self.entries[r]
 
-    def map_entries(self, fn) -> "MomentVector":
-        return MomentVector(
-            self.kind, tuple(fn(e) for e in self.entries), self.family, self.params, self.about_mean
-        )
-
 
 def binomial_to_raw(vec: MomentVector) -> MomentVector:
     """Power moments from binomial moments: M_r = sum_i {r brace i} B_i i!.

@@ -243,24 +243,33 @@ def subcube_positions(n: int, k: int) -> tuple[int, ...]:
     return tuple(positions)
 
 
+def _subcube_counter(n: int, k: int):
+    """The function mask -> number of k-subcubes of the n-cube inside the mask."""
+    if k == 0:
+        return int.bit_count
+    positions = subcube_positions(n, k)
+
+    def count(mask: int) -> int:
+        x = 0
+        for pos in positions:
+            if mask & pos == pos:
+                x += 1
+        return x
+
+    return count
+
+
 def count_subcubes(f, n: int, k: int) -> int:
     """Number of k-dimensional subcubes fully contained in f."""
-    mask = _as_vertex_mask(f, n)
-    if k == 0:
-        return mask.bit_count()
-    return sum(1 for pos in subcube_positions(n, k) if mask & pos == pos)
+    return _subcube_counter(n, k)(_as_vertex_mask(f, n))
 
 
 @lru_cache(maxsize=None)
 def _boolean_counts(n: int, k: int) -> tuple[tuple[int, int], ...]:
-    space = 1 << (1 << n)
-    positions = subcube_positions(n, k)
+    subcubes = _subcube_counter(n, k)
     counts: dict[int, int] = {}
-    for f in range(space):
-        x = 0
-        for pos in positions:
-            if f & pos == pos:
-                x += 1
+    for f in range(1 << (1 << n)):
+        x = subcubes(f)
         counts[x] = counts.get(x, 0) + 1
     return tuple(sorted(counts.items()))
 
@@ -287,19 +296,10 @@ def sample_boolean(n: int, k: int, count: int, seed: int) -> Histogram:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
     nbits = 1 << n
+    subcubes = _subcube_counter(n, k)
     counts: dict[int, int] = {}
-    if k == 0:
-        for _ in range(count):
-            x = rng.getrandbits(nbits).bit_count()
-            counts[x] = counts.get(x, 0) + 1
-        return Histogram(counts, count)
-    positions = subcube_positions(n, k)
     for _ in range(count):
-        f = rng.getrandbits(nbits)
-        x = 0
-        for pos in positions:
-            if f & pos == pos:
-                x += 1
+        x = subcubes(rng.getrandbits(nbits))
         counts[x] = counts.get(x, 0) + 1
     return Histogram(counts, count)
 

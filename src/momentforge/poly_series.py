@@ -35,8 +35,6 @@ __all__ = [
 
 Coef = Union[Fraction, "Polynomial"]
 
-DEFAULT_ORDER = 12  # supports moments through r = 12
-
 
 def _as_coef(value) -> Coef:
     if isinstance(value, Polynomial):
@@ -231,9 +229,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             out = out * inner + c
         return out
-
-    def map_coefficients(self, fn) -> "Polynomial":
-        return Polynomial(self.symbol, tuple(fn(c) for c in self.coeffs))
 
     def divide_by_symbol(self) -> "Polynomial":
         """Exact division by the symbol; the constant term must be zero."""
@@ -441,9 +436,6 @@ class TruncatedSeries:
                 base = base * base
         return out
 
-    def map_coefficients(self, fn) -> "TruncatedSeries":
-        return TruncatedSeries(self.var, self.order, tuple(fn(c) for c in self.coeffs))
-
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
@@ -547,6 +539,4 @@ def leading_term(p: Polynomial) -> tuple[int, Coef]:
 
 def evaluate(p, n: int):
     """Exact evaluation of a Polynomial or QuasiPolynomial at an integer."""
-    if isinstance(p, QuasiPolynomial):
-        return p.eval(n)
     return p.eval(n)

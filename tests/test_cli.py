@@ -181,9 +181,22 @@ def test_usage_errors_exit_1():
         ["oracle", "--family", "invmaj", "--n", "12"],  # guard: 12! too large
         ["no-such-command"],
         ["mgf-limit", "--family", "invmaj", "--n", "1"],
+        # only boolean has a sampling mode
+        ["oracle", "--family", "domino", "--m", "2", "--n", "2", "--samples", "5", "--seed", "1"],
+        ["oracle", "--family", "boolean", "--n", "3", "--k", "4"],
+        ["fit", "--r", "1", "--period", "2", "--degree", "2", "--n-min", "1",
+         "--n-max", "14", "--verify", "1"],
+        ["fit", "--r", "1", "--c", "1", "--period", "2", "--degree", "2", "--n-min", "1",
+         "--n-max", "14"],
+        # --threads belongs to fit alone
+        ["moments", "--family", "invmaj", "--n", "4", "--threads", "2"],
+        ["oracle", "--family", "schur", "--n", "6", "--threads", "2"],
     ):
         proc = run_cli(*args)
         assert proc.returncode == 1, (args, proc.stderr)
+        assert proc.stdout == "", args
+        assert proc.stderr.startswith("usage error:"), (args, proc.stderr)
+        assert "Traceback" not in proc.stderr, (args, proc.stderr)
 
 
 def test_fit_verification_failure_exits_2():
