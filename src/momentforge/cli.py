@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -28,8 +27,6 @@ from momentforge.families.common import SYMBOL_LEGEND
 from momentforge.fitter import FitSpec, fit_quasi_polynomial
 from momentforge.moment_algebra import normality_report
 from momentforge import oracle as oracle_mod
-
-DEFAULT_THREADS = int(os.environ.get("MOMENTFORGE_THREADS", "1") or 1)
 
 
 class ValidationFailure(MomentForgeError):
@@ -306,9 +303,8 @@ def oracle_cmd(family, n, c, m, k, r_max, samples, seed, format, out):
 @click.option("--n-min", type=int, required=True)
 @click.option("--n-max", type=int, required=True)
 @click.option("--verify", type=int, default=3, show_default=True, help="Held-out points per residue class.")
-@click.option("--threads", type=int, default=DEFAULT_THREADS, show_default="MOMENTFORGE_THREADS or 1", help="Worker processes for the r = 2 Schur moment grid.")
 @_common_options
-def fit_cmd(family, r, c, period, degree, n_min, n_max, verify, format, out, threads):
+def fit_cmd(family, r, c, period, degree, n_min, n_max, verify, format, out):
     """Fit a quasi-polynomial to enumerated moment data and verify exactly."""
     started = time.monotonic()
     if n_min < 1 or n_max < n_min:
@@ -316,7 +312,7 @@ def fit_cmd(family, r, c, period, degree, n_min, n_max, verify, format, out, thr
     ns = range(n_min, n_max + 1)
     try:
         if r == 2:
-            data = schur.second_moment_grid(ns, c, workers=threads if threads > 1 else None)
+            data = schur.second_moment_grid(ns, c)
         else:
             data = [(n, schur.first_moment(n, c)) for n in ns]
         res = fit_quasi_polynomial(
@@ -339,7 +335,7 @@ def fit_cmd(family, r, c, period, degree, n_min, n_max, verify, format, out, thr
     rows = [[j, b.to_text()] for j, b in enumerate(quasi.branches)]
     _emit(
         {"format": format, "out": out, "family": family, "r": r, "c": c, "period": period,
-         "degree": degree, "n_min": n_min, "n_max": n_max, "verify": verify, "threads": threads},
+         "degree": degree, "n_min": n_min, "n_max": n_max, "verify": verify},
         "fit",
         result,
         _csv_table(["residue", "polynomial"], rows),

@@ -304,12 +304,11 @@ def _moments(kind: str, r_max: int, p: dict) -> tuple[MomentVector, list[str] | 
     m, n = p["m"], p["n"]
     if kind == "binomial":
         return raw_to_binomial(central_moments(m, n, r_max)), None
-    if kind == "raw":
-        vec, sym = raw_moments(m, n, r_max), raw_moments_symbolic(r_max)
-    else:
-        vec, sym = central_moments(m, n, r_max), central_moments_symbolic(r_max)
-    texts = [e.to_text() for e in sym.entries]
-    return vec, texts if in_closed_form_domain(m, n, r_max) else None
+    vec = (raw_moments if kind == "raw" else central_moments)(m, n, r_max)
+    if not in_closed_form_domain(m, n, r_max):
+        return vec, None
+    sym = (raw_moments_symbolic if kind == "raw" else central_moments_symbolic)(r_max)
+    return vec, [e.to_text() for e in sym.entries]
 
 
 def _closed_pgf(p: dict) -> Polynomial | None:

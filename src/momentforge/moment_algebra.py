@@ -118,12 +118,12 @@ def raw_to_binomial(vec: MomentVector) -> MomentVector:
 def raw_to_central(vec: MomentVector, mu) -> MomentVector:
     """Moments about the mean via the binomial transform.
 
-    ``mu`` must equal the first raw moment; the order-1 central entry comes
-    out exactly 0.
+    ``mu`` must equal the first raw moment where the vector has one; the
+    order-1 central entry comes out exactly 0.
     """
     if vec.kind != "raw":
         raise ValueError("raw_to_central expects raw moments")
-    if vec.r_max < 1 or not vec.entries[1] == mu:
+    if vec.r_max >= 1 and not vec.entries[1] == mu:
         raise ValueError(f"mu={mu!r} does not match first raw moment {vec.entries[1]!r}")
     out = []
     for r in range(vec.r_max + 1):

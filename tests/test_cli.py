@@ -1,7 +1,6 @@
 """End-to-end CLI tests via subprocess: exit codes, schema validity, determinism."""
 
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,15 +12,11 @@ import pytest
 from momentforge.moment_algebra import MomentVector, raw_to_central
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "momentforge", *args],
         capture_output=True,
         text=True,
-        env=env,
         timeout=300,
     )
 
@@ -64,20 +59,25 @@ SMOKE_COMMANDS = [
         ["fit", "--family", "schur", "--r", "1", "--c", "2", "--period", "2",
          "--degree", "2", "--n-min", "1", "--n-max", "14"],
     ),
+    (
+        "fit-r2",
+        ["fit", "--r", "2", "--period", "12", "--degree", "4", "--n-min", "13",
+         "--n-max", "96", "--verify", "2"],
+    ),
     ("identities", ["identities", "--r-max", "6"]),
     ("approx-h", ["approx-h", "--n", "3", "--k", "1", "--with-polynomial"]),
 ]
 
 
-@pytest.mark.parametrize("name,args", SMOKE_COMMANDS, ids=[c[0] for c in SMOKE_COMMANDS])
-def test_every_subcommand_emits_schema_valid_json(name, args, schema):
+@pytest.mark.parametrize("label,args", SMOKE_COMMANDS, ids=[c[0] for c in SMOKE_COMMANDS])
+def test_every_subcommand_emits_schema_valid_json(label, args, schema):
     payload, manifest = check_json(run_cli(*args), schema)
-    assert payload["subcommand"] == name
-    assert manifest["subcommand"] == name
+    assert payload["subcommand"] == args[0]
+    assert manifest["subcommand"] == args[0]
 
 
-@pytest.mark.parametrize("name,args", SMOKE_COMMANDS, ids=[c[0] for c in SMOKE_COMMANDS])
-def test_reruns_are_byte_identical(name, args, schema):
+@pytest.mark.parametrize("label,args", SMOKE_COMMANDS, ids=[c[0] for c in SMOKE_COMMANDS])
+def test_reruns_are_byte_identical(label, args, schema):
     a = run_cli(*args)
     b = run_cli(*args)
     assert a.returncode == b.returncode == 0
@@ -117,6 +117,17 @@ def test_domino_transfer_guard_exits_1():
     proc = run_cli("moments", "--family", "domino", "--m", "20", "--n", "30", "--r", "4")
     assert proc.returncode == 1
     assert "size guard" in proc.stderr
+
+
+@pytest.mark.parametrize("subcommand", ["central", "binomial-moments"])
+@pytest.mark.parametrize(
+    "params",
+    [["domino", "--m", "2"], ["domino", "--m", "1"], ["boolean", "--k", "0"], ["boolean", "--k", "1"]],
+    ids=["domino-2x3", "domino-1x3", "boolean-k0", "boolean-k1"],
+)
+def test_order_zero_about_the_mean(subcommand, params, schema):
+    payload, _ = check_json(run_cli(subcommand, "--family", *params, "--n", "3", "--r", "0"), schema)
+    assert payload["result"]["entries"] == ["1"]
 
 
 def test_pgf_trivial_case():
@@ -174,6 +185,12 @@ def test_oracle_sampling_needs_seed():
     assert "seed" in proc.stderr
 
 
+SWEEP_GUARD_ARGS = [
+    ["moments", "--family", "schur", "--n", "601", "--r", "2"],
+    ["fit", "--r", "2", "--period", "12", "--degree", "4", "--n-min", "13", "--n-max", "601"],
+]
+
+
 def test_usage_errors_exit_1():
     for args in (
         ["moments", "--family", "nosuch", "--n", "3"],
@@ -188,15 +205,21 @@ def test_usage_errors_exit_1():
          "--n-max", "14", "--verify", "1"],
         ["fit", "--r", "1", "--c", "1", "--period", "2", "--degree", "2", "--n-min", "1",
          "--n-max", "14"],
-        # --threads belongs to fit alone
+        # no subcommand takes --threads
         ["moments", "--family", "invmaj", "--n", "4", "--threads", "2"],
         ["oracle", "--family", "schur", "--n", "6", "--threads", "2"],
+        ["fit", "--r", "1", "--period", "2", "--degree", "2", "--n-min", "1",
+         "--n-max", "14", "--threads", "2"],
+        # beyond the Schur E[X^2] sweep guard
+        *SWEEP_GUARD_ARGS,
     ):
         proc = run_cli(*args)
         assert proc.returncode == 1, (args, proc.stderr)
         assert proc.stdout == "", args
         assert proc.stderr.startswith("usage error:"), (args, proc.stderr)
         assert "Traceback" not in proc.stderr, (args, proc.stderr)
+        if args in SWEEP_GUARD_ARGS:
+            assert "SWEEP_GUARD size guard" in proc.stderr, (args, proc.stderr)
 
 
 def test_fit_verification_failure_exits_2():
@@ -206,15 +229,6 @@ def test_fit_verification_failure_exits_2():
     )
     assert proc.returncode == 2
     assert "verification mismatch" in proc.stderr
-
-
-def test_threads_env_fallback(schema):
-    args = ["fit", "--family", "schur", "--r", "1", "--c", "3", "--period", "2",
-            "--degree", "2", "--n-min", "1", "--n-max", "14"]
-    base, _ = check_json(run_cli(*args), schema)
-    threaded, _ = check_json(run_cli(*args), schema)
-    env, _ = check_json(run_cli(*args, env_extra={"MOMENTFORGE_THREADS": "3"}), schema)
-    assert base == threaded == env
 
 
 def test_mgf_limit_json_fields(schema):

@@ -2,6 +2,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from momentforge.errors import SizeGuardError
 from momentforge.families import schur
 from momentforge.oracle import enumerate_schur, histogram_moments
 from momentforge.poly_series import Polynomial
@@ -77,14 +78,29 @@ def test_second_moment_matches_oracle():
 
 
 def test_second_moment_grid_matches_pointwise():
-    grid = schur.second_moment_grid(range(5, 12), 2)
-    assert grid == [(n, schur.second_moment(n, 2)) for n in range(5, 12)]
+    for ns, c in ((range(5, 12), 2), ([40, 13, 27, 13], 2), ([40, 13, 27, 13], 3), ([], 2)):
+        grid = schur.second_moment_grid(ns, c)
+        assert grid == [(n, schur.second_moment(n, c)) for n in ns]
 
 
-def test_second_moment_grid_parallel_deterministic():
-    seq = schur.second_moment_grid(range(13, 21), 2)
-    par = schur.second_moment_grid(range(13, 21), 2, workers=3)
-    assert seq == par
+def test_second_moment_grid_matches_printed_branch_beyond_fit_range():
+    # the paper's n = 1 (mod 12) branch of E[X^2], as in acceptance criterion 2
+    ns = range(13, 302, 12)
+    for c in (2, 3, 5):
+        for n, value in schur.second_moment_grid(ns, c):
+            printed = Fr(
+                (n - 1) * (24 * c**3 - 76 * c - 27 * n + 65 - 9 * n * n + 12 * c * n * n
+                           + 24 * c * c * n + 3 * n**3 - 16 * c * c),
+                48 * c**4,
+            )
+            assert value == printed, (n, c)
+
+
+def test_second_moment_sweep_guard():
+    with pytest.raises(SizeGuardError, match="SWEEP_GUARD"):
+        schur.second_moment_grid([13, schur.SWEEP_GUARD + 1], 2)
+    with pytest.raises(SizeGuardError):
+        schur.second_moment(schur.SWEEP_GUARD + 1, 3)
 
 
 def test_parameter_validation():

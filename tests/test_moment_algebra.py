@@ -49,10 +49,13 @@ def test_raw_to_central_examples():
     c = raw_to_central(point, Fr(7))
     assert c.entries[1] == 0 and c.entries[2] == 0 and c.entries[3] == 0
 
+    # order 0 alone: no order-1 entry to check mu against
+    assert raw_to_central(MomentVector("raw", [Fr(1)]), Fr(5, 2)).entries == (Fr(1),)
+
 
 def test_raw_to_central_rejects_wrong_mean():
     m = MomentVector("raw", [Fr(1), Fr(3), Fr(10)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match"):
         raw_to_central(m, Fr(2))
 
 
