@@ -410,8 +410,17 @@ def approx_h_cmd(n, k, with_polynomial, format, out):
             poly = boolean.h_polynomial(n, k)
         except MomentForgeError as exc:
             raise click.UsageError(str(exc)) from exc
-        probs = [_rat(poly.coefficient(d)) for d in range(max(poly.degree, 0) + 1)]
-        result["polynomial"] = poly.to_text()
+        # H_4(q) for k = 2 has 5484-digit denominators, past the interpreter's
+        # int-to-str limit (4300 on Python >= 3.10.7); max_degree bounds them
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            probs = [_rat(poly.coefficient(d)) for d in range(max(poly.degree, 0) + 1)]
+            result["polynomial"] = poly.to_text()
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
         result["probabilities"] = probs
         rows += [[f"q^{d}", v] for d, v in enumerate(probs)]
     _emit(

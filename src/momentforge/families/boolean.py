@@ -6,6 +6,13 @@ so its binomial moments are exact polynomials in w = 2^(n-1).  For k >= 1
 the first and second moments come from the overlap sum over pairs of
 k-cubes intersecting in an i-cube; the third moment is known for k = 1
 only.  H_n(q) is the independence approximation of the k-cube PGF.
+
+PGFs are rows of integer counts over one total, divided once per
+coefficient.  The 0-cube PGF is the binomial row C(2^n, d) over 2^(2^n).
+H_n(q) with p = a/b is the row of integer numerators over 2^(2^n) b^top,
+top = C(2^n, 2^k), each term C(2^n, m) b^(top-M) (a q + b - a)^M with
+M = C(m, 2^k) expanded by the binomial theorem; for k = 0, p = 1 and H_n(q)
+is the 0-cube PGF itself.
 """
 
 from __future__ import annotations
@@ -17,7 +24,14 @@ from functools import lru_cache
 from momentforge import oracle
 from momentforge.errors import SizeGuardError
 from momentforge.exact_core import binomial, falling_factorial, stirling1_signed, stirling2
-from momentforge.families.common import Family, eval_at_n, log_centered_kernel
+from momentforge.families.common import (
+    Family,
+    binomial_row,
+    count_pgf,
+    eval_at_n,
+    log_centered_kernel,
+    pgf_total,
+)
 from momentforge.moment_algebra import MomentVector, raw_to_binomial, raw_to_central
 from momentforge.poly_series import Polynomial, TruncatedSeries, exp_series
 
@@ -248,14 +262,31 @@ def h_polynomial(n: int, k: int, max_degree: int = 2000) -> Polynomial:
         raise SizeGuardError(
             f"H_{n}(q) for k={k} has degree {top} > {max_degree}; moments remain available"
         )
-    base = Polynomial("q", (1 - p, p))
-    acc = Polynomial("q", ())
-    comb = 1
-    for m in range(N + 1):
-        if m:
-            comb = comb * (N - m + 1) // m
-        acc = acc + base ** math.comb(m, block) * comb
-    return acc * Fraction(1, 2**N)
+    if k == 0:  # p = 1
+        return count_pgf(binomial_row(N), 2**N)
+    a, b = p.numerator, p.denominator
+    c = b - a
+    a_pow = _powers(a, top)
+    b_pow = _powers(b, top)
+    c_pow = _powers(c, top)
+    # 2^N b^top H_n(q) = sum_m C(N, m) b^(top-M) sum_d C(M, d) a^d c^(M-d) q^d
+    numerators = [0] * (top + 1)
+    for m, comb in enumerate(binomial_row(N)):
+        M = math.comb(m, block)
+        weight = comb * b_pow[top - M]
+        choose = 1  # C(M, d)
+        for d in range(M + 1):
+            numerators[d] += weight * choose * c_pow[M - d]
+            choose = choose * (M - d) // (d + 1)
+    return count_pgf([x * a_pow[d] for d, x in enumerate(numerators)], 2**N * b_pow[top])
+
+
+def _powers(x: int, top: int) -> list[int]:
+    """[x^0, ..., x^top]."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * x)
+    return out
 
 
 def _max_order(p: dict) -> int | None:
@@ -285,12 +316,12 @@ def _moments(kind: str, r_max: int, p: dict) -> tuple[MomentVector, list[str]]:
 
 
 def _closed_pgf(p: dict) -> Polynomial | None:
-    """((1+q)/2)^(2^n) for the 0-cube count."""
+    """((1+q)/2)^(2^n) for the 0-cube count: the binomial row C(2^n, d) over 2^(2^n)."""
     if p["k"] != 0:
         return None
-    if p["n"] > 12:
-        raise ValueError("boolean k=0 pgf supported for n <= 12 (2^n + 1 coefficients)")
-    return Polynomial("q", (Fraction(1, 2), Fraction(1, 2))) ** (2 ** p["n"])
+    N = 1 << p["n"]
+    total = pgf_total(N, lambda: 1 << N)
+    return count_pgf(binomial_row(N), total)
 
 
 def _normality_grid(p: dict, r_max: int) -> MomentVector:

@@ -12,6 +12,10 @@ the shared multiplicative step of the centered generating functions of
 both the 1-by-n board (power n-1) and the boolean 0-cube count
 (power 2^n).
 
+Closed-form PGFs are rows of integer counts over one total: ``count_pgf``
+divides once per coefficient, and ``pgf_total`` refuses a PGF beyond
+``PGF_GUARD`` before its row is built.
+
 ``Family`` is the type of one entry of ``momentforge.families.FAMILIES``;
 each family module defines its own entry as ``FAMILY``.
 """
@@ -23,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Mapping
 
+from momentforge.errors import SizeGuardError
 from momentforge.poly_series import (
     Polynomial,
     TruncatedSeries,
@@ -78,6 +83,46 @@ def w_to_big_w(poly: Polynomial) -> Polynomial:
         raise ValueError(f"expected a polynomial in 'w', got {poly.symbol!r}")
     half_W = Polynomial("W", (0, Fraction(1, 2)))
     return poly.compose(half_W)
+
+
+# Bound on (degree + 1) * bit_length(total) for a closed-form PGF, the size
+# of its integer row and of its printed coefficients.  The last request
+# inside it on each route (boolean n = 12, invmaj n = 187, a 1-by-4472
+# domino board) takes 1.0 to 1.7 s on one Intel Xeon core and prints 17 to
+# 22 MB of JSON.
+PGF_GUARD = 2 * 10**7
+
+
+def pgf_total(degree: int, total: Callable[[], int]) -> int:
+    """``total()``, the common denominator of a PGF of this degree, within PGF_GUARD.
+
+    Raises SizeGuardError when (degree + 1) * bit_length(total) exceeds
+    PGF_GUARD.  A degree past the guard on its own is refused before
+    ``total`` is called, so a huge total is never built.
+    """
+    size = degree + 1
+    if size <= PGF_GUARD:
+        value = total()
+        size *= value.bit_length()
+        if size <= PGF_GUARD:
+            return value
+    raise SizeGuardError(
+        f"a PGF of degree {degree} needs (degree + 1) * bit_length(total) >= {size}, "
+        f"beyond the PGF_GUARD = {PGF_GUARD} size guard"
+    )
+
+
+def count_pgf(counts: list[int], total: int) -> Polynomial:
+    """The PGF sum_d (counts[d] / total) q^d, one division per coefficient."""
+    return Polynomial("q", [Fraction(c, total) for c in counts])
+
+
+def binomial_row(N: int) -> list[int]:
+    """[C(N, 0), ..., C(N, N)] by the multiplicative recurrence."""
+    row = [1]
+    for d in range(N):
+        row.append(row[-1] * (N - d) // (d + 1))
+    return row
 
 
 @dataclass(frozen=True)

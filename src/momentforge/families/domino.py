@@ -26,7 +26,13 @@ import mpmath
 from momentforge import oracle
 from momentforge.errors import SizeGuardError
 from momentforge.exact_core import falling_factorial, stirling2
-from momentforge.families.common import Family, log_centered_kernel
+from momentforge.families.common import (
+    Family,
+    binomial_row,
+    count_pgf,
+    log_centered_kernel,
+    pgf_total,
+)
 from momentforge.moment_algebra import MomentVector, binomial_to_raw, raw_to_binomial, raw_to_central
 from momentforge.poly_series import Polynomial, TruncatedSeries, exp_series
 
@@ -312,10 +318,12 @@ def _moments(kind: str, r_max: int, p: dict) -> tuple[MomentVector, list[str] | 
 
 
 def _closed_pgf(p: dict) -> Polynomial | None:
-    """((1+q)/2)^(n-1) on a 1-by-n board."""
+    """((1+q)/2)^(n-1) on a 1-by-n board: the binomial row C(n-1, d) over 2^(n-1)."""
     if p["m"] != 1:
         return None
-    return Polynomial("q", (Fraction(1, 2), Fraction(1, 2))) ** max(p["n"] - 1, 0)
+    N = max(p["n"] - 1, 0)
+    total = pgf_total(N, lambda: 1 << N)
+    return count_pgf(binomial_row(N), total)
 
 
 FAMILY = Family(

@@ -9,6 +9,12 @@ with p_i(n) = (1/n) sum_s (-1)^s C((n-3)/2 + s, s) C(n, i+1-s), a
 polynomial in n.  The major index is handled by the F(n, i) table of
 generating functions of permutations ending in i, which also yields the
 MacMahon equidistribution check.
+
+Both generating functions are computed as rows of integer counts: the
+Mahonian row of inversion counts is built by prefix-sum convolution with
+each factor 1 + q + ... + q^(i-1) (Stanley, EC1 section 1.3; Knuth, TAOCP 3
+section 5.1.1), and each F(n, i) is an integer row built from prefix and
+suffix sums of rows.  The PGF divides the row by n! once per coefficient.
 """
 
 from __future__ import annotations
@@ -16,12 +22,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, zip_longest
 
 import mpmath
 
 from momentforge import oracle
 from momentforge.exact_core import falling_factorial
-from momentforge.families.common import Family
+from momentforge.families.common import Family, count_pgf, pgf_total
 from momentforge.moment_algebra import MomentVector, binomial_to_raw, central_to_raw
 from momentforge.poly_series import Polynomial
 
@@ -40,13 +47,24 @@ __all__ = [
 
 
 def pgf(n: int) -> Polynomial:
-    """Probability generating function of the inversion number over S_n."""
+    """Probability generating function of the inversion number over S_n.
+
+    Raises SizeGuardError beyond PGF_GUARD.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    out = Polynomial("q", (1,))
-    for i in range(1, n + 1):
-        out = out * Polynomial("q", (1,) * i)
-    return out * Fraction(1, math.factorial(n))
+    total = pgf_total(n * (n - 1) // 2, lambda: math.factorial(n))
+    return count_pgf(_mahonian_row(n), total)
+
+
+def _mahonian_row(n: int) -> list[int]:
+    """Permutations of S_n by inversion count: prod_{i<=n} (1 + ... + q^(i-1))."""
+    row = [1]
+    for i in range(2, n + 1):
+        prefix = [0, *accumulate(row)]
+        top = len(row)
+        row = [prefix[min(d + 1, top)] - prefix[max(d + 1 - i, 0)] for d in range(top + i - 1)]
+    return row
 
 
 def mean_variance_polynomials() -> tuple[Polynomial, Polynomial]:
@@ -112,25 +130,37 @@ def maj_table(n: int) -> list[Polynomial]:
 
     F(n,i) = sum_{j<i} F(n-1,j) + q^{n-1} sum_{j>=i} F(n-1,j), F(1,1) = 1.
     """
+    return [Polynomial("q", row) for row in _maj_rows(n)]
+
+
+def _maj_rows(n: int) -> list[list[int]]:
+    """maj_table(n) as integer coefficient rows."""
     if n < 1:
         raise ValueError("need n >= 1")
-    row = [Polynomial("q", (1,))]
+    rows = [[1]]
     for m in range(2, n + 1):
-        prefix = [Polynomial("q", ())]
-        for f in row:
-            prefix.append(prefix[-1] + f)
-        qpow = Polynomial("q", (0,) * (m - 1) + (1,))
-        row = [prefix[i - 1] + qpow * (prefix[m - 1] - prefix[i - 1]) for i in range(1, m + 1)]
-    return row
+        prefix = [[]]  # prefix[i] = sum of the first i rows
+        for f in rows:
+            prefix.append(_add_rows(prefix[-1], f))
+        suffix = [[]]  # suffix[i] = sum of the last i rows
+        for f in reversed(rows):
+            suffix.append(_add_rows(suffix[-1], f))
+        shift = [0] * (m - 1)
+        rows = [_add_rows(prefix[i], shift + suffix[m - 1 - i]) for i in range(m)]
+    return rows
+
+
+def _add_rows(a: list[int], b: list[int]) -> list[int]:
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
 def maj_generating_function(n: int) -> Polynomial:
     """H_n(q) = sum over S_n of q^maj = F(n+1, n+1)."""
-    return maj_table(n + 1)[-1]
+    return Polynomial("q", _maj_rows(n + 1)[-1])
 
 
 def maj_pgf(n: int) -> Polynomial:
-    return maj_generating_function(n) * Fraction(1, math.factorial(n))
+    return count_pgf(_maj_rows(n + 1)[-1], math.factorial(n))
 
 
 def mgf_deviation(n: int, t_values, dps: int = 50):

@@ -66,6 +66,8 @@ SMOKE_COMMANDS = [
     ),
     ("identities", ["identities", "--r-max", "6"]),
     ("approx-h", ["approx-h", "--n", "3", "--k", "1", "--with-polynomial"]),
+    ("approx-h-k0", ["approx-h", "--n", "8", "--k", "0", "--with-polynomial"]),
+    ("pgf-domino-1xn", ["pgf", "--family", "domino", "--m", "1", "--n", "300"]),
 ]
 
 
@@ -190,6 +192,13 @@ SWEEP_GUARD_ARGS = [
     ["fit", "--r", "2", "--period", "12", "--degree", "4", "--n-min", "13", "--n-max", "601"],
 ]
 
+# the first argv beyond PGF_GUARD on each closed-form PGF route
+PGF_GUARD_ARGS = [
+    ["pgf", "--family", "invmaj", "--n", "188"],
+    ["pgf", "--family", "boolean", "--n", "13"],
+    ["pgf", "--family", "domino", "--m", "1", "--n", "4473"],
+]
+
 
 def test_usage_errors_exit_1():
     for args in (
@@ -212,6 +221,7 @@ def test_usage_errors_exit_1():
          "--n-max", "14", "--threads", "2"],
         # beyond the Schur E[X^2] sweep guard
         *SWEEP_GUARD_ARGS,
+        *PGF_GUARD_ARGS,
     ):
         proc = run_cli(*args)
         assert proc.returncode == 1, (args, proc.stderr)
@@ -220,6 +230,8 @@ def test_usage_errors_exit_1():
         assert "Traceback" not in proc.stderr, (args, proc.stderr)
         if args in SWEEP_GUARD_ARGS:
             assert "SWEEP_GUARD size guard" in proc.stderr, (args, proc.stderr)
+        if args in PGF_GUARD_ARGS:
+            assert "PGF_GUARD" in proc.stderr, (args, proc.stderr)
 
 
 def test_fit_verification_failure_exits_2():

@@ -1,0 +1,82 @@
+"""The integer-row PGF routes against dense Fraction products rebuilt here."""
+
+import math
+from fractions import Fraction as Fr
+
+import pytest
+
+from momentforge.errors import SizeGuardError
+from momentforge.families import boolean, domino, invmaj
+from momentforge.families.common import PGF_GUARD, pgf_total
+from momentforge.poly_series import Polynomial
+
+HALF = Polynomial("q", (Fr(1, 2), Fr(1, 2)))
+
+
+def test_invmaj_pgf_is_the_mahonian_product():
+    product = Polynomial("q", (1,))
+    for n in range(1, 16):
+        product = product * Polynomial("q", (1,) * n)
+        assert invmaj.pgf(n) == product * Fr(1, math.factorial(n)), n
+
+
+def test_boolean_k0_pgf_is_the_binomial_power():
+    for n in range(1, 7):
+        pgf, source = boolean.FAMILY.pgf({"n": n, "k": 0})
+        assert source == "closed-form"
+        assert pgf == HALF ** (2**n), n
+
+
+def test_domino_1xn_pgf_is_the_binomial_power():
+    for n in range(1, 65):
+        pgf, source = domino.FAMILY.pgf({"m": 1, "n": n})
+        assert source == "closed-form"
+        assert pgf == HALF ** (n - 1), n
+
+
+def _h_by_fraction_powers(n, k):
+    p = boolean.h_probability(n, k)
+    base = Polynomial("q", (1 - p, p))
+    N = 2**n
+    acc = Polynomial("q", ())
+    for m in range(N + 1):
+        acc = acc + base ** math.comb(m, 2**k) * math.comb(N, m)
+    return acc * Fr(1, 2**N)
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 1), (3, 2), (3, 3), (4, 1)])
+def test_h_polynomial_is_the_sum_of_fraction_powers(n, k):
+    assert boolean.h_polynomial(n, k) == _h_by_fraction_powers(n, k)
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (5, 1)])
+def test_h_polynomial_factorial_moments_match_the_sums(n, k):
+    h = boolean.h_polynomial(n, k)
+    # every coefficient is an integer over one power of 2, so sum the numerators
+    total = max(c.denominator for c in h.coeffs)
+    counts = [c.numerator * (total // c.denominator) for c in h.coeffs]
+    assert sum(counts) == total
+    moments = boolean.h_moments(n, k)
+    assert Fr(sum(d * c for d, c in enumerate(counts)), total) == moments["mean"]
+    assert Fr(sum(d * (d - 1) * c for d, c in enumerate(counts)), total) == moments["second_factorial"]
+
+
+def test_pgf_total_guard():
+    assert pgf_total(9, lambda: 8) == 8
+    bits = PGF_GUARD // 10
+    assert pgf_total(9, lambda: 1 << (bits - 1)).bit_length() == bits
+    with pytest.raises(SizeGuardError, match="PGF_GUARD"):
+        pgf_total(9, lambda: 1 << bits)
+
+    def never():
+        raise AssertionError("total built for a degree past the guard")
+
+    with pytest.raises(SizeGuardError, match="PGF_GUARD"):
+        pgf_total(PGF_GUARD, never)
+
+
+def test_last_requests_inside_the_guard_are_served():
+    assert boolean.FAMILY.closed_pgf({"n": 12, "k": 0}).degree == 4096
+    assert domino.FAMILY.closed_pgf({"m": 1, "n": 4472}).degree == 4471
+    # invmaj n = 187 itself takes about 1 s; its guard check alone passes
+    assert pgf_total(187 * 186 // 2, lambda: math.factorial(187)) == math.factorial(187)
