@@ -21,20 +21,48 @@ import mpmath
 
 import momentforge.families as families
 from momentforge import __version__
-from momentforge.errors import FitVerificationError, MomentForgeError
+from momentforge.errors import ConsistencyError, FitVerificationError, MomentForgeError, SizeGuardError
 from momentforge.families import boolean, domino, invmaj, schur
 from momentforge.families.common import SYMBOL_LEGEND
 from momentforge.fitter import FitSpec, fit_quasi_polynomial
 from momentforge.moment_algebra import normality_report
+from momentforge.poly_series import Polynomial
 from momentforge import oracle as oracle_mod
 
 
-class ValidationFailure(MomentForgeError):
+class ValidationFailure(ConsistencyError):
     """Computation completed but an internal consistency check failed."""
 
 
-def _rat(x: Fraction) -> str:
-    return str(x)
+# Most decimal digits of one printed integer: a count, a numerator or a
+# denominator.  CPython formats an int in time quadratic in its length;
+# 10^5 digits take about 0.1 s on one Intel Xeon core.
+PRINT_GUARD = 10**5
+_PRINT_GUARD_BITS = int(PRINT_GUARD * math.log2(10))
+
+
+def _text(x: int | Fraction | Polynomial) -> str:
+    """Exact decimal text of x, with no integer in it past PRINT_GUARD digits.
+
+    The interpreter's own int-to-str digit limit (4300 on Python >= 3.10.7)
+    is lifted while x is formatted; PRINT_GUARD takes its place.  Raises
+    SizeGuardError past it, before any digit is produced.
+    """
+    for c in x.coeffs if isinstance(x, Polynomial) else (x,):
+        bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+        if bits > _PRINT_GUARD_BITS:
+            raise SizeGuardError(
+                f"a printed integer of about {int(bits * math.log10(2))} digits is "
+                f"beyond the PRINT_GUARD = {PRINT_GUARD} digit size guard"
+            )
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return x.to_text() if isinstance(x, Polynomial) else str(x)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _emit(ctx_params: dict, subcommand: str, result: dict, csv_text: str, started: float) -> None:
@@ -117,7 +145,7 @@ def _moment_command(kind: str, subcommand: str):
             "params": params,
             "kind": vec.kind,
             "about_mean": vec.about_mean,
-            "entries": [_rat(e) for e in vec.entries],
+            "entries": [_text(e) for e in vec.entries],
         }
         if closed_forms:
             result["closed_forms"] = closed_forms
@@ -126,9 +154,9 @@ def _moment_command(kind: str, subcommand: str):
             }
         if kind == "raw":
             space = families.sample_space_size(family, params)
-            result["sample_space_size"] = str(space)
-            result["scaled_entries"] = [_rat(e * space) for e in vec.entries]
-        rows = [[r, _rat(e)] for r, e in enumerate(vec.entries)]
+            result["sample_space_size"] = _text(space)
+            result["scaled_entries"] = [_text(e * space) for e in vec.entries]
+        rows = [[r, _text(e)] for r, e in enumerate(vec.entries)]
         _emit(
             {"format": format, "out": out, "family": family, **params, "r_max": r_max},
             subcommand,
@@ -157,11 +185,11 @@ def pgf_cmd(family, n, c, m, k, format, out):
         poly, source = entry.pgf(params)
     except (ValueError, MomentForgeError) as exc:
         raise click.UsageError(str(exc)) from exc
-    coeffs = [_rat(poly.coefficient(d)) for d in range(max(poly.degree, 0) + 1)] if poly else ["0"]
+    coeffs = [_text(poly.coefficient(d)) for d in range(max(poly.degree, 0) + 1)] if poly else ["0"]
     result = {
         "family": family,
         "params": params,
-        "polynomial": poly.to_text(),
+        "polynomial": _text(poly),
         "coefficients": coeffs,
         "source": source,
     }
@@ -279,9 +307,9 @@ def oracle_cmd(family, n, c, m, k, r_max, samples, seed, format, out):
         "mode": "exhaustive" if samples is None else "sample",
         "seed": seed,
         "samples": samples,
-        "total": str(hist.total),
+        "total": _text(hist.total),
         "histogram": {str(v): cnt for v, cnt in hist.to_csv_rows()},
-        "moments": [_rat(e) for e in moments.entries],
+        "moments": [_text(e) for e in moments.entries],
         **extra,
     }
     _emit(
@@ -363,7 +391,7 @@ def identities_cmd(r_max, format, out):
             value = boolean.central_coefficient(r, t)
             ok = value == expected
             all_ok = all_ok and ok
-            rows.append({"r": r, "t": t, "value": _rat(value), "expected": _rat(expected), "ok": ok})
+            rows.append({"r": r, "t": t, "value": _text(value), "expected": _text(expected), "ok": ok})
     result = {"r_max": r_max, "rows": rows, "all_ok": all_ok}
     _emit(
         {"format": format, "out": out, "r_max": r_max},
@@ -396,12 +424,12 @@ def approx_h_cmd(n, k, with_polynomial, format, out):
     result = {
         "n": n,
         "k": k,
-        "p": _rat(p),
-        "mean": _rat(moments["mean"]),
-        "mean_closed_form": _rat(boolean.h_mean_closed_form(n, k)),
-        "second_factorial": _rat(moments["second_factorial"]),
-        "variance": _rat(moments["variance"]),
-        "exact_mean": _rat(exact_mean),
+        "p": _text(p),
+        "mean": _text(moments["mean"]),
+        "mean_closed_form": _text(boolean.h_mean_closed_form(n, k)),
+        "second_factorial": _text(moments["second_factorial"]),
+        "variance": _text(moments["variance"]),
+        "exact_mean": _text(exact_mean),
     }
     rows = [[key, result[key]] for key in
             ("p", "mean", "mean_closed_form", "second_factorial", "variance", "exact_mean")]
@@ -411,16 +439,9 @@ def approx_h_cmd(n, k, with_polynomial, format, out):
         except MomentForgeError as exc:
             raise click.UsageError(str(exc)) from exc
         # H_4(q) for k = 2 has 5484-digit denominators, past the interpreter's
-        # int-to-str limit (4300 on Python >= 3.10.7); max_degree bounds them
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit:
-            sys.set_int_max_str_digits(0)
-        try:
-            probs = [_rat(poly.coefficient(d)) for d in range(max(poly.degree, 0) + 1)]
-            result["polynomial"] = poly.to_text()
-        finally:
-            if limit:
-                sys.set_int_max_str_digits(limit)
+        # own int-to-str limit but inside PRINT_GUARD
+        probs = [_text(poly.coefficient(d)) for d in range(max(poly.degree, 0) + 1)]
+        result["polynomial"] = _text(poly)
         result["probabilities"] = probs
         rows += [[f"q^{d}", v] for d, v in enumerate(probs)]
     _emit(
@@ -447,7 +468,7 @@ def main(argv=None) -> int:
     except click.exceptions.Abort:
         sys.stderr.write("aborted\n")
         return 1
-    except ValidationFailure as exc:
+    except ConsistencyError as exc:
         sys.stderr.write(f"validation failure: {exc}\n")
         return 2
     except MomentForgeError as exc:

@@ -29,3 +29,7 @@ class FitVerificationError(MomentForgeError):
 
 class UnderdeterminedFitError(MomentForgeError):
     """Not enough sample points to pin down the requested degree."""
+
+
+class ConsistencyError(MomentForgeError):
+    """A computed result failed an internal consistency check."""

@@ -6,9 +6,19 @@ its centered Taylor coefficients B_r(n) (binomial moments) satisfy
     B_r(n) - B_r(n-1) = sum_{s=1}^r p_s(n) B_{r-s}(n-1)
 
 with p_i(n) = (1/n) sum_s (-1)^s C((n-3)/2 + s, s) C(n, i+1-s), a
-polynomial in n.  The major index is handled by the F(n, i) table of
-generating functions of permutations ending in i, which also yields the
-MacMahon equidistribution check.
+polynomial in n.  So B_r is itself a polynomial in n, of degree at most
+floor(3r/2) (3 floor(r/2) in fact; see ``binomial_moment_polynomials``).
+The recurrence's values at n = 1 .. floor(3r/2) + 2 give it by forward
+differences, the last point checked exactly; it is cached per r_max and
+evaluated at n, so large n costs no more than small n.  Below that many
+points the recurrence values are returned directly.
+
+The MGF deviation costs n mpmath evaluations per t and is refused beyond
+MGF_GUARD on n * len(t_values).
+
+The major index is handled by the F(n, i) table of generating functions
+of permutations ending in i, which also yields the MacMahon
+equidistribution check.
 
 Both generating functions are computed as rows of integer counts: the
 Mahonian row of inversion counts is built by prefix-sum convolution with
@@ -22,11 +32,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, zip_longest
+from itertools import accumulate, islice, zip_longest
 
 import mpmath
 
 from momentforge import oracle
+from momentforge.errors import ConsistencyError, SizeGuardError
 from momentforge.exact_core import falling_factorial
 from momentforge.families.common import Family, count_pgf, pgf_total
 from momentforge.moment_algebra import MomentVector, binomial_to_raw, central_to_raw
@@ -38,11 +49,14 @@ __all__ = [
     "mean_variance",
     "p_coefficient",
     "binomial_moments",
+    "binomial_moment_polynomials",
+    "newton_coefficients",
     "central_moments",
     "maj_table",
     "maj_generating_function",
     "maj_pgf",
     "mgf_deviation",
+    "MGF_GUARD",
 ]
 
 
@@ -98,26 +112,114 @@ def p_coefficient(i: int) -> Polynomial:
 
 
 def binomial_moments(n: int, r_max: int) -> MomentVector:
-    """Exact B_r(n) for r <= r_max via the coefficient recurrence.
+    """Exact B_r(n) for r <= r_max.
 
-    Seeded with B_0 = 1 and B_1 = 0 at n = 1 (the PGF of S_1 is constant).
+    Up to n = floor(3 r_max / 2) + 2 the per-m recurrence gives the values
+    directly: deriving the polynomials steps it that far anyway.  Past that
+    the cached polynomials B_r in Q[n] (``binomial_moment_polynomials``) are
+    evaluated at n, at a cost that does not grow with n.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    ps = [p_coefficient(s) for s in range(r_max + 1)]
-    current = [Fraction(1)] + [Fraction(0)] * r_max
-    for m in range(2, n + 1):
-        pvals = [p.eval(m) for p in ps]
-        nxt = list(current)
-        for r in range(2, r_max + 1):
-            delta = Fraction(0)
-            for s in range(2, r + 1):  # p_1 = 0 identically
-                delta += pvals[s] * current[r - s]
-            nxt[r] = current[r] + delta
-        current = nxt
+    if n < 1 or r_max < 0:
+        raise ValueError("need n >= 1 and r_max >= 0")
+    if n <= _degree_bound(r_max) + 2:
+        values = next(islice(_recurrence(r_max), n - 1, None))
+    else:
+        polys = binomial_moment_polynomials(r_max)
+        basis = [math.comb(n - 1, k) for k in range(_degree_bound(r_max) + 1)]
+        values = [sum((d * c for d, c in zip(coeffs, basis)), Fraction(0)) for coeffs in polys]
     return MomentVector(
-        "binomial", current, family="invmaj", params={"n": n}, about_mean=True
+        "binomial", values, family="invmaj", params={"n": n}, about_mean=True
     )
+
+
+def _degree_bound(r: int) -> int:
+    """floor(3r/2), the bound on deg B_r proved in ``binomial_moment_polynomials``."""
+    return 3 * r // 2
+
+
+@lru_cache(maxsize=None)
+def binomial_moment_polynomials(r_max: int) -> tuple[tuple[Fraction, ...], ...]:
+    """B_0, ..., B_{r_max} in Q[n], each as Newton coefficients (d_0, ..., d_D).
+
+    B_r(n) = sum_k d_k C(n - 1, k), valid for every n >= 1.
+
+    Degree bound.  p_s has degree <= s in n: each term of its defining sum
+    has degree s + 1 before the division by n.  B_0 = 1 and B_1 = 0, so by
+    induction the increment B_r(m) - B_r(m - 1) = sum_{s=2}^{r} p_s(m)
+    B_{r-s}(m - 1) has degree <= max_s s + floor(3(r - s)/2)
+    = floor((3r - 2)/2) = floor(3r/2) - 1, and summing it over m = 2..n
+    raises the degree by one: deg B_r <= floor(3r/2).  (The degrees are in
+    fact 3 floor(r/2): p_s has degree s - 1 for odd s.)
+
+    The coefficients are the forward differences of the recurrence's values
+    at n = 1 .. floor(3 r_max / 2) + 2, one point more than the bound needs;
+    ``newton_coefficients`` checks that point exactly.
+    """
+    rows = list(islice(_recurrence(r_max), _degree_bound(r_max) + 2))
+    return tuple(
+        newton_coefficients([row[r] for row in rows[: _degree_bound(r) + 2]], _degree_bound(r))
+        for r in range(r_max + 1)
+    )
+
+
+def newton_coefficients(values: list[Fraction], degree: int) -> tuple[Fraction, ...]:
+    """(Delta^0 y(1), ..., Delta^degree y(1)) from y(1), ..., y(degree + 2).
+
+    The last value is the check point: a polynomial of degree <= ``degree``
+    has a vanishing difference of order degree + 1.  Raises
+    ConsistencyError when it does not vanish, and trailing zero
+    differences are dropped.
+    """
+    if len(values) != degree + 2:
+        raise ValueError(f"need degree + 2 = {degree + 2} values, got {len(values)}")
+    diffs = []
+    row = list(values)
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    if diffs[-1]:
+        raise ConsistencyError(
+            f"values do not fit a polynomial of degree {degree}: "
+            f"difference of order {degree + 1} is {diffs[-1]}"
+        )
+    while diffs and not diffs[-1]:
+        diffs.pop()
+    return tuple(diffs)
+
+
+def _recurrence(r_max: int):
+    """[B_0(m), ..., B_{r_max}(m)] for m = 1, 2, 3, ... (endless).
+
+    Seeded with B_0 = 1 and B_1 = 0 at m = 1 (the PGF of S_1 is constant);
+    p_1 = 0 identically, so B_1 stays 0.  Each p_s(m) is evaluated in
+    integers over one denominator.
+    """
+    ps = [_integer_form(s) for s in range(r_max + 1)]
+    current = [Fraction(1), *[Fraction(0)] * r_max]
+    m = 1
+    while True:
+        yield current
+        m += 1
+        pvals = [Fraction(_horner(nums, m), den) for nums, den in ps]
+        current = current[:2] + [
+            current[r] + sum(pvals[s] * current[r - s] for s in range(2, r + 1))
+            for r in range(2, r_max + 1)
+        ]
+
+
+@lru_cache(maxsize=None)
+def _integer_form(s: int) -> tuple[tuple[int, ...], int]:
+    """p_s as (integer coefficients, denominator)."""
+    coeffs = p_coefficient(s).coeffs
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+
+
+def _horner(coeffs: tuple[int, ...], x: int) -> int:
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
 
 
 def central_moments(n: int, r_max: int) -> MomentVector:
@@ -163,14 +265,26 @@ def maj_pgf(n: int) -> Polynomial:
     return count_pgf(_maj_rows(n + 1)[-1], math.factorial(n))
 
 
+# Bound on n * len(t_values) for mgf_deviation, which takes n mpmath sinh
+# and log evaluations per t.  At the default 50 digits the last request
+# inside it (n = 11764 with 17 steps) takes about 2 s on one Intel Xeon core.
+MGF_GUARD = 2 * 10**5
+
+
 def mgf_deviation(n: int, t_values, dps: int = 50):
     """max |G_n(e^{t/sigma}) - e^{t^2/2}| over the t grid.
 
     G_n(e^{t/sigma}) = (1/n!) prod_i sinh(i u)/sinh(u) with u = t/(2 sigma).
-    Returns (sup, rows) where rows pair each t with its deviation.
+    Returns (sup, rows) where rows pair each t with its deviation.  Raises
+    SizeGuardError when n * len(t_values) exceeds MGF_GUARD.
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    t_values = list(t_values)
+    if n * len(t_values) > MGF_GUARD:
+        raise SizeGuardError(
+            f"n * t_steps = {n * len(t_values)} is beyond the MGF_GUARD = {MGF_GUARD} size guard"
+        )
     _, var = mean_variance(n)
     rows = []
     sup = mpmath.mpf(0)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -199,6 +200,18 @@ PGF_GUARD_ARGS = [
     ["pgf", "--family", "domino", "--m", "1", "--n", "4473"],
 ]
 
+# past the printed-size guard: 2^(2^19) has 157827 digits, 2^400000 has 120412
+PRINT_GUARD_ARGS = [
+    ["moments", "--family", "boolean", "--n", "19", "--r", "1"],
+    ["moments", "--family", "domino", "--m", "1", "--n", "400000", "--r", "1"],
+]
+
+# past invmaj's MGF_GUARD on n * t_steps (17 steps by default)
+MGF_GUARD_ARGS = [
+    ["mgf-limit", "--family", "invmaj", "--n", "11765"],
+    ["mgf-limit", "--family", "invmaj", "--n", "1000000", "--t-steps", "2"],
+]
+
 
 def test_usage_errors_exit_1():
     for args in (
@@ -222,6 +235,8 @@ def test_usage_errors_exit_1():
         # beyond the Schur E[X^2] sweep guard
         *SWEEP_GUARD_ARGS,
         *PGF_GUARD_ARGS,
+        *PRINT_GUARD_ARGS,
+        *MGF_GUARD_ARGS,
     ):
         proc = run_cli(*args)
         assert proc.returncode == 1, (args, proc.stderr)
@@ -232,6 +247,32 @@ def test_usage_errors_exit_1():
             assert "SWEEP_GUARD size guard" in proc.stderr, (args, proc.stderr)
         if args in PGF_GUARD_ARGS:
             assert "PGF_GUARD" in proc.stderr, (args, proc.stderr)
+        if args in PRINT_GUARD_ARGS:
+            assert "PRINT_GUARD" in proc.stderr, (args, proc.stderr)
+        if args in MGF_GUARD_ARGS:
+            assert "MGF_GUARD" in proc.stderr, (args, proc.stderr)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["binomial-moments", "--family", "invmaj", "--n", "1000000", "--r", "10"],
+        ["normality", "--family", "invmaj", "--n-grid", "10,100,100000"],
+    ],
+    ids=["binomial-moments", "normality"],
+)
+def test_invmaj_moments_at_large_n_are_quick(args, schema):
+    started = time.monotonic()
+    check_json(run_cli(*args), schema)
+    assert time.monotonic() - started < 10, args
+
+
+def test_numbers_past_the_interpreter_digit_limit_are_printed(schema):
+    # 2^(2^14) has 4933 digits, past the 4300 that int-to-str allows by default
+    payload, _ = check_json(run_cli("moments", "--family", "boolean", "--n", "14", "--r", "1"), schema)
+    space = payload["result"]["sample_space_size"]
+    assert len(space) == 4933
+    assert int(space[-6:]) == 2 ** (2**14) % 10**6
 
 
 def test_fit_verification_failure_exits_2():

@@ -3,6 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from momentforge.errors import ConsistencyError
 from momentforge.families import invmaj
 from momentforge.oracle import enumerate_permutations
 from momentforge.poly_series import Polynomial
@@ -86,6 +87,8 @@ def test_binomial_moments_small():
     for n in range(1, 9):
         _, var = invmaj.mean_variance(n)
         assert invmaj.binomial_moments(n, 2).entries[2] == var / 2
+    with pytest.raises(ValueError):
+        invmaj.binomial_moments(5, -1)
 
 
 def test_central_moments_match_oracle():
@@ -108,6 +111,73 @@ def test_binomial_moment_leading_ratio():
         ratio = bm.entries[2 * r] * math.factorial(r) * 2 ** (3 * r) * 3 ** (2 * r) / Fr(400) ** (3 * r)
         target = 1 + Fr(3 * r * (31 - 6 * r), 50 * 400)
         assert abs(ratio / target - 1) < Fr(1, 1000), r
+
+
+def _recurrence_rows(n_max: int, r_max: int) -> list[list[Fr]]:
+    """Reference: [B_0(m), ..., B_{r_max}(m)] for m = 1..n_max, stepped once per m."""
+    ps = [invmaj.p_coefficient(s) for s in range(r_max + 1)]
+    current = [Fr(1)] + [Fr(0)] * r_max
+    rows = [current]
+    for m in range(2, n_max + 1):
+        pvals = [p.eval(m) for p in ps]
+        nxt = list(current)
+        for r in range(2, r_max + 1):
+            delta = Fr(0)
+            for s in range(2, r + 1):
+                delta += pvals[s] * current[r - s]
+            nxt[r] = current[r] + delta
+        current = nxt
+        rows.append(current)
+    return rows
+
+
+def test_polynomial_route_matches_recurrence():
+    rows = _recurrence_rows(60, 12)
+    for r_max in range(13):
+        for n in range(1, 61):
+            assert invmaj.binomial_moments(n, r_max).entries == tuple(rows[n - 1][: r_max + 1]), (n, r_max)
+    assert invmaj.binomial_moments(2000, 12).entries == tuple(_recurrence_rows(2000, 12)[-1])
+
+
+def test_binomial_moment_polynomial_degrees():
+    polys = invmaj.binomial_moment_polynomials(12)
+    assert polys[0] == (1,) and polys[1] == ()
+    for r in range(2, 13):
+        assert len(polys[r]) - 1 == 3 * (r // 2), r
+    # the Newton coefficients of B_2 = sigma^2 / 2 = n(n-1)(2n+5)/144
+    assert polys[2] == (0, Fr(1, 8), Fr(5, 24), Fr(1, 12))
+
+
+def test_corrupted_check_point_raises():
+    values = [row[4] for row in _recurrence_rows(8, 4)]  # degree bound 6: 8 points
+    assert invmaj.newton_coefficients(values, 6) == invmaj.binomial_moment_polynomials(4)[4]
+    values[-1] += Fr(1, 10**9)
+    with pytest.raises(ConsistencyError):
+        invmaj.newton_coefficients(values, 6)
+    with pytest.raises(ValueError):
+        invmaj.newton_coefficients(values[:-1], 6)
+
+
+def _bernoulli(count: int) -> list[Fr]:
+    """B_0, ..., B_{count-1} from sum_{k<=m} C(m+1, k) B_k = 0."""
+    b = [Fr(1)]
+    for m in range(1, count):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
+
+
+def test_binomial_moments_at_large_n_match_independent_uniforms():
+    # inv = sum_{i<=n} U_i with U_i uniform on {0, ..., i-1}, independent; for
+    # k >= 2 the cumulant of U_i is B_k (i^k - 1) / k, zero for odd k
+    n, r_max = 10**5, 12
+    bern = _bernoulli(r_max + 1)
+    kappa = [Fr(0)] * (r_max + 1)  # about the mean: kappa_1 = 0
+    for k in range(2, r_max + 1, 2):
+        kappa[k] = bern[k] * (sum(i**k for i in range(1, n + 1)) - n) / k
+    central = [Fr(1)]
+    for j in range(1, r_max + 1):
+        central.append(sum(math.comb(j - 1, k - 1) * kappa[k] * central[j - k] for k in range(1, j + 1)))
+    assert invmaj.central_moments(n, r_max).entries == tuple(central)
 
 
 def test_maj_table_and_pgf():
