@@ -49,12 +49,7 @@ def _text(x: int | Fraction | Polynomial) -> str:
     SizeGuardError past it, before any digit is produced.
     """
     for c in x.coeffs if isinstance(x, Polynomial) else (x,):
-        bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length())
-        if bits > _PRINT_GUARD_BITS:
-            raise SizeGuardError(
-                f"a printed integer of about {int(bits * math.log10(2))} digits is "
-                f"beyond the PRINT_GUARD = {PRINT_GUARD} digit size guard"
-            )
+        _check_printable(max(abs(c.numerator).bit_length(), c.denominator.bit_length()))
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
@@ -63,6 +58,15 @@ def _text(x: int | Fraction | Polynomial) -> str:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+def _check_printable(bits: float) -> None:
+    """Raise SizeGuardError for an integer of ``bits`` bits past PRINT_GUARD digits."""
+    if bits > _PRINT_GUARD_BITS:
+        raise SizeGuardError(
+            f"a printed integer of about {int(bits * math.log10(2))} digits is "
+            f"beyond the PRINT_GUARD = {PRINT_GUARD} digit size guard"
+        )
 
 
 def _emit(ctx_params: dict, subcommand: str, result: dict, csv_text: str, started: float) -> None:
@@ -135,7 +139,7 @@ def _moment_command(kind: str, subcommand: str):
     @_common_options
     def command(family, n, c, m, k, r_max, format, out):
         started = time.monotonic()
-        _, params = _family_params(family, n=n, c=c, m=m, k=k)
+        entry, params = _family_params(family, n=n, c=c, m=m, k=k)
         try:
             vec, closed_forms = families.moment_vector(family, kind, r_max, params)
         except ValueError as exc:
@@ -153,7 +157,9 @@ def _moment_command(kind: str, subcommand: str):
                 s: SYMBOL_LEGEND[s] for s in ("n", "W", "w", "mu") if any(s in t for t in closed_forms)
             }
         if kind == "raw":
-            space = families.sample_space_size(family, params)
+            # refuse a size past PRINT_GUARD before building it; _text decides exactly
+            _check_printable(entry.space_bits(params))
+            space = entry.space_size(params)
             result["sample_space_size"] = _text(space)
             result["scaled_entries"] = [_text(e * space) for e in vec.entries]
         rows = [[r, _text(e)] for r, e in enumerate(vec.entries)]

@@ -2,7 +2,8 @@
 
 ``FAMILIES`` maps each ID to its table entry (``common.Family``), defined
 as ``FAMILY`` in the family's own module.  An entry declares the family's
-parameters and their defaults, its sample-space size, its moment route
+parameters and their defaults, its sample-space size (and a lower bound on
+its bit length, cheap where the size is not), its moment route
 (with the highest order it serves and the closed-form texts where they are
 exact), its PGF route, its oracle (exhaustive, and sampled for boolean)
 and, where there is one, its normality grid.  The functions below and every

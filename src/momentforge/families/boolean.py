@@ -335,6 +335,7 @@ FAMILY = Family(
     params=("n", "k"),
     defaults={"k": 0},
     space_size=lambda p: 1 << (1 << p["n"]),
+    space_bits=lambda p: (1 << p["n"]) + 1,
     max_order=_max_order,
     moments=_moments,
     closed_pgf=_closed_pgf,

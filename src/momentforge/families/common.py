@@ -14,7 +14,8 @@ both the 1-by-n board (power n-1) and the boolean 0-cube count
 
 Closed-form PGFs are rows of integer counts over one total: ``count_pgf``
 divides once per coefficient, and ``pgf_total`` refuses a PGF beyond
-``PGF_GUARD`` before its row is built.
+``PGF_GUARD`` before its row is built.  ``mgf_digits`` refuses an MGF
+deviation beyond ``MGF_GUARD``, its work weighed by the precision.
 
 ``Family`` is the type of one entry of ``momentforge.families.FAMILIES``;
 each family module defines its own entry as ``FAMILY``.
@@ -125,6 +126,34 @@ def binomial_row(N: int) -> list[int]:
     return row
 
 
+# Bound on the work of an MGF deviation, in units of one mpmath evaluation
+# at 50 digits.  A t point costs its route's own evaluations (n sinh-log
+# pairs for invmaj, none for the 1-by-n board) plus about 8 units for the
+# Gaussian target, the exponential and the printed row; at d > 50 digits
+# each unit weighs (d / 50)^2, which overstates the cost of high precision.
+# The slowest requests inside it are at 50 digits: invmaj n = 11756 with 17
+# steps, or n = 2 with 20000 steps, take 2 to 5 s as whole processes on one
+# Intel Xeon core (the host's speed varies); a 1-by-n board with 25000 steps
+# about half that.
+MGF_GUARD = 2 * 10**5
+
+
+def mgf_digits(evaluations: int, steps: int, dps: int) -> int:
+    """The working precision max(dps, 50) of an MGF deviation, within MGF_GUARD.
+
+    ``evaluations`` is the route's own count per t point, ``steps`` the
+    number of t points.  Raises SizeGuardError beyond the guard.
+    """
+    digits = max(dps, 50)
+    work = (evaluations + 8) * steps * digits**2
+    if work > MGF_GUARD * 50**2:
+        raise SizeGuardError(
+            f"{steps} t points of {evaluations + 8} evaluations at {digits} digits weigh "
+            f"{work / 50**2:.6g}, beyond the MGF_GUARD = {MGF_GUARD} size guard"
+        )
+    return digits
+
+
 @dataclass(frozen=True)
 class Family:
     """How every request is answered for one family.
@@ -140,6 +169,8 @@ class Family:
     params: tuple[str, ...]
     defaults: Mapping[str, int]
     space_size: Callable[[dict], int]
+    # a lower bound on bit_length(space_size), cheap even where the size is not
+    space_bits: Callable[[dict], float]
     # highest moment order the moment route serves; None: every order
     max_order: Callable[[dict], int | None]
     # (vector, closed-form texts or None) for kind raw | central | binomial

@@ -31,6 +31,7 @@ from momentforge.families.common import (
     binomial_row,
     count_pgf,
     log_centered_kernel,
+    mgf_digits,
     pgf_total,
 )
 from momentforge.moment_algebra import MomentVector, binomial_to_raw, raw_to_binomial, raw_to_central
@@ -283,12 +284,17 @@ def board1n_central_moments(n: int, r_max: int) -> MomentVector:
 
 
 def mgf_deviation_1n(n: int, t_values, dps: int = 50):
-    """max |cosh(t/(2 sigma))^(n-1) - e^{t^2/2}| with sigma^2 = (n-1)/4."""
+    """max |cosh(t/(2 sigma))^(n-1) - e^{t^2/2}| with sigma^2 = (n-1)/4.
+
+    Raises SizeGuardError beyond MGF_GUARD.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
+    t_values = list(t_values)
+    digits = mgf_digits(0, len(t_values), dps)
     rows = []
     sup = mpmath.mpf(0)
-    with mpmath.workdps(max(dps, 50)):
+    with mpmath.workdps(digits):
         sigma = mpmath.sqrt(mpmath.mpf(n - 1)) / 2
         for t in t_values:
             tt = mpmath.mpmathify(t)
@@ -331,6 +337,7 @@ FAMILY = Family(
     params=("m", "n"),
     defaults={"m": 1},
     space_size=lambda p: 1 << (p["m"] * p["n"]),
+    space_bits=lambda p: p["m"] * p["n"] + 1,
     max_order=lambda p: None,
     moments=_moments,
     closed_pgf=_closed_pgf,

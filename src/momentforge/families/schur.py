@@ -18,6 +18,7 @@ moment is out of scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -192,6 +193,7 @@ FAMILY = Family(
     params=("n", "c"),
     defaults={"c": 2},
     space_size=lambda p: p["c"] ** p["n"],
+    space_bits=lambda p: p["n"] * math.log2(p["c"]),
     max_order=lambda p: 2,
     moments=_moments,
     closed_pgf=lambda p: None,

@@ -200,16 +200,24 @@ PGF_GUARD_ARGS = [
     ["pgf", "--family", "domino", "--m", "1", "--n", "4473"],
 ]
 
-# past the printed-size guard: 2^(2^19) has 157827 digits, 2^400000 has 120412
+# past the printed-size guard: 2^(2^19) has 157827 digits, 2^400000 has 120412;
+# the last three are refused from a bound on the sample-space size, before
+# it is built (10^6! has 5565709 digits, 2^(2^33) and 2^(10^10) billions)
 PRINT_GUARD_ARGS = [
     ["moments", "--family", "boolean", "--n", "19", "--r", "1"],
     ["moments", "--family", "domino", "--m", "1", "--n", "400000", "--r", "1"],
+    ["moments", "--family", "invmaj", "--n", "1000000", "--r", "2"],
+    ["moments", "--family", "boolean", "--n", "33", "--r", "2"],
+    ["moments", "--family", "domino", "--m", "100000", "--n", "100000", "--r", "2"],
 ]
 
-# past invmaj's MGF_GUARD on n * t_steps (17 steps by default)
+# past MGF_GUARD on the t points' evaluations (17 steps by default), weighed
+# by the precision
 MGF_GUARD_ARGS = [
     ["mgf-limit", "--family", "invmaj", "--n", "11765"],
     ["mgf-limit", "--family", "invmaj", "--n", "1000000", "--t-steps", "2"],
+    ["mgf-limit", "--family", "invmaj", "--n", "400", "--precision", "800"],
+    ["mgf-limit", "--family", "board1n", "--n", "11764", "--precision", "20000"],
 ]
 
 

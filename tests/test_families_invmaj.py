@@ -3,7 +3,6 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from momentforge.errors import ConsistencyError
 from momentforge.families import invmaj
 from momentforge.oracle import enumerate_permutations
 from momentforge.poly_series import Polynomial
@@ -139,23 +138,17 @@ def test_polynomial_route_matches_recurrence():
     assert invmaj.binomial_moments(2000, 12).entries == tuple(_recurrence_rows(2000, 12)[-1])
 
 
-def test_binomial_moment_polynomial_degrees():
-    polys = invmaj.binomial_moment_polynomials(12)
-    assert polys[0] == (1,) and polys[1] == ()
-    for r in range(2, 13):
-        assert len(polys[r]) - 1 == 3 * (r // 2), r
-    # the Newton coefficients of B_2 = sigma^2 / 2 = n(n-1)(2n+5)/144
-    assert polys[2] == (0, Fr(1, 8), Fr(5, 24), Fr(1, 12))
+def test_cumulant_route_matches_recurrence_at_order_20():
+    rows = _recurrence_rows(200, 20)
+    for n in (1, 2, 3, 33, 200):
+        assert invmaj.binomial_moments(n, 20).entries == tuple(rows[n - 1]), n
 
 
-def test_corrupted_check_point_raises():
-    values = [row[4] for row in _recurrence_rows(8, 4)]  # degree bound 6: 8 points
-    assert invmaj.newton_coefficients(values, 6) == invmaj.binomial_moment_polynomials(4)[4]
-    values[-1] += Fr(1, 10**9)
-    with pytest.raises(ConsistencyError):
-        invmaj.newton_coefficients(values, 6)
-    with pytest.raises(ValueError):
-        invmaj.newton_coefficients(values[:-1], 6)
+def test_moment_requests_build_no_p_coefficients():
+    invmaj.p_coefficient.cache_clear()
+    invmaj.FAMILY.moments("raw", 12, {"n": 50})
+    invmaj.FAMILY.normality_grid({"n": 400}, 8)
+    assert invmaj.p_coefficient.cache_info().currsize == 0
 
 
 def _bernoulli(count: int) -> list[Fr]:
@@ -215,3 +208,21 @@ def test_mgf_deviation_decreases():
 def test_mgf_needs_n_at_least_two():
     with pytest.raises(ValueError):
         invmaj.mgf_deviation(1, [1])
+
+
+def test_mgf_guard_weighs_precision():
+    from momentforge.errors import SizeGuardError
+    from momentforge.families.common import mgf_digits
+
+    # (route evaluations per t, steps, digits): the last served, the first refused
+    edges = [
+        ((11756, 17, 50), (11757, 17, 50)),  # invmaj at the default precision
+        ((400, 17, 268), (400, 17, 269)),  # the benchmark job's size, highest precision
+        ((0, 17, 1917), (0, 17, 1918)),  # board1n
+        ((0, 25000, 50), (0, 25001, 50)),
+    ]
+    for served, refused in edges:
+        assert mgf_digits(*served) == served[2]
+        with pytest.raises(SizeGuardError, match="MGF_GUARD"):
+            mgf_digits(*refused)
+    assert mgf_digits(400, 17, 10) == 50  # never below 50 digits

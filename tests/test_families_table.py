@@ -53,6 +53,22 @@ def test_defaults_and_capabilities():
     }
 
 
+@pytest.mark.parametrize(
+    "family,members",
+    [
+        ("schur", [{"n": n, "c": c} for n in range(1, 80) for c in range(2, 9)]),
+        ("invmaj", [{"n": n} for n in (*range(1, 400), 25205, 25206)]),  # PRINT_GUARD edge
+        ("boolean", [{"n": n, "k": 0} for n in range(0, 14)]),
+        ("domino", [{"m": m, "n": n} for m in range(1, 12) for n in range(1, 40)]),
+    ],
+)
+def test_space_bits_is_a_tight_lower_bound(family, members):
+    entry = FAMILIES[family]
+    for params in members:
+        exact = entry.space_size(params).bit_length()
+        assert exact - 1 - 1e-9 <= entry.space_bits(params) <= exact, params
+
+
 def test_routes_call_layers_through_module_attributes(monkeypatch):
     """A replaced module attribute is reached: routes capture no function objects."""
     calls = []
