@@ -23,7 +23,7 @@ import momentforge.families as families
 from momentforge import __version__
 from momentforge.errors import ConsistencyError, FitVerificationError, MomentForgeError, SizeGuardError
 from momentforge.families import boolean, domino, invmaj, schur
-from momentforge.families.common import SYMBOL_LEGEND
+from momentforge.families.common import SYMBOL_LEGEND, mgf_digits
 from momentforge.fitter import FitSpec, fit_quasi_polynomial
 from momentforge.moment_algebra import normality_report
 from momentforge.poly_series import Polynomial
@@ -38,6 +38,8 @@ class ValidationFailure(ConsistencyError):
 # denominator.  CPython formats an int in time quadratic in its length;
 # 10^5 digits take about 0.1 s on one Intel Xeon core.
 PRINT_GUARD = 10**5
+# 2^332192 has PRINT_GUARD digits and 2^332193 one more: an integer of at
+# most this many bits is inside the guard, one of two bits more is past it.
 _PRINT_GUARD_BITS = int(PRINT_GUARD * math.log2(10))
 
 
@@ -49,7 +51,10 @@ def _text(x: int | Fraction | Polynomial) -> str:
     SizeGuardError past it, before any digit is produced.
     """
     for c in x.coeffs if isinstance(x, Polynomial) else (x,):
-        _check_printable(max(abs(c.numerator).bit_length(), c.denominator.bit_length()))
+        bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+        if bits == _PRINT_GUARD_BITS + 1 and max(abs(c.numerator), c.denominator) >= 10**PRINT_GUARD:
+            bits += 1  # the one bit length that straddles the guard, past it
+        _check_printable(bits)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
@@ -61,10 +66,10 @@ def _text(x: int | Fraction | Polynomial) -> str:
 
 
 def _check_printable(bits: float) -> None:
-    """Raise SizeGuardError for an integer of ``bits`` bits past PRINT_GUARD digits."""
-    if bits > _PRINT_GUARD_BITS:
+    """Raise SizeGuardError if an integer of ``bits`` bits or more is certainly past PRINT_GUARD digits."""
+    if bits > _PRINT_GUARD_BITS + 1:
         raise SizeGuardError(
-            f"a printed integer of about {int(bits * math.log10(2))} digits is "
+            f"a printed integer of at least {int((bits - 1) * math.log10(2)) + 1} digits is "
             f"beyond the PRINT_GUARD = {PRINT_GUARD} digit size guard"
         )
 
@@ -255,8 +260,10 @@ def mgf_limit_cmd(family, n, t_min, t_max, t_steps, precision, format, out):
     if t_steps < 2 or t_max <= t_min:
         raise click.UsageError("need t-min < t-max and at least 2 steps")
     lo, hi = Fraction(t_min).limit_denominator(10**6), Fraction(t_max).limit_denominator(10**6)
-    ts = [lo + (hi - lo) * i / (t_steps - 1) for i in range(t_steps)]
     try:
+        # refuse past MGF_GUARD before the t grid is built; each route checks again
+        mgf_digits(n if family == "invmaj" else 0, t_steps, precision)
+        ts = [lo + (hi - lo) * i / (t_steps - 1) for i in range(t_steps)]
         if family == "invmaj":
             sup, rows = invmaj.mgf_deviation(n, ts, dps=precision)
         else:

@@ -1,8 +1,11 @@
 """Subcube counts of random boolean functions.
 
-The 0-cube count is Binomial(2^n, 1/2): raw moments are Stirling sums in
-W = 2^n, and the centered generating function is [(2+z)/(2 sqrt(1+z))]^W,
-so its binomial moments are exact polynomials in w = 2^(n-1).  For k >= 1
+The 0-cube count is Binomial(2^n, 1/2), a sum of 2^n independent fair
+coins: its raw and central moments are polynomials in W = 2^n from the
+shared cumulant route (``common.half_binomial_moments``), and its binomial
+moments are the central ones of Binomial(2w, 1/2) in w = 2^(n-1),
+converted once.  Each route builds one vector for its highest order and
+the numeric moments evaluate it at n.  For k >= 1
 the first and second moments come from the overlap sum over pairs of
 k-cubes intersecting in an i-cube; the third moment is known for k = 1
 only.  H_n(q) is the independence approximation of the k-cube PGF.
@@ -29,11 +32,12 @@ from momentforge.families.common import (
     binomial_row,
     count_pgf,
     eval_at_n,
-    log_centered_kernel,
+    half_binomial_moments,
+    half_binomial_series,
     pgf_total,
 )
 from momentforge.moment_algebra import MomentVector, raw_to_binomial, raw_to_central
-from momentforge.poly_series import Polynomial, TruncatedSeries, exp_series
+from momentforge.poly_series import Polynomial, TruncatedSeries
 
 __all__ = [
     "raw_moment_k0",
@@ -57,35 +61,29 @@ __all__ = [
 H_MAX_N = 14  # the 2^n-term sums stay exact; beyond this they are impractical
 
 
-def _w_poly() -> Polynomial:
-    return Polynomial.variable("W")
-
-
 def _n_poly() -> Polynomial:
     return Polynomial.variable("n")
 
 
 @lru_cache(maxsize=None)
+def raw_moments_k0(r_max: int) -> MomentVector:
+    """E[X^r] for the 0-cube count, r <= r_max, as polynomials in W = 2^n."""
+    entries = half_binomial_moments(Polynomial.variable("W"), r_max, central=False)
+    return MomentVector("raw", entries, family="boolean", params={"k": 0})
+
+
 def raw_moment_k0(r: int) -> Polynomial:
-    """E[X^r] for the 0-cube count: sum_i {r brace i} (W)_i / 2^i, W = 2^n."""
+    """E[X^r] for the 0-cube count as a polynomial in W = 2^n."""
     if r < 0:
         raise ValueError("need r >= 0")
-    W = _w_poly()
-    acc = Polynomial("W", (1,) if r == 0 else ())
-    for i in range(1, r + 1):
-        acc = acc + falling_factorial(W, i) * Fraction(stirling2(r, i), 2**i)
-    return acc
+    return raw_moments_k0(r).entries[r]
 
 
-def raw_moments_k0(r_max: int) -> MomentVector:
-    return MomentVector(
-        "raw", [raw_moment_k0(r) for r in range(r_max + 1)], family="boolean", params={"k": 0}
-    )
-
-
+@lru_cache(maxsize=None)
 def central_moments_k0(r_max: int) -> MomentVector:
     """Central moments as polynomials in W; odd entries vanish."""
-    return raw_to_central(raw_moments_k0(r_max), _w_poly() / 2)
+    entries = half_binomial_moments(Polynomial.variable("W"), r_max, central=True)
+    return MomentVector("central", entries, family="boolean", params={"k": 0})
 
 
 def central_coefficient(r: int, t: int) -> Fraction:
@@ -175,30 +173,23 @@ def central_moments_k1(r_max: int) -> MomentVector:
     return raw_to_central(raw_moments_k1(r_max), first_moment_k(1))
 
 
-@lru_cache(maxsize=None)
 def p_series_k0(order: int) -> TruncatedSeries:
-    """P(n, z) = [(2+z)/(2 sqrt(1+z))]^w as a z-series over polynomials in w."""
-    w = Polynomial.variable("w")
-    return exp_series(log_centered_kernel(order) * w)
+    """P(n, z) = [(2+z)/(2 sqrt(1+z))]^w as a z-series over polynomials in w.
+
+    The centered generating function of Binomial(w, 1/2), the summand that
+    takes the 0-cube count from n - 1 to n: G_n(1+z) = P(n, z) G_{n-1}(1+z).
+    """
+    return half_binomial_series(Polynomial.variable("w"), order)
 
 
 @lru_cache(maxsize=None)
-def binomial_moments_k0(r_max: int, order: int | None = None) -> MomentVector:
+def binomial_moments_k0(r_max: int) -> MomentVector:
     """B_r(n) of the 0-cube count as exact polynomials in w = 2^(n-1).
 
-    G_n(1+z) = [(2+z)/(2 sqrt(1+z))]^{2^n} = exp(2 w L(z)); the recurrence
-    G_n = P(n, z) G_{n-1} telescopes because rebasing w -> w/2 turns
-    exp(2wL) into exp(wL).
+    The central moments of Binomial(2w, 1/2), converted once.
     """
-    if order is None:
-        order = r_max
-    if order < r_max:
-        raise ValueError("series order must cover r_max")
-    w = Polynomial.variable("w")
-    series = exp_series(log_centered_kernel(order) * (2 * w))
-    entries = [series.coefficient(r) for r in range(r_max + 1)]
-    entries = [e if isinstance(e, Polynomial) else Polynomial.const("w", e) for e in entries]
-    return MomentVector("binomial", entries, family="boolean", params={"k": 0}, about_mean=True)
+    entries = half_binomial_moments(2 * Polynomial.variable("w"), r_max, central=True)
+    return raw_to_binomial(MomentVector("central", entries, family="boolean", params={"k": 0}))
 
 
 # -- independence approximation H_n(q) (k-cube counts) -----------------------

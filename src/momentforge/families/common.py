@@ -4,13 +4,14 @@ Symbol conventions used by the closed forms:
 
 * ``n``  — the size parameter (interval length, permutation length, ...)
 * ``W``  — stands for 2^n (boolean family)
-* ``w``  — stands for 2^(n-1) (boolean binomial-moment recurrence)
+* ``w``  — stands for 2^(n-1) (boolean binomial moments)
 * ``mu`` — the domino mean m*n - m/2 - n/2
 
-``log_centered_kernel`` is the z-series of log((2+z) / (2*sqrt(1+z))),
-the shared multiplicative step of the centered generating functions of
-both the 1-by-n board (power n-1) and the boolean 0-cube count
-(power 2^n).
+``uniform_sum_moments`` is the one moment route of the inversion number
+and of the Binomial(N, 1/2) counts (``half_binomial_moments``: boolean
+0-cubes, the domino mu-form): sums of independent uniforms, whose
+cumulants add.  ``half_binomial_series`` is the centered generating
+function of Binomial(a, 1/2), the P-series step of those counts.
 
 Closed-form PGFs are rows of integer counts over one total: ``count_pgf``
 divides once per coefficient, and ``pgf_total`` refuses a PGF beyond
@@ -23,18 +24,16 @@ each family module defines its own entry as ``FAMILY``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Mapping
 
+import mpmath
+
 from momentforge.errors import SizeGuardError
-from momentforge.poly_series import (
-    Polynomial,
-    TruncatedSeries,
-    generalized_binomial_series,
-    log_series,
-)
+from momentforge.poly_series import Polynomial, TruncatedSeries, generalized_binomial_series
 
 if TYPE_CHECKING:
     from momentforge.moment_algebra import MomentVector
@@ -51,11 +50,51 @@ SYMBOL_LEGEND = {
 
 
 @lru_cache(maxsize=None)
-def log_centered_kernel(order: int) -> TruncatedSeries:
-    """z-series of log((2 + z) / (2*sqrt(1+z))): z^2/8 - z^3/8 + ..."""
-    z = TruncatedSeries.variable(order)
-    half = generalized_binomial_series(Fraction(-1, 2), order)
-    return log_series((1 + z / 2) * half)
+def bernoulli(k: int) -> Fraction:
+    """The Bernoulli number B_k, exactly (B_1 = -1/2)."""
+    return Fraction(*mpmath.bernfrac(k))
+
+
+def uniform_sum_moments(mean, excess: Callable[[int], object], r_max: int) -> list:
+    """Moments of order 0..r_max of a sum X of independent uniforms on {0, ..., i-1}.
+
+    kappa_1 = ``mean`` and kappa_k = B_k excess(k) / k for even k >= 2 (odd
+    ones vanish), with excess(k) = sum_i (i^k - 1) over the uniforms' sizes
+    i; then m_j = sum_k C(j-1, k-1) kappa_k m_{j-k}.  With mean = E[X] the
+    moments are raw, with a zero mean central.  Entries are Fractions or
+    Polynomials, in the ring of ``mean`` and ``excess``; a negative r_max
+    gives none.
+    """
+    one = mean**0  # 1 in the ring of the entries
+    kappa = {1: mean} if mean else {}
+    for k in range(2, r_max + 1, 2):
+        kappa[k] = bernoulli(k) * excess(k) / k
+    moments = [one]
+    for j in range(1, r_max + 1):
+        moments.append(
+            sum((math.comb(j - 1, k - 1) * kappa[k] * moments[j - k] for k in kappa if k <= j), one * 0)
+        )
+    return moments[: r_max + 1]
+
+
+def half_binomial_moments(count, r_max: int, central: bool) -> list:
+    """E[X^j], or E[(X - count/2)^j] if ``central``, for X ~ Binomial(count, 1/2), j <= r_max.
+
+    X is a sum of ``count`` uniforms on {0, 1}, so excess(k) = count (2^k - 1).
+    ``count`` is an integer or a Polynomial.
+    """
+    mean = count * Fraction(0 if central else 1, 2)
+    return uniform_sum_moments(mean, lambda k: count * (2**k - 1), r_max)
+
+
+def half_binomial_series(a, order: int) -> TruncatedSeries:
+    """(1 + z/2)^a (1 + z)^(-a/2) = E[(1+z)^(X - a/2)] for X ~ Binomial(a, 1/2), to z^order.
+
+    ``a`` is a rational or a Polynomial.
+    """
+    up = generalized_binomial_series(a, order)
+    halved = TruncatedSeries(up.var, order, [c * Fraction(1, 2**i) for i, c in enumerate(up.coeffs)])
+    return halved * generalized_binomial_series(a * Fraction(-1, 2), order)
 
 
 def eval_at_n(value, n: int) -> Fraction:

@@ -1,18 +1,21 @@
 """Same-number domino counts on random 0/1 boards.
 
-With A = 2mn - m - n domino slots and mu = A/2, the Stirling sum
-E[X^r] = sum_i {r brace i} (A)_i / 2^i is a polynomial in mu alone.  It is
-exact only for r <= 3 or on a 1-by-n (m-by-1) board, where the slots form a
-forest.  On a board with m, n >= 2 the four slots around a lattice square
-are all same-number with probability 1/2^3, not 1/2^4, so from r = 4 on the
-moments depend on the board and not on mu alone (2x2 at r = 4: the sum
-gives 85/2, the true value is 44).  The mu-polynomials are kept as the
-printed closed forms on that domain; everywhere else the moments come from
-an integer broken-profile transfer matrix (Stanley, EC1 section 4.7).
+With A = 2mn - m - n domino slots and mu = A/2, treating the slots as
+independent fair coins makes X ~ Binomial(2 mu, 1/2), whose moments are
+polynomials in mu alone (the shared cumulant route,
+``common.half_binomial_moments``).  That is exact only for r <= 3 or on a
+1-by-n (m-by-1) board, where the slots form a forest.  On a board with
+m, n >= 2 the four slots around a lattice square are all same-number with
+probability 1/2^3, not 1/2^4, so from r = 4 on the moments depend on the
+board and not on mu alone (2x2 at r = 4: the mu-form gives 85/2, the true
+value is 44).  The mu-polynomials are kept as the printed closed forms on
+that domain, where the numeric moments are those of Binomial(A, 1/2);
+everywhere else the moments come from an integer broken-profile transfer
+matrix (Stanley, EC1 section 4.7).
 
-The 1-by-n board has the explicit centered generating function
-G_n(1+z) = [(2+z)/(2 sqrt(1+z))]^(n-1), giving binomial moments that are
-polynomials in n.
+The 1-by-n board is Binomial(n - 1, 1/2), with the centered generating
+function G_n(1+z) = [(2+z)/(2 sqrt(1+z))]^(n-1) and binomial moments that
+are polynomials in n.
 """
 
 from __future__ import annotations
@@ -25,17 +28,18 @@ import mpmath
 
 from momentforge import oracle
 from momentforge.errors import SizeGuardError
-from momentforge.exact_core import falling_factorial, stirling2
+from momentforge.exact_core import stirling2
 from momentforge.families.common import (
     Family,
     binomial_row,
     count_pgf,
-    log_centered_kernel,
+    half_binomial_moments,
+    half_binomial_series,
     mgf_digits,
     pgf_total,
 )
-from momentforge.moment_algebra import MomentVector, binomial_to_raw, raw_to_binomial, raw_to_central
-from momentforge.poly_series import Polynomial, TruncatedSeries, exp_series
+from momentforge.moment_algebra import MomentVector, raw_to_binomial, raw_to_central
+from momentforge.poly_series import Polynomial, TruncatedSeries
 
 __all__ = [
     "slot_count",
@@ -52,8 +56,6 @@ __all__ = [
     "central_moments",
     "board1n_p_series",
     "board1n_binomial_moments_symbolic",
-    "board1n_binomial_moments",
-    "board1n_central_moments",
     "mgf_deviation_1n",
 ]
 
@@ -70,21 +72,17 @@ def mean(m: int, n: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def raw_moments_symbolic(r_max: int) -> MomentVector:
+    """E[X^r], r <= r_max, as polynomials in mu: the moments of Binomial(2 mu, 1/2)."""
+    entries = half_binomial_moments(2 * Polynomial.variable("mu"), r_max, central=False)
+    return MomentVector("raw", entries, family="domino")
+
+
 def raw_moment_symbolic(r: int) -> Polynomial:
-    """E[X^r] as a polynomial in mu: sum_i {r brace i} (2 mu)_i / 2^i."""
+    """E[X^r] as a polynomial in mu, exact on the domain of :func:`in_closed_form_domain`."""
     if r < 0:
         raise ValueError("need r >= 0")
-    mu = Polynomial.variable("mu")
-    acc = Polynomial("mu", (1,) if r == 0 else ())
-    for i in range(1, r + 1):
-        acc = acc + falling_factorial(2 * mu, i) * Fraction(stirling2(r, i), 2**i)
-    return acc
-
-
-def raw_moments_symbolic(r_max: int) -> MomentVector:
-    return MomentVector(
-        "raw", [raw_moment_symbolic(r) for r in range(r_max + 1)], family="domino"
-    )
+    return raw_moments_symbolic(r).entries[r]
 
 
 def in_closed_form_domain(m: int, n: int, r: int) -> bool:
@@ -95,7 +93,7 @@ def in_closed_form_domain(m: int, n: int, r: int) -> bool:
 def raw_moments(m: int, n: int, r_max: int) -> MomentVector:
     """Exact E[X^r] for r = 0..r_max on the m-by-n board.
 
-    Route: the mu-polynomials on their domain (see
+    Route: Binomial(A, 1/2) on the domain of the mu-polynomials (see
     :func:`in_closed_form_domain`), else the transfer matrix behind
     :func:`binomial_sums`, with E[X^q] = sum_k S(q,k) k! b_k / 2^{mn}.
     """
@@ -103,8 +101,7 @@ def raw_moments(m: int, n: int, r_max: int) -> MomentVector:
     if r_max < 0:
         raise ValueError("need r >= 0")
     if in_closed_form_domain(m, n, r_max):
-        value = mean(m, n)
-        entries = [raw_moment_symbolic(r).eval(value) for r in range(r_max + 1)]
+        entries = half_binomial_moments(slot_count(m, n), r_max, central=False)
     else:
         b = binomial_sums(m, n, r_max)
         total = 2 ** (m * n)
@@ -129,31 +126,26 @@ def scaled_raw_moment(m: int, n: int, r: int) -> int:
     return value.numerator
 
 
+@lru_cache(maxsize=None)
 def central_moments_symbolic(r_max: int) -> MomentVector:
     """E[(X-mu)^r] as polynomials in mu; all odd entries vanish.
 
     Exact only on the domain of :func:`in_closed_form_domain`.
     """
-    mu = Polynomial.variable("mu")
-    return raw_to_central(raw_moments_symbolic(r_max), mu)
+    entries = half_binomial_moments(2 * Polynomial.variable("mu"), r_max, central=True)
+    return MomentVector("central", entries, family="domino")
 
 
 def central_moments(m: int, n: int, r_max: int) -> MomentVector:
     """Exact E[(X-mu)^r] for r = 0..r_max on the m-by-n board.
 
-    Route: the central mu-polynomials on their domain, else the transfer
-    matrix via :func:`raw_moments`.
+    Route: Binomial(A, 1/2) on the domain of the mu-polynomials, else the
+    transfer matrix via :func:`raw_moments`.
     """
-    value = mean(m, n)
     if not in_closed_form_domain(m, n, r_max):
-        return raw_to_central(raw_moments(m, n, r_max), value)
-    sym = central_moments_symbolic(r_max)
-    return MomentVector(
-        "central",
-        [e.eval(value) for e in sym.entries],
-        family="domino",
-        params={"m": m, "n": n},
-    )
+        return raw_to_central(raw_moments(m, n, r_max), mean(m, n))
+    entries = half_binomial_moments(slot_count(m, n), r_max, central=True)
+    return MomentVector("central", entries, family="domino", params={"m": m, "n": n})
 
 
 # Bound on the transfer-matrix work m*n*2^w*r (w = min(m, n)).  One unit
@@ -245,42 +237,20 @@ def _binomial_sums(w: int, length: int, r: int) -> tuple[int, ...]:
     return tuple(((total >> (width * k)) & coefficient) << shifted for k in range(r + 1))
 
 
-@lru_cache(maxsize=None)
 def board1n_p_series(order: int) -> TruncatedSeries:
     """P_n(1+z) = (2+z)/(2 sqrt(1+z)) = 1 + z^2/8 - z^3/8 + 15 z^4/128 - ..."""
-    return exp_series(log_centered_kernel(order))
+    return half_binomial_series(1, order)
 
 
 @lru_cache(maxsize=None)
 def board1n_binomial_moments_symbolic(r_max: int) -> MomentVector:
     """B_r(n) of the 1-by-n board as polynomials in n.
 
-    The product of the P_m(1+z) steps for m = 2..n telescopes to
-    exp((n-1) L(z)), whose z-coefficients are the binomial moments.
+    The n - 1 slots of the board are independent fair coins, so the count
+    is Binomial(n - 1, 1/2); its central moments are converted once.
     """
-    kernel = log_centered_kernel(r_max)
-    nn = Polynomial.variable("n")
-    series = exp_series(kernel * (nn - 1))
-    entries = [series.coefficient(r) for r in range(r_max + 1)]
-    entries = [e if isinstance(e, Polynomial) else Polynomial.const("n", e) for e in entries]
-    return MomentVector("binomial", entries, family="domino", about_mean=True)
-
-
-def board1n_binomial_moments(n: int, r_max: int) -> MomentVector:
-    if n < 1:
-        raise ValueError("need n >= 1")
-    sym = board1n_binomial_moments_symbolic(r_max)
-    return MomentVector(
-        "binomial",
-        [e.eval(n) for e in sym.entries],
-        family="domino",
-        params={"m": 1, "n": n},
-        about_mean=True,
-    )
-
-
-def board1n_central_moments(n: int, r_max: int) -> MomentVector:
-    return binomial_to_raw(board1n_binomial_moments(n, r_max))
+    entries = half_binomial_moments(Polynomial.variable("n") - 1, r_max, central=True)
+    return raw_to_binomial(MomentVector("central", entries, family="domino"))
 
 
 def mgf_deviation_1n(n: int, t_values, dps: int = 50):

@@ -5,8 +5,10 @@ by the inversion table, inv = U_1 + ... + U_n with U_i uniform on
 {0, ..., i-1} and independent (Knuth, TAOCP 3 section 5.1.1).  Its
 cumulants are therefore sums of theirs, kappa_k = B_k (S_k(n) - n) / k for
 k >= 2 (B_k the Bernoulli numbers, zero for odd k, and S_k(n) = 1^k + ... +
-n^k by Faulhaber's formula), and the central and binomial moments follow
-from them at a cost that does not grow with n.
+n^k by Faulhaber's formula).  ``central_moments`` feeds them to the
+shared cumulant route ``common.uniform_sum_moments``, at a cost that does
+not grow with n; the binomial moments and the raw moments are converted
+from the central ones once.
 
 The paper's route, the recurrence of the centered Taylor coefficients
 B_r(n) (binomial moments)
@@ -42,8 +44,15 @@ import mpmath
 
 from momentforge import oracle
 from momentforge.exact_core import falling_factorial
-from momentforge.families.common import Family, count_pgf, mgf_digits, pgf_total
-from momentforge.moment_algebra import MomentVector, binomial_to_raw, central_to_raw, raw_to_binomial
+from momentforge.families.common import (
+    Family,
+    bernoulli,
+    count_pgf,
+    mgf_digits,
+    pgf_total,
+    uniform_sum_moments,
+)
+from momentforge.moment_algebra import MomentVector, central_to_raw, raw_to_binomial
 from momentforge.poly_series import Polynomial
 
 __all__ = [
@@ -111,34 +120,28 @@ def p_coefficient(i: int) -> Polynomial:
     return acc.divide_by_symbol()
 
 
-def binomial_moments(n: int, r_max: int) -> MomentVector:
-    """Exact B_r(n) for r <= r_max, from the cumulants kappa_k of inv.
-
-    kappa_k = B_k (S_k(n) - n) / k for even k >= 2 and 0 otherwise (see the
-    module docstring); the central moments are
-    mu_j = sum_{k=2}^{j} C(j-1, k-1) kappa_k mu_{j-k}.
-    """
-    if n < 1 or r_max < 0:
-        raise ValueError("need n >= 1 and r_max >= 0")
-    bern = [Fraction(*mpmath.bernfrac(j)) for j in range(r_max + 1)]
-    kappa = [Fraction(0)] * (r_max + 1)
-    for k in range(2, r_max + 1, 2):
-        # Faulhaber: S_k(n) = sum_j (-1)^j C(k+1, j) B_j n^(k+1-j) / (k+1)
-        power_sum = sum(
-            (-1) ** j * math.comb(k + 1, j) * bern[j] * n ** (k + 1 - j) for j in range(k + 1)
-        ) / (k + 1)
-        kappa[k] = bern[k] * (power_sum - n) / k
-    central = [Fraction(1)]
-    for j in range(1, r_max + 1):
-        central.append(
-            sum((math.comb(j - 1, k - 1) * kappa[k] * central[j - k] for k in range(2, j + 1)), Fraction(0))
-        )
-    return raw_to_binomial(MomentVector("central", central, family="invmaj", params={"n": n}))
+def _power_sum(k: int, n: int) -> Fraction:
+    """S_k(n) = 1^k + ... + n^k by Faulhaber's formula."""
+    return sum(
+        (-1) ** j * math.comb(k + 1, j) * bernoulli(j) * n ** (k + 1 - j) for j in range(k + 1)
+    ) / (k + 1)
 
 
 def central_moments(n: int, r_max: int) -> MomentVector:
-    """Exact central moments E[(X-mu)^r] from the binomial moments."""
-    return binomial_to_raw(binomial_moments(n, r_max))
+    """Exact central moments E[(X-mu)^r], r <= r_max, from the cumulants of inv.
+
+    kappa_k = B_k (S_k(n) - n) / k for even k >= 2 and 0 otherwise (see the
+    module docstring), by ``common.uniform_sum_moments``.
+    """
+    if n < 1 or r_max < 0:
+        raise ValueError("need n >= 1 and r_max >= 0")
+    entries = uniform_sum_moments(Fraction(0), lambda k: _power_sum(k, n) - n, r_max)
+    return MomentVector("central", entries, family="invmaj", params={"n": n})
+
+
+def binomial_moments(n: int, r_max: int) -> MomentVector:
+    """Exact B_r(n) for r <= r_max, converted once from the central moments."""
+    return raw_to_binomial(central_moments(n, r_max))
 
 
 def maj_table(n: int) -> list[Polynomial]:

@@ -4,8 +4,8 @@ This is the algebra that carries the centered generating functions: every
 generating function is rewritten in the shift variable ``z`` (``q = 1 + z``)
 and truncated at a fixed order, so fractional exponents such as
 ``q^{(n-1)/2}`` never materialize; symbolic exponents are handled by
-:func:`generalized_binomial_series` or by ``exp(alpha * log(...))`` with a
-polynomial ``alpha``.
+:func:`generalized_binomial_series` with a polynomial ``alpha``.
+``exp_series`` and ``log_series`` complete the series ring.
 
 Coefficients are either :class:`fractions.Fraction` scalars or nested
 :class:`Polynomial` values in a different symbol (e.g. series in ``z`` whose
@@ -29,8 +29,6 @@ __all__ = [
     "generalized_binomial_series",
     "exp_series",
     "log_series",
-    "leading_term",
-    "evaluate",
 ]
 
 Coef = Union[Fraction, "Polynomial"]
@@ -436,11 +434,6 @@ class TruncatedSeries:
                 base = base * base
         return out
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.var, order, self.coeffs[: order + 1])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -531,12 +524,3 @@ def log_series(a: TruncatedSeries) -> TruncatedSeries:
         out = out + upow * Fraction((-1) ** (k + 1), k)
     return out
 
-
-def leading_term(p: Polynomial) -> tuple[int, Coef]:
-    """(degree, coefficient) of the highest-order monomial; zero is rejected."""
-    return p.leading_term()
-
-
-def evaluate(p, n: int):
-    """Exact evaluation of a Polynomial or QuasiPolynomial at an integer."""
-    return p.eval(n)

@@ -200,12 +200,14 @@ PGF_GUARD_ARGS = [
     ["pgf", "--family", "domino", "--m", "1", "--n", "4473"],
 ]
 
-# past the printed-size guard: 2^(2^19) has 157827 digits, 2^400000 has 120412;
+# past the printed-size guard: 2^(2^19) has 157827 digits, 2^400000 has 120412
+# and 2^332193, the smallest sample-space size past it, 100001;
 # the last three are refused from a bound on the sample-space size, before
 # it is built (10^6! has 5565709 digits, 2^(2^33) and 2^(10^10) billions)
 PRINT_GUARD_ARGS = [
     ["moments", "--family", "boolean", "--n", "19", "--r", "1"],
     ["moments", "--family", "domino", "--m", "1", "--n", "400000", "--r", "1"],
+    ["moments", "--family", "domino", "--m", "1", "--n", "332193", "--r", "0"],
     ["moments", "--family", "invmaj", "--n", "1000000", "--r", "2"],
     ["moments", "--family", "boolean", "--n", "33", "--r", "2"],
     ["moments", "--family", "domino", "--m", "100000", "--n", "100000", "--r", "2"],
@@ -218,6 +220,7 @@ MGF_GUARD_ARGS = [
     ["mgf-limit", "--family", "invmaj", "--n", "1000000", "--t-steps", "2"],
     ["mgf-limit", "--family", "invmaj", "--n", "400", "--precision", "800"],
     ["mgf-limit", "--family", "board1n", "--n", "11764", "--precision", "20000"],
+    ["mgf-limit", "--family", "board1n", "--n", "10", "--t-steps", "1000000"],
 ]
 
 
@@ -266,8 +269,10 @@ def test_usage_errors_exit_1():
     [
         ["binomial-moments", "--family", "invmaj", "--n", "1000000", "--r", "10"],
         ["normality", "--family", "invmaj", "--n-grid", "10,100,100000"],
+        ["central", "--family", "boolean", "--n", "10", "--r", "100"],
+        ["central", "--family", "domino", "--m", "1", "--n", "50", "--r", "100"],
     ],
-    ids=["binomial-moments", "normality"],
+    ids=["binomial-moments", "normality", "boolean-central-r100", "domino-1xn-central-r100"],
 )
 def test_invmaj_moments_at_large_n_are_quick(args, schema):
     started = time.monotonic()
@@ -281,6 +286,21 @@ def test_numbers_past_the_interpreter_digit_limit_are_printed(schema):
     space = payload["result"]["sample_space_size"]
     assert len(space) == 4933
     assert int(space[-6:]) == 2 ** (2**14) % 10**6
+
+
+def test_integers_of_exactly_print_guard_digits_are_printed(schema):
+    # 2^332192 has exactly 10^5 digits, the most PRINT_GUARD lets through
+    payload, _ = check_json(run_cli("moments", "--family", "domino", "--m", "1", "--n", "332192", "--r", "0"), schema)
+    space = payload["result"]["sample_space_size"]
+    assert len(space) == 10**5
+    assert int(space[-6:]) == pow(2, 332192, 10**6)
+
+
+def test_mgf_guard_refuses_before_the_t_grid_is_built():
+    started = time.monotonic()
+    proc = run_cli("mgf-limit", "--family", "board1n", "--n", "10", "--t-steps", "1000000")
+    assert proc.returncode == 1 and "MGF_GUARD" in proc.stderr, proc.stderr
+    assert time.monotonic() - started < 3
 
 
 def test_fit_verification_failure_exits_2():

@@ -6,7 +6,7 @@ import pytest
 from momentforge.errors import SizeGuardError
 from momentforge.exact_core import stirling1_signed
 from momentforge.families import domino
-from momentforge.moment_algebra import raw_to_central
+from momentforge.moment_algebra import raw_to_binomial, raw_to_central
 from momentforge.oracle import enumerate_boards, histogram_moments
 from momentforge.poly_series import Polynomial
 
@@ -157,11 +157,14 @@ def test_board1n_binomial_moments_printed():
 
 
 def test_board1n_binomial_invariants():
+    sym = domino.board1n_binomial_moments_symbolic(6)
     for n in (1, 2, 5, 9):
-        bm = domino.board1n_binomial_moments(n, 6)
+        bm = raw_to_binomial(domino.central_moments(1, n, 6))
         assert bm.entries[0] == 1 and bm.entries[1] == 0
         assert bm.entries[2] == Fr(n - 1, 8)
-    assert domino.board1n_binomial_moments(5, 2).entries[2] == Fr(1, 2)
+        # the numeric route and the polynomials in n agree
+        assert tuple(bm.entries) == tuple(e.eval(n) for e in sym.entries), n
+    assert raw_to_binomial(domino.central_moments(1, 5, 2)).entries[2] == Fr(1, 2)
 
 
 def test_board1n_recurrence_step():
@@ -208,7 +211,7 @@ def test_board1n_central_vs_oracle():
     for n in (2, 5, 8):
         mv = histogram_moments(enumerate_boards(1, n), 6)
         expect = raw_to_central(mv, mv.entries[1])
-        got = domino.board1n_central_moments(n, 6)
+        got = domino.central_moments(1, n, 6)
         assert tuple(got.entries) == tuple(expect.entries), n
 
 
@@ -226,4 +229,4 @@ def test_param_validation():
     with pytest.raises(ValueError):
         domino.mgf_deviation_1n(1, [1])
     with pytest.raises(ValueError):
-        domino.board1n_binomial_moments(0, 3)
+        domino.central_moments(1, 0, 3)

@@ -1,9 +1,12 @@
 """Every entry of families.FAMILIES against the exhaustive oracle, route by route."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from momentforge import oracle
-from momentforge.families import FAMILIES, domino, invmaj
+from momentforge.families import FAMILIES, domino, invmaj, moment_vector
 from momentforge.oracle import histogram_moments
 
 # (family, params, source of the PGF route); small enough to enumerate
@@ -83,11 +86,30 @@ def test_routes_call_layers_through_module_attributes(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     spy(invmaj, "pgf")
-    spy(invmaj, "binomial_moments")
+    spy(invmaj, "central_moments")
     spy(domino, "binomial_sums")
     spy(oracle, "enumerate_boards")
     FAMILIES["invmaj"].pgf({"n": 4})
     FAMILIES["invmaj"].moments("raw", 4, {"n": 4})
     FAMILIES["domino"].moments("raw", 4, {"m": 2, "n": 2})
     FAMILIES["domino"].pgf({"m": 2, "n": 2})
-    assert calls == ["pgf", "binomial_moments", "binomial_sums", "enumerate_boards"]
+    assert calls == ["pgf", "central_moments", "binomial_sums", "enumerate_boards"]
+
+
+@pytest.mark.parametrize(
+    "family,params,count",
+    [("boolean", {"n": 5, "k": 0}, 32), ("domino", {"m": 1, "n": 40}, 39)],
+    ids=["boolean-n5", "domino-1x40"],
+)
+def test_binomial_half_moments_at_order_60(family, params, count):
+    # both counts are Binomial(count, 1/2): sum_d C(count, d) f(d) / 2^count
+    r_max = 60
+    half = Fraction(count, 2)
+    raw = [
+        Fraction(sum(math.comb(count, d) * d**r for d in range(count + 1)), 2**count) for r in range(r_max + 1)
+    ]
+    central = [
+        sum(math.comb(count, d) * (d - half) ** r for d in range(count + 1)) / 2**count for r in range(r_max + 1)
+    ]
+    assert tuple(moment_vector(family, "raw", r_max, params)[0].entries) == tuple(raw)
+    assert tuple(moment_vector(family, "central", r_max, params)[0].entries) == tuple(central)

@@ -9,10 +9,8 @@ from momentforge.poly_series import (
     Polynomial,
     QuasiPolynomial,
     TruncatedSeries,
-    evaluate,
     exp_series,
     generalized_binomial_series,
-    leading_term,
     log_series,
     series_div,
     series_mul,
@@ -81,10 +79,10 @@ class TestPolynomial:
 
     def test_leading_term(self):
         n = Polynomial.variable("n")
-        assert leading_term(n**2 / 24 - n / 12) == (2, Fr(1, 24))
-        assert leading_term(Polynomial.const("n", 5)) == (0, Fr(5))
+        assert (n**2 / 24 - n / 12).leading_term() == (2, Fr(1, 24))
+        assert Polynomial.const("n", 5).leading_term() == (0, Fr(5))
         with pytest.raises(ValueError):
-            leading_term(Polynomial("n", ()))
+            Polynomial("n", ()).leading_term()
 
     def test_compose_shift(self):
         n = Polynomial.variable("n")
@@ -128,8 +126,8 @@ class TestQuasiPolynomial:
 
     def test_evaluate_helper(self):
         n = Polynomial.variable("n")
-        assert evaluate(n + 1, 4) == 5
-        assert evaluate(QuasiPolynomial(2, [n, n + 1]), 5) == 6
+        assert (n + 1).eval(4) == 5
+        assert QuasiPolynomial(2, [n, n + 1]).eval(5) == 6
 
 
 class TestSeries:
