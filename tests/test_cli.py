@@ -223,6 +223,14 @@ MGF_GUARD_ARGS = [
     ["mgf-limit", "--family", "board1n", "--n", "10", "--t-steps", "1000000"],
 ]
 
+# past SAMPLER_GUARD on samples * C(n, k) * max(k, 1) * ceil(2^n / 64) word
+# operations: the first is one sample more than the largest request at
+# n = 14, k = 7; the second would need C(20, 10) masks of 2^20 bits
+SAMPLER_GUARD_ARGS = [
+    ["oracle", "--family", "boolean", "--n", "14", "--k", "7", "--samples", "2", "--seed", "1"],
+    ["oracle", "--family", "boolean", "--n", "20", "--k", "10", "--samples", "1", "--seed", "1"],
+]
+
 
 def test_usage_errors_exit_1():
     for args in (
@@ -248,6 +256,7 @@ def test_usage_errors_exit_1():
         *PGF_GUARD_ARGS,
         *PRINT_GUARD_ARGS,
         *MGF_GUARD_ARGS,
+        *SAMPLER_GUARD_ARGS,
     ):
         proc = run_cli(*args)
         assert proc.returncode == 1, (args, proc.stderr)
@@ -262,6 +271,8 @@ def test_usage_errors_exit_1():
             assert "PRINT_GUARD" in proc.stderr, (args, proc.stderr)
         if args in MGF_GUARD_ARGS:
             assert "MGF_GUARD" in proc.stderr, (args, proc.stderr)
+        if args in SAMPLER_GUARD_ARGS:
+            assert "SAMPLER_GUARD" in proc.stderr, (args, proc.stderr)
 
 
 @pytest.mark.parametrize(
@@ -271,8 +282,12 @@ def test_usage_errors_exit_1():
         ["normality", "--family", "invmaj", "--n-grid", "10,100,100000"],
         ["central", "--family", "boolean", "--n", "10", "--r", "100"],
         ["central", "--family", "domino", "--m", "1", "--n", "50", "--r", "100"],
+        # oracle requests that took 35-65 s before the oracles were word-parallel
+        ["oracle", "--family", "schur", "--n", "13", "--c", "3"],
+        ["oracle", "--family", "boolean", "--n", "14", "--k", "7", "--samples", "1", "--seed", "1"],
     ],
-    ids=["binomial-moments", "normality", "boolean-central-r100", "domino-1xn-central-r100"],
+    ids=["binomial-moments", "normality", "boolean-central-r100", "domino-1xn-central-r100",
+         "oracle-schur-n13-c3", "oracle-boolean-sample-n14-k7"],
 )
 def test_invmaj_moments_at_large_n_are_quick(args, schema):
     started = time.monotonic()

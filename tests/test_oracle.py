@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction as Fr
 
 import pytest
@@ -145,3 +147,90 @@ def test_histogram_serialization():
     h = Histogram({2: 1, 0: 3}, 4)
     assert h.to_csv_rows() == [(0, 3), (2, 1)]
     assert h.to_json_dict() == {"total": 4, "counts": {"0": 3, "2": 1}}
+
+
+# Naive per-pattern reference enumerators: every pattern of every
+# configuration is tested one at a time, with no bit tricks, symmetry or
+# incremental update.
+
+
+def naive_schur(n, c):
+    triples = [(x, y, x + y) for x in range(1, n + 1) for y in range(x, n - x + 1)]
+    counts = {}
+    for coloring in itertools.product(range(c), repeat=n):
+        x = sum(1 for t in triples if len({coloring[e - 1] for e in t}) == 1)
+        counts[x] = counts.get(x, 0) + 1
+    return counts, c**n
+
+
+def naive_boards(m, n):
+    slots = [(r * n + col, r * n + col + 1) for r in range(m) for col in range(n - 1)]
+    slots += [(r * n + col, (r + 1) * n + col) for r in range(m - 1) for col in range(n)]
+    counts = {}
+    for board in itertools.product((0, 1), repeat=m * n):
+        x = sum(1 for i, j in slots if board[i] == board[j])
+        counts[x] = counts.get(x, 0) + 1
+    return counts, 2 ** (m * n)
+
+
+def naive_subcubes(f, n, k):
+    return sum(1 for pos in subcube_positions(n, k) if f & pos == pos)
+
+
+@pytest.mark.parametrize("c,n_max", [(2, 14), (3, 8), (4, 6)])
+def test_schur_matches_naive_enumeration(c, n_max):
+    for n in range(1, n_max + 1):
+        counts, total = naive_schur(n, c)
+        got = enumerate_schur(n, c)
+        assert got.counts == counts and got.total == total, (n, c)
+
+
+def test_boards_match_naive_enumeration():
+    for m in range(1, 15):
+        for n in range(1, 14 // m + 1):
+            counts, total = naive_boards(m, n)
+            for parts in (1, 2, 3, 7):
+                got = enumerate_boards(m, n, parts=parts)
+                assert got.counts == counts and got.total == total, (m, n, parts)
+
+
+def test_joint_inv_maj_matches_naive_enumeration():
+    for n in range(1, 8):
+        counts = {}
+        for perm in itertools.permutations(range(1, n + 1)):
+            key = (permutation_inv(perm), permutation_maj(perm))
+            counts[key] = counts.get(key, 0) + 1
+        got = enumerate_permutations(n)
+        assert got.counts == counts and sum(got.counts.values()) == got.total, n
+
+
+def test_count_subcubes_matches_subcube_positions():
+    for n in range(4):
+        for k in range(n + 1):
+            for f in range(1 << (1 << n)):
+                assert count_subcubes(f, n, k) == naive_subcubes(f, n, k), (f, n, k)
+    rng = random.Random(2024)
+    for n in (5, 6):
+        for _ in range(200):
+            f = rng.getrandbits(1 << n)
+            for k in range(n + 1):
+                assert count_subcubes(f, n, k) == naive_subcubes(f, n, k), (f, n, k)
+
+
+def test_sampler_matches_naive_count_of_the_same_draws():
+    for seed in (0, 99, 2**63 + 5):
+        rng = random.Random(seed)
+        counts = {}
+        for _ in range(2000):
+            x = naive_subcubes(rng.getrandbits(64), 6, 2)
+            counts[x] = counts.get(x, 0) + 1
+        got = sample_boolean(6, 2, 2000, seed)
+        assert got.counts == counts and got.total == 2000, seed
+
+
+def test_sampler_guard_refuses_before_building_anything():
+    # one sample at n = 20, k = 10 would need C(20, 10) masks of 2^20 bits
+    with pytest.raises(SizeGuardError, match="SAMPLER_GUARD"):
+        sample_boolean(20, 10, 1, seed=1)
+    with pytest.raises(SizeGuardError, match="SAMPLER_GUARD"):
+        sample_boolean(14, 7, 2, seed=1)
