@@ -146,7 +146,8 @@ def _moment_command(kind: str, subcommand: str):
         started = time.monotonic()
         entry, params = _family_params(family, n=n, c=c, m=m, k=k)
         try:
-            vec, closed_forms = families.moment_vector(family, kind, r_max, params)
+            vec = families.moment_vector(family, kind, r_max, params)
+            closed_forms = entry.closed_forms(kind, r_max, params) if entry.closed_forms else None
         except ValueError as exc:
             raise click.UsageError(str(exc)) from exc
         result = {
@@ -215,16 +216,16 @@ def pgf_cmd(family, n, c, m, k, format, out):
 
 
 @cli.command(name="normality")
-@click.option("--family", required=True, help="invmaj | domino | boolean (k=0)")
+@click.option("--family", required=True, help=" | ".join(families.FAMILIES))
 @click.option("--n-grid", required=True, help="Comma-separated ascending n values, e.g. 11,101,1001")
 @click.option("--m", type=int, default=None, help="domino rows (default 1)")
-@click.option("--k", type=int, default=None, help="boolean cube dimension (must be 0)")
+@click.option("--k", type=int, default=None, help="boolean cube dimension (default 0)")
 @click.option("--r-max", type=int, default=8, show_default=True)
 @click.option("--threshold", type=float, default=0.05, show_default=True)
 @click.option("--precision", type=int, default=50, show_default=True, help="Significant digits.")
 @_common_options
 def normality_cmd(family, n_grid, m, k, r_max, threshold, precision, format, out):
-    """Normalized moments vs Gaussian targets along an n-grid."""
+    """Normalized moments vs Gaussian targets along an n-grid, from what central serves."""
     started = time.monotonic()
     try:
         ns = [int(x) for x in n_grid.split(",")]
@@ -232,7 +233,7 @@ def normality_cmd(family, n_grid, m, k, r_max, threshold, precision, format, out
         raise click.UsageError(f"bad --n-grid {n_grid!r}: {exc}") from exc
     _, params = _family_params(family, m=m, k=k)
     try:
-        grid = [(n, families.central_moments_at(family, n, r_max, params)) for n in ns]
+        grid = [(n, families.moment_vector(family, "central", r_max, {**params, "n": n})) for n in ns]
         report = normality_report(family, params, grid, r_max, threshold=threshold, dps=precision)
     except (ValueError, MomentForgeError) as exc:
         raise click.UsageError(str(exc)) from exc
@@ -257,6 +258,8 @@ def normality_cmd(family, n_grid, m, k, r_max, threshold, precision, format, out
 def mgf_limit_cmd(family, n, t_min, t_max, t_steps, precision, format, out):
     """Deviation of G_n(e^{t/sigma}) from e^{t^2/2} on a t grid."""
     started = time.monotonic()
+    if not (math.isfinite(t_min) and math.isfinite(t_max)):
+        raise click.UsageError("need finite --t-min and --t-max")
     if t_steps < 2 or t_max <= t_min:
         raise click.UsageError("need t-min < t-max and at least 2 steps")
     lo, hi = Fraction(t_min).limit_denominator(10**6), Fraction(t_max).limit_denominator(10**6)
@@ -431,7 +434,7 @@ def approx_h_cmd(n, k, with_polynomial, format, out):
     try:
         moments = boolean.h_moments(n, k)
         p = boolean.h_probability(n, k)
-        exact_mean = families.moment_vector("boolean", "raw", 1, {"n": n, "k": k})[0].entries[1]
+        exact_mean = families.moment_vector("boolean", "raw", 1, {"n": n, "k": k}).entries[1]
     except (ValueError, MomentForgeError) as exc:
         raise click.UsageError(str(exc)) from exc
     result = {

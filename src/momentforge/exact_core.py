@@ -11,7 +11,6 @@ so that ``(x)_j = sum_k s(j,k) x^k``).
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 
 Rational = Fraction
@@ -62,36 +61,33 @@ def falling_factorial(x, i: int):
 class StirlingCache:
     """Grow-on-demand tables of Stirling numbers, never evicted.
 
-    Rows are filled under a lock so that concurrent reads after a one-time
-    fill are safe.  Intended working range is order <= 64.
+    Intended working range is order <= 64.
     """
 
     def __init__(self) -> None:
         self._second: list[list[int]] = [[1]]
         self._first_signed: list[list[int]] = [[1]]
-        self._lock = threading.Lock()
 
     @property
     def max_order(self) -> int:
         return len(self._second) - 1
 
     def _grow(self, order: int) -> None:
-        with self._lock:
-            while len(self._second) <= order:
-                r = len(self._second)
-                prev = self._second[r - 1]
-                row = [0] * (r + 1)
-                for i in range(1, r + 1):
-                    # {r, i} = {r-1, i-1} + i * {r-1, i}
-                    row[i] = prev[i - 1] + (i * prev[i] if i < r else 0)
-                self._second.append(row)
+        while len(self._second) <= order:
+            r = len(self._second)
+            prev = self._second[r - 1]
+            row = [0] * (r + 1)
+            for i in range(1, r + 1):
+                # {r, i} = {r-1, i-1} + i * {r-1, i}
+                row[i] = prev[i - 1] + (i * prev[i] if i < r else 0)
+            self._second.append(row)
 
-                sprev = self._first_signed[r - 1]
-                srow = [0] * (r + 1)
-                for k in range(1, r + 1):
-                    # s(r, k) = s(r-1, k-1) - (r-1) * s(r-1, k)
-                    srow[k] = sprev[k - 1] - (r - 1) * (sprev[k] if k < r else 0)
-                self._first_signed.append(srow)
+            sprev = self._first_signed[r - 1]
+            srow = [0] * (r + 1)
+            for k in range(1, r + 1):
+                # s(r, k) = s(r-1, k-1) - (r-1) * s(r-1, k)
+                srow[k] = sprev[k - 1] - (r - 1) * (sprev[k] if k < r else 0)
+            self._first_signed.append(srow)
 
     def second_kind(self, r: int, i: int) -> int:
         if r < 0 or i < 0:

@@ -3,11 +3,12 @@
 ``FAMILIES`` maps each ID to its table entry (``common.Family``), defined
 as ``FAMILY`` in the family's own module.  An entry declares the family's
 parameters and their defaults, its sample-space size (and a lower bound on
-its bit length, cheap where the size is not), its moment route
-(with the highest order it serves and the closed-form texts where they are
-exact), its PGF route, its oracle (exhaustive, and sampled for boolean)
-and, where there is one, its normality grid.  The functions below and every
-CLI subcommand are lookups in this table.
+its bit length, cheap where the size is not), its moment route (with the
+highest order it serves), the closed-form texts of those moments where
+they are exact, its PGF route and its oracle (exhaustive, and sampled for
+boolean).  ``moment_vector`` is the one checked way to the moments: the
+moment subcommands and every point of a normality grid go through it.
+The functions below and every CLI subcommand are lookups in this table.
 
 IDs and parameters:
 
@@ -29,11 +30,8 @@ FAMILIES: dict[str, Family] = {
     f.name: f for f in (schur.FAMILY, invmaj.FAMILY, boolean.FAMILY, domino.FAMILY)
 }
 
-FAMILY_PARAMS: dict[str, tuple[str, ...]] = {name: f.params for name, f in FAMILIES.items()}
-
 __all__ = [
     "FAMILIES",
-    "FAMILY_PARAMS",
     "SYMBOL_LEGEND",
     "Family",
     "boolean",
@@ -41,9 +39,7 @@ __all__ = [
     "invmaj",
     "schur",
     "validate_family",
-    "central_moments_at",
     "moment_vector",
-    "sample_space_size",
 ]
 
 
@@ -56,21 +52,14 @@ def validate_family(family: str) -> Family:
     return entry
 
 
-def sample_space_size(family: str, params: Mapping) -> int:
-    entry = validate_family(family)
-    return entry.space_size(entry.resolve(params))
+def moment_vector(family: str, kind: str, r_max: int, params: Mapping) -> MomentVector:
+    """The exact MomentVector of the requested kind, orders 0..r_max.
 
-
-def moment_vector(family: str, kind: str, r_max: int, params: Mapping):
-    """Numeric MomentVector of the requested kind, plus closed-form texts.
-
-    Returns (vector, closed_forms) where ``closed_forms`` lists canonical
-    polynomial texts of the symbolic entries when the family has them
-    (domino in mu, only where every order is exact: r_max <= 3 or a
-    1-by-n board; boolean in W = 2^n, coefficients in n), else None.
-    Raises ValueError when the requested order exceeds the family's closed
-    forms (the oracle subcommand covers those numerically), and
-    SizeGuardError when a domino board is beyond the transfer-matrix guard.
+    Raises ValueError for parameters outside the family and for an order
+    past the family's routes (the oracle subcommand covers those
+    numerically), and SizeGuardError when a domino board is beyond the
+    transfer-matrix guard.  The printed closed forms are the entry's
+    separate ``closed_forms`` route.
     """
     entry = validate_family(family)
     if kind not in KINDS:
@@ -85,17 +74,3 @@ def moment_vector(family: str, kind: str, r_max: int, params: Mapping):
             "use the oracle subcommand for higher orders"
         )
     return entry.moments(kind, r_max, p)
-
-
-def central_moments_at(family: str, n: int, r_max: int, params: Mapping | None = None) -> MomentVector:
-    """Numeric central moments of a family member at grid point n.
-
-    Used by the normality report.  Supported: invmaj, domino (m from
-    params, default 1; exact on every board, see ``domino.central_moments``),
-    boolean with k=0.  Schur has closed forms only through r = 2, too few
-    for a normality verdict.
-    """
-    entry = validate_family(family)
-    if entry.normality_grid is None:
-        raise ValueError(f"family {family!r} does not provide a closed-form central-moment grid")
-    return entry.normality_grid(entry.resolve({**(params or {}), "n": n}), r_max)

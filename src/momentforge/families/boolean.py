@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 H_MAX_N = 14  # the 2^n-term sums stay exact; beyond this they are impractical
+H_MAX_DEGREE = 2000  # highest degree of H_n(q) that is built; its moments need no polynomial
 
 
 def _n_poly() -> Polynomial:
@@ -69,7 +70,7 @@ def _n_poly() -> Polynomial:
 def raw_moments_k0(r_max: int) -> MomentVector:
     """E[X^r] for the 0-cube count, r <= r_max, as polynomials in W = 2^n."""
     entries = half_binomial_moments(Polynomial.variable("W"), r_max, central=False)
-    return MomentVector("raw", entries, family="boolean", params={"k": 0})
+    return MomentVector("raw", entries)
 
 
 def raw_moment_k0(r: int) -> Polynomial:
@@ -83,7 +84,7 @@ def raw_moment_k0(r: int) -> Polynomial:
 def central_moments_k0(r_max: int) -> MomentVector:
     """Central moments as polynomials in W; odd entries vanish."""
     entries = half_binomial_moments(Polynomial.variable("W"), r_max, central=True)
-    return MomentVector("central", entries, family="boolean", params={"k": 0})
+    return MomentVector("central", entries)
 
 
 def central_coefficient(r: int, t: int) -> Fraction:
@@ -164,7 +165,7 @@ def _raw_moments_k(k: int, r_max: int) -> MomentVector:
     entries = [Polynomial("W", (1,)), first_moment_k(k), second_moment_k(k)]
     if k == 1:
         entries.append(third_moment_k1())
-    return MomentVector("raw", entries[: r_max + 1], family="boolean", params={"k": k})
+    return MomentVector("raw", entries[: r_max + 1])
 
 
 def central_moments_k1(r_max: int) -> MomentVector:
@@ -189,7 +190,7 @@ def binomial_moments_k0(r_max: int) -> MomentVector:
     The central moments of Binomial(2w, 1/2), converted once.
     """
     entries = half_binomial_moments(2 * Polynomial.variable("w"), r_max, central=True)
-    return raw_to_binomial(MomentVector("central", entries, family="boolean", params={"k": 0}))
+    return raw_to_binomial(MomentVector("central", entries))
 
 
 # -- independence approximation H_n(q) (k-cube counts) -----------------------
@@ -242,16 +243,16 @@ def h_mean_closed_form(n: int, k: int) -> Fraction:
     return h_probability(n, k) * binomial(2**n, 2**k) * Fraction(1, 2 ** (2**k))
 
 
-def h_polynomial(n: int, k: int, max_degree: int = 2000) -> Polynomial:
+def h_polynomial(n: int, k: int) -> Polynomial:
     """H_n(q) = sum_m C(2^n, m) (p q + 1 - p)^{C(m, 2^k)} / 2^{2^n}."""
     _check_h_n(n)
     p = h_probability(n, k)
     N = 2**n
     block = 2**k
     top = math.comb(N, block)
-    if top > max_degree:
+    if top > H_MAX_DEGREE:
         raise SizeGuardError(
-            f"H_{n}(q) for k={k} has degree {top} > {max_degree}; moments remain available"
+            f"H_{n}(q) for k={k} has degree {top} > {H_MAX_DEGREE}; moments remain available"
         )
     if k == 0:  # p = 1
         return count_pgf(binomial_row(N), 2**N)
@@ -280,45 +281,48 @@ def _powers(x: int, top: int) -> list[int]:
     return out
 
 
-def _max_order(p: dict) -> int | None:
+def _check_k(p: dict) -> None:
     if not 0 <= p["k"] <= p["n"]:
         raise ValueError("need 0 <= k <= n")
+
+
+def _max_order(p: dict) -> int | None:
+    _check_k(p)
     return None if p["k"] == 0 else 3 if p["k"] == 1 else 2
 
 
-def _moments(kind: str, r_max: int, p: dict) -> tuple[MomentVector, list[str]]:
-    """Moments with their closed forms: in W (k = 0 binomial: in w), coefficients in n.
+def _symbolic(kind: str, r_max: int, k: int) -> MomentVector:
+    """The moments in W (k = 0 binomial: in w), coefficients in n.
 
-    For k >= 1 the binomial moments come from the central ones, whose texts
-    are the ones returned.
+    For k >= 1 the binomial moments come from the central ones, which are
+    the vector returned.
     """
-    n, k = p["n"], p["k"]
     if k == 0:
-        sym = {"raw": raw_moments_k0, "central": central_moments_k0, "binomial": binomial_moments_k0}[kind](r_max)
-    else:
-        sym = _raw_moments_k(k, r_max)
-        if kind != "raw":
-            sym = raw_to_central(sym, first_moment_k(k))
-    entries = [eval_at_n(e, n) for e in sym.entries]
-    vec = MomentVector(sym.kind, entries, family="boolean", params=p, about_mean=sym.about_mean)
-    if sym.kind != kind:
-        vec = raw_to_binomial(vec)
-    return vec, [e.to_text() for e in sym.entries]
+        return {"raw": raw_moments_k0, "central": central_moments_k0, "binomial": binomial_moments_k0}[kind](r_max)
+    sym = _raw_moments_k(k, r_max)
+    return sym if kind == "raw" else raw_to_central(sym, first_moment_k(k))
+
+
+def _moments(kind: str, r_max: int, p: dict) -> MomentVector:
+    """The symbolic moments of :func:`_symbolic`, evaluated at n."""
+    sym = _symbolic(kind, r_max, p["k"])
+    vec = MomentVector(sym.kind, [eval_at_n(e, p["n"]) for e in sym.entries], sym.about_mean)
+    return vec if sym.kind == kind else raw_to_binomial(vec)
+
+
+def _closed_forms(kind: str, r_max: int, p: dict) -> list[str]:
+    """The texts of the vector the moments are evaluated from."""
+    return [e.to_text() for e in _symbolic(kind, r_max, p["k"]).entries]
 
 
 def _closed_pgf(p: dict) -> Polynomial | None:
     """((1+q)/2)^(2^n) for the 0-cube count: the binomial row C(2^n, d) over 2^(2^n)."""
+    _check_k(p)
     if p["k"] != 0:
         return None
     N = 1 << p["n"]
     total = pgf_total(N, lambda: 1 << N)
     return count_pgf(binomial_row(N), total)
-
-
-def _normality_grid(p: dict, r_max: int) -> MomentVector:
-    if p["k"] != 0:
-        raise ValueError("boolean normality grid supports k=0 only (closed forms)")
-    return _moments("central", r_max, p)[0]
 
 
 FAMILY = Family(
@@ -332,5 +336,5 @@ FAMILY = Family(
     closed_pgf=_closed_pgf,
     enumerate=lambda p: (oracle.enumerate_boolean(p["n"], p["k"]), {}),
     sample=lambda p, samples, seed: oracle.sample_boolean(p["n"], p["k"], samples, seed),
-    normality_grid=_normality_grid,
+    closed_forms=_closed_forms,
 )

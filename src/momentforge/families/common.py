@@ -198,10 +198,13 @@ class Family:
     """How every request is answered for one family.
 
     Each route takes the resolved parameters (``resolve``), the size ``n``
-    included.  Routes call the family's layer functions through module
-    globals at call time, never through function objects captured at import,
-    so wrapping a module attribute (as the benchmark's tracer does) reaches
-    every call.
+    included.  Moments are asked for through ``families.moment_vector``,
+    which checks the parameters and the order against ``max_order`` before
+    the ``moments`` route runs; ``closed_forms`` prints the symbolic forms
+    of a vector so served and is never needed for its values.  Routes call
+    the family's layer functions through module globals at call time, never
+    through function objects captured at import, so wrapping a module
+    attribute (as the benchmark's tracer does) reaches every call.
     """
 
     name: str
@@ -212,16 +215,17 @@ class Family:
     space_bits: Callable[[dict], float]
     # highest moment order the moment route serves; None: every order
     max_order: Callable[[dict], int | None]
-    # (vector, closed-form texts or None) for kind raw | central | binomial
-    moments: Callable[[str, int, dict], tuple[MomentVector, list[str] | None]]
+    # the exact moment vector (kind, r_max, params) for kind raw | central | binomial
+    moments: Callable[[str, int, dict], MomentVector]
     # the closed-form PGF, or None where the oracle's histogram serves it
     closed_pgf: Callable[[dict], Polynomial | None]
     # exhaustive histogram plus extra result fields (invmaj: its joint histogram)
     enumerate: Callable[[dict], tuple[Histogram, dict]]
     # seeded sampler (params, samples, seed); None: exhaustive only
     sample: Callable[[dict, int, int], Histogram] | None = None
-    # central moments (params, r_max) along a normality grid; None: no grid
-    normality_grid: Callable[[dict, int], MomentVector] | None = None
+    # printed texts of the symbolic moments (kind, r_max, params), or None
+    # where they are not exact; None: the family prints none
+    closed_forms: Callable[[str, int, dict], list[str] | None] | None = None
 
     def resolve(self, given: Mapping) -> dict[str, int]:
         """The family's parameters from ``given`` with defaults filled in; others dropped."""

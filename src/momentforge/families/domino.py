@@ -75,7 +75,7 @@ def mean(m: int, n: int) -> Fraction:
 def raw_moments_symbolic(r_max: int) -> MomentVector:
     """E[X^r], r <= r_max, as polynomials in mu: the moments of Binomial(2 mu, 1/2)."""
     entries = half_binomial_moments(2 * Polynomial.variable("mu"), r_max, central=False)
-    return MomentVector("raw", entries, family="domino")
+    return MomentVector("raw", entries)
 
 
 def raw_moment_symbolic(r: int) -> Polynomial:
@@ -111,7 +111,7 @@ def raw_moments(m: int, n: int, r_max: int) -> MomentVector:
             )
             for q in range(r_max + 1)
         ]
-    return MomentVector("raw", entries, family="domino", params={"m": m, "n": n})
+    return MomentVector("raw", entries)
 
 
 def raw_moment(m: int, n: int, r: int) -> Fraction:
@@ -133,7 +133,7 @@ def central_moments_symbolic(r_max: int) -> MomentVector:
     Exact only on the domain of :func:`in_closed_form_domain`.
     """
     entries = half_binomial_moments(2 * Polynomial.variable("mu"), r_max, central=True)
-    return MomentVector("central", entries, family="domino")
+    return MomentVector("central", entries)
 
 
 def central_moments(m: int, n: int, r_max: int) -> MomentVector:
@@ -145,7 +145,7 @@ def central_moments(m: int, n: int, r_max: int) -> MomentVector:
     if not in_closed_form_domain(m, n, r_max):
         return raw_to_central(raw_moments(m, n, r_max), mean(m, n))
     entries = half_binomial_moments(slot_count(m, n), r_max, central=True)
-    return MomentVector("central", entries, family="domino", params={"m": m, "n": n})
+    return MomentVector("central", entries)
 
 
 # Bound on the transfer-matrix work m*n*2^w*r (w = min(m, n)).  One unit
@@ -250,7 +250,7 @@ def board1n_binomial_moments_symbolic(r_max: int) -> MomentVector:
     is Binomial(n - 1, 1/2); its central moments are converted once.
     """
     entries = half_binomial_moments(Polynomial.variable("n") - 1, r_max, central=True)
-    return raw_to_binomial(MomentVector("central", entries, family="domino"))
+    return raw_to_binomial(MomentVector("central", entries))
 
 
 def mgf_deviation_1n(n: int, t_values, dps: int = 50):
@@ -281,16 +281,19 @@ def _check(m: int, n: int) -> None:
         raise ValueError("need m, n >= 1")
 
 
-def _moments(kind: str, r_max: int, p: dict) -> tuple[MomentVector, list[str] | None]:
-    """Exact moments; the mu-polynomial texts only where every order is exact."""
+def _moments(kind: str, r_max: int, p: dict) -> MomentVector:
     m, n = p["m"], p["n"]
     if kind == "binomial":
-        return raw_to_binomial(central_moments(m, n, r_max)), None
-    vec = (raw_moments if kind == "raw" else central_moments)(m, n, r_max)
-    if not in_closed_form_domain(m, n, r_max):
-        return vec, None
+        return raw_to_binomial(central_moments(m, n, r_max))
+    return (raw_moments if kind == "raw" else central_moments)(m, n, r_max)
+
+
+def _closed_forms(kind: str, r_max: int, p: dict) -> list[str] | None:
+    """The mu-polynomial texts of raw and central moments, only where every order is exact."""
+    if kind == "binomial" or not in_closed_form_domain(p["m"], p["n"], r_max):
+        return None
     sym = (raw_moments_symbolic if kind == "raw" else central_moments_symbolic)(r_max)
-    return vec, [e.to_text() for e in sym.entries]
+    return [e.to_text() for e in sym.entries]
 
 
 def _closed_pgf(p: dict) -> Polynomial | None:
@@ -312,5 +315,5 @@ FAMILY = Family(
     moments=_moments,
     closed_pgf=_closed_pgf,
     enumerate=lambda p: (oracle.enumerate_boards(p["m"], p["n"]), {}),
-    normality_grid=lambda p, r_max: central_moments(p["m"], p["n"], r_max),
+    closed_forms=_closed_forms,
 )

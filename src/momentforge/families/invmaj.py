@@ -136,7 +136,7 @@ def central_moments(n: int, r_max: int) -> MomentVector:
     if n < 1 or r_max < 0:
         raise ValueError("need n >= 1 and r_max >= 0")
     entries = uniform_sum_moments(Fraction(0), lambda k: _power_sum(k, n) - n, r_max)
-    return MomentVector("central", entries, family="invmaj", params={"n": n})
+    return MomentVector("central", entries)
 
 
 def binomial_moments(n: int, r_max: int) -> MomentVector:
@@ -216,15 +216,15 @@ def mgf_deviation(n: int, t_values, dps: int = 50):
     return sup, rows
 
 
-def _moments(kind: str, r_max: int, p: dict) -> tuple[MomentVector, None]:
+def _moments(kind: str, r_max: int, p: dict) -> MomentVector:
     n = p["n"]
     if kind == "binomial":
-        return binomial_moments(n, r_max), None
+        return binomial_moments(n, r_max)
     central = central_moments(n, r_max)
     if kind == "central":
-        return central, None
+        return central
     mu, _ = mean_variance(n)
-    return central_to_raw(central, mu), None
+    return central_to_raw(central, mu)
 
 
 def _enumerate(p: dict) -> tuple[oracle.Histogram, dict]:
@@ -243,5 +243,4 @@ FAMILY = Family(
     moments=_moments,
     closed_pgf=lambda p: pgf(p["n"]),
     enumerate=_enumerate,
-    normality_grid=lambda p, r_max: central_moments(p["n"], r_max),
 )

@@ -175,17 +175,17 @@ def _check(n: int, c: int) -> None:
         raise ValueError("need c >= 2")
 
 
-def _moments(kind: str, r_max: int, p: dict) -> tuple[MomentVector, None]:
+def _moments(kind: str, r_max: int, p: dict) -> MomentVector:
     n, c = p["n"], p["c"]
     e1 = first_moment(n, c)
     entries = [Fraction(1), e1]
     if r_max >= 2:
         entries.append(second_moment(n, c))
-    raw = MomentVector("raw", entries[: r_max + 1], family="schur", params=p)
+    raw = MomentVector("raw", entries[: r_max + 1])
     if kind == "raw":
-        return raw, None
+        return raw
     central = raw_to_central(raw, e1)
-    return (central if kind == "central" else raw_to_binomial(central)), None
+    return central if kind == "central" else raw_to_binomial(central)
 
 
 FAMILY = Family(

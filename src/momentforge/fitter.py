@@ -38,7 +38,6 @@ class FitSpec:
     degree: int
     samples: tuple[tuple[int, Fraction], ...]
     verify_count: int = 3
-    symbol: str = "n"
 
     def __post_init__(self):
         if self.period < 1:
@@ -65,14 +64,14 @@ class FitResult:
     provenance: dict = field(default_factory=dict)
 
 
-def _lagrange(points: Sequence[tuple[int, Fraction]], symbol: str) -> Polynomial:
-    """Exact Lagrange interpolation over the rationals."""
-    out = Polynomial(symbol, ())
-    xvar = Polynomial.variable(symbol)
+def _lagrange(points: Sequence[tuple[int, Fraction]]) -> Polynomial:
+    """Exact Lagrange interpolation over the rationals, as a polynomial in n."""
+    out = Polynomial("n", ())
+    xvar = Polynomial.variable("n")
     for i, (xi, yi) in enumerate(points):
         if yi == 0:
             continue
-        term = Polynomial.const(symbol, yi)
+        term = Polynomial.const("n", yi)
         for j, (xj, _) in enumerate(points):
             if i == j:
                 continue
@@ -104,7 +103,7 @@ def fit_quasi_polynomial(spec: FitSpec) -> FitResult:
                 f"needs {nodes_needed} nodes + {spec.verify_count} verification points"
             )
         nodes, holdout = pts[:nodes_needed], pts[nodes_needed:]
-        poly = _lagrange(nodes, spec.symbol)
+        poly = _lagrange(nodes)
         for n, v in holdout:
             got = poly.eval(n)
             if got != v:

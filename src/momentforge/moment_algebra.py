@@ -45,7 +45,7 @@ def _is_zero(v) -> bool:
 
 @dataclass(frozen=True)
 class MomentVector:
-    """Exact moments indexed 0..r_max with family metadata.
+    """Exact moments indexed 0..r_max.
 
     ``kind`` is one of raw / central / binomial; ``about_mean`` records the
     centering (it is implied True for central, False for raw).  Entries are
@@ -54,8 +54,6 @@ class MomentVector:
 
     kind: str
     entries: tuple
-    family: str | None = None
-    params: Mapping | None = None
     about_mean: bool = False
 
     def __post_init__(self):
@@ -78,9 +76,6 @@ class MomentVector:
     def r_max(self) -> int:
         return len(self.entries) - 1
 
-    def entry(self, r: int):
-        return self.entries[r]
-
 
 def binomial_to_raw(vec: MomentVector) -> MomentVector:
     """Power moments from binomial moments: M_r = sum_i {r brace i} B_i i!.
@@ -97,7 +92,7 @@ def binomial_to_raw(vec: MomentVector) -> MomentVector:
             acc = acc + Fraction(stirling2(r, i) * math.factorial(i)) * vec.entries[i]
         out.append(acc)
     kind = "central" if vec.about_mean else "raw"
-    return MomentVector(kind, out, vec.family, vec.params, vec.about_mean)
+    return MomentVector(kind, out, vec.about_mean)
 
 
 def raw_to_binomial(vec: MomentVector) -> MomentVector:
@@ -110,9 +105,7 @@ def raw_to_binomial(vec: MomentVector) -> MomentVector:
         for k in range(r + 1):
             acc = acc + Fraction(stirling1_signed(r, k)) * vec.entries[k]
         out.append(acc * Fraction(1, math.factorial(r)))
-    return MomentVector(
-        "binomial", out, vec.family, vec.params, about_mean=(vec.kind == "central")
-    )
+    return MomentVector("binomial", out, about_mean=(vec.kind == "central"))
 
 
 def raw_to_central(vec: MomentVector, mu) -> MomentVector:
@@ -132,7 +125,7 @@ def raw_to_central(vec: MomentVector, mu) -> MomentVector:
             sign = Fraction(-1) ** (r - i)
             acc = acc + sign * binomial(r, i) * vec.entries[i] * mu ** (r - i)
         out.append(acc)
-    return MomentVector("central", out, vec.family, vec.params, about_mean=True)
+    return MomentVector("central", out)
 
 
 def central_to_raw(vec: MomentVector, mu) -> MomentVector:
@@ -145,7 +138,7 @@ def central_to_raw(vec: MomentVector, mu) -> MomentVector:
         for i in range(r + 1):
             acc = acc + binomial(r, i) * vec.entries[i] * mu ** (r - i)
         out.append(acc)
-    return MomentVector("raw", out, vec.family, vec.params, about_mean=False)
+    return MomentVector("raw", out)
 
 
 def gaussian_moment(r: int) -> Fraction:

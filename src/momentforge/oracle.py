@@ -88,11 +88,11 @@ class Histogram:
             Fraction(sum(v * v * c for v, c in self.counts.items()), self.total) - mu * mu
         )
 
-    def pgf(self, symbol: str = "q") -> Polynomial:
-        """Probability generating function; coefficients sum to 1."""
+    def pgf(self) -> Polynomial:
+        """Probability generating function in q; coefficients sum to 1."""
         top = max(self.counts) if self.counts else 0
         coeffs = [Fraction(self.counts.get(v, 0), self.total) for v in range(top + 1)]
-        return Polynomial(symbol, coeffs)
+        return Polynomial("q", coeffs)
 
     def to_csv_rows(self) -> list[tuple[int, int]]:
         return sorted(self.counts.items())
@@ -411,11 +411,11 @@ def _boolean_counts(n: int, k: int) -> tuple[tuple[int, int], ...]:
 
 def enumerate_boolean(n: int, k: int) -> Histogram:
     """Exact distribution of the k-subcube count over all boolean functions."""
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
     space = 1 << (1 << n)
     if space > BOOLEAN_GUARD:
         raise SizeGuardError(f"2^(2^{n}) = {space} functions exceed the {BOOLEAN_GUARD} guard")
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
     return Histogram(dict(_boolean_counts(n, k)), space)
 
 
@@ -503,9 +503,9 @@ def _board_block(m: int, n: int, neighbors: list[int], lo: int, hi: int) -> Hist
     return _tally_histogram(tally, 2)
 
 
-def histogram_moments(hist: Histogram, r_max: int, family: str | None = None, params=None) -> MomentVector:
+def histogram_moments(hist: Histogram, r_max: int) -> MomentVector:
     """Exact raw moments sum(value^r * count) / total."""
     entries = []
     for r in range(r_max + 1):
         entries.append(Fraction(sum(v**r * c for v, c in hist.counts.items()), hist.total))
-    return MomentVector("raw", entries, family=family, params=params)
+    return MomentVector("raw", entries)

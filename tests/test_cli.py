@@ -223,6 +223,14 @@ MGF_GUARD_ARGS = [
     ["mgf-limit", "--family", "board1n", "--n", "10", "--t-steps", "1000000"],
 ]
 
+# outside the boolean family, 0 <= k <= n, on every route that takes it
+BOOLEAN_RANGE_ARGS = [
+    ["moments", "--family", "boolean", "--n", "-1"],
+    ["pgf", "--family", "boolean", "--n", "-1"],
+    ["oracle", "--family", "boolean", "--n", "-1"],
+    ["normality", "--family", "boolean", "--n-grid", "-1,2,3"],
+]
+
 # past SAMPLER_GUARD on samples * C(n, k) * max(k, 1) * ceil(2^n / 64) word
 # operations: the first is one sample more than the largest request at
 # n = 14, k = 7; the second would need C(20, 10) masks of 2^20 bits
@@ -239,6 +247,8 @@ def test_usage_errors_exit_1():
         ["oracle", "--family", "invmaj", "--n", "12"],  # guard: 12! too large
         ["no-such-command"],
         ["mgf-limit", "--family", "invmaj", "--n", "1"],
+        ["mgf-limit", "--family", "invmaj", "--n", "10", "--t-min", "nan"],
+        ["mgf-limit", "--family", "invmaj", "--n", "10", "--t-max", "inf"],
         # only boolean has a sampling mode
         ["oracle", "--family", "domino", "--m", "2", "--n", "2", "--samples", "5", "--seed", "1"],
         ["oracle", "--family", "boolean", "--n", "3", "--k", "4"],
@@ -257,6 +267,7 @@ def test_usage_errors_exit_1():
         *PRINT_GUARD_ARGS,
         *MGF_GUARD_ARGS,
         *SAMPLER_GUARD_ARGS,
+        *BOOLEAN_RANGE_ARGS,
     ):
         proc = run_cli(*args)
         assert proc.returncode == 1, (args, proc.stderr)
@@ -273,6 +284,8 @@ def test_usage_errors_exit_1():
             assert "MGF_GUARD" in proc.stderr, (args, proc.stderr)
         if args in SAMPLER_GUARD_ARGS:
             assert "SAMPLER_GUARD" in proc.stderr, (args, proc.stderr)
+        if args in BOOLEAN_RANGE_ARGS:
+            assert "need 0 <= k <= n" in proc.stderr, (args, proc.stderr)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from momentforge.families import invmaj
+from momentforge.families import invmaj, moment_vector
 from momentforge.oracle import enumerate_permutations
 from momentforge.poly_series import Polynomial
 
@@ -147,7 +147,7 @@ def test_cumulant_route_matches_recurrence_at_order_20():
 def test_moment_requests_build_no_p_coefficients():
     invmaj.p_coefficient.cache_clear()
     invmaj.FAMILY.moments("raw", 12, {"n": 50})
-    invmaj.FAMILY.normality_grid({"n": 400}, 8)
+    moment_vector("invmaj", "central", 8, {"n": 400})
     assert invmaj.p_coefficient.cache_info().currsize == 0
 
 

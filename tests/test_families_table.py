@@ -1,12 +1,15 @@
 """Every entry of families.FAMILIES against the exhaustive oracle, route by route."""
 
+import dataclasses
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from momentforge import oracle
+from momentforge import cli, oracle
 from momentforge.families import FAMILIES, domino, invmaj, moment_vector
+from momentforge.moment_algebra import normality_report, raw_to_central
 from momentforge.oracle import histogram_moments
 
 # (family, params, source of the PGF route); small enough to enumerate
@@ -38,7 +41,7 @@ def test_routes_match_the_oracle(family, params, source):
     assert entry.space_size(params) == hist.total
     limit = entry.max_order(params)
     r_max = ORDER_CAP if limit is None else limit
-    vec, _ = entry.moments("raw", r_max, params)
+    vec = entry.moments("raw", r_max, params)
     assert tuple(vec.entries) == tuple(histogram_moments(hist, r_max).entries)
 
 
@@ -50,7 +53,7 @@ def test_defaults_and_capabilities():
         "domino": {"m": 1},
     }
     assert [name for name, f in FAMILIES.items() if f.sample] == ["boolean"]
-    assert [name for name, f in FAMILIES.items() if f.normality_grid is None] == ["schur"]
+    assert [name for name, f in FAMILIES.items() if f.closed_forms] == ["boolean", "domino"]
     assert FAMILIES["invmaj"].enumerate({"n": 3})[1]["joint"] == {
         "0,0": 1, "1,1": 1, "1,2": 1, "2,1": 1, "2,2": 1, "3,3": 1,
     }
@@ -111,5 +114,89 @@ def test_binomial_half_moments_at_order_60(family, params, count):
     central = [
         sum(math.comb(count, d) * (d - half) ** r for d in range(count + 1)) / 2**count for r in range(r_max + 1)
     ]
-    assert tuple(moment_vector(family, "raw", r_max, params)[0].entries) == tuple(raw)
-    assert tuple(moment_vector(family, "central", r_max, params)[0].entries) == tuple(central)
+    assert tuple(moment_vector(family, "raw", r_max, params).entries) == tuple(raw)
+    assert tuple(moment_vector(family, "central", r_max, params).entries) == tuple(central)
+
+
+# (family, parameters other than n, n-grid, highest order the central route serves)
+NORMALITY_MEMBERS = [
+    ("schur", {"c": 2}, [5, 6, 7], 2),
+    ("invmaj", {}, [4, 5, 6], 6),
+    ("boolean", {"k": 0}, [2, 3, 4], 6),
+    ("boolean", {"k": 1}, [2, 3, 4], 3),
+    ("boolean", {"k": 2}, [2, 3, 4], 2),
+    ("domino", {"m": 2}, [2, 3, 4], 6),
+]
+
+
+def _normality_argv(family, params, ns, r_max):
+    argv = ["normality", "--family", family, "--n-grid", ",".join(map(str, ns)), "--r-max", str(r_max)]
+    for name, value in params.items():
+        if name != "c":  # normality takes schur at its default c = 2
+            argv += [f"--{name}", str(value)]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "family,params,ns,r_max", NORMALITY_MEMBERS, ids=[f"{f}-{p}" for f, p, _, _ in NORMALITY_MEMBERS]
+)
+def test_normality_grid_is_the_central_moment_vector(family, params, ns, r_max, monkeypatch, capsys):
+    grid = []
+
+    def spy(*args, **kwargs):
+        grid.extend(args[2])
+        return normality_report(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "normality_report", spy)
+    assert cli.main(_normality_argv(family, params, ns, r_max)) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["params"] == params
+    assert [n for n, _ in grid] == ns
+    entry = FAMILIES[family]
+    for n, vec in grid:
+        member = {**params, "n": n}
+        assert vec == moment_vector(family, "central", r_max, member)
+        raw = histogram_moments(entry.enumerate(entry.resolve(member))[0], r_max)
+        assert vec.entries == raw_to_central(raw, raw.entries[1]).entries, member
+
+
+@pytest.mark.parametrize(
+    "family,params,ns,r_max",
+    [
+        ("schur", {"c": 2}, [5, 6, 7], 3),
+        ("boolean", {"k": 1}, [2, 3, 4], 4),
+        ("boolean", {"k": 2}, [2, 3, 4], 3),
+        ("boolean", {"k": 0}, [-1, 2, 3], 4),  # n = -1 is no member
+    ],
+    ids=["schur-r3", "boolean-k1-r4", "boolean-k2-r3", "boolean-n-1"],
+)
+def test_normality_refuses_what_central_refuses(family, params, ns, r_max, capsys):
+    assert cli.main(_normality_argv(family, params, ns, r_max)) == 1
+    assert capsys.readouterr().out == ""
+    with pytest.raises(ValueError):
+        moment_vector(family, "central", r_max, {**params, "n": ns[0]})
+
+
+def test_normality_builds_no_closed_form_texts(monkeypatch, capsys):
+    calls = []
+    for name, entry in FAMILIES.items():
+        if entry.closed_forms:
+
+            def spy(*args, _route=entry.closed_forms):
+                calls.append(args)
+                return _route(*args)
+
+            monkeypatch.setitem(FAMILIES, name, dataclasses.replace(entry, closed_forms=spy))
+    domino.central_moments_symbolic.cache_clear()
+    for argv in (
+        ["normality", "--family", "domino", "--m", "1", "--n-grid", "10,100,1000", "--r-max", "8"],
+        ["normality", "--family", "boolean", "--n-grid", "2,3,4", "--r-max", "6"],
+    ):
+        assert cli.main(argv) == 0
+    assert calls == []
+    assert domino.central_moments_symbolic.cache_info().currsize == 0
+    # the same spies see the texts of a moment subcommand
+    capsys.readouterr()
+    assert cli.main(["central", "--family", "domino", "--m", "1", "--n", "10", "--r", "8"]) == 0
+    assert calls == [("central", 8, {"m": 1, "n": 10})]
+    assert domino.central_moments_symbolic.cache_info().currsize == 1
+    assert "closed_forms" in json.loads(capsys.readouterr().out)["result"]
