@@ -233,8 +233,14 @@ def normality_cmd(family, n_grid, m, k, r_max, threshold, precision, format, out
         raise click.UsageError(f"bad --n-grid {n_grid!r}: {exc}") from exc
     _, params = _family_params(family, m=m, k=k)
     try:
-        grid = [(n, families.moment_vector(family, "central", r_max, {**params, "n": n})) for n in ns]
+        # largest n first (the grid ascends): its schur E[X^2] sweep serves every smaller n
+        grid = [
+            (n, families.moment_vector(family, "central", r_max, {**params, "n": n}))
+            for n in reversed(ns)
+        ][::-1]
         report = normality_report(family, params, grid, r_max, threshold=threshold, dps=precision)
+    except ConsistencyError:
+        raise  # a failed internal check exits 2 through main, not as a usage error
     except (ValueError, MomentForgeError) as exc:
         raise click.UsageError(str(exc)) from exc
     _emit(

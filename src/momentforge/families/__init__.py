@@ -58,7 +58,8 @@ def moment_vector(family: str, kind: str, r_max: int, params: Mapping) -> Moment
     Raises ValueError for parameters outside the family and for an order
     past the family's routes (the oracle subcommand covers those
     numerically), and SizeGuardError when a domino board is beyond the
-    transfer-matrix guard.  The printed closed forms are the entry's
+    transfer-matrix guard or a vector built over polynomials is past
+    ``common.SYMBOLIC_ORDER_GUARD``.  The printed closed forms are the entry's
     separate ``closed_forms`` route.
     """
     entry = validate_family(family)

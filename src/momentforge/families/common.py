@@ -10,7 +10,8 @@ Symbol conventions used by the closed forms:
 ``uniform_sum_moments`` is the one moment route of the inversion number
 and of the Binomial(N, 1/2) counts (``half_binomial_moments``: boolean
 0-cubes, the domino mu-form): sums of independent uniforms, whose
-cumulants add.  ``half_binomial_series`` is the centered generating
+cumulants add.  Built over polynomials, a vector of these moments stops at
+``SYMBOLIC_ORDER_GUARD``.  ``half_binomial_series`` is the centered generating
 function of Binomial(a, 1/2), the P-series step of those counts.
 
 Closed-form PGFs are rows of integer counts over one total: ``count_pgf``
@@ -77,12 +78,26 @@ def uniform_sum_moments(mean, excess: Callable[[int], object], r_max: int) -> li
     return moments[: r_max + 1]
 
 
+# Highest order of a moment vector built over polynomials: the boolean
+# 0-cube count in W or w, the domino mu-forms and the 1-by-n board in n.
+# The cost of such a vector grows about as r^3.6; the slowest request
+# inside the guard, moments --family boolean --n 10 --r 128, takes 3.4 s as
+# a whole process on one Intel Xeon core (r = 200 took 12.6 s).
+SYMBOLIC_ORDER_GUARD = 128
+
+
 def half_binomial_moments(count, r_max: int, central: bool) -> list:
     """E[X^j], or E[(X - count/2)^j] if ``central``, for X ~ Binomial(count, 1/2), j <= r_max.
 
     X is a sum of ``count`` uniforms on {0, 1}, so excess(k) = count (2^k - 1).
-    ``count`` is an integer or a Polynomial.
+    ``count`` is an integer or a Polynomial; for a Polynomial, r_max past
+    SYMBOLIC_ORDER_GUARD raises SizeGuardError before any entry is built.
     """
+    if isinstance(count, Polynomial) and r_max > SYMBOLIC_ORDER_GUARD:
+        raise SizeGuardError(
+            f"moments of order {r_max} as polynomials in {count.symbol} are beyond the "
+            f"SYMBOLIC_ORDER_GUARD size guard of r <= {SYMBOLIC_ORDER_GUARD}"
+        )
     mean = count * Fraction(0 if central else 1, 2)
     return uniform_sum_moments(mean, lambda k: count * (2**k - 1), r_max)
 

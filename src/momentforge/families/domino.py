@@ -11,7 +11,12 @@ board and not on mu alone (2x2 at r = 4: the mu-form gives 85/2, the true
 value is 44).  The mu-polynomials are kept as the printed closed forms on
 that domain, where the numeric moments are those of Binomial(A, 1/2);
 everywhere else the moments come from an integer broken-profile transfer
-matrix (Stanley, EC1 section 4.7).
+matrix (Stanley, EC1 section 4.7) across the shorter side w = min(m, n).
+It runs at most 2r+2 rows: for a length L = max(m, n) past that, each
+2^k E[C(X, k)] is a polynomial of degree <= k in L, exact for L >= k+1
+(proof at ``binomial_sums``), fitted on rows r+1..2r+2 with an exact check
+and evaluated at L.  One cached sweep of 2r+2 rows per (w, r) thus serves
+every longer board, at a cost that does not grow with L.
 
 The 1-by-n board is Binomial(n - 1, 1/2), with the centered generating
 function G_n(1+z) = [(2+z)/(2 sqrt(1+z))]^(n-1) and binomial moments that
@@ -27,7 +32,7 @@ from functools import lru_cache
 import mpmath
 
 from momentforge import oracle
-from momentforge.errors import SizeGuardError
+from momentforge.errors import ConsistencyError, SizeGuardError
 from momentforge.exact_core import stirling2
 from momentforge.families.common import (
     Family,
@@ -148,39 +153,105 @@ def central_moments(m: int, n: int, r_max: int) -> MomentVector:
     return MomentVector("central", entries)
 
 
-# Bound on the transfer-matrix work m*n*2^w*r (w = min(m, n)).  One unit
-# costs 0.1 to 0.25 us on one Intel Xeon core (the most for w = 2), so a run
-# at the guard takes 10 to 25 s.
+# Bound on the transfer-matrix work w*S*2^w*r of one sweep (w = min(m, n),
+# S = min(max(m, n), 2r+2) rows).  One unit costs 0.1 to 0.25 us on one
+# Intel Xeon core (the most for w = 2), so a sweep at the guard takes 10 to
+# 25 s.
 TRANSFER_GUARD = 10**8
 
 
 def binomial_sums(m: int, n: int, r: int) -> tuple[int, ...]:
     """b_k = sum over all 2^{mn} boards of C(X, k), for k = 0..r.
 
-    Raises SizeGuardError when m*n*2^w*r exceeds TRANSFER_GUARD.
+    Let w = min(m, n) be the width, L = max(m, n) the length and
+    S = min(L, 2r+2).  One transfer sweep of width w runs S rows and
+    records b_0..b_r at the end of every row (:func:`_sweep`, cached per
+    (w, S, r)); for L <= S the answer is row L.  Longer boards are served
+    by a polynomial in L, exact for L >= k+1 at order k:
+
+    2^k E_k(L) = 2^k b_k / 2^{wL} is an integer (see :func:`_sweep`) and a
+    polynomial of degree <= k in L for L >= k+1.  Proof: with T(z) the
+    row-to-row matrix, T[s, t] = (1+z)^(same-number pairs between rows s and
+    t and inside t), v[s] = (1+z)^(pairs inside s) and u all ones, the
+    generating sum is v T(z)^{L-1} u.  At z = 0, T(0) = J is the all-ones
+    matrix, so T = J + D with D = O(z), and [z^k] of the product is a sum
+    over words in J and D with j <= k letters D.  A run of a >= 1 letters J
+    is 2^{w(a-1)} J, so after the division by 2^{wL} a word depends only on
+    which of its j+1 gaps between D letters are nonempty, say g of them, and
+    the number of words with that pattern is the number of ways to split
+    the N = L-1-j letters J into g nonempty runs, C(N-1, g-1): a polynomial
+    in L of degree g-1 <= j for N >= 1 (zero for g = 0).  At N = 0 only the
+    pattern with every gap empty occurs, once, while the polynomials give it
+    0 and each pattern with g >= 1 the weight C(-1, g-1) = (-1)^(g-1).  The
+    two agree, because the sum of (-1)^g times the words over all patterns
+    replaces every gap by I - J/2^w, which sends u to 0.  So the sum is a
+    polynomial in L whenever N >= 0 for every j <= k, that is for L >= k+1.
+
+    The polynomial is fitted from the integer forward differences of
+    2^k E_k at L = r+1..2r+1; every difference above order k must vanish
+    and row 2r+2 must be reproduced exactly, else ConsistencyError.  It is
+    evaluated in Newton form, sum_j Delta^j C(L-r-1, j), in integers until
+    the one final shift by wL - k.
+
+    Raises SizeGuardError when w*S*2^w*r exceeds TRANSFER_GUARD.
     """
     _check(m, n)
     if r < 0:
         raise ValueError("need r >= 0")
-    w = min(m, n)
-    work = m * n * 2**w * r
+    w, length = min(m, n), max(m, n)
+    rows = min(length, 2 * r + 2)
+    work = w * rows * 2**w * r
     if work > TRANSFER_GUARD:
         raise SizeGuardError(
             f"transfer matrix for the {m}x{n} board at r = {r} needs "
-            f"m*n*2^{w}*r = {work} steps, beyond the {TRANSFER_GUARD} size guard"
+            f"w*S*2^w*r = {w}*{rows}*2^{w}*{r} = {work} steps, "
+            f"beyond the TRANSFER_GUARD = {TRANSFER_GUARD} size guard"
         )
-    return _binomial_sums(w, max(m, n), r)
+    sweep = _sweep(w, rows, r)
+    if length <= rows:
+        return sweep[length - 1]
+    return tuple(_extend(sweep, w, k, r, length) for k in range(r + 1))
+
+
+def _extend(sweep: tuple[tuple[int, ...], ...], w: int, k: int, r: int, length: int) -> int:
+    """b_k at ``length`` > 2r+2 rows from the polynomial in the length fitted to ``sweep``."""
+    scaled = []  # 2^k E_k(L) for L = r+1..2r+2
+    for rows in range(r + 1, 2 * r + 3):
+        value = sweep[rows - 1][k] << k
+        if value & ((1 << (w * rows)) - 1):
+            raise ConsistencyError(
+                f"width {w}, {rows} rows: 2^{k} E[C(X, {k})] is not an integer"
+            )
+        scaled.append(value >> (w * rows))
+    differences = []  # Delta^j at L = r+1, j = 0..r
+    column = scaled[:-1]
+    while column:
+        differences.append(column[0])
+        column = [b - a for a, b in zip(column, column[1:])]
+    if any(differences[k + 1 :]) or _newton(differences, r + 1) != scaled[-1]:
+        raise ConsistencyError(
+            f"width {w} at r = {r}: 2^{k} E[C(X, {k})] on rows {r + 1}..{2 * r + 2} "
+            f"is not a polynomial of degree <= {k} in the number of rows"
+        )
+    return _newton(differences, length - r - 1) << (w * length - k)
+
+
+def _newton(differences: list[int], x: int) -> int:
+    """sum_j differences[j] C(x, j), the Newton form at x >= 0 steps past its base point."""
+    return sum(d * math.comb(x, j) for j, d in enumerate(differences))
 
 
 @lru_cache(maxsize=None)
-def _binomial_sums(w: int, length: int, r: int) -> tuple[int, ...]:
-    """Broken-profile transfer matrix over a board `length` rows of `w` cells.
+def _sweep(w: int, rows: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """b_0..b_r on the boards of 1, 2, ..., ``rows`` rows of ``w`` cells, one tuple per row count.
 
-    Cells are placed row by row; the state is the w most recent cells, bit j
-    being the cell in column j.  Each state carries sum C(X, k) z^k over the
-    partial boards that end in it, truncated at z^r and packed into one
-    integer, `width` bits per coefficient.  A new cell multiplies by (1+z)
-    once per same-number neighbour to its left or above.
+    A broken-profile transfer matrix: cells are placed row by row; the state
+    is the w most recent cells, bit j being the cell in column j.  Each
+    state carries sum C(X, k) z^k over the partial boards that end in it,
+    truncated at z^r and packed into one integer, `width` bits per
+    coefficient.  A new cell multiplies by (1+z) once per same-number
+    neighbour to its left or above.  The sums are read off at the end of
+    every row.
 
     Two savings keep this fast.  Complementing every cell preserves X, so
     only states with bit w-1 clear are stored, each standing for itself and
@@ -189,52 +260,54 @@ def _binomial_sums(w: int, length: int, r: int) -> tuple[int, ...]:
     E[C(X, k)] has a denominator dividing 2^k (k slots tie at most k cells
     to the rest), so every coefficient is divisible by 2^{c-w-r}.  That
     power of 2 is shifted out as it accrues, and the integers stay near
-    r*log2(A) bits instead of growing with mn.
+    r*log2(A) bits instead of growing with the number of cells.
     """
-    cells = w * length
-    slots = 2 * cells - w - length
+    cells = w * rows
+    slots = 2 * cells - w - rows
     width = w + r + 2 + max(math.comb(slots, k) for k in range(r + 1)).bit_length()
     mask = (1 << (width * (r + 1))) - 1
     low_bits = sum(1 << (width * k) for k in range(r + 1))
+    coefficient = (1 << width) - 1
     full = (1 << w) - 1
     top = 1 << (w - 1)
     shifted = 0
     states = {0: 1}
-    for idx in range(1, cells):
-        i, j = divmod(idx, w)
-        bit = 1 << j
-        new: dict[int, int] = {}
-        for s, c in states.items():
-            s0 = s & ~bit
-            s1 = s | bit
-            if s0 & top:
-                s0 ^= full
-            if s1 & top:
-                s1 ^= full
-            if i and j:
-                up = (s >> j) & 1
-                if up == (s >> (j - 1)) & 1:
-                    c2 = (c + (c << (width + 1)) + (c << (2 * width))) & mask
-                    d0, d1 = (c2, c) if up == 0 else (c, c2)
+    sums = []
+    for i in range(rows):
+        for j in range(w):
+            if not (i or j):
+                continue
+            bit = 1 << j
+            new: dict[int, int] = {}
+            for s, c in states.items():
+                s0 = s & ~bit
+                s1 = s | bit
+                if s0 & top:
+                    s0 ^= full
+                if s1 & top:
+                    s1 ^= full
+                if i and j:
+                    up = (s >> j) & 1
+                    if up == (s >> (j - 1)) & 1:
+                        c2 = (c + (c << (width + 1)) + (c << (2 * width))) & mask
+                        d0, d1 = (c2, c) if up == 0 else (c, c2)
+                    else:
+                        d0 = d1 = (c + (c << width)) & mask
                 else:
-                    d0 = d1 = (c + (c << width)) & mask
-            elif i or j:
-                other = (s >> j) & 1 if i else (s >> (j - 1)) & 1
-                c1 = (c + (c << width)) & mask
-                d0, d1 = (c1, c) if other == 0 else (c, c1)
-            else:
-                d0 = d1 = c
-            new[s0] = new.get(s0, 0) + d0
-            new[s1] = new.get(s1, 0) + d1
-        if idx + 1 - w - r > shifted:
-            shifted += 1
-            for s, c in new.items():
-                assert not c & low_bits, "coefficient not divisible by the accrued power of 2"
-                new[s] = c >> 1
-        states = new
-    total = 2 * sum(states.values())
-    coefficient = (1 << width) - 1
-    return tuple(((total >> (width * k)) & coefficient) << shifted for k in range(r + 1))
+                    other = (s >> j) & 1 if i else (s >> (j - 1)) & 1
+                    c1 = (c + (c << width)) & mask
+                    d0, d1 = (c1, c) if other == 0 else (c, c1)
+                new[s0] = new.get(s0, 0) + d0
+                new[s1] = new.get(s1, 0) + d1
+            if i * w + j + 1 - w - r > shifted:
+                shifted += 1
+                for s, c in new.items():
+                    assert not c & low_bits, "coefficient not divisible by the accrued power of 2"
+                    new[s] = c >> 1
+            states = new
+        total = 2 * sum(states.values())
+        sums.append(tuple(((total >> (width * k)) & coefficient) << shifted for k in range(r + 1)))
+    return tuple(sums)
 
 
 def board1n_p_series(order: int) -> TruncatedSeries:

@@ -12,8 +12,9 @@ Only intersecting pairs are enumerated (bucketed by shared element);
 disjoint pairs are folded into E[X]^2.  One sweep over n adds, at each
 step, the triples whose largest element is n and their pairs with the
 triples already present, so E[X^2] on the whole grid 1..N costs O(N^3),
-the same as at N alone.  Closed forms stop at r = 2: the paper's third
-moment is out of scope.
+the same as at N alone; every later request for that c and n <= N reads
+the same sweep.  Closed forms stop at r = 2: the paper's third moment is
+out of scope.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def indicator_first_moment(n: int, c: int) -> Fraction:
 
 
 def second_moment(n: int, c: int) -> Fraction:
-    """E[X^2] at one n: the sweep of :func:`second_moment_grid` up to n."""
+    """E[X^2] at one n, read from the sweep of :func:`second_moment_grid`."""
     return second_moment_grid([n], c)[0][1]
 
 
@@ -107,17 +108,17 @@ def second_moment(n: int, c: int) -> Fraction:
 # takes about 18 s at n = 600 on one Intel Xeon core.
 SWEEP_GUARD = 600
 
+# E[X^2] at n = 0..N from the longest sweep run so far, per c; a sweep's
+# value at n does not depend on where it stops, so it serves every n <= N.
+_SWEPT: dict[int, list[Fraction]] = {}
+
 
 def second_moment_grid(ns: Sequence[int], c: int) -> list[tuple[int, Fraction]]:
     """E[X^2] at every n of ``ns`` (any order, repeats allowed), in that order.
 
-    One sweep over n = 1..max(ns).  Step n adds the triples whose largest
-    element is n, {x, n-x, n} and {n/2, n}, and pairs each with the triples
-    already present that share one of its elements, walking the
-    per-element buckets.  A pair sharing k elements is met there k times,
-    and k = |S1| + |S2| - p recovers the multiplicity, so no pair set is
-    kept.  E[X^2] is read off the running pair counts after every step.
-    Raises SizeGuardError when max(ns) exceeds SWEEP_GUARD.
+    Every n is read from one sweep over n = 1..N with N >= max(ns): the
+    longest sweep already run for this c, or a new one to max(ns).  Raises
+    SizeGuardError when max(ns) exceeds SWEEP_GUARD.
     """
     ns = list(ns)
     for n in ns:
@@ -128,6 +129,22 @@ def second_moment_grid(ns: Sequence[int], c: int) -> list[tuple[int, Fraction]]:
             f"the Schur E[X^2] sweep to n = {top} is beyond the SWEEP_GUARD "
             f"size guard of n <= {SWEEP_GUARD}"
         )
+    values = _SWEPT.get(c, [])
+    if len(values) <= top:
+        values = _SWEPT[c] = _sweep(top, c)
+    return [(n, values[n]) for n in ns]
+
+
+def _sweep(top: int, c: int) -> list[Fraction]:
+    """E[X^2] at n = 0..top, one step per n.
+
+    Step n adds the triples whose largest element is n, {x, n-x, n} and
+    {n/2, n}, and pairs each with the triples already present that share
+    one of its elements, walking the per-element buckets.  A pair sharing
+    k elements is met there k times, and k = |S1| + |S2| - p recovers the
+    multiplicity, so no pair set is kept.  E[X^2] is read off the running
+    pair counts after every step.
+    """
     masks: list[int] = []
     sizes: list[int] = []
     by_elem: list[list[int]] = [[] for _ in range(top + 1)]
@@ -150,7 +167,7 @@ def second_moment_grid(ns: Sequence[int], c: int) -> list[tuple[int, Fraction]]:
             masks.append(mask)
             sizes.append(st)
         values.append(_read_off(n // 2, len(masks) - n // 2, multi, c))
-    return [(n, values[n]) for n in ns]
+    return values
 
 
 def _read_off(k2: int, k3: int, multi: list[int], c: int) -> Fraction:

@@ -119,7 +119,35 @@ def test_domino_central_matches_oracle(schema):
 def test_domino_transfer_guard_exits_1():
     proc = run_cli("moments", "--family", "domino", "--m", "20", "--n", "30", "--r", "4")
     assert proc.returncode == 1
-    assert "size guard" in proc.stderr
+    assert "TRANSFER_GUARD" in proc.stderr and "size guard" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["moments", "--family", "domino", "--m", "3", "--n", "40", "--r", "5"],
+        ["central", "--family", "domino", "--m", "40", "--n", "3", "--r", "5"],
+        ["normality", "--family", "domino", "--m", "3", "--n-grid", "20,40", "--r-max", "5"],
+    ],
+    ids=["moments", "central", "normality"],
+)
+def test_domino_sweep_off_the_polynomial_exits_2(args, monkeypatch, capsys):
+    # E[X] one too large on the sweep's last row, the row that checks the fit
+    from momentforge.cli import main
+    from momentforge.families import domino
+
+    original = domino._sweep
+
+    def corrupted(w, rows, r):
+        sums = [list(row) for row in original(w, rows, r)]
+        sums[-1][1] += 1 << (w * rows)
+        return tuple(tuple(row) for row in sums)
+
+    monkeypatch.setattr(domino, "_sweep", corrupted)
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation failure:"), captured.err
 
 
 @pytest.mark.parametrize("subcommand", ["central", "binomial-moments"])
@@ -223,6 +251,13 @@ MGF_GUARD_ARGS = [
     ["mgf-limit", "--family", "board1n", "--n", "10", "--t-steps", "1000000"],
 ]
 
+# past SYMBOLIC_ORDER_GUARD: moment vectors built over polynomials (boolean
+# k = 0 in W, the domino mu-forms, which central prints on a 1-by-n board)
+ORDER_GUARD_ARGS = [
+    ["moments", "--family", "boolean", "--n", "10", "--r", "200"],
+    ["central", "--family", "domino", "--m", "1", "--n", "50", "--r", "200"],
+]
+
 # outside the boolean family, 0 <= k <= n, on every route that takes it
 BOOLEAN_RANGE_ARGS = [
     ["moments", "--family", "boolean", "--n", "-1"],
@@ -267,6 +302,7 @@ def test_usage_errors_exit_1():
         *PRINT_GUARD_ARGS,
         *MGF_GUARD_ARGS,
         *SAMPLER_GUARD_ARGS,
+        *ORDER_GUARD_ARGS,
         *BOOLEAN_RANGE_ARGS,
     ):
         proc = run_cli(*args)
@@ -284,6 +320,8 @@ def test_usage_errors_exit_1():
             assert "MGF_GUARD" in proc.stderr, (args, proc.stderr)
         if args in SAMPLER_GUARD_ARGS:
             assert "SAMPLER_GUARD" in proc.stderr, (args, proc.stderr)
+        if args in ORDER_GUARD_ARGS:
+            assert "SYMBOLIC_ORDER_GUARD" in proc.stderr, (args, proc.stderr)
         if args in BOOLEAN_RANGE_ARGS:
             assert "need 0 <= k <= n" in proc.stderr, (args, proc.stderr)
 
@@ -298,9 +336,17 @@ def test_usage_errors_exit_1():
         # oracle requests that took 35-65 s before the oracles were word-parallel
         ["oracle", "--family", "schur", "--n", "13", "--c", "3"],
         ["oracle", "--family", "boolean", "--n", "14", "--k", "7", "--samples", "1", "--seed", "1"],
+        # domino boards past 2r+2 rows, served by the polynomial in the length
+        # (8 x 6100 took 6.3 s and 12 x 400 was past the transfer guard before)
+        ["central", "--family", "domino", "--m", "8", "--n", "1000000", "--r", "8"],
+        ["central", "--family", "domino", "--m", "12", "--n", "400", "--r", "8"],
+        ["central", "--family", "domino", "--m", "8", "--n", "6100", "--r", "8"],
+        # numeric cumulants: not refused by the symbolic order guard
+        ["binomial-moments", "--family", "invmaj", "--n", "10", "--r", "200"],
     ],
     ids=["binomial-moments", "normality", "boolean-central-r100", "domino-1xn-central-r100",
-         "oracle-schur-n13-c3", "oracle-boolean-sample-n14-k7"],
+         "oracle-schur-n13-c3", "oracle-boolean-sample-n14-k7", "domino-central-8x1000000",
+         "domino-central-12x400", "domino-central-8x6100", "invmaj-binomial-r200"],
 )
 def test_invmaj_moments_at_large_n_are_quick(args, schema):
     started = time.monotonic()

@@ -3,9 +3,10 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from momentforge.errors import SizeGuardError
-from momentforge.exact_core import stirling1_signed
+from momentforge.errors import ConsistencyError, SizeGuardError
+from momentforge.exact_core import stirling1_signed, stirling2
 from momentforge.families import domino
+from momentforge.families.common import half_binomial_moments
 from momentforge.moment_algebra import raw_to_binomial, raw_to_central
 from momentforge.oracle import enumerate_boards, histogram_moments
 from momentforge.poly_series import Polynomial
@@ -133,9 +134,55 @@ def test_transfer_matrix_symmetries():
     assert all(cm.entries[r] == 0 for r in (1, 3, 5, 7, 9))
 
 
+def test_binomial_sums_equal_a_sweep_run_to_the_length():
+    # every board of width <= 6 up to 3r+6 rows, including lengths outside
+    # the fit rows r+1..2r+2, against one sweep run over all of them
+    for r in range(11):
+        for w in range(1, 7):
+            full = domino._sweep(w, 3 * r + 6, r)
+            for length in range(1, 3 * r + 7):
+                expect = full[length - 1]
+                assert domino.binomial_sums(w, length, r) == expect, (w, length, r)
+                assert domino.binomial_sums(length, w, r) == expect, (length, w, r)
+
+
+def test_binomial_sums_on_a_long_board_match_the_mu_form_through_r3():
+    # 8 x 10^6: E[X^q] for q <= 3 is the moment of Binomial(A, 1/2)
+    m, n, r = 8, 10**6, 3
+    b = domino.binomial_sums(m, n, r)
+    raw = [
+        Fr(sum(stirling2(q, k) * math.factorial(k) * b[k] for k in range(q + 1)), 2 ** (m * n))
+        for q in range(r + 1)
+    ]
+    assert raw == half_binomial_moments(domino.slot_count(m, n), r, central=False)
+
+
+@pytest.mark.parametrize("row_offset", [0, 3, 5, 6], ids=lambda o: f"row-r+1+{o}")
+def test_binomial_sums_refuse_a_sweep_off_the_polynomial(monkeypatch, row_offset):
+    # r = 5, width 3: the fit reads rows 6..12; E[C(X, k)] one too large on
+    # any of them, or b_k off by one (not a multiple of 2^{wL-k}), is refused
+    original = domino._sweep
+    for k in range(6):
+        for shift in (lambda w, rows: w * rows, lambda w, rows: 0):
+
+            def corrupted(w, rows, r, k=k, shift=shift):
+                sums = [list(row) for row in original(w, rows, r)]
+                sums[r + row_offset][k] += 1 << shift(w, r + 1 + row_offset)
+                return tuple(tuple(row) for row in sums)
+
+            monkeypatch.setattr(domino, "_sweep", corrupted)
+            with pytest.raises(ConsistencyError):
+                domino.binomial_sums(3, 40, 5)
+    monkeypatch.setattr(domino, "_sweep", original)
+    assert domino.binomial_sums(3, 40, 5) == domino._sweep(3, 40, 5)[-1]
+
+
 def test_transfer_matrix_size_guard():
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError, match="TRANSFER_GUARD"):
         domino.raw_moment(20, 30, 4)
+    # the sweep runs 2r+2 rows, whatever the length: 12 x 400 and 8 x 10^6 are served
+    assert domino.binomial_sums(12, 400, 8) == domino.binomial_sums(400, 12, 8)
+    assert domino.central_moments(8, 10**6, 8).entries[1] == 0
     # the mu-polynomials need no guard
     assert domino.raw_moment(10**6, 10**6, 3) == domino.raw_moment_symbolic(3).eval(
         domino.mean(10**6, 10**6)

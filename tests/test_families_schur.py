@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as Fr
 
 import pytest
@@ -81,6 +82,39 @@ def test_second_moment_grid_matches_pointwise():
     for ns, c in ((range(5, 12), 2), ([40, 13, 27, 13], 2), ([40, 13, 27, 13], 3), ([], 2)):
         grid = schur.second_moment_grid(ns, c)
         assert grid == [(n, schur.second_moment(n, c)) for n in ns]
+
+
+def test_second_moment_reads_the_longest_sweep_for_its_c(monkeypatch):
+    monkeypatch.setattr(schur, "_SWEPT", {})
+    calls = []
+    original = schur._sweep
+
+    def spy(top, c):
+        calls.append((top, c))
+        return original(top, c)
+
+    monkeypatch.setattr(schur, "_sweep", spy)
+    long_run = [(n, schur.second_moment(n, 2)) for n in (60, 30, 1)]
+    long_run += schur.second_moment_grid([59, 7, 60], 2)
+    assert calls == [(60, 2)]
+    # a value read from a longer sweep is the value of a sweep that stops there
+    assert long_run == [(n, original(n, 2)[n]) for n in (60, 30, 1, 59, 7, 60)]
+    schur.second_moment(30, 3)
+    schur.second_moment(61, 2)
+    assert calls == [(60, 2), (30, 3), (61, 2)]
+
+
+def test_normality_grid_runs_one_schur_sweep(monkeypatch, capsys):
+    from momentforge.cli import main
+
+    monkeypatch.setattr(schur, "_SWEPT", {})
+    calls = []
+    original = schur._sweep
+    monkeypatch.setattr(schur, "_sweep", lambda top, c: calls.append(top) or original(top, c))
+    assert main(["normality", "--family", "schur", "--n-grid", "20,40,60", "--r-max", "2"]) == 0
+    assert calls == [60]
+    rows = json.loads(capsys.readouterr().out)["result"]["rows"]
+    assert [row["n"] for row in rows] == [20] * 3 + [40] * 3 + [60] * 3  # grid order kept
 
 
 def test_second_moment_grid_matches_printed_branch_beyond_fit_range():
