@@ -15,8 +15,9 @@ matrix (Stanley, EC1 section 4.7) across the shorter side w = min(m, n).
 It runs at most 2r+2 rows: for a length L = max(m, n) past that, each
 2^k E[C(X, k)] is a polynomial of degree <= k in L, exact for L >= k+1
 (proof at ``binomial_sums``), fitted on rows r+1..2r+2 with an exact check
-and evaluated at L.  One cached sweep of 2r+2 rows per (w, r) thus serves
-every longer board, at a cost that does not grow with L.
+and evaluated at L.  The longest sweep run per (w, r) thus serves every
+board of that width, and a longer board costs only the arithmetic on its
+sums b_k, integers of about wL bits.
 
 The 1-by-n board is Binomial(n - 1, 1/2), with the centered generating
 function G_n(1+z) = [(2+z)/(2 sqrt(1+z))]^(n-1) and binomial moments that
@@ -110,10 +111,9 @@ def raw_moments(m: int, n: int, r_max: int) -> MomentVector:
     else:
         b = binomial_sums(m, n, r_max)
         total = 2 ** (m * n)
+        means = [Fraction(b_k, total) for b_k in b]  # E[C(X, k)]
         entries = [
-            Fraction(
-                sum(stirling2(q, k) * math.factorial(k) * b[k] for k in range(q + 1)), total
-            )
+            sum(stirling2(q, k) * math.factorial(k) * means[k] for k in range(q + 1))
             for q in range(r_max + 1)
         ]
     return MomentVector("raw", entries)
@@ -153,20 +153,27 @@ def central_moments(m: int, n: int, r_max: int) -> MomentVector:
     return MomentVector("central", entries)
 
 
-# Bound on the transfer-matrix work w*S*2^w*r of one sweep (w = min(m, n),
-# S = min(max(m, n), 2r+2) rows).  One unit costs 0.1 to 0.25 us on one
-# Intel Xeon core (the most for w = 2), so a sweep at the guard takes 10 to
-# 25 s.
+# Bound on w*max(S*2^w, L)*r for w = min(m, n), L = max(m, n) and
+# S = min(L, 2r+2): the larger of the work w*S*2^w*r of one sweep and the
+# size w*L*r of the r+1 sums b_k, integers of about wL bits each.  A sweep
+# unit costs 0.1 to 0.25 us on one Intel Xeon core (the most for w = 2), so
+# a sweep at the guard takes 10 to 25 s; a length at the guard, 8 x 1562500
+# at r = 8 or 2 x 12500000 at r = 4, takes about 0.4 s and 50 MB there.
 TRANSFER_GUARD = 10**8
+
+# b_0..b_r per row from the longest sweep run so far, per (w, r); a sweep's
+# rows do not depend on where it stops, so it serves every shorter board.
+_SWEPT: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
 
 def binomial_sums(m: int, n: int, r: int) -> tuple[int, ...]:
     """b_k = sum over all 2^{mn} boards of C(X, k), for k = 0..r.
 
     Let w = min(m, n) be the width, L = max(m, n) the length and
-    S = min(L, 2r+2).  One transfer sweep of width w runs S rows and
-    records b_0..b_r at the end of every row (:func:`_sweep`, cached per
-    (w, S, r)); for L <= S the answer is row L.  Longer boards are served
+    S = min(L, 2r+2).  A transfer sweep of width w runs S rows and records
+    b_0..b_r at the end of every row (:func:`_sweep`); the longest sweep
+    run per (w, r) is kept and read by every later request of at most as
+    many rows.  For L <= S the answer is row L.  Longer boards are served
     by a polynomial in L, exact for L >= k+1 at order k:
 
     2^k E_k(L) = 2^k b_k / 2^{wL} is an integer (see :func:`_sweep`) and a
@@ -188,26 +195,29 @@ def binomial_sums(m: int, n: int, r: int) -> tuple[int, ...]:
     polynomial in L whenever N >= 0 for every j <= k, that is for L >= k+1.
 
     The polynomial is fitted from the integer forward differences of
-    2^k E_k at L = r+1..2r+1; every difference above order k must vanish
-    and row 2r+2 must be reproduced exactly, else ConsistencyError.  It is
-    evaluated in Newton form, sum_j Delta^j C(L-r-1, j), in integers until
-    the one final shift by wL - k.
+    2^k E_k at L = r+1..2r+2, r+2 points: every difference above order k
+    must vanish, else ConsistencyError, so the point past the r+1 that fix
+    a polynomial of degree <= r is a check.  It is evaluated in Newton
+    form, sum_j Delta^j C(L-r-1, j), in integers until the one final shift
+    by wL - k.
 
-    Raises SizeGuardError when w*S*2^w*r exceeds TRANSFER_GUARD.
+    Raises SizeGuardError when w*max(S*2^w, L)*r exceeds TRANSFER_GUARD.
     """
     _check(m, n)
     if r < 0:
         raise ValueError("need r >= 0")
     w, length = min(m, n), max(m, n)
     rows = min(length, 2 * r + 2)
-    work = w * rows * 2**w * r
+    work = w * max(rows * 2**w, length) * r
     if work > TRANSFER_GUARD:
         raise SizeGuardError(
             f"transfer matrix for the {m}x{n} board at r = {r} needs "
-            f"w*S*2^w*r = {w}*{rows}*2^{w}*{r} = {work} steps, "
+            f"w*max(S*2^w, L)*r = {w}*max({rows}*2^{w}, {length})*{r} = {work}, "
             f"beyond the TRANSFER_GUARD = {TRANSFER_GUARD} size guard"
         )
-    sweep = _sweep(w, rows, r)
+    sweep = _SWEPT.get((w, r), ())
+    if len(sweep) < rows:
+        sweep = _SWEPT[w, r] = _sweep(w, rows, r)
     if length <= rows:
         return sweep[length - 1]
     return tuple(_extend(sweep, w, k, r, length) for k in range(r + 1))
@@ -223,25 +233,20 @@ def _extend(sweep: tuple[tuple[int, ...], ...], w: int, k: int, r: int, length: 
                 f"width {w}, {rows} rows: 2^{k} E[C(X, {k})] is not an integer"
             )
         scaled.append(value >> (w * rows))
-    differences = []  # Delta^j at L = r+1, j = 0..r
-    column = scaled[:-1]
+    differences = []  # Delta^j at L = r+1, j = 0..r+1
+    column = scaled
     while column:
         differences.append(column[0])
         column = [b - a for a, b in zip(column, column[1:])]
-    if any(differences[k + 1 :]) or _newton(differences, r + 1) != scaled[-1]:
+    if any(differences[k + 1 :]):
         raise ConsistencyError(
             f"width {w} at r = {r}: 2^{k} E[C(X, {k})] on rows {r + 1}..{2 * r + 2} "
             f"is not a polynomial of degree <= {k} in the number of rows"
         )
-    return _newton(differences, length - r - 1) << (w * length - k)
+    steps = length - r - 1
+    return sum(d * math.comb(steps, j) for j, d in enumerate(differences)) << (w * length - k)
 
 
-def _newton(differences: list[int], x: int) -> int:
-    """sum_j differences[j] C(x, j), the Newton form at x >= 0 steps past its base point."""
-    return sum(d * math.comb(x, j) for j, d in enumerate(differences))
-
-
-@lru_cache(maxsize=None)
 def _sweep(w: int, rows: int, r: int) -> tuple[tuple[int, ...], ...]:
     """b_0..b_r on the boards of 1, 2, ..., ``rows`` rows of ``w`` cells, one tuple per row count.
 

@@ -122,6 +122,15 @@ def test_domino_transfer_guard_exits_1():
     assert "TRANSFER_GUARD" in proc.stderr and "size guard" in proc.stderr
 
 
+def test_domino_transfer_guard_weighs_the_length():
+    # r = 4 needs a sweep of 10 rows, but the sums b_k have about 2*10^9 bits each
+    started = time.monotonic()
+    proc = run_cli("central", "--family", "domino", "--m", "2", "--n", "1000000000", "--r", "4")
+    assert proc.returncode == 1
+    assert "TRANSFER_GUARD" in proc.stderr and "size guard" in proc.stderr
+    assert time.monotonic() - started < 3
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -143,6 +152,7 @@ def test_domino_sweep_off_the_polynomial_exits_2(args, monkeypatch, capsys):
         sums[-1][1] += 1 << (w * rows)
         return tuple(tuple(row) for row in sums)
 
+    monkeypatch.setattr(domino, "_SWEPT", {})
     monkeypatch.setattr(domino, "_sweep", corrupted)
     assert main(args) == 2
     captured = capsys.readouterr()

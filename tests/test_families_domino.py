@@ -170,16 +170,42 @@ def test_binomial_sums_refuse_a_sweep_off_the_polynomial(monkeypatch, row_offset
                 sums[r + row_offset][k] += 1 << shift(w, r + 1 + row_offset)
                 return tuple(tuple(row) for row in sums)
 
+            monkeypatch.setattr(domino, "_SWEPT", {})
             monkeypatch.setattr(domino, "_sweep", corrupted)
             with pytest.raises(ConsistencyError):
                 domino.binomial_sums(3, 40, 5)
+    monkeypatch.setattr(domino, "_SWEPT", {})
     monkeypatch.setattr(domino, "_sweep", original)
     assert domino.binomial_sums(3, 40, 5) == domino._sweep(3, 40, 5)[-1]
+
+
+def test_binomial_sums_read_the_longest_sweep_for_their_width_and_order(monkeypatch):
+    monkeypatch.setattr(domino, "_SWEPT", {})
+    calls = []
+    original = domino._sweep
+
+    def spy(w, rows, r):
+        calls.append((w, rows, r))
+        return original(w, rows, r)
+
+    monkeypatch.setattr(domino, "_sweep", spy)
+    sums = [domino.binomial_sums(4, length, 5) for length in (12, 40, 7, 5)]
+    sums.append(domino.binomial_sums(9, 4, 5))
+    assert calls == [(4, 12, 5)]
+    assert sums == [original(4, length, 5)[-1] for length in (12, 40, 7, 5, 9)]
+    domino.binomial_sums(4, 5, 6)
+    domino.binomial_sums(3, 5, 5)
+    assert calls == [(4, 12, 5), (4, 5, 6), (3, 5, 5)]
 
 
 def test_transfer_matrix_size_guard():
     with pytest.raises(SizeGuardError, match="TRANSFER_GUARD"):
         domino.raw_moment(20, 30, 4)
+    # the sums b_k have about wL bits each, so the length counts as well
+    with pytest.raises(SizeGuardError, match="TRANSFER_GUARD"):
+        domino.binomial_sums(2, 10**9, 4)
+    with pytest.raises(SizeGuardError, match="TRANSFER_GUARD"):
+        domino.binomial_sums(8, 1562501, 8)
     # the sweep runs 2r+2 rows, whatever the length: 12 x 400 and 8 x 10^6 are served
     assert domino.binomial_sums(12, 400, 8) == domino.binomial_sums(400, 12, 8)
     assert domino.central_moments(8, 10**6, 8).entries[1] == 0
