@@ -1,9 +1,15 @@
 """Batch command-line frontend with machine-readable JSON/CSV output.
 
-Every run writes its result to stdout (or ``--out``) and a one-line run
-manifest to stderr; re-running with the manifest's parameters reproduces
-byte-identical results.  Exit codes: 0 success, 1 usage error, 2
-validation failure (e.g. a fit that misses a verification point).
+Every subcommand is a body that only computes its result; one runner
+(``_subcommand``) times it, writes the result to stdout (or ``--out``) and
+a one-line run manifest to stderr, and maps its failures to exit codes.
+Re-running with the manifest's parameters reproduces byte-identical
+results.  Exit codes, the same for every subcommand: 0 success, 1 usage
+error (a command line click refuses, a parameter outside a family's domain,
+a request past a size guard), 2 validation failure (a failed internal
+check, e.g. a fit that misses a verification point).  Families are looked
+up in ``families.FAMILIES``; only ``identities`` and ``approx-h``, which
+serve the boolean family alone, call a family module directly.
 """
 
 from __future__ import annotations
@@ -21,17 +27,13 @@ import mpmath
 
 import momentforge.families as families
 from momentforge import __version__
-from momentforge.errors import ConsistencyError, FitVerificationError, MomentForgeError, SizeGuardError
-from momentforge.families import boolean, domino, invmaj, schur
-from momentforge.families.common import SYMBOL_LEGEND, mgf_digits
+from momentforge.errors import ConsistencyError, MomentForgeError, SizeGuardError
+from momentforge.families import boolean
+from momentforge.families.common import SYMBOL_LEGEND, TGrid
 from momentforge.fitter import FitSpec, fit_quasi_polynomial
 from momentforge.moment_algebra import normality_report
 from momentforge.poly_series import Polynomial
 from momentforge import oracle as oracle_mod
-
-
-class ValidationFailure(ConsistencyError):
-    """Computation completed but an internal consistency check failed."""
 
 
 # Most decimal digits of one printed integer: a count, a numerator or a
@@ -111,10 +113,7 @@ def _csv_table(header: list[str], rows: list[list]) -> str:
 
 def _family_params(family: str, **given) -> tuple[families.Family, dict]:
     """The family's table entry and its parameters, defaults filled in."""
-    try:
-        entry = families.validate_family(family)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    entry = families.validate_family(family)
     return entry, entry.resolve(given)
 
 
@@ -133,23 +132,53 @@ def _common_options(fn):
 
 
 @click.group(name="momentforge")
-@click.version_option(__version__)
+@click.version_option(__version__, prog_name="momentforge")
 def cli():
     """Exact moments of combinatorial statistics, with oracles and fits."""
 
 
-def _moment_command(kind: str, subcommand: str):
+def _subcommand(name: str):
+    """Register the decorated body as subcommand ``name``, run by the one runner.
+
+    The body takes its own options and returns (parameters, result, CSV
+    text): the manifest's parameters, the JSON result and the CSV output.
+    The runner adds --out and --format, starts the clock, maps a failure to
+    its exit code (a ConsistencyError to 2 with ``validation failure:``, any
+    other MomentForgeError or a ValueError to 1 with ``usage error:``) and
+    writes the output through ``_emit``.  A body's click.UsageError, which
+    words its own message, goes to ``main``.
+    """
+
+    def register(body):
+        def run(format, out, **options) -> int:
+            started = time.monotonic()
+            try:
+                params, result, csv_text = body(**options)
+            except ConsistencyError as exc:
+                sys.stderr.write(f"validation failure: {exc}\n")
+                return 2
+            except (MomentForgeError, ValueError) as exc:
+                sys.stderr.write(f"usage error: {exc} (try: momentforge {name} --help)\n")
+                return 1
+            _emit({"format": format, "out": out, **params}, name, result, csv_text, started)
+            return 0
+
+        run.__doc__ = body.__doc__
+        # --out and --format go first in the list, so --help shows them last
+        _common_options(run).__click_params__ += body.__click_params__
+        return cli.command(name=name)(run)
+
+    return register
+
+
+def _moment_command(kind: str, subcommand: str) -> None:
+    @_subcommand(subcommand)
     @_family_options
     @click.option("--r", "--r-max", "r_max", type=int, default=4, show_default=True, help="Highest moment order.")
-    @_common_options
-    def command(family, n, c, m, k, r_max, format, out):
-        started = time.monotonic()
+    def command(family, n, c, m, k, r_max):
         entry, params = _family_params(family, n=n, c=c, m=m, k=k)
-        try:
-            vec = families.moment_vector(family, kind, r_max, params)
-            closed_forms = entry.closed_forms(kind, r_max, params) if entry.closed_forms else None
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
+        vec = families.moment_vector(family, kind, r_max, params)
+        closed_forms = entry.closed_forms(kind, r_max, params) if entry.closed_forms else None
         result = {
             "family": family,
             "params": params,
@@ -169,34 +198,20 @@ def _moment_command(kind: str, subcommand: str):
             result["sample_space_size"] = _text(space)
             result["scaled_entries"] = [_text(e * space) for e in vec.entries]
         rows = [[r, _text(e)] for r, e in enumerate(vec.entries)]
-        _emit(
-            {"format": format, "out": out, "family": family, **params, "r_max": r_max},
-            subcommand,
-            result,
-            _csv_table(["r", "value"], rows),
-            started,
-        )
-
-    command.__name__ = subcommand.replace("-", "_")
-    return command
+        return {"family": family, **params, "r_max": r_max}, result, _csv_table(["r", "value"], rows)
 
 
-cli.command(name="moments")(_moment_command("raw", "moments"))
-cli.command(name="central")(_moment_command("central", "central"))
-cli.command(name="binomial-moments")(_moment_command("binomial", "binomial-moments"))
+_moment_command("raw", "moments")
+_moment_command("central", "central")
+_moment_command("binomial", "binomial-moments")
 
 
-@cli.command(name="pgf")
+@_subcommand("pgf")
 @_family_options
-@_common_options
-def pgf_cmd(family, n, c, m, k, format, out):
+def pgf_cmd(family, n, c, m, k):
     """Exact probability generating function in canonical text."""
-    started = time.monotonic()
     entry, params = _family_params(family, n=n, c=c, m=m, k=k)
-    try:
-        poly, source = entry.pgf(params)
-    except (ValueError, MomentForgeError) as exc:
-        raise click.UsageError(str(exc)) from exc
+    poly, source = entry.pgf(params)
     coeffs = [_text(poly.coefficient(d)) for d in range(max(poly.degree, 0) + 1)] if poly else ["0"]
     result = {
         "family": family,
@@ -206,16 +221,10 @@ def pgf_cmd(family, n, c, m, k, format, out):
         "source": source,
     }
     rows = [[d, v] for d, v in enumerate(coeffs)]
-    _emit(
-        {"format": format, "out": out, "family": family, **params},
-        "pgf",
-        result,
-        _csv_table(["degree", "coefficient"], rows),
-        started,
-    )
+    return {"family": family, **params}, result, _csv_table(["degree", "coefficient"], rows)
 
 
-@cli.command(name="normality")
+@_subcommand("normality")
 @click.option("--family", required=True, help=" | ".join(families.FAMILIES))
 @click.option("--n-grid", required=True, help="Comma-separated ascending n values, e.g. 11,101,1001")
 @click.option("--m", type=int, default=None, help="domino rows (default 1)")
@@ -223,62 +232,48 @@ def pgf_cmd(family, n, c, m, k, format, out):
 @click.option("--r-max", type=int, default=8, show_default=True)
 @click.option("--threshold", type=float, default=0.05, show_default=True)
 @click.option("--precision", type=int, default=50, show_default=True, help="Significant digits.")
-@_common_options
-def normality_cmd(family, n_grid, m, k, r_max, threshold, precision, format, out):
+def normality_cmd(family, n_grid, m, k, r_max, threshold, precision):
     """Normalized moments vs Gaussian targets along an n-grid, from what central serves."""
-    started = time.monotonic()
     try:
         ns = [int(x) for x in n_grid.split(",")]
     except ValueError as exc:
         raise click.UsageError(f"bad --n-grid {n_grid!r}: {exc}") from exc
+    if not math.isfinite(threshold):
+        raise click.UsageError("need a finite --threshold")
     _, params = _family_params(family, m=m, k=k)
-    try:
-        # largest n first (the grid ascends): its schur E[X^2] sweep serves every smaller n
-        grid = [
-            (n, families.moment_vector(family, "central", r_max, {**params, "n": n}))
-            for n in reversed(ns)
-        ][::-1]
-        report = normality_report(family, params, grid, r_max, threshold=threshold, dps=precision)
-    except ConsistencyError:
-        raise  # a failed internal check exits 2 through main, not as a usage error
-    except (ValueError, MomentForgeError) as exc:
-        raise click.UsageError(str(exc)) from exc
-    _emit(
-        {"format": format, "out": out, "family": family, "n_grid": n_grid, **params,
-         "r_max": r_max, "threshold": threshold, "precision": precision},
-        "normality",
-        report.to_json_dict(),
-        report.to_csv_text(),
-        started,
-    )
+    # largest n first (the grid ascends): its schur E[X^2] sweep serves every smaller n
+    grid = [
+        (n, families.moment_vector(family, "central", r_max, {**params, "n": n}))
+        for n in reversed(ns)
+    ][::-1]
+    report = normality_report(family, params, grid, r_max, threshold=threshold, dps=precision)
+    parameters = {"family": family, "n_grid": n_grid, **params, "r_max": r_max,
+                  "threshold": threshold, "precision": precision}
+    return parameters, report.to_json_dict(), report.to_csv_text()
 
 
-@cli.command(name="mgf-limit")
-@click.option("--family", type=click.Choice(["invmaj", "board1n"]), required=True)
+# mgf-limit's --family: a FAMILIES entry with an mgf route and the parameters
+# it fixes; board1n is the domino family on a 1-by-n board
+_MGF_FAMILIES = {"invmaj": ("invmaj", {}), "board1n": ("domino", {"m": 1})}
+
+
+@_subcommand("mgf-limit")
+@click.option("--family", type=click.Choice(list(_MGF_FAMILIES)), required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--t-min", type=float, default=-2.0, show_default=True)
 @click.option("--t-max", type=float, default=2.0, show_default=True)
 @click.option("--t-steps", type=int, default=17, show_default=True)
 @click.option("--precision", type=int, default=50, show_default=True, help="Significant digits.")
-@_common_options
-def mgf_limit_cmd(family, n, t_min, t_max, t_steps, precision, format, out):
+def mgf_limit_cmd(family, n, t_min, t_max, t_steps, precision):
     """Deviation of G_n(e^{t/sigma}) from e^{t^2/2} on a t grid."""
-    started = time.monotonic()
     if not (math.isfinite(t_min) and math.isfinite(t_max)):
         raise click.UsageError("need finite --t-min and --t-max")
     if t_steps < 2 or t_max <= t_min:
         raise click.UsageError("need t-min < t-max and at least 2 steps")
     lo, hi = Fraction(t_min).limit_denominator(10**6), Fraction(t_max).limit_denominator(10**6)
-    try:
-        # refuse past MGF_GUARD before the t grid is built; each route checks again
-        mgf_digits(n if family == "invmaj" else 0, t_steps, precision)
-        ts = [lo + (hi - lo) * i / (t_steps - 1) for i in range(t_steps)]
-        if family == "invmaj":
-            sup, rows = invmaj.mgf_deviation(n, ts, dps=precision)
-        else:
-            sup, rows = domino.mgf_deviation_1n(n, ts, dps=precision)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    name, fixed = _MGF_FAMILIES[family]
+    entry, params = _family_params(name, n=n, **fixed)
+    sup, rows = entry.mgf(params, TGrid(lo, hi, t_steps), precision)
     with mpmath.workdps(max(precision, 50)):
         row_dicts = [
             {"t": mpmath.nstr(t, 17), "deviation": mpmath.nstr(d, 17)} for t, d in rows
@@ -290,38 +285,27 @@ def mgf_limit_cmd(family, n, t_min, t_max, t_steps, precision, format, out):
             "sup_deviation": mpmath.nstr(sup, 17),
             "rows": row_dicts,
         }
-    _emit(
-        {"format": format, "out": out, "family": family, "n": n, "t_min": t_min,
-         "t_max": t_max, "t_steps": t_steps, "precision": precision},
-        "mgf-limit",
-        result,
-        _csv_table(["t", "deviation"], [[r["t"], r["deviation"]] for r in row_dicts]),
-        started,
-    )
+    parameters = {"family": family, "n": n, "t_min": t_min, "t_max": t_max,
+                  "t_steps": t_steps, "precision": precision}
+    return parameters, result, _csv_table(["t", "deviation"], [[r["t"], r["deviation"]] for r in row_dicts])
 
 
-@cli.command(name="oracle")
+@_subcommand("oracle")
 @_family_options
 @click.option("--r-max", type=int, default=4, show_default=True)
 @click.option("--samples", type=int, default=None, help="Boolean family: draw this many samples instead of exhausting.")
 @click.option("--seed", type=int, default=None, help="PRNG seed for sampling mode (Mersenne Twister).")
-@_common_options
-def oracle_cmd(family, n, c, m, k, r_max, samples, seed, format, out):
+def oracle_cmd(family, n, c, m, k, r_max, samples, seed):
     """Exhaustive (or seeded-sample) histogram plus exact moments."""
-    started = time.monotonic()
     entry, params = _family_params(family, n=n, c=c, m=m, k=k)
-    if samples is not None:
-        if entry.sample is None:
-            raise click.UsageError(f"family {family!r} has no sampling mode; drop --samples")
-        if seed is None:
-            raise click.UsageError("sampling mode needs --seed for reproducibility")
-    try:
-        if samples is None:
-            hist, extra = entry.enumerate(params)
-        else:
-            hist, extra = entry.sample(params, samples, seed), {}
-    except (ValueError, MomentForgeError) as exc:
-        raise click.UsageError(str(exc)) from exc
+    if samples is None:
+        hist, extra = entry.enumerate(params)
+    elif entry.sample is None:
+        raise click.UsageError(f"family {family!r} has no sampling mode; drop --samples")
+    elif seed is None:
+        raise click.UsageError("sampling mode needs --seed for reproducibility")
+    else:
+        hist, extra = entry.sample(params, samples, seed), {}
     moments = oracle_mod.histogram_moments(hist, r_max)
     result = {
         "family": family,
@@ -334,17 +318,11 @@ def oracle_cmd(family, n, c, m, k, r_max, samples, seed, format, out):
         "moments": [_text(e) for e in moments.entries],
         **extra,
     }
-    _emit(
-        {"format": format, "out": out, "family": family, **params, "r_max": r_max,
-         "samples": samples, "seed": seed},
-        "oracle",
-        result,
-        _csv_table(["value", "count"], hist.to_csv_rows()),
-        started,
-    )
+    parameters = {"family": family, **params, "r_max": r_max, "samples": samples, "seed": seed}
+    return parameters, result, _csv_table(["value", "count"], hist.to_csv_rows())
 
 
-@cli.command(name="fit")
+@_subcommand("fit")
 @click.option("--family", type=click.Choice(["schur"]), default="schur", show_default=True)
 @click.option("--r", type=click.IntRange(1, 2), default=2, show_default=True, help="Moment order to fit (schur: 1 or 2).")
 @click.option("--c", type=int, default=2, show_default=True)
@@ -353,25 +331,16 @@ def oracle_cmd(family, n, c, m, k, r_max, samples, seed, format, out):
 @click.option("--n-min", type=int, required=True)
 @click.option("--n-max", type=int, required=True)
 @click.option("--verify", type=int, default=3, show_default=True, help="Held-out points per residue class.")
-@_common_options
-def fit_cmd(family, r, c, period, degree, n_min, n_max, verify, format, out):
+def fit_cmd(family, r, c, period, degree, n_min, n_max, verify):
     """Fit a quasi-polynomial to enumerated moment data and verify exactly."""
-    started = time.monotonic()
     if n_min < 1 or n_max < n_min:
         raise click.UsageError("need 1 <= n-min <= n-max")
-    ns = range(n_min, n_max + 1)
-    try:
-        if r == 2:
-            data = schur.second_moment_grid(ns, c)
-        else:
-            data = [(n, schur.first_moment(n, c)) for n in ns]
-        res = fit_quasi_polynomial(
-            FitSpec(period=period, degree=degree, samples=tuple(data), verify_count=verify)
-        )
-    except FitVerificationError as exc:
-        raise ValidationFailure(str(exc)) from exc
-    except (ValueError, MomentForgeError) as exc:
-        raise click.UsageError(str(exc)) from exc
+    # largest n first: its schur E[X^2] sweep serves every smaller n
+    data = [
+        (n, families.moment_vector(family, "raw", r, {"n": n, "c": c}).entries[r])
+        for n in range(n_max, n_min - 1, -1)
+    ][::-1]
+    res = fit_quasi_polynomial(FitSpec(period=period, degree=degree, samples=tuple(data), verify_count=verify))
     quasi = res.quasi
     result = {
         "family": family,
@@ -383,24 +352,16 @@ def fit_cmd(family, r, c, period, degree, n_min, n_max, verify, format, out):
         "provenance": res.provenance,
     }
     rows = [[j, b.to_text()] for j, b in enumerate(quasi.branches)]
-    _emit(
-        {"format": format, "out": out, "family": family, "r": r, "c": c, "period": period,
-         "degree": degree, "n_min": n_min, "n_max": n_max, "verify": verify},
-        "fit",
-        result,
-        _csv_table(["residue", "polynomial"], rows),
-        started,
-    )
+    parameters = {"family": family, "r": r, "c": c, "period": period, "degree": degree,
+                  "n_min": n_min, "n_max": n_max, "verify": verify}
+    return parameters, result, _csv_table(["residue", "polynomial"], rows)
 
 
-@cli.command(name="identities")
+@_subcommand("identities")
 @click.option("--r-max", type=int, default=10, show_default=True)
-@_common_options
-def identities_cmd(r_max, format, out):
+def identities_cmd(r_max):
     """Check the central-coefficient identity battery for the 0-cube count."""
-    started = time.monotonic()
     rows = []
-    all_ok = True
     for r in range(r_max + 1):
         for t in range(r + 1):
             if r % 2 == 1 or t < r // 2:
@@ -411,38 +372,24 @@ def identities_cmd(r_max, format, out):
             else:
                 continue  # nonzero generic coefficients are not identity rows
             value = boolean.central_coefficient(r, t)
-            ok = value == expected
-            all_ok = all_ok and ok
-            rows.append({"r": r, "t": t, "value": _text(value), "expected": _text(expected), "ok": ok})
-    result = {"r_max": r_max, "rows": rows, "all_ok": all_ok}
-    _emit(
-        {"format": format, "out": out, "r_max": r_max},
-        "identities",
-        result,
-        _csv_table(
-            ["r", "t", "value", "expected", "ok"],
-            [[w["r"], w["t"], w["value"], w["expected"], w["ok"]] for w in rows],
-        ),
-        started,
-    )
-    if not all_ok:
-        raise ValidationFailure("identity battery found a mismatch (see output rows)")
+            rows.append({"r": r, "t": t, "value": _text(value), "expected": _text(expected), "ok": value == expected})
+    missed = [(w["r"], w["t"]) for w in rows if not w["ok"]]
+    if missed:
+        raise ConsistencyError(f"identity battery found a mismatch at (r, t) in {missed}")
+    result = {"r_max": r_max, "rows": rows, "all_ok": True}
+    csv_rows = [[w["r"], w["t"], w["value"], w["expected"], w["ok"]] for w in rows]
+    return {"r_max": r_max}, result, _csv_table(["r", "t", "value", "expected", "ok"], csv_rows)
 
 
-@cli.command(name="approx-h")
+@_subcommand("approx-h")
 @click.option("--n", type=int, required=True)
 @click.option("--k", type=int, default=1, show_default=True)
 @click.option("--with-polynomial", is_flag=True, help="Include the full H_n(q) polynomial (small n only).")
-@_common_options
-def approx_h_cmd(n, k, with_polynomial, format, out):
+def approx_h_cmd(n, k, with_polynomial):
     """Independence approximation H_n(q): exact moments, optional polynomial."""
-    started = time.monotonic()
-    try:
-        moments = boolean.h_moments(n, k)
-        p = boolean.h_probability(n, k)
-        exact_mean = families.moment_vector("boolean", "raw", 1, {"n": n, "k": k}).entries[1]
-    except (ValueError, MomentForgeError) as exc:
-        raise click.UsageError(str(exc)) from exc
+    moments = boolean.h_moments(n, k)
+    p = boolean.h_probability(n, k)
+    exact_mean = families.moment_vector("boolean", "raw", 1, {"n": n, "k": k}).entries[1]
     result = {
         "n": n,
         "k": k,
@@ -456,30 +403,20 @@ def approx_h_cmd(n, k, with_polynomial, format, out):
     rows = [[key, result[key]] for key in
             ("p", "mean", "mean_closed_form", "second_factorial", "variance", "exact_mean")]
     if with_polynomial:
-        try:
-            poly = boolean.h_polynomial(n, k)
-        except MomentForgeError as exc:
-            raise click.UsageError(str(exc)) from exc
+        poly = boolean.h_polynomial(n, k)
         # H_4(q) for k = 2 has 5484-digit denominators, past the interpreter's
         # own int-to-str limit but inside PRINT_GUARD
         probs = [_text(poly.coefficient(d)) for d in range(max(poly.degree, 0) + 1)]
         result["polynomial"] = _text(poly)
         result["probabilities"] = probs
         rows += [[f"q^{d}", v] for d, v in enumerate(probs)]
-    _emit(
-        {"format": format, "out": out, "n": n, "k": k, "with_polynomial": with_polynomial},
-        "approx-h",
-        result,
-        _csv_table(["key", "value"], rows),
-        started,
-    )
+    return {"n": n, "k": k, "with_polynomial": with_polynomial}, result, _csv_table(["key", "value"], rows)
 
 
 def main(argv=None) -> int:
-    """Entry point with the documented exit-code contract."""
+    """Entry point: the subcommand's exit code, or 1 for a command line that click refuses."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-        return 0
+        return cli.main(args=argv, standalone_mode=False)
     except click.UsageError as exc:
         hint = f" (try: momentforge {exc.ctx.info_name} --help)" if exc.ctx else ""
         sys.stderr.write(f"usage error: {exc.format_message()}{hint}\n")
@@ -489,12 +426,6 @@ def main(argv=None) -> int:
         return 1
     except click.exceptions.Abort:
         sys.stderr.write("aborted\n")
-        return 1
-    except ConsistencyError as exc:
-        sys.stderr.write(f"validation failure: {exc}\n")
-        return 2
-    except MomentForgeError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
         return 1
 
 

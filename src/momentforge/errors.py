@@ -13,7 +13,15 @@ class SingularSeriesError(MomentForgeError):
     """Series division or inversion with a non-invertible constant term."""
 
 
-class FitVerificationError(MomentForgeError):
+class UnderdeterminedFitError(MomentForgeError):
+    """Not enough sample points to pin down the requested degree."""
+
+
+class ConsistencyError(MomentForgeError):
+    """A computed result failed an internal consistency check."""
+
+
+class FitVerificationError(ConsistencyError):
     """A fitted polynomial failed to reproduce a held-out verification point."""
 
     def __init__(self, residue: int, point: int, expected, actual):
@@ -25,11 +33,3 @@ class FitVerificationError(MomentForgeError):
             f"verification mismatch in residue class {residue} at n={point}: "
             f"data {expected} != fit {actual}"
         )
-
-
-class UnderdeterminedFitError(MomentForgeError):
-    """Not enough sample points to pin down the requested degree."""
-
-
-class ConsistencyError(MomentForgeError):
-    """A computed result failed an internal consistency check."""

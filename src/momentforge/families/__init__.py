@@ -5,9 +5,11 @@ as ``FAMILY`` in the family's own module.  An entry declares the family's
 parameters and their defaults, its sample-space size (and a lower bound on
 its bit length, cheap where the size is not), its moment route (with the
 highest order it serves), the closed-form texts of those moments where
-they are exact, its PGF route and its oracle (exhaustive, and sampled for
-boolean).  ``moment_vector`` is the one checked way to the moments: the
-moment subcommands and every point of a normality grid go through it.
+they are exact, its PGF route, its oracle (exhaustive, and sampled for
+boolean) and its MGF deviation where it has one (invmaj, and domino on a
+1-by-n board, both through the shared loop ``common.mgf_deviation``).
+``moment_vector`` is the one checked way to the moments: the moment
+subcommands, ``fit`` and every point of a normality grid go through it.
 The functions below and every CLI subcommand are lookups in this table.
 
 IDs and parameters:

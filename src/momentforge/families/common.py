@@ -16,8 +16,13 @@ function of Binomial(a, 1/2), the P-series step of those counts.
 
 Closed-form PGFs are rows of integer counts over one total: ``count_pgf``
 divides once per coefficient, and ``pgf_total`` refuses a PGF beyond
-``PGF_GUARD`` before its row is built.  ``mgf_digits`` refuses an MGF
-deviation beyond ``MGF_GUARD``, its work weighed by the precision.
+``PGF_GUARD`` before its row is built.
+
+``mgf_deviation`` is the one loop of the MGF limits, the distance of
+G_n(e^{t/sigma}) from e^{t^2/2} on a t grid; a family supplies only G_n
+and its evaluations per t point.  The loop refuses a request beyond
+``MGF_GUARD`` (``mgf_digits``, the work weighed by the precision) before it
+reads a t point, so a ``TGrid`` is never built past the guard.
 
 ``Family`` is the type of one entry of ``momentforge.families.FAMILIES``;
 each family module defines its own entry as ``FAMILY``.
@@ -29,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Collection, Iterator, Mapping
 
 import mpmath
 
@@ -209,6 +214,48 @@ def mgf_digits(evaluations: int, steps: int, dps: int) -> int:
 
 
 @dataclass(frozen=True)
+class TGrid:
+    """``steps`` >= 2 equally spaced exact t from lo to hi, each made as it is read."""
+
+    lo: Fraction
+    hi: Fraction
+    steps: int
+
+    def __len__(self) -> int:
+        return self.steps
+
+    def __iter__(self) -> Iterator[Fraction]:
+        return (self.lo + (self.hi - self.lo) * i / (self.steps - 1) for i in range(self.steps))
+
+
+def mgf_deviation(
+    variance: Fraction, evaluations: int, pgf_at: Callable[[], Callable], t_values: Collection, dps: int
+):
+    """max |G(e^{t/sigma}) - e^{t^2/2}| over the t grid, with sigma^2 = ``variance``.
+
+    ``pgf_at()`` is called once at the working precision (``mgf_digits``)
+    and returns u -> G(e^{2u}), read at u = t/(2 sigma); G(1) = 1 needs no
+    call.  ``evaluations`` is its cost per t point.  Raises SizeGuardError
+    beyond MGF_GUARD before any t is read.  Returns (sup, rows), where rows
+    pair each t with its deviation.
+    """
+    digits = mgf_digits(evaluations, len(t_values), dps)
+    rows = []
+    sup = mpmath.mpf(0)
+    with mpmath.workdps(digits):
+        sigma = mpmath.sqrt(mpmath.mpf(variance.numerator) / variance.denominator)
+        at = pgf_at()
+        for t in t_values:
+            tt = mpmath.mpmathify(t)
+            target = mpmath.e ** (tt * tt / 2)
+            phi = at(tt / (2 * sigma)) if tt else mpmath.mpf(1)
+            dev = abs(phi - target)
+            rows.append((tt, dev))
+            sup = max(sup, dev)
+    return sup, rows
+
+
+@dataclass(frozen=True)
 class Family:
     """How every request is answered for one family.
 
@@ -216,7 +263,9 @@ class Family:
     included.  Moments are asked for through ``families.moment_vector``,
     which checks the parameters and the order against ``max_order`` before
     the ``moments`` route runs; ``closed_forms`` prints the symbolic forms
-    of a vector so served and is never needed for its values.  Routes call
+    of a vector so served and is never needed for its values.  ``mgf``, the
+    MGF deviation on a t grid, runs the shared loop ``mgf_deviation``, where
+    a family has one (invmaj, and domino on a 1-by-n board).  Routes call
     the family's layer functions through module globals at call time, never
     through function objects captured at import, so wrapping a module
     attribute (as the benchmark's tracer does) reaches every call.
@@ -241,6 +290,9 @@ class Family:
     # printed texts of the symbolic moments (kind, r_max, params), or None
     # where they are not exact; None: the family prints none
     closed_forms: Callable[[str, int, dict], list[str] | None] | None = None
+    # MGF deviation (params, t_values, dps) -> (sup, rows) by ``mgf_deviation``;
+    # None: the family has no MGF route
+    mgf: Callable[[dict, Collection, int], tuple] | None = None
 
     def resolve(self, given: Mapping) -> dict[str, int]:
         """The family's parameters from ``given`` with defaults filled in; others dropped."""

@@ -35,13 +35,13 @@ import mpmath
 from momentforge import oracle
 from momentforge.errors import ConsistencyError, SizeGuardError
 from momentforge.exact_core import stirling2
+from momentforge.families import common
 from momentforge.families.common import (
     Family,
     binomial_row,
     count_pgf,
     half_binomial_moments,
     half_binomial_series,
-    mgf_digits,
     pgf_total,
 )
 from momentforge.moment_algebra import MomentVector, raw_to_binomial, raw_to_central
@@ -332,26 +332,20 @@ def board1n_binomial_moments_symbolic(r_max: int) -> MomentVector:
 
 
 def mgf_deviation_1n(n: int, t_values, dps: int = 50):
-    """max |cosh(t/(2 sigma))^(n-1) - e^{t^2/2}| with sigma^2 = (n-1)/4.
+    """max |cosh(t/(2 sigma))^(n-1) - e^{t^2/2}| with sigma^2 = (n-1)/4, by ``common.mgf_deviation``.
 
     Raises SizeGuardError beyond MGF_GUARD.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    t_values = list(t_values)
-    digits = mgf_digits(0, len(t_values), dps)
-    rows = []
-    sup = mpmath.mpf(0)
-    with mpmath.workdps(digits):
-        sigma = mpmath.sqrt(mpmath.mpf(n - 1)) / 2
-        for t in t_values:
-            tt = mpmath.mpmathify(t)
-            target = mpmath.e ** (tt * tt / 2)
-            phi = mpmath.cosh(tt / (2 * sigma)) ** (n - 1)
-            dev = abs(phi - target)
-            rows.append((tt, dev))
-            sup = max(sup, dev)
-    return sup, rows
+    return common.mgf_deviation(Fraction(n - 1, 4), 0, lambda: lambda u: mpmath.cosh(u) ** (n - 1), t_values, dps)
+
+
+def _mgf(p: dict, t_values, dps: int):
+    """The MGF deviation of a 1-by-n board; no other board has an MGF route."""
+    if p["m"] != 1:
+        raise ValueError("the domino MGF route serves only 1-by-n boards (m = 1)")
+    return mgf_deviation_1n(p["n"], t_values, dps)
 
 
 def _check(m: int, n: int) -> None:
@@ -394,4 +388,5 @@ FAMILY = Family(
     closed_pgf=_closed_pgf,
     enumerate=lambda p: (oracle.enumerate_boards(p["m"], p["n"]), {}),
     closed_forms=_closed_forms,
+    mgf=_mgf,
 )

@@ -20,7 +20,8 @@ polynomial in n, is kept as ``p_coefficient``; the tests step it as the
 independent reference.
 
 The MGF deviation costs n mpmath evaluations per t at its working
-precision and is refused beyond ``common.MGF_GUARD``.
+precision, in the shared loop ``common.mgf_deviation``, and is refused
+beyond ``common.MGF_GUARD``.
 
 The major index is handled by the F(n, i) table of generating functions
 of permutations ending in i, which also yields the MacMahon
@@ -44,14 +45,8 @@ import mpmath
 
 from momentforge import oracle
 from momentforge.exact_core import falling_factorial
-from momentforge.families.common import (
-    Family,
-    bernoulli,
-    count_pgf,
-    mgf_digits,
-    pgf_total,
-    uniform_sum_moments,
-)
+from momentforge.families import common
+from momentforge.families.common import Family, bernoulli, count_pgf, pgf_total, uniform_sum_moments
 from momentforge.moment_algebra import MomentVector, central_to_raw, raw_to_binomial
 from momentforge.poly_series import Polynomial
 
@@ -183,37 +178,28 @@ def maj_pgf(n: int) -> Polynomial:
 
 
 def mgf_deviation(n: int, t_values, dps: int = 50):
-    """max |G_n(e^{t/sigma}) - e^{t^2/2}| over the t grid.
+    """max |G_n(e^{t/sigma}) - e^{t^2/2}| over the t grid, by ``common.mgf_deviation``.
 
-    G_n(e^{t/sigma}) = (1/n!) prod_i sinh(i u)/sinh(u) with u = t/(2 sigma).
-    Returns (sup, rows) where rows pair each t with its deviation.  Raises
-    SizeGuardError beyond MGF_GUARD: each t takes n sinh and log evaluations.
+    G_n(e^{t/sigma}) = (1/n!) prod_i sinh(i u)/sinh(u) with u = t/(2 sigma),
+    log n! taken once per call.  Returns (sup, rows) where rows pair each t
+    with its deviation.  Raises SizeGuardError beyond MGF_GUARD: each t
+    takes n sinh and log evaluations.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    t_values = list(t_values)
-    digits = mgf_digits(n, len(t_values), dps)
-    _, var = mean_variance(n)
-    rows = []
-    sup = mpmath.mpf(0)
-    with mpmath.workdps(digits):
-        sigma = mpmath.sqrt(mpmath.mpf(var.numerator) / var.denominator)
+
+    def pgf_at():
         logfact = sum(mpmath.log(mpmath.mpf(i)) for i in range(2, n + 1))
-        for t in t_values:
-            tt = mpmath.mpmathify(t)
-            target = mpmath.e ** (tt * tt / 2)
-            if tt == 0:
-                phi = mpmath.mpf(1)
-            else:
-                u = tt / (2 * sigma)
-                logphi = -logfact - n * mpmath.log(mpmath.sinh(u))
-                for i in range(1, n + 1):
-                    logphi += mpmath.log(mpmath.sinh(i * u))
-                phi = mpmath.e**logphi
-            dev = abs(phi - target)
-            rows.append((tt, dev))
-            sup = max(sup, dev)
-    return sup, rows
+
+        def at(u):
+            logphi = -logfact - n * mpmath.log(mpmath.sinh(u))
+            for i in range(1, n + 1):
+                logphi += mpmath.log(mpmath.sinh(i * u))
+            return mpmath.e**logphi
+
+        return at
+
+    return common.mgf_deviation(mean_variance(n)[1], n, pgf_at, t_values, dps)
 
 
 def _moments(kind: str, r_max: int, p: dict) -> MomentVector:
@@ -243,4 +229,5 @@ FAMILY = Family(
     moments=_moments,
     closed_pgf=lambda p: pgf(p["n"]),
     enumerate=_enumerate,
+    mgf=lambda p, t_values, dps: mgf_deviation(p["n"], t_values, dps),
 )

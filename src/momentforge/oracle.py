@@ -504,7 +504,9 @@ def _board_block(m: int, n: int, neighbors: list[int], lo: int, hi: int) -> Hist
 
 
 def histogram_moments(hist: Histogram, r_max: int) -> MomentVector:
-    """Exact raw moments sum(value^r * count) / total."""
+    """Exact raw moments sum(value^r * count) / total, r <= r_max; ValueError for r_max < 0."""
+    if r_max < 0:
+        raise ValueError("r_max must be >= 0")
     entries = []
     for r in range(r_max + 1):
         entries.append(Fraction(sum(v**r * c for v, c in hist.counts.items()), hist.total))

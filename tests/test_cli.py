@@ -285,7 +285,10 @@ SAMPLER_GUARD_ARGS = [
 ]
 
 
-def test_usage_errors_exit_1():
+def test_usage_errors_exit_1(capsys):
+    # in process: the smoke tests above cover python -m momentforge
+    from momentforge.cli import main
+
     for args in (
         ["moments", "--family", "nosuch", "--n", "3"],
         ["moments", "--family", "schur", "--n", "4", "--r", "7"],
@@ -294,6 +297,10 @@ def test_usage_errors_exit_1():
         ["mgf-limit", "--family", "invmaj", "--n", "1"],
         ["mgf-limit", "--family", "invmaj", "--n", "10", "--t-min", "nan"],
         ["mgf-limit", "--family", "invmaj", "--n", "10", "--t-max", "inf"],
+        ["normality", "--family", "invmaj", "--n-grid", "4,6,8", "--threshold", "nan"],
+        ["normality", "--family", "invmaj", "--n-grid", "4,6,8", "--threshold", "inf"],
+        ["normality", "--family", "invmaj", "--n-grid", "4,6,8", "--threshold", "-inf"],
+        ["oracle", "--family", "invmaj", "--n", "3", "--r-max", "-2"],
         # only boolean has a sampling mode
         ["oracle", "--family", "domino", "--m", "2", "--n", "2", "--samples", "5", "--seed", "1"],
         ["oracle", "--family", "boolean", "--n", "3", "--k", "4"],
@@ -315,25 +322,26 @@ def test_usage_errors_exit_1():
         *ORDER_GUARD_ARGS,
         *BOOLEAN_RANGE_ARGS,
     ):
-        proc = run_cli(*args)
-        assert proc.returncode == 1, (args, proc.stderr)
-        assert proc.stdout == "", args
-        assert proc.stderr.startswith("usage error:"), (args, proc.stderr)
-        assert "Traceback" not in proc.stderr, (args, proc.stderr)
+        code = main(list(args))
+        proc = capsys.readouterr()
+        assert code == 1, (args, proc.err)
+        assert proc.out == "", args
+        assert proc.err.startswith("usage error:"), (args, proc.err)
+        assert "Traceback" not in proc.err, (args, proc.err)
         if args in SWEEP_GUARD_ARGS:
-            assert "SWEEP_GUARD size guard" in proc.stderr, (args, proc.stderr)
+            assert "SWEEP_GUARD size guard" in proc.err, (args, proc.err)
         if args in PGF_GUARD_ARGS:
-            assert "PGF_GUARD" in proc.stderr, (args, proc.stderr)
+            assert "PGF_GUARD" in proc.err, (args, proc.err)
         if args in PRINT_GUARD_ARGS:
-            assert "PRINT_GUARD" in proc.stderr, (args, proc.stderr)
+            assert "PRINT_GUARD" in proc.err, (args, proc.err)
         if args in MGF_GUARD_ARGS:
-            assert "MGF_GUARD" in proc.stderr, (args, proc.stderr)
+            assert "MGF_GUARD" in proc.err, (args, proc.err)
         if args in SAMPLER_GUARD_ARGS:
-            assert "SAMPLER_GUARD" in proc.stderr, (args, proc.stderr)
+            assert "SAMPLER_GUARD" in proc.err, (args, proc.err)
         if args in ORDER_GUARD_ARGS:
-            assert "SYMBOLIC_ORDER_GUARD" in proc.stderr, (args, proc.stderr)
+            assert "SYMBOLIC_ORDER_GUARD" in proc.err, (args, proc.err)
         if args in BOOLEAN_RANGE_ARGS:
-            assert "need 0 <= k <= n" in proc.stderr, (args, proc.stderr)
+            assert "need 0 <= k <= n" in proc.err, (args, proc.err)
 
 
 @pytest.mark.parametrize(
@@ -385,6 +393,40 @@ def test_mgf_guard_refuses_before_the_t_grid_is_built():
     proc = run_cli("mgf-limit", "--family", "board1n", "--n", "10", "--t-steps", "1000000")
     assert proc.returncode == 1 and "MGF_GUARD" in proc.stderr, proc.stderr
     assert time.monotonic() - started < 3
+
+
+# (subcommand argv, the layer it calls): every subcommand maps a failed
+# internal check to exit 2 and any other package error to exit 1
+CONTRACT_LAYERS = [
+    (["moments", "--family", "invmaj", "--n", "4"], "momentforge.families.moment_vector"),
+    (["pgf", "--family", "invmaj", "--n", "4"], "momentforge.families.invmaj.pgf"),
+    (["oracle", "--family", "invmaj", "--n", "4"], "momentforge.oracle.enumerate_permutations"),
+    (["normality", "--family", "invmaj", "--n-grid", "4,6,8"], "momentforge.families.moment_vector"),
+    (["fit", "--r", "1", "--period", "2", "--degree", "2", "--n-min", "1", "--n-max", "14"],
+     "momentforge.families.schur.first_moment"),
+    (["approx-h", "--n", "3"], "momentforge.families.boolean.h_moments"),
+    (["mgf-limit", "--family", "invmaj", "--n", "10", "--t-steps", "3"], "momentforge.families.invmaj.mgf_deviation"),
+]
+
+
+@pytest.mark.parametrize(
+    "error,code,prefix",
+    [("ConsistencyError", 2, "validation failure:"), ("SizeGuardError", 1, "usage error:")],
+    ids=["consistency-exits-2", "size-guard-exits-1"],
+)
+@pytest.mark.parametrize("args,layer", CONTRACT_LAYERS, ids=[a[0] for a, _ in CONTRACT_LAYERS])
+def test_exit_code_contract(args, layer, error, code, prefix, monkeypatch, capsys):
+    from momentforge import errors
+    from momentforge.cli import main
+
+    def planted(*_, **__):
+        raise getattr(errors, error)("planted")
+
+    monkeypatch.setattr(layer, planted)
+    assert main(args) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{prefix} planted"), captured.err
 
 
 def test_fit_verification_failure_exits_2():

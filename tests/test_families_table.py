@@ -5,10 +5,13 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from momentforge import cli, oracle
+from momentforge.errors import SizeGuardError
 from momentforge.families import FAMILIES, domino, invmaj, moment_vector
+from momentforge.families.common import TGrid, mgf_deviation
 from momentforge.moment_algebra import normality_report, raw_to_central
 from momentforge.oracle import histogram_moments
 
@@ -54,6 +57,7 @@ def test_defaults_and_capabilities():
     }
     assert [name for name, f in FAMILIES.items() if f.sample] == ["boolean"]
     assert [name for name, f in FAMILIES.items() if f.closed_forms] == ["boolean", "domino"]
+    assert [name for name, f in FAMILIES.items() if f.mgf] == ["invmaj", "domino"]
     assert FAMILIES["invmaj"].enumerate({"n": 3})[1]["joint"] == {
         "0,0": 1, "1,1": 1, "1,2": 1, "2,1": 1, "2,2": 1, "3,3": 1,
     }
@@ -92,11 +96,53 @@ def test_routes_call_layers_through_module_attributes(monkeypatch):
     spy(invmaj, "central_moments")
     spy(domino, "binomial_sums")
     spy(oracle, "enumerate_boards")
+    spy(invmaj, "mgf_deviation")
+    spy(domino, "mgf_deviation_1n")
     FAMILIES["invmaj"].pgf({"n": 4})
     FAMILIES["invmaj"].moments("raw", 4, {"n": 4})
     FAMILIES["domino"].moments("raw", 4, {"m": 2, "n": 2})
     FAMILIES["domino"].pgf({"m": 2, "n": 2})
-    assert calls == ["pgf", "central_moments", "binomial_sums", "enumerate_boards"]
+    FAMILIES["invmaj"].mgf({"n": 4}, [1], 50)
+    FAMILIES["domino"].mgf({"m": 1, "n": 4}, [1], 50)
+    assert calls == [
+        "pgf", "central_moments", "binomial_sums", "enumerate_boards", "mgf_deviation", "mgf_deviation_1n",
+    ]
+
+
+def test_mgf_routes_are_the_family_deviations():
+    grid = TGrid(Fraction(-2), Fraction(2), 9)
+    assert len(grid) == 9 and list(grid) == [Fraction(x, 2) for x in range(-4, 5)]
+    assert FAMILIES["invmaj"].mgf({"n": 30}, grid, 60) == invmaj.mgf_deviation(30, list(grid), 60)
+    assert FAMILIES["domino"].mgf({"m": 1, "n": 30}, grid, 50) == domino.mgf_deviation_1n(30, list(grid))
+    with pytest.raises(ValueError, match="1-by-n"):
+        FAMILIES["domino"].mgf({"m": 2, "n": 30}, grid, 50)
+
+
+def test_the_shared_mgf_loop():
+    """pgf_at once per call at the working precision, G(1) = 1 unread, the guard before any t."""
+    made, read = [], []
+
+    def pgf_at():
+        made.append(mpmath.mp.dps)
+
+        def at(u):  # G(e^{2u}) = e^{2u^2} is e^{t^2/2} exactly at sigma = 1
+            read.append(u)
+            return mpmath.e ** (2 * u * u)
+
+        return at
+
+    sup, rows = mgf_deviation(Fraction(1), 3, pgf_at, TGrid(Fraction(-1), Fraction(1), 5), 80)
+    assert made == [80] and len(read) == 4
+    assert [t for t, _ in rows] == [-1, Fraction(-1, 2), 0, Fraction(1, 2), 1]
+    assert rows[2][1] == 0 and sup < mpmath.mpf(10) ** -75
+
+    class Unread(TGrid):
+        def __iter__(self):
+            raise AssertionError("a t point was read past the guard")
+
+    with pytest.raises(SizeGuardError, match="MGF_GUARD"):
+        mgf_deviation(Fraction(1), 3, pgf_at, Unread(Fraction(0), Fraction(1), 10**6), 50)
+    assert made == [80]
 
 
 @pytest.mark.parametrize(
