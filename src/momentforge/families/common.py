@@ -186,14 +186,15 @@ def binomial_row(N: int) -> list[int]:
 
 
 # Bound on the work of an MGF deviation, in units of one mpmath evaluation
-# at 50 digits.  A t point costs its route's own evaluations (n sinh-log
-# pairs for invmaj, none for the 1-by-n board) plus about 8 units for the
-# Gaussian target, the exponential and the printed row; at d > 50 digits
-# each unit weighs (d / 50)^2, which overstates the cost of high precision.
-# The slowest requests inside it are at 50 digits: invmaj n = 11756 with 17
-# steps, or n = 2 with 20000 steps, take 2 to 5 s as whole processes on one
-# Intel Xeon core (the host's speed varies); a 1-by-n board with 25000 steps
-# about half that.
+# at 50 digits.  A t point costs its route's own evaluations (n for invmaj,
+# whose about 2n multiply-adds of geometric partial sums weigh less than
+# that, none for the 1-by-n board) plus about 8 units for the Gaussian
+# target, the exponential and the printed row; at d > 50 digits each unit
+# weighs (d / 50)^2, which overstates the cost of high precision.  The
+# slowest requests inside it are at 50 digits: invmaj n = 2 with 20000
+# steps and a 1-by-n board with 25000 steps take 3 to 4 s as whole
+# processes on one Intel Xeon core (the host's speed varies); invmaj
+# n = 11756 with 17 steps, the largest n served, takes 1.6 to 1.8 s.
 MGF_GUARD = 2 * 10**5
 
 

@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction as Fr
 
+import mpmath
 import pytest
 
-from momentforge.families import invmaj, moment_vector
+from momentforge.families import common, invmaj, moment_vector
 from momentforge.oracle import enumerate_permutations
 from momentforge.poly_series import Polynomial
 
@@ -203,6 +204,74 @@ def test_mgf_deviation_decreases():
     assert sups[1] < sups[0]
     sup0, rows = invmaj.mgf_deviation(10, [0])
     assert sup0 == 0 and rows[0][1] == 0
+
+
+def _sinh_log_deviation(n, t_values, dps):
+    """Reference: G_n(e^{2u}) = (1/n!) prod_i sinh(i u)/sinh(u), summed in logs."""
+    def pgf_at():
+        logfact = sum(mpmath.log(mpmath.mpf(i)) for i in range(2, n + 1))
+
+        def at(u):
+            logphi = -logfact - n * mpmath.log(mpmath.sinh(u))
+            for i in range(1, n + 1):
+                logphi += mpmath.log(mpmath.sinh(i * u))
+            return mpmath.e**logphi
+
+        return at
+
+    return common.mgf_deviation(invmaj.mean_variance(n)[1], n, pgf_at, t_values, dps)
+
+
+def _printed(sup, rows):
+    return mpmath.nstr(sup, 17), [(mpmath.nstr(t, 17), mpmath.nstr(d, 17)) for t, d in rows]
+
+
+MGF_GRIDS = [(Fr(-2), Fr(2), 17), (Fr(-1, 1000), Fr(1, 1000), 9), (Fr(-6), Fr(6), 9)]
+
+
+@pytest.mark.parametrize("dps", [50, 120])
+@pytest.mark.parametrize("lo, hi, steps", MGF_GRIDS)
+def test_mgf_partial_sums_print_as_the_sinh_log_product(lo, hi, steps, dps):
+    grid = common.TGrid(lo, hi, steps)
+    for n in [*range(2, 41), 400, 2000]:
+        got = _printed(*invmaj.mgf_deviation(n, grid, dps))
+        assert got == _printed(*_sinh_log_deviation(n, grid, dps)), n
+
+
+def test_mgf_matches_the_mahonian_row():
+    # G_n(e^{t/sigma}) = q^{-n(n-1)/4} sum_d row[d] q^d / n! with q = e^{t/sigma}
+    grid = [*common.TGrid(Fr(-2), Fr(2), 17), *common.TGrid(Fr(-6), Fr(6), 9)]
+    for n in range(2, 16):
+        row = invmaj._mahonian_row(n)
+        _, rows = invmaj.mgf_deviation(n, grid, 100)
+        with mpmath.workdps(100):
+            var = invmaj.mean_variance(n)[1]
+            sigma = mpmath.sqrt(mpmath.mpf(var.numerator) / var.denominator)
+            for t, got in rows:
+                q = mpmath.exp(t / sigma)
+                phi = sum(c * q**d for d, c in enumerate(row)) / (math.factorial(n) * q ** (Fr(n * (n - 1), 4)))
+                want = abs(phi - mpmath.exp(t * t / 2))
+                if want == 0:
+                    assert got == 0, (n, t)
+                else:
+                    assert abs(got / want - 1) < mpmath.mpf(10) ** -40, (n, t)
+
+
+def test_mgf_is_real_below_zero(monkeypatch):
+    routes = []
+    real_loop = common.mgf_deviation
+
+    def spy(variance, evaluations, pgf_at, t_values, dps):
+        routes.append(pgf_at)
+        return real_loop(variance, evaluations, pgf_at, t_values, dps)
+
+    monkeypatch.setattr(common, "mgf_deviation", spy)
+    for n in (2, 3, 50, 400):
+        _, rows = invmaj.mgf_deviation(n, [Fr(-2), Fr(-1, 1000), Fr(-6)])
+        assert all(type(dev) is mpmath.mpf for _, dev in rows), n
+        with mpmath.workdps(50):
+            at = routes[-1]()
+            assert all(type(at(mpmath.mpf(u))) is mpmath.mpf for u in (-3, "-0.25", "-1e-9")), n
 
 
 def test_mgf_needs_n_at_least_two():
