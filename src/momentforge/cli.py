@@ -177,8 +177,9 @@ def _moment_command(kind: str, subcommand: str) -> None:
     @click.option("--r", "--r-max", "r_max", type=int, default=4, show_default=True, help="Highest moment order.")
     def command(family, n, c, m, k, r_max):
         entry, params = _family_params(family, n=n, c=c, m=m, k=k)
+        # the texts first: past SYMBOLIC_ORDER_GUARD they refuse before any number is built
+        closed_forms = families.closed_forms(family, kind, r_max, params)
         vec = families.moment_vector(family, kind, r_max, params)
-        closed_forms = entry.closed_forms(kind, r_max, params) if entry.closed_forms else None
         result = {
             "family": family,
             "params": params,

@@ -4,13 +4,18 @@
 as ``FAMILY`` in the family's own module.  An entry declares the family's
 parameters and their defaults, its sample-space size (and a lower bound on
 its bit length, cheap where the size is not), its moment route (with the
-highest order it serves), the closed-form texts of those moments where
-they are exact, its PGF route, its oracle (exhaustive, and sampled for
-boolean) and its MGF deviation where it has one (invmaj, and domino on a
-1-by-n board, both through the shared loop ``common.mgf_deviation``).
-``moment_vector`` is the one checked way to the moments: the moment
-subcommands, ``fit`` and every point of a normality grid go through it.
-The functions below and every CLI subcommand are lookups in this table.
+highest order it serves) and its mean, the closed-form texts of those
+moments where they are exact, its PGF route, its oracle (exhaustive, and
+sampled for boolean) and its MGF deviation where it has one (invmaj, and
+domino on a 1-by-n board, both through the shared loop
+``common.mgf_deviation``).  ``moment_vector`` is the one checked way to
+the moments: the moment subcommands, ``fit`` and every point of a
+normality grid go through it.  It converts the one vector a family's route
+computes (raw: schur, the domino transfer matrix, boolean k >= 1; central:
+invmaj, the domino mu-domain, boolean k = 0) in one place,
+``moment_algebra.convert``; ``closed_forms`` checks a request for the
+printed texts as it does.  The functions below and every CLI subcommand
+are lookups in this table.
 
 IDs and parameters:
 
@@ -26,7 +31,7 @@ from typing import Mapping
 
 from momentforge.families import boolean, domino, invmaj, schur
 from momentforge.families.common import SYMBOL_LEGEND, Family
-from momentforge.moment_algebra import KINDS, MomentVector
+from momentforge.moment_algebra import KINDS, MomentVector, convert
 
 FAMILIES: dict[str, Family] = {
     f.name: f for f in (schur.FAMILY, invmaj.FAMILY, boolean.FAMILY, domino.FAMILY)
@@ -42,6 +47,7 @@ __all__ = [
     "schur",
     "validate_family",
     "moment_vector",
+    "closed_forms",
 ]
 
 
@@ -54,16 +60,8 @@ def validate_family(family: str) -> Family:
     return entry
 
 
-def moment_vector(family: str, kind: str, r_max: int, params: Mapping) -> MomentVector:
-    """The exact MomentVector of the requested kind, orders 0..r_max.
-
-    Raises ValueError for parameters outside the family and for an order
-    past the family's routes (the oracle subcommand covers those
-    numerically), and SizeGuardError when a domino board is beyond the
-    transfer-matrix guard or a vector built over polynomials is past
-    ``common.SYMBOLIC_ORDER_GUARD``.  The printed closed forms are the entry's
-    separate ``closed_forms`` route.
-    """
+def _request(family: str, kind: str, r_max: int, params: Mapping) -> tuple[Family, dict]:
+    """The entry and resolved parameters of a moment request, once it is checked."""
     entry = validate_family(family)
     if kind not in KINDS:
         raise ValueError(f"unknown moment kind {kind!r}")
@@ -76,4 +74,25 @@ def moment_vector(family: str, kind: str, r_max: int, params: Mapping) -> Moment
             f"{family} closed forms for {p} stop at r = {limit}; "
             "use the oracle subcommand for higher orders"
         )
-    return entry.moments(kind, r_max, p)
+    return entry, p
+
+
+def moment_vector(family: str, kind: str, r_max: int, params: Mapping) -> MomentVector:
+    """The exact MomentVector of the requested kind, orders 0..r_max.
+
+    The family's ``moments`` route converted about its ``mean``.  Raises
+    ValueError for parameters outside the family and for an order past its
+    routes (the oracle subcommand covers those numerically), and
+    SizeGuardError past a route's size guard.
+    """
+    entry, p = _request(family, kind, r_max, params)
+    return convert(entry.moments(r_max, p), kind, entry.mean(p))
+
+
+def closed_forms(family: str, kind: str, r_max: int, params: Mapping) -> list[str] | None:
+    """The printed texts of a ``moment_vector`` request, checked as it is; None where there are none.
+
+    Past ``common.SYMBOLIC_ORDER_GUARD`` it raises SizeGuardError before building any.
+    """
+    entry, p = _request(family, kind, r_max, params)
+    return entry.closed_forms(kind, r_max, p) if entry.closed_forms else None

@@ -1,14 +1,15 @@
 """Subcube counts of random boolean functions.
 
 The 0-cube count is Binomial(2^n, 1/2), a sum of 2^n independent fair
-coins: its raw and central moments are polynomials in W = 2^n from the
-shared cumulant route (``common.half_binomial_moments``), and its binomial
-moments are the central ones of Binomial(2w, 1/2) in w = 2^(n-1),
-converted once.  Each route builds one vector for its highest order and
-the numeric moments evaluate it at n.  For k >= 1
-the first and second moments come from the overlap sum over pairs of
-k-cubes intersecting in an i-cube; the third moment is known for k = 1
-only.  H_n(q) is the independence approximation of the k-cube PGF.
+coins: its numbers are central moments on the integer 2^n from the shared
+cumulant route (``common.half_binomial_moments``), its printed raw and
+central moments polynomials in W = 2^n, and its binomial moments the
+central ones of Binomial(2w, 1/2) in w = 2^(n-1), converted once.  For
+k >= 1 the first and second raw moments come from the overlap sum over
+pairs of k-cubes intersecting in an i-cube; the third is known for k = 1
+only.  They are evaluated at n for the numbers and converted to every
+printed kind as the numbers are.  H_n(q) is the independence
+approximation of the k-cube PGF.
 
 PGFs are rows of integer counts over one total, divided once per
 coefficient.  The 0-cube PGF is the binomial row C(2^n, d) over 2^(2^n).
@@ -36,7 +37,7 @@ from momentforge.families.common import (
     half_binomial_series,
     pgf_total,
 )
-from momentforge.moment_algebra import MomentVector, raw_to_binomial, raw_to_central
+from momentforge.moment_algebra import MomentVector, convert, raw_to_binomial, raw_to_central
 from momentforge.poly_series import Polynomial, TruncatedSeries
 
 __all__ = [
@@ -169,8 +170,6 @@ def _raw_moments_k(k: int, r_max: int) -> MomentVector:
 
 
 def central_moments_k1(r_max: int) -> MomentVector:
-    if r_max > 3:
-        raise ValueError("k=1 closed forms stop at the third moment")
     return raw_to_central(raw_moments_k1(r_max), first_moment_k(1))
 
 
@@ -291,28 +290,22 @@ def _max_order(p: dict) -> int | None:
     return None if p["k"] == 0 else 3 if p["k"] == 1 else 2
 
 
-def _symbolic(kind: str, r_max: int, k: int) -> MomentVector:
-    """The moments in W (k = 0 binomial: in w), coefficients in n.
-
-    For k >= 1 the binomial moments come from the central ones, which are
-    the vector returned.
-    """
+def _moments(r_max: int, p: dict) -> MomentVector:
+    """k = 0: the central moments of Binomial(2^n, 1/2) on integers; k >= 1: the raw forms at n."""
+    n, k = p["n"], p["k"]
     if k == 0:
-        return {"raw": raw_moments_k0, "central": central_moments_k0, "binomial": binomial_moments_k0}[kind](r_max)
-    sym = _raw_moments_k(k, r_max)
-    return sym if kind == "raw" else raw_to_central(sym, first_moment_k(k))
-
-
-def _moments(kind: str, r_max: int, p: dict) -> MomentVector:
-    """The symbolic moments of :func:`_symbolic`, evaluated at n."""
-    sym = _symbolic(kind, r_max, p["k"])
-    vec = MomentVector(sym.kind, [eval_at_n(e, p["n"]) for e in sym.entries], sym.about_mean)
-    return vec if sym.kind == kind else raw_to_binomial(vec)
+        return MomentVector("central", half_binomial_moments(1 << n, r_max, central=True))
+    return MomentVector("raw", [eval_at_n(e, n) for e in _raw_moments_k(k, r_max).entries])
 
 
 def _closed_forms(kind: str, r_max: int, p: dict) -> list[str]:
-    """The texts of the vector the moments are evaluated from."""
-    return [e.to_text() for e in _symbolic(kind, r_max, p["k"]).entries]
+    """The moments in W (k = 0 binomial: in w), coefficients in n."""
+    k = p["k"]
+    if k == 0:
+        sym = {"raw": raw_moments_k0, "central": central_moments_k0, "binomial": binomial_moments_k0}[kind](r_max)
+    else:
+        sym = convert(_raw_moments_k(k, r_max), kind, first_moment_k(k))
+    return [e.to_text() for e in sym.entries]
 
 
 def _closed_pgf(p: dict) -> Polynomial | None:
@@ -333,6 +326,7 @@ FAMILY = Family(
     space_bits=lambda p: (1 << p["n"]) + 1,
     max_order=_max_order,
     moments=_moments,
+    mean=lambda p: Fraction(1 << p["n"], 2) if p["k"] == 0 else eval_at_n(first_moment_k(p["k"]), p["n"]),
     closed_pgf=_closed_pgf,
     enumerate=lambda p: (oracle.enumerate_boolean(p["n"], p["k"]), {}),
     sample=lambda p, samples, seed: oracle.sample_boolean(p["n"], p["k"], samples, seed),

@@ -186,15 +186,15 @@ def binomial_row(N: int) -> list[int]:
 
 
 # Bound on the work of an MGF deviation, in units of one mpmath evaluation
-# at 50 digits.  A t point costs its route's own evaluations (n for invmaj,
-# whose about 2n multiply-adds of geometric partial sums weigh less than
-# that, none for the 1-by-n board) plus about 8 units for the Gaussian
-# target, the exponential and the printed row; at d > 50 digits each unit
-# weighs (d / 50)^2, which overstates the cost of high precision.  The
-# slowest requests inside it are at 50 digits: invmaj n = 2 with 20000
-# steps and a 1-by-n board with 25000 steps take 3 to 4 s as whole
-# processes on one Intel Xeon core (the host's speed varies); invmaj
-# n = 11756 with 17 steps, the largest n served, takes 1.6 to 1.8 s.
+# at 50 digits.  A t point costs its route's own evaluations (ceil(n/2)
+# for invmaj, whose about 2n multiply-adds of geometric partial sums cost
+# about 0.4 units per n, none for the 1-by-n board) plus about 8 units for
+# the Gaussian target, the exponential and the printed row; at d > 50
+# digits each unit weighs (d / 50)^2, which overstates the cost of high
+# precision.  The slowest requests inside it are at 50 digits: invmaj
+# n = 2 with 20000 steps and a 1-by-n board with 25000 steps take 2.5 to
+# 4 s as whole processes on one Intel Xeon core (the host's speed varies);
+# invmaj n = 23512 with 17 steps, the largest n served, takes 1.8 to 2.3 s.
 MGF_GUARD = 2 * 10**5
 
 
@@ -263,8 +263,10 @@ class Family:
     Each route takes the resolved parameters (``resolve``), the size ``n``
     included.  Moments are asked for through ``families.moment_vector``,
     which checks the parameters and the order against ``max_order`` before
-    the ``moments`` route runs; ``closed_forms`` prints the symbolic forms
-    of a vector so served and is never needed for its values.  ``mgf``, the
+    the ``moments`` route runs.  That route returns the one vector the
+    family computes, raw or central; ``moment_vector`` converts it about
+    the ``mean`` route, E[X].  ``closed_forms`` prints the symbolic forms of
+    the requested kind and is never needed for the values.  ``mgf``, the
     MGF deviation on a t grid, runs the shared loop ``mgf_deviation``, where
     a family has one (invmaj, and domino on a 1-by-n board).  Routes call
     the family's layer functions through module globals at call time, never
@@ -280,8 +282,10 @@ class Family:
     space_bits: Callable[[dict], float]
     # highest moment order the moment route serves; None: every order
     max_order: Callable[[dict], int | None]
-    # the exact moment vector (kind, r_max, params) for kind raw | central | binomial
-    moments: Callable[[str, int, dict], MomentVector]
+    # the exact moment vector (r_max, params) the family computes, raw or central
+    moments: Callable[[int, dict], MomentVector]
+    # E[X] (params), the shift between raw and central moments
+    mean: Callable[[dict], Fraction]
     # the closed-form PGF, or None where the oracle's histogram serves it
     closed_pgf: Callable[[dict], Polynomial | None]
     # exhaustive histogram plus extra result fields (invmaj: its joint histogram)

@@ -34,7 +34,6 @@ import mpmath
 
 from momentforge import oracle
 from momentforge.errors import ConsistencyError, SizeGuardError
-from momentforge.exact_core import stirling2
 from momentforge.families import common
 from momentforge.families.common import (
     Family,
@@ -44,7 +43,7 @@ from momentforge.families.common import (
     half_binomial_series,
     pgf_total,
 )
-from momentforge.moment_algebra import MomentVector, raw_to_binomial, raw_to_central
+from momentforge.moment_algebra import MomentVector, binomial_to_raw, convert, raw_to_binomial
 from momentforge.poly_series import Polynomial, TruncatedSeries
 
 __all__ = [
@@ -96,27 +95,25 @@ def in_closed_form_domain(m: int, n: int, r: int) -> bool:
     return r <= 3 or min(m, n) == 1
 
 
-def raw_moments(m: int, n: int, r_max: int) -> MomentVector:
-    """Exact E[X^r] for r = 0..r_max on the m-by-n board.
+def _moments(r_max: int, p: dict) -> MomentVector:
+    """Central moments of Binomial(A, 1/2) on the domain of the mu-polynomials, else raw ones.
 
-    Route: Binomial(A, 1/2) on the domain of the mu-polynomials (see
-    :func:`in_closed_form_domain`), else the transfer matrix behind
-    :func:`binomial_sums`, with E[X^q] = sum_k S(q,k) k! b_k / 2^{mn}.
+    The raw ones come from the transfer matrix's E[C(X, k)] = b_k / 2^{mn} (:func:`binomial_sums`).
     """
+    m, n = p["m"], p["n"]
     _check(m, n)
     if r_max < 0:
         raise ValueError("need r >= 0")
     if in_closed_form_domain(m, n, r_max):
-        entries = half_binomial_moments(slot_count(m, n), r_max, central=False)
-    else:
-        b = binomial_sums(m, n, r_max)
-        total = 2 ** (m * n)
-        means = [Fraction(b_k, total) for b_k in b]  # E[C(X, k)]
-        entries = [
-            sum(stirling2(q, k) * math.factorial(k) * means[k] for k in range(q + 1))
-            for q in range(r_max + 1)
-        ]
-    return MomentVector("raw", entries)
+        return MomentVector("central", half_binomial_moments(slot_count(m, n), r_max, central=True))
+    b = binomial_sums(m, n, r_max)
+    total = 2 ** (m * n)
+    return binomial_to_raw(MomentVector("binomial", [Fraction(b_k, total) for b_k in b]))
+
+
+def raw_moments(m: int, n: int, r_max: int) -> MomentVector:
+    """Exact E[X^r] for r = 0..r_max on the m-by-n board, converted from :func:`_moments`."""
+    return convert(_moments(r_max, {"m": m, "n": n}), "raw", mean(m, n))
 
 
 def raw_moment(m: int, n: int, r: int) -> Fraction:
@@ -142,15 +139,8 @@ def central_moments_symbolic(r_max: int) -> MomentVector:
 
 
 def central_moments(m: int, n: int, r_max: int) -> MomentVector:
-    """Exact E[(X-mu)^r] for r = 0..r_max on the m-by-n board.
-
-    Route: Binomial(A, 1/2) on the domain of the mu-polynomials, else the
-    transfer matrix via :func:`raw_moments`.
-    """
-    if not in_closed_form_domain(m, n, r_max):
-        return raw_to_central(raw_moments(m, n, r_max), mean(m, n))
-    entries = half_binomial_moments(slot_count(m, n), r_max, central=True)
-    return MomentVector("central", entries)
+    """Exact E[(X-mu)^r] for r = 0..r_max on the m-by-n board, converted from :func:`_moments`."""
+    return convert(_moments(r_max, {"m": m, "n": n}), "central", mean(m, n))
 
 
 # Bound on w*max(S*2^w, L)*r for w = min(m, n), L = max(m, n) and
@@ -353,13 +343,6 @@ def _check(m: int, n: int) -> None:
         raise ValueError("need m, n >= 1")
 
 
-def _moments(kind: str, r_max: int, p: dict) -> MomentVector:
-    m, n = p["m"], p["n"]
-    if kind == "binomial":
-        return raw_to_binomial(central_moments(m, n, r_max))
-    return (raw_moments if kind == "raw" else central_moments)(m, n, r_max)
-
-
 def _closed_forms(kind: str, r_max: int, p: dict) -> list[str] | None:
     """The mu-polynomial texts of raw and central moments, only where every order is exact."""
     if kind == "binomial" or not in_closed_form_domain(p["m"], p["n"], r_max):
@@ -385,6 +368,7 @@ FAMILY = Family(
     space_bits=lambda p: p["m"] * p["n"] + 1,
     max_order=lambda p: None,
     moments=_moments,
+    mean=lambda p: mean(p["m"], p["n"]),
     closed_pgf=_closed_pgf,
     enumerate=lambda p: (oracle.enumerate_boards(p["m"], p["n"]), {}),
     closed_forms=_closed_forms,

@@ -27,7 +27,7 @@ from typing import Sequence
 from momentforge import oracle
 from momentforge.errors import SizeGuardError
 from momentforge.families.common import Family
-from momentforge.moment_algebra import MomentVector, raw_to_binomial, raw_to_central
+from momentforge.moment_algebra import MomentVector
 from momentforge.poly_series import Polynomial, QuasiPolynomial
 
 __all__ = [
@@ -192,17 +192,12 @@ def _check(n: int, c: int) -> None:
         raise ValueError("need c >= 2")
 
 
-def _moments(kind: str, r_max: int, p: dict) -> MomentVector:
+def _moments(r_max: int, p: dict) -> MomentVector:
     n, c = p["n"], p["c"]
-    e1 = first_moment(n, c)
-    entries = [Fraction(1), e1]
+    entries = [Fraction(1), first_moment(n, c)]
     if r_max >= 2:
         entries.append(second_moment(n, c))
-    raw = MomentVector("raw", entries[: r_max + 1])
-    if kind == "raw":
-        return raw
-    central = raw_to_central(raw, e1)
-    return central if kind == "central" else raw_to_binomial(central)
+    return MomentVector("raw", entries[: r_max + 1])
 
 
 FAMILY = Family(
@@ -213,6 +208,7 @@ FAMILY = Family(
     space_bits=lambda p: p["n"] * math.log2(p["c"]),
     max_order=lambda p: 2,
     moments=_moments,
+    mean=lambda p: first_moment(p["n"], p["c"]),
     closed_pgf=lambda p: None,
     enumerate=lambda p: (oracle.enumerate_schur(p["n"], p["c"]), {}),
 )

@@ -1,9 +1,11 @@
 """Conversions among raw, central, and binomial moments, and normality reports.
 
-The binomial moment of order r is E[C(X - center, r)]; converting to power
-moments uses Stirling numbers of the second kind, the inverse direction the
-signed first kind.  Gaussian targets are (2s)!/(2^s s!) for even order 2s
-and 0 for odd order.
+``convert`` is the one way between the kinds: raw and central moments are
+one binomial shift by the mean apart, and binomial moments are taken about
+the mean, from the central ones.  The binomial moment of order r is
+E[C(X - center, r)]; converting to power moments uses Stirling numbers of
+the second kind, the inverse direction the signed first kind.  Gaussian
+targets are (2s)!/(2^s s!) for even order 2s and 0 for odd order.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Mapping, Sequence
 
 import mpmath
 
-from momentforge.exact_core import binomial, stirling1_signed, stirling2
+from momentforge.exact_core import stirling1_signed, stirling2
 from momentforge.poly_series import Polynomial
 
 __all__ = [
@@ -27,6 +29,7 @@ __all__ = [
     "raw_to_binomial",
     "raw_to_central",
     "central_to_raw",
+    "convert",
     "gaussian_moment",
     "normalized_moments",
     "normality_report",
@@ -85,60 +88,73 @@ def binomial_to_raw(vec: MomentVector) -> MomentVector:
     """
     if vec.kind != "binomial":
         raise ValueError("binomial_to_raw expects a binomial MomentVector")
-    out = []
-    for r in range(vec.r_max + 1):
-        acc = Fraction(0)
-        for i in range(r + 1):
-            acc = acc + Fraction(stirling2(r, i) * math.factorial(i)) * vec.entries[i]
-        out.append(acc)
-    kind = "central" if vec.about_mean else "raw"
-    return MomentVector(kind, out, vec.about_mean)
+    e = vec.entries
+    out = [
+        sum((stirling2(r, i) * math.factorial(i) * e[i] for i in range(r + 1)), Fraction(0))
+        for r in range(vec.r_max + 1)
+    ]
+    return MomentVector("central" if vec.about_mean else "raw", out, vec.about_mean)
 
 
 def raw_to_binomial(vec: MomentVector) -> MomentVector:
     """Inverse of :func:`binomial_to_raw` via signed Stirling numbers."""
     if vec.kind == "binomial":
         raise ValueError("raw_to_binomial expects power moments")
-    out = []
-    for r in range(vec.r_max + 1):
-        acc = Fraction(0)
-        for k in range(r + 1):
-            acc = acc + Fraction(stirling1_signed(r, k)) * vec.entries[k]
-        out.append(acc * Fraction(1, math.factorial(r)))
+    e = vec.entries
+    out = [
+        sum((stirling1_signed(r, k) * e[k] for k in range(r + 1)), Fraction(0)) / math.factorial(r)
+        for r in range(vec.r_max + 1)
+    ]
     return MomentVector("binomial", out, about_mean=(vec.kind == "central"))
 
 
-def raw_to_central(vec: MomentVector, mu) -> MomentVector:
-    """Moments about the mean via the binomial transform.
+def _shift(vec: MomentVector, mu) -> list:
+    """E[(Y + mu)^r] = sum_i C(r, i) E[Y^i] mu^(r-i), r <= r_max, from the entries E[Y^i] of ``vec``.
 
-    ``mu`` must equal the first raw moment where the vector has one; the
-    order-1 central entry comes out exactly 0.
+    The one binomial shift between raw and central moments, by running
+    powers of ``mu``; over Fractions or Polynomials alike.
     """
+    powers = [mu**0]
+    for _ in range(vec.r_max):
+        powers.append(powers[-1] * mu)
+    e = vec.entries
+    return [
+        sum((math.comb(r, i) * e[i] * powers[r - i] for i in range(r + 1)), Fraction(0))
+        for r in range(vec.r_max + 1)
+    ]
+
+
+def raw_to_central(vec: MomentVector, mu) -> MomentVector:
+    """Moments about the mean, the raw ones shifted by -mu; ``mu`` must be the first raw moment."""
     if vec.kind != "raw":
         raise ValueError("raw_to_central expects raw moments")
     if vec.r_max >= 1 and not vec.entries[1] == mu:
         raise ValueError(f"mu={mu!r} does not match first raw moment {vec.entries[1]!r}")
-    out = []
-    for r in range(vec.r_max + 1):
-        acc = Fraction(0)
-        for i in range(r + 1):
-            sign = Fraction(-1) ** (r - i)
-            acc = acc + sign * binomial(r, i) * vec.entries[i] * mu ** (r - i)
-        out.append(acc)
-    return MomentVector("central", out)
+    return MomentVector("central", _shift(vec, -mu))
 
 
 def central_to_raw(vec: MomentVector, mu) -> MomentVector:
     """Inverse of :func:`raw_to_central`: E[X^r] = sum_i C(r,i) central_i mu^{r-i}."""
     if vec.kind != "central":
         raise ValueError("central_to_raw expects central moments")
-    out = []
-    for r in range(vec.r_max + 1):
-        acc = Fraction(0)
-        for i in range(r + 1):
-            acc = acc + binomial(r, i) * vec.entries[i] * mu ** (r - i)
-        out.append(acc)
-    return MomentVector("raw", out)
+    return MomentVector("raw", _shift(vec, mu))
+
+
+def convert(vec: MomentVector, kind: str, mean) -> MomentVector:
+    """The raw or central ``vec`` as moments of ``kind``, X having the mean ``mean``.
+
+    Raw and central moments are one shift by the mean apart; binomial ones,
+    E[C(X - mean, r)], come from the central ones.  Nothing converts there
+    and back: a vector already of ``kind`` is returned as it is.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown moment kind {kind!r}")
+    if vec.kind == kind:
+        return vec
+    if kind == "raw":
+        return central_to_raw(vec, mean)
+    central = vec if vec.kind == "central" else raw_to_central(vec, mean)
+    return central if kind == "central" else raw_to_binomial(central)
 
 
 def gaussian_moment(r: int) -> Fraction:

@@ -97,12 +97,6 @@ class Histogram:
     def to_csv_rows(self) -> list[tuple[int, int]]:
         return sorted(self.counts.items())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "counts": {str(v): c for v, c in sorted(self.counts.items())},
-        }
-
 
 def merge_histograms(parts: Iterable[Histogram]) -> Histogram:
     """Exact integer merge; order-independent by associativity of +."""

@@ -254,7 +254,7 @@ PRINT_GUARD_ARGS = [
 # past MGF_GUARD on the t points' evaluations (17 steps by default), weighed
 # by the precision
 MGF_GUARD_ARGS = [
-    ["mgf-limit", "--family", "invmaj", "--n", "11765"],
+    ["mgf-limit", "--family", "invmaj", "--n", "23513"],
     ["mgf-limit", "--family", "invmaj", "--n", "1000000", "--t-steps", "2"],
     ["mgf-limit", "--family", "invmaj", "--n", "400", "--precision", "800"],
     ["mgf-limit", "--family", "board1n", "--n", "11764", "--precision", "20000"],

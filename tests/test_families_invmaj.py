@@ -147,7 +147,8 @@ def test_cumulant_route_matches_recurrence_at_order_20():
 
 def test_moment_requests_build_no_p_coefficients():
     invmaj.p_coefficient.cache_clear()
-    invmaj.FAMILY.moments("raw", 12, {"n": 50})
+    invmaj.FAMILY.moments(12, {"n": 50})
+    moment_vector("invmaj", "raw", 12, {"n": 50})
     moment_vector("invmaj", "central", 8, {"n": 400})
     assert invmaj.p_coefficient.cache_info().currsize == 0
 
@@ -285,7 +286,7 @@ def test_mgf_guard_weighs_precision():
 
     # (route evaluations per t, steps, digits): the last served, the first refused
     edges = [
-        ((11756, 17, 50), (11757, 17, 50)),  # invmaj at the default precision
+        ((11756, 17, 50), (11757, 17, 50)),  # invmaj n = 23512 and 23513 at the default precision
         ((400, 17, 268), (400, 17, 269)),  # the benchmark job's size, highest precision
         ((0, 17, 1917), (0, 17, 1918)),  # board1n
         ((0, 25000, 50), (0, 25001, 50)),
@@ -295,3 +296,12 @@ def test_mgf_guard_weighs_precision():
         with pytest.raises(SizeGuardError, match="MGF_GUARD"):
             mgf_digits(*refused)
     assert mgf_digits(400, 17, 10) == 50  # never below 50 digits
+
+
+def test_mgf_weighs_an_invmaj_point_as_half_n_evaluations(monkeypatch):
+    # about 2n multiply-adds per t point cost about 0.4 evaluations per n
+    weighed = []
+    monkeypatch.setattr(common, "mgf_deviation", lambda variance, evaluations, *rest: weighed.append(evaluations))
+    for n in (2, 3, 23512, 23513):
+        invmaj.mgf_deviation(n, [1])
+    assert weighed == [1, 2, 11756, 11757]

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +11,7 @@ import pytest
 
 from momentforge import cli, oracle
 from momentforge.errors import SizeGuardError
+from momentforge.exact_core import falling_factorial
 from momentforge.families import FAMILIES, domino, invmaj, moment_vector
 from momentforge.families.common import TGrid, mgf_deviation
 from momentforge.moment_algebra import normality_report, raw_to_central
@@ -44,8 +46,26 @@ def test_routes_match_the_oracle(family, params, source):
     assert entry.space_size(params) == hist.total
     limit = entry.max_order(params)
     r_max = ORDER_CAP if limit is None else limit
-    vec = entry.moments("raw", r_max, params)
-    assert tuple(vec.entries) == tuple(histogram_moments(hist, r_max).entries)
+    raw = histogram_moments(hist, r_max)
+    mu = hist.mean()
+    assert entry.mean(params) == mu
+    # E[(X - mu)^r] and E[C(X - mu, r)] summed over the histogram itself
+    expected = {
+        "raw": raw.entries,
+        "central": tuple(
+            sum(c * (v - mu) ** r for v, c in hist.counts.items()) / hist.total for r in range(r_max + 1)
+        ),
+        "binomial": tuple(
+            sum(c * falling_factorial(v - mu, r) for v, c in hist.counts.items())
+            / (hist.total * math.factorial(r))
+            for r in range(r_max + 1)
+        ),
+    }
+    vec = entry.moments(r_max, params)
+    assert vec.kind in ("raw", "central")
+    assert tuple(vec.entries) == tuple(expected[vec.kind])
+    for kind, entries in expected.items():
+        assert tuple(moment_vector(family, kind, r_max, params).entries) == tuple(entries), kind
 
 
 def test_defaults_and_capabilities():
@@ -99,8 +119,8 @@ def test_routes_call_layers_through_module_attributes(monkeypatch):
     spy(invmaj, "mgf_deviation")
     spy(domino, "mgf_deviation_1n")
     FAMILIES["invmaj"].pgf({"n": 4})
-    FAMILIES["invmaj"].moments("raw", 4, {"n": 4})
-    FAMILIES["domino"].moments("raw", 4, {"m": 2, "n": 2})
+    FAMILIES["invmaj"].moments(4, {"n": 4})
+    FAMILIES["domino"].moments(4, {"m": 2, "n": 2})
     FAMILIES["domino"].pgf({"m": 2, "n": 2})
     FAMILIES["invmaj"].mgf({"n": 4}, [1], 50)
     FAMILIES["domino"].mgf({"m": 1, "n": 4}, [1], 50)
@@ -246,3 +266,42 @@ def test_normality_builds_no_closed_form_texts(monkeypatch, capsys):
     assert calls == [("central", 8, {"m": 1, "n": 10})]
     assert domino.central_moments_symbolic.cache_info().currsize == 1
     assert "closed_forms" in json.loads(capsys.readouterr().out)["result"]
+
+
+def _evaluate(text: str, symbols: dict) -> Fraction:
+    """A printed closed form at exact symbol values; every integer in it is read as a Fraction."""
+    expression = re.sub(r"\d+", r"Fraction(\g<0>)", text).replace("^", "**")
+    return eval(expression, {"__builtins__": {}, "Fraction": Fraction}, symbols)
+
+
+# (family, parameters, highest order): boolean at every n <= 6, domino on its mu-domain
+CLOSED_FORM_MEMBERS = [
+    *(("boolean", {"n": n, "k": 0}, 8) for n in range(0, 7)),
+    *(("boolean", {"n": n, "k": 1}, 3) for n in range(1, 7)),
+    *(("boolean", {"n": n, "k": 2}, 2) for n in range(2, 7)),
+    *(("domino", {"m": 1, "n": n}, 8) for n in range(1, 9)),
+    *(("domino", {"m": m, "n": n}, 3) for m in (2, 3) for n in range(2, 6)),
+]
+
+
+@pytest.mark.parametrize("kind", ["raw", "central", "binomial"])
+@pytest.mark.parametrize(
+    "family,params,r_max", CLOSED_FORM_MEMBERS, ids=[f"{f}-{p}" for f, p, _ in CLOSED_FORM_MEMBERS]
+)
+def test_printed_closed_forms_are_the_moment_vector(family, params, r_max, kind, capsys):
+    command = {"raw": "moments", "central": "central", "binomial": "binomial-moments"}[kind]
+    argv = [command, "--family", family, "--r", str(r_max)]
+    for name, value in params.items():
+        argv += [f"--{name}", str(value)]
+    assert cli.main(argv) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    entries = moment_vector(family, kind, r_max, params).entries
+    assert [Fraction(e) for e in result["entries"]] == list(entries)
+    if family == "domino" and kind == "binomial":
+        assert "closed_forms" not in result  # the mu-forms print raw and central moments only
+        return
+    n = params["n"]
+    symbols = {"n": Fraction(n), "W": Fraction(2**n), "w": Fraction(2**n, 2)}
+    if family == "domino":
+        symbols["mu"] = domino.mean(params["m"], n)
+    assert [_evaluate(text, symbols) for text in result["closed_forms"]] == list(entries)
