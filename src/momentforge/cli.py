@@ -358,10 +358,20 @@ def fit_cmd(family, r, c, period, degree, n_min, n_max, verify):
     return parameters, result, _csv_table(["residue", "polynomial"], rows)
 
 
+# Highest --r-max of the identity battery.  Each row is one
+# boolean.central_coefficient, O(r^2) Fraction sums of Stirling products
+# whose size grows with r, so the battery's cost climbs steeply in R: as a
+# whole process on one Intel Xeon core, R = 50 takes 1.8 s, R = 60 3.0 to
+# 3.7 s, R = 61 3.9 to 4.3 s and R = 80 about 9 s.
+IDENTITIES_GUARD = 60
+
+
 @_subcommand("identities")
 @click.option("--r-max", type=int, default=10, show_default=True)
 def identities_cmd(r_max):
     """Check the central-coefficient identity battery for the 0-cube count."""
+    if r_max > IDENTITIES_GUARD:
+        raise SizeGuardError(f"--r-max {r_max} is beyond the IDENTITIES_GUARD = {IDENTITIES_GUARD} size guard")
     rows = []
     for r in range(r_max + 1):
         for t in range(r + 1):

@@ -145,10 +145,14 @@ def central_moments(m: int, n: int, r_max: int) -> MomentVector:
 
 # Bound on w*max(S*2^w, L)*r for w = min(m, n), L = max(m, n) and
 # S = min(L, 2r+2): the larger of the work w*S*2^w*r of one sweep and the
-# size w*L*r of the r+1 sums b_k, integers of about wL bits each.  A sweep
-# unit costs 0.1 to 0.25 us on one Intel Xeon core (the most for w = 2), so
-# a sweep at the guard takes 10 to 25 s; a length at the guard, 8 x 1562500
-# at r = 8 or 2 x 12500000 at r = 4, takes about 0.4 s and 50 MB there.
+# size w*L*r of the r+1 sums b_k, integers of about wL bits each.  In
+# process on one Intel Xeon core, a sweep unit costs 0.02 to 0.05 us for
+# widths 4 to 17 at r <= 31, so a sweep at the guard takes 2.5 to 6.5 s
+# there (w = 14 at r = 14, w = 12 at r = 31, w = 17 at r = 4).  A unit
+# costs more where the packed sums are long: w = 8 at r = 155 takes 13 s,
+# w = 4 at r = 400 0.54 us a unit (11 s), w = 20 at r = 1 13 s and 165 MB.
+# A length at the guard, 8 x 1562500 at r = 8 or 2 x 12500000 at r = 4,
+# takes 0.35 to 0.5 s and 44 to 53 MB as a whole process.
 TRANSFER_GUARD = 10**8
 
 # b_0..b_r per row from the longest sweep run so far, per (w, r); a sweep's
@@ -248,14 +252,29 @@ def _sweep(w: int, rows: int, r: int) -> tuple[tuple[int, ...], ...]:
     neighbour to its left or above.  The sums are read off at the end of
     every row.
 
-    Two savings keep this fast.  Complementing every cell preserves X, so
-    only states with bit w-1 clear are stored, each standing for itself and
-    its complement, and cell (0, 0) is fixed to 0.  And once c cells are
-    placed, each state stands for 2^{c-w} partial boards, over which
-    E[C(X, k)] has a denominator dividing 2^k (k slots tie at most k cells
-    to the rest), so every coefficient is divisible by 2^{c-w-r}.  That
-    power of 2 is shifted out as it accrues, and the integers stay near
-    r*log2(A) bits instead of growing with the number of cells.
+    Complementing every cell preserves X, so only states with bit w-1 clear
+    are stored, each standing for itself and its complement, and cell
+    (0, 0) is fixed to 0.  Row 0 has no cell above and builds its at most
+    2^(w-1) states one left neighbour at a time (:func:`_first_row`).  From
+    row 1 on the states are a list indexed by state, updated in place:
+    placing cell (i, j) replaces bit j, the cell above, so the two states
+    that differ only in it map onto the same two new states.  In each such
+    pair, p is the one whose bit j equals bit j-1, the cell to the left,
+    and q the other; with mul(c) = c(1+z) truncated at z^r, the step is
+    p <- mul(mul(c_p) + c_q), q <- c_p + mul(c_q).  At j = 0, with no cell
+    to the left, it is p <- mul(c_p) + c_q, q <- c_p + mul(c_q).  At
+    j = w-1 the partner of a stored state a is a ^ (full ^ top), the stored
+    complement of a | top; at w = 1 that is a itself.  The pairs of each
+    column are listed once per call.
+
+    Once c cells are placed, each state stands for 2^{c-w} partial boards,
+    over which E[C(X, k)] has a denominator dividing 2^k (k slots tie at
+    most k cells to the rest), so every coefficient is divisible by
+    2^{c-w-r}.  That power of 2 is shifted out in the same pass as it
+    accrues, one bit per cell: the new values are OR-ed into one word,
+    which must have no coefficient's lowest bit set (ConsistencyError
+    otherwise), and stored halved.  The integers stay near r*log2(A) bits
+    instead of growing with the number of cells.
     """
     cells = w * rows
     slots = 2 * cells - w - rows
@@ -265,44 +284,83 @@ def _sweep(w: int, rows: int, r: int) -> tuple[tuple[int, ...], ...]:
     coefficient = (1 << width) - 1
     full = (1 << w) - 1
     top = 1 << (w - 1)
+    values = _first_row(w, width, mask)
+    total = 2 * sum(values)
+    sums = [tuple((total >> (width * k)) & coefficient for k in range(r + 1))]
+    # one int object per state, shared by the pair lists of every column
+    index = list(range(top))
+    columns = []
+    for j in range(w):
+        partner = full ^ top if j == w - 1 else 1 << j
+        ps = [a for a in index if a <= a ^ partner]
+        if j:
+            ps = [a if (a >> j) & 1 == (a >> (j - 1)) & 1 else index[a ^ partner] for a in ps]
+        columns.append((ps, [index[a ^ partner] for a in ps]))
     shifted = 0
-    states = {0: 1}
-    sums = []
-    for i in range(rows):
-        for j in range(w):
-            if not (i or j):
-                continue
-            bit = 1 << j
-            new: dict[int, int] = {}
-            for s, c in states.items():
-                s0 = s & ~bit
-                s1 = s | bit
-                if s0 & top:
-                    s0 ^= full
-                if s1 & top:
-                    s1 ^= full
-                if i and j:
-                    up = (s >> j) & 1
-                    if up == (s >> (j - 1)) & 1:
-                        c2 = (c + (c << (width + 1)) + (c << (2 * width))) & mask
-                        d0, d1 = (c2, c) if up == 0 else (c, c2)
-                    else:
-                        d0 = d1 = (c + (c << width)) & mask
-                else:
-                    other = (s >> j) & 1 if i else (s >> (j - 1)) & 1
-                    c1 = (c + (c << width)) & mask
-                    d0, d1 = (c1, c) if other == 0 else (c, c1)
-                new[s0] = new.get(s0, 0) + d0
-                new[s1] = new.get(s1, 0) + d1
-            if i * w + j + 1 - w - r > shifted:
-                shifted += 1
-                for s, c in new.items():
-                    assert not c & low_bits, "coefficient not divisible by the accrued power of 2"
-                    new[s] = c >> 1
-            states = new
-        total = 2 * sum(states.values())
+    for i in range(1, rows):
+        for j, (ps, qs) in enumerate(columns):
+            shift = int(i * w + j + 1 - w - r > shifted)
+            shifted += shift
+            seen = 0
+            if j:
+                for p, q in zip(ps, qs):
+                    cp = values[p]
+                    cq = values[q]
+                    both = cp + cq
+                    t = both + (cp << width)
+                    x = (t + (t << width)) & mask
+                    y = (both + (cq << width)) & mask
+                    seen |= x | y
+                    values[p] = x >> shift
+                    values[q] = y >> shift
+            else:
+                for p, q in zip(ps, qs):
+                    cp = values[p]
+                    cq = values[q]
+                    both = cp + cq
+                    x = (both + (cp << width)) & mask
+                    y = (both + (cq << width)) & mask
+                    seen |= x | y
+                    values[p] = x >> shift
+                    values[q] = y >> shift
+            if shift:
+                _check_halvable(seen, low_bits, w, i, j)
+        total = 2 * sum(values)
         sums.append(tuple(((total >> (width * k)) & coefficient) << shifted for k in range(r + 1)))
     return tuple(sums)
+
+
+def _first_row(w: int, width: int, mask: int) -> list[int]:
+    """The packed sums of :func:`_sweep` after row 0, a list indexed by the stored states.
+
+    Row 0 has no cell above: each cell after (0, 0) doubles the states it
+    reaches, at most 2^(w-1), by its left neighbour alone.
+    """
+    full = (1 << w) - 1
+    top = 1 << (w - 1)
+    states = {0: 1}
+    for j in range(1, w):
+        bit = 1 << j
+        new: dict[int, int] = {}
+        for s, c in states.items():
+            s1 = s | bit
+            if s1 & top:
+                s1 ^= full
+            c1 = (c + (c << width)) & mask
+            d0, d1 = (c1, c) if (s >> (j - 1)) & 1 == 0 else (c, c1)
+            new[s] = new.get(s, 0) + d0
+            new[s1] = new.get(s1, 0) + d1
+        states = new
+    return [states.get(s, 0) for s in range(top)]
+
+
+def _check_halvable(word: int, low_bits: int, w: int, row: int, column: int) -> None:
+    """Raise ConsistencyError if ``word``, the OR of a cell's new values, has a coefficient's lowest bit set."""
+    if word & low_bits:
+        raise ConsistencyError(
+            f"width {w}, row {row}, cell {column}: a coefficient is not divisible "
+            f"by the accrued power of 2"
+        )
 
 
 def board1n_p_series(order: int) -> TruncatedSeries:

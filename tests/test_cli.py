@@ -160,6 +160,24 @@ def test_domino_sweep_off_the_polynomial_exits_2(args, monkeypatch, capsys):
     assert captured.err.startswith("validation failure:"), captured.err
 
 
+def test_domino_sweep_that_cannot_halve_exits_2(monkeypatch, capsys):
+    # one coefficient made odd where the sweep shifts out a power of 2
+    from momentforge.cli import main
+    from momentforge.families import domino
+
+    original = domino._check_halvable
+
+    def corrupted(word, low_bits, w, row, column):
+        original(word | (low_bits if (row, column) == (3, 2) else 0), low_bits, w, row, column)
+
+    monkeypatch.setattr(domino, "_SWEPT", {})
+    monkeypatch.setattr(domino, "_check_halvable", corrupted)
+    assert main(["moments", "--family", "domino", "--m", "4", "--n", "6", "--r", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation failure: width 4, row 3, cell 2:"), captured.err
+
+
 @pytest.mark.parametrize("subcommand", ["central", "binomial-moments"])
 @pytest.mark.parametrize(
     "params",
@@ -183,6 +201,21 @@ def test_identities_rows_all_ok(schema):
     assert payload["result"]["all_ok"] is True
     rows = payload["result"]["rows"]
     assert {"r": 4, "t": 2, "value": "3/16", "expected": "3/16", "ok": True} in rows
+
+
+def test_identities_guard_edge(capsys):
+    # in process: the battery at the guard is served, one order past it is refused
+    from momentforge.cli import IDENTITIES_GUARD, main
+
+    assert main(["identities", "--r-max", str(IDENTITIES_GUARD)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["result"]["all_ok"] is True
+    assert payload["result"]["rows"][-1]["r"] == IDENTITIES_GUARD
+    for r_max in (IDENTITIES_GUARD + 1, 200):
+        assert main(["identities", "--r-max", str(r_max)]) == 1
+        proc = capsys.readouterr()
+        assert proc.out == ""
+        assert proc.err.startswith("usage error:") and "IDENTITIES_GUARD = " in proc.err, proc.err
 
 
 def test_csv_format_and_out_file(tmp_path):

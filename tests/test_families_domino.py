@@ -146,6 +146,71 @@ def test_binomial_sums_equal_a_sweep_run_to_the_length():
                 assert domino.binomial_sums(length, w, r) == expect, (length, w, r)
 
 
+def _reference_sweep(w, rows, r):
+    """The sweep as a dict of states rebuilt per cell, each state branching on its neighbours."""
+    cells = w * rows
+    slots = 2 * cells - w - rows
+    width = w + r + 2 + max(math.comb(slots, k) for k in range(r + 1)).bit_length()
+    mask = (1 << (width * (r + 1))) - 1
+    low_bits = sum(1 << (width * k) for k in range(r + 1))
+    coefficient = (1 << width) - 1
+    full = (1 << w) - 1
+    top = 1 << (w - 1)
+    shifted = 0
+    states = {0: 1}
+    sums = []
+    for i in range(rows):
+        for j in range(w):
+            if not (i or j):
+                continue
+            bit = 1 << j
+            new = {}
+            for s, c in states.items():
+                s0 = s & ~bit
+                s1 = s | bit
+                if s0 & top:
+                    s0 ^= full
+                if s1 & top:
+                    s1 ^= full
+                if i and j:
+                    up = (s >> j) & 1
+                    if up == (s >> (j - 1)) & 1:
+                        c2 = (c + (c << (width + 1)) + (c << (2 * width))) & mask
+                        d0, d1 = (c2, c) if up == 0 else (c, c2)
+                    else:
+                        d0 = d1 = (c + (c << width)) & mask
+                else:
+                    other = (s >> j) & 1 if i else (s >> (j - 1)) & 1
+                    c1 = (c + (c << width)) & mask
+                    d0, d1 = (c1, c) if other == 0 else (c, c1)
+                new[s0] = new.get(s0, 0) + d0
+                new[s1] = new.get(s1, 0) + d1
+            if i * w + j + 1 - w - r > shifted:
+                shifted += 1
+                for s, c in new.items():
+                    assert not c & low_bits
+                    new[s] = c >> 1
+            states = new
+        total = 2 * sum(states.values())
+        sums.append(tuple(((total >> (width * k)) & coefficient) << shifted for k in range(r + 1)))
+    return tuple(sums)
+
+
+def test_sweep_equals_the_reference_sweep():
+    # w = 1 pairs each state with itself, w = 2 has only the columns j = 0 and
+    # j = w-1, and j = w-1 pairs a state with its stored complement
+    for w in range(1, 9):
+        for r in range(9):
+            for rows in range(1, 2 * r + 5):
+                assert domino._sweep(w, rows, r) == _reference_sweep(w, rows, r), (w, rows, r)
+
+
+def test_sweep_refuses_a_coefficient_it_cannot_halve():
+    domino._check_halvable(0b1010 << 3, 1 | 1 << 3, 4, 2, 1)
+    with pytest.raises(ConsistencyError, match=r"width 4, row 2, cell 1: .* accrued power of 2"):
+        domino._check_halvable(0b1011 << 3, 1 | 1 << 3, 4, 2, 1)
+
+
 def test_binomial_sums_on_a_long_board_match_the_mu_form_through_r3():
     # 8 x 10^6: E[X^q] for q <= 3 is the moment of Binomial(A, 1/2)
     m, n, r = 8, 10**6, 3
