@@ -370,6 +370,8 @@ IDENTITIES_GUARD = 60
 @click.option("--r-max", type=int, default=10, show_default=True)
 def identities_cmd(r_max):
     """Check the central-coefficient identity battery for the 0-cube count."""
+    if r_max < 0:
+        raise ValueError("r_max must be >= 0")
     if r_max > IDENTITIES_GUARD:
         raise SizeGuardError(f"--r-max {r_max} is beyond the IDENTITIES_GUARD = {IDENTITIES_GUARD} size guard")
     rows = []

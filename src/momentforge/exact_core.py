@@ -1,11 +1,11 @@
 """Arbitrary-precision exact arithmetic and classical combinatorial numbers.
 
 The universal scalar type is :class:`fractions.Fraction` (always in lowest
-terms, positive denominator, canonical zero ``0/1``), re-exported here as
-``Rational``.  On top of it sit generalized binomial coefficients, falling
-factorials over any ring with ``*`` and ``-``, and grow-on-demand tables of
-Stirling numbers of both kinds (the first kind in the *signed* convention,
-so that ``(x)_j = sum_k s(j,k) x^k``).
+terms, positive denominator, canonical zero ``0/1``).  On top of it sit
+generalized binomial coefficients, falling factorials over any ring with
+``*`` and ``-``, and Stirling numbers of both kinds read from grow-on-demand
+tables (the first kind in the *signed* convention, so that
+``(x)_j = sum_k s(j,k) x^k``).
 """
 
 from __future__ import annotations
@@ -13,16 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
-__all__ = [
-    "Rational",
-    "binomial",
-    "falling_factorial",
-    "stirling2",
-    "stirling1_signed",
-    "StirlingCache",
-]
+__all__ = ["binomial", "falling_factorial", "stirling2", "stirling1_signed"]
 
 
 def binomial(n: int, k: int) -> Fraction:
@@ -58,64 +49,40 @@ def falling_factorial(x, i: int):
     return out
 
 
-class StirlingCache:
-    """Grow-on-demand tables of Stirling numbers, never evicted.
-
-    Intended working range is order <= 64.
-    """
-
-    def __init__(self) -> None:
-        self._second: list[list[int]] = [[1]]
-        self._first_signed: list[list[int]] = [[1]]
-
-    @property
-    def max_order(self) -> int:
-        return len(self._second) - 1
-
-    def _grow(self, order: int) -> None:
-        while len(self._second) <= order:
-            r = len(self._second)
-            prev = self._second[r - 1]
-            row = [0] * (r + 1)
-            for i in range(1, r + 1):
-                # {r, i} = {r-1, i-1} + i * {r-1, i}
-                row[i] = prev[i - 1] + (i * prev[i] if i < r else 0)
-            self._second.append(row)
-
-            sprev = self._first_signed[r - 1]
-            srow = [0] * (r + 1)
-            for k in range(1, r + 1):
-                # s(r, k) = s(r-1, k-1) - (r-1) * s(r-1, k)
-                srow[k] = sprev[k - 1] - (r - 1) * (sprev[k] if k < r else 0)
-            self._first_signed.append(srow)
-
-    def second_kind(self, r: int, i: int) -> int:
-        if r < 0 or i < 0:
-            raise ValueError("stirling2: indices must be >= 0")
-        if i > r:
-            return 0
-        if r > self.max_order:
-            self._grow(r)
-        return self._second[r][i]
-
-    def first_kind_signed(self, j: int, k: int) -> int:
-        if j < 0 or k < 0:
-            raise ValueError("stirling1_signed: indices must be >= 0")
-        if k > j:
-            return 0
-        if j > self.max_order:
-            self._grow(j)
-        return self._first_signed[j][k]
+# Rows 0..N of the Stirling numbers {r brace i} and s(j, k), grown together
+# on demand by _grow_stirling and never evicted; the working range is order <= 64.
+_STIRLING2: list[list[int]] = [[1]]
+_STIRLING1_SIGNED: list[list[int]] = [[1]]
 
 
-_CACHE = StirlingCache()
+def _grow_stirling(order: int) -> None:
+    """Extend both tables through row ``order``."""
+    while len(_STIRLING2) <= order:
+        r = len(_STIRLING2)
+        second = _STIRLING2[-1] + [0]  # row r-1, with {r-1, r} = 0
+        first = _STIRLING1_SIGNED[-1] + [0]
+        # {r, i} = {r-1, i-1} + i {r-1, i};  s(r, k) = s(r-1, k-1) - (r-1) s(r-1, k)
+        _STIRLING2.append([0] + [second[i - 1] + i * second[i] for i in range(1, r + 1)])
+        _STIRLING1_SIGNED.append([0] + [first[k - 1] - (r - 1) * first[k] for k in range(1, r + 1)])
 
 
 def stirling2(r: int, i: int) -> int:
     """Stirling number of the second kind {r brace i}."""
-    return _CACHE.second_kind(r, i)
+    if r < 0 or i < 0:
+        raise ValueError("stirling2: indices must be >= 0")
+    if i > r:
+        return 0
+    if r >= len(_STIRLING2):
+        _grow_stirling(r)
+    return _STIRLING2[r][i]
 
 
 def stirling1_signed(j: int, k: int) -> int:
     """Signed Stirling number of the first kind s(j, k)."""
-    return _CACHE.first_kind_signed(j, k)
+    if j < 0 or k < 0:
+        raise ValueError("stirling1_signed: indices must be >= 0")
+    if k > j:
+        return 0
+    if j >= len(_STIRLING1_SIGNED):
+        _grow_stirling(j)
+    return _STIRLING1_SIGNED[j][k]

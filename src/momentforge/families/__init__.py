@@ -30,25 +30,14 @@ from __future__ import annotations
 from typing import Mapping
 
 from momentforge.families import boolean, domino, invmaj, schur
-from momentforge.families.common import SYMBOL_LEGEND, Family
+from momentforge.families.common import Family
 from momentforge.moment_algebra import KINDS, MomentVector, convert
 
 FAMILIES: dict[str, Family] = {
     f.name: f for f in (schur.FAMILY, invmaj.FAMILY, boolean.FAMILY, domino.FAMILY)
 }
 
-__all__ = [
-    "FAMILIES",
-    "SYMBOL_LEGEND",
-    "Family",
-    "boolean",
-    "domino",
-    "invmaj",
-    "schur",
-    "validate_family",
-    "moment_vector",
-    "closed_forms",
-]
+__all__ = ["FAMILIES", "Family", "boolean", "validate_family", "moment_vector", "closed_forms"]
 
 
 def validate_family(family: str) -> Family:

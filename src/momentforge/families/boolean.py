@@ -34,30 +34,12 @@ from momentforge.families.common import (
     count_pgf,
     eval_at_n,
     half_binomial_moments,
-    half_binomial_series,
     pgf_total,
 )
-from momentforge.moment_algebra import MomentVector, convert, raw_to_binomial, raw_to_central
-from momentforge.poly_series import Polynomial, TruncatedSeries
+from momentforge.moment_algebra import MomentVector, convert, raw_to_binomial
+from momentforge.poly_series import Polynomial
 
-__all__ = [
-    "raw_moment_k0",
-    "raw_moments_k0",
-    "central_moments_k0",
-    "central_coefficient",
-    "first_moment_k",
-    "second_moment_k",
-    "variance_k",
-    "third_moment_k1",
-    "raw_moments_k1",
-    "central_moments_k1",
-    "p_series_k0",
-    "binomial_moments_k0",
-    "h_probability",
-    "h_moments",
-    "h_mean_closed_form",
-    "h_polynomial",
-]
+__all__ = ["FAMILY", "central_coefficient", "h_probability", "h_moments", "h_mean_closed_form", "h_polynomial"]
 
 H_MAX_N = 14  # the 2^n-term sums stay exact; beyond this they are impractical
 H_MAX_DEGREE = 2000  # highest degree of H_n(q) that is built; its moments need no polynomial
@@ -72,13 +54,6 @@ def raw_moments_k0(r_max: int) -> MomentVector:
     """E[X^r] for the 0-cube count, r <= r_max, as polynomials in W = 2^n."""
     entries = half_binomial_moments(Polynomial.variable("W"), r_max, central=False)
     return MomentVector("raw", entries)
-
-
-def raw_moment_k0(r: int) -> Polynomial:
-    """E[X^r] for the 0-cube count as a polynomial in W = 2^n."""
-    if r < 0:
-        raise ValueError("need r >= 0")
-    return raw_moments_k0(r).entries[r]
 
 
 @lru_cache(maxsize=None)
@@ -154,32 +129,12 @@ def third_moment_k1() -> Polynomial:
     )
 
 
-def raw_moments_k1(r_max: int) -> MomentVector:
-    """Raw moments of the 1-cube count, r_max <= 3 (no closed form beyond)."""
-    if r_max > 3:
-        raise ValueError("k=1 closed forms stop at the third moment")
-    return _raw_moments_k(1, r_max)
-
-
 def _raw_moments_k(k: int, r_max: int) -> MomentVector:
     """Raw moments of the k-cube count through r = 2 (r = 3 for k = 1), truncated at r_max."""
     entries = [Polynomial("W", (1,)), first_moment_k(k), second_moment_k(k)]
     if k == 1:
         entries.append(third_moment_k1())
     return MomentVector("raw", entries[: r_max + 1])
-
-
-def central_moments_k1(r_max: int) -> MomentVector:
-    return raw_to_central(raw_moments_k1(r_max), first_moment_k(1))
-
-
-def p_series_k0(order: int) -> TruncatedSeries:
-    """P(n, z) = [(2+z)/(2 sqrt(1+z))]^w as a z-series over polynomials in w.
-
-    The centered generating function of Binomial(w, 1/2), the summand that
-    takes the 0-cube count from n - 1 to n: G_n(1+z) = P(n, z) G_{n-1}(1+z).
-    """
-    return half_binomial_series(Polynomial.variable("w"), order)
 
 
 @lru_cache(maxsize=None)

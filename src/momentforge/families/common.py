@@ -11,8 +11,7 @@ Symbol conventions used by the closed forms:
 and of the Binomial(N, 1/2) counts (``half_binomial_moments``: boolean
 0-cubes, the domino mu-form): sums of independent uniforms, whose
 cumulants add.  Built over polynomials, a vector of these moments stops at
-``SYMBOLIC_ORDER_GUARD``.  ``half_binomial_series`` is the centered generating
-function of Binomial(a, 1/2), the P-series step of those counts.
+``SYMBOLIC_ORDER_GUARD``.
 
 Closed-form PGFs are rows of integer counts over one total: ``count_pgf``
 divides once per coefficient, and ``pgf_total`` refuses a PGF beyond
@@ -39,7 +38,7 @@ from typing import TYPE_CHECKING, Callable, Collection, Iterator, Mapping
 import mpmath
 
 from momentforge.errors import SizeGuardError
-from momentforge.poly_series import Polynomial, TruncatedSeries, generalized_binomial_series
+from momentforge.poly_series import Polynomial
 
 if TYPE_CHECKING:
     from momentforge.moment_algebra import MomentVector
@@ -107,16 +106,6 @@ def half_binomial_moments(count, r_max: int, central: bool) -> list:
     return uniform_sum_moments(mean, lambda k: count * (2**k - 1), r_max)
 
 
-def half_binomial_series(a, order: int) -> TruncatedSeries:
-    """(1 + z/2)^a (1 + z)^(-a/2) = E[(1+z)^(X - a/2)] for X ~ Binomial(a, 1/2), to z^order.
-
-    ``a`` is a rational or a Polynomial.
-    """
-    up = generalized_binomial_series(a, order)
-    halved = TruncatedSeries(up.var, order, [c * Fraction(1, 2**i) for i, c in enumerate(up.coeffs)])
-    return halved * generalized_binomial_series(a * Fraction(-1, 2), order)
-
-
 def eval_at_n(value, n: int) -> Fraction:
     """Collapse nested polynomials to an exact rational at integer n.
 
@@ -135,14 +124,6 @@ def eval_at_n(value, n: int) -> Fraction:
             raise ValueError(f"cannot evaluate symbol {sym!r} from n alone")
         value = value.eval(point)
     return value
-
-
-def w_to_big_w(poly: Polynomial) -> Polynomial:
-    """Rewrite a polynomial in w = 2^(n-1) as a polynomial in W = 2^n."""
-    if poly.symbol != "w":
-        raise ValueError(f"expected a polynomial in 'w', got {poly.symbol!r}")
-    half_W = Polynomial("W", (0, Fraction(1, 2)))
-    return poly.compose(half_W)
 
 
 # Bound on (degree + 1) * bit_length(total) for a closed-form PGF, the size

@@ -19,9 +19,8 @@ and evaluated at L.  The longest sweep run per (w, r) thus serves every
 board of that width, and a longer board costs only the arithmetic on its
 sums b_k, integers of about wL bits.
 
-The 1-by-n board is Binomial(n - 1, 1/2), with the centered generating
-function G_n(1+z) = [(2+z)/(2 sqrt(1+z))]^(n-1) and binomial moments that
-are polynomials in n.
+The 1-by-n board is Binomial(n - 1, 1/2): its PGF is the binomial row
+over 2^(n-1), and its MGF deviation reads cosh(t/(2 sigma))^(n-1).
 """
 
 from __future__ import annotations
@@ -40,29 +39,12 @@ from momentforge.families.common import (
     binomial_row,
     count_pgf,
     half_binomial_moments,
-    half_binomial_series,
     pgf_total,
 )
-from momentforge.moment_algebra import MomentVector, binomial_to_raw, convert, raw_to_binomial
-from momentforge.poly_series import Polynomial, TruncatedSeries
+from momentforge.moment_algebra import MomentVector, binomial_to_raw
+from momentforge.poly_series import Polynomial
 
-__all__ = [
-    "slot_count",
-    "mean",
-    "raw_moment_symbolic",
-    "raw_moments_symbolic",
-    "TRANSFER_GUARD",
-    "in_closed_form_domain",
-    "binomial_sums",
-    "raw_moments",
-    "raw_moment",
-    "scaled_raw_moment",
-    "central_moments_symbolic",
-    "central_moments",
-    "board1n_p_series",
-    "board1n_binomial_moments_symbolic",
-    "mgf_deviation_1n",
-]
+__all__ = ["FAMILY", "binomial_sums"]
 
 
 def slot_count(m: int, n: int) -> int:
@@ -81,13 +63,6 @@ def raw_moments_symbolic(r_max: int) -> MomentVector:
     """E[X^r], r <= r_max, as polynomials in mu: the moments of Binomial(2 mu, 1/2)."""
     entries = half_binomial_moments(2 * Polynomial.variable("mu"), r_max, central=False)
     return MomentVector("raw", entries)
-
-
-def raw_moment_symbolic(r: int) -> Polynomial:
-    """E[X^r] as a polynomial in mu, exact on the domain of :func:`in_closed_form_domain`."""
-    if r < 0:
-        raise ValueError("need r >= 0")
-    return raw_moments_symbolic(r).entries[r]
 
 
 def in_closed_form_domain(m: int, n: int, r: int) -> bool:
@@ -111,23 +86,6 @@ def _moments(r_max: int, p: dict) -> MomentVector:
     return binomial_to_raw(MomentVector("binomial", [Fraction(b_k, total) for b_k in b]))
 
 
-def raw_moments(m: int, n: int, r_max: int) -> MomentVector:
-    """Exact E[X^r] for r = 0..r_max on the m-by-n board, converted from :func:`_moments`."""
-    return convert(_moments(r_max, {"m": m, "n": n}), "raw", mean(m, n))
-
-
-def raw_moment(m: int, n: int, r: int) -> Fraction:
-    """Exact E[X^r], routed as in :func:`raw_moments`."""
-    return raw_moments(m, n, r).entries[r]
-
-
-def scaled_raw_moment(m: int, n: int, r: int) -> int:
-    """2^{mn} E[X^r], the integers printed in the data tables."""
-    value = raw_moment(m, n, r) * 2 ** (m * n)
-    assert value.denominator == 1
-    return value.numerator
-
-
 @lru_cache(maxsize=None)
 def central_moments_symbolic(r_max: int) -> MomentVector:
     """E[(X-mu)^r] as polynomials in mu; all odd entries vanish.
@@ -136,11 +94,6 @@ def central_moments_symbolic(r_max: int) -> MomentVector:
     """
     entries = half_binomial_moments(2 * Polynomial.variable("mu"), r_max, central=True)
     return MomentVector("central", entries)
-
-
-def central_moments(m: int, n: int, r_max: int) -> MomentVector:
-    """Exact E[(X-mu)^r] for r = 0..r_max on the m-by-n board, converted from :func:`_moments`."""
-    return convert(_moments(r_max, {"m": m, "n": n}), "central", mean(m, n))
 
 
 # Bound on w*max(S*2^w, L)*r for w = min(m, n), L = max(m, n) and
@@ -361,22 +314,6 @@ def _check_halvable(word: int, low_bits: int, w: int, row: int, column: int) -> 
             f"width {w}, row {row}, cell {column}: a coefficient is not divisible "
             f"by the accrued power of 2"
         )
-
-
-def board1n_p_series(order: int) -> TruncatedSeries:
-    """P_n(1+z) = (2+z)/(2 sqrt(1+z)) = 1 + z^2/8 - z^3/8 + 15 z^4/128 - ..."""
-    return half_binomial_series(1, order)
-
-
-@lru_cache(maxsize=None)
-def board1n_binomial_moments_symbolic(r_max: int) -> MomentVector:
-    """B_r(n) of the 1-by-n board as polynomials in n.
-
-    The n - 1 slots of the board are independent fair coins, so the count
-    is Binomial(n - 1, 1/2); its central moments are converted once.
-    """
-    entries = half_binomial_moments(Polynomial.variable("n") - 1, r_max, central=True)
-    return raw_to_binomial(MomentVector("central", entries))
 
 
 def mgf_deviation_1n(n: int, t_values, dps: int = 50):

@@ -16,8 +16,7 @@ B_r(n) (binomial moments)
     B_r(n) - B_r(n-1) = sum_{s=1}^r p_s(n) B_{r-s}(n-1)
 
 with p_i(n) = (1/n) sum_s (-1)^s C((n-3)/2 + s, s) C(n, i+1-s), a
-polynomial in n, is kept as ``p_coefficient``; the tests step it as the
-independent reference.
+polynomial in n, is the tests' independent reference for these moments.
 
 The MGF deviation evaluates this product at q = e^{2u} through its
 geometric partial sums 1 + q + ... + q^(i-1) = e^{(i-1)u} sinh(iu)/sinh(u):
@@ -25,45 +24,29 @@ two exponentials and about 2n multiply-adds per t at the working
 precision, with n! taken exactly once per call, in the shared loop
 ``common.mgf_deviation``.  It is refused beyond ``common.MGF_GUARD``.
 
-The major index is handled by the F(n, i) table of generating functions
-of permutations ending in i, which also yields the MacMahon
-equidistribution check.
-
-Both generating functions are computed as rows of integer counts: the
+The generating function is computed as a row of integer counts: the
 Mahonian row of inversion counts is built by prefix-sum convolution with
 each factor 1 + q + ... + q^(i-1) (Stanley, EC1 section 1.3; Knuth, TAOCP 3
-section 5.1.1), and each F(n, i) is an integer row built from prefix and
-suffix sums of rows.  The PGF divides the row by n! once per coefficient.
+section 5.1.1).  The PGF divides the row by n! once per coefficient.  The
+major index, equidistributed with inv (MacMahon), is served by the oracle's
+joint histogram.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 
 import mpmath
 
 from momentforge import oracle
-from momentforge.exact_core import falling_factorial
 from momentforge.families import common
 from momentforge.families.common import Family, bernoulli, count_pgf, pgf_total, uniform_sum_moments
 from momentforge.moment_algebra import MomentVector, raw_to_binomial
 from momentforge.poly_series import Polynomial
 
-__all__ = [
-    "pgf",
-    "mean_variance_polynomials",
-    "mean_variance",
-    "p_coefficient",
-    "binomial_moments",
-    "central_moments",
-    "maj_table",
-    "maj_generating_function",
-    "maj_pgf",
-    "mgf_deviation",
-]
+__all__ = ["FAMILY", "pgf", "binomial_moments", "mgf_deviation"]
 
 
 def pgf(n: int) -> Polynomial:
@@ -87,35 +70,10 @@ def _mahonian_row(n: int) -> list[int]:
     return row
 
 
-def mean_variance_polynomials() -> tuple[Polynomial, Polynomial]:
-    """(mu, sigma^2) as polynomials in n: n(n-1)/4 and n(n-1)(2n+5)/72."""
-    nn = Polynomial.variable("n")
-    mu = nn * (nn - 1) / 4
-    var = nn * (nn - 1) * (2 * nn + 5) / 72
-    return mu, var
-
-
 def mean_variance(n: int) -> tuple[Fraction, Fraction]:
     """(mu, sigma^2) at n, from integers: n(n-1)/4 and n(n-1)(2n+5)/72."""
     pairs = n * (n - 1)
     return Fraction(pairs, 4), Fraction(pairs * (2 * n + 5), 72)
-
-
-@lru_cache(maxsize=None)
-def p_coefficient(i: int) -> Polynomial:
-    """Coefficient p_i(n) of z^i in P(n, z), exactly, as a polynomial in n."""
-    if i < 0:
-        raise ValueError("need i >= 0")
-    nn = Polynomial.variable("n")
-    acc = Polynomial("n", ())
-    for s in range(i + 1):
-        alpha = (nn - 3) / 2 + s
-        upper = falling_factorial(alpha, s) * Fraction(1, math.factorial(s))
-        j = i + 1 - s
-        lower = falling_factorial(nn, j) * Fraction(1, math.factorial(j))
-        term = upper * lower
-        acc = acc + (term if s % 2 == 0 else -term)
-    return acc.divide_by_symbol()
 
 
 def _power_sum(k: int, n: int) -> Fraction:
@@ -140,44 +98,6 @@ def central_moments(n: int, r_max: int) -> MomentVector:
 def binomial_moments(n: int, r_max: int) -> MomentVector:
     """Exact B_r(n) for r <= r_max, converted once from the central moments."""
     return raw_to_binomial(central_moments(n, r_max))
-
-
-def maj_table(n: int) -> list[Polynomial]:
-    """[F(n,1), ..., F(n,n)]: maj generating functions by final entry.
-
-    F(n,i) = sum_{j<i} F(n-1,j) + q^{n-1} sum_{j>=i} F(n-1,j), F(1,1) = 1.
-    """
-    return [Polynomial("q", row) for row in _maj_rows(n)]
-
-
-def _maj_rows(n: int) -> list[list[int]]:
-    """maj_table(n) as integer coefficient rows."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    rows = [[1]]
-    for m in range(2, n + 1):
-        prefix = [[]]  # prefix[i] = sum of the first i rows
-        for f in rows:
-            prefix.append(_add_rows(prefix[-1], f))
-        suffix = [[]]  # suffix[i] = sum of the last i rows
-        for f in reversed(rows):
-            suffix.append(_add_rows(suffix[-1], f))
-        shift = [0] * (m - 1)
-        rows = [_add_rows(prefix[i], shift + suffix[m - 1 - i]) for i in range(m)]
-    return rows
-
-
-def _add_rows(a: list[int], b: list[int]) -> list[int]:
-    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
-
-
-def maj_generating_function(n: int) -> Polynomial:
-    """H_n(q) = sum over S_n of q^maj = F(n+1, n+1)."""
-    return Polynomial("q", _maj_rows(n + 1)[-1])
-
-
-def maj_pgf(n: int) -> Polynomial:
-    return count_pgf(_maj_rows(n + 1)[-1], math.factorial(n))
 
 
 def mgf_deviation(n: int, t_values, dps: int = 50):

@@ -20,7 +20,6 @@ out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,48 +27,8 @@ from momentforge import oracle
 from momentforge.errors import SizeGuardError
 from momentforge.families.common import Family
 from momentforge.moment_algebra import MomentVector
-from momentforge.poly_series import Polynomial, QuasiPolynomial
 
-__all__ = [
-    "Triple",
-    "triples",
-    "first_moment",
-    "first_moment_quasi",
-    "indicator_first_moment",
-    "second_moment",
-    "second_moment_grid",
-    "SWEEP_GUARD",
-]
-
-
-@dataclass(frozen=True)
-class Triple:
-    """A Schur triple {x, y, x+y} in [1, n], classified by multiplicity."""
-
-    x: int
-    y: int
-    total: int
-    kind: str  # "S1" for {x, x, 2x}, "S2" for distinct x < y
-    elements: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.x > self.y or self.x + self.y != self.total:
-            raise ValueError("inconsistent triple")
-        expected = "S1" if self.x == self.y else "S2"
-        if self.kind != expected:
-            raise ValueError(f"kind {self.kind} inconsistent with x={self.x}, y={self.y}")
-
-
-def triples(n: int) -> list[Triple]:
-    """All Schur triples with x <= y and x + y <= n."""
-    out = []
-    for x in range(1, n + 1):
-        for y in range(x, n - x + 1):
-            if x == y:
-                out.append(Triple(x, y, 2 * x, "S1", (x, 2 * x)))
-            else:
-                out.append(Triple(x, y, x + y, "S2", (x, y, x + y)))
-    return out
+__all__ = ["FAMILY", "second_moment", "second_moment_grid"]
 
 
 def first_moment(n: int, c: int) -> Fraction:
@@ -78,25 +37,6 @@ def first_moment(n: int, c: int) -> Fraction:
     if n % 2:
         return Fraction((n - 1) * (n - 1 + 2 * c), 4 * c * c)
     return Fraction(n * (n - 2 + 2 * c), 4 * c * c)
-
-
-def first_moment_quasi(c: int) -> QuasiPolynomial:
-    """E[X] as a period-2 quasi-polynomial in n (c fixed numeric)."""
-    if c < 2:
-        raise ValueError("need c >= 2")
-    nn = Polynomial.variable("n")
-    odd = (nn - 1) * (nn - 1 + 2 * c) / (4 * c * c)
-    even = nn * (nn - 2 + 2 * c) / (4 * c * c)
-    return QuasiPolynomial(2, [even, odd])
-
-
-def indicator_first_moment(n: int, c: int) -> Fraction:
-    """E[X] summed triple by triple: 1/c per S1 triple, 1/c^2 per S2."""
-    _check(n, c)
-    acc = Fraction(0)
-    for t in triples(n):
-        acc += Fraction(1, c ** (len(t.elements) - 1))
-    return acc
 
 
 def second_moment(n: int, c: int) -> Fraction:

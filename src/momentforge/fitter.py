@@ -1,10 +1,9 @@
 """Reconstruct (quasi-)polynomial closed forms from exact data points.
 
-A fit is accepted only when it reproduces held-out verification points
-bit-for-bit; the period and degree bound remain recorded hypotheses in the
-provenance block.  Leading coefficients of asymptotic laws are estimated
-separately by Neville extrapolation in 1/n, which is exact on polynomial
-input and flags a non-convergent tail otherwise.
+Each residue class is interpolated exactly through one Newton
+divided-difference table.  A fit is accepted only when it reproduces
+held-out verification points bit-for-bit; the period and degree bound
+remain recorded hypotheses in the provenance block.
 """
 
 from __future__ import annotations
@@ -16,13 +15,7 @@ from typing import Sequence
 from momentforge.errors import FitVerificationError, UnderdeterminedFitError
 from momentforge.poly_series import Polynomial, QuasiPolynomial
 
-__all__ = [
-    "FitSpec",
-    "FitResult",
-    "fit_quasi_polynomial",
-    "LeadingTermResult",
-    "fit_leading_term",
-]
+__all__ = ["FitSpec", "fit_quasi_polynomial"]
 
 
 @dataclass(frozen=True)
@@ -64,20 +57,24 @@ class FitResult:
     provenance: dict = field(default_factory=dict)
 
 
-def _lagrange(points: Sequence[tuple[int, Fraction]]) -> Polynomial:
-    """Exact Lagrange interpolation over the rationals, as a polynomial in n."""
-    out = Polynomial("n", ())
-    xvar = Polynomial.variable("n")
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        term = Polynomial.const("n", yi)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            term = term * (xvar - xj) / Fraction(xi - xj)
-        out = out + term
-    return out
+def _interpolate(points: Sequence[tuple[int, Fraction]]) -> Polynomial:
+    """The polynomial in n through ``points`` (distinct nodes), exactly.
+
+    One divided-difference table gives the Newton coefficients c_j, its top
+    edge; p(n) = c_0 + (n - x_0)(c_1 + (n - x_1)(c_2 + ...)) is then expanded
+    Horner-style, one product with a linear factor per node: O(d^2) rational
+    operations for d + 1 nodes.
+    """
+    xs = [x for x, _ in points]
+    column = [Fraction(y) for _, y in points]
+    newton = [column[0]]
+    for j in range(1, len(xs)):
+        column = [(b - a) / (xs[i + j] - xs[i]) for i, (a, b) in enumerate(zip(column, column[1:]))]
+        newton.append(column[0])
+    poly = Polynomial("n", ())
+    for x, c in zip(reversed(xs), reversed(newton)):
+        poly = poly * Polynomial("n", (-x, 1)) + c
+    return poly
 
 
 def fit_quasi_polynomial(spec: FitSpec) -> FitResult:
@@ -103,7 +100,7 @@ def fit_quasi_polynomial(spec: FitSpec) -> FitResult:
                 f"needs {nodes_needed} nodes + {spec.verify_count} verification points"
             )
         nodes, holdout = pts[:nodes_needed], pts[nodes_needed:]
-        poly = _lagrange(nodes)
+        poly = _interpolate(nodes)
         for n, v in holdout:
             got = poly.eval(n)
             if got != v:
@@ -122,60 +119,3 @@ def fit_quasi_polynomial(spec: FitSpec) -> FitResult:
         "verification_points": {str(j): v for j, v in verified.items()},
     }
     return FitResult(quasi=quasi, provenance=provenance)
-
-
-@dataclass(frozen=True)
-class LeadingTermResult:
-    estimate: Fraction
-    converged: bool
-    level: int  # extrapolation depth the estimate was taken from
-    diagnostics: tuple[Fraction, ...]  # successive extrapolation estimates
-
-
-def fit_leading_term(
-    data: Sequence[tuple[int, Fraction]], degree: int
-) -> LeadingTermResult:
-    """Estimate the coefficient of n^degree by extrapolation in 1/n.
-
-    ``value / n^degree`` is treated as a polynomial in 1/n and extrapolated
-    to 0 by Neville's algorithm over exact rationals.  The reported value
-    is the tableau level with the smallest correction (the usual stopping
-    rule for sequence acceleration): on exactly polynomial input of the
-    hypothesized degree the corrections vanish and the answer is exact,
-    while data with a non-polynomial tail stops before the deep levels
-    amplify it.  A tail whose corrections only ever grow is flagged
-    non-convergent.
-    """
-    pts = sorted((int(n), Fraction(v)) for n, v in data)
-    if len(pts) < 3:
-        raise ValueError("need at least 3 data points at large n")
-    if any(n <= 0 for n, _ in pts):
-        raise ValueError("data points must have n >= 1")
-    xs = [Fraction(1, n) for n, _ in pts]
-    ys = [v / Fraction(n) ** degree for n, v in pts]
-
-    # Neville tableau evaluated at x = 0; level k keeps the entry built
-    # from the last k+1 points, which leans on the largest n values.
-    estimates: list[Fraction] = [ys[-1]]
-    tableau = list(ys)
-    m = len(pts)
-    for k in range(1, m):
-        nxt = []
-        for i in range(m - k):
-            x_lo, x_hi = xs[i], xs[i + k]
-            val = (x_hi * tableau[i] - x_lo * tableau[i + 1]) / (x_hi - x_lo)
-            nxt.append(val)
-        tableau = nxt
-        estimates.append(tableau[-1])
-
-    corrections = [abs(b - a) for a, b in zip(estimates, estimates[1:])]
-    best = min(range(len(corrections)), key=lambda i: (corrections[i], i))
-    level = best + 1
-    increasing = all(b > a for a, b in zip(corrections, corrections[1:]))
-    converged = corrections[best] == 0 or not (increasing and len(corrections) > 1)
-    return LeadingTermResult(
-        estimate=estimates[level],
-        converged=converged,
-        level=level,
-        diagnostics=tuple(estimates),
-    )

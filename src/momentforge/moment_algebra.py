@@ -24,14 +24,11 @@ from momentforge.poly_series import Polynomial
 
 __all__ = [
     "MomentVector",
-    "NormalityReport",
     "binomial_to_raw",
     "raw_to_binomial",
     "raw_to_central",
     "central_to_raw",
     "convert",
-    "gaussian_moment",
-    "normalized_moments",
     "normality_report",
 ]
 

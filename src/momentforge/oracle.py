@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from momentforge.errors import SizeGuardError
 from momentforge.moment_algebra import MomentVector
@@ -43,14 +43,8 @@ from momentforge.poly_series import Polynomial
 
 __all__ = [
     "Histogram",
-    "JointHistogram",
-    "merge_histograms",
-    "permutation_inv",
-    "permutation_maj",
     "enumerate_schur",
     "enumerate_permutations",
-    "count_subcubes",
-    "subcube_positions",
     "enumerate_boolean",
     "sample_boolean",
     "enumerate_boards",
@@ -131,24 +125,6 @@ class JointHistogram:
         for (inv, _), c in self.counts.items():
             out[inv] = out.get(inv, 0) + c
         return Histogram(out, self.total)
-
-    def marginal_maj(self) -> Histogram:
-        out: dict[int, int] = {}
-        for (_, maj), c in self.counts.items():
-            out[maj] = out.get(maj, 0) + c
-        return Histogram(out, self.total)
-
-
-def permutation_inv(perm: Sequence[int]) -> int:
-    """Number of pairs appearing out of order."""
-    n = len(perm)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-
-
-def permutation_maj(perm: Sequence[int]) -> int:
-    """Sum of descent positions (1-based)."""
-    return sum(i + 1 for i in range(len(perm) - 1) if perm[i] > perm[i + 1])
-
 
 def enumerate_schur(n: int, c: int, parts: int = 1) -> Histogram:
     """Exact distribution of the monochromatic Schur-triple count.
@@ -299,48 +275,6 @@ def enumerate_permutations(n: int) -> JointHistogram:
         a[p], a[p + 1] = right, left
 
 
-def _as_vertex_mask(f, n: int) -> int:
-    """Normalize a boolean function to a bitmask over the 2^n vertices."""
-    if isinstance(f, int):
-        if not 0 <= f < 1 << (1 << n):
-            raise ValueError("function mask out of range for the given n")
-        return f
-    mask = 0
-    for vertex in f:
-        if isinstance(vertex, str):
-            if len(vertex) != n or set(vertex) - {"0", "1"}:
-                raise ValueError(f"bad vertex {vertex!r} for n={n}")
-            vertex = int(vertex, 2)
-        if not 0 <= vertex < 1 << n:
-            raise ValueError(f"vertex {vertex} outside the {n}-cube")
-        mask |= 1 << vertex
-    return mask
-
-
-@lru_cache(maxsize=None)
-def subcube_positions(n: int, k: int) -> tuple[int, ...]:
-    """Vertex masks of all axis-aligned k-subcubes of the n-cube."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    positions = []
-    for free in itertools.combinations(range(n), k):
-        fixed = [i for i in range(n) if i not in free]
-        for bits in range(1 << (n - k)):
-            base = 0
-            for j, coord in enumerate(fixed):
-                if (bits >> j) & 1:
-                    base |= 1 << coord
-            mask = 0
-            for corner in range(1 << k):
-                v = base
-                for j, coord in enumerate(free):
-                    if (corner >> j) & 1:
-                        v |= 1 << coord
-                mask |= 1 << v
-            positions.append(mask)
-    return tuple(positions)
-
-
 def _coordinate_zero_mask(n: int, i: int) -> int:
     """The vertices of the n-cube whose coordinate i is 0, by doubling a 2^(i+1)-bit period."""
     mask, width = (1 << (1 << i)) - 1, 2 << i
@@ -387,11 +321,6 @@ def _subcube_counter(n: int, k: int):
         return x
 
     return count
-
-
-def count_subcubes(f, n: int, k: int) -> int:
-    """Number of k-dimensional subcubes fully contained in f."""
-    return _subcube_counter(n, k)(_as_vertex_mask(f, n))
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,8 @@
 """Polynomials, quasi-polynomials, and truncated power series over exact rationals.
 
-This is the algebra that carries the centered generating functions: every
-generating function is rewritten in the shift variable ``z`` (``q = 1 + z``)
-and truncated at a fixed order, so fractional exponents such as
-``q^{(n-1)/2}`` never materialize; symbolic exponents are handled by
-:func:`generalized_binomial_series` with a polynomial ``alpha``.
-``exp_series`` and ``log_series`` complete the series ring.
+Polynomials carry the PGFs and the symbolic moments, quasi-polynomials the
+fitted closed forms.  Truncated series in the shift variable ``z``
+(``q = 1 + z``) multiply and divide up to a fixed order.
 
 Coefficients are either :class:`fractions.Fraction` scalars or nested
 :class:`Polynomial` values in a different symbol (e.g. series in ``z`` whose
@@ -14,22 +11,12 @@ coefficients are polynomials in ``n``).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Union
 
 from momentforge.errors import SingularSeriesError
 
-__all__ = [
-    "Polynomial",
-    "QuasiPolynomial",
-    "TruncatedSeries",
-    "series_mul",
-    "series_div",
-    "generalized_binomial_series",
-    "exp_series",
-    "log_series",
-]
+__all__ = ["Polynomial", "QuasiPolynomial", "TruncatedSeries"]
 
 Coef = Union[Fraction, "Polynomial"]
 
@@ -101,11 +88,6 @@ class Polynomial:
 
     def coefficient(self, d: int) -> Coef:
         return self.coeffs[d] if 0 <= d < len(self.coeffs) else Fraction(0)
-
-    def leading_term(self) -> tuple[int, Coef]:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading term")
-        return len(self.coeffs) - 1, self.coeffs[-1]
 
     # -- ring operations ---------------------------------------------------
 
@@ -204,13 +186,10 @@ class Polynomial:
 
     __hash__ = None  # mutable-free but not intended as a dict key
 
-    # -- calculus / substitution -------------------------------------------
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(self.symbol, tuple(i * c for i, c in enumerate(self.coeffs) if i))
+    # -- substitution --------------------------------------------------------
 
     def eval(self, value):
-        """Evaluate the outer symbol at a scalar via Horner.
+        """Evaluate the outer symbol at a scalar, or substitute a polynomial for it, via Horner.
 
         With nested coefficients the result is the coefficient-ring value
         (a polynomial in the inner symbol).
@@ -220,19 +199,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             out = out * v + c
         return out
-
-    def compose(self, inner: "Polynomial") -> "Polynomial":
-        """Substitute ``symbol -> inner`` (Horner over the inner polynomial)."""
-        out = Polynomial.const(inner.symbol, 0)
-        for c in reversed(self.coeffs):
-            out = out * inner + c
-        return out
-
-    def divide_by_symbol(self) -> "Polynomial":
-        """Exact division by the symbol; the constant term must be zero."""
-        if self.coeffs and not _coef_is_zero(self.coeffs[0]):
-            raise ValueError(f"{self} is not divisible by {self.symbol}")
-        return Polynomial(self.symbol, self.coeffs[1:])
 
     # -- rendering ----------------------------------------------------------
 
@@ -475,52 +441,3 @@ def _invert_coef(c: Coef) -> Coef:
     if not c:
         raise SingularSeriesError("division by a series with zero constant term")
     return Fraction(1) / c
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the shared order."""
-    return a * b
-
-
-def series_div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """The series q with q*b = a up to the shared order."""
-    return a / b
-
-
-def generalized_binomial_series(alpha, order: int, var: str = "z") -> TruncatedSeries:
-    """(1 + var)^alpha for a symbolic (polynomial) or rational exponent.
-
-    Coefficient of ``var^i`` is ``alpha(alpha-1)...(alpha-i+1)/i!``.
-    """
-    from momentforge.exact_core import falling_factorial
-
-    coeffs = []
-    for i in range(order + 1):
-        coeffs.append(falling_factorial(alpha, i) * Fraction(1, math.factorial(i)))
-    return TruncatedSeries(var, order, coeffs)
-
-
-def exp_series(a: TruncatedSeries) -> TruncatedSeries:
-    """exp of a series with zero constant term."""
-    if not _coef_is_zero(a.coeffs[0]):
-        raise ValueError("exp_series requires a zero constant term")
-    out = TruncatedSeries.constant(1, a.order, a.var)
-    term = TruncatedSeries.constant(1, a.order, a.var)
-    for k in range(1, a.order + 1):
-        term = term * a / k
-        out = out + term
-    return out
-
-
-def log_series(a: TruncatedSeries) -> TruncatedSeries:
-    """log of a series with constant term 1 (inverse of exp_series)."""
-    if a.coeffs[0] != Fraction(1):
-        raise ValueError("log_series requires constant term 1")
-    u = a - 1
-    out = TruncatedSeries.constant(0, a.order, a.var)
-    upow = TruncatedSeries.constant(1, a.order, a.var)
-    for k in range(1, a.order + 1):
-        upow = upow * u
-        out = out + upow * Fraction((-1) ** (k + 1), k)
-    return out
-

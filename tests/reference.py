@@ -1,0 +1,258 @@
+"""Independent references the tests compare momentforge against.
+
+None of these is on a route the program serves: each computes a quantity
+by another method (a recurrence, a direct count, a series expansion or an
+extrapolation), and the first line of each docstring names the acceptance
+criterion or oracle check that pins it.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import zip_longest
+from typing import Sequence
+
+from momentforge.exact_core import falling_factorial
+from momentforge.families.common import count_pgf, half_binomial_moments
+from momentforge.moment_algebra import MomentVector, raw_to_binomial
+from momentforge.oracle import Histogram, JointHistogram
+from momentforge.poly_series import Polynomial, QuasiPolynomial, TruncatedSeries
+
+# -- permutations: inversions and the major index ----------------------------
+
+
+def p_coefficient(i: int) -> Polynomial:
+    """Criterion 4: p_i(n), the coefficient of z^i in P(n, z), the step of the paper's B_r(n) recurrence.
+
+    p_i(n) = (1/n) sum_s (-1)^s C((n-3)/2 + s, s) C(n, i+1-s), exactly, as a
+    polynomial in n.
+    """
+    if i < 0:
+        raise ValueError("need i >= 0")
+    nn = Polynomial.variable("n")
+    acc = Polynomial("n", ())
+    for s in range(i + 1):
+        upper = falling_factorial((nn - 3) / 2 + s, s) * Fraction(1, math.factorial(s))
+        j = i + 1 - s
+        lower = falling_factorial(nn, j) * Fraction(1, math.factorial(j))
+        acc = acc + (upper * lower if s % 2 == 0 else -(upper * lower))
+    assert not acc.coefficient(0), "the sum is divisible by n"
+    return Polynomial("n", acc.coeffs[1:])
+
+
+def maj_rows(n: int) -> list[list[int]]:
+    """Criterion 3: [F(n,1), ..., F(n,n)], the maj generating functions by final entry, as integer rows.
+
+    F(n,i) = sum_{j<i} F(n-1,j) + q^{n-1} sum_{j>=i} F(n-1,j), F(1,1) = 1,
+    from prefix and suffix sums of the rows.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    rows = [[1]]
+    for m in range(2, n + 1):
+        prefix = [[]]  # prefix[i] = sum of the first i rows
+        for f in rows:
+            prefix.append(_add_rows(prefix[-1], f))
+        suffix = [[]]  # suffix[i] = sum of the last i rows
+        for f in reversed(rows):
+            suffix.append(_add_rows(suffix[-1], f))
+        shift = [0] * (m - 1)
+        rows = [_add_rows(prefix[i], shift + suffix[m - 1 - i]) for i in range(m)]
+    return rows
+
+
+def _add_rows(a: list[int], b: list[int]) -> list[int]:
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def maj_pgf(n: int) -> Polynomial:
+    """Criterion 3: the PGF of maj over S_n, H_n(q) = F(n+1, n+1) over n!."""
+    return count_pgf(maj_rows(n + 1)[-1], math.factorial(n))
+
+
+def marginal_maj(joint: JointHistogram) -> Histogram:
+    """Criterion 3: the maj marginal of the oracle's joint (inv, maj) histogram."""
+    counts: dict[int, int] = {}
+    for (_, maj), c in joint.counts.items():
+        counts[maj] = counts.get(maj, 0) + c
+    return Histogram(counts, joint.total)
+
+
+def permutation_inv(perm: Sequence[int]) -> int:
+    """Oracle check behind criterion 3: the number of pairs appearing out of order."""
+    n = len(perm)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+
+
+def permutation_maj(perm: Sequence[int]) -> int:
+    """Oracle check behind criterion 3: the sum of the descent positions (1-based)."""
+    return sum(i + 1 for i in range(len(perm) - 1) if perm[i] > perm[i + 1])
+
+
+# -- Schur triples ------------------------------------------------------------
+
+
+def triples(n: int) -> list[tuple[int, ...]]:
+    """Criterion 1: every Schur triple {x, y, x+y} in [1, n] as its elements, (x, 2x) when x = y."""
+    return [
+        (x, 2 * x) if x == y else (x, y, x + y) for x in range(1, n + 1) for y in range(x, n - x + 1)
+    ]
+
+
+def indicator_first_moment(n: int, c: int) -> Fraction:
+    """Criterion 1: E[X] summed triple by triple, 1/c per two-element triple and 1/c^2 per three."""
+    return sum((Fraction(1, c ** (len(t) - 1)) for t in triples(n)), Fraction(0))
+
+
+def first_moment_quasi(c: int) -> QuasiPolynomial:
+    """Criterion 1: E[X] as the printed period-2 quasi-polynomial in n at a numeric c."""
+    nn = Polynomial.variable("n")
+    odd = (nn - 1) * (nn - 1 + 2 * c) / (4 * c * c)
+    even = nn * (nn - 2 + 2 * c) / (4 * c * c)
+    return QuasiPolynomial(2, [even, odd])
+
+
+# -- boolean subcubes ---------------------------------------------------------
+
+
+def subcube_positions(n: int, k: int) -> tuple[int, ...]:
+    """Oracle check behind criteria 6 and 8: the vertex masks of all axis-aligned k-subcubes of the n-cube."""
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    positions = []
+    for free in itertools.combinations(range(n), k):
+        fixed = [i for i in range(n) if i not in free]
+        for bits in range(1 << (n - k)):
+            base = sum(1 << coord for j, coord in enumerate(fixed) if (bits >> j) & 1)
+            mask = 0
+            for corner in range(1 << k):
+                v = base | sum(1 << coord for j, coord in enumerate(free) if (corner >> j) & 1)
+                mask |= 1 << v
+            positions.append(mask)
+    return tuple(positions)
+
+
+# -- series: the centered generating functions --------------------------------
+
+
+def generalized_binomial_series(alpha, order: int, var: str = "z") -> TruncatedSeries:
+    """Criteria 4 and 12: (1 + var)^alpha for a rational or polynomial alpha, to var^order.
+
+    The coefficient of var^i is alpha(alpha-1)...(alpha-i+1)/i!.
+    """
+    coeffs = [falling_factorial(alpha, i) * Fraction(1, math.factorial(i)) for i in range(order + 1)]
+    return TruncatedSeries(var, order, coeffs)
+
+
+def exp_series(a: TruncatedSeries) -> TruncatedSeries:
+    """Criterion 12: exp of a series with zero constant term."""
+    if a.coeffs[0]:
+        raise ValueError("exp_series requires a zero constant term")
+    out = TruncatedSeries.constant(1, a.order, a.var)
+    term = TruncatedSeries.constant(1, a.order, a.var)
+    for k in range(1, a.order + 1):
+        term = term * a / k
+        out = out + term
+    return out
+
+
+def log_series(a: TruncatedSeries) -> TruncatedSeries:
+    """Criterion 12: log of a series with constant term 1, the inverse of exp_series."""
+    if a.coeffs[0] != Fraction(1):
+        raise ValueError("log_series requires constant term 1")
+    u = a - 1
+    out = TruncatedSeries.constant(0, a.order, a.var)
+    upow = TruncatedSeries.constant(1, a.order, a.var)
+    for k in range(1, a.order + 1):
+        upow = upow * u
+        out = out + upow * Fraction((-1) ** (k + 1), k)
+    return out
+
+
+def half_binomial_series(a, order: int) -> TruncatedSeries:
+    """Criterion 4: (1 + z/2)^a (1 + z)^(-a/2) = E[(1+z)^(X - a/2)] for X ~ Binomial(a, 1/2), to z^order.
+
+    ``a`` is a rational or a Polynomial.
+    """
+    up = generalized_binomial_series(a, order)
+    halved = TruncatedSeries(up.var, order, [c * Fraction(1, 2**i) for i, c in enumerate(up.coeffs)])
+    return halved * generalized_binomial_series(a * Fraction(-1, 2), order)
+
+
+def p_series_k0(order: int) -> TruncatedSeries:
+    """Criterion 4: P(n, z) = [(2+z)/(2 sqrt(1+z))]^w of the boolean 0-cube count, over polynomials in w = 2^(n-1).
+
+    The centered generating function of Binomial(w, 1/2), the summand that
+    takes the 0-cube count from n - 1 to n: G_n(1+z) = P(n, z) G_{n-1}(1+z).
+    """
+    return half_binomial_series(Polynomial.variable("w"), order)
+
+
+def board1n_p_series(order: int) -> TruncatedSeries:
+    """Criterion 4: P_n(1+z) = (2+z)/(2 sqrt(1+z)) = 1 + z^2/8 - z^3/8 + 15 z^4/128 - ... of the 1-by-n board."""
+    return half_binomial_series(1, order)
+
+
+def board1n_binomial_moments_symbolic(r_max: int) -> MomentVector:
+    """Criterion 9: B_r(n) of the 1-by-n domino board as polynomials in n.
+
+    The n - 1 slots of the board are independent fair coins, so the count
+    is Binomial(n - 1, 1/2); its central moments are converted once.
+    """
+    entries = half_binomial_moments(Polynomial.variable("n") - 1, r_max, central=True)
+    return raw_to_binomial(MomentVector("central", entries))
+
+
+# -- leading terms by extrapolation -------------------------------------------
+
+
+@dataclass(frozen=True)
+class LeadingTermResult:
+    estimate: Fraction
+    converged: bool
+    level: int  # extrapolation depth the estimate was taken from
+    diagnostics: tuple[Fraction, ...]  # successive extrapolation estimates
+
+
+def fit_leading_term(data: Sequence[tuple[int, Fraction]], degree: int) -> LeadingTermResult:
+    """Criterion 11: the coefficient of n^degree, estimated by extrapolation in 1/n.
+
+    ``value / n^degree`` is treated as a polynomial in 1/n and extrapolated
+    to 0 by Neville's algorithm over exact rationals.  The reported value
+    is the tableau level with the smallest correction (the usual stopping
+    rule for sequence acceleration): on exactly polynomial input of the
+    hypothesized degree the corrections vanish and the answer is exact,
+    while data with a non-polynomial tail stops before the deep levels
+    amplify it.  A tail whose corrections only ever grow is flagged
+    non-convergent.
+    """
+    pts = sorted((int(n), Fraction(v)) for n, v in data)
+    if len(pts) < 3:
+        raise ValueError("need at least 3 data points at large n")
+    if any(n <= 0 for n, _ in pts):
+        raise ValueError("data points must have n >= 1")
+    xs = [Fraction(1, n) for n, _ in pts]
+    ys = [v / Fraction(n) ** degree for n, v in pts]
+
+    # Neville tableau evaluated at x = 0; level k keeps the entry built
+    # from the last k+1 points, which leans on the largest n values.
+    estimates: list[Fraction] = [ys[-1]]
+    tableau = list(ys)
+    m = len(pts)
+    for k in range(1, m):
+        tableau = [
+            (xs[i + k] * tableau[i] - xs[i] * tableau[i + 1]) / (xs[i + k] - xs[i]) for i in range(m - k)
+        ]
+        estimates.append(tableau[-1])
+
+    corrections = [abs(b - a) for a, b in zip(estimates, estimates[1:])]
+    best = min(range(len(corrections)), key=lambda i: (corrections[i], i))
+    level = best + 1
+    increasing = all(b > a for a, b in zip(corrections, corrections[1:]))
+    converged = corrections[best] == 0 or not (increasing and len(corrections) > 1)
+    return LeadingTermResult(
+        estimate=estimates[level], converged=converged, level=level, diagnostics=tuple(estimates)
+    )

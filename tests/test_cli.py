@@ -218,6 +218,19 @@ def test_identities_guard_edge(capsys):
         assert proc.err.startswith("usage error:") and "IDENTITIES_GUARD = " in proc.err, proc.err
 
 
+def test_identities_lower_edge(capsys):
+    # in process: order 0 is one row, a negative order is refused rather than printing no rows
+    from momentforge.cli import main
+
+    assert main(["identities", "--r-max", "0"]) == 0
+    rows = json.loads(capsys.readouterr().out)["result"]["rows"]
+    assert rows == [{"r": 0, "t": 0, "value": "1", "expected": "1", "ok": True}]
+    assert main(["identities", "--r-max", "-1"]) == 1
+    proc = capsys.readouterr()
+    assert proc.out == ""
+    assert proc.err.startswith("usage error: r_max must be >= 0"), proc.err
+
+
 def test_csv_format_and_out_file(tmp_path):
     out = tmp_path / "hist.csv"
     proc = run_cli(

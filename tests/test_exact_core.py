@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -101,11 +102,14 @@ def test_rational_normalization_idempotent(a):
     assert Fraction(0) == Fraction(0, 17)
 
 
-def test_stirling_cache_fill():
-    from momentforge.exact_core import StirlingCache
+def test_stirling_tables_grow_on_demand(monkeypatch):
+    from momentforge import exact_core
 
-    cache = StirlingCache()
-    results = [[cache.second_kind(40, i) for i in range(41)] for _ in range(2)]
-    assert cache.max_order == 40
+    monkeypatch.setattr(exact_core, "_STIRLING2", [[1]])
+    monkeypatch.setattr(exact_core, "_STIRLING1_SIGNED", [[1]])
+    results = [[stirling2(40, i) for i in range(41)] for _ in range(2)]
+    assert len(exact_core._STIRLING2) == len(exact_core._STIRLING1_SIGNED) == 41
     assert all(row == results[0] for row in results)
-    assert results[0][2] == stirling2(40, 2)
+    assert results[0][2] == 2**39 - 1  # {r brace 2} = 2^(r-1) - 1
+    assert stirling1_signed(40, 39) == -math.comb(40, 2)
+    assert len(exact_core._STIRLING2) == 41

@@ -3,11 +3,14 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from momentforge.families import boolean
-from momentforge.families.common import eval_at_n, w_to_big_w
-from momentforge.moment_algebra import raw_to_central
+from momentforge.families import boolean, moment_vector
+from momentforge.families.common import eval_at_n
+from momentforge.moment_algebra import MomentVector, raw_to_central
 from momentforge.oracle import enumerate_boolean, histogram_moments
 from momentforge.poly_series import Polynomial
+from reference import p_series_k0
+
+HALF_W = Polynomial("W", (0, Fr(1, 2)))  # w = 2^(n-1) as a polynomial in W = 2^n
 
 W = Polynomial.variable("W")
 N = Polynomial.variable("n")
@@ -16,15 +19,17 @@ w = Polynomial.variable("w")
 
 class TestZeroCube:
     def test_raw_moments_printed(self):
-        assert boolean.raw_moment_k0(0) == 1
-        assert boolean.raw_moment_k0(1) == W / 2
-        assert boolean.raw_moment_k0(2) == W * (W + 1) / 4
-        assert boolean.raw_moment_k0(3) == W * W * (W + 3) / 8
-        assert boolean.raw_moment_k0(4) == W * (W * W + 5 * W - 2) * (W + 1) / 16
+        raw = boolean.raw_moments_k0(4).entries
+        assert raw[0] == 1
+        assert raw[1] == W / 2
+        assert raw[2] == W * (W + 1) / 4
+        assert raw[3] == W * W * (W + 3) / 8
+        assert raw[4] == W * (W * W + 5 * W - 2) * (W + 1) / 16
 
     def test_raw_moment_small_case(self):
         # n=1: X ~ Binomial(2, 1/2), E[X^2] = 3/2
-        assert eval_at_n(boolean.raw_moment_k0(2), 1) == Fr(3, 2)
+        assert eval_at_n(boolean.raw_moments_k0(2).entries[2], 1) == Fr(3, 2)
+        assert moment_vector("boolean", "raw", 2, {"n": 1}).entries[2] == Fr(3, 2)
 
     def test_central_moments_printed(self):
         cm = boolean.central_moments_k0(8)
@@ -39,12 +44,12 @@ class TestZeroCube:
             mv = histogram_moments(enumerate_boolean(n, 0), 8)
             central = raw_to_central(mv, mv.entries[1])
             for r in range(9):
-                assert eval_at_n(boolean.raw_moment_k0(r), n) == mv.entries[r], (n, r)
+                assert eval_at_n(boolean.raw_moments_k0(8).entries[r], n) == mv.entries[r], (n, r)
                 assert eval_at_n(boolean.central_moments_k0(8).entries[r], n) == central.entries[r]
 
     def test_p_series_printed_in_2n(self):
-        ps = boolean.p_series_k0(5)
-        as_W = [w_to_big_w(c) if isinstance(c, Polynomial) else c for c in ps.coeffs]
+        ps = p_series_k0(5)
+        as_W = [c.eval(HALF_W) if isinstance(c, Polynomial) else c for c in ps.coeffs]
         assert as_W[0] == 1 and as_W[1] == 0
         assert as_W[2] == W / 16
         assert as_W[3] == -W / 16
@@ -56,22 +61,20 @@ class TestZeroCube:
         assert bm.entries[0] == 1 and bm.entries[1].is_zero()
         assert bm.entries[2] == w / 4  # = 2^n/8 = Var/2
         for r in (1, 2, 3, 4):
-            deg, coef = bm.entries[2 * r].leading_term()
-            assert (deg, coef) == (r, Fr(1, 4**r * math.factorial(r))), r
+            e = bm.entries[2 * r]
+            assert (e.degree, e.coeffs[-1]) == (r, Fr(1, 4**r * math.factorial(r))), r
         for r in (1, 2, 3):
             # B_{2r+1} = -2^{rn}/((r-1)! 8^r) + ... = -w^r/((r-1)! 4^r) + ...
-            deg, coef = bm.entries[2 * r + 1].leading_term()
-            assert (deg, coef) == (r, Fr(-1, 4**r * math.factorial(r - 1))), r
+            e = bm.entries[2 * r + 1]
+            assert (e.degree, e.coeffs[-1]) == (r, Fr(-1, 4**r * math.factorial(r - 1))), r
 
     def test_binomial_recurrence_consistency(self):
         # G_n(1+z) coefficients = P(n,z) * G_{n-1}(1+z) with w -> w/2 rebasing
         r_max = 6
         bm = boolean.binomial_moments_k0(r_max)
-        p = boolean.p_series_k0(r_max)
+        p = p_series_k0(r_max)
         half_w = Polynomial("w", (0, Fr(1, 2)))
-        prev = [
-            e.compose(half_w) if isinstance(e, Polynomial) else e for e in bm.entries
-        ]
+        prev = [e.eval(half_w) if isinstance(e, Polynomial) else e for e in bm.entries]
         for r in range(r_max + 1):
             acc = Polynomial("w", ())
             for s in range(r + 1):
@@ -152,12 +155,12 @@ class TestGeneralK:
         # L{Var} = n^{2k} 2^n / (k!^2 2^{2^{k+1}})
         for k in range(4):
             coef = boolean.variance_k(k).coefficient(1)
-            deg, lead = (0, coef) if isinstance(coef, Fr) else coef.leading_term()
+            deg, lead = (0, coef) if isinstance(coef, Fr) else (coef.degree, coef.coeffs[-1])
             assert deg == 2 * k
             assert lead == Fr(1, math.factorial(k) ** 2 * 2 ** (2 ** (k + 1)))
 
     def test_second_moment_k0_consistent(self):
-        assert boolean.second_moment_k(0) == boolean.raw_moment_k0(2)
+        assert boolean.second_moment_k(0) == boolean.raw_moments_k0(2).entries[2]
 
     def test_against_oracle(self):
         for k in (1, 2):
@@ -181,18 +184,20 @@ class TestGeneralK:
             assert eval_at_n(got, n) == mv.entries[3], n
 
     def test_central_third_k1(self):
-        cm = boolean.central_moments_k1(3)
+        raw = [Polynomial("W", (1,)), boolean.first_moment_k(1), boolean.second_moment_k(1), boolean.third_moment_k1()]
+        cm = raw_to_central(MomentVector("raw", raw), boolean.first_moment_k(1))
         assert cm.entries[3] == Polynomial("W", (0, 3 * N**3 / 64))
         for n in range(1, 5):
             mv = histogram_moments(enumerate_boolean(n, 1), 3)
             central = raw_to_central(mv, mv.entries[1])
             assert eval_at_n(cm.entries[3], n) == central.entries[3], n
+            assert moment_vector("boolean", "central", 3, {"n": n, "k": 1}).entries[3] == central.entries[3], n
 
     def test_out_of_scope_orders_rejected(self):
-        with pytest.raises(ValueError):
-            boolean.raw_moments_k1(4)
-        with pytest.raises(ValueError):
-            boolean.central_moments_k1(5)
+        with pytest.raises(ValueError, match="stop at r = 3"):
+            moment_vector("boolean", "raw", 4, {"n": 3, "k": 1})
+        with pytest.raises(ValueError, match="stop at r = 3"):
+            moment_vector("boolean", "central", 5, {"n": 3, "k": 1})
 
 
 class TestHApproximation:
@@ -228,12 +233,10 @@ class TestHApproximation:
         h = boolean.h_polynomial(2, 0)
         base = Polynomial("q", (Fr(1, 2), Fr(1, 2)))
         assert h == base**4
-        # moments derived from the polynomial agree with the sum route
+        # moments derived from the polynomial, H'(1) and H''(1), agree with the sum route
         h1 = boolean.h_polynomial(3, 1)
-        d1 = h1.derivative()
-        assert d1.eval(1) == boolean.h_moments(3, 1)["mean"]
-        d2 = d1.derivative()
-        assert d2.eval(1) == boolean.h_moments(3, 1)["second_factorial"]
+        assert sum(d * c for d, c in enumerate(h1.coeffs)) == boolean.h_moments(3, 1)["mean"]
+        assert sum(d * (d - 1) * c for d, c in enumerate(h1.coeffs)) == boolean.h_moments(3, 1)["second_factorial"]
 
     def test_guards(self):
         from momentforge.errors import SizeGuardError

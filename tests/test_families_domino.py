@@ -5,11 +5,12 @@ import pytest
 
 from momentforge.errors import ConsistencyError, SizeGuardError
 from momentforge.exact_core import stirling1_signed, stirling2
-from momentforge.families import domino
+from momentforge.families import domino, moment_vector
 from momentforge.families.common import half_binomial_moments
 from momentforge.moment_algebra import raw_to_binomial, raw_to_central
 from momentforge.oracle import enumerate_boards, histogram_moments
 from momentforge.poly_series import Polynomial
+from reference import board1n_binomial_moments_symbolic, board1n_p_series
 
 MU = Polynomial.variable("mu")
 N = Polynomial.variable("n")
@@ -35,6 +36,11 @@ TABLE_R3 = {
 }
 
 
+def _moments(kind, m, n, r_max):
+    """The served moments E[X^r] (kind "raw") or E[(X - mu)^r] (kind "central") of the m-by-n board."""
+    return moment_vector("domino", kind, r_max, {"m": m, "n": n}).entries
+
+
 def test_slot_count_and_mean():
     assert domino.slot_count(2, 3) == 7
     assert domino.mean(2, 3) == Fr(7, 2)
@@ -43,16 +49,14 @@ def test_slot_count_and_mean():
 
 
 def test_raw_moments_printed_polynomials():
-    assert domino.raw_moment_symbolic(0) == 1
-    assert domino.raw_moment_symbolic(1) == MU
-    assert domino.raw_moment_symbolic(2) == MU * MU + MU / 2
-    assert domino.raw_moment_symbolic(3) == MU * MU * (MU + Fr(3, 2))
-    assert domino.raw_moment_symbolic(4) == MU * (2 * MU + 1) * (2 * MU * MU + 5 * MU - 1) / 4
-    assert domino.raw_moment_symbolic(5) == MU * MU * (4 * MU**3 + 20 * MU * MU + 15 * MU - 5) / 4
-    assert (
-        domino.raw_moment_symbolic(6)
-        == MU * (2 * MU + 1) * (4 * MU**4 + 28 * MU**3 + 31 * MU * MU - 23 * MU + 4) / 8
-    )
+    raw = domino.raw_moments_symbolic(6).entries
+    assert raw[0] == 1
+    assert raw[1] == MU
+    assert raw[2] == MU * MU + MU / 2
+    assert raw[3] == MU * MU * (MU + Fr(3, 2))
+    assert raw[4] == MU * (2 * MU + 1) * (2 * MU * MU + 5 * MU - 1) / 4
+    assert raw[5] == MU * MU * (4 * MU**3 + 20 * MU * MU + 15 * MU - 5) / 4
+    assert raw[6] == MU * (2 * MU + 1) * (4 * MU**4 + 28 * MU**3 + 31 * MU * MU - 23 * MU + 4) / 8
 
 
 def test_central_moments_printed_polynomials():
@@ -68,11 +72,11 @@ def test_printed_tables(r, table):
     for m, row in table.items():
         for idx, expected in enumerate(row):
             n = idx + 1
-            assert domino.scaled_raw_moment(m, n, r) == expected, (m, n, r)
+            assert _moments("raw", m, n, r)[r] * 2 ** (m * n) == expected, (m, n, r)
 
 
 def test_worked_table_cell():
-    assert domino.scaled_raw_moment(2, 3, 3) == 3920
+    assert _moments("raw", 2, 3, 3)[3] * 2 ** (2 * 3) == 3920
 
 
 def test_raw_moments_match_oracle_where_slots_form_a_forest():
@@ -80,12 +84,12 @@ def test_raw_moments_match_oracle_where_slots_form_a_forest():
     for n in (1, 2, 5, 8, 12):
         mv = histogram_moments(enumerate_boards(1, n), 8)
         for r in range(9):
-            assert domino.raw_moment(1, n, r) == mv.entries[r], (n, r)
+            assert _moments("raw", 1, n, r)[r] == mv.entries[r], (n, r)
     # multi-row boards: exact through r = 3 (no cycle fits in 3 slots)
     for m, n in [(2, 2), (2, 3), (3, 3), (2, 5), (4, 3)]:
         mv = histogram_moments(enumerate_boards(m, n), 3)
         for r in range(4):
-            assert domino.raw_moment(m, n, r) == mv.entries[r], (m, n, r)
+            assert _moments("raw", m, n, r)[r] == mv.entries[r], (m, n, r)
 
 
 def test_raw_moment_formula_deviates_on_cycles():
@@ -94,7 +98,7 @@ def test_raw_moment_formula_deviates_on_cycles():
     # the Stirling sum undercounts E[X^4] there.  Frozen counterexample:
     mv = histogram_moments(enumerate_boards(2, 2), 4)
     assert mv.entries[4] == 44
-    assert domino.raw_moment_symbolic(4).eval(domino.mean(2, 2)) == Fr(85, 2)
+    assert domino.raw_moments_symbolic(4).entries[4].eval(domino.mean(2, 2)) == Fr(85, 2)
 
 
 def test_closed_form_domain():
@@ -105,13 +109,13 @@ def test_closed_form_domain():
 
 
 def test_raw_moment_exact_off_the_closed_form_domain():
-    assert domino.raw_moment(2, 2, 4) == 44
-    assert domino.scaled_raw_moment(2, 2, 4) == 704
+    assert _moments("raw", 2, 2, 4)[4] == 44
+    assert _moments("raw", 2, 2, 4)[4] * 2 ** (2 * 2) == 704
     for m, n in [(2, 2), (2, 3), (3, 3), (2, 5), (4, 3)]:
         mv = histogram_moments(enumerate_boards(m, n), 8)
-        assert tuple(domino.raw_moments(m, n, 8).entries) == tuple(mv.entries), (m, n)
+        assert tuple(_moments("raw", m, n, 8)) == tuple(mv.entries), (m, n)
         expect = raw_to_central(mv, mv.entries[1])
-        assert tuple(domino.central_moments(m, n, 8).entries) == tuple(expect.entries), (m, n)
+        assert tuple(_moments("central", m, n, 8)) == tuple(expect.entries), (m, n)
 
 
 def test_transfer_matrix_matches_closed_forms_on_their_domain():
@@ -122,7 +126,7 @@ def test_transfer_matrix_matches_closed_forms_on_their_domain():
         for k in range(r_max + 1):
             # E[C(X, k)] from the mu-polynomials via E[(X)_k] = sum_r s(k, r) E[X^r]
             mean_ck = sum(
-                stirling1_signed(k, r) * domino.raw_moment(m, n, r) for r in range(k + 1)
+                stirling1_signed(k, r) * _moments("raw", m, n, r)[r] for r in range(k + 1)
             ) / math.factorial(k)
             assert Fr(b[k], 2 ** (m * n)) == mean_ck, (m, n, k)
 
@@ -130,7 +134,7 @@ def test_transfer_matrix_matches_closed_forms_on_their_domain():
 def test_transfer_matrix_symmetries():
     assert domino.binomial_sums(3, 8, 6) == domino.binomial_sums(8, 3, 6)
     # the grid is bipartite: flipping one colour class maps X to A - X
-    cm = domino.central_moments(4, 6, 9)
+    cm = moment_vector("domino", "central", 9, {"m": 4, "n": 6})
     assert all(cm.entries[r] == 0 for r in (1, 3, 5, 7, 9))
 
 
@@ -265,7 +269,7 @@ def test_binomial_sums_read_the_longest_sweep_for_their_width_and_order(monkeypa
 
 def test_transfer_matrix_size_guard():
     with pytest.raises(SizeGuardError, match="TRANSFER_GUARD"):
-        domino.raw_moment(20, 30, 4)
+        _moments("raw", 20, 30, 4)[4]
     # the sums b_k have about wL bits each, so the length counts as well
     with pytest.raises(SizeGuardError, match="TRANSFER_GUARD"):
         domino.binomial_sums(2, 10**9, 4)
@@ -273,20 +277,20 @@ def test_transfer_matrix_size_guard():
         domino.binomial_sums(8, 1562501, 8)
     # the sweep runs 2r+2 rows, whatever the length: 12 x 400 and 8 x 10^6 are served
     assert domino.binomial_sums(12, 400, 8) == domino.binomial_sums(400, 12, 8)
-    assert domino.central_moments(8, 10**6, 8).entries[1] == 0
+    assert _moments("central", 8, 10**6, 8)[1] == 0
     # the mu-polynomials need no guard
-    assert domino.raw_moment(10**6, 10**6, 3) == domino.raw_moment_symbolic(3).eval(
+    assert _moments("raw", 10**6, 10**6, 3)[3] == domino.raw_moments_symbolic(3).entries[3].eval(
         domino.mean(10**6, 10**6)
     )
 
 
 def test_board1n_p_series_printed():
-    ps = domino.board1n_p_series(5)
+    ps = board1n_p_series(5)
     assert tuple(ps.coeffs) == (Fr(1), Fr(0), Fr(1, 8), Fr(-1, 8), Fr(15, 128), Fr(-7, 64))
 
 
 def test_board1n_binomial_moments_printed():
-    bm = domino.board1n_binomial_moments_symbolic(5)
+    bm = board1n_binomial_moments_symbolic(5)
     assert bm.entries[0] == 1 and bm.entries[1].is_zero()
     assert bm.entries[2] == (N - 1) / 8
     assert bm.entries[3] == -(N - 1) / 8
@@ -295,22 +299,22 @@ def test_board1n_binomial_moments_printed():
 
 
 def test_board1n_binomial_invariants():
-    sym = domino.board1n_binomial_moments_symbolic(6)
+    sym = board1n_binomial_moments_symbolic(6)
     for n in (1, 2, 5, 9):
-        bm = raw_to_binomial(domino.central_moments(1, n, 6))
+        bm = raw_to_binomial(moment_vector("domino", "central", 6, {"m": 1, "n": n}))
         assert bm.entries[0] == 1 and bm.entries[1] == 0
         assert bm.entries[2] == Fr(n - 1, 8)
         # the numeric route and the polynomials in n agree
         assert tuple(bm.entries) == tuple(e.eval(n) for e in sym.entries), n
-    assert raw_to_binomial(domino.central_moments(1, 5, 2)).entries[2] == Fr(1, 2)
+    assert raw_to_binomial(moment_vector("domino", "central", 2, {"m": 1, "n": 5})).entries[2] == Fr(1, 2)
 
 
 def test_board1n_recurrence_step():
     # B(n) series equals P * B(n-1) with n -> n-1 substituted
     r_max = 6
-    bm = domino.board1n_binomial_moments_symbolic(r_max)
-    p = domino.board1n_p_series(r_max)
-    shifted = [e.compose(N - 1) for e in bm.entries]
+    bm = board1n_binomial_moments_symbolic(r_max)
+    p = board1n_p_series(r_max)
+    shifted = [e.eval(N - 1) for e in bm.entries]
     for r in range(r_max + 1):
         acc = Polynomial("n", ())
         for s in range(r + 1):
@@ -321,20 +325,20 @@ def test_board1n_recurrence_step():
 def test_board1n_leading_terms():
     import math
 
-    bm = domino.board1n_binomial_moments_symbolic(9)
+    bm = board1n_binomial_moments_symbolic(9)
     for r in (1, 2, 3, 4):
-        deg, coef = bm.entries[2 * r].leading_term()
-        assert (deg, coef) == (r, Fr(1, math.factorial(r) * 2 ** (3 * r))), r
+        e = bm.entries[2 * r]
+        assert (e.degree, e.coeffs[-1]) == (r, Fr(1, math.factorial(r) * 2 ** (3 * r))), r
     for r in (1, 2, 3):
-        deg, coef = bm.entries[2 * r + 1].leading_term()
-        assert (deg, coef) == (r, Fr(-1, math.factorial(r - 1) * 2 ** (3 * r))), r
+        e = bm.entries[2 * r + 1]
+        assert (e.degree, e.coeffs[-1]) == (r, Fr(-1, math.factorial(r - 1) * 2 ** (3 * r))), r
 
 
 def test_board1n_second_order_terms():
     # Remark: B_{2r}(n) = n^r/(r! 8^r) + r(4r-5) n^{r-1}/((r-1)! 8^r) + ...
     import math
 
-    bm = domino.board1n_binomial_moments_symbolic(9)
+    bm = board1n_binomial_moments_symbolic(9)
     for r in (2, 3, 4):
         poly = bm.entries[2 * r]
         c2 = poly.coefficient(r - 1)
@@ -349,7 +353,7 @@ def test_board1n_central_vs_oracle():
     for n in (2, 5, 8):
         mv = histogram_moments(enumerate_boards(1, n), 6)
         expect = raw_to_central(mv, mv.entries[1])
-        got = domino.central_moments(1, n, 6)
+        got = moment_vector("domino", "central", 6, {"m": 1, "n": n})
         assert tuple(got.entries) == tuple(expect.entries), n
 
 
@@ -367,4 +371,4 @@ def test_param_validation():
     with pytest.raises(ValueError):
         domino.mgf_deviation_1n(1, [1])
     with pytest.raises(ValueError):
-        domino.central_moments(1, 0, 3)
+        moment_vector("domino", "central", 3, {"m": 1, "n": 0})

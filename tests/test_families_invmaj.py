@@ -4,9 +4,10 @@ from fractions import Fraction as Fr
 import mpmath
 import pytest
 
-from momentforge.families import common, invmaj, moment_vector
+from momentforge.families import common, invmaj
 from momentforge.oracle import enumerate_permutations
 from momentforge.poly_series import Polynomial
+from reference import generalized_binomial_series, maj_pgf, maj_rows, p_coefficient
 
 N = Polynomial.variable("n")
 
@@ -34,9 +35,6 @@ def test_mean_variance():
     assert invmaj.mean_variance(3) == (Fr(3, 2), Fr(11, 12))
     assert invmaj.mean_variance(8) == (14, Fr(49, 3))
     assert invmaj.mean_variance(10) == (Fr(45, 2), Fr(125, 4))
-    mu, var = invmaj.mean_variance_polynomials()
-    assert mu == N * (N - 1) / 4
-    assert var == N * (N - 1) * (2 * N + 5) / 72
 
 
 def test_against_oracle():
@@ -48,18 +46,19 @@ def test_against_oracle():
 
 
 def test_p_coefficients_printed():
-    assert invmaj.p_coefficient(0) == 1
-    assert invmaj.p_coefficient(1).is_zero()
-    assert invmaj.p_coefficient(2) == (N - 1) * (N + 1) / 24
-    assert invmaj.p_coefficient(3) == -(N - 1) * (N + 1) / 24
-    assert invmaj.p_coefficient(4) == (N - 1) * (N + 1) * (N * N + 71) / 1920
-    assert invmaj.p_coefficient(5) == -(N - 1) * (N + 1) * (N * N + 31) / 960
+    assert p_coefficient(0) == 1
+    assert p_coefficient(1).is_zero()
+    assert p_coefficient(2) == (N - 1) * (N + 1) / 24
+    assert p_coefficient(3) == -(N - 1) * (N + 1) / 24
+    assert p_coefficient(4) == (N - 1) * (N + 1) * (N * N + 71) / 1920
+    assert p_coefficient(5) == -(N - 1) * (N + 1) * (N * N + 31) / 960
 
 
 def test_p_coefficients_leading_terms():
     # L{p_i} = n^i / (2^i (i+1)!) for even i, -(i-1) n^(i-1) / (2^i i!) for odd i
     for i in range(2, 9):
-        deg, coef = invmaj.p_coefficient(i).leading_term()
+        p = p_coefficient(i)
+        deg, coef = p.degree, p.coeffs[-1]
         if i % 2 == 0:
             assert (deg, coef) == (i, Fr(1, 2**i * math.factorial(i + 1)))
         else:
@@ -69,15 +68,15 @@ def test_p_coefficients_leading_terms():
 def test_p_series_matches_direct_expansion():
     # Independent route: P(n,z) = [((1+z)^n - 1)/z] * (1+z)^(-(n-1)/2) / n
     from momentforge.exact_core import binomial as binom
-    from momentforge.poly_series import TruncatedSeries, generalized_binomial_series, series_mul
+    from momentforge.poly_series import TruncatedSeries
 
     R = 6
     for n in range(2, 9):
         rising = TruncatedSeries("z", R, [binom(n, j + 1) for j in range(R + 1)])
         shift = generalized_binomial_series(Fr(-(n - 1), 2), R)
-        series = series_mul(rising, shift) / n
+        series = rising * shift / n
         for i in range(R + 1):
-            assert invmaj.p_coefficient(i).eval(n) == series.coefficient(i), (n, i)
+            assert p_coefficient(i).eval(n) == series.coefficient(i), (n, i)
 
 
 def test_binomial_moments_small():
@@ -115,7 +114,7 @@ def test_binomial_moment_leading_ratio():
 
 def _recurrence_rows(n_max: int, r_max: int) -> list[list[Fr]]:
     """Reference: [B_0(m), ..., B_{r_max}(m)] for m = 1..n_max, stepped once per m."""
-    ps = [invmaj.p_coefficient(s) for s in range(r_max + 1)]
+    ps = [p_coefficient(s) for s in range(r_max + 1)]
     current = [Fr(1)] + [Fr(0)] * r_max
     rows = [current]
     for m in range(2, n_max + 1):
@@ -145,14 +144,6 @@ def test_cumulant_route_matches_recurrence_at_order_20():
         assert invmaj.binomial_moments(n, 20).entries == tuple(rows[n - 1]), n
 
 
-def test_moment_requests_build_no_p_coefficients():
-    invmaj.p_coefficient.cache_clear()
-    invmaj.FAMILY.moments(12, {"n": 50})
-    moment_vector("invmaj", "raw", 12, {"n": 50})
-    moment_vector("invmaj", "central", 8, {"n": 400})
-    assert invmaj.p_coefficient.cache_info().currsize == 0
-
-
 def _bernoulli(count: int) -> list[Fr]:
     """B_0, ..., B_{count-1} from sum_{k<=m} C(m+1, k) B_k = 0."""
     b = [Fr(1)]
@@ -176,12 +167,12 @@ def test_binomial_moments_at_large_n_match_independent_uniforms():
 
 
 def test_maj_table_and_pgf():
-    assert invmaj.maj_table(1) == [Polynomial("q", (1,))]
-    h3 = invmaj.maj_generating_function(3)
-    assert h3 == Polynomial("q", (1, 2, 2, 1))
-    assert sum(h3.coeffs) == 6
+    assert maj_rows(1) == [[1]]
+    h3 = maj_rows(4)[-1]  # H_3(q) = F(4, 4)
+    assert h3 == [1, 2, 2, 1]
+    assert sum(h3) == 6
     for n in range(1, 10):
-        assert invmaj.maj_pgf(n) == invmaj.pgf(n)  # MacMahon equidistribution
+        assert maj_pgf(n) == invmaj.pgf(n)  # MacMahon equidistribution
 
 
 def test_normality_report_deviation_decays_like_1_over_n():

