@@ -52,7 +52,7 @@ def _text(x: int | Fraction | Polynomial) -> str:
     is lifted while x is formatted; PRINT_GUARD takes its place.  Raises
     SizeGuardError past it, before any digit is produced.
     """
-    for c in x.coeffs if isinstance(x, Polynomial) else (x,):
+    for c in _numbers(x):
         bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length())
         if bits == _PRINT_GUARD_BITS + 1 and max(abs(c.numerator), c.denominator) >= 10**PRINT_GUARD:
             bits += 1  # the one bit length that straddles the guard, past it
@@ -65,6 +65,15 @@ def _text(x: int | Fraction | Polynomial) -> str:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+def _numbers(x: int | Fraction | Polynomial):
+    """The rational numbers x is written with: itself, or its coefficients, polynomial ones opened in turn."""
+    if isinstance(x, Polynomial):
+        for c in x.coeffs:
+            yield from _numbers(c)
+    else:
+        yield x
 
 
 def _check_printable(bits: float) -> None:
@@ -178,7 +187,7 @@ def _moment_command(kind: str, subcommand: str) -> None:
     def command(family, n, c, m, k, r_max):
         entry, params = _family_params(family, n=n, c=c, m=m, k=k)
         # the texts first: past SYMBOLIC_ORDER_GUARD they refuse before any number is built
-        closed_forms = families.closed_forms(family, kind, r_max, params)
+        closed_forms = [_text(e) for e in families.closed_forms(family, kind, r_max, params) or ()]
         vec = families.moment_vector(family, kind, r_max, params)
         result = {
             "family": family,

@@ -4,8 +4,8 @@
 as ``FAMILY`` in the family's own module.  An entry declares the family's
 parameters and their defaults, its sample-space size (and a lower bound on
 its bit length, cheap where the size is not), its moment route (with the
-highest order it serves) and its mean, the closed-form texts of those
-moments where they are exact, its PGF route, its oracle (exhaustive, and
+highest order it serves) and its mean, the closed forms of those moments
+where they are exact, its PGF route, its oracle (exhaustive, and
 sampled for boolean) and its MGF deviation where it has one (invmaj, and
 domino on a 1-by-n board, both through the shared loop
 ``common.mgf_deviation``).  ``moment_vector`` is the one checked way to
@@ -32,6 +32,7 @@ from typing import Mapping
 from momentforge.families import boolean, domino, invmaj, schur
 from momentforge.families.common import Family
 from momentforge.moment_algebra import KINDS, MomentVector, convert
+from momentforge.poly_series import Polynomial
 
 FAMILIES: dict[str, Family] = {
     f.name: f for f in (schur.FAMILY, invmaj.FAMILY, boolean.FAMILY, domino.FAMILY)
@@ -78,8 +79,8 @@ def moment_vector(family: str, kind: str, r_max: int, params: Mapping) -> Moment
     return convert(entry.moments(r_max, p), kind, entry.mean(p))
 
 
-def closed_forms(family: str, kind: str, r_max: int, params: Mapping) -> list[str] | None:
-    """The printed texts of a ``moment_vector`` request, checked as it is; None where there are none.
+def closed_forms(family: str, kind: str, r_max: int, params: Mapping) -> list[Polynomial] | None:
+    """The symbolic moments of a ``moment_vector`` request, checked as it is; None where there are none.
 
     Past ``common.SYMBOLIC_ORDER_GUARD`` it raises SizeGuardError before building any.
     """

@@ -43,6 +43,12 @@ __all__ = ["FAMILY", "central_coefficient", "h_probability", "h_moments", "h_mea
 
 H_MAX_N = 14  # the 2^n-term sums stay exact; beyond this they are impractical
 H_MAX_DEGREE = 2000  # highest degree of H_n(q) that is built; its moments need no polynomial
+# Highest cube dimension k of the moment routes.  E[X] carries 2^(2^k) and
+# E[X^2] 2^(2^(k+1)) in their denominators, whose bit lengths double per
+# step of k: as a whole process on one Intel Xeon core,
+# moments --family boolean --n 15 --k 15 --r 2 takes 1.6-1.8 s and k = 16
+# took 4.2-5.1 s before this guard.
+CUBE_GUARD = 15
 
 
 def _n_poly() -> Polynomial:
@@ -241,7 +247,12 @@ def _check_k(p: dict) -> None:
 
 
 def _max_order(p: dict) -> int | None:
+    """The highest order of the moment routes, once k is checked against CUBE_GUARD."""
     _check_k(p)
+    if p["k"] > CUBE_GUARD:
+        raise SizeGuardError(
+            f"cube dimension k = {p['k']} is beyond the CUBE_GUARD = {CUBE_GUARD} size guard"
+        )
     return None if p["k"] == 0 else 3 if p["k"] == 1 else 2
 
 
@@ -253,14 +264,14 @@ def _moments(r_max: int, p: dict) -> MomentVector:
     return MomentVector("raw", [eval_at_n(e, n) for e in _raw_moments_k(k, r_max).entries])
 
 
-def _closed_forms(kind: str, r_max: int, p: dict) -> list[str]:
+def _closed_forms(kind: str, r_max: int, p: dict) -> list[Polynomial]:
     """The moments in W (k = 0 binomial: in w), coefficients in n."""
     k = p["k"]
     if k == 0:
         sym = {"raw": raw_moments_k0, "central": central_moments_k0, "binomial": binomial_moments_k0}[kind](r_max)
     else:
         sym = convert(_raw_moments_k(k, r_max), kind, first_moment_k(k))
-    return [e.to_text() for e in sym.entries]
+    return list(sym.entries)
 
 
 def _closed_pgf(p: dict) -> Polynomial | None:

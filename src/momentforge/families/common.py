@@ -273,9 +273,9 @@ class Family:
     enumerate: Callable[[dict], tuple[Histogram, dict]]
     # seeded sampler (params, samples, seed); None: exhaustive only
     sample: Callable[[dict, int, int], Histogram] | None = None
-    # printed texts of the symbolic moments (kind, r_max, params), or None
-    # where they are not exact; None: the family prints none
-    closed_forms: Callable[[str, int, dict], list[str] | None] | None = None
+    # the symbolic moments to print (kind, r_max, params), or None where
+    # they are not exact; None: the family prints none
+    closed_forms: Callable[[str, int, dict], list[Polynomial] | None] | None = None
     # MGF deviation (params, t_values, dps) -> (sup, rows) by ``mgf_deviation``;
     # None: the family has no MGF route
     mgf: Callable[[dict, Collection, int], tuple] | None = None

@@ -338,12 +338,12 @@ def _check(m: int, n: int) -> None:
         raise ValueError("need m, n >= 1")
 
 
-def _closed_forms(kind: str, r_max: int, p: dict) -> list[str] | None:
-    """The mu-polynomial texts of raw and central moments, only where every order is exact."""
+def _closed_forms(kind: str, r_max: int, p: dict) -> list[Polynomial] | None:
+    """The mu-polynomials of raw and central moments, only where every order is exact."""
     if kind == "binomial" or not in_closed_form_domain(p["m"], p["n"], r_max):
         return None
     sym = (raw_moments_symbolic if kind == "raw" else central_moments_symbolic)(r_max)
-    return [e.to_text() for e in sym.entries]
+    return list(sym.entries)
 
 
 def _closed_pgf(p: dict) -> Polynomial | None:

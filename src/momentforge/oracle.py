@@ -3,28 +3,46 @@
 Every closed form in the families package is validated against these
 histograms with no tolerance: both sides are exact rationals.  Each oracle
 visits every configuration and reads its statistic off that configuration's
-own bits, with no transfer matrix, recurrence or counting formula; what
-keeps them fast is that one configuration costs O(1) or O(n) word-level
-integer operations rather than a Python loop over every pattern:
+own bits, with no transfer matrix, recurrence or counting formula.
 
-* Schur: a coloring is one bitmask per color.  The monochromatic triples
-  (x, y, x+y) with x <= y <= n-x are popcount(w & (w >> x) & M_x), w the
-  mask of x's color, so a coloring costs n/2 popcounts; with two colors
-  the n/2 masks sit in lanes of one wide word and it costs two.
-* Boards walk a Gray code; each step flips one cell and moves the count by
-  one popcount of that cell's neighbor mask.
-* Permutations walk S_n by plain changes (adjacent transpositions; Knuth,
-  TAOCP 7.2.1.2, Algorithm P): inv moves by one per step and maj is re-read
-  from the three descent slots the swap touches.
-* Boolean functions are bitmasks over the 2^n vertices.  The k-subcubes
-  with free coordinates S are counted at once as
-  popcount(base_S & AND over T <= S of (f >> offset_T)), with k shift-ANDs.
+Schur colorings, 0/1 boards and boolean functions are counted by one
+lane-parallel kernel.  A configuration is an index t whose base-radix digits
+are the values of its sites (colors of the elements 1..n, cells of the
+board, values of the function at the vertices of the n-cube), and its
+statistic counts the patterns it matches: sites that all carry one value out
+of an accepted set (the three elements of a Schur triple share a color, the
+two cells of a domino slot hold the same number, the 2^k vertices of a
+k-subcube are all 1).  The kernel runs over chunks of at most LANE_BITS
+consecutive indices, lane t of a word standing for configuration t:
 
-Two symmetries halve the walks without changing what is counted: rotating
-the colors maps Schur colorings one to one and keeps the count, so only
-colorings with the element n in color 0 are walked, each standing for c of
-them; complementing a board keeps its count, so only boards with the last
-cell 0 are walked, each standing for two.
+* a site becomes one lane word per value, whose bit t is set when digit i
+  of t is that value (for base 2, the coordinate patterns of
+  ``_digit_zero``); the digits above a chunk are fixed, so they are
+  constants there;
+* a pattern becomes one indicator word, the AND of its sites' words for the
+  accepted value, ORed over the values when no site fixes it; a pattern whose
+  sites all lie above the chunk adds one to every lane, a scalar offset;
+* the indicators are added into a bit-sliced counter, a few bit-planes
+  updated by ripple carries, and one split over the planes reads every
+  lane's count into the histogram.  The patterns inside the low digits make
+  the same words in every chunk, so their planes are built once.
+
+Permutations walk S_n by plain changes (adjacent transpositions; Knuth,
+TAOCP 7.2.1.2, Algorithm P): inv moves by one per step and maj is re-read
+from the three descent slots the swap touches.
+
+The boolean sampler packs the functions it draws into slots of whole 8-byte
+words of one integer per batch of at most LANE_BITS bits.  The k-subcubes
+with free coordinates S are counted per slot as
+popcount(base_S & AND over T <= S of (f >> offset_T)), with k shift-ANDs per
+batch and a SWAR popcount per slot; a batch of one draw (n >= 16, or one
+sample asked for) takes ``int.bit_count`` of each entry.
+
+Two symmetries halve the enumerations without changing what is counted:
+rotating the colors maps Schur colorings one to one and keeps the count, so
+only colorings with the element n in color 0 are counted, each standing for
+c of them; complementing a board keeps its count, so only boards with the
+last cell 0 are counted, each standing for two.
 """
 
 from __future__ import annotations
@@ -32,10 +50,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import struct
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from momentforge.errors import SizeGuardError
 from momentforge.moment_algebra import MomentVector
@@ -56,10 +76,14 @@ PERM_GUARD = 400_000  # permutations
 BOOLEAN_GUARD = 100_000  # boolean functions (exhaustive mode)
 BOARD_GUARD = 20_000_000  # boards
 # samples * C(n, k) * max(k, 1) * ceil(2^n / 64) word operations; the
-# slowest request inside it, oracle --family boolean --n 1 --k 1 --samples
-# 6500000, takes 3-4 s as a whole process on one Intel Xeon core, and one
+# slowest request inside it, oracle --family boolean --n 0 --k 0 --samples
+# 6500000, takes 1.6-2.3 s as a whole process on one Intel Xeon core, and one
 # sample at n = 14, k = 7 (6 150 144 word operations) is inside it
 SAMPLER_GUARD = 6_500_000
+# Most bits of one lane word (one bit per configuration of a chunk) and of
+# one sampler batch; 2^16 bits are 8 KB, large enough that each word
+# operation's interpreter overhead is small beside its work.
+LANE_BITS = 1 << 16
 
 
 @dataclass
@@ -104,7 +128,7 @@ def merge_histograms(parts: Iterable[Histogram]) -> Histogram:
 
 
 def _tally_histogram(tally: list[int], weight: int) -> Histogram:
-    """The histogram of a tally indexed by value, each walked configuration standing for ``weight``."""
+    """The histogram of a tally indexed by value, each counted configuration standing for ``weight``."""
     counts = {v: weight * c for v, c in enumerate(tally) if c}
     return Histogram(counts, weight * sum(tally))
 
@@ -126,94 +150,6 @@ class JointHistogram:
             out[inv] = out.get(inv, 0) + c
         return Histogram(out, self.total)
 
-def enumerate_schur(n: int, c: int, parts: int = 1) -> Histogram:
-    """Exact distribution of the monochromatic Schur-triple count.
-
-    ``parts`` > 1 splits the coloring space into contiguous blocks that are
-    enumerated independently and merged (deterministic by exact addition).
-    """
-    if n < 1 or c < 2:
-        raise ValueError("need n >= 1 and c >= 2")
-    space = c**n
-    if space > SCHUR_GUARD:
-        raise SizeGuardError(f"{c}^{n} = {space} colorings exceed the {SCHUR_GUARD} guard")
-    # Element e is bit e-1 of a color mask; M_x holds the bits of the y with
-    # x <= y <= n-x, for each x <= n/2.
-    rows = [(x, ((1 << (n - 2 * x + 1)) - 1) << (x - 1)) for x in range(1, n // 2 + 1)]
-    blocks = _split_range(c ** (n - 1), parts)
-    if c == 2:
-        packed = _schur_lanes(n, rows)
-        return merge_histograms(_schur_block_c2(n, packed, lo, hi) for lo, hi in blocks)
-    return merge_histograms(_schur_block(n, c, rows, lo, hi) for lo, hi in blocks)
-
-
-def _schur_lanes(n: int, rows: list[tuple[int, int]]) -> tuple[int, int, list[int], int]:
-    """All n/2 rows of a 2-coloring in lanes of one wide word.
-
-    Lane x starts at bit x*W, W = 2n.  For a color mask w, lane x of w*ra
-    holds w and lane x of w*rb holds w >> x (the lanes are far enough apart
-    that neither product carries), so w*ra & w*rb & (M_x in lane x) flags the
-    triples (x, y, x+y) with y and x+y in w.  sel[t] is the lanes of the x
-    in color 1 when t is the color-1 mask of 1..n/2; ``every`` is all lanes.
-    """
-    width = 2 * n
-    ra = sum(1 << (x * width) for x, _ in rows)
-    rb = sum(1 << (x * width - x) for x, _ in rows)
-    lanes = [m << (x * width) for x, m in rows]
-    sel = [sum(lane for i, lane in enumerate(lanes) if t >> i & 1) for t in range(1 << len(rows))]
-    return ra, rb, sel, sum(lanes)
-
-
-def _schur_block_c2(n: int, packed: tuple[int, int, list[int], int], lo: int, hi: int) -> Histogram:
-    # u is the mask of color 1 over the elements 1..n-1; the element n is color 0
-    ra, rb, sel, every = packed
-    full = (1 << n) - 1
-    low = len(sel) - 1
-    tally = [0] * (every.bit_count() + 1)
-    for u in range(lo, hi):
-        v = full ^ u
-        s = sel[u & low]
-        tally[(u * ra & u * rb & s).bit_count() + (v * ra & v * rb & (every ^ s)).bit_count()] += 1
-    return _tally_histogram(tally, 2)
-
-
-def _schur_block(n: int, c: int, rows: list[tuple[int, int]], lo: int, hi: int) -> Histogram:
-    # Colorings in the order of their base-c index over the elements 1..n-1
-    # (digit e-1 is the color of e), the element n in color 0; each step is
-    # an odometer increment that moves a few bits between the color masks,
-    # which are keyed by color because c can far exceed n.
-    color = []
-    index = lo
-    for _ in range(n - 1):
-        index, digit = divmod(index, c)
-        color.append(digit)
-    color.append(0)
-    masks: dict[int, int] = {}
-    for e, j in enumerate(color):
-        masks[j] = masks.get(j, 0) | 1 << e
-    tally = [0] * (sum(m.bit_count() for _, m in rows) + 1)
-    for _ in range(lo, hi):
-        x = 0
-        for shift, m in rows:
-            w = masks[color[shift - 1]]
-            x += (w & (w >> shift) & m).bit_count()
-        tally[x] += 1
-        # the increment past the last coloring only recolors the element n
-        e = 0
-        while True:
-            j = color[e]
-            bit = 1 << e
-            masks[j] ^= bit
-            j += 1
-            if j < c:
-                color[e] = j
-                masks[j] = masks.get(j, 0) | bit
-                break
-            color[e] = 0
-            masks[0] |= bit
-            e += 1
-    return _tally_histogram(tally, c)
-
 
 def _split_range(size: int, parts: int) -> list[tuple[int, int]]:
     parts = max(1, min(parts, size))
@@ -225,6 +161,145 @@ def _split_range(size: int, parts: int) -> list[tuple[int, int]]:
         blocks.append((lo, hi))
         lo = hi
     return blocks
+
+
+def _repeat(word: int, width: int, times: int) -> int:
+    """``times`` copies of ``word`` at a stride of ``width`` bits, by doubling."""
+    out = shift = 0
+    while times:
+        if times & 1:
+            out |= word << shift
+            shift += width
+        times >>= 1
+        if times:
+            word |= word << width
+            width <<= 1
+    return out
+
+
+def _digit_zero(radix: int, i: int, lanes: int) -> int:
+    """The lanes t < ``lanes`` whose base-``radix`` digit i is 0; ``lanes`` is a multiple of radix^(i+1).
+
+    Shifted up by v·radix^i it is the lanes whose digit i is v.
+    """
+    run = radix**i
+    return _repeat((1 << run) - 1, run * radix, lanes // (run * radix))
+
+
+def _add(planes: list[int], word: int) -> None:
+    """Add one indicator word into a bit-sliced counter (plane j holds bit j of every lane's count)."""
+    for j, plane in enumerate(planes):
+        if not word:
+            return
+        planes[j] = plane ^ word
+        word &= plane
+    if word:
+        planes.append(word)
+
+
+def _read(planes: list[int], live: int, offset: int, tally: list[int]) -> None:
+    """Add every live lane's count plus ``offset`` into ``tally``, splitting the lanes plane by plane."""
+    groups = [(live, 0)]
+    for plane in reversed(planes):
+        split = []
+        for lanes, value in groups:
+            one = lanes & plane
+            if one:
+                split.append((one, 2 * value + 1))
+            if one != lanes:
+                split.append((lanes ^ one, 2 * value))
+        groups = split
+    for lanes, value in groups:
+        tally[value + offset] += lanes.bit_count()
+
+
+def _pattern_histogram(
+    radix: int, varying: int, patterns: Sequence[tuple[int, ...]], values: Sequence[int],
+    parts: int, weight: int,
+) -> Histogram:
+    """Histogram over the indices t < radix^varying of how many patterns t matches.
+
+    Site i of t is its base-radix digit i (0 for i >= varying); a pattern is
+    a tuple of sites and matches when they all hold one value in ``values``.
+    ``parts`` blocks of the index range are counted apart and merged, each
+    counted index standing for ``weight`` configurations.
+    """
+    low = 0
+    while low < varying and radix ** (low + 1) <= LANE_BITS:
+        low += 1
+    lanes = radix**low
+    words = []
+    for i in range(low):
+        zero = _digit_zero(radix, i, lanes)
+        words.append([zero << (v * radix**i) for v in range(radix)])
+
+    def holding(sites: list[int] | tuple[int, ...], v: int) -> int:
+        """The lanes whose digits at ``sites``, all below ``low``, are all v."""
+        word = words[sites[0]][v]
+        for i in sites[1:]:
+            word &= words[i][v]
+        return word
+
+    # the patterns inside the low digits give the same words in every chunk
+    base: list[int] = []
+    cross = []
+    for sites in patterns:
+        if sites[-1] < low:
+            word = 0
+            for v in values:
+                word |= holding(sites, v)
+            _add(base, word)
+        else:
+            cross.append(([i for i in sites if i < low], [i - low for i in sites if i >= low]))
+
+    def block(lo: int, hi: int) -> Histogram:
+        tally = [0] * (len(patterns) + 1)
+        for chunk in range(lo // lanes, -(-hi // lanes)):
+            start = chunk * lanes
+            live = (1 << (min(hi, start + lanes) - start)) - (1 << (max(lo, start) - start))
+            digits = []
+            rest = chunk
+            while rest:
+                rest, digit = divmod(rest, radix)
+                digits.append(digit)
+            planes = base.copy()
+            offset = 0
+            for inside, above in cross:
+                fixed = {digits[i] if i < len(digits) else 0 for i in above}
+                if len(fixed) > 1:
+                    continue
+                v = fixed.pop()
+                if v not in values:
+                    continue
+                if inside:
+                    _add(planes, holding(inside, v))
+                else:
+                    offset += 1
+            _read(planes, live, offset, tally)
+        return _tally_histogram(tally, weight)
+
+    return merge_histograms(block(lo, hi) for lo, hi in _split_range(radix**varying, parts))
+
+
+def enumerate_schur(n: int, c: int, parts: int = 1) -> Histogram:
+    """Exact distribution of the monochromatic Schur-triple count.
+
+    ``parts`` > 1 splits the coloring space into contiguous blocks that are
+    enumerated independently and merged (deterministic by exact addition).
+    """
+    if n < 1 or c < 2:
+        raise ValueError("need n >= 1 and c >= 2")
+    space = c**n
+    if space > SCHUR_GUARD:
+        raise SizeGuardError(f"{c}^{n} = {space} colorings exceed the {SCHUR_GUARD} guard")
+    # element e is site e-1; the triples (x, y, x+y) with x <= y <= n-x
+    triples = [
+        tuple(sorted({x - 1, y - 1, x + y - 1}))
+        for x in range(1, n // 2 + 1)
+        for y in range(x, n - x + 1)
+    ]
+    # the element n, site n-1, is above the varying digits: color 0
+    return _pattern_histogram(c, n - 1, triples, range(c), parts, c)
 
 
 def enumerate_permutations(n: int) -> JointHistogram:
@@ -275,61 +350,17 @@ def enumerate_permutations(n: int) -> JointHistogram:
         a[p], a[p + 1] = right, left
 
 
-def _coordinate_zero_mask(n: int, i: int) -> int:
-    """The vertices of the n-cube whose coordinate i is 0, by doubling a 2^(i+1)-bit period."""
-    mask, width = (1 << (1 << i)) - 1, 2 << i
-    while width < 1 << n:
-        mask |= mask << width
-        width <<= 1
-    return mask
-
-
-@lru_cache(maxsize=16)
-def _subcube_plan(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """One (shifts, base) pair per set S of k free coordinates.
-
-    A k-subcube with free coordinates S is a base vertex v, 0 on S, with f
-    set at v + offset_T for every T <= S.  AND-ing f with itself shifted down
-    by 2^i for each i in S sets bit v exactly then, and ``base`` keeps the v
-    that are 0 on S.
-    """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    zero = [_coordinate_zero_mask(n, i) for i in range(n)]
-    plan = []
-    for free in itertools.combinations(range(n), k):
-        base = (1 << (1 << n)) - 1
-        for i in free:
-            base &= zero[i]
-        plan.append((tuple(1 << i for i in free), base))
-    return tuple(plan)
-
-
-def _subcube_counter(n: int, k: int):
-    """The function mask -> number of k-subcubes of the n-cube inside the mask."""
-    if k == 0:
-        return int.bit_count
-    plan = _subcube_plan(n, k)
-
-    def count(mask: int) -> int:
-        x = 0
-        for shifts, base in plan:
-            g = mask
-            for s in shifts:
-                g &= g >> s
-            x += (g & base).bit_count()
-        return x
-
-    return count
-
-
 @lru_cache(maxsize=None)
 def _boolean_counts(n: int, k: int) -> tuple[tuple[int, int], ...]:
-    subcubes = _subcube_counter(n, k)
-    tally = [0] * (math.comb(n, k) * (1 << (n - k)) + 1)
-    for f in range(1 << (1 << n)):
-        tally[subcubes(f)] += 1
-    return tuple((v, c) for v, c in enumerate(tally) if c)
+    # vertex v is site v; a k-subcube is a base vertex v, 0 on the free
+    # coordinates S, and the 2^k vertices v | T for T <= S
+    cubes = []
+    for free in itertools.combinations(range(n), k):
+        mask = sum(1 << i for i in free)
+        offsets = [sum(t) for j in range(k + 1) for t in itertools.combinations([1 << i for i in free], j)]
+        cubes += [tuple(sorted(v | t for t in offsets)) for v in range(1 << n) if not v & mask]
+    hist = _pattern_histogram(2, 1 << n, cubes, (1,), 1, 1)
+    return tuple(sorted(hist.counts.items()))
 
 
 def enumerate_boolean(n: int, k: int) -> Histogram:
@@ -346,7 +377,8 @@ def sample_boolean(n: int, k: int, count: int, seed: int) -> Histogram:
     """Seeded Monte Carlo histogram of the k-subcube count.
 
     The PRNG is Python's Mersenne Twister (random.Random) with the given
-    64-bit seed; reports should record the seed for reproducibility.
+    64-bit seed; reports should record the seed for reproducibility.  Each
+    sample is one ``getrandbits(2^n)`` draw, taken in order.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
@@ -360,28 +392,77 @@ def sample_boolean(n: int, k: int, count: int, seed: int) -> Histogram:
             f"beyond the SAMPLER_GUARD = {SAMPLER_GUARD} size guard"
         )
     rng = random.Random(seed)
-    subcubes = _subcube_counter(n, k)
-    # a dict, not a tally list: the value range can far exceed the sample count
-    counts: dict[int, int] = {}
-    for _ in range(count):
-        x = subcubes(rng.getrandbits(nbits))
-        counts[x] = counts.get(x, 0) + 1
-    return Histogram(counts, count)
+    slot = max(nbits, 64)  # whole 8-byte words per sample
+    per_batch = min(count, max(1, LANE_BITS // slot))
+    # a Counter, not a tally list: the value range can far exceed the sample count
+    counts: Counter[int] = Counter()
+    batch = _batch_counter(n, k, slot, per_batch)
+    for start in range(0, count, per_batch):
+        counts.update(batch(list(map(rng.getrandbits, itertools.repeat(nbits, min(per_batch, count - start))))))
+    return Histogram(dict(counts), count)
 
 
-def _board_adjacency(m: int, n: int) -> list[list[int]]:
-    """Neighbor lists over cells indexed row-major; edges = domino slots."""
-    neighbors: list[list[int]] = [[] for _ in range(m * n)]
-    for r in range(m):
-        for col in range(n):
-            i = r * n + col
-            if col + 1 < n:
-                neighbors[i].append(i + 1)
-                neighbors[i + 1].append(i)
-            if r + 1 < m:
-                neighbors[i].append(i + n)
-                neighbors[i + n].append(i)
-    return neighbors
+# A batch sums byte popcounts of at most this many plan entries before it
+# widens them to slot counts: each byte then holds at most 31 * 8 = 248.
+_BYTE_SUMS = 31
+
+
+def _batch_counter(n: int, k: int, slot: int, size: int):
+    """The function draws -> k-subcube count of each, for up to ``size`` draws of 2^n bits.
+
+    The draws sit in ``slot``-bit slots of one integer (slot a multiple of
+    2^n; the bits past 2^n are 0), draw j from bit j·slot, so every
+    shift-AND of the plan runs once per batch.  The plan's base for free
+    coordinates S is the AND over i in S of the positions whose coordinate i
+    is 0: built from n masks of the batch's width, not one repeated base per
+    S, so memory stays at n batch words whatever C(n, k) is.  No vertex it
+    keeps reaches past its own slot.  A batch of one draw is counted with
+    ``int.bit_count``, the others by a SWAR popcount per slot.
+    """
+    bits = slot * size
+    # k = 0 ANDs no mask; n of them would be n more words of 2^n bits
+    zero = [_digit_zero(2, i, bits) for i in range(n)] if k else []
+    cubes = [(tuple(1 << i for i in free), [zero[i] for i in free]) for free in itertools.combinations(range(n), k)]
+
+    def matched(g: int, shifts: tuple[int, ...], masks: list[int]) -> int:
+        """The base vertices of the subcubes, all of whose vertices are set in g."""
+        for s in shifts:
+            g &= g >> s
+        for mask in masks:
+            g &= mask
+        return g
+
+    if size == 1:
+        return lambda draws: [sum(matched(draws[0], *cube).bit_count() for cube in cubes)]
+    m1, m2, m4 = (_repeat(b, 8, bits // 8) for b in (0x55, 0x33, 0x0F))
+    # fields of 2w bits from pairs of w-bit fields, up to the slot width
+    widen = []
+    w = 8
+    while w < slot:
+        widen.append((w, _repeat((1 << w) - 1, 2 * w, bits // (2 * w))))
+        w *= 2
+    width = slot // 8
+    # two draws fit a batch only for n <= 15, so a count, at most 3^n, is the
+    # low 8 bytes of its slot; a short batch reads the empty slots as 0
+    unpack = struct.Struct("<" + f"Q{width - 8}x" * size).unpack
+
+    def counts(draws: list[int]) -> tuple[int, ...]:
+        slots = map(int.to_bytes, draws, itertools.repeat(width), itertools.repeat("little"))
+        packed = int.from_bytes(b"".join(slots), "little")
+        total = 0
+        for first in range(0, len(cubes), _BYTE_SUMS):
+            sums = 0
+            for cube in cubes[first : first + _BYTE_SUMS]:
+                g = matched(packed, *cube)
+                g -= (g >> 1) & m1
+                g = (g & m2) + ((g >> 2) & m2)
+                sums += (g + (g >> 4)) & m4
+            for w, mask in widen:
+                sums = (sums & mask) + ((sums >> w) & mask)
+            total += sums
+        return unpack(total.to_bytes(bits // 8, "little"))[: len(draws)]
+
+    return counts
 
 
 def enumerate_boards(m: int, n: int, parts: int = 1) -> Histogram:
@@ -392,38 +473,10 @@ def enumerate_boards(m: int, n: int, parts: int = 1) -> Histogram:
     space = 1 << cells
     if space > BOARD_GUARD:
         raise SizeGuardError(f"2^{cells} boards exceed the {BOARD_GUARD} guard")
-    neighbors = [sum(1 << j for j in nb) for nb in _board_adjacency(m, n)]
-    # Gray codes below 2^(cells-1) have the last cell 0
-    blocks = _split_range(space >> 1, parts)
-    return merge_histograms(_board_block(m, n, neighbors, lo, hi) for lo, hi in blocks)
-
-
-def _board_block(m: int, n: int, neighbors: list[int], lo: int, hi: int) -> Histogram:
-    # Start at gray(lo), then flip one cell per step: gray(s) ^ gray(s-1)
-    # isolates bit ctz(s).  The flipped cell's a neighbors at 1 out of d
-    # move the count by d - 2a when it was 1 and by 2a - d when it was 0.
-    flips = [(1 << cell, nb, nb.bit_count()) for cell, nb in enumerate(neighbors)]
-    # Steps run in chunks of 2^low; step t of every chunk but the first
-    # flips the same cell, ctz(t), and step 0 of chunk a flips low + ctz(a).
-    low = min(m * n - 1, 10)
-    ruler = [flips[(t & -t).bit_length() - 1] for t in range(1, 1 << low)]
-    board = lo ^ (lo >> 1)
-    right = sum(1 << (r * n + col) for r in range(m) for col in range(n - 1))
-    down = (1 << ((m - 1) * n)) - 1
-    x = (right & ~(board ^ (board >> 1))).bit_count() + (down & ~(board ^ (board >> n))).bit_count()
-    tally = [0] * (m * (n - 1) + n * (m - 1) + 1)
-    tally[x] = 1
-    for a in range(lo >> low, ((hi - 1) >> low) + 1):
-        start = a << low
-        chunk = [flips[low + (a & -a).bit_length() - 1] if a else None, *ruler]
-        for bit, nb, d in chunk[max(lo + 1 - start, 0) : hi - start]:
-            if board & bit:
-                x += d - 2 * (nb & board).bit_count()
-            else:
-                x += 2 * (nb & board).bit_count() - d
-            board ^= bit
-            tally[x] += 1
-    return _tally_histogram(tally, 2)
+    # cell (r, col) is site r*n + col; a slot joins two neighboring cells
+    slots = [(i, i + 1) for i in range(cells) if (i + 1) % n] + [(i, i + n) for i in range(cells - n)]
+    # the last cell, site cells-1, is above the varying digits: 0
+    return _pattern_histogram(2, cells - 1, slots, range(2), parts, 2)
 
 
 def histogram_moments(hist: Histogram, r_max: int) -> MomentVector:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -115,6 +116,35 @@ def first_moment_quasi(c: int) -> QuasiPolynomial:
     return QuasiPolynomial(2, [even, odd])
 
 
+def schur_counts(n: int, c: int) -> tuple[dict[int, int], int]:
+    """Oracle check of ``enumerate_schur``: the triple count of every coloring, triple by triple."""
+    ts = triples(n)
+    counts: dict[int, int] = {}
+    for coloring in itertools.product(range(c), repeat=n):
+        x = sum(1 for t in ts if len({coloring[e - 1] for e in t}) == 1)
+        counts[x] = counts.get(x, 0) + 1
+    return counts, c**n
+
+
+# -- domino boards ------------------------------------------------------------
+
+
+def board_counts(m: int, n: int) -> tuple[dict[int, int], int]:
+    """Oracle check of ``enumerate_boards``: the same-number slots of every board, read off its bits.
+
+    Cell (r, col) is bit r*n + col; a horizontal slot is a cell and its
+    right neighbor, a vertical one a cell and the cell below.
+    """
+    cells = m * n
+    right = sum(1 << (r * n + col) for r in range(m) for col in range(n - 1))
+    down = (1 << ((m - 1) * n)) - 1
+    counts: dict[int, int] = {}
+    for board in range(1 << cells):
+        x = (right & ~(board ^ (board >> 1))).bit_count() + (down & ~(board ^ (board >> n))).bit_count()
+        counts[x] = counts.get(x, 0) + 1
+    return counts, 1 << cells
+
+
 # -- boolean subcubes ---------------------------------------------------------
 
 
@@ -133,6 +163,62 @@ def subcube_positions(n: int, k: int) -> tuple[int, ...]:
                 mask |= 1 << v
             positions.append(mask)
     return tuple(positions)
+
+
+def subcube_plan(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Oracle check of ``sample_boolean``: one (shifts, base) pair per set S of k free coordinates.
+
+    A k-subcube with free coordinates S is a base vertex v, 0 on S, with f
+    set at v + offset_T for every T <= S.  AND-ing f with itself shifted down
+    by 2^i for each i in S sets bit v exactly then, and ``base`` keeps the v
+    that are 0 on S.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    plan = []
+    for free in itertools.combinations(range(n), k):
+        base = sum(1 << v for v in range(1 << n) if not any(v >> i & 1 for i in free))
+        plan.append((tuple(1 << i for i in free), base))
+    return tuple(plan)
+
+
+def subcube_counter(n: int, k: int):
+    """Oracle check of ``sample_boolean``: the function mask -> its k-subcube count, one mask at a time."""
+    if k == 0:
+        return int.bit_count
+    plan = subcube_plan(n, k)
+
+    def count(mask: int) -> int:
+        x = 0
+        for shifts, base in plan:
+            g = mask
+            for s in shifts:
+                g &= g >> s
+            x += (g & base).bit_count()
+        return x
+
+    return count
+
+
+def boolean_counts(n: int, k: int) -> tuple[dict[int, int], int]:
+    """Oracle check of ``enumerate_boolean``: the k-subcube count of every boolean function on the n-cube."""
+    subcubes = subcube_counter(n, k)
+    counts: dict[int, int] = {}
+    for f in range(1 << (1 << n)):
+        x = subcubes(f)
+        counts[x] = counts.get(x, 0) + 1
+    return counts, 1 << (1 << n)
+
+
+def sample_counts(n: int, k: int, count: int, seed: int) -> tuple[dict[int, int], int]:
+    """Oracle check of ``sample_boolean``: the same draws, getrandbits(2^n) per sample, counted one at a time."""
+    rng = random.Random(seed)
+    subcubes = subcube_counter(n, k)
+    counts: dict[int, int] = {}
+    for _ in range(count):
+        x = subcubes(rng.getrandbits(1 << n))
+        counts[x] = counts.get(x, 0) + 1
+    return counts, count
 
 
 # -- series: the centered generating functions --------------------------------

@@ -426,6 +426,30 @@ def test_numbers_past_the_interpreter_digit_limit_are_printed(schema):
     assert int(space[-6:]) == 2 ** (2**14) % 10**6
 
 
+def test_cube_guard_edge(capsys):
+    # in process: the k-cube moments at the guard are served, with closed
+    # forms past the interpreter's 4300-digit limit (E[X^2] carries
+    # 2^(2^16)), and one dimension more is refused
+    from momentforge.cli import main
+    from momentforge.families.boolean import CUBE_GUARD
+
+    assert main(["central", "--family", "boolean", "--n", str(CUBE_GUARD), "--k", str(CUBE_GUARD), "--r", "2"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert max(len(text) for text in result["closed_forms"]) > 4300
+    for args in (
+        ["central", "--family", "boolean", "--n", str(CUBE_GUARD + 1), "--k", str(CUBE_GUARD + 1), "--r", "0"],
+        ["moments", "--family", "boolean", "--n", "20", "--k", "20", "--r", "1"],
+        ["normality", "--family", "boolean", "--k", "16", "--n-grid", "16,17,18", "--r-max", "2"],
+    ):
+        started = time.monotonic()
+        assert main(args) == 1
+        proc = capsys.readouterr()
+        assert proc.out == ""
+        assert proc.err.startswith("usage error:") and "CUBE_GUARD = " in proc.err, proc.err
+        # refused before any moment is built
+        assert time.monotonic() - started < 1, args
+
+
 def test_integers_of_exactly_print_guard_digits_are_printed(schema):
     # 2^332192 has exactly 10^5 digits, the most PRINT_GUARD lets through
     payload, _ = check_json(run_cli("moments", "--family", "domino", "--m", "1", "--n", "332192", "--r", "0"), schema)

@@ -34,7 +34,8 @@ def test_sample_space_sizes():
 
 def _texts(family, kind, r_max, params):
     entry = families.FAMILIES[family]
-    return entry.closed_forms(kind, r_max, entry.resolve(params))
+    forms = entry.closed_forms(kind, r_max, entry.resolve(params))
+    return None if forms is None else [e.to_text() for e in forms]
 
 
 @pytest.mark.parametrize("kind", ["raw", "central", "binomial"])

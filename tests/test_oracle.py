@@ -4,10 +4,10 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from momentforge import oracle
 from momentforge.errors import SizeGuardError
 from momentforge.oracle import (
     Histogram,
-    _subcube_counter,
     enumerate_boards,
     enumerate_boolean,
     enumerate_permutations,
@@ -16,7 +16,17 @@ from momentforge.oracle import (
     merge_histograms,
     sample_boolean,
 )
-from reference import marginal_maj, permutation_inv, permutation_maj, subcube_positions
+from reference import (
+    board_counts,
+    boolean_counts,
+    marginal_maj,
+    permutation_inv,
+    permutation_maj,
+    sample_counts,
+    schur_counts,
+    subcube_counter,
+    subcube_positions,
+)
 
 
 def test_permutation_statistics_worked_example():
@@ -56,8 +66,8 @@ def test_schur_partition_merge_deterministic():
 
 def test_subcube_worked_example():
     f = sum(1 << int(vertex, 2) for vertex in ("000", "001", "101", "011", "111"))
-    assert _subcube_counter(3, 0)(f) == 5
-    assert _subcube_counter(3, 1)(f) == 5  # 00B, 0B1, B01, 1B1, B11
+    assert subcube_counter(3, 0)(f) == 5
+    assert subcube_counter(3, 1)(f) == 5  # 00B, 0B1, B01, 1B1, B11
 
 
 def test_subcube_full_cube_and_sizes():
@@ -68,7 +78,7 @@ def test_subcube_full_cube_and_sizes():
         for k in range(n + 1):
             expected = math.comb(n, k) * 2 ** (n - k)
             assert len(subcube_positions(n, k)) == expected
-            assert _subcube_counter(n, k)(full) == expected
+            assert subcube_counter(n, k)(full) == expected
 
 
 def test_subcube_counter_k0_is_popcount():
@@ -77,7 +87,7 @@ def test_subcube_counter_k0_is_popcount():
     rng = random.Random(7)
     for _ in range(20):
         f = rng.getrandbits(16)
-        assert _subcube_counter(4, 0)(f) == bin(f).count("1")
+        assert subcube_counter(4, 0)(f) == bin(f).count("1")
 
 
 def test_boolean_pgfs_match_printed():
@@ -146,49 +156,72 @@ def test_histogram_serialization():
     assert h.to_csv_rows() == [(0, 3), (2, 1)]
 
 
-# Naive per-pattern reference enumerators: every pattern of every
-# configuration is tested one at a time, with no bit tricks, symmetry or
-# incremental update.
-
-
-def naive_schur(n, c):
-    triples = [(x, y, x + y) for x in range(1, n + 1) for y in range(x, n - x + 1)]
-    counts = {}
-    for coloring in itertools.product(range(c), repeat=n):
-        x = sum(1 for t in triples if len({coloring[e - 1] for e in t}) == 1)
-        counts[x] = counts.get(x, 0) + 1
-    return counts, c**n
-
-
-def naive_boards(m, n):
-    slots = [(r * n + col, r * n + col + 1) for r in range(m) for col in range(n - 1)]
-    slots += [(r * n + col, (r + 1) * n + col) for r in range(m - 1) for col in range(n)]
-    counts = {}
-    for board in itertools.product((0, 1), repeat=m * n):
-        x = sum(1 for i, j in slots if board[i] == board[j])
-        counts[x] = counts.get(x, 0) + 1
-    return counts, 2 ** (m * n)
+# The lane-parallel enumerators against the per-configuration loops of
+# reference.py, at the default chunk width and at widths narrow enough that
+# every size above the smallest spans several chunks; ``parts`` of 3 and 7
+# put block edges inside chunks.
 
 
 def naive_subcubes(f, n, k):
     return sum(1 for pos in subcube_positions(n, k) if f & pos == pos)
 
 
-@pytest.mark.parametrize("c,n_max", [(2, 14), (3, 8), (4, 6)])
-def test_schur_matches_naive_enumeration(c, n_max):
+@pytest.mark.parametrize("lane_bits", [oracle.LANE_BITS, 1 << 5])
+@pytest.mark.parametrize("c,n_max", [(2, 14), (3, 9), (4, 7), (5, 6)])
+def test_schur_matches_reference(monkeypatch, lane_bits, c, n_max):
+    # n_max is the first n with c^n >= 10^4
+    monkeypatch.setattr(oracle, "LANE_BITS", lane_bits)
     for n in range(1, n_max + 1):
-        counts, total = naive_schur(n, c)
-        got = enumerate_schur(n, c)
-        assert got.counts == counts and got.total == total, (n, c)
+        counts, total = schur_counts(n, c)
+        for parts in (1, 3, 7):
+            got = enumerate_schur(n, c, parts=parts)
+            assert got.counts == counts and got.total == total, (n, c, parts)
 
 
-def test_boards_match_naive_enumeration():
-    for m in range(1, 15):
-        for n in range(1, 14 // m + 1):
-            counts, total = naive_boards(m, n)
+@pytest.mark.parametrize("lane_bits", [oracle.LANE_BITS, 1 << 4])
+def test_boards_match_reference(monkeypatch, lane_bits):
+    monkeypatch.setattr(oracle, "LANE_BITS", lane_bits)
+    for m in range(1, 17):
+        for n in range(1, 16 // m + 1):
+            counts, total = board_counts(m, n)
             for parts in (1, 2, 3, 7):
                 got = enumerate_boards(m, n, parts=parts)
                 assert got.counts == counts and got.total == total, (m, n, parts)
+
+
+def test_boards_past_one_chunk_match_reference():
+    # 3x6 walks 2^17 boards, two chunks at the default width
+    counts, total = board_counts(3, 6)
+    for parts in (1, 3):
+        got = enumerate_boards(3, 6, parts=parts)
+        assert got.counts == counts and got.total == total, parts
+
+
+@pytest.mark.parametrize("lane_bits", [oracle.LANE_BITS, 1 << 3])
+def test_boolean_matches_reference(monkeypatch, lane_bits):
+    monkeypatch.setattr(oracle, "LANE_BITS", lane_bits)
+    for n in range(5):
+        for k in range(n + 1):
+            counts, total = boolean_counts(n, k)
+            # past the cache, so that each width is counted
+            assert dict(oracle._boolean_counts.__wrapped__(n, k)) == counts, (n, k)
+            got = enumerate_boolean(n, k)
+            assert got.counts == counts and got.total == total, (n, k)
+
+
+@pytest.mark.parametrize("lane_bits", [oracle.LANE_BITS, 1 << 8, 1 << 6])
+def test_sampler_matches_per_sample_reference(monkeypatch, lane_bits):
+    # 2^16 bits hold 1024 slots at n <= 6 and 512 at n = 7; 2^8 bits hold
+    # 4 and 2; 2^6 bits hold one sample
+    monkeypatch.setattr(oracle, "LANE_BITS", lane_bits)
+    cases = [
+        (n, k, 1100, seed) for n in (1, 2, 3, 5, 6, 7) for k in sorted({0, 1, n // 2, n}) for seed in (0, 41, 2**63 + 5)
+    ]
+    cases += [(6, 2, 2000, seed) for seed in (0, 99, 2**63 + 5)]
+    for n, k, count, seed in cases:
+        counts, total = sample_counts(n, k, count, seed)
+        got = sample_boolean(n, k, count, seed)
+        assert got.counts == counts and got.total == total, (n, k, count, seed)
 
 
 def test_joint_inv_maj_matches_naive_enumeration():
@@ -205,24 +238,13 @@ def test_subcube_counter_matches_subcube_positions():
     for n in range(4):
         for k in range(n + 1):
             for f in range(1 << (1 << n)):
-                assert _subcube_counter(n, k)(f) == naive_subcubes(f, n, k), (f, n, k)
+                assert subcube_counter(n, k)(f) == naive_subcubes(f, n, k), (f, n, k)
     rng = random.Random(2024)
     for n in (5, 6):
         for _ in range(200):
             f = rng.getrandbits(1 << n)
             for k in range(n + 1):
-                assert _subcube_counter(n, k)(f) == naive_subcubes(f, n, k), (f, n, k)
-
-
-def test_sampler_matches_naive_count_of_the_same_draws():
-    for seed in (0, 99, 2**63 + 5):
-        rng = random.Random(seed)
-        counts = {}
-        for _ in range(2000):
-            x = naive_subcubes(rng.getrandbits(64), 6, 2)
-            counts[x] = counts.get(x, 0) + 1
-        got = sample_boolean(6, 2, 2000, seed)
-        assert got.counts == counts and got.total == 2000, seed
+                assert subcube_counter(n, k)(f) == naive_subcubes(f, n, k), (f, n, k)
 
 
 def test_sampler_guard_refuses_before_building_anything():
