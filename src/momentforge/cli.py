@@ -30,8 +30,8 @@ from momentforge import __version__
 from momentforge.errors import ConsistencyError, MomentForgeError, SizeGuardError
 from momentforge.families import boolean
 from momentforge.families.common import SYMBOL_LEGEND, TGrid
-from momentforge.fitter import FitSpec, fit_quasi_polynomial
-from momentforge.moment_algebra import normality_report
+from momentforge.fitter import FitSpec, check_fit_size, fit_quasi_polynomial
+from momentforge.moment_algebra import check_grid, normality_report
 from momentforge.poly_series import Polynomial
 from momentforge import oracle as oracle_mod
 
@@ -250,7 +250,11 @@ def normality_cmd(family, n_grid, m, k, r_max, threshold, precision):
         raise click.UsageError(f"bad --n-grid {n_grid!r}: {exc}") from exc
     if not math.isfinite(threshold):
         raise click.UsageError("need a finite --threshold")
-    _, params = _family_params(family, m=m, k=k)
+    entry, params = _family_params(family, m=m, k=k)
+    # the grid is checked before any of its points is built
+    check_grid(ns)
+    if entry.grid_guard:
+        entry.grid_guard(params, ns, r_max)
     # largest n first (the grid ascends): its schur E[X^2] sweep serves every smaller n
     grid = [
         (n, families.moment_vector(family, "central", r_max, {**params, "n": n}))
@@ -345,6 +349,7 @@ def fit_cmd(family, r, c, period, degree, n_min, n_max, verify):
     """Fit a quasi-polynomial to enumerated moment data and verify exactly."""
     if n_min < 1 or n_max < n_min:
         raise click.UsageError("need 1 <= n-min <= n-max")
+    check_fit_size(period, degree)
     # largest n first: its schur E[X^2] sweep serves every smaller n
     data = [
         (n, families.moment_vector(family, "raw", r, {"n": n, "c": c}).entries[r])

@@ -7,8 +7,9 @@ central moments polynomials in W = 2^n, and its binomial moments the
 central ones of Binomial(2w, 1/2) in w = 2^(n-1), converted once.  For
 k >= 1 the first and second raw moments come from the overlap sum over
 pairs of k-cubes intersecting in an i-cube; the third is known for k = 1
-only.  They are evaluated at n for the numbers and converted to every
-printed kind as the numbers are.  H_n(q) is the independence
+only.  They are built once per k and order (cached, as the k = 0 forms
+are), evaluated at n for the numbers and converted to every printed kind
+as the numbers are.  H_n(q) is the independence
 approximation of the k-cube PGF.
 
 PGFs are rows of integer counts over one total, divided once per
@@ -49,6 +50,16 @@ H_MAX_DEGREE = 2000  # highest degree of H_n(q) that is built; its moments need 
 # moments --family boolean --n 15 --k 15 --r 2 takes 1.6-1.8 s and k = 16
 # took 4.2-5.1 s before this guard.
 CUBE_GUARD = 15
+# Bound on sum(n^2 (r_max^3 + 8)) over a normality grid.  Every point's
+# moments are numbers of about n r / 2 bits (the powers of W = 2^n), and
+# normalizing them takes exact divisions, each quadratic in that length:
+# about n^2 r_max^3 in all, plus a share that every point pays at any
+# order (the variance over itself, its square root), which the 8 stands
+# for.  As a whole process on one Intel Xeon core,
+# normality --family boolean --n-grid 1,2,999999 --r-max 2 (at the guard)
+# takes 2.4-3.1 s; before the guard 200000,400000,800000 --r-max 4 took 9.2 s
+# and 1000000,2000000,4000000 --r-max 4 ran past 100 s.
+GRID_GUARD = 16 * 10**12
 
 
 def _n_poly() -> Polynomial:
@@ -93,6 +104,7 @@ def _multinomial_poly(k: int, i: int) -> Polynomial:
     return falling_factorial(nn, 2 * k - i) * Fraction(1, denom)
 
 
+@lru_cache(maxsize=None)
 def first_moment_k(k: int) -> Polynomial:
     """E[X_k] = C(n,k) 2^{n-k} / 2^{2^k}, in W with an n-polynomial coefficient."""
     if k < 0:
@@ -103,6 +115,7 @@ def first_moment_k(k: int) -> Polynomial:
     return Polynomial("W", (0, coef))
 
 
+@lru_cache(maxsize=None)
 def second_moment_k(k: int) -> Polynomial:
     """E[X_k^2] = Var(X_k) + E[X_k]^2."""
     return variance_k(k) + first_moment_k(k) ** 2
@@ -120,6 +133,7 @@ def variance_k(k: int) -> Polynomial:
     return acc
 
 
+@lru_cache(maxsize=None)
 def third_moment_k1() -> Polynomial:
     """E[X_1^3] = (n^2/2^9) [24 n 2^n + 6(2n+1) 4^n + n 8^n]."""
     nn = _n_poly()
@@ -135,6 +149,7 @@ def third_moment_k1() -> Polynomial:
     )
 
 
+@lru_cache(maxsize=None)
 def _raw_moments_k(k: int, r_max: int) -> MomentVector:
     """Raw moments of the k-cube count through r = 2 (r = 3 for k = 1), truncated at r_max."""
     entries = [Polynomial("W", (1,)), first_moment_k(k), second_moment_k(k)]
@@ -256,6 +271,16 @@ def _max_order(p: dict) -> int | None:
     return None if p["k"] == 0 else 3 if p["k"] == 1 else 2
 
 
+def _grid_guard(p: dict, ns, r_max: int) -> None:
+    """Refuse a normality grid whose sum of n^2 (r_max^3 + 8) is beyond GRID_GUARD."""
+    weight = sum(n * n for n in ns) * (max(r_max, 0) ** 3 + 8)
+    if weight > GRID_GUARD:
+        raise SizeGuardError(
+            f"a normality grid weighing sum(n^2) * (r_max^3 + 8) = {weight} is beyond the "
+            f"GRID_GUARD = {GRID_GUARD} size guard"
+        )
+
+
 def _moments(r_max: int, p: dict) -> MomentVector:
     """k = 0: the central moments of Binomial(2^n, 1/2) on integers; k >= 1: the raw forms at n."""
     n, k = p["n"], p["k"]
@@ -297,4 +322,5 @@ FAMILY = Family(
     enumerate=lambda p: (oracle.enumerate_boolean(p["n"], p["k"]), {}),
     sample=lambda p, samples, seed: oracle.sample_boolean(p["n"], p["k"], samples, seed),
     closed_forms=_closed_forms,
+    grid_guard=_grid_guard,
 )

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Collection, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Collection, Iterator, Mapping, Sequence
 
 import mpmath
 
@@ -249,7 +249,9 @@ class Family:
     the ``mean`` route, E[X].  ``closed_forms`` prints the symbolic forms of
     the requested kind and is never needed for the values.  ``mgf``, the
     MGF deviation on a t grid, runs the shared loop ``mgf_deviation``, where
-    a family has one (invmaj, and domino on a 1-by-n board).  Routes call
+    a family has one (invmaj, and domino on a 1-by-n board).  ``grid_guard``
+    refuses a normality grid before any of its points is built, where a
+    family's grid cost is not bounded otherwise (boolean).  Routes call
     the family's layer functions through module globals at call time, never
     through function objects captured at import, so wrapping a module
     attribute (as the benchmark's tracer does) reaches every call.
@@ -279,6 +281,9 @@ class Family:
     # MGF deviation (params, t_values, dps) -> (sup, rows) by ``mgf_deviation``;
     # None: the family has no MGF route
     mgf: Callable[[dict, Collection, int], tuple] | None = None
+    # refuses a normality grid (params, ns, r_max) past the family's size
+    # guard before any point is built; None: the grid has no guard of its own
+    grid_guard: Callable[[dict, Sequence[int], int], None] | None = None
 
     def resolve(self, given: Mapping) -> dict[str, int]:
         """The family's parameters from ``given`` with defaults filled in; others dropped."""

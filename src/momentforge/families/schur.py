@@ -8,13 +8,16 @@ is a sum over ordered pairs of triples with
     E[X_S1 X_S2] = c / c^p   if the triples share an element,
                    c^2 / c^p otherwise,   with p = |S1 union S2|.
 
-Only intersecting pairs are enumerated (bucketed by shared element);
-disjoint pairs are folded into E[X]^2.  One sweep over n adds, at each
-step, the triples whose largest element is n and their pairs with the
-triples already present, so E[X^2] on the whole grid 1..N costs O(N^3),
-the same as at N alone; every later request for that c and n <= N reads
-the same sweep.  Closed forms stop at r = 2: the paper's third moment is
-out of scope.
+Disjoint pairs are folded into E[X]^2, so E[X^2] is read off the counts
+of the two kinds of triples and of the intersecting pairs by the sizes of
+the two triples and of their union (``_read_off``).  None of these counts
+depends on c.  One sweep over n adds, at each step, the triples whose
+largest element is n; their pairs with the triples already present are
+counted from how many triples there are of each kind and how many pass
+through n/2, in O(1) arithmetic per step, with no triple visited, so the
+counts for every n <= N cost O(N), once for every c.  A request reads off
+only the n and c it asks for.  Closed forms stop at r = 2: the paper's
+third moment is out of scope.
 """
 
 from __future__ import annotations
@@ -44,22 +47,30 @@ def second_moment(n: int, c: int) -> Fraction:
     return second_moment_grid([n], c)[0][1]
 
 
-# Bound on the n a sweep reaches.  The sweep costs O(n^3) pair visits and
-# takes about 18 s at n = 600 on one Intel Xeon core.
-SWEEP_GUARD = 600
+# Bound on the n a sweep reaches.  The sweep costs O(1) arithmetic per n
+# (about 0.1 s to n = 50000), but a fit reads off and checks every n of its
+# range: fit --family schur --n-min 1 --n-max 50000 takes 2.2-3.4 s as a
+# whole process on one Intel Xeon core, and moments --n 50000 about 0.35 s.
+SWEEP_GUARD = 50000
 
-# E[X^2] at n = 0..N from the longest sweep run so far, per c; a sweep's
-# value at n does not depend on where it stops, so it serves every n <= N.
-_SWEPT: dict[int, list[Fraction]] = {}
+# The pair counts a step changes, as indices s*8 + p of ``_read_off``'s multi.
+_KEYS = (35, 43, 44, 52, 53)
+
+# (k3, multi[35], multi[43], multi[44], multi[52], multi[53]) at n = 0..N
+# from the longest sweep run so far.  No count depends on c, and a sweep's
+# counts at n do not depend on where it stops, so one sweep serves every c
+# and every n <= N.
+_SWEPT: list[tuple[int, ...]] = []
 
 
 def second_moment_grid(ns: Sequence[int], c: int) -> list[tuple[int, Fraction]]:
     """E[X^2] at every n of ``ns`` (any order, repeats allowed), in that order.
 
-    Every n is read from one sweep over n = 1..N with N >= max(ns): the
-    longest sweep already run for this c, or a new one to max(ns).  Raises
-    SizeGuardError when max(ns) exceeds SWEEP_GUARD.
+    Every n is read off the counts of one sweep over n = 1..N with
+    N >= max(ns): the longest sweep already run, or a new one to max(ns).
+    Raises SizeGuardError when max(ns) exceeds SWEEP_GUARD.
     """
+    global _SWEPT
     ns = list(ns)
     for n in ns:
         _check(n, c)
@@ -69,45 +80,70 @@ def second_moment_grid(ns: Sequence[int], c: int) -> list[tuple[int, Fraction]]:
             f"the Schur E[X^2] sweep to n = {top} is beyond the SWEEP_GUARD "
             f"size guard of n <= {SWEEP_GUARD}"
         )
-    values = _SWEPT.get(c, [])
-    if len(values) <= top:
-        values = _SWEPT[c] = _sweep(top, c)
-    return [(n, values[n]) for n in ns]
+    if len(_SWEPT) <= top:
+        _SWEPT = _sweep(top)
+    out = []
+    for n in ns:
+        k3, *pairs = _SWEPT[n]
+        multi = [0] * 64
+        for key, count in zip(_KEYS, pairs):
+            multi[key] = count
+        out.append((n, _read_off(n // 2, k3, multi, c)))
+    return out
 
 
-def _sweep(top: int, c: int) -> list[Fraction]:
-    """E[X^2] at n = 0..top, one step per n.
+def _sweep(top: int) -> list[tuple[int, ...]]:
+    """The c-free counts of ``_SWEPT`` at n = 0..top, O(1) arithmetic per n.
 
-    Step n adds the triples whose largest element is n, {x, n-x, n} and
-    {n/2, n}, and pairs each with the triples already present that share
-    one of its elements, walking the per-element buckets.  A pair sharing
-    k elements is met there k times, and k = |S1| + |S2| - p recovers the
-    multiplicity, so no pair set is kept.  E[X^2] is read off the running
-    pair counts after every step.
+    Two triples S and U with p = |S union U| add s - p to multi[s*8 + p],
+    s = |S| + |U|: a walk over per-element buckets meets a pair once per
+    shared element, and these are its visits, counted.  Step n adds
+    the m = floor((n-1)/2) triples {x, n-x, n}, then {h, n} if n = 2h.
+    At its start, k2 = m and k3 count the present triples of two and three
+    elements, all inside [1, n-1]; none contains n.
+
+    * Visits of the new three-element triples.  Their elements x and n-x
+      cover [1, n-1] minus {h} once, and each earlier new triple of the
+      step shares n alone, so they meet three-element triples
+      v3 = 3 k3 - c3(h) [n even] + m(m-1)/2 times and two-element ones
+      v2 = 2 k2 - c2(h) [n even] times.
+    * Present triples through h = n/2: c3(h) = (ceil(h/2) - 1) + (h - 1)
+      (h = a + b with a < b, or {b, h, b + h} with b < h) and
+      c2(h) = [h even] ({h/2, h}; {h, n} is not present yet).
+    * A present triple shares two elements with {x, n-x, n} only through
+      {x, n-x}: {x, 2x} when n = 3x, {n-2x, x, n-x} otherwise.  So
+      d2 = [3 | n] and d3 = m - d2 pairs share two elements and are
+      visited twice; every other visit shares one.
+    * {h, n} meets the m new triples through n and the c3(h) + c2(h)
+      present ones through h, each sharing one element.
+
+    So multi[44] (a two- and a three-element triple sharing one element)
+    gains v2 - 2 d2, multi[43] gains 2 d2, multi[53] v3 - 2 d3 and
+    multi[52] 2 d3; then {h, n} adds c2(h) to multi[35] and c3(h) + m to
+    multi[44].
+
+    The counts are exact for every n >= 1 (checked in the tests against
+    the bucket walk and the exhaustive oracle).
     """
-    masks: list[int] = []
-    sizes: list[int] = []
-    by_elem: list[list[int]] = [[] for _ in range(top + 1)]
-    # multi[s*8 + p] counts intersecting unordered pairs with multiplicity
-    multi = [0] * 64
-    values = [Fraction(0)]
+    k3 = m35 = m43 = m44 = m52 = m53 = 0
+    counts = [(0, 0, 0, 0, 0, 0)]
     for n in range(1, top + 1):
-        new = [(x, n - x, n) for x in range(1, (n + 1) // 2)]
-        if n % 2 == 0:
-            new.append((n // 2, n))
-        for elements in new:
-            mask = sum(1 << e for e in elements)
-            st = len(elements)
-            for e in elements:
-                for u in by_elem[e]:
-                    s = st + sizes[u]
-                    multi[s * 8 + s - (mask & masks[u]).bit_count()] += 1
-            for e in elements:
-                by_elem[e].append(len(masks))
-            masks.append(mask)
-            sizes.append(st)
-        values.append(_read_off(n // 2, len(masks) - n // 2, multi, c))
-    return values
+        m = (n - 1) // 2
+        h, odd = divmod(n, 2)
+        c3h = 0 if odd else (h + 1) // 2 + h - 2
+        c2h = 0 if odd else 1 - h % 2
+        d2 = 0 if n % 3 else 1
+        d3 = m - d2
+        m44 += 2 * m - c2h - 2 * d2  # k2 = m
+        m43 += 2 * d2
+        m53 += 3 * k3 - c3h + m * (m - 1) // 2 - 2 * d3
+        m52 += 2 * d3
+        k3 += m
+        if not odd:
+            m35 += c2h
+            m44 += c3h + m
+        counts.append((k3, m35, m43, m44, m52, m53))
+    return counts
 
 
 def _read_off(k2: int, k3: int, multi: list[int], c: int) -> Fraction:

@@ -12,10 +12,30 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from momentforge.errors import FitVerificationError, UnderdeterminedFitError
+from momentforge.errors import FitVerificationError, SizeGuardError, UnderdeterminedFitError
 from momentforge.poly_series import Polynomial, QuasiPolynomial
 
-__all__ = ["FitSpec", "fit_quasi_polynomial"]
+__all__ = ["FitSpec", "check_fit_size", "fit_quasi_polynomial"]
+
+# Bound on period * (degree + 1)^2, the size of a fit's divided-difference
+# tables.  A class whose samples are no polynomial of that degree fills its
+# table with numbers that grow with the degree, so its cost climbs about as
+# (degree + 1)^2.8: as a whole process on one Intel Xeon core,
+# fit --r 2 --period 1 --degree 255 --n-min 1 --n-max 50000 (at the guard,
+# every n read and the class refused at its first held-out point) takes
+# 2.3-3.4 s; at period 1, degrees 400 and 595 took 5.1 s and 14 s on top of
+# reading n <= 600 before the guard.
+FIT_GUARD = 2**16
+
+
+def check_fit_size(period: int, degree: int) -> None:
+    """Raise SizeGuardError when period * (degree + 1)^2 exceeds FIT_GUARD."""
+    size = period * (degree + 1) ** 2
+    if size > FIT_GUARD:
+        raise SizeGuardError(
+            f"a fit of period {period} and degree {degree} weighs period * (degree + 1)^2 = "
+            f"{size}, beyond the FIT_GUARD = {FIT_GUARD} size guard"
+        )
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ __all__ = [
     "raw_to_central",
     "central_to_raw",
     "convert",
+    "check_grid",
     "normality_report",
 ]
 
@@ -260,6 +261,14 @@ class NormalityReport:
         return buf.getvalue()
 
 
+def check_grid(ns: Sequence[int]) -> None:
+    """Refuse a normality grid of fewer than 3 points or not strictly increasing in n (ValueError)."""
+    if len(ns) < 3:
+        raise ValueError("normality report needs a grid of at least 3 points")
+    if any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ValueError("grid points must be strictly increasing in n")
+
+
 def normality_report(
     family: str,
     params: Mapping,
@@ -273,11 +282,7 @@ def normality_report(
     ``grid`` supplies exact central moments for each n, ascending; at least
     3 grid points are required.
     """
-    if len(grid) < 3:
-        raise ValueError("normality report needs a grid of at least 3 points")
-    ns = [n for n, _ in grid]
-    if ns != sorted(ns) or len(set(ns)) != len(ns):
-        raise ValueError("grid points must be strictly increasing in n")
+    check_grid([n for n, _ in grid])
     rows: list[NormalityRow] = []
     devs: dict[int, list[mpmath.mpf]] = {r: [] for r in range(r_max + 1)}
     with mpmath.workdps(max(dps, 50)):

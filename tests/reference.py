@@ -116,6 +116,43 @@ def first_moment_quasi(c: int) -> QuasiPolynomial:
     return QuasiPolynomial(2, [even, odd])
 
 
+def schur_second_moments(top: int, c: int) -> list[Fraction]:
+    """Check of ``schur.second_moment_grid``: E[X^2] at n = 0..top by walking every intersecting pair.
+
+    Step n adds the triples whose largest element is n, {x, n-x, n} and
+    {n/2, n}, and pairs each new triple T with every triple U already
+    present: the ones sharing an element are found through per-element
+    buckets and weigh c^(1-p) with p = |T union U|, the others c^(2-|T|-|U|).
+    O(top^3) pair visits; every term is kept as an integer over c^4.
+    """
+    masks: list[int] = []
+    sizes: list[int] = []
+    present = {2: 0, 3: 0}
+    by_elem: list[list[int]] = [[] for _ in range(top + 1)]
+    total = 0  # c^4 E[X^2]
+    values = [Fraction(0)]
+    for n in range(1, top + 1):
+        new = [(x, n - x, n) for x in range(1, (n + 1) // 2)]
+        if n % 2 == 0:
+            new.append((n // 2, n))
+        for elements in new:
+            mask = sum(1 << e for e in elements)
+            st = len(elements)
+            met = {u for e in elements for u in by_elem[e]}
+            apart = dict(present)
+            for u in met:
+                total += 2 * c ** (5 - (mask | masks[u]).bit_count())
+                apart[sizes[u]] -= 1
+            total += c ** (5 - st) + sum(2 * k * c ** (6 - st - su) for su, k in apart.items())
+            for e in elements:
+                by_elem[e].append(len(masks))
+            masks.append(mask)
+            sizes.append(st)
+            present[st] += 1
+        values.append(Fraction(total, c**4))
+    return values
+
+
 def schur_counts(n: int, c: int) -> tuple[dict[int, int], int]:
     """Oracle check of ``enumerate_schur``: the triple count of every coloring, triple by triple."""
     ts = triples(n)

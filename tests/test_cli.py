@@ -136,7 +136,7 @@ def test_domino_transfer_guard_weighs_the_length():
     [
         ["moments", "--family", "domino", "--m", "3", "--n", "40", "--r", "5"],
         ["central", "--family", "domino", "--m", "40", "--n", "3", "--r", "5"],
-        ["normality", "--family", "domino", "--m", "3", "--n-grid", "20,40", "--r-max", "5"],
+        ["normality", "--family", "domino", "--m", "3", "--n-grid", "20,30,40", "--r-max", "5"],
     ],
     ids=["moments", "central", "normality"],
 )
@@ -273,8 +273,21 @@ def test_oracle_sampling_needs_seed():
 
 
 SWEEP_GUARD_ARGS = [
-    ["moments", "--family", "schur", "--n", "601", "--r", "2"],
-    ["fit", "--r", "2", "--period", "12", "--degree", "4", "--n-min", "13", "--n-max", "601"],
+    ["moments", "--family", "schur", "--n", "50001", "--r", "2"],
+    ["fit", "--r", "2", "--period", "12", "--degree", "4", "--n-min", "13", "--n-max", "50001"],
+]
+
+# the first degree past FIT_GUARD on period * (degree + 1)^2 at periods 1 and 12
+FIT_GUARD_ARGS = [
+    ["fit", "--r", "2", "--period", "1", "--degree", "256", "--n-min", "1", "--n-max", "600"],
+    ["fit", "--r", "2", "--period", "12", "--degree", "73", "--n-min", "1", "--n-max", "1000"],
+]
+
+# past GRID_GUARD on sum(n^2) * (r_max^3 + 8) over a boolean normality grid:
+# the first grid refused at r_max = 2, and one that ran past 100 s before
+GRID_GUARD_ARGS = [
+    ["normality", "--family", "boolean", "--n-grid", "1,2,1000000", "--r-max", "2"],
+    ["normality", "--family", "boolean", "--n-grid", "1000000,2000000,4000000", "--r-max", "4"],
 ]
 
 # the first argv beyond PGF_GUARD on each closed-form PGF route
@@ -361,6 +374,8 @@ def test_usage_errors_exit_1(capsys):
          "--n-max", "14", "--threads", "2"],
         # beyond the Schur E[X^2] sweep guard
         *SWEEP_GUARD_ARGS,
+        *FIT_GUARD_ARGS,
+        *GRID_GUARD_ARGS,
         *PGF_GUARD_ARGS,
         *PRINT_GUARD_ARGS,
         *MGF_GUARD_ARGS,
@@ -376,6 +391,10 @@ def test_usage_errors_exit_1(capsys):
         assert "Traceback" not in proc.err, (args, proc.err)
         if args in SWEEP_GUARD_ARGS:
             assert "SWEEP_GUARD size guard" in proc.err, (args, proc.err)
+        if args in FIT_GUARD_ARGS:
+            assert "FIT_GUARD = " in proc.err, (args, proc.err)
+        if args in GRID_GUARD_ARGS:
+            assert "GRID_GUARD = " in proc.err, (args, proc.err)
         if args in PGF_GUARD_ARGS:
             assert "PGF_GUARD" in proc.err, (args, proc.err)
         if args in PRINT_GUARD_ARGS:
@@ -448,6 +467,34 @@ def test_cube_guard_edge(capsys):
         assert proc.err.startswith("usage error:") and "CUBE_GUARD = " in proc.err, proc.err
         # refused before any moment is built
         assert time.monotonic() - started < 1, args
+
+
+def test_sweep_fit_and_grid_guard_edges(capsys):
+    # in process: the Schur sweep at its guard is served, and every argv past
+    # the sweep, fit and normality grid guards is refused before anything is built
+    from momentforge.cli import main
+    from momentforge.families.schur import SWEEP_GUARD
+
+    assert main(["moments", "--family", "schur", "--n", str(SWEEP_GUARD), "--r", "2", "--c", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["params"] == {"n": SWEEP_GUARD, "c": 3}
+    for args in (*SWEEP_GUARD_ARGS, *FIT_GUARD_ARGS, *GRID_GUARD_ARGS):
+        started = time.monotonic()
+        assert main(args) == 1
+        assert capsys.readouterr().out == ""
+        assert time.monotonic() - started < 1, args
+
+
+@pytest.mark.parametrize("grid", ["299,300", "40,20,60", "20,20,60"])
+def test_normality_grid_is_checked_before_any_point_is_built(grid, monkeypatch, capsys):
+    import momentforge.families as families
+    from momentforge.cli import main
+
+    calls = []
+    monkeypatch.setattr(families, "moment_vector", lambda *args: calls.append(args))
+    assert main(["normality", "--family", "schur", "--n-grid", grid, "--r-max", "2"]) == 1
+    err = capsys.readouterr().err
+    assert ("at least 3 points" if grid == "299,300" else "strictly increasing") in err, err
+    assert calls == []
 
 
 def test_integers_of_exactly_print_guard_digits_are_printed(schema):

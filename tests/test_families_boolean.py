@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as Fr
 
@@ -192,6 +193,21 @@ class TestGeneralK:
             central = raw_to_central(mv, mv.entries[1])
             assert eval_at_n(cm.entries[3], n) == central.entries[3], n
             assert moment_vector("boolean", "central", 3, {"n": n, "k": 1}).entries[3] == central.entries[3], n
+
+    @pytest.mark.parametrize("k,r_max", [(1, 3), (2, 2)])
+    def test_normality_grid_builds_each_polynomial_once(self, k, r_max, capsys):
+        from momentforge.cli import main
+
+        cached = [boolean.first_moment_k, boolean.second_moment_k, boolean._raw_moments_k]
+        if k == 1:
+            cached.append(boolean.third_moment_k1)
+        for f in cached:
+            f.cache_clear()
+        grid = ",".join(str(n) for n in range(k + 2, k + 8))  # six points
+        assert main(["normality", "--family", "boolean", "--k", str(k), "--n-grid", grid, "--r-max", str(r_max)]) == 0
+        assert [f.cache_info().misses for f in cached] == [1] * len(cached)
+        rows = json.loads(capsys.readouterr().out)["result"]["rows"]
+        assert len(rows) == 6 * (r_max + 1)
 
     def test_out_of_scope_orders_rejected(self):
         with pytest.raises(ValueError, match="stop at r = 3"):

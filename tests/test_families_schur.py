@@ -7,7 +7,7 @@ from momentforge.errors import SizeGuardError
 from momentforge.families import schur
 from momentforge.oracle import enumerate_schur, histogram_moments
 from momentforge.poly_series import Polynomial
-from reference import first_moment_quasi, indicator_first_moment, triples
+from reference import first_moment_quasi, indicator_first_moment, schur_second_moments, triples
 
 
 def test_triples_counts():
@@ -70,12 +70,18 @@ def test_second_moment_trivial_and_printed():
 
 
 def test_second_moment_matches_oracle():
-    for n in range(1, 13):
-        m2 = histogram_moments(enumerate_schur(n, 2), 2).entries[2]
-        assert schur.second_moment(n, 2) == m2, n
-    for n in range(1, 8):
-        m2 = histogram_moments(enumerate_schur(n, 3), 2).entries[2]
-        assert schur.second_moment(n, 3) == m2, n
+    # every n with c^n <= 10^5
+    for c, n_max in ((2, 16), (3, 10), (4, 8), (5, 7)):
+        for n in range(1, n_max + 1):
+            m2 = histogram_moments(enumerate_schur(n, c), 2).entries[2]
+            assert schur.second_moment(n, c) == m2, (n, c)
+
+
+def test_second_moment_matches_pair_walk():
+    # the counted steps against the walk over every intersecting pair
+    for c in (2, 3, 5):
+        walked = schur_second_moments(150, c)
+        assert schur.second_moment_grid(range(1, 151), c) == [(n, walked[n]) for n in range(1, 151)], c
 
 
 def test_second_moment_grid_matches_pointwise():
@@ -84,37 +90,43 @@ def test_second_moment_grid_matches_pointwise():
         assert grid == [(n, schur.second_moment(n, c)) for n in ns]
 
 
-def test_second_moment_reads_the_longest_sweep_for_its_c(monkeypatch):
-    monkeypatch.setattr(schur, "_SWEPT", {})
+def test_one_sweep_serves_every_c(monkeypatch):
+    monkeypatch.setattr(schur, "_SWEPT", [])
     calls = []
     original = schur._sweep
 
-    def spy(top, c):
-        calls.append((top, c))
-        return original(top, c)
+    def spy(top):
+        calls.append(top)
+        return original(top)
 
     monkeypatch.setattr(schur, "_sweep", spy)
     long_run = [(n, schur.second_moment(n, 2)) for n in (60, 30, 1)]
     long_run += schur.second_moment_grid([59, 7, 60], 2)
-    assert calls == [(60, 2)]
-    # a value read from a longer sweep is the value of a sweep that stops there
-    assert long_run == [(n, original(n, 2)[n]) for n in (60, 30, 1, 59, 7, 60)]
-    schur.second_moment(30, 3)
+    long_run += schur.second_moment_grid([60, 30], 3)
+    assert calls == [60]
+    walked2, walked3 = schur_second_moments(60, 2), schur_second_moments(60, 3)
+    assert long_run == [(n, walked2[n]) for n in (60, 30, 1, 59, 7, 60)] + [(n, walked3[n]) for n in (60, 30)]
+    # the counts at n of a longer sweep are the counts of a sweep that stops there
+    assert all(original(n)[n] == original(60)[n] for n in (1, 7, 30, 59))
+    schur.second_moment(30, 5)
     schur.second_moment(61, 2)
-    assert calls == [(60, 2), (30, 3), (61, 2)]
+    assert calls == [60, 61]
 
 
 def test_normality_grid_runs_one_schur_sweep(monkeypatch, capsys):
     from momentforge.cli import main
 
-    monkeypatch.setattr(schur, "_SWEPT", {})
+    monkeypatch.setattr(schur, "_SWEPT", [])
     calls = []
     original = schur._sweep
-    monkeypatch.setattr(schur, "_sweep", lambda top, c: calls.append(top) or original(top, c))
+    monkeypatch.setattr(schur, "_sweep", lambda top: calls.append(top) or original(top))
     assert main(["normality", "--family", "schur", "--n-grid", "20,40,60", "--r-max", "2"]) == 0
     assert calls == [60]
     rows = json.loads(capsys.readouterr().out)["result"]["rows"]
     assert [row["n"] for row in rows] == [20] * 3 + [40] * 3 + [60] * 3  # grid order kept
+    # the same sweep serves every c
+    assert main(["central", "--family", "schur", "--n", "45", "--r", "2", "--c", "3"]) == 0
+    assert calls == [60]
 
 
 def test_second_moment_grid_matches_printed_branch_beyond_fit_range():
