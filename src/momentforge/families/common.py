@@ -74,12 +74,40 @@ def uniform_sum_moments(mean, excess: Callable[[int], object], r_max: int) -> li
     kappa = {1: mean} if mean else {}
     for k in range(2, r_max + 1, 2):
         kappa[k] = bernoulli(k) * excess(k) / k
+        if k == 2 and not isinstance(kappa[2], Polynomial):
+            _check_numeric_order(r_max, mean, kappa[2])
     moments = [one]
     for j in range(1, r_max + 1):
         moments.append(
             sum((math.comb(j - 1, k - 1) * kappa[k] * moments[j - k] for k in kappa if k <= j), one * 0)
         )
     return moments[: r_max + 1]
+
+
+# Bound on r^3 (1000 + b^1.6) for a moment vector of numbers to order r,
+# with b the bit length of its scale max(|mean|, sqrt(kappa_2)): building
+# it takes about r^2 products of entries of up to r b bits.  The cost was
+# fitted in process on one Intel Xeon core, about 4e-11 s a unit from
+# b = 5 to b = 5000 (invmaj n = 10 to 10^1000).  Every numeric request of
+# ``uniform_sum_moments`` (invmaj at every n, boolean k = 0 and the domino
+# 1-by-n board as numbers) is weighed before its cumulants are built.
+NUMERIC_ORDER_GUARD = 6 * 10**10
+
+
+def _check_numeric_order(r_max: int, mean: Fraction, variance: Fraction) -> None:
+    """Raise SizeGuardError if moments to order r_max of this mean and variance weigh past the guard."""
+    scale = max(_bits(mean), _bits(variance) // 2)
+    weight = r_max**3 * (1000 + scale**1.6)
+    if weight > NUMERIC_ORDER_GUARD:
+        raise SizeGuardError(
+            f"moments to order {r_max} at a scale of {scale} bits weigh r^3 (1000 + b^1.6) = "
+            f"{weight:.6g}, beyond the NUMERIC_ORDER_GUARD = {NUMERIC_ORDER_GUARD} size guard"
+        )
+
+
+def _bits(x: Fraction) -> int:
+    """Bit length of the numerator and denominator of x together."""
+    return abs(x.numerator).bit_length() + x.denominator.bit_length()
 
 
 # Highest order of a moment vector built over polynomials: the boolean
@@ -167,15 +195,18 @@ def binomial_row(N: int) -> list[int]:
 
 
 # Bound on the work of an MGF deviation, in units of one mpmath evaluation
-# at 50 digits.  A t point costs its route's own evaluations (ceil(n/2)
-# for invmaj, whose about 2n multiply-adds of geometric partial sums cost
-# about 0.4 units per n, none for the 1-by-n board) plus about 8 units for
-# the Gaussian target, the exponential and the printed row; at d > 50
-# digits each unit weighs (d / 50)^2, which overstates the cost of high
-# precision.  The slowest requests inside it are at 50 digits: invmaj
-# n = 2 with 20000 steps and a 1-by-n board with 25000 steps take 2.5 to
-# 4 s as whole processes on one Intel Xeon core (the host's speed varies);
-# invmaj n = 23512 with 17 steps, the largest n served, takes 1.8 to 2.3 s.
+# at 50 digits.  A t point costs its route's own evaluations plus about 8
+# units for the Gaussian target, the exponential and the printed row; at
+# d > 50 digits each unit weighs (d / 50)^2, which overstates the cost of
+# high precision.  invmaj weighs a point as ceil(n/2) evaluations, though
+# its fixed-point integer loop costs about 0.08 units per n: the weight
+# overstates an invmaj point about sixfold, and is kept so that the guard
+# serves and refuses the same requests as when each step was an mpf
+# multiply-add (about 0.4 units per n).  The 1-by-n board weighs none.
+# The slowest requests inside it are at 50 digits: invmaj n = 2 with 20000
+# steps and a 1-by-n board with 25000 steps take 2.0 to 2.4 s as whole
+# processes on one Intel Xeon core (the host's speed varies); invmaj
+# n = 23512 with 17 steps, the largest n served, takes 0.37 to 0.46 s.
 MGF_GUARD = 2 * 10**5
 
 

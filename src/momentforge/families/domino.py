@@ -96,16 +96,19 @@ def central_moments_symbolic(r_max: int) -> MomentVector:
     return MomentVector("central", entries)
 
 
-# Bound on w*max(S*2^w, L)*r for w = min(m, n), L = max(m, n) and
-# S = min(L, 2r+2): the larger of the work w*S*2^w*r of one sweep and the
-# size w*L*r of the r+1 sums b_k, integers of about wL bits each.  In
-# process on one Intel Xeon core, a sweep unit costs 0.02 to 0.05 us for
-# widths 4 to 17 at r <= 31, so a sweep at the guard takes 2.5 to 6.5 s
-# there (w = 14 at r = 14, w = 12 at r = 31, w = 17 at r = 4).  A unit
-# costs more where the packed sums are long: w = 8 at r = 155 takes 13 s,
-# w = 4 at r = 400 0.54 us a unit (11 s), w = 20 at r = 1 13 s and 165 MB.
-# A length at the guard, 8 x 1562500 at r = 8 or 2 x 12500000 at r = 4,
-# takes 0.35 to 0.5 s and 44 to 53 MB as a whole process.
+# Bound on max(w S 2^(w-2) (limbs + 16), w max(L, S^2/2) r) for
+# w = min(m, n), L = max(m, n) and S = min(L, 2r+2).  The first term is the
+# work of one sweep: about w S 2^(w-2) pair updates, each on packed words
+# of (r+1) coefficients of ``_width`` bits, ``limbs`` 64-bit limbs long.  In
+# process on one Intel Xeon core a state costs about 0.15 us plus 0.009 us
+# a limb, so the fixed cost is worth 16 limbs.  The second is the size of
+# the sums: the r+1 sums b_k of the board, integers of about wL bits each,
+# and those the sweep keeps for each of its S rows.  The last order served
+# at each width, one sweep of 2r+2 rows (w = 2 at r = 291 up to w = 16 at
+# r = 6), takes 2.2 to 3.1 s as a whole process; 4 x 1000 at r = 400, whose
+# words are about 15000 limbs long, would take about 15 s.  A length at the
+# guard, 8 x 1562500 at r = 8 or 2 x 12500000 at r = 4, takes 0.35 to 0.5 s
+# and 44 to 53 MB.
 TRANSFER_GUARD = 10**8
 
 # b_0..b_r per row from the longest sweep run so far, per (w, r); a sweep's
@@ -148,18 +151,21 @@ def binomial_sums(m: int, n: int, r: int) -> tuple[int, ...]:
     form, sum_j Delta^j C(L-r-1, j), in integers until the one final shift
     by wL - k.
 
-    Raises SizeGuardError when w*max(S*2^w, L)*r exceeds TRANSFER_GUARD.
+    Raises SizeGuardError when max(w*S*2^(w-2)*(limbs + 16), w*max(L, S^2/2)*r)
+    exceeds TRANSFER_GUARD, with ``limbs`` the 64-bit length of a packed word.
     """
     _check(m, n)
     if r < 0:
         raise ValueError("need r >= 0")
     w, length = min(m, n), max(m, n)
     rows = min(length, 2 * r + 2)
-    work = w * max(rows * 2**w, length) * r
+    limbs = -(-_width(w, rows, r) * (r + 1) // 64)
+    work = max((w * rows << w >> 2) * (limbs + 16), w * max(length, rows * rows // 2) * r)
     if work > TRANSFER_GUARD:
         raise SizeGuardError(
             f"transfer matrix for the {m}x{n} board at r = {r} needs "
-            f"w*max(S*2^w, L)*r = {w}*max({rows}*2^{w}, {length})*{r} = {work}, "
+            f"max(w*S*2^(w-2)*(limbs + 16), w*max(L, S^2/2)*r) = "
+            f"max({w}*{rows}*2^{w - 2}*{limbs + 16}, {w}*{max(length, rows * rows // 2)}*{r}) = {work}, "
             f"beyond the TRANSFER_GUARD = {TRANSFER_GUARD} size guard"
         )
     sweep = _SWEPT.get((w, r), ())
@@ -229,9 +235,7 @@ def _sweep(w: int, rows: int, r: int) -> tuple[tuple[int, ...], ...]:
     otherwise), and stored halved.  The integers stay near r*log2(A) bits
     instead of growing with the number of cells.
     """
-    cells = w * rows
-    slots = 2 * cells - w - rows
-    width = w + r + 2 + max(math.comb(slots, k) for k in range(r + 1)).bit_length()
+    width = _width(w, rows, r)
     mask = (1 << (width * (r + 1))) - 1
     low_bits = sum(1 << (width * k) for k in range(r + 1))
     coefficient = (1 << width) - 1
@@ -281,6 +285,13 @@ def _sweep(w: int, rows: int, r: int) -> tuple[tuple[int, ...], ...]:
         total = 2 * sum(values)
         sums.append(tuple(((total >> (width * k)) & coefficient) << shifted for k in range(r + 1)))
     return tuple(sums)
+
+
+def _width(w: int, rows: int, r: int) -> int:
+    """Bits per coefficient in the packed words of :func:`_sweep`: room for every C(slots, k), k <= r."""
+    slots = 2 * w * rows - w - rows
+    # C(slots, k) grows with k up to slots // 2
+    return w + r + 2 + math.comb(slots, min(r, slots // 2)).bit_length()
 
 
 def _first_row(w: int, width: int, mask: int) -> list[int]:

@@ -20,9 +20,11 @@ polynomial in n, is the tests' independent reference for these moments.
 
 The MGF deviation evaluates this product at q = e^{2u} through its
 geometric partial sums 1 + q + ... + q^(i-1) = e^{(i-1)u} sinh(iu)/sinh(u):
-two exponentials and about 2n multiply-adds per t at the working
-precision, with n! taken exactly once per call, in the shared loop
-``common.mgf_deviation``.  It is refused beyond ``common.MGF_GUARD``.
+per t point two exponentials, about 2n products of plain Python integers
+in fixed point (the running product kept as a mantissa of at most twice
+the fixed-point bits and a binary exponent) and one division at the
+working precision, with n! taken exactly once per call, in the shared
+loop ``common.mgf_deviation``.  It is refused beyond ``common.MGF_GUARD``.
 
 The generating function is computed as a row of integer counts: the
 Mahonian row of inversion counts is built by prefix-sum convolution with
@@ -39,6 +41,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import mpmath
+from mpmath.libmp import to_fixed
 
 from momentforge import oracle
 from momentforge.families import common
@@ -105,11 +108,27 @@ def mgf_deviation(n: int, t_values, dps: int = 50):
 
     With u = t/(2 sigma) and q = e^{2u}, the centered PGF is
     G_n(e^{t/sigma}) = e^{-u n(n-1)/2} (1/n!) prod_i s_i, where s_1 = 1 and
-    s_i = 1 + q s_{i-1}; every factor is positive, so nothing cancels.  n! is
-    taken exactly once per call.  Returns (sup, rows) where rows pair each t
-    with its deviation.  Raises SizeGuardError beyond MGF_GUARD: each t
-    takes about 2n multiply-adds, weighed as ceil(n/2) evaluations (they
-    cost about 0.4 evaluations per n).
+    s_i = 1 + q s_{i-1}; every factor is positive, so nothing cancels.  The
+    inversion count is symmetric about its mean, so G_n is even in u and is
+    read at u = -|u|, where q <= 1 and s_i <= i.
+
+    The loop runs in plain Python integers, in fixed point with
+    p = prec + 2 bit_length(n) + 16 fractional bits (prec the working
+    precision): q = e^{2u} is computed at the working precision and
+    converted once per t point, and each step is s <- 1 + (q s >> p) and
+    product <- product s >> p.  The product is kept as a mantissa of at
+    most 2p bits and a binary exponent, shifted down by p bits whenever it
+    grows past that, so no integer grows with n and a step costs the same
+    at every n.  Rounding: the truncated q and each truncated shift are off
+    by at most 2^{-p}, so s_i is off by at most i 2^{1-p} relative and each
+    of the n steps of the product adds at most 2^{1-p} more (its shift and
+    a renormalisation); the product is off by at most (n^2 + 3n) 2^{-p} <
+    2^{-prec-14} before its one rounding to the working precision, where it
+    is divided by n! e^{u n(n-1)/2}.  n! is taken exactly once per call.
+
+    Returns (sup, rows) where rows pair each t with its deviation.  Raises
+    SizeGuardError beyond MGF_GUARD, which weighs a t point as ceil(n/2)
+    evaluations.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -117,14 +136,22 @@ def mgf_deviation(n: int, t_values, dps: int = 50):
     def pgf_at():
         factorial = mpmath.mpf(math.factorial(n))
         degree = n * (n - 1) // 2
+        bits = mpmath.mp.prec + 2 * n.bit_length() + 16
+        one = 1 << bits
+        limit = 2 * bits
 
         def at(u):
-            q = mpmath.exp(2 * u)
-            s = product = mpmath.mpf(1)
+            u = -abs(u)
+            q = to_fixed(mpmath.exp(2 * u)._mpf_, bits)
+            s = product = one
+            exponent = -bits
             for _ in range(n - 1):
-                s = 1 + q * s
-                product *= s
-            return product / (factorial * mpmath.exp(degree * u))
+                s = one + ((q * s) >> bits)
+                product = (product * s) >> bits
+                if product.bit_length() > limit:
+                    product >>= bits
+                    exponent += bits
+            return mpmath.mpf((product, exponent)) / (factorial * mpmath.exp(degree * u))
 
         return at
 

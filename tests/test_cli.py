@@ -275,6 +275,8 @@ def test_oracle_sampling_needs_seed():
 SWEEP_GUARD_ARGS = [
     ["moments", "--family", "schur", "--n", "50001", "--r", "2"],
     ["fit", "--r", "2", "--period", "12", "--degree", "4", "--n-min", "13", "--n-max", "50001"],
+    # E[X] needs no sweep, but the fit reads off and checks every n of its range
+    ["fit", "--r", "1", "--period", "2", "--degree", "2", "--n-min", "1", "--n-max", "50001"],
 ]
 
 # the first degree past FIT_GUARD on period * (degree + 1)^2 at periods 1 and 12
@@ -325,6 +327,23 @@ MGF_GUARD_ARGS = [
 ORDER_GUARD_ARGS = [
     ["moments", "--family", "boolean", "--n", "10", "--r", "200"],
     ["central", "--family", "domino", "--m", "1", "--n", "50", "--r", "200"],
+]
+
+# the first order past NUMERIC_ORDER_GUARD on r^3 (1000 + b^1.6) on each
+# numeric cumulant route (invmaj n = 8 at r = 500 took 3 to 4 s unguarded)
+NUMERIC_ORDER_GUARD_ARGS = [
+    ["binomial-moments", "--family", "invmaj", "--n", "8", "--r", "391"],
+    ["moments", "--family", "invmaj", "--n", "8", "--r", "500"],
+    ["central", "--family", "invmaj", "--n", str(10**30), "--r", "248"],
+    ["normality", "--family", "boolean", "--n-grid", "1,2,3", "--r-max", "392"],
+    ["binomial-moments", "--family", "domino", "--m", "1", "--n", "3", "--r", "392"],
+]
+
+# past TRANSFER_GUARD, whose sweep term weighs the packed words' 64-bit limbs
+# (the first took 14 to 17 s unguarded)
+TRANSFER_GUARD_ARGS = [
+    ["moments", "--family", "domino", "--m", "4", "--n", "1000", "--r", "400"],
+    ["central", "--family", "domino", "--m", "17", "--n", "17", "--r", "4"],
 ]
 
 # outside the boolean family, 0 <= k <= n, on every route that takes it
@@ -381,6 +400,8 @@ def test_usage_errors_exit_1(capsys):
         *MGF_GUARD_ARGS,
         *SAMPLER_GUARD_ARGS,
         *ORDER_GUARD_ARGS,
+        *NUMERIC_ORDER_GUARD_ARGS,
+        *TRANSFER_GUARD_ARGS,
         *BOOLEAN_RANGE_ARGS,
     ):
         code = main(list(args))
@@ -405,6 +426,10 @@ def test_usage_errors_exit_1(capsys):
             assert "SAMPLER_GUARD" in proc.err, (args, proc.err)
         if args in ORDER_GUARD_ARGS:
             assert "SYMBOLIC_ORDER_GUARD" in proc.err, (args, proc.err)
+        if args in NUMERIC_ORDER_GUARD_ARGS:
+            assert "NUMERIC_ORDER_GUARD = " in proc.err, (args, proc.err)
+        if args in TRANSFER_GUARD_ARGS:
+            assert "TRANSFER_GUARD = " in proc.err, (args, proc.err)
         if args in BOOLEAN_RANGE_ARGS:
             assert "need 0 <= k <= n" in proc.err, (args, proc.err)
 

@@ -275,13 +275,39 @@ def test_transfer_matrix_size_guard():
         domino.binomial_sums(2, 10**9, 4)
     with pytest.raises(SizeGuardError, match="TRANSFER_GUARD"):
         domino.binomial_sums(8, 1562501, 8)
-    # the sweep runs 2r+2 rows, whatever the length: 12 x 400 and 8 x 10^6 are served
+    # the sweep runs 2r+2 rows, whatever the length: 10 x 40, 12 x 400 and 8 x 10^6 are served
+    assert domino.binomial_sums(10, 40, 8) == domino.binomial_sums(40, 10, 8)
     assert domino.binomial_sums(12, 400, 8) == domino.binomial_sums(400, 12, 8)
     assert _moments("central", 8, 10**6, 8)[1] == 0
     # the mu-polynomials need no guard
     assert _moments("raw", 10**6, 10**6, 3)[3] == domino.raw_moments_symbolic(3).entries[3].eval(
         domino.mean(10**6, 10**6)
     )
+
+
+# (w, r): the highest order the transfer guard serves at width w; one more is
+# refused.  A unit of the sweep is one 64-bit limb of a pair update, so a
+# long packed word weighs more (4 x 1000 at r = 400 took 14 to 17 s unguarded);
+# at w <= 5 the sums the sweep keeps for its 2r+2 rows bind first.
+TRANSFER_EDGES = [(2, 291), (3, 254), (4, 231), (8, 93), (12, 29), (14, 15), (16, 6), (17, 3)]
+
+
+@pytest.mark.parametrize("w, r", TRANSFER_EDGES)
+def test_transfer_guard_weighs_the_packed_words(w, r, monkeypatch):
+    swept = []
+
+    def sweep(w, rows, r):
+        swept.append((w, rows, r))
+        return ((0,) * (r + 1),) * rows
+
+    monkeypatch.setattr(domino, "_SWEPT", {})
+    monkeypatch.setattr(domino, "_sweep", sweep)
+    length = max(w, 2 * r + 2)
+    domino.binomial_sums(w, length, r)
+    assert swept == [(w, min(length, 2 * r + 2), r)]
+    with pytest.raises(SizeGuardError, match="TRANSFER_GUARD = "):
+        domino.binomial_sums(w, max(w, 2 * r + 4), r + 1)
+    assert len(swept) == 1
 
 
 def test_board1n_p_series_printed():

@@ -190,6 +190,20 @@ def test_normality_report_deviation_decays_like_1_over_n():
     assert m4 < 3  # the 1/n correction is negative, per the expansion's sign
 
 
+def test_numeric_order_guard_refuses_before_any_moment_is_built(monkeypatch):
+    from momentforge.errors import SizeGuardError
+
+    built = []
+    real = invmaj._power_sum
+    monkeypatch.setattr(invmaj, "_power_sum", lambda k, n: built.append(k) or real(k, n))
+    # r^3 (1000 + b^1.6) with b = 4, half the bits of sigma^2 = 49/3 at n = 8
+    assert len(invmaj.central_moments(8, 390).entries) == 391
+    built.clear()
+    with pytest.raises(SizeGuardError, match="NUMERIC_ORDER_GUARD = "):
+        invmaj.central_moments(8, 391)
+    assert built == [2]  # only kappa_2, which sets the scale
+
+
 def test_mgf_deviation_decreases():
     grid = [Fr(x, 2) for x in range(-4, 5)]
     sups = [invmaj.mgf_deviation(n, grid)[0] for n in (5, 50)]
@@ -228,6 +242,19 @@ def test_mgf_partial_sums_print_as_the_sinh_log_product(lo, hi, steps, dps):
     for n in [*range(2, 41), 400, 2000]:
         got = _printed(*invmaj.mgf_deviation(n, grid, dps))
         assert got == _printed(*_sinh_log_deviation(n, grid, dps)), n
+
+
+def test_mgf_prints_as_the_sinh_log_product_at_the_largest_n_served():
+    # n = 23512 is the last n MGF_GUARD serves at 17 steps; a running product
+    # that is never renormalised grows to log2(n!) bits, about 300 000
+    n, grid = 23512, [Fr(-2), Fr(1, 2), Fr(6)]
+    assert _printed(*invmaj.mgf_deviation(n, grid)) == _printed(*_sinh_log_deviation(n, grid, 50))
+
+
+def test_mgf_prints_as_the_sinh_log_product_at_the_highest_precision_served():
+    # 268 digits is the highest precision MGF_GUARD serves at n = 400 and 17 steps
+    grid = common.TGrid(Fr(-2), Fr(2), 17)
+    assert _printed(*invmaj.mgf_deviation(400, grid, 268)) == _printed(*_sinh_log_deviation(400, grid, 268))
 
 
 def test_mgf_matches_the_mahonian_row():
@@ -290,7 +317,7 @@ def test_mgf_guard_weighs_precision():
 
 
 def test_mgf_weighs_an_invmaj_point_as_half_n_evaluations(monkeypatch):
-    # about 2n multiply-adds per t point cost about 0.4 evaluations per n
+    # ceil(n/2) overstates the fixed-point loop; it is kept so MGF_GUARD serves the same requests
     weighed = []
     monkeypatch.setattr(common, "mgf_deviation", lambda variance, evaluations, *rest: weighed.append(evaluations))
     for n in (2, 3, 23512, 23513):
