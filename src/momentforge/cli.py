@@ -28,7 +28,7 @@ import mpmath
 import momentforge.families as families
 from momentforge import __version__
 from momentforge.errors import ConsistencyError, MomentForgeError, SizeGuardError
-from momentforge.families import boolean, schur
+from momentforge.families import boolean
 from momentforge.families.common import SYMBOL_LEGEND, TGrid
 from momentforge.fitter import FitSpec, check_fit_size, fit_quasi_polynomial
 from momentforge.moment_algebra import check_grid, normality_report
@@ -349,13 +349,7 @@ def fit_cmd(family, r, c, period, degree, n_min, n_max, verify):
     """Fit a quasi-polynomial to enumerated moment data and verify exactly."""
     if n_min < 1 or n_max < n_min:
         raise click.UsageError("need 1 <= n-min <= n-max")
-    check_fit_size(period, degree)
-    # every n of the range is read off and checked, at r = 1 with no sweep as well
-    if n_max > schur.SWEEP_GUARD:
-        raise SizeGuardError(
-            f"a fit to --n-max {n_max} reads every n beyond the SWEEP_GUARD size guard "
-            f"of n <= {schur.SWEEP_GUARD}"
-        )
+    check_fit_size(period, degree, n_max)
     # largest n first: its schur E[X^2] sweep serves every smaller n
     data = [
         (n, families.moment_vector(family, "raw", r, {"n": n, "c": c}).entries[r])

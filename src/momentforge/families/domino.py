@@ -151,21 +151,30 @@ def binomial_sums(m: int, n: int, r: int) -> tuple[int, ...]:
     form, sum_j Delta^j C(L-r-1, j), in integers until the one final shift
     by wL - k.
 
-    Raises SizeGuardError when max(w*S*2^(w-2)*(limbs + 16), w*max(L, S^2/2)*r)
+    Raises SizeGuardError when w*max(L, S^2/2)*r or w*S*2^(w-2)*(limbs + 16)
     exceeds TRANSFER_GUARD, with ``limbs`` the 64-bit length of a packed word.
+    The first is checked first: it needs no binomial, so a large r or board
+    is refused after O(1) arithmetic.
     """
     _check(m, n)
     if r < 0:
         raise ValueError("need r >= 0")
     w, length = min(m, n), max(m, n)
     rows = min(length, 2 * r + 2)
+    size = w * max(length, rows * rows // 2) * r
+    if size > TRANSFER_GUARD:
+        raise SizeGuardError(
+            f"transfer matrix for the {m}x{n} board at r = {r} keeps sums of size "
+            f"w*max(L, S^2/2)*r = {w}*{max(length, rows * rows // 2)}*{r} = {size}, "
+            f"beyond the TRANSFER_GUARD = {TRANSFER_GUARD} size guard"
+        )
+    # only now is w*S^2*r small enough for the binomial inside _width to be cheap
     limbs = -(-_width(w, rows, r) * (r + 1) // 64)
-    work = max((w * rows << w >> 2) * (limbs + 16), w * max(length, rows * rows // 2) * r)
+    work = (w * rows << w >> 2) * (limbs + 16)
     if work > TRANSFER_GUARD:
         raise SizeGuardError(
-            f"transfer matrix for the {m}x{n} board at r = {r} needs "
-            f"max(w*S*2^(w-2)*(limbs + 16), w*max(L, S^2/2)*r) = "
-            f"max({w}*{rows}*2^{w - 2}*{limbs + 16}, {w}*{max(length, rows * rows // 2)}*{r}) = {work}, "
+            f"transfer matrix for the {m}x{n} board at r = {r} needs a sweep of "
+            f"w*S*2^(w-2)*(limbs + 16) = {w}*{rows}*2^{w - 2}*{limbs + 16} = {work}, "
             f"beyond the TRANSFER_GUARD = {TRANSFER_GUARD} size guard"
         )
     sweep = _SWEPT.get((w, r), ())

@@ -274,8 +274,12 @@ def test_oracle_sampling_needs_seed():
 
 SWEEP_GUARD_ARGS = [
     ["moments", "--family", "schur", "--n", "50001", "--r", "2"],
+]
+
+# past FIT_N_GUARD: a fit reads off and checks every n of its range, at r = 1
+# with no sweep as well
+FIT_N_GUARD_ARGS = [
     ["fit", "--r", "2", "--period", "12", "--degree", "4", "--n-min", "13", "--n-max", "50001"],
-    # E[X] needs no sweep, but the fit reads off and checks every n of its range
     ["fit", "--r", "1", "--period", "2", "--degree", "2", "--n-min", "1", "--n-max", "50001"],
 ]
 
@@ -340,10 +344,12 @@ NUMERIC_ORDER_GUARD_ARGS = [
 ]
 
 # past TRANSFER_GUARD, whose sweep term weighs the packed words' 64-bit limbs
-# (the first took 14 to 17 s unguarded)
+# (the first took 14 to 17 s unguarded); the last is refused by the size of
+# its sums before the width of a packed word, a binomial in r, is computed
 TRANSFER_GUARD_ARGS = [
     ["moments", "--family", "domino", "--m", "4", "--n", "1000", "--r", "400"],
     ["central", "--family", "domino", "--m", "17", "--n", "17", "--r", "4"],
+    ["moments", "--family", "domino", "--m", "2", "--n", "10000000", "--r", "10000000"],
 ]
 
 # outside the boolean family, 0 <= k <= n, on every route that takes it
@@ -393,6 +399,7 @@ def test_usage_errors_exit_1(capsys):
          "--n-max", "14", "--threads", "2"],
         # beyond the Schur E[X^2] sweep guard
         *SWEEP_GUARD_ARGS,
+        *FIT_N_GUARD_ARGS,
         *FIT_GUARD_ARGS,
         *GRID_GUARD_ARGS,
         *PGF_GUARD_ARGS,
@@ -412,6 +419,8 @@ def test_usage_errors_exit_1(capsys):
         assert "Traceback" not in proc.err, (args, proc.err)
         if args in SWEEP_GUARD_ARGS:
             assert "SWEEP_GUARD size guard" in proc.err, (args, proc.err)
+        if args in FIT_N_GUARD_ARGS:
+            assert "FIT_N_GUARD = " in proc.err, (args, proc.err)
         if args in FIT_GUARD_ARGS:
             assert "FIT_GUARD = " in proc.err, (args, proc.err)
         if args in GRID_GUARD_ARGS:
@@ -499,10 +508,13 @@ def test_sweep_fit_and_grid_guard_edges(capsys):
     # the sweep, fit and normality grid guards is refused before anything is built
     from momentforge.cli import main
     from momentforge.families.schur import SWEEP_GUARD
+    from momentforge.fitter import FIT_N_GUARD
 
+    # a fit reads every n of its range, so it may not reach past the sweep
+    assert FIT_N_GUARD == SWEEP_GUARD
     assert main(["moments", "--family", "schur", "--n", str(SWEEP_GUARD), "--r", "2", "--c", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["params"] == {"n": SWEEP_GUARD, "c": 3}
-    for args in (*SWEEP_GUARD_ARGS, *FIT_GUARD_ARGS, *GRID_GUARD_ARGS):
+    for args in (*SWEEP_GUARD_ARGS, *FIT_N_GUARD_ARGS, *FIT_GUARD_ARGS, *GRID_GUARD_ARGS):
         started = time.monotonic()
         assert main(args) == 1
         assert capsys.readouterr().out == ""

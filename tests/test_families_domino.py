@@ -310,6 +310,17 @@ def test_transfer_guard_weighs_the_packed_words(w, r, monkeypatch):
     assert len(swept) == 1
 
 
+def test_transfer_guard_refuses_a_large_order_before_any_binomial(monkeypatch):
+    def width(w, rows, r):
+        raise AssertionError("_width called on a board the size term refuses")
+
+    monkeypatch.setattr(domino, "_width", width)
+    with pytest.raises(SizeGuardError, match="TRANSFER_GUARD = "):
+        domino.binomial_sums(2, 10**7, 10**7)
+    with pytest.raises(SizeGuardError, match="TRANSFER_GUARD = "):
+        domino.binomial_sums(10**4, 10**4, 4)
+
+
 def test_board1n_p_series_printed():
     ps = board1n_p_series(5)
     assert tuple(ps.coeffs) == (Fr(1), Fr(0), Fr(1, 8), Fr(-1, 8), Fr(15, 128), Fr(-7, 64))
