@@ -12,7 +12,7 @@ domino on a 1-by-n board, both through the shared loop
 grid.  ``moment_vector`` is the one checked way to
 the moments: the moment subcommands, ``fit`` and every point of a
 normality grid go through it.  It converts the one vector a family's route
-computes (raw: schur, the domino transfer matrix, boolean k >= 1; central:
+computes (raw: schur, the domino face sweep, boolean k >= 1; central:
 invmaj, the domino mu-domain, boolean k = 0) in one place,
 ``moment_algebra.convert``; ``closed_forms`` checks a request for the
 printed texts as it does.  The functions below and every CLI subcommand

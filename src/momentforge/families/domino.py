@@ -9,15 +9,20 @@ m, n >= 2 the four slots around a lattice square are all same-number with
 probability 1/2^3, not 1/2^4, so from r = 4 on the moments depend on the
 board and not on mu alone (2x2 at r = 4: the mu-form gives 85/2, the true
 value is 44).  The mu-polynomials are kept as the printed closed forms on
-that domain, where the numeric moments are those of Binomial(A, 1/2);
-everywhere else the moments come from an integer broken-profile transfer
-matrix (Stanley, EC1 section 4.7) across the shorter side w = min(m, n).
-It runs at most 2r+2 rows: for a length L = max(m, n) past that, each
-2^k E[C(X, k)] is a polynomial of degree <= k in L, exact for L >= k+1
-(proof at ``binomial_sums``), fitted on rows r+1..2r+2 with an exact check
-and evaluated at L.  The longest sweep run per (w, r) thus serves every
-board of that width, and a longer board costs only the arithmetic on its
-sums b_k, integers of about wL bits.
+that domain, where the numeric moments are those of Binomial(A, 1/2).
+Everywhere else the moments come from the board's even subgraphs: only
+unions of cycles of at most r slots move E[X^r] away from the independent
+case, and each is the boundary of one set of unit faces of the grid, so
+the sums b_k = sum over boards of C(X, k) follow from N_j, the number of
+face sets of perimeter j <= r (MacWilliams' identity, at ``binomial_sums``).
+A sparse face sweep across the shorter side w = min(m, n) counts them,
+keeping only the face profiles whose sets can still close within r edges.
+It runs at most 2r+2 rows: for a length L = max(m, n) past that, each N_j
+is a polynomial of degree <= j in L, exact for L >= j+1, fitted on rows
+r+1..2r+2 with an exact check and evaluated at L.  The longest sweep run
+per (w, r) thus serves every board of that width, and a longer board costs
+only the conversion of its r+1 counts into the sums b_k, integers of about
+wL bits.
 
 The 1-by-n board is Binomial(n - 1, 1/2): its PGF is the binomial row
 over 2^(n-1), and its MGF deviation reads cosh(t/(2 sigma))^(n-1).
@@ -73,7 +78,7 @@ def in_closed_form_domain(m: int, n: int, r: int) -> bool:
 def _moments(r_max: int, p: dict) -> MomentVector:
     """Central moments of Binomial(A, 1/2) on the domain of the mu-polynomials, else raw ones.
 
-    The raw ones come from the transfer matrix's E[C(X, k)] = b_k / 2^{mn} (:func:`binomial_sums`).
+    The raw ones come from the face sweep's E[C(X, k)] = b_k / 2^{mn} (:func:`binomial_sums`).
     """
     m, n = p["m"], p["n"]
     _check(m, n)
@@ -96,65 +101,85 @@ def central_moments_symbolic(r_max: int) -> MomentVector:
     return MomentVector("central", entries)
 
 
-# Bound on max(w S 2^(w-2) (limbs + 16), w max(L, S^2/2) r) for
-# w = min(m, n), L = max(m, n) and S = min(L, 2r+2).  The first term is the
-# work of one sweep: about w S 2^(w-2) pair updates, each on packed words
-# of (r+1) coefficients of ``_width`` bits, ``limbs`` 64-bit limbs long.  In
-# process on one Intel Xeon core a state costs about 0.15 us plus 0.009 us
-# a limb, so the fixed cost is worth 16 limbs.  The second is the size of
-# the sums: the r+1 sums b_k of the board, integers of about wL bits each,
-# and those the sweep keeps for each of its S rows.  The last order served
-# at each width, one sweep of 2r+2 rows (w = 2 at r = 291 up to w = 16 at
-# r = 6), takes 2.2 to 3.1 s as a whole process; 4 x 1000 at r = 400, whose
-# words are about 15000 limbs long, would take about 15 s.  A length at the
-# guard, 8 x 1562500 at r = 8 or 2 x 12500000 at r = 4, takes 0.35 to 0.5 s
-# and 44 to 53 MB.
+# Bound on max(F P (limbs + 32), w max(L, S^2/2) r) for w = min(m, n),
+# L = max(m, n) and S = min(L, 2r+2).  The first term is the work of one
+# face sweep (:func:`_face_sweep`): F = (w-1)(S-1) faces, each updating at
+# most P pairs of profiles, P the number of ways to set at most r/2 of the
+# w-2 faces outside the pair, on packed words of r/2+1 counts of
+# ``_count_bits`` bits, ``limbs`` 64-bit limbs long.  In process on one
+# Intel Xeon core a pair update costs about 0.6 us plus 0.02 us a limb, so
+# the fixed cost is worth 32 limbs.  The second is the size of the sums:
+# the r+1 sums b_k of the board, integers of about wL bits each, and the
+# counts the sweep keeps for each of its S rows.  The last order served at
+# each width, one sweep of 2r+2 rows (w = 2 at r = 291, w = 8 at r = 129,
+# w = 12 at r = 38, w = 16 at r = 11), takes 0.3 to 2.7 s as a whole
+# process, and a length at the size term's edge (2 x 170000 at r = 291,
+# 12 x 210000 at r = 38) 2.4 to 2.9 s.  Where r/2 < w-2 the bound P is far
+# above the profiles that survive, and the sweep is faster still.
 TRANSFER_GUARD = 10**8
 
-# b_0..b_r per row from the longest sweep run so far, per (w, r); a sweep's
-# rows do not depend on where it stops, so it serves every shorter board.
+# N_0..N_r per row count from the longest sweep run so far, per (w, r); a
+# sweep's rows do not depend on where it stops, so it serves every shorter
+# board.
 _SWEPT: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
 
 def binomial_sums(m: int, n: int, r: int) -> tuple[int, ...]:
     """b_k = sum over all 2^{mn} boards of C(X, k), for k = 0..r.
 
+    The slots are the edges of the m-by-n grid graph.  A board's
+    disagreeing slots form a uniform element of the graph's cut space, whose
+    dual code is the cycle space; a cycle of the planar grid is the boundary
+    of exactly one set of unit faces.  So, summing 2^(components) over the
+    k-sets of slots that agree (MacWilliams 1963, at x = 1+z, y = 1),
+
+        b_k = 2^{mn-k} sum_{j<=k} N_j C(A-j, k-j),
+
+    with N_j the number of face sets whose perimeter, their boundary in the
+    grid graph, has j edges (:func:`_face_sweep`).  The grid is bipartite,
+    so N_j = 0 for odd j, and N_4 counts the unit squares.
+
     Let w = min(m, n) be the width, L = max(m, n) the length and
-    S = min(L, 2r+2).  A transfer sweep of width w runs S rows and records
-    b_0..b_r at the end of every row (:func:`_sweep`); the longest sweep
-    run per (w, r) is kept and read by every later request of at most as
-    many rows.  For L <= S the answer is row L.  Longer boards are served
-    by a polynomial in L, exact for L >= k+1 at order k:
+    S = min(L, 2r+2).  The sweep runs S rows and records N_0..N_r for each
+    row count; the longest sweep run per (w, r) is kept and read by every
+    later request of at most as many rows.  For L <= S the counts are row
+    L.  Longer boards are served by polynomials in L, N_j exact for
+    L >= j+1:
 
-    2^k E_k(L) = 2^k b_k / 2^{wL} is an integer (see :func:`_sweep`) and a
-    polynomial of degree <= k in L for L >= k+1.  Proof: with T(z) the
-    row-to-row matrix, T[s, t] = (1+z)^(same-number pairs between rows s and
-    t and inside t), v[s] = (1+z)^(pairs inside s) and u all ones, the
-    generating sum is v T(z)^{L-1} u.  At z = 0, T(0) = J is the all-ones
-    matrix, so T = J + D with D = O(z), and [z^k] of the product is a sum
-    over words in J and D with j <= k letters D.  A run of a >= 1 letters J
-    is 2^{w(a-1)} J, so after the division by 2^{wL} a word depends only on
-    which of its j+1 gaps between D letters are nonempty, say g of them, and
-    the number of words with that pattern is the number of ways to split
-    the N = L-1-j letters J into g nonempty runs, C(N-1, g-1): a polynomial
-    in L of degree g-1 <= j for N >= 1 (zero for g = 0).  At N = 0 only the
-    pattern with every gap empty occurs, once, while the polynomials give it
-    0 and each pattern with g >= 1 the weight C(-1, g-1) = (-1)^(g-1).  The
-    two agree, because the sum of (-1)^g times the words over all patterns
-    replaces every gap by I - J/2^w, which sends u to 0.  So the sum is a
-    polynomial in L whenever N >= 0 for every j <= k, that is for L >= k+1.
+    2^k E_k(L) = 2^k b_k / 2^{wL} is a polynomial of degree <= k in L for
+    L >= k+1.  Proof: with T(z) the row-to-row matrix, T[s, t] =
+    (1+z)^(same-number pairs between rows s and t and inside t), v[s] =
+    (1+z)^(pairs inside s) and u all ones, the generating sum is
+    v T(z)^{L-1} u.  At z = 0, T(0) = J is the all-ones matrix, so T = J + D
+    with D = O(z), and [z^k] of the product is a sum over words in J and D
+    with j <= k letters D.  A run of a >= 1 letters J is 2^{w(a-1)} J, so
+    after the division by 2^{wL} a word depends only on which of its j+1
+    gaps between D letters are nonempty, say g of them, and the number of
+    words with that pattern is the number of ways to split the M = L-1-j
+    letters J into g nonempty runs, C(M-1, g-1): a polynomial in L of degree
+    g-1 <= j for M >= 1 (zero for g = 0).  At M = 0 only the pattern with
+    every gap empty occurs, once, while the polynomials give it 0 and each
+    pattern with g >= 1 the weight C(-1, g-1) = (-1)^(g-1).  The two agree,
+    because the sum of (-1)^g times the words over all patterns replaces
+    every gap by I - J/2^w, which sends u to 0.  So the sum is a polynomial
+    in L whenever M >= 0 for every j <= k, that is for L >= k+1.
 
-    The polynomial is fitted from the integer forward differences of
-    2^k E_k at L = r+1..2r+2, r+2 points: every difference above order k
-    must vanish, else ConsistencyError, so the point past the r+1 that fix
-    a polynomial of degree <= r is a check.  It is evaluated in Newton
-    form, sum_j Delta^j C(L-r-1, j), in integers until the one final shift
-    by wL - k.
+    N_k = 2^k E_k - sum_{j<k} N_j C(A-j, k-j), and the first term is
+    already proved polynomial, while A = (2w-1)L - w is linear in L.  So by
+    induction N_j is a polynomial of degree <= j in L for L >= j+1.
 
-    Raises SizeGuardError when w*max(L, S^2/2)*r or w*S*2^(w-2)*(limbs + 16)
-    exceeds TRANSFER_GUARD, with ``limbs`` the 64-bit length of a packed word.
-    The first is checked first: it needs no binomial, so a large r or board
-    is refused after O(1) arithmetic.
+    Each N_j is fitted from its integer forward differences at
+    L = r+1..2r+2, r+2 points: every difference above order j must vanish,
+    else ConsistencyError, so the point past the r+1 that fix a polynomial
+    of degree <= r is a check.  It is evaluated in Newton form,
+    sum_i Delta^i C(L-r-1, i), with the binomials shared by every order,
+    and the counts are turned into the sums b_k once, at L.
+
+    Raises SizeGuardError when w*max(L, S^2/2)*r or F*P*(limbs + 32) exceeds
+    TRANSFER_GUARD, with F = (w-1)(S-1) the faces swept, P the pairs of
+    profiles a face updates at most and ``limbs`` the 64-bit length of a
+    packed word.  The first is checked first: it needs no binomial, so a
+    large r or board is refused after O(1) arithmetic.
     """
     _check(m, n)
     if r < 0:
@@ -164,175 +189,191 @@ def binomial_sums(m: int, n: int, r: int) -> tuple[int, ...]:
     size = w * max(length, rows * rows // 2) * r
     if size > TRANSFER_GUARD:
         raise SizeGuardError(
-            f"transfer matrix for the {m}x{n} board at r = {r} keeps sums of size "
+            f"face sweep for the {m}x{n} board at r = {r} keeps sums of size "
             f"w*max(L, S^2/2)*r = {w}*{max(length, rows * rows // 2)}*{r} = {size}, "
             f"beyond the TRANSFER_GUARD = {TRANSFER_GUARD} size guard"
         )
-    # only now is w*S^2*r small enough for the binomial inside _width to be cheap
-    limbs = -(-_width(w, rows, r) * (r + 1) // 64)
-    work = (w * rows << w >> 2) * (limbs + 16)
+    faces = (w - 1) * (rows - 1)
+    pairs = sum(math.comb(w - 2, i) for i in range(min(w - 2, r // 2) + 1))
+    # only now is w*S^2*r small enough for the binomial inside _count_bits to be cheap
+    limbs = -(-_count_bits(w, rows, r) * (r // 2 + 1) // 64)
+    work = faces * pairs * (limbs + 32)
     if work > TRANSFER_GUARD:
         raise SizeGuardError(
-            f"transfer matrix for the {m}x{n} board at r = {r} needs a sweep of "
-            f"w*S*2^(w-2)*(limbs + 16) = {w}*{rows}*2^{w - 2}*{limbs + 16} = {work}, "
+            f"face sweep for the {m}x{n} board at r = {r} needs work "
+            f"F*P*(limbs + 32) = {faces}*{pairs}*{limbs + 32} = {work}, "
             f"beyond the TRANSFER_GUARD = {TRANSFER_GUARD} size guard"
         )
     sweep = _SWEPT.get((w, r), ())
     if len(sweep) < rows:
-        sweep = _SWEPT[w, r] = _sweep(w, rows, r)
-    if length <= rows:
-        return sweep[length - 1]
-    return tuple(_extend(sweep, w, k, r, length) for k in range(r + 1))
+        sweep = _SWEPT[w, r] = _face_sweep(w, rows, r)
+    counts = sweep[length - 1] if length <= rows else _extend(sweep, w, r, length)
+    return _sums_from_counts(counts, w, length)
 
 
-def _extend(sweep: tuple[tuple[int, ...], ...], w: int, k: int, r: int, length: int) -> int:
-    """b_k at ``length`` > 2r+2 rows from the polynomial in the length fitted to ``sweep``."""
-    scaled = []  # 2^k E_k(L) for L = r+1..2r+2
-    for rows in range(r + 1, 2 * r + 3):
-        value = sweep[rows - 1][k] << k
-        if value & ((1 << (w * rows)) - 1):
-            raise ConsistencyError(
-                f"width {w}, {rows} rows: 2^{k} E[C(X, {k})] is not an integer"
-            )
-        scaled.append(value >> (w * rows))
-    differences = []  # Delta^j at L = r+1, j = 0..r+1
-    column = scaled
-    while column:
-        differences.append(column[0])
-        column = [b - a for a, b in zip(column, column[1:])]
-    if any(differences[k + 1 :]):
-        raise ConsistencyError(
-            f"width {w} at r = {r}: 2^{k} E[C(X, {k})] on rows {r + 1}..{2 * r + 2} "
-            f"is not a polynomial of degree <= {k} in the number of rows"
-        )
+def _extend(sweep: tuple[tuple[int, ...], ...], w: int, r: int, length: int) -> list[int]:
+    """N_0..N_r at ``length`` > 2r+2 rows from the polynomials in the length fitted to ``sweep``."""
     steps = length - r - 1
-    return sum(d * math.comb(steps, j) for j, d in enumerate(differences)) << (w * length - k)
+    binomials = [1]  # C(L-r-1, i), shared by every order
+    for i in range(r):
+        binomials.append(binomials[-1] * (steps - i) // (i + 1))
+    counts = []
+    for j in range(r + 1):
+        column = [sweep[rows - 1][j] for rows in range(r + 1, 2 * r + 3)]
+        if not any(column):  # every odd j: the grid is bipartite
+            counts.append(0)
+            continue
+        value = 0
+        # Delta^0..Delta^j at L = r+1; the differences of order j+1 must all vanish
+        for binomial in binomials[: j + 1]:
+            value += column[0] * binomial
+            column = [b - a for a, b in zip(column, column[1:])]
+        if any(column):
+            raise ConsistencyError(
+                f"width {w} at r = {r}: N_{j} on rows {r + 1}..{2 * r + 2} "
+                f"is not a polynomial of degree <= {j} in the number of rows"
+            )
+        counts.append(value)
+    return counts
 
 
-def _sweep(w: int, rows: int, r: int) -> tuple[tuple[int, ...], ...]:
-    """b_0..b_r on the boards of 1, 2, ..., ``rows`` rows of ``w`` cells, one tuple per row count.
+def _sums_from_counts(counts, w: int, length: int) -> tuple[int, ...]:
+    """b_k = 2^{wL-k} sum_j N_j C(A-j, k-j), k <= r, from the perimeter counts of a w-by-L board.
 
-    A broken-profile transfer matrix: cells are placed row by row; the state
-    is the w most recent cells, bit j being the cell in column j.  Each
-    state carries sum C(X, k) z^k over the partial boards that end in it,
-    truncated at z^r and packed into one integer, `width` bits per
-    coefficient.  A new cell multiplies by (1+z) once per same-number
-    neighbour to its left or above.  The sums are read off at the end of
-    every row.
-
-    Complementing every cell preserves X, so only states with bit w-1 clear
-    are stored, each standing for itself and its complement, and cell
-    (0, 0) is fixed to 0.  Row 0 has no cell above and builds its at most
-    2^(w-1) states one left neighbour at a time (:func:`_first_row`).  From
-    row 1 on the states are a list indexed by state, updated in place:
-    placing cell (i, j) replaces bit j, the cell above, so the two states
-    that differ only in it map onto the same two new states.  In each such
-    pair, p is the one whose bit j equals bit j-1, the cell to the left,
-    and q the other; with mul(c) = c(1+z) truncated at z^r, the step is
-    p <- mul(mul(c_p) + c_q), q <- c_p + mul(c_q).  At j = 0, with no cell
-    to the left, it is p <- mul(c_p) + c_q, q <- c_p + mul(c_q).  At
-    j = w-1 the partner of a stored state a is a ^ (full ^ top), the stored
-    complement of a | top; at w = 1 that is a itself.  The pairs of each
-    column are listed once per call.
-
-    Once c cells are placed, each state stands for 2^{c-w} partial boards,
-    over which E[C(X, k)] has a denominator dividing 2^k (k slots tie at
-    most k cells to the rest), so every coefficient is divisible by
-    2^{c-w-r}.  That power of 2 is shifted out in the same pass as it
-    accrues, one bit per cell: the new values are OR-ed into one word,
-    which must have no coefficient's lowest bit set (ConsistencyError
-    otherwise), and stored halved.  The integers stay near r*log2(A) bits
-    instead of growing with the number of cells.
+    The inner sum is [z^k] of sum_j N_j z^j (1+z)^(A-j), computed as
+    (1+z)^(A-r) times sum_j N_j z^j (1+z)^(r-j), so that only the r+1
+    binomials C(A-r, i) involve A (for A < r they are the coefficients of a
+    power series; the product is still the polynomial).
     """
-    width = _width(w, rows, r)
-    mask = (1 << (width * (r + 1))) - 1
-    low_bits = sum(1 << (width * k) for k in range(r + 1))
-    coefficient = (1 << width) - 1
-    full = (1 << w) - 1
-    top = 1 << (w - 1)
-    values = _first_row(w, width, mask)
-    total = 2 * sum(values)
-    sums = [tuple((total >> (width * k)) & coefficient for k in range(r + 1))]
-    # one int object per state, shared by the pair lists of every column
-    index = list(range(top))
-    columns = []
-    for j in range(w):
-        partner = full ^ top if j == w - 1 else 1 << j
-        ps = [a for a in index if a <= a ^ partner]
-        if j:
-            ps = [a if (a >> j) & 1 == (a >> (j - 1)) & 1 else index[a ^ partner] for a in ps]
-        columns.append((ps, [index[a ^ partner] for a in ps]))
-    shifted = 0
-    for i in range(1, rows):
-        for j, (ps, qs) in enumerate(columns):
-            shift = int(i * w + j + 1 - w - r > shifted)
-            shifted += shift
-            seen = 0
-            if j:
-                for p, q in zip(ps, qs):
-                    cp = values[p]
-                    cq = values[q]
-                    both = cp + cq
-                    t = both + (cp << width)
-                    x = (t + (t << width)) & mask
-                    y = (both + (cq << width)) & mask
-                    seen |= x | y
-                    values[p] = x >> shift
-                    values[q] = y >> shift
-            else:
-                for p, q in zip(ps, qs):
-                    cp = values[p]
-                    cq = values[q]
-                    both = cp + cq
-                    x = (both + (cp << width)) & mask
-                    y = (both + (cq << width)) & mask
-                    seen |= x | y
-                    values[p] = x >> shift
-                    values[q] = y >> shift
-            if shift:
-                _check_halvable(seen, low_bits, w, i, j)
-        total = 2 * sum(values)
-        sums.append(tuple(((total >> (width * k)) & coefficient) << shifted for k in range(r + 1)))
+    r = len(counts) - 1
+    slots = 2 * w * length - w - length
+    inner = [0] * (r + 1)
+    row = [1]  # C(r-j, i) for j = r, r-1, ..., 0
+    for j in range(r, -1, -1):
+        if counts[j]:
+            for i, binomial in enumerate(row):
+                inner[j + i] += counts[j] * binomial
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+    outer = [1]  # C(A-r, i)
+    for i in range(r):
+        outer.append(outer[-1] * (slots - r - i) // (i + 1))
+    sums = []
+    for k in range(r + 1):
+        total = sum(outer[k - i] * inner[i] for i in range(k + 1))
+        shift = w * length - k
+        if shift < 0 and total & ((1 << -shift) - 1):
+            raise ConsistencyError(
+                f"width {w}, {length} rows: the sum of C(X, {k}) over the boards is not an integer"
+            )
+        sums.append(total << shift if shift >= 0 else total >> -shift)
     return tuple(sums)
 
 
-def _width(w: int, rows: int, r: int) -> int:
-    """Bits per coefficient in the packed words of :func:`_sweep`: room for every C(slots, k), k <= r."""
-    slots = 2 * w * rows - w - rows
-    # C(slots, k) grows with k up to slots // 2
-    return w + r + 2 + math.comb(slots, min(r, slots // 2)).bit_length()
+def _face_sweep(w: int, rows: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """N_0..N_r on the boards of 1, 2, ..., ``rows`` rows of ``w`` cells, one tuple per row count.
 
+    N_j counts the sets of unit faces, in the (w-1)-wide face grid, whose
+    boundary in the grid graph has j edges.  Faces are placed row by row;
+    the state is the profile of the w-1 most recent faces, bit j being the
+    face in column j.  A face placed with value f adds [f != above] +
+    [f != left] boundary edges, plus f at the right edge, the face above a
+    top face and left of a first face counting as unset; the bottom row
+    adds popcount(profile) when it is read off, at the end of every row.
+    Each state carries sum z^(edges so far) over the face sets that end in
+    it, packed into one integer, ``_count_bits`` bits per count.
 
-def _first_row(w: int, width: int, mask: int) -> list[int]:
-    """The packed sums of :func:`_sweep` after row 0, a list indexed by the stored states.
+    Only what can reach z^r is kept.  Every set face of the profile still
+    owes an edge below it, in its own column: popcount(profile) edges at
+    least.  The boundary of the faces placed so far is even (the grid is
+    bipartite), and its edges not yet counted are those owed below plus, in
+    the middle of a row, the right edge of the last face placed if it is
+    set.  So within one state every exponent has the parity of
+    q = popcount(profile) + that bit, and at least q edges are still owed.
+    A word holds only the exponents of that parity, at index exponent // 2,
+    and drops those above r - q; a state left with none is dropped.  The
+    profiles that survive have at most r/2 set faces: each set face's
+    column holds a top and a bottom boundary edge.
 
-    Row 0 has no cell above: each cell after (0, 0) doubles the states it
-    reaches, at most 2^(w-1), by its left neighbour alone.
+    Placing face j maps the two profiles that differ only in bit j, the
+    face above, onto the same two profiles, so each such pair is updated at
+    once: with l the face to its left and R = [j = w-2], the profile with
+    bit j clear takes z^l (c_0 + z c_1) and the one with bit j set
+    z^(1-l+R) (z c_0 + c_1), where c_0 and c_1 are the pair's old sums.
+
+    Every count is at most C(A, j) for the S-row board's A slots, so the
+    packed counts never carry into each other.
     """
-    full = (1 << w) - 1
-    top = 1 << (w - 1)
+    faces = w - 1
+    width = _count_bits(w, rows, r)
+    size = width // 8
+    half = r // 2 + 1
+    # masks[q]: the exponents e <= r - q of the parity of q
+    masks = [(1 << (width * ((r - q - (q & 1)) // 2 + 1))) - 1 if q <= r else 0 for q in range(faces + 2)]
+    # shifts[R][2 p + l]: in bits, for the exponent parity p of the lower profile
+    # and the face l to the left, c_0 -> lower, c_1 -> lower, c_0 -> upper, c_1 -> upper
+    shifts = [
+        [
+            tuple(width * (e >> 1) for e in (p + l, 2 - p + l, p + 2 - l + right, 2 - p - l + right))
+            for p in (0, 1)
+            for l in (0, 1)
+        ]
+        for right in (0, 1)
+    ]
+    counts = [(1,) + (0,) * r]  # one row of cells has no face
     states = {0: 1}
-    for j in range(1, w):
-        bit = 1 << j
-        new: dict[int, int] = {}
-        for s, c in states.items():
-            s1 = s | bit
-            if s1 & top:
-                s1 ^= full
-            c1 = (c + (c << width)) & mask
-            d0, d1 = (c1, c) if (s >> (j - 1)) & 1 == 0 else (c, c1)
-            new[s] = new.get(s, 0) + d0
-            new[s1] = new.get(s1, 0) + d1
-        states = new
-    return [states.get(s, 0) for s in range(top)]
+    for i in range(1, rows):
+        for j in range(faces):
+            bit = 1 << j
+            left = bit >> 1
+            table = shifts[j == faces - 1]
+            step = 2 - (j == faces - 1)
+            new = {}
+            for s, c in states.items():
+                if s & bit:
+                    s = s ^ bit
+                    if s in states:
+                        continue  # updated with its partner
+                    c0, c1 = 0, c
+                else:
+                    c0, c1 = c, states.get(s | bit, 0)
+                ones = s.bit_count()
+                l = 1 if s & left else 0
+                a, b, d, e = table[2 * ((ones + l) & 1) + l]
+                lower = ((c0 << a) + (c1 << b)) & masks[ones]
+                if lower:
+                    new[s] = lower
+                upper = ((c0 << d) + (c1 << e)) & masks[ones + step]
+                if upper:
+                    new[s | bit] = upper
+            states = new
+        total = sum(c << (width * ((s.bit_count() + 1) >> 1)) for s, c in states.items())
+        raw = total.to_bytes(size * half, "little")
+        row = [0] * (r + 1)
+        row[::2] = [int.from_bytes(raw[size * k : size * (k + 1)], "little") for k in range(half)]
+        _check_counts(row, w, i + 1)
+        counts.append(tuple(row))
+    return tuple(counts)
 
 
-def _check_halvable(word: int, low_bits: int, w: int, row: int, column: int) -> None:
-    """Raise ConsistencyError if ``word``, the OR of a cell's new values, has a coefficient's lowest bit set."""
-    if word & low_bits:
+def _count_bits(w: int, rows: int, r: int) -> int:
+    """Bits per count in the packed words of :func:`_face_sweep`: room for every C(A, j), j <= r, in whole bytes."""
+    slots = 2 * w * rows - w - rows
+    # C(A, j) grows with j up to A // 2
+    return -(-(math.comb(slots, min(r, slots // 2)).bit_length() + 1) // 8) * 8
+
+
+def _check_counts(counts, w: int, rows: int) -> None:
+    """Raise ConsistencyError unless the perimeter counts of a board of ``rows`` rows of ``w`` cells hold two facts.
+
+    No boundary has an odd number of edges (the grid is bipartite), and the
+    sets of perimeter 4 are the (w-1)(rows-1) unit squares.
+    """
+    if any(counts[1::2]):
+        raise ConsistencyError(f"width {w}, {rows} rows: a face set has an odd perimeter")
+    if len(counts) > 4 and counts[4] != (w - 1) * (rows - 1):
         raise ConsistencyError(
-            f"width {w}, row {row}, cell {column}: a coefficient is not divisible "
-            f"by the accrued power of 2"
+            f"width {w}, {rows} rows: {counts[4]} face sets of perimeter 4, "
+            f"not the {(w - 1) * (rows - 1)} unit squares"
         )
 
 

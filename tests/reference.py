@@ -182,6 +182,26 @@ def board_counts(m: int, n: int) -> tuple[dict[int, int], int]:
     return counts, 1 << cells
 
 
+def perimeter_counts(w: int, rows: int) -> list[int]:
+    """Oracle check of ``domino._face_sweep``: N_j for j = 0..A, every set of unit faces counted by its perimeter.
+
+    The faces of a grid of ``rows`` rows of ``w`` cells form rows - 1 rows
+    of c = w - 1; face (i, j) is bit i*c + j.  An edge between two faces,
+    or between a face and the outside, is on the boundary when exactly one
+    side is in the set.
+    """
+    c = w - 1
+    faces = c * (rows - 1)
+    first = sum(1 << (i * c) for i in range(rows - 1))
+    last = first << (c - 1) if c else 0
+    counts = [0] * (2 * w * rows - w - rows + 1)
+    for chosen in range(1 << faces):
+        across = (chosen ^ (chosen << c)).bit_count()  # above each face, and below the last row
+        along = ((chosen ^ (chosen >> 1)) & ~last).bit_count()  # right of each face but the last in its row
+        counts[across + along + (chosen & first).bit_count() + (chosen & last).bit_count()] += 1
+    return counts
+
+
 # -- boolean subcubes ---------------------------------------------------------
 
 

@@ -117,7 +117,7 @@ def test_domino_central_matches_oracle(schema):
 
 
 def test_domino_transfer_guard_exits_1():
-    proc = run_cli("moments", "--family", "domino", "--m", "20", "--n", "30", "--r", "4")
+    proc = run_cli("moments", "--family", "domino", "--m", "20", "--n", "30", "--r", "10")
     assert proc.returncode == 1
     assert "TRANSFER_GUARD" in proc.stderr and "size guard" in proc.stderr
 
@@ -141,11 +141,11 @@ def test_domino_transfer_guard_weighs_the_length():
     ids=["moments", "central", "normality"],
 )
 def test_domino_sweep_off_the_polynomial_exits_2(args, monkeypatch, capsys):
-    # E[X] one too large on the sweep's last row, the row that checks the fit
+    # N_1 one 2^{wL} too large on the sweep's last row, the row that checks the fit
     from momentforge.cli import main
     from momentforge.families import domino
 
-    original = domino._sweep
+    original = domino._face_sweep
 
     def corrupted(w, rows, r):
         sums = [list(row) for row in original(w, rows, r)]
@@ -153,29 +153,34 @@ def test_domino_sweep_off_the_polynomial_exits_2(args, monkeypatch, capsys):
         return tuple(tuple(row) for row in sums)
 
     monkeypatch.setattr(domino, "_SWEPT", {})
-    monkeypatch.setattr(domino, "_sweep", corrupted)
+    monkeypatch.setattr(domino, "_face_sweep", corrupted)
     assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("validation failure:"), captured.err
 
 
-def test_domino_sweep_that_cannot_halve_exits_2(monkeypatch, capsys):
-    # one coefficient made odd where the sweep shifts out a power of 2
+@pytest.mark.parametrize("perimeter", [3, 4], ids=["odd", "squares"])
+def test_domino_sweep_off_the_grid_invariants_exits_2(perimeter, monkeypatch, capsys):
+    # one perimeter count off by one where the sweep reads off its third row:
+    # an odd perimeter, or a count of unit squares that is not (w-1)(rows-1)
     from momentforge.cli import main
     from momentforge.families import domino
 
-    original = domino._check_halvable
+    original = domino._check_counts
 
-    def corrupted(word, low_bits, w, row, column):
-        original(word | (low_bits if (row, column) == (3, 2) else 0), low_bits, w, row, column)
+    def corrupted(counts, w, rows):
+        if rows == 3:
+            counts = [*counts]
+            counts[perimeter] += 1
+        original(counts, w, rows)
 
     monkeypatch.setattr(domino, "_SWEPT", {})
-    monkeypatch.setattr(domino, "_check_halvable", corrupted)
+    monkeypatch.setattr(domino, "_check_counts", corrupted)
     assert main(["moments", "--family", "domino", "--m", "4", "--n", "6", "--r", "4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("validation failure: width 4, row 3, cell 2:"), captured.err
+    assert captured.err.startswith("validation failure: width 4, 3 rows:"), captured.err
 
 
 @pytest.mark.parametrize("subcommand", ["central", "binomial-moments"])
@@ -344,11 +349,12 @@ NUMERIC_ORDER_GUARD_ARGS = [
 ]
 
 # past TRANSFER_GUARD, whose sweep term weighs the packed words' 64-bit limbs
-# (the first took 14 to 17 s unguarded); the last is refused by the size of
-# its sums before the width of a packed word, a binomial in r, is computed
+# (the first took 14 to 17 s before the guard); the last is refused by the
+# size of its sums before the width of a packed word, a binomial in r, is
+# computed
 TRANSFER_GUARD_ARGS = [
     ["moments", "--family", "domino", "--m", "4", "--n", "1000", "--r", "400"],
-    ["central", "--family", "domino", "--m", "17", "--n", "17", "--r", "4"],
+    ["central", "--family", "domino", "--m", "17", "--n", "17", "--r", "14"],
     ["moments", "--family", "domino", "--m", "2", "--n", "10000000", "--r", "10000000"],
 ]
 

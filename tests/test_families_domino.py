@@ -10,7 +10,7 @@ from momentforge.families.common import half_binomial_moments
 from momentforge.moment_algebra import raw_to_binomial, raw_to_central
 from momentforge.oracle import enumerate_boards, histogram_moments
 from momentforge.poly_series import Polynomial
-from reference import board1n_binomial_moments_symbolic, board1n_p_series
+from reference import board1n_binomial_moments_symbolic, board1n_p_series, perimeter_counts
 
 MU = Polynomial.variable("mu")
 N = Polynomial.variable("n")
@@ -140,10 +140,10 @@ def test_transfer_matrix_symmetries():
 
 def test_binomial_sums_equal_a_sweep_run_to_the_length():
     # every board of width <= 6 up to 3r+6 rows, including lengths outside
-    # the fit rows r+1..2r+2, against one sweep run over all of them
+    # the fit rows r+1..2r+2, against one reference sweep run over all of them
     for r in range(11):
         for w in range(1, 7):
-            full = domino._sweep(w, 3 * r + 6, r)
+            full = _reference_sweep(w, 3 * r + 6, r)
             for length in range(1, 3 * r + 7):
                 expect = full[length - 1]
                 assert domino.binomial_sums(w, length, r) == expect, (w, length, r)
@@ -201,18 +201,37 @@ def _reference_sweep(w, rows, r):
 
 
 def test_sweep_equals_the_reference_sweep():
-    # w = 1 pairs each state with itself, w = 2 has only the columns j = 0 and
-    # j = w-1, and j = w-1 pairs a state with its stored complement
-    for w in range(1, 9):
+    # w = 1 has no face, w = 2 one face a row, whose pair update is both the
+    # first and the last of its row; odd r truncate within a parity class
+    for w in range(1, 11):
         for r in range(9):
-            for rows in range(1, 2 * r + 5):
-                assert domino._sweep(w, rows, r) == _reference_sweep(w, rows, r), (w, rows, r)
+            rows = 2 * r + 4
+            counts = domino._face_sweep(w, rows, r)
+            expect = _reference_sweep(w, rows, r)
+            for length in range(1, rows + 1):
+                got = domino._sums_from_counts(counts[length - 1], w, length)
+                assert got == expect[length - 1], (w, length, r)
 
 
-def test_sweep_refuses_a_coefficient_it_cannot_halve():
-    domino._check_halvable(0b1010 << 3, 1 | 1 << 3, 4, 2, 1)
-    with pytest.raises(ConsistencyError, match=r"width 4, row 2, cell 1: .* accrued power of 2"):
-        domino._check_halvable(0b1011 << 3, 1 | 1 << 3, 4, 2, 1)
+def test_face_sweep_equals_the_face_sets_enumerated():
+    # every board with at most 16 faces, at orders that cut inside the counts and past them all
+    for w in range(1, 6):
+        rows = 17 if w == 1 else 1 + 16 // (w - 1)
+        for r in (4, 9, 2 * w * rows):
+            counts = domino._face_sweep(w, rows, r)
+            for length in range(1, rows + 1):
+                expect = perimeter_counts(w, length)[: r + 1]
+                expect += [0] * (r + 1 - len(expect))
+                assert list(counts[length - 1]) == expect, (w, length, r)
+
+
+def test_sweep_refuses_counts_off_the_grid_invariants():
+    domino._check_counts((1, 0, 0, 0, 6, 0, 7), 4, 3)
+    domino._check_counts((1, 0, 0), 4, 3)
+    with pytest.raises(ConsistencyError, match=r"width 4, 3 rows: a face set has an odd perimeter"):
+        domino._check_counts((1, 0, 0, 0, 6, 1, 7), 4, 3)
+    with pytest.raises(ConsistencyError, match=r"width 4, 3 rows: 7 face sets of perimeter 4, not the 6"):
+        domino._check_counts((1, 0, 0, 0, 7, 0, 7), 4, 3)
 
 
 def test_binomial_sums_on_a_long_board_match_the_mu_form_through_r3():
@@ -228,9 +247,9 @@ def test_binomial_sums_on_a_long_board_match_the_mu_form_through_r3():
 
 @pytest.mark.parametrize("row_offset", [0, 3, 5, 6], ids=lambda o: f"row-r+1+{o}")
 def test_binomial_sums_refuse_a_sweep_off_the_polynomial(monkeypatch, row_offset):
-    # r = 5, width 3: the fit reads rows 6..12; E[C(X, k)] one too large on
-    # any of them, or b_k off by one (not a multiple of 2^{wL-k}), is refused
-    original = domino._sweep
+    # r = 5, width 3: the fit reads rows 6..12; N_k one or 2^{wL} too large
+    # on any of them is refused
+    original = domino._face_sweep
     for k in range(6):
         for shift in (lambda w, rows: w * rows, lambda w, rows: 0):
 
@@ -240,28 +259,29 @@ def test_binomial_sums_refuse_a_sweep_off_the_polynomial(monkeypatch, row_offset
                 return tuple(tuple(row) for row in sums)
 
             monkeypatch.setattr(domino, "_SWEPT", {})
-            monkeypatch.setattr(domino, "_sweep", corrupted)
+            monkeypatch.setattr(domino, "_face_sweep", corrupted)
             with pytest.raises(ConsistencyError):
                 domino.binomial_sums(3, 40, 5)
     monkeypatch.setattr(domino, "_SWEPT", {})
-    monkeypatch.setattr(domino, "_sweep", original)
-    assert domino.binomial_sums(3, 40, 5) == domino._sweep(3, 40, 5)[-1]
+    monkeypatch.setattr(domino, "_face_sweep", original)
+    assert domino.binomial_sums(3, 40, 5) == _reference_sweep(3, 40, 5)[-1]
 
 
 def test_binomial_sums_read_the_longest_sweep_for_their_width_and_order(monkeypatch):
     monkeypatch.setattr(domino, "_SWEPT", {})
     calls = []
-    original = domino._sweep
+    original = domino._face_sweep
 
     def spy(w, rows, r):
         calls.append((w, rows, r))
         return original(w, rows, r)
 
-    monkeypatch.setattr(domino, "_sweep", spy)
+    monkeypatch.setattr(domino, "_face_sweep", spy)
     sums = [domino.binomial_sums(4, length, 5) for length in (12, 40, 7, 5)]
     sums.append(domino.binomial_sums(9, 4, 5))
     assert calls == [(4, 12, 5)]
-    assert sums == [original(4, length, 5)[-1] for length in (12, 40, 7, 5, 9)]
+    expect = _reference_sweep(4, 40, 5)
+    assert sums == [expect[length - 1] for length in (12, 40, 7, 5, 9)]
     domino.binomial_sums(4, 5, 6)
     domino.binomial_sums(3, 5, 5)
     assert calls == [(4, 12, 5), (4, 5, 6), (3, 5, 5)]
@@ -269,7 +289,7 @@ def test_binomial_sums_read_the_longest_sweep_for_their_width_and_order(monkeypa
 
 def test_transfer_matrix_size_guard():
     with pytest.raises(SizeGuardError, match="TRANSFER_GUARD"):
-        _moments("raw", 20, 30, 4)[4]
+        _moments("raw", 20, 30, 10)[4]
     # the sums b_k have about wL bits each, so the length counts as well
     with pytest.raises(SizeGuardError, match="TRANSFER_GUARD"):
         domino.binomial_sums(2, 10**9, 4)
@@ -277,6 +297,8 @@ def test_transfer_matrix_size_guard():
         domino.binomial_sums(8, 1562501, 8)
     # the sweep runs 2r+2 rows, whatever the length: 10 x 40, 12 x 400 and 8 x 10^6 are served
     assert domino.binomial_sums(10, 40, 8) == domino.binomial_sums(40, 10, 8)
+    # at r = 4 a set of faces has at most two of them in its profile, so 20 x 30 is served
+    assert _moments("raw", 20, 30, 4)[4] == _moments("raw", 30, 20, 4)[4]
     assert domino.binomial_sums(12, 400, 8) == domino.binomial_sums(400, 12, 8)
     assert _moments("central", 8, 10**6, 8)[1] == 0
     # the mu-polynomials need no guard
@@ -286,14 +308,21 @@ def test_transfer_matrix_size_guard():
 
 
 # (w, r): the highest order the transfer guard serves at width w; one more is
-# refused.  A unit of the sweep is one 64-bit limb of a pair update, so a
-# long packed word weighs more (4 x 1000 at r = 400 took 14 to 17 s unguarded);
-# at w <= 5 the sums the sweep keeps for its 2r+2 rows bind first.
-TRANSFER_EDGES = [(2, 291), (3, 254), (4, 231), (8, 93), (12, 29), (14, 15), (16, 6), (17, 3)]
+# refused.  A unit of the face sweep is one 64-bit limb of a pair update, so a
+# long packed word weighs more (4 x 1000 at r = 400 took 14 to 17 s before the
+# guard); at w <= 6 the sums the sweep keeps for its 2r+2 rows bind first.
+TRANSFER_EDGES = [(2, 291), (3, 254), (4, 231), (6, 202), (8, 129), (12, 38), (14, 17), (16, 11), (17, 11), (40, 5)]
+
+# (w, r): the highest order served at each width before the face sweep, when
+# the guard weighed all 2^(w-1) cell profiles
+CELL_SWEEP_EDGES = [
+    (2, 291), (3, 254), (4, 231), (5, 214), (6, 168), (7, 124), (8, 93), (9, 70),
+    (10, 52), (11, 39), (12, 29), (13, 21), (14, 15), (15, 10), (16, 6),
+]
 
 
-@pytest.mark.parametrize("w, r", TRANSFER_EDGES)
-def test_transfer_guard_weighs_the_packed_words(w, r, monkeypatch):
+def _stub_sweep(monkeypatch):
+    """Replace the face sweep by one that records its calls and returns zero counts."""
     swept = []
 
     def sweep(w, rows, r):
@@ -301,7 +330,13 @@ def test_transfer_guard_weighs_the_packed_words(w, r, monkeypatch):
         return ((0,) * (r + 1),) * rows
 
     monkeypatch.setattr(domino, "_SWEPT", {})
-    monkeypatch.setattr(domino, "_sweep", sweep)
+    monkeypatch.setattr(domino, "_face_sweep", sweep)
+    return swept
+
+
+@pytest.mark.parametrize("w, r", TRANSFER_EDGES)
+def test_transfer_guard_weighs_the_packed_words(w, r, monkeypatch):
+    swept = _stub_sweep(monkeypatch)
     length = max(w, 2 * r + 2)
     domino.binomial_sums(w, length, r)
     assert swept == [(w, min(length, 2 * r + 2), r)]
@@ -310,11 +345,18 @@ def test_transfer_guard_weighs_the_packed_words(w, r, monkeypatch):
     assert len(swept) == 1
 
 
-def test_transfer_guard_refuses_a_large_order_before_any_binomial(monkeypatch):
-    def width(w, rows, r):
-        raise AssertionError("_width called on a board the size term refuses")
+@pytest.mark.parametrize("w, r", CELL_SWEEP_EDGES)
+def test_transfer_guard_serves_every_order_served_before_the_face_sweep(w, r, monkeypatch):
+    swept = _stub_sweep(monkeypatch)
+    domino.binomial_sums(w, max(w, 2 * r + 2), r)
+    assert swept == [(w, 2 * r + 2, r)]
 
-    monkeypatch.setattr(domino, "_width", width)
+
+def test_transfer_guard_refuses_a_large_order_before_any_binomial(monkeypatch):
+    def count_bits(w, rows, r):
+        raise AssertionError("_count_bits called on a board the size term refuses")
+
+    monkeypatch.setattr(domino, "_count_bits", count_bits)
     with pytest.raises(SizeGuardError, match="TRANSFER_GUARD = "):
         domino.binomial_sums(2, 10**7, 10**7)
     with pytest.raises(SizeGuardError, match="TRANSFER_GUARD = "):
