@@ -20,79 +20,100 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import click
 import mpmath
 
 import momentforge.families as families
 from momentforge import __version__
-from momentforge.errors import ConsistencyError, MomentForgeError, SizeGuardError
+from momentforge.errors import ConsistencyError, MomentForgeError
 from momentforge.families import boolean
-from momentforge.families.common import SYMBOL_LEGEND, TGrid
+from momentforge.families.common import SYMBOL_LEGEND, TGrid, charge, grid_point, request_budget
 from momentforge.fitter import FitSpec, check_fit_size, fit_quasi_polynomial
 from momentforge.moment_algebra import check_grid, normality_report
-from momentforge.poly_series import Polynomial
+from momentforge.poly_series import Polynomial, QuasiPolynomial
 from momentforge import oracle as oracle_mod
 
 
 # Most decimal digits of one printed integer: a count, a numerator or a
 # denominator.  CPython formats an int in time quadratic in its length;
-# 10^5 digits take about 0.1 s on one Intel Xeon core.
+# 10^5 digits take about 0.18 s on one Intel Xeon core.
 PRINT_GUARD = 10**5
 # 2^332192 has PRINT_GUARD digits and 2^332193 one more: an integer of at
 # most this many bits is inside the guard, one of two bits more is past it.
 _PRINT_GUARD_BITS = int(PRINT_GUARD * math.log2(10))
+# Bound on sum(digits^2) over every integer an output prints, about
+# 1.8e-11 s a unit to format on one Intel Xeon core: 10 integers at
+# PRINT_GUARD.  moments --family invmaj --n 20000 --r 100, 6.2e11, took
+# 11 s as a whole process before this guard.
+PRINT_TOTAL_GUARD = 10**11
 
 
-def _text(x: int | Fraction | Polynomial) -> str:
-    """Exact decimal text of x, with no integer in it past PRINT_GUARD digits.
+@dataclass(frozen=True)
+class _Text:
+    """An exact value of the output, formatted by ``_emit`` once ``_charge_print`` has weighed them all."""
 
-    The interpreter's own int-to-str digit limit (4300 on Python >= 3.10.7)
-    is lifted while x is formatted; PRINT_GUARD takes its place.  Raises
-    SizeGuardError past it, before any digit is produced.
+    value: int | Fraction | Polynomial | QuasiPolynomial
+
+    def __str__(self) -> str:
+        x = self.value
+        return x.to_text() if isinstance(x, (Polynomial, QuasiPolynomial)) else str(x)
+
+
+def _numbers(x) -> list:
+    """The rational numbers x is written with: itself, or its coefficients and branches opened in turn."""
+    parts = x.coeffs if isinstance(x, Polynomial) else x.branches if isinstance(x, QuasiPolynomial) else None
+    return [x] if parts is None else [c for part in parts for c in _numbers(part)]
+
+
+def _digits(bits: float) -> int:
+    """The fewest decimal digits an integer of at least ``bits`` bits has."""
+    return int((math.ceil(bits) - 1) * math.log10(2)) + 1
+
+
+def _charge_print(result) -> None:
+    """Charge the integers the result prints, from bit lengths, before any digit is formatted.
+
+    The longest to PRINT_GUARD (exact at the one bit length that straddles it),
+    the sum of their digits^2, about (bits log10 2)^2 each, to PRINT_TOTAL_GUARD.
     """
-    for c in _numbers(x):
-        bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length())
-        if bits == _PRINT_GUARD_BITS + 1 and max(abs(c.numerator), c.denominator) >= 10**PRINT_GUARD:
-            bits += 1  # the one bit length that straddles the guard, past it
-        _check_printable(bits)
+    values = []
+    json.dumps(result, default=lambda text: values.append(text.value) or "")  # walks the result as _emit will
+    integers = [i for value in values for c in _numbers(value) for i in (c.numerator, c.denominator)]
+    longest = abs(max(integers, key=abs, default=0))
+    bits = longest.bit_length()
+    digits = _digits(bits) + (bits == _PRINT_GUARD_BITS + 1 and longest >= 10**PRINT_GUARD)
+    charge(digits, PRINT_GUARD, "PRINT_GUARD", "the longest printed integer's digits", summed=False)
+    charge(
+        int(sum(i.bit_length() ** 2 for i in integers) * math.log10(2) ** 2), PRINT_TOTAL_GUARD, "PRINT_TOTAL_GUARD",
+        f"the {len(integers)} printed integers weigh sum(digits^2)", summed=False,
+    )
+
+
+def _symbols(x) -> set[str]:
+    """The symbols written in x's text: those of its polynomials with a term of degree >= 1."""
+    if not isinstance(x, Polynomial):
+        return set()
+    return ({x.symbol} if x.degree >= 1 else set()).union(*map(_symbols, x.coeffs))
+
+
+def _emit(ctx_params: dict, subcommand: str, result: dict, csv_text, started: float) -> None:
+    fmt = ctx_params["format"]
+    out_path = ctx_params["out"]
+    # the interpreter's own int-to-str digit limit (4300 on Python >= 3.10.7)
+    # is lifted while the output is formatted; PRINT_GUARD takes its place
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        return x.to_text() if isinstance(x, Polynomial) else str(x)
+        payload = {"subcommand": subcommand, "result": result}
+        text = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n" if fmt == "json" else csv_text()
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-
-
-def _numbers(x: int | Fraction | Polynomial):
-    """The rational numbers x is written with: itself, or its coefficients, polynomial ones opened in turn."""
-    if isinstance(x, Polynomial):
-        for c in x.coeffs:
-            yield from _numbers(c)
-    else:
-        yield x
-
-
-def _check_printable(bits: float) -> None:
-    """Raise SizeGuardError if an integer of ``bits`` bits or more is certainly past PRINT_GUARD digits."""
-    if bits > _PRINT_GUARD_BITS + 1:
-        raise SizeGuardError(
-            f"a printed integer of at least {int((bits - 1) * math.log10(2)) + 1} digits is "
-            f"beyond the PRINT_GUARD = {PRINT_GUARD} digit size guard"
-        )
-
-
-def _emit(ctx_params: dict, subcommand: str, result: dict, csv_text: str, started: float) -> None:
-    fmt = ctx_params["format"]
-    out_path = ctx_params["out"]
-    if fmt == "json":
-        payload = {"subcommand": subcommand, "result": result}
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        text = csv_text
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -149,20 +170,22 @@ def cli():
 def _subcommand(name: str):
     """Register the decorated body as subcommand ``name``, run by the one runner.
 
-    The body takes its own options and returns (parameters, result, CSV
-    text): the manifest's parameters, the JSON result and the CSV output.
-    The runner adds --out and --format, starts the clock, maps a failure to
-    its exit code (a ConsistencyError to 2 with ``validation failure:``, any
-    other MomentForgeError or a ValueError to 1 with ``usage error:``) and
-    writes the output through ``_emit``.  A body's click.UsageError, which
-    words its own message, goes to ``main``.
+    The body takes its own options and returns the manifest's parameters,
+    the JSON result (exact values as ``_Text``s) and a function for the CSV
+    output.  The runner adds --out and --format, starts the clock, opens the
+    request's budget, charges what it prints (``_charge_print``), maps a
+    failure to its exit code (a ConsistencyError to 2 with ``validation failure:``,
+    any other MomentForgeError or a ValueError to 1 with ``usage error:``) and
+    writes the output through ``_emit``.  A body's click.UsageError goes to ``main``.
     """
 
     def register(body):
         def run(format, out, **options) -> int:
             started = time.monotonic()
             try:
-                params, result, csv_text = body(**options)
+                with request_budget():
+                    params, result, csv_text = body(**options)
+                    _charge_print(result)
             except ConsistencyError as exc:
                 sys.stderr.write(f"validation failure: {exc}\n")
                 return 2
@@ -187,28 +210,27 @@ def _moment_command(kind: str, subcommand: str) -> None:
     def command(family, n, c, m, k, r_max):
         entry, params = _family_params(family, n=n, c=c, m=m, k=k)
         # the texts first: past SYMBOLIC_ORDER_GUARD they refuse before any number is built
-        closed_forms = [_text(e) for e in families.closed_forms(family, kind, r_max, params) or ()]
+        closed_forms = [_Text(e) for e in families.closed_forms(family, kind, r_max, params) or ()]
         vec = families.moment_vector(family, kind, r_max, params)
         result = {
             "family": family,
             "params": params,
             "kind": vec.kind,
             "about_mean": vec.about_mean,
-            "entries": [_text(e) for e in vec.entries],
+            "entries": [_Text(e) for e in vec.entries],
         }
         if closed_forms:
             result["closed_forms"] = closed_forms
-            result["symbols"] = {
-                s: SYMBOL_LEGEND[s] for s in ("n", "W", "w", "mu") if any(s in t for t in closed_forms)
-            }
+            written = set().union(*(_symbols(t.value) for t in closed_forms))
+            result["symbols"] = {s: SYMBOL_LEGEND[s] for s in ("n", "W", "w", "mu") if s in written}
         if kind == "raw":
-            # refuse a size past PRINT_GUARD before building it; _text decides exactly
-            _check_printable(entry.space_bits(params))
+            # refuse a size past PRINT_GUARD before building it; _charge_print decides exactly
+            charge(_digits(entry.space_bits(params)), PRINT_GUARD, "PRINT_GUARD", "the space size's digits", summed=False)
             space = entry.space_size(params)
-            result["sample_space_size"] = _text(space)
-            result["scaled_entries"] = [_text(e * space) for e in vec.entries]
-        rows = [[r, _text(e)] for r, e in enumerate(vec.entries)]
-        return {"family": family, **params, "r_max": r_max}, result, _csv_table(["r", "value"], rows)
+            result["sample_space_size"] = _Text(space)
+            result["scaled_entries"] = [_Text(e * space) for e in vec.entries]
+        rows = [[r, _Text(e)] for r, e in enumerate(vec.entries)]
+        return {"family": family, **params, "r_max": r_max}, result, partial(_csv_table, ["r", "value"], rows)
 
 
 _moment_command("raw", "moments")
@@ -222,16 +244,16 @@ def pgf_cmd(family, n, c, m, k):
     """Exact probability generating function in canonical text."""
     entry, params = _family_params(family, n=n, c=c, m=m, k=k)
     poly, source = entry.pgf(params)
-    coeffs = [_text(poly.coefficient(d)) for d in range(max(poly.degree, 0) + 1)] if poly else ["0"]
+    coeffs = [_Text(poly.coefficient(d)) for d in range(max(poly.degree, 0) + 1)] if poly else ["0"]
     result = {
         "family": family,
         "params": params,
-        "polynomial": _text(poly),
+        "polynomial": _Text(poly),
         "coefficients": coeffs,
         "source": source,
     }
     rows = [[d, v] for d, v in enumerate(coeffs)]
-    return {"family": family, **params}, result, _csv_table(["degree", "coefficient"], rows)
+    return {"family": family, **params}, result, partial(_csv_table, ["degree", "coefficient"], rows)
 
 
 @_subcommand("normality")
@@ -250,20 +272,19 @@ def normality_cmd(family, n_grid, m, k, r_max, threshold, precision):
         raise click.UsageError(f"bad --n-grid {n_grid!r}: {exc}") from exc
     if not math.isfinite(threshold):
         raise click.UsageError("need a finite --threshold")
-    entry, params = _family_params(family, m=m, k=k)
+    _, params = _family_params(family, m=m, k=k)
     # the grid is checked before any of its points is built
     check_grid(ns)
-    if entry.grid_guard:
-        entry.grid_guard(params, ns, r_max)
-    # largest n first (the grid ascends): its schur E[X^2] sweep serves every smaller n
-    grid = [
-        (n, families.moment_vector(family, "central", r_max, {**params, "n": n}))
-        for n in reversed(ns)
-    ][::-1]
-    report = normality_report(family, params, grid, r_max, threshold=threshold, dps=precision)
+    # largest n first (the grid ascends): its schur E[X^2] sweep serves every smaller n;
+    # each point is charged to the grid's one budget
+    grid = []
+    for n in reversed(ns):
+        grid_point(n)
+        grid.append((n, families.moment_vector(family, "central", r_max, {**params, "n": n})))
+    report = normality_report(family, params, grid[::-1], r_max, threshold=threshold, dps=precision)
     parameters = {"family": family, "n_grid": n_grid, **params, "r_max": r_max,
                   "threshold": threshold, "precision": precision}
-    return parameters, report.to_json_dict(), report.to_csv_text()
+    return parameters, report.to_json_dict(), report.to_csv_text
 
 
 # mgf-limit's --family: a FAMILIES entry with an mgf route and the parameters
@@ -301,7 +322,7 @@ def mgf_limit_cmd(family, n, t_min, t_max, t_steps, precision):
         }
     parameters = {"family": family, "n": n, "t_min": t_min, "t_max": t_max,
                   "t_steps": t_steps, "precision": precision}
-    return parameters, result, _csv_table(["t", "deviation"], [[r["t"], r["deviation"]] for r in row_dicts])
+    return parameters, result, partial(_csv_table, ["t", "deviation"], [[r["t"], r["deviation"]] for r in row_dicts])
 
 
 @_subcommand("oracle")
@@ -327,13 +348,13 @@ def oracle_cmd(family, n, c, m, k, r_max, samples, seed):
         "mode": "exhaustive" if samples is None else "sample",
         "seed": seed,
         "samples": samples,
-        "total": _text(hist.total),
+        "total": _Text(hist.total),
         "histogram": {str(v): cnt for v, cnt in hist.to_csv_rows()},
-        "moments": [_text(e) for e in moments.entries],
+        "moments": [_Text(e) for e in moments.entries],
         **extra,
     }
     parameters = {"family": family, **params, "r_max": r_max, "samples": samples, "seed": seed}
-    return parameters, result, _csv_table(["value", "count"], hist.to_csv_rows())
+    return parameters, result, partial(_csv_table, ["value", "count"], hist.to_csv_rows())
 
 
 @_subcommand("fit")
@@ -360,16 +381,16 @@ def fit_cmd(family, r, c, period, degree, n_min, n_max, verify):
     result = {
         "family": family,
         "params": {"r": r, "c": c},
-        "quasi_polynomial": quasi.to_text(),
+        "quasi_polynomial": _Text(quasi),
         "branches": [
-            {"residue": j, "polynomial": b.to_text()} for j, b in enumerate(quasi.branches)
+            {"residue": j, "polynomial": _Text(b)} for j, b in enumerate(quasi.branches)
         ],
         "provenance": res.provenance,
     }
-    rows = [[j, b.to_text()] for j, b in enumerate(quasi.branches)]
+    rows = [[j, _Text(b)] for j, b in enumerate(quasi.branches)]
     parameters = {"family": family, "r": r, "c": c, "period": period, "degree": degree,
                   "n_min": n_min, "n_max": n_max, "verify": verify}
-    return parameters, result, _csv_table(["residue", "polynomial"], rows)
+    return parameters, result, partial(_csv_table, ["residue", "polynomial"], rows)
 
 
 # Highest --r-max of the identity battery.  Each row is one
@@ -386,8 +407,7 @@ def identities_cmd(r_max):
     """Check the central-coefficient identity battery for the 0-cube count."""
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
-    if r_max > IDENTITIES_GUARD:
-        raise SizeGuardError(f"--r-max {r_max} is beyond the IDENTITIES_GUARD = {IDENTITIES_GUARD} size guard")
+    charge(r_max, IDENTITIES_GUARD, "IDENTITIES_GUARD", "--r-max", summed=False)
     rows = []
     for r in range(r_max + 1):
         for t in range(r + 1):
@@ -399,13 +419,13 @@ def identities_cmd(r_max):
             else:
                 continue  # nonzero generic coefficients are not identity rows
             value = boolean.central_coefficient(r, t)
-            rows.append({"r": r, "t": t, "value": _text(value), "expected": _text(expected), "ok": value == expected})
+            rows.append({"r": r, "t": t, "value": _Text(value), "expected": _Text(expected), "ok": value == expected})
     missed = [(w["r"], w["t"]) for w in rows if not w["ok"]]
     if missed:
         raise ConsistencyError(f"identity battery found a mismatch at (r, t) in {missed}")
     result = {"r_max": r_max, "rows": rows, "all_ok": True}
     csv_rows = [[w["r"], w["t"], w["value"], w["expected"], w["ok"]] for w in rows]
-    return {"r_max": r_max}, result, _csv_table(["r", "t", "value", "expected", "ok"], csv_rows)
+    return {"r_max": r_max}, result, partial(_csv_table, ["r", "t", "value", "expected", "ok"], csv_rows)
 
 
 @_subcommand("approx-h")
@@ -420,24 +440,22 @@ def approx_h_cmd(n, k, with_polynomial):
     result = {
         "n": n,
         "k": k,
-        "p": _text(p),
-        "mean": _text(moments["mean"]),
-        "mean_closed_form": _text(boolean.h_mean_closed_form(n, k)),
-        "second_factorial": _text(moments["second_factorial"]),
-        "variance": _text(moments["variance"]),
-        "exact_mean": _text(exact_mean),
+        "p": _Text(p),
+        "mean": _Text(moments["mean"]),
+        "mean_closed_form": _Text(boolean.h_mean_closed_form(n, k)),
+        "second_factorial": _Text(moments["second_factorial"]),
+        "variance": _Text(moments["variance"]),
+        "exact_mean": _Text(exact_mean),
     }
     rows = [[key, result[key]] for key in
             ("p", "mean", "mean_closed_form", "second_factorial", "variance", "exact_mean")]
     if with_polynomial:
         poly = boolean.h_polynomial(n, k)
-        # H_4(q) for k = 2 has 5484-digit denominators, past the interpreter's
-        # own int-to-str limit but inside PRINT_GUARD
-        probs = [_text(poly.coefficient(d)) for d in range(max(poly.degree, 0) + 1)]
-        result["polynomial"] = _text(poly)
+        probs = [_Text(poly.coefficient(d)) for d in range(max(poly.degree, 0) + 1)]
+        result["polynomial"] = _Text(poly)
         result["probabilities"] = probs
         rows += [[f"q^{d}", v] for d, v in enumerate(probs)]
-    return {"n": n, "k": k, "with_polynomial": with_polynomial}, result, _csv_table(["key", "value"], rows)
+    return {"n": n, "k": k, "with_polynomial": with_polynomial}, result, partial(_csv_table, ["key", "value"], rows)
 
 
 def main(argv=None) -> int:

@@ -6,7 +6,7 @@ class MomentForgeError(Exception):
 
 
 class SizeGuardError(MomentForgeError):
-    """An exhaustive enumeration was requested beyond its size guard."""
+    """A request weighs past a size guard or its one budget (``families.common.charge``)."""
 
 
 class SingularSeriesError(MomentForgeError):

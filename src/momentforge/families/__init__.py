@@ -8,8 +8,7 @@ highest order it serves) and its mean, the closed forms of those moments
 where they are exact, its PGF route, its oracle (exhaustive, and
 sampled for boolean) and its MGF deviation where it has one (invmaj, and
 domino on a 1-by-n board, both through the shared loop
-``common.mgf_deviation``) and, for boolean, a size guard on a normality
-grid.  ``moment_vector`` is the one checked way to
+``common.mgf_deviation``).  ``moment_vector`` is the one checked way to
 the moments: the moment subcommands, ``fit`` and every point of a
 normality grid go through it.  It converts the one vector a family's route
 computes (raw: schur, the domino face sweep, boolean k >= 1; central:

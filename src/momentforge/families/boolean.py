@@ -27,11 +27,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from momentforge import oracle
-from momentforge.errors import SizeGuardError
 from momentforge.exact_core import binomial, falling_factorial, stirling1_signed, stirling2
 from momentforge.families.common import (
     Family,
     binomial_row,
+    charge,
     count_pgf,
     eval_at_n,
     half_binomial_moments,
@@ -47,18 +47,15 @@ H_MAX_DEGREE = 2000  # highest degree of H_n(q) that is built; its moments need 
 # Highest cube dimension k of the moment routes.  E[X] carries 2^(2^k) and
 # E[X^2] 2^(2^(k+1)) in their denominators, whose bit lengths double per
 # step of k: as a whole process on one Intel Xeon core,
-# moments --family boolean --n 15 --k 15 --r 2 takes 1.6-1.8 s and k = 16
-# took 4.2-5.1 s before this guard.
+# moments --family boolean --n 15 --k 15 --r 2 takes 1.6-1.8 s.
 CUBE_GUARD = 15
-# Bound on sum(n^2 (r_max^3 + 8)) over a normality grid.  Every point's
-# moments are numbers of about n r / 2 bits (the powers of W = 2^n), and
-# normalizing them takes exact divisions, each quadratic in that length:
-# about n^2 r_max^3 in all, plus a share that every point pays at any
-# order (the variance over itself, its square root), which the 8 stands
-# for.  As a whole process on one Intel Xeon core,
-# normality --family boolean --n-grid 1,2,999999 --r-max 2 (at the guard)
-# takes 2.4-3.1 s; before the guard 200000,400000,800000 --r-max 4 took 9.2 s
-# and 1000000,2000000,4000000 --r-max 4 ran past 100 s.
+# Bound on n^2 (r_max^3 + 8), a normality grid point's share that only its
+# grid pays: the point's moments are numbers of about n r / 2 bits (the
+# powers of W = 2^n), and normalizing them takes exact divisions, each
+# quadratic in that length; the 8 stands for what a point pays at any
+# order (the variance over itself, its square root).  As a whole process
+# on one Intel Xeon core, normality --family boolean --n-grid 1,2,999999
+# --r-max 2 (at the guard) takes 2.4-3.1 s.
 GRID_GUARD = 16 * 10**12
 
 
@@ -181,8 +178,7 @@ def h_probability(n: int, k: int) -> Fraction:
 def _check_h_n(n: int) -> None:
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > H_MAX_N:
-        raise SizeGuardError(f"H_n(q) sums over 2^n terms; n <= {H_MAX_N} supported")
+    charge(n, H_MAX_N, "H_MAX_N", "H_n(q) sums over 2^n terms: n", summed=False)
 
 
 def h_moments(n: int, k: int) -> dict[str, Fraction]:
@@ -225,10 +221,7 @@ def h_polynomial(n: int, k: int) -> Polynomial:
     N = 2**n
     block = 2**k
     top = math.comb(N, block)
-    if top > H_MAX_DEGREE:
-        raise SizeGuardError(
-            f"H_{n}(q) for k={k} has degree {top} > {H_MAX_DEGREE}; moments remain available"
-        )
+    charge(top, H_MAX_DEGREE, "H_MAX_DEGREE", f"the degree of H_{n}(q) for k={k}", summed=False)
     if k == 0:  # p = 1
         return count_pgf(binomial_row(N), 2**N)
     a, b = p.numerator, p.denominator
@@ -264,26 +257,18 @@ def _check_k(p: dict) -> None:
 def _max_order(p: dict) -> int | None:
     """The highest order of the moment routes, once k is checked against CUBE_GUARD."""
     _check_k(p)
-    if p["k"] > CUBE_GUARD:
-        raise SizeGuardError(
-            f"cube dimension k = {p['k']} is beyond the CUBE_GUARD = {CUBE_GUARD} size guard"
-        )
+    charge(p["k"], CUBE_GUARD, "CUBE_GUARD", "the cube dimension k", summed=False)
     return None if p["k"] == 0 else 3 if p["k"] == 1 else 2
-
-
-def _grid_guard(p: dict, ns, r_max: int) -> None:
-    """Refuse a normality grid whose sum of n^2 (r_max^3 + 8) is beyond GRID_GUARD."""
-    weight = sum(n * n for n in ns) * (max(r_max, 0) ** 3 + 8)
-    if weight > GRID_GUARD:
-        raise SizeGuardError(
-            f"a normality grid weighing sum(n^2) * (r_max^3 + 8) = {weight} is beyond the "
-            f"GRID_GUARD = {GRID_GUARD} size guard"
-        )
 
 
 def _moments(r_max: int, p: dict) -> MomentVector:
     """k = 0: the central moments of Binomial(2^n, 1/2) on integers; k >= 1: the raw forms at n."""
     n, k = p["n"], p["k"]
+    # a normality grid point is charged its normalization first
+    charge(
+        n * n * (r_max**3 + 8), GRID_GUARD, "GRID_GUARD",
+        f"normalizing moments to order {r_max}: n^2 (r_max^3 + 8)", alone=False,
+    )
     if k == 0:
         return MomentVector("central", half_binomial_moments(1 << n, r_max, central=True))
     return MomentVector("raw", [eval_at_n(e, n) for e in _raw_moments_k(k, r_max).entries])
@@ -322,5 +307,4 @@ FAMILY = Family(
     enumerate=lambda p: (oracle.enumerate_boolean(p["n"], p["k"]), {}),
     sample=lambda p, samples, seed: oracle.sample_boolean(p["n"], p["k"], samples, seed),
     closed_forms=_closed_forms,
-    grid_guard=_grid_guard,
 )

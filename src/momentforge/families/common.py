@@ -23,6 +23,10 @@ and its evaluations per t point.  The loop refuses a request beyond
 ``MGF_GUARD`` (``mgf_digits``, the work weighed by the precision) before it
 reads a t point, so a ``TGrid`` is never built past the guard.
 
+``charge`` is the one refusal decision of every size guard: a weight over
+its limit is a share of one budget, about 0.3 to 3.7 s of work, refused
+past one; the points of a CLI request's normality grid add their largest.
+
 ``Family`` is the type of one entry of ``momentforge.families.FAMILIES``;
 each family module defines its own entry as ``FAMILY``.
 """
@@ -30,10 +34,11 @@ each family module defines its own entry as ``FAMILY``.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Collection, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterator, Mapping
 
 import mpmath
 
@@ -52,6 +57,59 @@ SYMBOL_LEGEND = {
     "w": "2^(n-1)",
     "mu": "m*n - m/2 - n/2",
 }
+
+
+# The current request's normality grid: per point, its n and its largest
+# charge (share, name, what, shown weight, limit), and their sum; [] outside a grid.
+_grid: list[list] = []
+_grid_total = 0.0
+
+
+@contextmanager
+def request_budget():
+    """One CLI request: a normality grid opened within it (``grid_point``) is summed, then dropped."""
+    global _grid_total
+    try:
+        yield
+    finally:
+        _grid.clear()
+        _grid_total = 0.0
+
+
+def grid_point(n: int) -> None:
+    """Charge what follows to a new point n of the request's normality grid."""
+    _grid.append([n, 0.0, None])
+
+
+def charge(weight, limit, name: str, what: str, summed: bool = True, alone: bool = True) -> None:
+    """Refuse ``what`` (SizeGuardError) if its ``weight`` is past the size guard ``name`` = ``limit``.
+
+    alone=False: only a grid refuses it.  summed: inside a normality grid
+    each point adds its largest share weight / limit, and a grid past one
+    budget is refused, naming the largest share; discrete bounds (an
+    order, a dimension, an n) pass summed=False.
+    """
+    global _grid_total
+    if isinstance(weight, float):
+        shown = f"{weight:.6g}"
+    else:  # exactly, unless too long to print at all
+        shown = weight if weight < 2**64 else f"2^{weight.bit_length() - 1} or more"
+    if alone and weight > limit:
+        raise SizeGuardError(f"{what} = {shown}, beyond the {name} size guard ({name} = {limit})")
+    if not (summed and _grid):
+        return
+    point = _grid[-1]
+    share = min(weight, 1e300 * limit) / limit
+    if share > point[1]:
+        _grid_total += share - point[1]
+        point[1:] = share, (name, what, shown, limit)
+    if _grid_total > 1:
+        n, share, (name, what, shown, limit) = max(_grid, key=lambda p: p[1])
+        raise SizeGuardError(
+            f"the normality grid's points down to n = {_grid[-1][0]} weigh {_grid_total:.9g} size budgets "
+            f"together, past one; its largest share, {share:.3g} at n = {n}, is {what} = {shown}, "
+            f"against the {name} size guard ({name} = {limit})"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -75,7 +133,11 @@ def uniform_sum_moments(mean, excess: Callable[[int], object], r_max: int) -> li
     for k in range(2, r_max + 1, 2):
         kappa[k] = bernoulli(k) * excess(k) / k
         if k == 2 and not isinstance(kappa[2], Polynomial):
-            _check_numeric_order(r_max, mean, kappa[2])
+            scale = max(_bits(mean), _bits(kappa[2]) // 2)
+            charge(
+                r_max**3 * (1000 + scale**1.6), NUMERIC_ORDER_GUARD, "NUMERIC_ORDER_GUARD",
+                f"moments to order {r_max} at a scale of {scale} bits weigh r^3 (1000 + b^1.6)",
+            )
     moments = [one]
     for j in range(1, r_max + 1):
         moments.append(
@@ -92,17 +154,6 @@ def uniform_sum_moments(mean, excess: Callable[[int], object], r_max: int) -> li
 # ``uniform_sum_moments`` (invmaj at every n, boolean k = 0 and the domino
 # 1-by-n board as numbers) is weighed before its cumulants are built.
 NUMERIC_ORDER_GUARD = 6 * 10**10
-
-
-def _check_numeric_order(r_max: int, mean: Fraction, variance: Fraction) -> None:
-    """Raise SizeGuardError if moments to order r_max of this mean and variance weigh past the guard."""
-    scale = max(_bits(mean), _bits(variance) // 2)
-    weight = r_max**3 * (1000 + scale**1.6)
-    if weight > NUMERIC_ORDER_GUARD:
-        raise SizeGuardError(
-            f"moments to order {r_max} at a scale of {scale} bits weigh r^3 (1000 + b^1.6) = "
-            f"{weight:.6g}, beyond the NUMERIC_ORDER_GUARD = {NUMERIC_ORDER_GUARD} size guard"
-        )
 
 
 def _bits(x: Fraction) -> int:
@@ -125,11 +176,8 @@ def half_binomial_moments(count, r_max: int, central: bool) -> list:
     ``count`` is an integer or a Polynomial; for a Polynomial, r_max past
     SYMBOLIC_ORDER_GUARD raises SizeGuardError before any entry is built.
     """
-    if isinstance(count, Polynomial) and r_max > SYMBOLIC_ORDER_GUARD:
-        raise SizeGuardError(
-            f"moments of order {r_max} as polynomials in {count.symbol} are beyond the "
-            f"SYMBOLIC_ORDER_GUARD size guard of r <= {SYMBOLIC_ORDER_GUARD}"
-        )
+    if isinstance(count, Polynomial):
+        charge(r_max, SYMBOLIC_ORDER_GUARD, "SYMBOLIC_ORDER_GUARD", f"the order in {count.symbol}", summed=False)
     mean = count * Fraction(0 if central else 1, 2)
     return uniform_sum_moments(mean, lambda k: count * (2**k - 1), r_max)
 
@@ -165,20 +213,16 @@ PGF_GUARD = 2 * 10**7
 def pgf_total(degree: int, total: Callable[[], int]) -> int:
     """``total()``, the common denominator of a PGF of this degree, within PGF_GUARD.
 
-    Raises SizeGuardError when (degree + 1) * bit_length(total) exceeds
-    PGF_GUARD.  A degree past the guard on its own is refused before
-    ``total`` is called, so a huge total is never built.
+    A degree past the guard on its own is refused before ``total`` is
+    called, so a huge total is never built.
     """
-    size = degree + 1
-    if size <= PGF_GUARD:
-        value = total()
-        size *= value.bit_length()
-        if size <= PGF_GUARD:
-            return value
-    raise SizeGuardError(
-        f"a PGF of degree {degree} needs (degree + 1) * bit_length(total) >= {size}, "
-        f"beyond the PGF_GUARD = {PGF_GUARD} size guard"
+    charge(degree + 1, PGF_GUARD, "PGF_GUARD", f"a PGF of degree {degree}: its coefficients, degree + 1")
+    value = total()
+    charge(
+        (degree + 1) * value.bit_length(), PGF_GUARD, "PGF_GUARD",
+        f"a PGF of degree {degree}: (degree + 1) * bit_length(total)",
     )
+    return value
 
 
 def count_pgf(counts: list[int], total: int) -> Polynomial:
@@ -217,12 +261,10 @@ def mgf_digits(evaluations: int, steps: int, dps: int) -> int:
     number of t points.  Raises SizeGuardError beyond the guard.
     """
     digits = max(dps, 50)
-    work = (evaluations + 8) * steps * digits**2
-    if work > MGF_GUARD * 50**2:
-        raise SizeGuardError(
-            f"{steps} t points of {evaluations + 8} evaluations at {digits} digits weigh "
-            f"{work / 50**2:.6g}, beyond the MGF_GUARD = {MGF_GUARD} size guard"
-        )
+    charge(
+        -(-(evaluations + 8) * steps * digits**2 // 50**2), MGF_GUARD, "MGF_GUARD",
+        f"{steps} t points of {evaluations + 8} evaluations at {digits} digits weigh",
+    )
     return digits
 
 
@@ -280,9 +322,7 @@ class Family:
     the ``mean`` route, E[X].  ``closed_forms`` prints the symbolic forms of
     the requested kind and is never needed for the values.  ``mgf``, the
     MGF deviation on a t grid, runs the shared loop ``mgf_deviation``, where
-    a family has one (invmaj, and domino on a 1-by-n board).  ``grid_guard``
-    refuses a normality grid before any of its points is built, where a
-    family's grid cost is not bounded otherwise (boolean).  Routes call
+    a family has one (invmaj, and domino on a 1-by-n board).  Routes call
     the family's layer functions through module globals at call time, never
     through function objects captured at import, so wrapping a module
     attribute (as the benchmark's tracer does) reaches every call.
@@ -312,9 +352,6 @@ class Family:
     # MGF deviation (params, t_values, dps) -> (sup, rows) by ``mgf_deviation``;
     # None: the family has no MGF route
     mgf: Callable[[dict, Collection, int], tuple] | None = None
-    # refuses a normality grid (params, ns, r_max) past the family's size
-    # guard before any point is built; None: the grid has no guard of its own
-    grid_guard: Callable[[dict, Sequence[int], int], None] | None = None
 
     def resolve(self, given: Mapping) -> dict[str, int]:
         """The family's parameters from ``given`` with defaults filled in; others dropped."""

@@ -37,11 +37,12 @@ from functools import lru_cache
 import mpmath
 
 from momentforge import oracle
-from momentforge.errors import ConsistencyError, SizeGuardError
+from momentforge.errors import ConsistencyError
 from momentforge.families import common
 from momentforge.families.common import (
     Family,
     binomial_row,
+    charge,
     count_pgf,
     half_binomial_moments,
     pgf_total,
@@ -78,7 +79,8 @@ def in_closed_form_domain(m: int, n: int, r: int) -> bool:
 def _moments(r_max: int, p: dict) -> MomentVector:
     """Central moments of Binomial(A, 1/2) on the domain of the mu-polynomials, else raw ones.
 
-    The raw ones come from the face sweep's E[C(X, k)] = b_k / 2^{mn} (:func:`binomial_sums`).
+    The raw ones come from the face sweep's E[C(X, k)] = b_k / 2^{mn} (:func:`binomial_sums`),
+    a shift for k <= mn, where b_k is 2^{mn-k} times an integer.
     """
     m, n = p["m"], p["n"]
     _check(m, n)
@@ -86,9 +88,9 @@ def _moments(r_max: int, p: dict) -> MomentVector:
         raise ValueError("need r >= 0")
     if in_closed_form_domain(m, n, r_max):
         return MomentVector("central", half_binomial_moments(slot_count(m, n), r_max, central=True))
-    b = binomial_sums(m, n, r_max)
-    total = 2 ** (m * n)
-    return binomial_to_raw(MomentVector("binomial", [Fraction(b_k, total) for b_k in b]))
+    cells, b = m * n, binomial_sums(m, n, r_max)
+    binomial = [Fraction(b_k >> max(cells - k, 0), 1 << min(k, cells)) for k, b_k in enumerate(b)]
+    return binomial_to_raw(MomentVector("binomial", binomial))
 
 
 @lru_cache(maxsize=None)
@@ -113,8 +115,8 @@ def central_moments_symbolic(r_max: int) -> MomentVector:
 # counts the sweep keeps for each of its S rows.  The last order served at
 # each width, one sweep of 2r+2 rows (w = 2 at r = 291, w = 8 at r = 129,
 # w = 12 at r = 38, w = 16 at r = 11), takes 0.3 to 2.7 s as a whole
-# process, and a length at the size term's edge (2 x 170000 at r = 291,
-# 12 x 210000 at r = 38) 2.4 to 2.9 s.  Where r/2 < w-2 the bound P is far
+# process, and a length at the size term's edge 1.4 s (2 x 170000 at
+# r = 291) to 2.8-3.6 s (12 x 210000 at r = 38).  Where r/2 < w-2 the bound P is far
 # above the profiles that survive, and the sweep is faster still.
 TRANSFER_GUARD = 10**8
 
@@ -175,37 +177,34 @@ def binomial_sums(m: int, n: int, r: int) -> tuple[int, ...]:
     sum_i Delta^i C(L-r-1, i), with the binomials shared by every order,
     and the counts are turned into the sums b_k once, at L.
 
-    Raises SizeGuardError when w*max(L, S^2/2)*r or F*P*(limbs + 32) exceeds
-    TRANSFER_GUARD, with F = (w-1)(S-1) the faces swept, P the pairs of
-    profiles a face updates at most and ``limbs`` the 64-bit length of a
-    packed word.  The first is checked first: it needs no binomial, so a
-    large r or board is refused after O(1) arithmetic.
+    Both terms of TRANSFER_GUARD are charged, the size first: it needs no
+    binomial, so a large r or board is refused after O(1) arithmetic.
     """
     _check(m, n)
     if r < 0:
         raise ValueError("need r >= 0")
     w, length = min(m, n), max(m, n)
     rows = min(length, 2 * r + 2)
-    size = w * max(length, rows * rows // 2) * r
-    if size > TRANSFER_GUARD:
-        raise SizeGuardError(
-            f"face sweep for the {m}x{n} board at r = {r} keeps sums of size "
-            f"w*max(L, S^2/2)*r = {w}*{max(length, rows * rows // 2)}*{r} = {size}, "
-            f"beyond the TRANSFER_GUARD = {TRANSFER_GUARD} size guard"
-        )
+    span = max(length, rows * rows // 2)
+    sweep = _SWEPT.get((w, r), ())
+    runs = len(sweep) < rows
+    # a sweep served from the cache is bounded as one that runs, but a grid is charged only the sums
+    charge(
+        w * span * r, TRANSFER_GUARD, "TRANSFER_GUARD",
+        f"face sweep for the {m}x{n} board at r = {r} keeps sums of size w*max(L, S^2/2)*r = {w}*{span}*{r}",
+        summed=runs,
+    )
+    charge(w * length * r, TRANSFER_GUARD, "TRANSFER_GUARD", f"the sums of the {m}x{n} board at r = {r}", alone=False)
     faces = (w - 1) * (rows - 1)
     pairs = sum(math.comb(w - 2, i) for i in range(min(w - 2, r // 2) + 1))
     # only now is w*S^2*r small enough for the binomial inside _count_bits to be cheap
     limbs = -(-_count_bits(w, rows, r) * (r // 2 + 1) // 64)
-    work = faces * pairs * (limbs + 32)
-    if work > TRANSFER_GUARD:
-        raise SizeGuardError(
-            f"face sweep for the {m}x{n} board at r = {r} needs work "
-            f"F*P*(limbs + 32) = {faces}*{pairs}*{limbs + 32} = {work}, "
-            f"beyond the TRANSFER_GUARD = {TRANSFER_GUARD} size guard"
-        )
-    sweep = _SWEPT.get((w, r), ())
-    if len(sweep) < rows:
+    charge(
+        faces * pairs * (limbs + 32), TRANSFER_GUARD, "TRANSFER_GUARD",
+        f"face sweep for the {m}x{n} board at r = {r} needs work F*P*(limbs + 32) = {faces}*{pairs}*{limbs + 32}",
+        summed=runs,
+    )
+    if runs:
         sweep = _SWEPT[w, r] = _face_sweep(w, rows, r)
     counts = sweep[length - 1] if length <= rows else _extend(sweep, w, r, length)
     return _sums_from_counts(counts, w, length)

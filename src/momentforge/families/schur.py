@@ -27,8 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from momentforge import oracle
-from momentforge.errors import SizeGuardError
-from momentforge.families.common import Family
+from momentforge.families.common import Family, charge
 from momentforge.moment_algebra import MomentVector
 
 __all__ = ["FAMILY", "second_moment", "second_moment_grid"]
@@ -75,11 +74,7 @@ def second_moment_grid(ns: Sequence[int], c: int) -> list[tuple[int, Fraction]]:
     for n in ns:
         _check(n, c)
     top = max(ns, default=0)
-    if top > SWEEP_GUARD:
-        raise SizeGuardError(
-            f"the Schur E[X^2] sweep to n = {top} is beyond the SWEEP_GUARD "
-            f"size guard of n <= {SWEEP_GUARD}"
-        )
+    charge(top, SWEEP_GUARD, "SWEEP_GUARD", "the n the Schur E[X^2] sweep reaches", summed=False)
     if len(_SWEPT) <= top:
         _SWEPT = _sweep(top)
     out = []

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from momentforge.errors import FitVerificationError, SizeGuardError, UnderdeterminedFitError
+from momentforge.errors import FitVerificationError, UnderdeterminedFitError
+from momentforge.families.common import charge
 from momentforge.poly_series import Polynomial, QuasiPolynomial
 
 __all__ = ["FitSpec", "check_fit_size", "fit_quasi_polynomial"]
@@ -23,8 +24,7 @@ __all__ = ["FitSpec", "check_fit_size", "fit_quasi_polynomial"]
 # (degree + 1)^2.8: as a whole process on one Intel Xeon core,
 # fit --r 2 --period 1 --degree 255 --n-min 1 --n-max 50000 (at the guard,
 # every n read and the class refused at its first held-out point) takes
-# 2.3-3.4 s; at period 1, degrees 400 and 595 took 5.1 s and 14 s on top of
-# reading n <= 600 before the guard.
+# 2.3-3.4 s.
 FIT_GUARD = 2**16
 
 # Bound on the largest n of a fit.  A fit reads off and checks every n of its
@@ -36,17 +36,8 @@ FIT_N_GUARD = 50000
 
 def check_fit_size(period: int, degree: int, n_max: int) -> None:
     """Raise SizeGuardError when n_max exceeds FIT_N_GUARD or period * (degree + 1)^2 FIT_GUARD."""
-    if n_max > FIT_N_GUARD:
-        raise SizeGuardError(
-            f"a fit to n_max = {n_max} reads off and checks every n of its range, "
-            f"beyond the FIT_N_GUARD = {FIT_N_GUARD} size guard"
-        )
-    size = period * (degree + 1) ** 2
-    if size > FIT_GUARD:
-        raise SizeGuardError(
-            f"a fit of period {period} and degree {degree} weighs period * (degree + 1)^2 = "
-            f"{size}, beyond the FIT_GUARD = {FIT_GUARD} size guard"
-        )
+    charge(n_max, FIT_N_GUARD, "FIT_N_GUARD", "a fit reads off and checks every n of its range: n_max")
+    charge(period * (degree + 1) ** 2, FIT_GUARD, "FIT_GUARD", f"period {period}, degree {degree}: period * (degree + 1)^2")
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@
 one binomial shift by the mean apart, and binomial moments are taken about
 the mean, from the central ones.  The binomial moment of order r is
 E[C(X - center, r)]; converting to power moments uses Stirling numbers of
-the second kind, the inverse direction the signed first kind.  Gaussian
-targets are (2s)!/(2^s s!) for even order 2s and 0 for odd order.
+the second kind, the inverse direction the signed first kind, numbers in
+integers (``_combine``).  Gaussian targets are (2s)!/(2^s s!) for even order 2s
+and 0 for odd order.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import asdict, astuple, dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import accumulate
+from typing import Callable, Mapping, Sequence
 
 import mpmath
 
@@ -78,6 +81,18 @@ class MomentVector:
         return len(self.entries) - 1
 
 
+def _combine(vec: MomentVector, weight: Callable[[int, int], object], divisor=lambda r: 1) -> list:
+    """[sum_i weight(r, i) e_i / divisor(r) for r <= r_max], over the entries e_i of ``vec``.
+
+    Numbers are summed in integers over their common denominator, one division per result.
+    """
+    e, d = vec.entries, 1
+    if not any(isinstance(x, Polynomial) for x in e):
+        d = math.lcm(*(x.denominator for x in e))
+        e = [x.numerator * (d // x.denominator) for x in e]
+    return [Fraction(1, d * divisor(r)) * sum(weight(r, i) * e[i] for i in range(r + 1)) for r in range(vec.r_max + 1)]
+
+
 def binomial_to_raw(vec: MomentVector) -> MomentVector:
     """Power moments from binomial moments: M_r = sum_i {r brace i} B_i i!.
 
@@ -86,11 +101,8 @@ def binomial_to_raw(vec: MomentVector) -> MomentVector:
     """
     if vec.kind != "binomial":
         raise ValueError("binomial_to_raw expects a binomial MomentVector")
-    e = vec.entries
-    out = [
-        sum((stirling2(r, i) * math.factorial(i) * e[i] for i in range(r + 1)), Fraction(0))
-        for r in range(vec.r_max + 1)
-    ]
+    factorials = [math.factorial(i) for i in range(vec.r_max + 1)]
+    out = _combine(vec, lambda r, i: stirling2(r, i) * factorials[i])
     return MomentVector("central" if vec.about_mean else "raw", out, vec.about_mean)
 
 
@@ -98,28 +110,21 @@ def raw_to_binomial(vec: MomentVector) -> MomentVector:
     """Inverse of :func:`binomial_to_raw` via signed Stirling numbers."""
     if vec.kind == "binomial":
         raise ValueError("raw_to_binomial expects power moments")
-    e = vec.entries
-    out = [
-        sum((stirling1_signed(r, k) * e[k] for k in range(r + 1)), Fraction(0)) / math.factorial(r)
-        for r in range(vec.r_max + 1)
-    ]
+    out = _combine(vec, stirling1_signed, math.factorial)
     return MomentVector("binomial", out, about_mean=(vec.kind == "central"))
 
 
 def _shift(vec: MomentVector, mu) -> list:
     """E[(Y + mu)^r] = sum_i C(r, i) E[Y^i] mu^(r-i), r <= r_max, from the entries E[Y^i] of ``vec``.
 
-    The one binomial shift between raw and central moments, by running
-    powers of ``mu``; over Fractions or Polynomials alike.
+    The one binomial shift between raw and central moments: with mu = p/q,
+    the sum of C(r, i) E[Y^i] q^i p^(r-i) over q^r, by running powers of p
+    and q; over numbers or Polynomials alike.
     """
-    powers = [mu**0]
-    for _ in range(vec.r_max):
-        powers.append(powers[-1] * mu)
-    e = vec.entries
-    return [
-        sum((math.comb(r, i) * e[i] * powers[r - i] for i in range(r + 1)), Fraction(0))
-        for r in range(vec.r_max + 1)
-    ]
+    p, q = (mu.numerator, mu.denominator) if isinstance(mu, Fraction) else (mu, 1)
+    p_powers = list(accumulate([p] * vec.r_max, operator.mul, initial=p**0))
+    q_powers = list(accumulate([q] * vec.r_max, operator.mul, initial=1))
+    return _combine(vec, lambda r, i: math.comb(r, i) * q_powers[i] * p_powers[r - i], q_powers.__getitem__)
 
 
 def raw_to_central(vec: MomentVector, mu) -> MomentVector:
@@ -227,16 +232,7 @@ class NormalityReport:
             "params": dict(self.params),
             "threshold": self.threshold,
             "precision_digits": self.dps,
-            "rows": [
-                {
-                    "r": row.r,
-                    "n": row.n,
-                    "m_r": row.m_r,
-                    "target": row.target,
-                    "deviation": row.deviation,
-                }
-                for row in self.rows
-            ],
+            "rows": [asdict(row) for row in self.rows],
             "verdicts": {str(r): ok for r, ok in sorted(self.verdicts.items())},
         }
 
@@ -245,19 +241,7 @@ class NormalityReport:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["family", "params", "r", "n", "m_r", "target", "deviation", "verdict"])
         params_text = ";".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        for row in self.rows:
-            writer.writerow(
-                [
-                    self.family,
-                    params_text,
-                    row.r,
-                    row.n,
-                    row.m_r,
-                    row.target,
-                    row.deviation,
-                    self.verdicts[row.r],
-                ]
-            )
+        writer.writerows([self.family, params_text, *astuple(row), self.verdicts[row.r]] for row in self.rows)
         return buf.getvalue()
 
 

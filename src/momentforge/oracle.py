@@ -57,7 +57,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from momentforge.errors import SizeGuardError
+from momentforge.families.common import charge
 from momentforge.moment_algebra import MomentVector
 from momentforge.poly_series import Polynomial
 
@@ -289,9 +289,7 @@ def enumerate_schur(n: int, c: int, parts: int = 1) -> Histogram:
     """
     if n < 1 or c < 2:
         raise ValueError("need n >= 1 and c >= 2")
-    space = c**n
-    if space > SCHUR_GUARD:
-        raise SizeGuardError(f"{c}^{n} = {space} colorings exceed the {SCHUR_GUARD} guard")
+    charge(c**n, SCHUR_GUARD, "SCHUR_GUARD", f"the colorings {c}^{n}")
     # element e is site e-1; the triples (x, y, x+y) with x <= y <= n-x
     triples = [
         tuple(sorted({x - 1, y - 1, x + y - 1}))
@@ -306,8 +304,7 @@ def enumerate_permutations(n: int) -> JointHistogram:
     """Joint (inv, maj) counts over S_n, walked by plain changes."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if math.factorial(n) > PERM_GUARD:
-        raise SizeGuardError(f"{n}! exceeds the {PERM_GUARD} guard")
+    charge(math.factorial(n), PERM_GUARD, "PERM_GUARD", f"the permutations {n}!")
     width = n * (n - 1) // 2 + 1
     tally = [0] * (width * width)
     # a[1..n] is the permutation; the sentinels a[0] = 0 and a[n+1] = n+1
@@ -368,8 +365,7 @@ def enumerate_boolean(n: int, k: int) -> Histogram:
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     space = 1 << (1 << n)
-    if space > BOOLEAN_GUARD:
-        raise SizeGuardError(f"2^(2^{n}) = {space} functions exceed the {BOOLEAN_GUARD} guard")
+    charge(space, BOOLEAN_GUARD, "BOOLEAN_GUARD", f"the functions 2^(2^{n})")
     return Histogram(dict(_boolean_counts(n, k)), space)
 
 
@@ -385,12 +381,10 @@ def sample_boolean(n: int, k: int, count: int, seed: int) -> Histogram:
     if count < 1:
         raise ValueError("need at least one sample")
     nbits = 1 << n
-    work = count * math.comb(n, k) * max(k, 1) * -(-nbits // 64)
-    if work > SAMPLER_GUARD:
-        raise SizeGuardError(
-            f"{count} samples of the {k}-subcube count at n={n} need {work} word operations, "
-            f"beyond the SAMPLER_GUARD = {SAMPLER_GUARD} size guard"
-        )
+    charge(
+        count * math.comb(n, k) * max(k, 1) * -(-nbits // 64), SAMPLER_GUARD, "SAMPLER_GUARD",
+        f"{count} samples of the {k}-subcube count at n={n}: word operations",
+    )
     rng = random.Random(seed)
     slot = max(nbits, 64)  # whole 8-byte words per sample
     per_batch = min(count, max(1, LANE_BITS // slot))
@@ -470,9 +464,7 @@ def enumerate_boards(m: int, n: int, parts: int = 1) -> Histogram:
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
     cells = m * n
-    space = 1 << cells
-    if space > BOARD_GUARD:
-        raise SizeGuardError(f"2^{cells} boards exceed the {BOARD_GUARD} guard")
+    charge(1 << cells, BOARD_GUARD, "BOARD_GUARD", f"the boards 2^{cells}")
     # cell (r, col) is site r*n + col; a slot joins two neighboring cells
     slots = [(i, i + 1) for i in range(cells) if (i + 1) % n] + [(i, i + n) for i in range(cells - n)]
     # the last cell, site cells-1, is above the varying digits: 0
