@@ -25,7 +25,10 @@ reads a t point, so a ``TGrid`` is never built past the guard.
 
 ``charge`` is the one refusal decision of every size guard: a weight over
 its limit is a share of one budget, about 0.3 to 3.7 s of work, refused
-past one; the points of a CLI request's normality grid add their largest.
+past one; the points of a CLI request's normality grid add their largest,
+and their floor shares are counted apart (``GRID_POINTS_GUARD``).
+``charge_size`` charges a count that may be too large to build, such as an
+oracle's sample space, refusing it from a bound on its bit length first.
 
 ``Family`` is the type of one entry of ``momentforge.families.FAMILIES``;
 each family module defines its own entry as ``FAMILY``.
@@ -76,9 +79,20 @@ def request_budget():
         _grid_total = 0.0
 
 
+# Most points of a normality grid.  Each point costs about 1 ms whatever its
+# size (its moment vector, mpmath normalization and r + 1 report rows: an
+# invmaj point at r = 8 takes 0.4 + 0.25 + 0.2 ms in process on one Intel
+# Xeon core), a floor share of about 1/2000 of a budget that no size guard
+# weighs.  The floors are summed apart from the size shares, as the printed
+# digits are, so no grid's size edge moves; a grid is refused at its point
+# 2001, about 1 s into the request.
+GRID_POINTS_GUARD = 2000
+
+
 def grid_point(n: int) -> None:
-    """Charge what follows to a new point n of the request's normality grid."""
+    """Charge what follows to a new point n of the request's normality grid, and the point its floor share."""
     _grid.append([n, 0.0, None])
+    charge(len(_grid), GRID_POINTS_GUARD, "GRID_POINTS_GUARD", "the normality grid's points", summed=False)
 
 
 def charge(weight, limit, name: str, what: str, summed: bool = True, alone: bool = True) -> None:
@@ -95,7 +109,7 @@ def charge(weight, limit, name: str, what: str, summed: bool = True, alone: bool
     else:  # exactly, unless too long to print at all
         shown = weight if weight < 2**64 else f"2^{weight.bit_length() - 1} or more"
     if alone and weight > limit:
-        raise SizeGuardError(f"{what} = {shown}, beyond the {name} size guard ({name} = {limit})")
+        raise _refusal(what, shown, name, limit)
     if not (summed and _grid):
         return
     point = _grid[-1]
@@ -110,6 +124,21 @@ def charge(weight, limit, name: str, what: str, summed: bool = True, alone: bool
             f"together, past one; its largest share, {share:.3g} at n = {n}, is {what} = {shown}, "
             f"against the {name} size guard ({name} = {limit})"
         )
+
+
+def _refusal(what: str, shown, name: str, limit) -> SizeGuardError:
+    return SizeGuardError(f"{what} = {shown}, beyond the {name} size guard ({name} = {limit})")
+
+
+def charge_size(bits: int, size: Callable[[], int], limit: int, name: str, what: str) -> None:
+    """``charge`` the count ``size()``, of at least ``bits`` bits, building it only if it could be within ``limit``.
+
+    A count past the limit on ``bits`` alone, 2^(bits-1) or more with
+    bits > 64, is refused unbuilt and shown as that bound.
+    """
+    if bits > max(limit.bit_length(), 64):
+        raise _refusal(what, f"2^{bits - 1} or more", name, limit)
+    charge(size(), limit, name, what)
 
 
 @lru_cache(maxsize=None)

@@ -27,9 +27,24 @@ consecutive indices, lane t of a word standing for configuration t:
   lane's count into the histogram.  The patterns inside the low digits make
   the same words in every chunk, so their planes are built once.
 
-Permutations walk S_n by plain changes (adjacent transpositions; Knuth,
-TAOCP 7.2.1.2, Algorithm P): inv moves by one per step and maj is re-read
-from the three descent slots the swap touches.
+Permutations run on the same words.  Configuration t is the permutation
+whose inversion table L_1..L_n (L_i counts the later entries below the one
+at position i) has t's mixed-radix digits: site k is L_(n-k), of radix k+1,
+so a chunk of 8! lanes holds all of S_8.  inv is the sum of the sites: the
+word of a site's value v is added into a bit-sliced counter at weight v.  maj
+reads the descents off the table alone, since position i is a descent
+exactly when L_i > L_(i+1): if the entry at i exceeds the next, that entry
+and every later one below it count towards L_i, so L_i >= L_(i+1) + 1;
+otherwise every later entry below the one at i is below the next too, so
+L_i <= L_(i+1).  The word of lanes with site k above site k-1 is added into
+a second counter at weight n-k.  Sites above the chunk add scalar offsets
+to both counts, except the descent slot between the lowest of them and the
+chunk's top site, a word per chunk; one split over the inv planes, then the
+maj planes, reads each lane's (inv, maj) pair into the joint tally.
+
+Each guard checks a bound on the bit length of its size (c^n, n!, 2^(mn),
+2^(2^n), the sampler's word operations) first, so a size certainly past
+the guard is refused before it is built.
 
 The boolean sampler packs the functions it draws into slots of whole 8-byte
 words of one integer per batch of at most LANE_BITS bits.  The k-subcubes
@@ -57,7 +72,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from momentforge.families.common import charge
+from momentforge.families.common import charge_size
 from momentforge.moment_algebra import MomentVector
 from momentforge.poly_series import Polynomial
 
@@ -177,40 +192,54 @@ def _repeat(word: int, width: int, times: int) -> int:
     return out
 
 
-def _digit_zero(radix: int, i: int, lanes: int) -> int:
-    """The lanes t < ``lanes`` whose base-``radix`` digit i is 0; ``lanes`` is a multiple of radix^(i+1).
+def _digit_zero(run: int, radix: int, lanes: int) -> int:
+    """The lanes t < ``lanes`` whose digit of place value ``run`` and radix ``radix`` is 0.
 
-    Shifted up by v·radix^i it is the lanes whose digit i is v.
+    ``lanes`` is a multiple of run·radix; the radices may differ from digit
+    to digit (mixed radix), ``run`` being the product of those below.
+    Shifted up by v·run it is the lanes whose digit is v.
     """
-    run = radix**i
     return _repeat((1 << run) - 1, run * radix, lanes // (run * radix))
 
 
-def _add(planes: list[int], word: int) -> None:
-    """Add one indicator word into a bit-sliced counter (plane j holds bit j of every lane's count)."""
-    for j, plane in enumerate(planes):
-        if not word:
-            return
-        planes[j] = plane ^ word
-        word &= plane
-    if word:
-        planes.append(word)
+def _add(planes: list[int], word: int, weight: int = 1) -> None:
+    """Add word·weight into a bit-sliced counter (plane j holds bit j of every lane's count)."""
+    for shift in range(weight.bit_length()):
+        if not weight >> shift & 1:
+            continue
+        carry = word
+        planes.extend([0] * (shift - len(planes)))
+        for j in range(shift, len(planes)):
+            plane = planes[j]
+            planes[j] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        if carry:
+            planes.append(carry)
 
 
-def _read(planes: list[int], live: int, offset: int, tally: list[int]) -> None:
-    """Add every live lane's count plus ``offset`` into ``tally``, splitting the lanes plane by plane."""
-    groups = [(live, 0)]
-    for plane in reversed(planes):
-        split = []
-        for lanes, value in groups:
-            one = lanes & plane
-            if one:
-                split.append((one, 2 * value + 1))
-            if one != lanes:
-                split.append((lanes ^ one, 2 * value))
-        groups = split
+def _read(counters: Sequence[tuple[list[int], int]], live: int, offset: int, tally: list[int]) -> None:
+    """Add every live lane's sum of scale·count over the (planes, scale) ``counters``, plus ``offset``, into ``tally``.
+
+    One split over the planes, counter by counter from the highest plane
+    down, groups the lanes by their value.
+    """
+    groups = [(live, offset)]
+    for planes, scale in counters:
+        for j in reversed(range(len(planes))):
+            plane = planes[j]
+            weight = scale << j
+            split = []
+            for lanes, value in groups:
+                one = lanes & plane
+                if one:
+                    split.append((one, value + weight))
+                if one != lanes:
+                    split.append((lanes ^ one, value))
+            groups = split
     for lanes, value in groups:
-        tally[value + offset] += lanes.bit_count()
+        tally[value] += lanes.bit_count()
 
 
 def _pattern_histogram(
@@ -230,7 +259,7 @@ def _pattern_histogram(
     lanes = radix**low
     words = []
     for i in range(low):
-        zero = _digit_zero(radix, i, lanes)
+        zero = _digit_zero(radix**i, radix, lanes)
         words.append([zero << (v * radix**i) for v in range(radix)])
 
     def holding(sites: list[int] | tuple[int, ...], v: int) -> int:
@@ -275,7 +304,7 @@ def _pattern_histogram(
                     _add(planes, holding(inside, v))
                 else:
                     offset += 1
-            _read(planes, live, offset, tally)
+            _read([(planes, 1)], live, offset, tally)
         return _tally_histogram(tally, weight)
 
     return merge_histograms(block(lo, hi) for lo, hi in _split_range(radix**varying, parts))
@@ -289,7 +318,8 @@ def enumerate_schur(n: int, c: int, parts: int = 1) -> Histogram:
     """
     if n < 1 or c < 2:
         raise ValueError("need n >= 1 and c >= 2")
-    charge(c**n, SCHUR_GUARD, "SCHUR_GUARD", f"the colorings {c}^{n}")
+    # c^n >= 2^(n (bit_length(c) - 1))
+    charge_size(n * (c.bit_length() - 1) + 1, lambda: c**n, SCHUR_GUARD, "SCHUR_GUARD", f"the colorings {c}^{n}")
     # element e is site e-1; the triples (x, y, x+y) with x <= y <= n-x
     triples = [
         tuple(sorted({x - 1, y - 1, x + y - 1}))
@@ -301,50 +331,55 @@ def enumerate_schur(n: int, c: int, parts: int = 1) -> Histogram:
 
 
 def enumerate_permutations(n: int) -> JointHistogram:
-    """Joint (inv, maj) counts over S_n, walked by plain changes."""
+    """Joint (inv, maj) counts over S_n, read off the inversion tables."""
     if n < 1:
         raise ValueError("need n >= 1")
-    charge(math.factorial(n), PERM_GUARD, "PERM_GUARD", f"the permutations {n}!")
+    charge_size(n, lambda: math.factorial(n), PERM_GUARD, "PERM_GUARD", f"the permutations {n}!")
+    # site k is the inversion-table entry L_(n-k), of radix k+1; the low sites vary inside a chunk
+    low = 1
+    while low < n and math.factorial(low + 1) <= LANE_BITS:
+        low += 1
+    lanes = math.factorial(low)
+
+    def below(k: int, a: int) -> int:
+        """The lanes whose site k < low holds less than a."""
+        run = math.factorial(k)
+        return _repeat((1 << min(a, k + 1) * run) - 1, (k + 1) * run, lanes // ((k + 1) * run))
+
+    # inv is the sum of the sites; position i = n-k is a descent, adding i to
+    # maj, exactly when site k > site k-1 (L_i > L_(i+1))
+    inv: list[int] = []
+    maj: list[int] = []
+    for k in range(1, low):
+        run = math.factorial(k)
+        zero = _digit_zero(run, k + 1, lanes)
+        descent = 0
+        for v in range(1, k + 1):
+            word = zero << v * run  # the lanes whose site k is v
+            _add(inv, word, v)
+            descent |= word & below(k - 1, v)
+        _add(maj, descent, n - k)
+
     width = n * (n - 1) // 2 + 1
     tally = [0] * (width * width)
-    # a[1..n] is the permutation; the sentinels a[0] = 0 and a[n+1] = n+1
-    # make the descent slots at either end read "no descent" before and after.
-    a = list(range(n + 2))
-    offset = [0] * (n + 1)
-    direction = [1] * (n + 1)
-    inv = maj = 0
-    while True:
-        tally[inv * width + maj] += 1
-        # Algorithm P: find the largest element j that can still move one
-        # place in its direction; s counts the larger elements at the left end.
-        j, s = n, 0
-        while True:
-            q = offset[j] + direction[j]
-            if q < 0:
-                direction[j] = -direction[j]
-                j -= 1
-            elif q == j:
-                if j == 1:
-                    return JointHistogram(
-                        {(v // width, v % width): cnt for v, cnt in enumerate(tally) if cnt}, n
-                    )
-                s += 1
-                direction[j] = -direction[j]
-                j -= 1
-            else:
-                break
-        # swap a[p] and a[p+1]: slot p flips, slots p-1 and p+1 are re-read
-        p = j - max(offset[j], q) + s
-        offset[j] = q
-        left, right, prev, nxt = a[p], a[p + 1], a[p - 1], a[p + 2]
-        if left < right:
-            inv += 1
-            maj += p
-        else:
-            inv -= 1
-            maj -= p
-        maj += (p - 1) * ((prev > right) - (prev > left)) + (p + 1) * ((left > nxt) - (right > nxt))
-        a[p], a[p + 1] = right, left
+    live = (1 << lanes) - 1
+    for chunk in range(math.factorial(n) // lanes):
+        # the sites low..n-1 are fixed in a chunk: the chunk index's mixed-radix digits
+        high = []
+        rest = chunk
+        for k in range(low, n):
+            rest, digit = divmod(rest, k + 1)
+            high.append(digit)
+        offset = sum(high) * width
+        for k in range(low + 1, n):
+            if high[k - low] > high[k - 1 - low]:
+                offset += n - k
+        planes = maj
+        if high:  # the descent slot between site low and site low-1 straddles the chunk's edge
+            planes = maj.copy()
+            _add(planes, below(low - 1, high[0]), n - low)
+        _read([(inv, width), (planes, 1)], live, offset, tally)
+    return JointHistogram({(v // width, v % width): cnt for v, cnt in enumerate(tally) if cnt}, n)
 
 
 @lru_cache(maxsize=None)
@@ -364,9 +399,10 @@ def enumerate_boolean(n: int, k: int) -> Histogram:
     """Exact distribution of the k-subcube count over all boolean functions."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    space = 1 << (1 << n)
-    charge(space, BOOLEAN_GUARD, "BOOLEAN_GUARD", f"the functions 2^(2^{n})")
-    return Histogram(dict(_boolean_counts(n, k)), space)
+    charge_size(
+        (1 << min(n, 64)) + 1, lambda: 1 << (1 << n), BOOLEAN_GUARD, "BOOLEAN_GUARD", f"the functions 2^(2^{n})"
+    )
+    return Histogram(dict(_boolean_counts(n, k)), 1 << (1 << n))
 
 
 def sample_boolean(n: int, k: int, count: int, seed: int) -> Histogram:
@@ -380,11 +416,12 @@ def sample_boolean(n: int, k: int, count: int, seed: int) -> Histogram:
         raise ValueError("need 0 <= k <= n")
     if count < 1:
         raise ValueError("need at least one sample")
-    nbits = 1 << n
-    charge(
-        count * math.comb(n, k) * max(k, 1) * -(-nbits // 64), SAMPLER_GUARD, "SAMPLER_GUARD",
+    # at least ceil(2^n / 64) word operations
+    charge_size(
+        n - 5, lambda: count * math.comb(n, k) * max(k, 1) * -(-(1 << n) // 64), SAMPLER_GUARD, "SAMPLER_GUARD",
         f"{count} samples of the {k}-subcube count at n={n}: word operations",
     )
+    nbits = 1 << n
     rng = random.Random(seed)
     slot = max(nbits, 64)  # whole 8-byte words per sample
     per_batch = min(count, max(1, LANE_BITS // slot))
@@ -415,7 +452,7 @@ def _batch_counter(n: int, k: int, slot: int, size: int):
     """
     bits = slot * size
     # k = 0 ANDs no mask; n of them would be n more words of 2^n bits
-    zero = [_digit_zero(2, i, bits) for i in range(n)] if k else []
+    zero = [_digit_zero(1 << i, 2, bits) for i in range(n)] if k else []
     cubes = [(tuple(1 << i for i in free), [zero[i] for i in free]) for free in itertools.combinations(range(n), k)]
 
     def matched(g: int, shifts: tuple[int, ...], masks: list[int]) -> int:
@@ -464,7 +501,7 @@ def enumerate_boards(m: int, n: int, parts: int = 1) -> Histogram:
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
     cells = m * n
-    charge(1 << cells, BOARD_GUARD, "BOARD_GUARD", f"the boards 2^{cells}")
+    charge_size(cells + 1, lambda: 1 << cells, BOARD_GUARD, "BOARD_GUARD", f"the boards 2^{cells}")
     # cell (r, col) is site r*n + col; a slot joins two neighboring cells
     slots = [(i, i + 1) for i in range(cells) if (i + 1) % n] + [(i, i + n) for i in range(cells - n)]
     # the last cell, site cells-1, is above the varying digits: 0

@@ -45,8 +45,25 @@ def test_joint_histogram_marginals():
 
 
 def test_permutation_guard():
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError, match=r"the permutations 10! = 3628800, beyond the PERM_GUARD"):
         enumerate_permutations(10)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: enumerate_permutations(10**7), r"the permutations 10000000! = 2\^9999999 or more, beyond the PERM_GUARD"),
+        (lambda: enumerate_schur(10**8, 3), r"the colorings 3\^100000000 = 2\^100000000 or more, beyond the SCHUR_GUARD"),
+        (lambda: enumerate_boards(10**5, 10**5), r"the boards 2\^10000000000 = 2\^10000000000 or more, beyond the BOARD_GUARD"),
+        (lambda: enumerate_boolean(10**6, 1), r"the functions 2\^\(2\^1000000\) = 2\^18446744073709551616 or more"),
+        (lambda: sample_boolean(10**9, 0, 1, seed=1), r"word operations = 2\^999999994 or more, beyond the SAMPLER_GUARD"),
+    ],
+    ids=["invmaj", "schur", "board", "boolean", "sampler"],
+)
+def test_oracle_guards_refuse_before_building_their_size(call, message):
+    # each size would take seconds to gigabytes to build: the guard refuses on its bit length alone
+    with pytest.raises(SizeGuardError, match=message):
+        call()
 
 
 def test_schur_small_cases():
@@ -224,14 +241,30 @@ def test_sampler_matches_per_sample_reference(monkeypatch, lane_bits):
         assert got.counts == counts and got.total == total, (n, k, count, seed)
 
 
+def naive_joint(n):
+    counts = {}
+    for perm in itertools.permutations(range(1, n + 1)):
+        key = (permutation_inv(perm), permutation_maj(perm))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def test_joint_inv_maj_matches_naive_enumeration():
-    for n in range(1, 8):
-        counts = {}
-        for perm in itertools.permutations(range(1, n + 1)):
-            key = (permutation_inv(perm), permutation_maj(perm))
-            counts[key] = counts.get(key, 0) + 1
+    # n = 8 is all of S_8 in one chunk of 8! lanes
+    for n in range(1, 9):
         got = enumerate_permutations(n)
-        assert got.counts == counts and sum(got.counts.values()) == got.total, n
+        assert got.counts == naive_joint(n) and sum(got.counts.values()) == got.total, n
+
+
+@pytest.mark.parametrize("lane_bits", [24, 6])
+def test_joint_inv_maj_across_chunks_matches_naive_enumeration(monkeypatch, lane_bits):
+    # 24 lanes hold the sites of radix 1..4 and 6 lanes those of radix 1..3:
+    # the sites above are scalar offsets per chunk, and the descent slot
+    # between the lowest of them and the chunk's top site is a word per chunk
+    monkeypatch.setattr(oracle, "LANE_BITS", lane_bits)
+    for n in range(1, 8):
+        got = enumerate_permutations(n)
+        assert got.counts == naive_joint(n) and sum(got.counts.values()) == got.total, (lane_bits, n)
 
 
 def test_subcube_counter_matches_subcube_positions():

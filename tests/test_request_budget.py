@@ -7,7 +7,7 @@ import pytest
 
 from momentforge import cli
 from momentforge.errors import SizeGuardError
-from momentforge.families import domino
+from momentforge.families import common, domino
 from momentforge.families.common import charge, grid_point, request_budget
 
 
@@ -74,6 +74,22 @@ def test_a_single_charge_past_its_limit_is_refused_with_its_guard_alone():
     with request_budget(), pytest.raises(SizeGuardError, match="weigh 1e\\+300 size budgets"):
         grid_point(1)
         charge(10**400, 10, "X_GUARD", "a share past every float", alone=False)
+
+
+def test_a_long_grid_of_cheap_points_is_refused_at_its_floor_shares(capsys):
+    # 5000 points weigh 0.05 budgets of size shares, but each costs about
+    # 1 ms whatever its size: the grid ran 4 to 6 s as a whole process
+    assert cli.main(["normality", "--family", "invmaj", "--n-grid", _grid(10, 5009), "--r-max", "8"]) == 1
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert "the normality grid's points = 2001, beyond the GRID_POINTS_GUARD size guard (GRID_POINTS_GUARD = 2000)" in err.err
+
+
+def test_the_floor_shares_are_summed_apart_from_the_size_shares(monkeypatch, capsys):
+    monkeypatch.setattr(common, "GRID_POINTS_GUARD", 3)
+    assert cli.main(["normality", "--family", "invmaj", "--n-grid", "10,11,12", "--r-max", "270"]) == 0
+    assert cli.main(["normality", "--family", "invmaj", "--n-grid", "10,11,12,13", "--r-max", "4"]) == 1
+    assert "GRID_POINTS_GUARD size guard (GRID_POINTS_GUARD = 3)" in capsys.readouterr().err
 
 
 def test_only_a_grid_adds_shares_up():
