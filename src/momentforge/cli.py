@@ -30,7 +30,7 @@ import mpmath
 import momentforge.families as families
 from momentforge import __version__
 from momentforge.errors import ConsistencyError, MomentForgeError
-from momentforge.families import boolean
+from momentforge.families import boolean, common
 from momentforge.families.common import SYMBOL_LEGEND, TGrid, charge, grid_point, request_budget
 from momentforge.fitter import FitSpec, check_fit_size, fit_quasi_polynomial
 from momentforge.moment_algebra import check_grid, normality_report
@@ -273,10 +273,11 @@ def normality_cmd(family, n_grid, m, k, r_max, threshold, precision):
     if not math.isfinite(threshold):
         raise click.UsageError("need a finite --threshold")
     _, params = _family_params(family, m=m, k=k)
-    # the grid is checked before any of its points is built
+    # the grid and its point count are checked before any of its points is built
     check_grid(ns)
-    # largest n first (the grid ascends): its schur E[X^2] sweep serves every smaller n;
-    # each point is charged to the grid's one budget
+    charge(len(ns), common.GRID_POINTS_GUARD, "GRID_POINTS_GUARD", "the normality grid's points", summed=False)
+    # largest n first (the grid ascends): a domino width's longest face sweep serves
+    # every shorter board; each point is charged to the grid's one budget
     grid = []
     for n in reversed(ns):
         grid_point(n)
@@ -371,11 +372,10 @@ def fit_cmd(family, r, c, period, degree, n_min, n_max, verify):
     if n_min < 1 or n_max < n_min:
         raise click.UsageError("need 1 <= n-min <= n-max")
     check_fit_size(period, degree, n_max)
-    # largest n first: its schur E[X^2] sweep serves every smaller n
     data = [
         (n, families.moment_vector(family, "raw", r, {"n": n, "c": c}).entries[r])
-        for n in range(n_max, n_min - 1, -1)
-    ][::-1]
+        for n in range(n_min, n_max + 1)
+    ]
     res = fit_quasi_polynomial(FitSpec(period=period, degree=degree, samples=tuple(data), verify_count=verify))
     quasi = res.quasi
     result = {

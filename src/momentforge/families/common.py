@@ -83,16 +83,15 @@ def request_budget():
 # size (its moment vector, mpmath normalization and r + 1 report rows: an
 # invmaj point at r = 8 takes 0.4 + 0.25 + 0.2 ms in process on one Intel
 # Xeon core), a floor share of about 1/2000 of a budget that no size guard
-# weighs.  The floors are summed apart from the size shares, as the printed
-# digits are, so no grid's size edge moves; a grid is refused at its point
-# 2001, about 1 s into the request.
+# weighs.  The floors are counted apart from the size shares, as the printed
+# digits are, so no grid's size edge moves; the count is known from the
+# grid itself, so a longer grid is refused before any point is built.
 GRID_POINTS_GUARD = 2000
 
 
 def grid_point(n: int) -> None:
-    """Charge what follows to a new point n of the request's normality grid, and the point its floor share."""
+    """Charge what follows to a new point n of the request's normality grid."""
     _grid.append([n, 0.0, None])
-    charge(len(_grid), GRID_POINTS_GUARD, "GRID_POINTS_GUARD", "the normality grid's points", summed=False)
 
 
 def charge(weight, limit, name: str, what: str, summed: bool = True, alone: bool = True) -> None:

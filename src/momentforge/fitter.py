@@ -28,9 +28,8 @@ __all__ = ["FitSpec", "check_fit_size", "fit_quasi_polynomial"]
 FIT_GUARD = 2**16
 
 # Bound on the largest n of a fit.  A fit reads off and checks every n of its
-# range, whatever the order: fit --family schur --n-min 1 --n-max 50000 takes
-# 2.2-3.4 s as a whole process on one Intel Xeon core.  It equals the Schur
-# E[X^2] sweep's own guard, so the fit refuses first and with its own name.
+# range: fit --family schur --n-min 1 --n-max 50000 takes 2.2-3.4 s as a
+# whole process on one Intel Xeon core.
 FIT_N_GUARD = 50000
 
 

@@ -117,7 +117,7 @@ def first_moment_quasi(c: int) -> QuasiPolynomial:
 
 
 def schur_second_moments(top: int, c: int) -> list[Fraction]:
-    """Check of ``schur.second_moment_grid``: E[X^2] at n = 0..top by walking every intersecting pair.
+    """Check of ``schur.second_moment``: E[X^2] at n = 0..top by walking every intersecting pair.
 
     Step n adds the triples whose largest element is n, {x, n-x, n} and
     {n/2, n}, and pairs each new triple T with every triple U already
@@ -151,6 +151,89 @@ def schur_second_moments(top: int, c: int) -> list[Fraction]:
             present[st] += 1
         values.append(Fraction(total, c**4))
     return values
+
+
+def schur_swept_second_moments(top: int, c: int) -> list[Fraction]:
+    """Check of ``schur.second_moment``: E[X^2] at n = 0..top from the step counts of ``schur_sweep``.
+
+    The pair counts sit at indices s*8 + p of ``schur_read_off``'s multi:
+    35, 43, 44, 52 and 53 are the five a step changes.
+    """
+    values = []
+    for n, (k3, *pairs) in enumerate(schur_sweep(top)):
+        multi = [0] * 64
+        for key, count in zip((35, 43, 44, 52, 53), pairs):
+            multi[key] = count
+        values.append(schur_read_off(n // 2, k3, multi, c))
+    return values
+
+
+def schur_sweep(top: int) -> list[tuple[int, ...]]:
+    """The c-free counts (k3, multi[35], multi[43], multi[44], multi[52], multi[53]) at n = 0..top.
+
+    O(1) arithmetic per n, with no triple visited.
+
+    Two triples S and U with p = |S union U| add s - p to multi[s*8 + p],
+    s = |S| + |U|: a walk over per-element buckets meets a pair once per
+    shared element, and these are its visits, counted.  Step n adds
+    the m = floor((n-1)/2) triples {x, n-x, n}, then {h, n} if n = 2h.
+    At its start, k2 = m and k3 count the present triples of two and three
+    elements, all inside [1, n-1]; none contains n.
+
+    * Visits of the new three-element triples.  Their elements x and n-x
+      cover [1, n-1] minus {h} once, and each earlier new triple of the
+      step shares n alone, so they meet three-element triples
+      v3 = 3 k3 - c3(h) [n even] + m(m-1)/2 times and two-element ones
+      v2 = 2 k2 - c2(h) [n even] times.
+    * Present triples through h = n/2: c3(h) = (ceil(h/2) - 1) + (h - 1)
+      (h = a + b with a < b, or {b, h, b + h} with b < h) and
+      c2(h) = [h even] ({h/2, h}; {h, n} is not present yet).
+    * A present triple shares two elements with {x, n-x, n} only through
+      {x, n-x}: {x, 2x} when n = 3x, {n-2x, x, n-x} otherwise.  So
+      d2 = [3 | n] and d3 = m - d2 pairs share two elements and are
+      visited twice; every other visit shares one.
+    * {h, n} meets the m new triples through n and the c3(h) + c2(h)
+      present ones through h, each sharing one element.
+
+    So multi[44] (a two- and a three-element triple sharing one element)
+    gains v2 - 2 d2, multi[43] gains 2 d2, multi[53] v3 - 2 d3 and
+    multi[52] 2 d3; then {h, n} adds c2(h) to multi[35] and c3(h) + m to
+    multi[44].
+    """
+    k3 = m35 = m43 = m44 = m52 = m53 = 0
+    counts = [(0, 0, 0, 0, 0, 0)]
+    for n in range(1, top + 1):
+        m = (n - 1) // 2
+        h, odd = divmod(n, 2)
+        c3h = 0 if odd else (h + 1) // 2 + h - 2
+        c2h = 0 if odd else 1 - h % 2
+        d2 = 0 if n % 3 else 1
+        d3 = m - d2
+        m44 += 2 * m - c2h - 2 * d2  # k2 = m
+        m43 += 2 * d2
+        m53 += 3 * k3 - c3h + m * (m - 1) // 2 - 2 * d3
+        m52 += 2 * d3
+        k3 += m
+        if not odd:
+            m35 += c2h
+            m44 += c3h + m
+        counts.append((k3, m35, m43, m44, m52, m53))
+    return counts
+
+
+def schur_read_off(k2: int, k3: int, multi: list[int], c: int) -> Fraction:
+    """E[X^2] from k2 triples {x, 2x}, k3 of three elements and the pair counts.
+
+    Over ordered pairs S, T: the diagonal gives E[X], S != T gives
+    c^(2-s) as if disjoint, and an intersecting pair adds c^(1-p) - c^(2-s).
+    Every term is an integer over c^4.
+    """
+    a = k2 * c + k3  # c^2 E[X]
+    total = a * c * c + a * a - (k2 * c * c + k3)
+    for s in range(4, 7):
+        for p in range(2, s):
+            total += 2 * (multi[s * 8 + p] // (s - p)) * (c ** (5 - p) - c ** (6 - s))
+    return Fraction(total, c**4)
 
 
 def schur_counts(n: int, c: int) -> tuple[dict[int, int], int]:

@@ -277,12 +277,7 @@ def test_oracle_sampling_needs_seed():
     assert "seed" in proc.stderr
 
 
-SWEEP_GUARD_ARGS = [
-    ["moments", "--family", "schur", "--n", "50001", "--r", "2"],
-]
-
-# past FIT_N_GUARD: a fit reads off and checks every n of its range, at r = 1
-# with no sweep as well
+# past FIT_N_GUARD: a fit reads off and checks every n of its range, at r = 1 and 2
 FIT_N_GUARD_ARGS = [
     ["fit", "--r", "2", "--period", "12", "--degree", "4", "--n-min", "13", "--n-max", "50001"],
     ["fit", "--r", "1", "--period", "2", "--degree", "2", "--n-min", "1", "--n-max", "50001"],
@@ -403,8 +398,6 @@ def test_usage_errors_exit_1(capsys):
         ["oracle", "--family", "schur", "--n", "6", "--threads", "2"],
         ["fit", "--r", "1", "--period", "2", "--degree", "2", "--n-min", "1",
          "--n-max", "14", "--threads", "2"],
-        # beyond the Schur E[X^2] sweep guard
-        *SWEEP_GUARD_ARGS,
         *FIT_N_GUARD_ARGS,
         *FIT_GUARD_ARGS,
         *GRID_GUARD_ARGS,
@@ -423,8 +416,6 @@ def test_usage_errors_exit_1(capsys):
         assert proc.out == "", args
         assert proc.err.startswith("usage error:"), (args, proc.err)
         assert "Traceback" not in proc.err, (args, proc.err)
-        if args in SWEEP_GUARD_ARGS:
-            assert "SWEEP_GUARD size guard" in proc.err, (args, proc.err)
         if args in FIT_N_GUARD_ARGS:
             assert "FIT_N_GUARD = " in proc.err, (args, proc.err)
         if args in FIT_GUARD_ARGS:
@@ -466,10 +457,12 @@ def test_usage_errors_exit_1(capsys):
         ["central", "--family", "domino", "--m", "8", "--n", "6100", "--r", "8"],
         # numeric cumulants: not refused by the symbolic order guard
         ["binomial-moments", "--family", "invmaj", "--n", "10", "--r", "200"],
+        # Schur E[X^2] in closed form at any n (n = 50001 was past a size guard before)
+        ["moments", "--family", "schur", "--n", "50001", "--r", "2"],
     ],
     ids=["binomial-moments", "normality", "boolean-central-r100", "domino-1xn-central-r100",
          "oracle-schur-n13-c3", "oracle-boolean-sample-n14-k7", "domino-central-8x1000000",
-         "domino-central-12x400", "domino-central-8x6100", "invmaj-binomial-r200"],
+         "domino-central-12x400", "domino-central-8x6100", "invmaj-binomial-r200", "schur-moments-n50001"],
 )
 def test_invmaj_moments_at_large_n_are_quick(args, schema):
     started = time.monotonic()
@@ -509,18 +502,12 @@ def test_cube_guard_edge(capsys):
         assert time.monotonic() - started < 1, args
 
 
-def test_sweep_fit_and_grid_guard_edges(capsys):
-    # in process: the Schur sweep at its guard is served, and every argv past
-    # the sweep, fit and normality grid guards is refused before anything is built
+def test_fit_and_grid_guard_edges(capsys):
+    # in process: every argv past the fit and normality grid guards is
+    # refused before anything is built
     from momentforge.cli import main
-    from momentforge.families.schur import SWEEP_GUARD
-    from momentforge.fitter import FIT_N_GUARD
 
-    # a fit reads every n of its range, so it may not reach past the sweep
-    assert FIT_N_GUARD == SWEEP_GUARD
-    assert main(["moments", "--family", "schur", "--n", str(SWEEP_GUARD), "--r", "2", "--c", "3"]) == 0
-    assert json.loads(capsys.readouterr().out)["result"]["params"] == {"n": SWEEP_GUARD, "c": 3}
-    for args in (*SWEEP_GUARD_ARGS, *FIT_N_GUARD_ARGS, *FIT_GUARD_ARGS, *GRID_GUARD_ARGS):
+    for args in (*FIT_N_GUARD_ARGS, *FIT_GUARD_ARGS, *GRID_GUARD_ARGS):
         started = time.monotonic()
         assert main(args) == 1
         assert capsys.readouterr().out == ""

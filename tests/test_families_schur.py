@@ -1,13 +1,19 @@
 import json
+import time
 from fractions import Fraction as Fr
 
 import pytest
 
-from momentforge.errors import SizeGuardError
 from momentforge.families import schur
 from momentforge.oracle import enumerate_schur, histogram_moments
 from momentforge.poly_series import Polynomial
-from reference import first_moment_quasi, indicator_first_moment, schur_second_moments, triples
+from reference import (
+    first_moment_quasi,
+    indicator_first_moment,
+    schur_second_moments,
+    schur_swept_second_moments,
+    triples,
+)
 
 
 def test_triples_counts():
@@ -47,8 +53,10 @@ def test_first_moment_quasi_polynomial():
     assert qp.period == 2
     n = Polynomial.variable("n")
     assert qp.branches[1] == (n - 1) * (n + 3) / 16
-    for v in range(1, 30):
-        assert qp.eval(v) == schur.first_moment(v, 2)
+    # (k2 c + k3) / c^2 equals the parity split at both parities
+    for c in (2, 3, 5, 7):
+        qp = first_moment_quasi(c)
+        assert all(schur.first_moment(v, c) == qp.eval(v) for v in range(1, 201)), c
 
 
 def test_first_moment_matches_oracle():
@@ -90,63 +98,48 @@ def test_second_moment_grid_matches_pointwise():
         assert grid == [(n, schur.second_moment(n, c)) for n in ns]
 
 
-def test_one_sweep_serves_every_c(monkeypatch):
-    monkeypatch.setattr(schur, "_SWEPT", [])
-    calls = []
-    original = schur._sweep
-
-    def spy(top):
-        calls.append(top)
-        return original(top)
-
-    monkeypatch.setattr(schur, "_sweep", spy)
-    long_run = [(n, schur.second_moment(n, 2)) for n in (60, 30, 1)]
-    long_run += schur.second_moment_grid([59, 7, 60], 2)
-    long_run += schur.second_moment_grid([60, 30], 3)
-    assert calls == [60]
-    walked2, walked3 = schur_second_moments(60, 2), schur_second_moments(60, 3)
-    assert long_run == [(n, walked2[n]) for n in (60, 30, 1, 59, 7, 60)] + [(n, walked3[n]) for n in (60, 30)]
-    # the counts at n of a longer sweep are the counts of a sweep that stops there
-    assert all(original(n)[n] == original(60)[n] for n in (1, 7, 30, 59))
-    schur.second_moment(30, 5)
-    schur.second_moment(61, 2)
-    assert calls == [60, 61]
+def test_second_moment_equals_the_step_sweep():
+    # the closed form against the step counts it replaced, at every n the sweep served
+    for c in (2, 3, 5):
+        swept = schur_swept_second_moments(50000, c)
+        assert all(schur.second_moment(n, c) == swept[n] for n in range(1, 50001)), c
 
 
-def test_normality_grid_runs_one_schur_sweep(monkeypatch, capsys):
+def test_normality_grid_keeps_its_order(capsys):
     from momentforge.cli import main
 
-    monkeypatch.setattr(schur, "_SWEPT", [])
-    calls = []
-    original = schur._sweep
-    monkeypatch.setattr(schur, "_sweep", lambda top: calls.append(top) or original(top))
     assert main(["normality", "--family", "schur", "--n-grid", "20,40,60", "--r-max", "2"]) == 0
-    assert calls == [60]
     rows = json.loads(capsys.readouterr().out)["result"]["rows"]
     assert [row["n"] for row in rows] == [20] * 3 + [40] * 3 + [60] * 3  # grid order kept
-    # the same sweep serves every c
-    assert main(["central", "--family", "schur", "--n", "45", "--r", "2", "--c", "3"]) == 0
-    assert calls == [60]
+
+
+def _printed_branch(n, c):
+    # the paper's n = 1 (mod 12) branch of E[X^2], as in acceptance criterion 2
+    return Fr(
+        (n - 1) * (24 * c**3 - 76 * c - 27 * n + 65 - 9 * n * n + 12 * c * n * n
+                   + 24 * c * c * n + 3 * n**3 - 16 * c * c),
+        48 * c**4,
+    )
 
 
 def test_second_moment_grid_matches_printed_branch_beyond_fit_range():
-    # the paper's n = 1 (mod 12) branch of E[X^2], as in acceptance criterion 2
-    ns = range(13, 302, 12)
+    ns = [*range(13, 302, 12), *(12 * 10**k + 1 for k in range(31))]
     for c in (2, 3, 5):
         for n, value in schur.second_moment_grid(ns, c):
-            printed = Fr(
-                (n - 1) * (24 * c**3 - 76 * c - 27 * n + 65 - 9 * n * n + 12 * c * n * n
-                           + 24 * c * c * n + 3 * n**3 - 16 * c * c),
-                48 * c**4,
-            )
-            assert value == printed, (n, c)
+            assert value == _printed_branch(n, c), (n, c)
 
 
-def test_second_moment_sweep_guard():
-    with pytest.raises(SizeGuardError, match="SWEEP_GUARD"):
-        schur.second_moment_grid([13, schur.SWEEP_GUARD + 1], 2)
-    with pytest.raises(SizeGuardError):
-        schur.second_moment(schur.SWEEP_GUARD + 1, 3)
+@pytest.mark.parametrize("args", [
+    ["central", "--family", "schur", "--n", str(10**100), "--r", "2"],
+    ["moments", "--family", "schur", "--n", "50001", "--r", "2"],
+])
+def test_schur_is_served_at_any_n(args, capsys):
+    from momentforge.cli import main
+
+    started = time.monotonic()
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["params"]["n"] == int(args[4])
+    assert time.monotonic() - started < 1, args
 
 
 def test_parameter_validation():

@@ -76,13 +76,26 @@ def test_a_single_charge_past_its_limit_is_refused_with_its_guard_alone():
         charge(10**400, 10, "X_GUARD", "a share past every float", alone=False)
 
 
+LONG_GRID = ["normality", "--family", "invmaj", "--n-grid", _grid(10, 5009), "--r-max", "8"]
+
+
 def test_a_long_grid_of_cheap_points_is_refused_at_its_floor_shares(capsys):
     # 5000 points weigh 0.05 budgets of size shares, but each costs about
     # 1 ms whatever its size: the grid ran 4 to 6 s as a whole process
-    assert cli.main(["normality", "--family", "invmaj", "--n-grid", _grid(10, 5009), "--r-max", "8"]) == 1
+    assert cli.main(LONG_GRID) == 1
     err = capsys.readouterr()
     assert err.out == ""
-    assert "the normality grid's points = 2001, beyond the GRID_POINTS_GUARD size guard (GRID_POINTS_GUARD = 2000)" in err.err
+    assert "the normality grid's points = 5000, beyond the GRID_POINTS_GUARD size guard (GRID_POINTS_GUARD = 2000)" in err.err
+
+
+def test_a_long_grid_is_refused_before_any_point_is_built(monkeypatch, capsys):
+    import momentforge.families as families
+
+    built = []
+    monkeypatch.setattr(families, "moment_vector", lambda *args: built.append(args))
+    assert cli.main(LONG_GRID) == 1
+    assert "GRID_POINTS_GUARD size guard" in capsys.readouterr().err
+    assert built == []
 
 
 def test_the_floor_shares_are_summed_apart_from_the_size_shares(monkeypatch, capsys):
