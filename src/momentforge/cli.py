@@ -10,6 +10,15 @@ a request past a size guard), 2 validation failure (a failed internal
 check, e.g. a fit that misses a verification point).  Families are looked
 up in ``families.FAMILIES``; only ``identities`` and ``approx-h``, which
 serve the boolean family alone, call a family module directly.
+
+The output is written in one walk (``_pieces``): it yields the JSON text
+as ``json.dumps(sort_keys=True, indent=2, default=str)`` writes it, but
+with each exact value (a ``_Text``) left unformatted.  The runner charges
+the integers of those values (``_charge_print``), and only then does
+``_emit`` format each value and join the pieces.  A PGF is a ``CountRow``:
+its coefficients are reduced and formatted once, and the same strings
+serve both its polynomial text and its coefficient list.  The CSV output
+is built from the same values, after the same charge.
 """
 
 from __future__ import annotations
@@ -20,9 +29,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import Sequence
 
 import click
 import mpmath
@@ -34,8 +43,10 @@ from momentforge.families import boolean, common
 from momentforge.families.common import SYMBOL_LEGEND, TGrid, charge, grid_point, request_budget
 from momentforge.fitter import FitSpec, check_fit_size, fit_quasi_polynomial
 from momentforge.moment_algebra import check_grid, normality_report
-from momentforge.poly_series import Polynomial, QuasiPolynomial
+from momentforge.poly_series import CountRow, Polynomial, QuasiPolynomial
 from momentforge import oracle as oracle_mod
+
+_encode = json.encoder.encode_basestring_ascii
 
 
 # Most decimal digits of one printed integer: a count, a numerator or a
@@ -45,28 +56,135 @@ PRINT_GUARD = 10**5
 # 2^332192 has PRINT_GUARD digits and 2^332193 one more: an integer of at
 # most this many bits is inside the guard, one of two bits more is past it.
 _PRINT_GUARD_BITS = int(PRINT_GUARD * math.log2(10))
-# Bound on sum(digits^2) over every integer an output prints, about
-# 1.8e-11 s a unit to format on one Intel Xeon core: 10 integers at
-# PRINT_GUARD.  moments --family invmaj --n 20000 --r 100, 6.2e11, took
-# 11 s as a whole process before this guard.
+# Bound on sum(digits^2) over every integer an output prints, 1.7e-11 to
+# 1.8e-11 s a unit to format on one Intel Xeon core (str of one integer of
+# 10^4 to 10^5 digits): 10 integers at PRINT_GUARD.  moments --family
+# invmaj --n 20000 --r 100, 6.2e11, took 11 s as a whole process before
+# this guard.
 PRINT_TOTAL_GUARD = 10**11
 
 
-@dataclass(frozen=True)
 class _Text:
-    """An exact value of the output, formatted by ``_emit`` once ``_charge_print`` has weighed them all."""
+    """An exact value of the output, or a row's coefficient of one degree.
 
-    value: int | Fraction | Polynomial | QuasiPolynomial
+    ``_emit`` formats it once ``_charge_print`` has weighed them all.
+    """
+
+    __slots__ = ("value", "degree")
+
+    def __init__(self, value: int | Fraction | Polynomial | QuasiPolynomial | CountRow, degree: int | None = None):
+        self.value = value
+        self.degree = degree
+
+    def integers(self) -> Sequence[int]:
+        """The integers the text is written with: each number's numerator and denominator, a row's reduced ones."""
+        if self.degree is not None:
+            return self.value.reduced()[self.degree]
+        return _integers(self.value)
 
     def __str__(self) -> str:
         x = self.value
-        return x.to_text() if isinstance(x, (Polynomial, QuasiPolynomial)) else str(x)
+        if self.degree is not None:
+            return x.texts()[self.degree]
+        return x.to_text() if isinstance(x, (Polynomial, QuasiPolynomial, CountRow)) else str(x)
 
 
-def _numbers(x) -> list:
-    """The rational numbers x is written with: itself, or its coefficients and branches opened in turn."""
+def _integers(x) -> list[int]:
+    """The numerator and denominator of x, or of its coefficients and branches in turn."""
+    if isinstance(x, CountRow):
+        return [i for pair in x.reduced() for i in pair]
     parts = x.coeffs if isinstance(x, Polynomial) else x.branches if isinstance(x, QuasiPolynomial) else None
-    return [x] if parts is None else [c for part in parts for c in _numbers(part)]
+    return [x.numerator, x.denominator] if parts is None else [i for part in parts for i in _integers(part)]
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _walk(o, newline: str, out: list) -> None:
+    """Append to ``out`` the text of o as ``json.dumps(o, sort_keys=True, indent=2, default=str)`` writes it.
+
+    Text is appended as strings, and each ``_Text`` as itself, to be
+    charged and formatted later; any other value JSON cannot write is
+    written as its ``str``.  Types are tried in the encoder's order, dict
+    items are sorted on their own keys, and strings are escaped as it
+    escapes them.
+    """
+    if isinstance(o, str):
+        out.append(_encode(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        out.append("[" + inner)
+        for i, value in enumerate(o):
+            if i:
+                out.append(comma)
+            if value.__class__ is _Text:
+                out.append(value)
+            else:
+                _walk(value, inner, out)
+        out.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        out.append("{" + inner)
+        for i, (key, value) in enumerate(sorted(o.items())):
+            if i:
+                out.append(comma)
+            out.append(_encode(_key_text(key)) + ": ")
+            _walk(value, inner, out)
+        out.append(newline + "}")
+    elif isinstance(o, _Text):
+        out.append(o)
+    else:
+        out.append(_encode(str(o)))
+
+
+def _key_text(key) -> str:
+    """A dict key as JSON writes it: a string as itself, a number, a boolean or None as its JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        text: list = []
+        _walk(key, "", text)
+        return text[0]
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _pieces(payload) -> list:
+    """The JSON text of the payload, in pieces: strings, and the ``_Text`` leaves unformatted."""
+    out: list = []
+    _walk(payload, "\n", out)
+    return out
+
+
+def _joined(pieces: list) -> str:
+    """The JSON text of the pieces, each leaf formatted as a string.
+
+    A leaf's text has only digits, symbols, signs, brackets and spaces,
+    which JSON writes as they are, so it is quoted without a scan.
+    """
+    return "".join([p if p.__class__ is str else f'"{p}"' for p in pieces])
 
 
 def _digits(bits: float) -> int:
@@ -74,21 +192,19 @@ def _digits(bits: float) -> int:
     return int((math.ceil(bits) - 1) * math.log10(2)) + 1
 
 
-def _charge_print(result) -> None:
-    """Charge the integers the result prints, from bit lengths, before any digit is formatted.
+def _charge_print(pieces: list) -> None:
+    """Charge the integers the output's leaves print, from bit lengths, before any digit is formatted.
 
     The longest to PRINT_GUARD (exact at the one bit length that straddles it),
     the sum of their digits^2, about (bits log10 2)^2 each, to PRINT_TOTAL_GUARD.
     """
-    values = []
-    json.dumps(result, default=lambda text: values.append(text.value) or "")  # walks the result as _emit will
-    integers = [i for value in values for c in _numbers(value) for i in (c.numerator, c.denominator)]
-    longest = abs(max(integers, key=abs, default=0))
-    bits = longest.bit_length()
-    digits = _digits(bits) + (bits == _PRINT_GUARD_BITS + 1 and longest >= 10**PRINT_GUARD)
+    integers = [i for piece in pieces if piece.__class__ is _Text for i in piece.integers()]
+    bit_lengths = [i.bit_length() for i in integers]
+    bits = max(bit_lengths, default=0)
+    digits = _digits(bits) + (bits == _PRINT_GUARD_BITS + 1 and max(map(abs, integers)) >= 10**PRINT_GUARD)
     charge(digits, PRINT_GUARD, "PRINT_GUARD", "the longest printed integer's digits", summed=False)
     charge(
-        int(sum(i.bit_length() ** 2 for i in integers) * math.log10(2) ** 2), PRINT_TOTAL_GUARD, "PRINT_TOTAL_GUARD",
+        int(sum(b * b for b in bit_lengths) * math.log10(2) ** 2), PRINT_TOTAL_GUARD, "PRINT_TOTAL_GUARD",
         f"the {len(integers)} printed integers weigh sum(digits^2)", summed=False,
     )
 
@@ -100,7 +216,8 @@ def _symbols(x) -> set[str]:
     return ({x.symbol} if x.degree >= 1 else set()).union(*map(_symbols, x.coeffs))
 
 
-def _emit(ctx_params: dict, subcommand: str, result: dict, csv_text, started: float) -> None:
+def _emit(ctx_params: dict, subcommand: str, pieces: list, csv_text, started: float) -> None:
+    """Write the output: the JSON pieces with each leaf formatted, or ``csv_text()``; then the manifest."""
     fmt = ctx_params["format"]
     out_path = ctx_params["out"]
     # the interpreter's own int-to-str digit limit (4300 on Python >= 3.10.7)
@@ -109,8 +226,10 @@ def _emit(ctx_params: dict, subcommand: str, result: dict, csv_text, started: fl
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        payload = {"subcommand": subcommand, "result": result}
-        text = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n" if fmt == "json" else csv_text()
+        if fmt == "json":
+            text = _joined(pieces) + "\n"
+        else:
+            text = csv_text()
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -173,7 +292,8 @@ def _subcommand(name: str):
     The body takes its own options and returns the manifest's parameters,
     the JSON result (exact values as ``_Text``s) and a function for the CSV
     output.  The runner adds --out and --format, starts the clock, opens the
-    request's budget, charges what it prints (``_charge_print``), maps a
+    request's budget, walks the result once into its text pieces
+    (``_pieces``), charges what they print (``_charge_print``), maps a
     failure to its exit code (a ConsistencyError to 2 with ``validation failure:``,
     any other MomentForgeError or a ValueError to 1 with ``usage error:``) and
     writes the output through ``_emit``.  A body's click.UsageError goes to ``main``.
@@ -185,14 +305,15 @@ def _subcommand(name: str):
             try:
                 with request_budget():
                     params, result, csv_text = body(**options)
-                    _charge_print(result)
+                    pieces = _pieces({"subcommand": name, "result": result})
+                    _charge_print(pieces)
             except ConsistencyError as exc:
                 sys.stderr.write(f"validation failure: {exc}\n")
                 return 2
             except (MomentForgeError, ValueError) as exc:
                 sys.stderr.write(f"usage error: {exc} (try: momentforge {name} --help)\n")
                 return 1
-            _emit({"format": format, "out": out, **params}, name, result, csv_text, started)
+            _emit({"format": format, "out": out, **params}, name, pieces, csv_text, started)
             return 0
 
         run.__doc__ = body.__doc__
@@ -229,8 +350,8 @@ def _moment_command(kind: str, subcommand: str) -> None:
             space = entry.space_size(params)
             result["sample_space_size"] = _Text(space)
             result["scaled_entries"] = [_Text(e * space) for e in vec.entries]
-        rows = [[r, _Text(e)] for r, e in enumerate(vec.entries)]
-        return {"family": family, **params, "r_max": r_max}, result, partial(_csv_table, ["r", "value"], rows)
+        parameters = {"family": family, **params, "r_max": r_max}
+        return parameters, result, lambda: _csv_table(["r", "value"], enumerate(result["entries"]))
 
 
 _moment_command("raw", "moments")
@@ -243,17 +364,16 @@ _moment_command("binomial", "binomial-moments")
 def pgf_cmd(family, n, c, m, k):
     """Exact probability generating function in canonical text."""
     entry, params = _family_params(family, n=n, c=c, m=m, k=k)
-    poly, source = entry.pgf(params)
-    coeffs = [_Text(poly.coefficient(d)) for d in range(max(poly.degree, 0) + 1)] if poly else ["0"]
+    row, source = entry.pgf(params)
+    coeffs = [_Text(row, d) for d in range(len(row.counts))]
     result = {
         "family": family,
         "params": params,
-        "polynomial": _Text(poly),
+        "polynomial": _Text(row),
         "coefficients": coeffs,
         "source": source,
     }
-    rows = [[d, v] for d, v in enumerate(coeffs)]
-    return {"family": family, **params}, result, partial(_csv_table, ["degree", "coefficient"], rows)
+    return {"family": family, **params}, result, lambda: _csv_table(["degree", "coefficient"], enumerate(coeffs))
 
 
 @_subcommand("normality")
@@ -387,10 +507,11 @@ def fit_cmd(family, r, c, period, degree, n_min, n_max, verify):
         ],
         "provenance": res.provenance,
     }
-    rows = [[j, _Text(b)] for j, b in enumerate(quasi.branches)]
     parameters = {"family": family, "r": r, "c": c, "period": period, "degree": degree,
                   "n_min": n_min, "n_max": n_max, "verify": verify}
-    return parameters, result, partial(_csv_table, ["residue", "polynomial"], rows)
+    return parameters, result, lambda: _csv_table(
+        ["residue", "polynomial"], [[b["residue"], b["polynomial"]] for b in result["branches"]]
+    )
 
 
 # Highest --r-max of the identity battery.  Each row is one
@@ -424,8 +545,8 @@ def identities_cmd(r_max):
     if missed:
         raise ConsistencyError(f"identity battery found a mismatch at (r, t) in {missed}")
     result = {"r_max": r_max, "rows": rows, "all_ok": True}
-    csv_rows = [[w["r"], w["t"], w["value"], w["expected"], w["ok"]] for w in rows]
-    return {"r_max": r_max}, result, partial(_csv_table, ["r", "t", "value", "expected", "ok"], csv_rows)
+    header = ["r", "t", "value", "expected", "ok"]
+    return {"r_max": r_max}, result, lambda: _csv_table(header, [[w[key] for key in header] for w in rows])
 
 
 @_subcommand("approx-h")
@@ -447,15 +568,18 @@ def approx_h_cmd(n, k, with_polynomial):
         "variance": _Text(moments["variance"]),
         "exact_mean": _Text(exact_mean),
     }
-    rows = [[key, result[key]] for key in
-            ("p", "mean", "mean_closed_form", "second_factorial", "variance", "exact_mean")]
+    keys = ("p", "mean", "mean_closed_form", "second_factorial", "variance", "exact_mean")
     if with_polynomial:
-        poly = boolean.h_polynomial(n, k)
-        probs = [_Text(poly.coefficient(d)) for d in range(max(poly.degree, 0) + 1)]
-        result["polynomial"] = _Text(poly)
-        result["probabilities"] = probs
-        rows += [[f"q^{d}", v] for d, v in enumerate(probs)]
-    return {"n": n, "k": k, "with_polynomial": with_polynomial}, result, partial(_csv_table, ["key", "value"], rows)
+        row = boolean.h_polynomial(n, k)
+        result["polynomial"] = _Text(row)
+        result["probabilities"] = [_Text(row, d) for d in range(len(row.counts))]
+
+    def csv_text() -> str:
+        rows = [[key, result[key]] for key in keys]
+        rows += [[f"q^{d}", v] for d, v in enumerate(result.get("probabilities", ()))]
+        return _csv_table(["key", "value"], rows)
+
+    return {"n": n, "k": k, "with_polynomial": with_polynomial}, result, csv_text
 
 
 def main(argv=None) -> int:

@@ -12,8 +12,8 @@ are), evaluated at n for the numbers and converted to every printed kind
 as the numbers are.  H_n(q) is the independence
 approximation of the k-cube PGF.
 
-PGFs are rows of integer counts over one total, divided once per
-coefficient.  The 0-cube PGF is the binomial row C(2^n, d) over 2^(2^n).
+PGFs are rows of integer counts over one total, reduced only when
+printed.  The 0-cube PGF is the binomial row C(2^n, d) over 2^(2^n).
 H_n(q) with p = a/b is the row of integer numerators over 2^(2^n) b^top,
 top = C(2^n, 2^k), each term C(2^n, m) b^(top-M) (a q + b - a)^M with
 M = C(m, 2^k) expanded by the binomial theorem; for k = 0, p = 1 and H_n(q)
@@ -38,7 +38,7 @@ from momentforge.families.common import (
     pgf_total,
 )
 from momentforge.moment_algebra import MomentVector, convert, raw_to_binomial
-from momentforge.poly_series import Polynomial
+from momentforge.poly_series import CountRow, Polynomial
 
 __all__ = ["FAMILY", "central_coefficient", "h_probability", "h_moments", "h_mean_closed_form", "h_polynomial"]
 
@@ -214,7 +214,7 @@ def h_mean_closed_form(n: int, k: int) -> Fraction:
     return h_probability(n, k) * binomial(2**n, 2**k) * Fraction(1, 2 ** (2**k))
 
 
-def h_polynomial(n: int, k: int) -> Polynomial:
+def h_polynomial(n: int, k: int) -> CountRow:
     """H_n(q) = sum_m C(2^n, m) (p q + 1 - p)^{C(m, 2^k)} / 2^{2^n}."""
     _check_h_n(n)
     p = h_probability(n, k)
@@ -284,7 +284,7 @@ def _closed_forms(kind: str, r_max: int, p: dict) -> list[Polynomial]:
     return list(sym.entries)
 
 
-def _closed_pgf(p: dict) -> Polynomial | None:
+def _closed_pgf(p: dict) -> CountRow | None:
     """((1+q)/2)^(2^n) for the 0-cube count: the binomial row C(2^n, d) over 2^(2^n)."""
     _check_k(p)
     if p["k"] != 0:

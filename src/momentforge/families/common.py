@@ -13,9 +13,10 @@ and of the Binomial(N, 1/2) counts (``half_binomial_moments``: boolean
 cumulants add.  Built over polynomials, a vector of these moments stops at
 ``SYMBOLIC_ORDER_GUARD``.
 
-Closed-form PGFs are rows of integer counts over one total: ``count_pgf``
-divides once per coefficient, and ``pgf_total`` refuses a PGF beyond
-``PGF_GUARD`` before its row is built.
+Closed-form PGFs are rows of integer counts over one total
+(``count_pgf``, a ``CountRow``): nothing is divided when a PGF is built,
+and each coefficient is reduced once, when it is printed.  ``pgf_total``
+refuses a PGF beyond ``PGF_GUARD`` before its row is built.
 
 ``mgf_deviation`` is the one loop of the MGF limits, the distance of
 G_n(e^{t/sigma}) from e^{t^2/2} on a t grid; a family supplies only G_n
@@ -46,7 +47,7 @@ from typing import TYPE_CHECKING, Callable, Collection, Iterator, Mapping
 import mpmath
 
 from momentforge.errors import SizeGuardError
-from momentforge.poly_series import Polynomial
+from momentforge.poly_series import CountRow, Polynomial
 
 if TYPE_CHECKING:
     from momentforge.moment_algebra import MomentVector
@@ -232,9 +233,10 @@ def eval_at_n(value, n: int) -> Fraction:
 
 # Bound on (degree + 1) * bit_length(total) for a closed-form PGF, the size
 # of its integer row and of its printed coefficients.  The last request
-# inside it on each route (boolean n = 12, invmaj n = 187, a 1-by-4472
-# domino board) takes 1.0 to 1.7 s on one Intel Xeon core and prints 17 to
-# 22 MB of JSON.
+# inside it on each route takes, as a whole process on one Intel Xeon
+# core, 0.5 s (boolean n = 12, 17 MB of JSON), 0.5 to 0.7 s (a 1-by-4472
+# domino board, 21 MB) and 1.1 to 1.3 s (invmaj n = 187, 22 MB, of which
+# the Mahonian row is about 0.4 s and one gcd per coefficient 0.2 s).
 PGF_GUARD = 2 * 10**7
 
 
@@ -253,9 +255,9 @@ def pgf_total(degree: int, total: Callable[[], int]) -> int:
     return value
 
 
-def count_pgf(counts: list[int], total: int) -> Polynomial:
-    """The PGF sum_d (counts[d] / total) q^d, one division per coefficient."""
-    return Polynomial("q", [Fraction(c, total) for c in counts])
+def count_pgf(counts: list[int], total: int) -> CountRow:
+    """The PGF sum_d (counts[d] / total) q^d, kept as its integer row."""
+    return CountRow(counts, total)
 
 
 def binomial_row(N: int) -> list[int]:
@@ -369,7 +371,7 @@ class Family:
     # E[X] (params), the shift between raw and central moments
     mean: Callable[[dict], Fraction]
     # the closed-form PGF, or None where the oracle's histogram serves it
-    closed_pgf: Callable[[dict], Polynomial | None]
+    closed_pgf: Callable[[dict], CountRow | None]
     # exhaustive histogram plus extra result fields (invmaj: its joint histogram)
     enumerate: Callable[[dict], tuple[Histogram, dict]]
     # seeded sampler (params, samples, seed); None: exhaustive only
@@ -386,9 +388,9 @@ class Family:
         merged = {**self.defaults, **{name: v for name, v in given.items() if v is not None}}
         return {name: int(merged[name]) for name in self.params if name in merged}
 
-    def pgf(self, params: dict) -> tuple[Polynomial, str]:
+    def pgf(self, params: dict) -> tuple[CountRow, str]:
         """The PGF and its source: the closed form where there is one, else the oracle."""
-        poly = self.closed_pgf(params)
-        if poly is not None:
-            return poly, "closed-form"
+        row = self.closed_pgf(params)
+        if row is not None:
+            return row, "closed-form"
         return self.enumerate(params)[0].pgf(), "oracle"

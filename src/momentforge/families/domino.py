@@ -48,7 +48,7 @@ from momentforge.families.common import (
     pgf_total,
 )
 from momentforge.moment_algebra import MomentVector, binomial_to_raw
-from momentforge.poly_series import Polynomial
+from momentforge.poly_series import CountRow, Polynomial
 
 __all__ = ["FAMILY", "binomial_sums"]
 
@@ -406,7 +406,7 @@ def _closed_forms(kind: str, r_max: int, p: dict) -> list[Polynomial] | None:
     return list(sym.entries)
 
 
-def _closed_pgf(p: dict) -> Polynomial | None:
+def _closed_pgf(p: dict) -> CountRow | None:
     """((1+q)/2)^(n-1) on a 1-by-n board: the binomial row C(n-1, d) over 2^(n-1)."""
     if p["m"] != 1:
         return None

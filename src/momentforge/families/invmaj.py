@@ -29,9 +29,10 @@ loop ``common.mgf_deviation``.  It is refused beyond ``common.MGF_GUARD``.
 The generating function is computed as a row of integer counts: the
 Mahonian row of inversion counts is built by prefix-sum convolution with
 each factor 1 + q + ... + q^(i-1) (Stanley, EC1 section 1.3; Knuth, TAOCP 3
-section 5.1.1).  The PGF divides the row by n! once per coefficient.  The
-major index, equidistributed with inv (MacMahon), is served by the oracle's
-joint histogram.
+section 5.1.1), each new row the difference of two shifted copies of the
+old row's prefix sums, taken list against list.  The PGF is that row over
+n!, reduced only when printed.  The major index, equidistributed with inv
+(MacMahon), is served by the oracle's joint histogram.
 """
 
 from __future__ import annotations
@@ -47,12 +48,12 @@ from momentforge import oracle
 from momentforge.families import common
 from momentforge.families.common import Family, bernoulli, count_pgf, pgf_total, uniform_sum_moments
 from momentforge.moment_algebra import MomentVector, raw_to_binomial
-from momentforge.poly_series import Polynomial
+from momentforge.poly_series import CountRow
 
 __all__ = ["FAMILY", "pgf", "binomial_moments", "mgf_deviation"]
 
 
-def pgf(n: int) -> Polynomial:
+def pgf(n: int) -> CountRow:
     """Probability generating function of the inversion number over S_n.
 
     Raises SizeGuardError beyond PGF_GUARD.
@@ -64,12 +65,17 @@ def pgf(n: int) -> Polynomial:
 
 
 def _mahonian_row(n: int) -> list[int]:
-    """Permutations of S_n by inversion count: prod_{i<=n} (1 + ... + q^(i-1))."""
+    """Permutations of S_n by inversion count: prod_{i<=n} (1 + ... + q^(i-1)).
+
+    With P the prefix sums of the old row (P[0] = 0) and top its length,
+    entry d of the new row is P[min(d+1, top)] - P[max(d+1-i, 0)]: the sums
+    from P[1] on, padded with i - 1 copies of the last, less the sums from
+    P[0] on, shifted right by i - 1.
+    """
     row = [1]
     for i in range(2, n + 1):
         prefix = [0, *accumulate(row)]
-        top = len(row)
-        row = [prefix[min(d + 1, top)] - prefix[max(d + 1 - i, 0)] for d in range(top + i - 1)]
+        row = [a - b for a, b in zip(prefix[1:] + [prefix[-1]] * (i - 1), [0] * (i - 1) + prefix[:-1])]
     return row
 
 

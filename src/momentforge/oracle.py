@@ -74,7 +74,7 @@ from typing import Iterable, Sequence
 
 from momentforge.families.common import charge_size
 from momentforge.moment_algebra import MomentVector
-from momentforge.poly_series import Polynomial
+from momentforge.poly_series import CountRow
 
 __all__ = [
     "Histogram",
@@ -121,11 +121,10 @@ class Histogram:
             Fraction(sum(v * v * c for v, c in self.counts.items()), self.total) - mu * mu
         )
 
-    def pgf(self) -> Polynomial:
-        """Probability generating function in q; coefficients sum to 1."""
+    def pgf(self) -> CountRow:
+        """Probability generating function in q, the counts over the total; coefficients sum to 1."""
         top = max(self.counts) if self.counts else 0
-        coeffs = [Fraction(self.counts.get(v, 0), self.total) for v in range(top + 1)]
-        return Polynomial("q", coeffs)
+        return CountRow([self.counts.get(v, 0) for v in range(top + 1)], self.total)
 
     def to_csv_rows(self) -> list[tuple[int, int]]:
         return sorted(self.counts.items())

@@ -1,7 +1,9 @@
 """Polynomials, quasi-polynomials, and truncated power series over exact rationals.
 
-Polynomials carry the PGFs and the symbolic moments, quasi-polynomials the
-fitted closed forms.  Truncated series in the shift variable ``z``
+Polynomials carry the symbolic moments, quasi-polynomials the fitted
+closed forms.  A PGF stays a :class:`CountRow`, its integer counts over one
+total, until it is printed: each coefficient is reduced once, when first
+read, and formatted once.  Truncated series in the shift variable ``z``
 (``q = 1 + z``) multiply and divide up to a fixed order.
 
 Coefficients are either :class:`fractions.Fraction` scalars or nested
@@ -11,12 +13,13 @@ coefficients are polynomials in ``n``).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
 from momentforge.errors import SingularSeriesError
 
-__all__ = ["Polynomial", "QuasiPolynomial", "TruncatedSeries"]
+__all__ = ["CountRow", "Polynomial", "QuasiPolynomial", "TruncatedSeries"]
 
 Coef = Union[Fraction, "Polynomial"]
 
@@ -230,6 +233,94 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial[{self.symbol}]({self.to_text()})"
+
+
+class CountRow:
+    """The PGF sum_d (counts[d] / total) q^d, kept as its counts >= 0 over one total > 0.
+
+    Trailing zero counts are dropped.  ``reduced`` gives each coefficient
+    in lowest terms, each reduced once: by a shift of its trailing zero
+    bits when the total is a power of two, else by one gcd.  ``texts``
+    formats each once, and ``to_text`` writes the PGF with them as
+    ``Polynomial.to_text`` writes the same polynomial in q.  The row
+    compares equal to a row, a ``Polynomial`` or a number of the same value.
+    """
+
+    __slots__ = ("counts", "total", "_reduced", "_texts")
+
+    def __init__(self, counts: Iterable[int], total: int):
+        cs = list(counts)
+        while cs and not cs[-1]:
+            cs.pop()
+        self.counts = tuple(cs)
+        self.total = total
+        self._reduced = self._texts = None
+
+    @property
+    def degree(self):
+        """Degree, with float('-inf') for the zero row."""
+        return len(self.counts) - 1 if self.counts else float("-inf")
+
+    def reduced(self) -> list[tuple[int, int]]:
+        """(numerator, denominator) of each coefficient in lowest terms."""
+        if self._reduced is None:
+            counts, total = self.counts, self.total
+            if total & (total - 1):
+                gcds = [math.gcd(c, total) for c in counts]
+                self._reduced = [(c // g, total // g) for c, g in zip(counts, gcds)]
+            else:  # a power of two: cancel the count's trailing zero bits, at most the total's
+                top = total.bit_length() - 1
+                shifts = [min((c & -c).bit_length() - 1, top) if c else top for c in counts]
+                self._reduced = [(c >> s, total >> s) for c, s in zip(counts, shifts)]
+        return self._reduced
+
+    def texts(self) -> list[str]:
+        """Each coefficient's text as ``str`` writes its Fraction, every denominator formatted once."""
+        if self._texts is None:
+            names = {1: ""}
+            out = []
+            for num, den in self.reduced():
+                name = names.get(den)
+                if name is None:
+                    name = names[den] = f"/{den}"
+                out.append(f"{num}{name}")
+            self._texts = out
+        return self._texts
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(num, den) for num, den in self.reduced())
+
+    def coefficient(self, d: int) -> Fraction:
+        return Fraction(*self.reduced()[d]) if 0 <= d < len(self.counts) else Fraction(0)
+
+    def to_text(self) -> str:
+        """Canonical text, as ``Polynomial.to_text`` writes the same polynomial in q."""
+        texts = self.texts()
+        terms = []
+        for d in range(len(texts) - 1, -1, -1):
+            text = texts[d]
+            if text == "0":
+                continue
+            if d:
+                mono = "q" if d == 1 else f"q^{d}"
+                text = mono if text == "1" else f"{text}*{mono}"
+            terms.append(text)
+        return " + ".join(terms) if terms else "0"
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, CountRow):
+            return len(self.counts) == len(other.counts) and all(
+                a * other.total == b * self.total for a, b in zip(self.counts, other.counts)
+            )
+        if isinstance(other, (int, Fraction, Polynomial)):
+            return Polynomial("q", self.coeffs) == other
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"CountRow({self.to_text()})"
 
 
 class QuasiPolynomial:
