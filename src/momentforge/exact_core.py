@@ -5,7 +5,7 @@ terms, positive denominator, canonical zero ``0/1``).  On top of it sit
 generalized binomial coefficients, falling factorials over any ring with
 ``*`` and ``-``, and Stirling numbers of both kinds read from grow-on-demand
 tables (the first kind in the *signed* convention, so that
-``(x)_j = sum_k s(j,k) x^k``).
+``(x)_j = sum_k s(j,k) x^k``), and forward differences of integer samples.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["binomial", "falling_factorial", "stirling2", "stirling1_signed"]
+__all__ = ["binomial", "falling_factorial", "forward_differences", "stirling2", "stirling1_signed"]
 
 
 def binomial(n: int, k: int) -> Fraction:
@@ -86,3 +86,23 @@ def stirling1_signed(j: int, k: int) -> int:
     if j >= len(_STIRLING1_SIGNED):
         _grow_stirling(j)
     return _STIRLING1_SIGNED[j][k]
+
+
+def forward_differences(values, degree: int) -> tuple[list[int], int | None]:
+    """Delta^0..Delta^degree at ``values[0]``, and the index of the first value they miss, or None.
+
+    ``values`` are integers at equally spaced points.  Each value replaces the last difference
+    diagonal; the new difference of order degree + 1 is zero exactly when it lies on the polynomial.
+    """
+    if len(values) <= degree:
+        raise ValueError(f"forward_differences: {len(values)} values cannot fix a polynomial of degree {degree}")
+    top, diagonal = [], []  # Delta^k at values[0], and ending at the value last read
+    for i, v in enumerate(values):
+        for k, d in enumerate(diagonal):
+            diagonal[k], v = v, v - d
+        if i <= degree:
+            top.append(v)
+            diagonal.append(v)
+        elif v:
+            return top, i
+    return top, None

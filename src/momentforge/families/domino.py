@@ -38,6 +38,7 @@ import mpmath
 
 from momentforge import oracle
 from momentforge.errors import ConsistencyError
+from momentforge.exact_core import forward_differences
 from momentforge.families import common
 from momentforge.families.common import (
     Family,
@@ -170,10 +171,9 @@ def binomial_sums(m: int, n: int, r: int) -> tuple[int, ...]:
     already proved polynomial, while A = (2w-1)L - w is linear in L.  So by
     induction N_j is a polynomial of degree <= j in L for L >= j+1.
 
-    Each N_j is fitted from its integer forward differences at
-    L = r+1..2r+2, r+2 points: every difference above order j must vanish,
-    else ConsistencyError, so the point past the r+1 that fix a polynomial
-    of degree <= r is a check.  It is evaluated in Newton form,
+    Each N_j is fitted at L = r+1..2r+2 by the walk the quasi-polynomial fits
+    use, ``exact_core.forward_differences``: past its first j+1 rows every
+    row is a check, else ConsistencyError.  It is evaluated in Newton form,
     sum_i Delta^i C(L-r-1, i), with the binomials shared by every order,
     and the counts are turned into the sums b_k once, at L.
 
@@ -222,17 +222,13 @@ def _extend(sweep: tuple[tuple[int, ...], ...], w: int, r: int, length: int) -> 
         if not any(column):  # every odd j: the grid is bipartite
             counts.append(0)
             continue
-        value = 0
-        # Delta^0..Delta^j at L = r+1; the differences of order j+1 must all vanish
-        for binomial in binomials[: j + 1]:
-            value += column[0] * binomial
-            column = [b - a for a, b in zip(column, column[1:])]
-        if any(column):
+        diffs, miss = forward_differences(column, j)
+        if miss is not None:
             raise ConsistencyError(
                 f"width {w} at r = {r}: N_{j} on rows {r + 1}..{2 * r + 2} "
                 f"is not a polynomial of degree <= {j} in the number of rows"
             )
-        counts.append(value)
+        counts.append(sum(d * binomial for d, binomial in zip(diffs, binomials)))
     return counts
 
 

@@ -1,34 +1,33 @@
 """Reconstruct (quasi-)polynomial closed forms from exact data points.
 
-Each residue class is interpolated exactly through one Newton
-divided-difference table.  A fit is accepted only when it reproduces
-held-out verification points bit-for-bit; the period and degree bound
-remain recorded hypotheses in the provenance block.
+Each residue class is one walk of integer forward differences, expanded in
+Newton form, and is accepted only when it reproduces its held-out points
+bit-for-bit; period and degree bound stay recorded hypotheses in the provenance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
+from momentforge.exact_core import forward_differences
 from momentforge.errors import FitVerificationError, UnderdeterminedFitError
 from momentforge.families.common import charge
 from momentforge.poly_series import Polynomial, QuasiPolynomial
 
 __all__ = ["FitSpec", "check_fit_size", "fit_quasi_polynomial"]
 
-# Bound on period * (degree + 1)^2, the size of a fit's divided-difference
-# tables.  A class whose samples are no polynomial of that degree fills its
-# table with numbers that grow with the degree, so its cost climbs about as
-# (degree + 1)^2.8: as a whole process on one Intel Xeon core,
-# fit --r 2 --period 1 --degree 255 --n-min 1 --n-max 50000 (at the guard,
-# every n read and the class refused at its first held-out point) takes
-# 2.3-3.4 s.
+# Bound on period * (degree + 1)^2, the integer products of a fit's Newton
+# expansions, which grow with the degree when a class is no polynomial of
+# it: 0.03 s at degree 255, 1 s at degree 1000 (period 1, in process, one
+# Intel Xeon core).  As a whole process, fit --r 2 --period 1 --degree 255
+# --n-min 1 --n-max 50000 (every n read, the class refused at its first
+# held-out point) takes 1.5-1.7 s, nearly all of it reading the samples.
 FIT_GUARD = 2**16
 
 # Bound on the largest n of a fit.  A fit reads off and checks every n of its
-# range: fit --family schur --n-min 1 --n-max 50000 takes 2.2-3.4 s as a
+# range: fit --family schur --n-min 1 --n-max 50000 takes 1.1-1.6 s as a
 # whole process on one Intel Xeon core.
 FIT_N_GUARD = 50000
 
@@ -43,9 +42,8 @@ def check_fit_size(period: int, degree: int, n_max: int) -> None:
 class FitSpec:
     """Inputs of a quasi-polynomial fit.
 
-    Per residue class the lowest ``degree + 1`` sample points are the
-    interpolation nodes; everything after them is held out, and at least
-    ``verify_count`` held-out points are required.
+    The samples of each residue class are consecutive points of its progression, each once:
+    the lowest ``degree + 1`` are the nodes, the rest, at least ``verify_count``, held out.
     """
 
     period: int
@@ -65,37 +63,18 @@ class FitSpec:
             "samples",
             tuple((int(n), Fraction(v)) for n, v in self.samples),
         )
-        seen = {}
-        for n, v in self.samples:
-            if n in seen and seen[n] != v:
-                raise ValueError(f"conflicting samples at n={n}")
-            seen[n] = v
+        last: dict[int, int] = {}  # residue -> largest n so far
+        for n in sorted(n for n, _ in self.samples):
+            j = n % self.period
+            if last.setdefault(j, n - self.period) != n - self.period:
+                raise ValueError(f"residue class {j} (mod {self.period}) goes from n={last[j]} to n={n}, not one step")
+            last[j] = n
 
 
 @dataclass(frozen=True)
 class FitResult:
     quasi: QuasiPolynomial
     provenance: dict = field(default_factory=dict)
-
-
-def _interpolate(points: Sequence[tuple[int, Fraction]]) -> Polynomial:
-    """The polynomial in n through ``points`` (distinct nodes), exactly.
-
-    One divided-difference table gives the Newton coefficients c_j, its top
-    edge; p(n) = c_0 + (n - x_0)(c_1 + (n - x_1)(c_2 + ...)) is then expanded
-    Horner-style, one product with a linear factor per node: O(d^2) rational
-    operations for d + 1 nodes.
-    """
-    xs = [x for x, _ in points]
-    column = [Fraction(y) for _, y in points]
-    newton = [column[0]]
-    for j in range(1, len(xs)):
-        column = [(b - a) / (xs[i + j] - xs[i]) for i, (a, b) in enumerate(zip(column, column[1:]))]
-        newton.append(column[0])
-    poly = Polynomial("n", ())
-    for x, c in zip(reversed(xs), reversed(newton)):
-        poly = poly * Polynomial("n", (-x, 1)) + c
-    return poly
 
 
 def fit_quasi_polynomial(spec: FitSpec) -> FitResult:
@@ -112,7 +91,6 @@ def fit_quasi_polynomial(spec: FitSpec) -> FitResult:
 
     nodes_needed = spec.degree + 1
     branches: list[Polynomial] = []
-    verified: dict[int, list[int]] = {}
     for j in range(spec.period):
         pts = by_residue[j]
         if len(pts) < nodes_needed + spec.verify_count:
@@ -120,14 +98,19 @@ def fit_quasi_polynomial(spec: FitSpec) -> FitResult:
                 f"residue class {j} (mod {spec.period}) has {len(pts)} samples; "
                 f"needs {nodes_needed} nodes + {spec.verify_count} verification points"
             )
-        nodes, holdout = pts[:nodes_needed], pts[nodes_needed:]
-        poly = _interpolate(nodes)
-        for n, v in holdout:
-            got = poly.eval(n)
-            if got != v:
-                raise FitVerificationError(j, n, v, got)
+        scale = math.lcm(*(v.denominator for _, v in pts))
+        diffs, miss = forward_differences([v.numerator * (scale // v.denominator) for _, v in pts], spec.degree)
+        # sum_k Delta^k C((n - x_0)/period, k) times c = d! period^d, by Horner on integer lists
+        acc, c = [diffs[-1]], 1
+        for k in range(spec.degree - 1, -1, -1):
+            c *= (k + 1) * spec.period
+            x = pts[k][0]
+            acc = [c * diffs[k] - x * acc[0]] + [a - x * b for a, b in zip(acc, acc[1:])] + [acc[-1]]
+        poly = Polynomial("n", [Fraction(a, c * scale) for a in acc])
+        if miss is not None:
+            n, v = pts[miss]
+            raise FitVerificationError(j, n, v, poly.eval(n))
         branches.append(poly)
-        verified[j] = [n for n, _ in holdout]
 
     quasi = QuasiPolynomial(spec.period, branches)
     ns = [n for n, _ in spec.samples]
@@ -137,6 +120,6 @@ def fit_quasi_polynomial(spec: FitSpec) -> FitResult:
         "canonical_period": quasi.period,
         "sample_range": [min(ns), max(ns)],
         "sample_count": len(spec.samples),
-        "verification_points": {str(j): v for j, v in verified.items()},
+        "verification_points": {str(j): [n for n, _ in pts[nodes_needed:]] for j, pts in by_residue.items()},
     }
     return FitResult(quasi=quasi, provenance=provenance)

@@ -1,9 +1,9 @@
 """Independent references the tests compare momentforge against.
 
 None of these is on a route the program serves: each computes a quantity
-by another method (a recurrence, a direct count, a series expansion or an
-extrapolation), and the first line of each docstring names the acceptance
-criterion or oracle check that pins it.
+by another method (a recurrence, a direct count, a series expansion, a
+divided-difference table or an extrapolation), and the first line of each
+docstring names the acceptance criterion or oracle check that pins it.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Sequence
 
+from momentforge.errors import FitVerificationError
 from momentforge.exact_core import falling_factorial
 from momentforge.families.common import count_pgf, half_binomial_moments
+from momentforge.fitter import FitSpec
 from momentforge.moment_algebra import MomentVector, raw_to_binomial
 from momentforge.oracle import Histogram, JointHistogram
 from momentforge.poly_series import Polynomial, QuasiPolynomial, TruncatedSeries
@@ -430,6 +432,45 @@ def board1n_binomial_moments_symbolic(r_max: int) -> MomentVector:
     """
     entries = half_binomial_moments(Polynomial.variable("n") - 1, r_max, central=True)
     return raw_to_binomial(MomentVector("central", entries))
+
+
+# -- quasi-polynomial fits by divided differences -----------------------------
+
+
+def interpolate(points: Sequence[tuple[int, Fraction]]) -> Polynomial:
+    """Criterion 2: the polynomial in n through ``points`` (distinct nodes, any order, any spacing), exactly.
+
+    One divided-difference table gives the Newton coefficients c_j, its top
+    edge; p(n) = c_0 + (n - x_0)(c_1 + (n - x_1)(c_2 + ...)) is then expanded
+    Horner-style, one product with a linear factor per node.
+    """
+    xs = [x for x, _ in points]
+    column = [Fraction(y) for _, y in points]
+    newton = [column[0]]
+    for j in range(1, len(xs)):
+        column = [(b - a) / (xs[i + j] - xs[i]) for i, (a, b) in enumerate(zip(column, column[1:]))]
+        newton.append(column[0])
+    poly = Polynomial("n", ())
+    for x, c in zip(reversed(xs), reversed(newton)):
+        poly = poly * Polynomial("n", (-x, 1)) + c
+    return poly
+
+
+def fit_quasi_polynomial(spec: FitSpec) -> QuasiPolynomial:
+    """Criterion 2: the fit of ``spec``, one divided-difference table per residue class, each held-out point evaluated.
+
+    Raises the :class:`FitVerificationError` of the first held-out point,
+    in class order, that the class's polynomial misses.
+    """
+    branches = []
+    for j in range(spec.period):
+        pts = sorted((n, v) for n, v in spec.samples if n % spec.period == j)
+        poly = interpolate(pts[: spec.degree + 1])
+        for n, v in pts[spec.degree + 1 :]:
+            if poly.eval(n) != v:
+                raise FitVerificationError(j, n, v, poly.eval(n))
+        branches.append(poly)
+    return QuasiPolynomial(spec.period, branches)
 
 
 # -- leading terms by extrapolation -------------------------------------------

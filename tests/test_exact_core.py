@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from momentforge.exact_core import (
     binomial,
     falling_factorial,
+    forward_differences,
     stirling1_signed,
     stirling2,
 )
@@ -113,3 +114,51 @@ def test_stirling_tables_grow_on_demand(monkeypatch):
     assert results[0][2] == 2**39 - 1  # {r brace 2} = 2^(r-1) - 1
     assert stirling1_signed(40, 39) == -math.comb(40, 2)
     assert len(exact_core._STIRLING2) == 41
+
+
+def _polynomial_values(coeffs, xs):
+    return [sum(c * x**i for i, c in enumerate(coeffs)) for x in xs]
+
+
+@pytest.mark.parametrize("degree", range(9))
+def test_forward_differences_of_integer_polynomials(degree):
+    coeffs = [(-3) ** i + 7 * i for i in range(degree + 1)]  # leading coefficient nonzero
+    values = _polynomial_values(coeffs, range(-5, degree + 12))
+    diffs, miss = forward_differences(values, degree)
+    assert miss is None
+    # Delta^k at the first value, from the whole difference table
+    table = list(values)
+    for k in range(degree + 1):
+        assert diffs[k] == table[0]
+        table = [b - a for a, b in zip(table, table[1:])]
+    assert diffs[degree] == math.factorial(degree) * coeffs[degree]
+    assert not any(table)
+    # one degree too few: the first value past degree + 1 is already off
+    if degree:
+        assert forward_differences(values, degree - 1)[1] == degree
+
+
+def test_forward_differences_exactly_degree_plus_one_values():
+    assert forward_differences([4, 9, 25], 2) == ([4, 5, 11], None)
+    assert forward_differences([7], 0) == ([7], None)
+    assert forward_differences([7, 7, 7, 7], 0) == ([7], None)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 4])
+def test_forward_differences_find_a_perturbation_at_every_position(degree):
+    values = _polynomial_values([5, -2, 3, 1, -1][: degree + 1], range(12))
+    for at in range(len(values)):
+        for delta in (1, -1, 10**30):
+            bad = list(values)
+            bad[at] += delta
+            diffs, miss = forward_differences(bad, degree)
+            # a node moves the polynomial, which then misses the first value after the nodes
+            assert miss == max(at, degree + 1)
+            assert len(diffs) == degree + 1
+
+
+def test_forward_differences_need_degree_plus_one_values():
+    with pytest.raises(ValueError, match="2 values cannot fix a polynomial of degree 2"):
+        forward_differences([1, 2], 2)
+    with pytest.raises(ValueError):
+        forward_differences([], 0)

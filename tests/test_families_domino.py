@@ -267,6 +267,19 @@ def test_binomial_sums_refuse_a_sweep_off_the_polynomial(monkeypatch, row_offset
     assert domino.binomial_sums(3, 40, 5) == _reference_sweep(3, 40, 5)[-1]
 
 
+@pytest.mark.parametrize("row", [6, 9, 12])
+def test_binomial_sums_refuse_a_cached_count_off_the_polynomial(monkeypatch, row):
+    # width 3 at r = 5: N_4 read on rows 6..12, one count off by one on row ``row``
+    sweep = [list(counts) for counts in domino._face_sweep(3, 12, 5)]
+    sweep[row - 1][4] += 1
+    monkeypatch.setattr(domino, "_SWEPT", {(3, 5): tuple(tuple(counts) for counts in sweep)})
+    with pytest.raises(ConsistencyError) as err:
+        domino.binomial_sums(3, 40, 5)
+    assert str(err.value) == (
+        "width 3 at r = 5: N_4 on rows 6..12 is not a polynomial of degree <= 4 in the number of rows"
+    )
+
+
 def test_binomial_sums_read_the_longest_sweep_for_their_width_and_order(monkeypatch):
     monkeypatch.setattr(domino, "_SWEPT", {})
     calls = []
