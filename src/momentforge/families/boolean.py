@@ -1,23 +1,23 @@
 """Subcube counts of random boolean functions.
 
 The 0-cube count is Binomial(2^n, 1/2), a sum of 2^n independent fair
-coins: its numbers are central moments on the integer 2^n from the shared
-cumulant route (``common.half_binomial_moments``), its printed raw and
-central moments polynomials in W = 2^n, and its binomial moments the
-central ones of Binomial(2w, 1/2) in w = 2^(n-1), converted once.  For
-k >= 1 the first and second raw moments come from the overlap sum over
-pairs of k-cubes intersecting in an i-cube; the third is known for k = 1
-only.  They are built once per k and order (cached, as the k = 0 forms
-are), evaluated at n for the numbers and converted to every printed kind
-as the numbers are.  H_n(q) is the independence
-approximation of the k-cube PGF.
+coins, served by the shared Binomial(N, 1/2) helpers of ``common``: its
+numbers are central moments on the integer 2^n
+(``half_binomial_moments``), its printed raw and central moments the
+cached polynomials in W = 2^n (``half_binomial_forms``), and its binomial
+moments the central ones of Binomial(2w, 1/2) in w = 2^(n-1), converted
+when printed.  For k >= 1 the first and second raw moments come from the
+overlap sum over pairs of k-cubes intersecting in an i-cube; the third is
+known for k = 1 only.  They are built once per k and order (cached),
+evaluated at n for the numbers and converted to every printed kind as the
+numbers are.  H_n(q) is the independence approximation of the k-cube PGF.
 
 PGFs are rows of integer counts over one total, reduced only when
-printed.  The 0-cube PGF is the binomial row C(2^n, d) over 2^(2^n).
-H_n(q) with p = a/b is the row of integer numerators over 2^(2^n) b^top,
-top = C(2^n, 2^k), each term C(2^n, m) b^(top-M) (a q + b - a)^M with
-M = C(m, 2^k) expanded by the binomial theorem; for k = 0, p = 1 and H_n(q)
-is the 0-cube PGF itself.
+printed.  The 0-cube PGF is the binomial row C(2^n, d) over 2^(2^n)
+(``half_binomial_pgf``).  H_n(q) with p = a/b is the row of integer
+numerators over 2^(2^n) b^top, top = C(2^n, 2^k), each term
+C(2^n, m) b^(top-M) (a q + b - a)^M with M = C(m, 2^k) expanded by the
+binomial theorem; for k = 0, p = 1 and H_n(q) is the 0-cube PGF itself.
 """
 
 from __future__ import annotations
@@ -27,20 +27,20 @@ from fractions import Fraction
 from functools import lru_cache
 
 from momentforge import oracle
-from momentforge.exact_core import binomial, falling_factorial, stirling1_signed, stirling2
+from momentforge.exact_core import binomial, falling_factorial
 from momentforge.families.common import (
     Family,
     binomial_row,
     charge,
-    count_pgf,
     eval_at_n,
+    half_binomial_forms,
     half_binomial_moments,
-    pgf_total,
+    half_binomial_pgf,
 )
 from momentforge.moment_algebra import MomentVector, convert, raw_to_binomial
 from momentforge.poly_series import CountRow, Polynomial
 
-__all__ = ["FAMILY", "central_coefficient", "h_probability", "h_moments", "h_mean_closed_form", "h_polynomial"]
+__all__ = ["FAMILY", "h_probability", "h_moments", "h_mean_closed_form", "h_polynomial"]
 
 H_MAX_N = 14  # the 2^n-term sums stay exact; beyond this they are impractical
 H_MAX_DEGREE = 2000  # highest degree of H_n(q) that is built; its moments need no polynomial
@@ -61,37 +61,6 @@ GRID_GUARD = 16 * 10**12
 
 def _n_poly() -> Polynomial:
     return Polynomial.variable("n")
-
-
-@lru_cache(maxsize=None)
-def raw_moments_k0(r_max: int) -> MomentVector:
-    """E[X^r] for the 0-cube count, r <= r_max, as polynomials in W = 2^n."""
-    entries = half_binomial_moments(Polynomial.variable("W"), r_max, central=False)
-    return MomentVector("raw", entries)
-
-
-@lru_cache(maxsize=None)
-def central_moments_k0(r_max: int) -> MomentVector:
-    """Central moments as polynomials in W; odd entries vanish."""
-    entries = half_binomial_moments(Polynomial.variable("W"), r_max, central=True)
-    return MomentVector("central", entries)
-
-
-def central_coefficient(r: int, t: int) -> Fraction:
-    """Coefficient of 2^{n(r-t)} in E[(X-mu)^r] for the 0-cube count.
-
-    sum_{i=t}^r (-1/2)^{r-i} C(r,i) sum_{j=i-t}^i (1/2^j) {i brace j} s(j, i-t)
-    with signed Stirling numbers of the first kind.
-    """
-    if not 0 <= t <= r:
-        raise ValueError("need 0 <= t <= r")
-    acc = Fraction(0)
-    for i in range(t, r + 1):
-        inner = Fraction(0)
-        for j in range(i - t, i + 1):
-            inner += Fraction(stirling2(i, j) * stirling1_signed(j, i - t), 2**j)
-        acc += Fraction(-1, 2) ** (r - i) * binomial(r, i) * inner
-    return acc
 
 
 def _multinomial_poly(k: int, i: int) -> Polynomial:
@@ -155,16 +124,6 @@ def _raw_moments_k(k: int, r_max: int) -> MomentVector:
     return MomentVector("raw", entries[: r_max + 1])
 
 
-@lru_cache(maxsize=None)
-def binomial_moments_k0(r_max: int) -> MomentVector:
-    """B_r(n) of the 0-cube count as exact polynomials in w = 2^(n-1).
-
-    The central moments of Binomial(2w, 1/2), converted once.
-    """
-    entries = half_binomial_moments(2 * Polynomial.variable("w"), r_max, central=True)
-    return raw_to_binomial(MomentVector("central", entries))
-
-
 # -- independence approximation H_n(q) (k-cube counts) -----------------------
 
 
@@ -223,7 +182,7 @@ def h_polynomial(n: int, k: int) -> CountRow:
     top = math.comb(N, block)
     charge(top, H_MAX_DEGREE, "H_MAX_DEGREE", f"the degree of H_{n}(q) for k={k}", summed=False)
     if k == 0:  # p = 1
-        return count_pgf(binomial_row(N), 2**N)
+        return half_binomial_pgf(N)
     a, b = p.numerator, p.denominator
     c = b - a
     a_pow = _powers(a, top)
@@ -238,7 +197,7 @@ def h_polynomial(n: int, k: int) -> CountRow:
         for d in range(M + 1):
             numerators[d] += weight * choose * c_pow[M - d]
             choose = choose * (M - d) // (d + 1)
-    return count_pgf([x * a_pow[d] for d, x in enumerate(numerators)], 2**N * b_pow[top])
+    return CountRow([x * a_pow[d] for d, x in enumerate(numerators)], 2**N * b_pow[top])
 
 
 def _powers(x: int, top: int) -> list[int]:
@@ -277,21 +236,17 @@ def _moments(r_max: int, p: dict) -> MomentVector:
 def _closed_forms(kind: str, r_max: int, p: dict) -> list[Polynomial]:
     """The moments in W (k = 0 binomial: in w), coefficients in n."""
     k = p["k"]
-    if k == 0:
-        sym = {"raw": raw_moments_k0, "central": central_moments_k0, "binomial": binomial_moments_k0}[kind](r_max)
-    else:
-        sym = convert(_raw_moments_k(k, r_max), kind, first_moment_k(k))
-    return list(sym.entries)
+    if k != 0:
+        return list(convert(_raw_moments_k(k, r_max), kind, first_moment_k(k)).entries)
+    if kind != "binomial":
+        return list(half_binomial_forms("W", 1, r_max, kind == "central"))
+    return list(raw_to_binomial(MomentVector("central", half_binomial_forms("w", 2, r_max, True))).entries)
 
 
 def _closed_pgf(p: dict) -> CountRow | None:
     """((1+q)/2)^(2^n) for the 0-cube count: the binomial row C(2^n, d) over 2^(2^n)."""
     _check_k(p)
-    if p["k"] != 0:
-        return None
-    N = 1 << p["n"]
-    total = pgf_total(N, lambda: 1 << N)
-    return count_pgf(binomial_row(N), total)
+    return half_binomial_pgf(1 << p["n"]) if p["k"] == 0 else None
 
 
 FAMILY = Family(

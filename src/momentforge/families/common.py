@@ -8,15 +8,17 @@ Symbol conventions used by the closed forms:
 * ``mu`` — the domino mean m*n - m/2 - n/2
 
 ``uniform_sum_moments`` is the one moment route of the inversion number
-and of the Binomial(N, 1/2) counts (``half_binomial_moments``: boolean
-0-cubes, the domino mu-form): sums of independent uniforms, whose
-cumulants add.  Built over polynomials, a vector of these moments stops at
-``SYMBOLIC_ORDER_GUARD``.
+and of Binomial(N, 1/2) (``half_binomial_moments``): sums of independent
+uniforms, whose cumulants add.  Binomial(N, 1/2) is the law of the boolean
+0-cube count (N = 2^n), of the domino boards whose slots form a forest
+(N = A) and of H_n(q) at k = 0.  Its symbolic moments are one cached table
+(``half_binomial_forms``), which stops at ``SYMBOLIC_ORDER_GUARD``, and its
+PGF one binomial row (``half_binomial_pgf``).
 
-Closed-form PGFs are rows of integer counts over one total
-(``count_pgf``, a ``CountRow``): nothing is divided when a PGF is built,
-and each coefficient is reduced once, when it is printed.  ``pgf_total``
-refuses a PGF beyond ``PGF_GUARD`` before its row is built.
+Closed-form PGFs are rows of integer counts over one total (a
+``CountRow``): nothing is divided when a PGF is built, and each
+coefficient is reduced once, when it is printed.  ``pgf_total`` refuses a
+PGF beyond ``PGF_GUARD`` before its row is built.
 
 ``mgf_deviation`` is the one loop of the MGF limits, the distance of
 G_n(e^{t/sigma}) from e^{t^2/2} on a t grid; a family supplies only G_n
@@ -191,7 +193,7 @@ def _bits(x: Fraction) -> int:
 
 
 # Highest order of a moment vector built over polynomials: the boolean
-# 0-cube count in W or w, the domino mu-forms and the 1-by-n board in n.
+# 0-cube count in W or w and the domino mu-forms (``half_binomial_forms``).
 # The cost of such a vector grows about as r^3.6; the slowest request
 # inside the guard, moments --family boolean --n 10 --r 128, takes 3.4 s as
 # a whole process on one Intel Xeon core (r = 200 took 12.6 s).
@@ -209,6 +211,17 @@ def half_binomial_moments(count, r_max: int, central: bool) -> list:
         charge(r_max, SYMBOLIC_ORDER_GUARD, "SYMBOLIC_ORDER_GUARD", f"the order in {count.symbol}", summed=False)
     mean = count * Fraction(0 if central else 1, 2)
     return uniform_sum_moments(mean, lambda k: count * (2**k - 1), r_max)
+
+
+@lru_cache(maxsize=None)
+def half_binomial_forms(symbol: str, scale: int, r_max: int, central: bool) -> tuple[Polynomial, ...]:
+    """``half_binomial_moments`` of Binomial(scale * symbol, 1/2), polynomials in ``symbol``, built once.
+
+    Keyed by the symbol's name and its integer scale, as a Polynomial is
+    unhashable: the boolean 0-cube count is W (scale 1) or 2w, the domino
+    mu-forms 2 mu.  Raises SizeGuardError past SYMBOLIC_ORDER_GUARD.
+    """
+    return tuple(half_binomial_moments(scale * Polynomial.variable(symbol), r_max, central))
 
 
 def eval_at_n(value, n: int) -> Fraction:
@@ -255,9 +268,13 @@ def pgf_total(degree: int, total: Callable[[], int]) -> int:
     return value
 
 
-def count_pgf(counts: list[int], total: int) -> CountRow:
-    """The PGF sum_d (counts[d] / total) q^d, kept as its integer row."""
-    return CountRow(counts, total)
+def half_binomial_pgf(N: int) -> CountRow:
+    """((1+q)/2)^N, the PGF of Binomial(N, 1/2): the row C(N, d) over 2^N.
+
+    Raises SizeGuardError beyond PGF_GUARD before the row is built.
+    """
+    total = pgf_total(N, lambda: 1 << N)
+    return CountRow(binomial_row(N), total)
 
 
 def binomial_row(N: int) -> list[int]:

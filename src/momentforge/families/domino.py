@@ -2,8 +2,8 @@
 
 With A = 2mn - m - n domino slots and mu = A/2, treating the slots as
 independent fair coins makes X ~ Binomial(2 mu, 1/2), whose moments are
-polynomials in mu alone (the shared cumulant route,
-``common.half_binomial_moments``).  That is exact only for r <= 3 or on a
+polynomials in mu alone (the shared Binomial(N, 1/2) table,
+``common.half_binomial_forms``).  That is exact only for r <= 3 or on a
 1-by-n (m-by-1) board, where the slots form a forest.  On a board with
 m, n >= 2 the four slots around a lattice square are all same-number with
 probability 1/2^3, not 1/2^4, so from r = 4 on the moments depend on the
@@ -25,14 +25,14 @@ only the conversion of its r+1 counts into the sums b_k, integers of about
 wL bits.
 
 The 1-by-n board is Binomial(n - 1, 1/2): its PGF is the binomial row
-over 2^(n-1), and its MGF deviation reads cosh(t/(2 sigma))^(n-1).
+over 2^(n-1) (``common.half_binomial_pgf``), and its MGF deviation reads
+cosh(t/(2 sigma))^(n-1).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 
@@ -40,14 +40,7 @@ from momentforge import oracle
 from momentforge.errors import ConsistencyError
 from momentforge.exact_core import forward_differences
 from momentforge.families import common
-from momentforge.families.common import (
-    Family,
-    binomial_row,
-    charge,
-    count_pgf,
-    half_binomial_moments,
-    pgf_total,
-)
+from momentforge.families.common import Family, charge, half_binomial_forms, half_binomial_moments, half_binomial_pgf
 from momentforge.moment_algebra import MomentVector, binomial_to_raw
 from momentforge.poly_series import CountRow, Polynomial
 
@@ -63,13 +56,6 @@ def slot_count(m: int, n: int) -> int:
 def mean(m: int, n: int) -> Fraction:
     """mu = mn - m/2 - n/2 = A/2."""
     return Fraction(slot_count(m, n), 2)
-
-
-@lru_cache(maxsize=None)
-def raw_moments_symbolic(r_max: int) -> MomentVector:
-    """E[X^r], r <= r_max, as polynomials in mu: the moments of Binomial(2 mu, 1/2)."""
-    entries = half_binomial_moments(2 * Polynomial.variable("mu"), r_max, central=False)
-    return MomentVector("raw", entries)
 
 
 def in_closed_form_domain(m: int, n: int, r: int) -> bool:
@@ -92,16 +78,6 @@ def _moments(r_max: int, p: dict) -> MomentVector:
     cells, b = m * n, binomial_sums(m, n, r_max)
     binomial = [Fraction(b_k >> max(cells - k, 0), 1 << min(k, cells)) for k, b_k in enumerate(b)]
     return binomial_to_raw(MomentVector("binomial", binomial))
-
-
-@lru_cache(maxsize=None)
-def central_moments_symbolic(r_max: int) -> MomentVector:
-    """E[(X-mu)^r] as polynomials in mu; all odd entries vanish.
-
-    Exact only on the domain of :func:`in_closed_form_domain`.
-    """
-    entries = half_binomial_moments(2 * Polynomial.variable("mu"), r_max, central=True)
-    return MomentVector("central", entries)
 
 
 # Bound on max(F P (limbs + 32), w max(L, S^2/2) r) for w = min(m, n),
@@ -398,17 +374,13 @@ def _closed_forms(kind: str, r_max: int, p: dict) -> list[Polynomial] | None:
     """The mu-polynomials of raw and central moments, only where every order is exact."""
     if kind == "binomial" or not in_closed_form_domain(p["m"], p["n"], r_max):
         return None
-    sym = (raw_moments_symbolic if kind == "raw" else central_moments_symbolic)(r_max)
-    return list(sym.entries)
+    return list(half_binomial_forms("mu", 2, r_max, kind == "central"))
 
 
 def _closed_pgf(p: dict) -> CountRow | None:
     """((1+q)/2)^(n-1) on a 1-by-n board: the binomial row C(n-1, d) over 2^(n-1)."""
-    if p["m"] != 1:
-        return None
-    N = max(p["n"] - 1, 0)
-    total = pgf_total(N, lambda: 1 << N)
-    return count_pgf(binomial_row(N), total)
+    _check(p["m"], p["n"])
+    return half_binomial_pgf(p["n"] - 1) if p["m"] == 1 else None
 
 
 FAMILY = Family(

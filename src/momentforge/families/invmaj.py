@@ -46,7 +46,7 @@ from mpmath.libmp import to_fixed
 
 from momentforge import oracle
 from momentforge.families import common
-from momentforge.families.common import Family, bernoulli, count_pgf, pgf_total, uniform_sum_moments
+from momentforge.families.common import Family, bernoulli, pgf_total, uniform_sum_moments
 from momentforge.moment_algebra import MomentVector, raw_to_binomial
 from momentforge.poly_series import CountRow
 
@@ -61,7 +61,7 @@ def pgf(n: int) -> CountRow:
     if n < 1:
         raise ValueError("need n >= 1")
     total = pgf_total(n * (n - 1) // 2, lambda: math.factorial(n))
-    return count_pgf(_mahonian_row(n), total)
+    return CountRow(_mahonian_row(n), total)
 
 
 def _mahonian_row(n: int) -> list[int]:

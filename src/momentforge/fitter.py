@@ -61,7 +61,7 @@ class FitSpec:
         object.__setattr__(
             self,
             "samples",
-            tuple((int(n), Fraction(v)) for n, v in self.samples),
+            tuple((int(n), v if isinstance(v, Fraction) else Fraction(v)) for n, v in self.samples),
         )
         last: dict[int, int] = {}  # residue -> largest n so far
         for n in sorted(n for n, _ in self.samples):

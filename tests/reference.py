@@ -17,12 +17,12 @@ from itertools import zip_longest
 from typing import Sequence
 
 from momentforge.errors import FitVerificationError
-from momentforge.exact_core import falling_factorial
-from momentforge.families.common import count_pgf, half_binomial_moments
+from momentforge.exact_core import binomial, falling_factorial, stirling1_signed, stirling2
+from momentforge.families.common import half_binomial_moments
 from momentforge.fitter import FitSpec
 from momentforge.moment_algebra import MomentVector, raw_to_binomial
 from momentforge.oracle import Histogram, JointHistogram
-from momentforge.poly_series import Polynomial, QuasiPolynomial, TruncatedSeries
+from momentforge.poly_series import CountRow, Polynomial, QuasiPolynomial, TruncatedSeries
 
 # -- permutations: inversions and the major index ----------------------------
 
@@ -71,9 +71,9 @@ def _add_rows(a: list[int], b: list[int]) -> list[int]:
     return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
-def maj_pgf(n: int) -> Polynomial:
+def maj_pgf(n: int) -> CountRow:
     """Criterion 3: the PGF of maj over S_n, H_n(q) = F(n+1, n+1) over n!."""
-    return count_pgf(maj_rows(n + 1)[-1], math.factorial(n))
+    return CountRow(maj_rows(n + 1)[-1], math.factorial(n))
 
 
 def marginal_maj(joint: JointHistogram) -> Histogram:
@@ -350,6 +350,23 @@ def boolean_counts(n: int, k: int) -> tuple[dict[int, int], int]:
         x = subcubes(f)
         counts[x] = counts.get(x, 0) + 1
     return counts, 1 << (1 << n)
+
+
+def central_coefficient(r: int, t: int) -> Fraction:
+    """Criterion 7: the coefficient of 2^{n(r-t)} in E[(X-mu)^r] for the 0-cube count, by a Stirling double sum.
+
+    sum_{i=t}^r (-1/2)^{r-i} C(r,i) sum_{j=i-t}^i (1/2^j) {i brace j} s(j, i-t)
+    with signed Stirling numbers of the first kind.
+    """
+    if not 0 <= t <= r:
+        raise ValueError("need 0 <= t <= r")
+    acc = Fraction(0)
+    for i in range(t, r + 1):
+        inner = Fraction(0)
+        for j in range(i - t, i + 1):
+            inner += Fraction(stirling2(i, j) * stirling1_signed(j, i - t), 2**j)
+        acc += Fraction(-1, 2) ** (r - i) * binomial(r, i) * inner
+    return acc
 
 
 def sample_counts(n: int, k: int, count: int, seed: int) -> tuple[dict[int, int], int]:

@@ -15,7 +15,7 @@ from fractions import Fraction as Fr
 import mpmath
 
 from momentforge.exact_core import binomial, falling_factorial, stirling1_signed, stirling2
-from momentforge.families import boolean, domino, invmaj, moment_vector, schur
+from momentforge.families import FAMILIES, boolean, domino, invmaj, moment_vector, schur
 from momentforge.families.common import eval_at_n
 from momentforge.fitter import FitSpec, fit_quasi_polynomial
 from momentforge.moment_algebra import (
@@ -149,31 +149,33 @@ def test_criterion_05_inversion_binomial_moments():
 
 def test_criterion_06_boolean_k0_closed_forms():
     with criterion(6, "boolean k=0 raw (r<=4) and central (2,4,6,8) printed + oracle"):
-        raw = boolean.raw_moments_k0(4)
-        assert raw.entries[1] == W / 2
-        assert raw.entries[2] == W * (W + 1) / 4
-        assert raw.entries[3] == W * W * (W + 3) / 8
-        assert raw.entries[4] == W * (W * W + 5 * W - 2) * (W + 1) / 16
-        central = boolean.central_moments_k0(8)
-        assert central.entries[2] == W / 4
-        assert central.entries[4] == (3 * W - 2) * W / 16
-        assert central.entries[6] == W * (15 * W * W - 30 * W + 16) / 64
-        assert central.entries[8] == W * (105 * W**3 - 420 * W * W + 588 * W - 272) / 256
-        assert all(central.entries[r].is_zero() for r in (1, 3, 5, 7))
+        raw = FAMILIES["boolean"].closed_forms("raw", 4, {"n": 1, "k": 0})
+        assert raw[1] == W / 2
+        assert raw[2] == W * (W + 1) / 4
+        assert raw[3] == W * W * (W + 3) / 8
+        assert raw[4] == W * (W * W + 5 * W - 2) * (W + 1) / 16
+        central = FAMILIES["boolean"].closed_forms("central", 8, {"n": 1, "k": 0})
+        assert central[2] == W / 4
+        assert central[4] == (3 * W - 2) * W / 16
+        assert central[6] == W * (15 * W * W - 30 * W + 16) / 64
+        assert central[8] == W * (105 * W**3 - 420 * W * W + 588 * W - 272) / 256
+        assert all(central[r].is_zero() for r in (1, 3, 5, 7))
         for n in range(1, 5):
             mv = histogram_moments(enumerate_boolean(n, 0), 8)
             oc = raw_to_central(mv, mv.entries[1])
             for r in range(5):
-                assert eval_at_n(raw.entries[r], n) == mv.entries[r], (n, r)
+                assert eval_at_n(raw[r], n) == mv.entries[r], (n, r)
             for r in (2, 4, 6, 8):
-                assert eval_at_n(central.entries[r], n) == oc.entries[r], (n, r)
+                assert eval_at_n(central[r], n) == oc.entries[r], (n, r)
 
 
 def test_criterion_07_boolean_identities():
     with criterion(7, "central-coefficient identities for all r <= 10"):
+        # the coefficients [W^(r-t)] of the served central moments
+        central = FAMILIES["boolean"].closed_forms("central", 10, {"n": 1, "k": 0})
         for r in range(11):
             for t in range(r + 1):
-                value = boolean.central_coefficient(r, t)
+                value = central[r].coefficient(r - t)
                 if r % 2 == 1:
                     assert value == 0, (r, t)
                 elif t < r // 2:
@@ -255,11 +257,11 @@ def test_criterion_09_domino():
                     assert scaled == expected, (r, m, n)
 
         # central moments match the printed mu-polynomials
-        central = domino.central_moments_symbolic(6)
-        assert central.entries[2] == MU / 2
-        assert central.entries[3].is_zero() and central.entries[5].is_zero()
-        assert central.entries[4] == MU * (3 * MU - 1) / 4
-        assert central.entries[6] == MU * (15 * MU * MU - 15 * MU + 4) / 8
+        central = FAMILIES["domino"].closed_forms("central", 6, {"m": 1, "n": 2})
+        assert central[2] == MU / 2
+        assert central[3].is_zero() and central[5].is_zero()
+        assert central[4] == MU * (3 * MU - 1) / 4
+        assert central[6] == MU * (15 * MU * MU - 15 * MU + 4) / 8
 
         # board1n binomial moments match the printed G_n(1+z) coefficients
         bm = board1n_binomial_moments_symbolic(5)

@@ -361,6 +361,12 @@ BOOLEAN_RANGE_ARGS = [
     ["normality", "--family", "boolean", "--n-grid", "-1,2,3"],
 ]
 
+# domino boards that do not exist, refused on the PGF route as on every other
+DOMINO_RANGE_ARGS = [
+    ["pgf", "--family", "domino", "--m", "1", "--n", "0"],
+    ["pgf", "--family", "domino", "--m", "1", "--n", "-5"],
+]
+
 # past SAMPLER_GUARD on samples * C(n, k) * max(k, 1) * ceil(2^n / 64) word
 # operations: the first is one sample more than the largest request at
 # n = 14, k = 7; the second would need C(20, 10) masks of 2^20 bits
@@ -409,6 +415,7 @@ def test_usage_errors_exit_1(capsys):
         *NUMERIC_ORDER_GUARD_ARGS,
         *TRANSFER_GUARD_ARGS,
         *BOOLEAN_RANGE_ARGS,
+        *DOMINO_RANGE_ARGS,
     ):
         code = main(list(args))
         proc = capsys.readouterr()
@@ -438,6 +445,8 @@ def test_usage_errors_exit_1(capsys):
             assert "TRANSFER_GUARD = " in proc.err, (args, proc.err)
         if args in BOOLEAN_RANGE_ARGS:
             assert "need 0 <= k <= n" in proc.err, (args, proc.err)
+        if args in DOMINO_RANGE_ARGS:
+            assert "need m, n >= 1" in proc.err, (args, proc.err)
 
 
 @pytest.mark.parametrize(

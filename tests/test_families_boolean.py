@@ -4,12 +4,12 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from momentforge.families import boolean, moment_vector
+from momentforge.families import FAMILIES, boolean, moment_vector
 from momentforge.families.common import eval_at_n
 from momentforge.moment_algebra import MomentVector, raw_to_central
 from momentforge.oracle import enumerate_boolean, histogram_moments
 from momentforge.poly_series import Polynomial
-from reference import p_series_k0
+from reference import central_coefficient, p_series_k0
 
 HALF_W = Polynomial("W", (0, Fr(1, 2)))  # w = 2^(n-1) as a polynomial in W = 2^n
 
@@ -18,9 +18,14 @@ N = Polynomial.variable("n")
 w = Polynomial.variable("w")
 
 
+def _forms(kind: str, r_max: int) -> list:
+    """The served k = 0 closed forms of orders 0..r_max: polynomials in W, binomial ones in w."""
+    return FAMILIES["boolean"].closed_forms(kind, r_max, {"n": 1, "k": 0})
+
+
 class TestZeroCube:
     def test_raw_moments_printed(self):
-        raw = boolean.raw_moments_k0(4).entries
+        raw = _forms("raw", 4)
         assert raw[0] == 1
         assert raw[1] == W / 2
         assert raw[2] == W * (W + 1) / 4
@@ -29,24 +34,24 @@ class TestZeroCube:
 
     def test_raw_moment_small_case(self):
         # n=1: X ~ Binomial(2, 1/2), E[X^2] = 3/2
-        assert eval_at_n(boolean.raw_moments_k0(2).entries[2], 1) == Fr(3, 2)
+        assert eval_at_n(_forms("raw", 2)[2], 1) == Fr(3, 2)
         assert moment_vector("boolean", "raw", 2, {"n": 1}).entries[2] == Fr(3, 2)
 
     def test_central_moments_printed(self):
-        cm = boolean.central_moments_k0(8)
-        assert cm.entries[2] == W / 4
-        assert cm.entries[4] == (3 * W - 2) * W / 16
-        assert cm.entries[6] == W * (15 * W * W - 30 * W + 16) / 64
-        assert cm.entries[8] == W * (105 * W**3 - 420 * W * W + 588 * W - 272) / 256
-        assert all(cm.entries[r].is_zero() for r in (1, 3, 5, 7))
+        cm = _forms("central", 8)
+        assert cm[2] == W / 4
+        assert cm[4] == (3 * W - 2) * W / 16
+        assert cm[6] == W * (15 * W * W - 30 * W + 16) / 64
+        assert cm[8] == W * (105 * W**3 - 420 * W * W + 588 * W - 272) / 256
+        assert all(cm[r].is_zero() for r in (1, 3, 5, 7))
 
     def test_against_oracle(self):
         for n in range(1, 5):
             mv = histogram_moments(enumerate_boolean(n, 0), 8)
             central = raw_to_central(mv, mv.entries[1])
             for r in range(9):
-                assert eval_at_n(boolean.raw_moments_k0(8).entries[r], n) == mv.entries[r], (n, r)
-                assert eval_at_n(boolean.central_moments_k0(8).entries[r], n) == central.entries[r]
+                assert eval_at_n(_forms("raw", 8)[r], n) == mv.entries[r], (n, r)
+                assert eval_at_n(_forms("central", 8)[r], n) == central.entries[r]
 
     def test_p_series_printed_in_2n(self):
         ps = p_series_k0(5)
@@ -58,36 +63,36 @@ class TestZeroCube:
         assert as_W[5] == -(W * W / 256 + 3 * W / 64)
 
     def test_binomial_moments_recurrence_and_leading_terms(self):
-        bm = boolean.binomial_moments_k0(8)
-        assert bm.entries[0] == 1 and bm.entries[1].is_zero()
-        assert bm.entries[2] == w / 4  # = 2^n/8 = Var/2
+        bm = _forms("binomial", 8)
+        assert bm[0] == 1 and bm[1].is_zero()
+        assert bm[2] == w / 4  # = 2^n/8 = Var/2
         for r in (1, 2, 3, 4):
-            e = bm.entries[2 * r]
+            e = bm[2 * r]
             assert (e.degree, e.coeffs[-1]) == (r, Fr(1, 4**r * math.factorial(r))), r
         for r in (1, 2, 3):
             # B_{2r+1} = -2^{rn}/((r-1)! 8^r) + ... = -w^r/((r-1)! 4^r) + ...
-            e = bm.entries[2 * r + 1]
+            e = bm[2 * r + 1]
             assert (e.degree, e.coeffs[-1]) == (r, Fr(-1, 4**r * math.factorial(r - 1))), r
 
     def test_binomial_recurrence_consistency(self):
         # G_n(1+z) coefficients = P(n,z) * G_{n-1}(1+z) with w -> w/2 rebasing
         r_max = 6
-        bm = boolean.binomial_moments_k0(r_max)
+        bm = _forms("binomial", r_max)
         p = p_series_k0(r_max)
         half_w = Polynomial("w", (0, Fr(1, 2)))
-        prev = [e.eval(half_w) if isinstance(e, Polynomial) else e for e in bm.entries]
+        prev = [e.eval(half_w) if isinstance(e, Polynomial) else e for e in bm]
         for r in range(r_max + 1):
             acc = Polynomial("w", ())
             for s in range(r + 1):
                 acc = acc + p.coefficient(s) * prev[r - s]
-            assert acc == bm.entries[r], r
+            assert acc == bm[r], r
 
     def test_binomial_vs_oracle(self):
         from momentforge.moment_algebra import binomial_to_raw
 
         for n in range(1, 5):
-            bm = boolean.binomial_moments_k0(6)
-            numeric = [eval_at_n(e, n) for e in bm.entries]
+            bm = _forms("binomial", 6)
+            numeric = [eval_at_n(e, n) for e in bm]
             from momentforge.moment_algebra import MomentVector
 
             central = binomial_to_raw(
@@ -100,14 +105,14 @@ class TestZeroCube:
 
 class TestIdentities:
     def test_examples(self):
-        assert boolean.central_coefficient(2, 1) == Fr(1, 4)
-        assert boolean.central_coefficient(4, 2) == Fr(3, 16)
-        assert boolean.central_coefficient(2, 0) == 0
+        assert central_coefficient(2, 1) == Fr(1, 4)
+        assert central_coefficient(4, 2) == Fr(3, 16)
+        assert central_coefficient(2, 0) == 0
 
     def test_battery(self):
         for r in range(11):
             for t in range(r + 1):
-                v = boolean.central_coefficient(r, t)
+                v = central_coefficient(r, t)
                 if r % 2 == 1 or t < r // 2:
                     assert v == 0, (r, t)
                 elif t == r // 2:
@@ -116,12 +121,12 @@ class TestIdentities:
 
     def test_coefficients_rebuild_central_moments(self):
         # sum_t coeff(r, t) W^(r-t) equals the central moment polynomial
-        cm = boolean.central_moments_k0(8)
-        for r in range(9):
+        cm = _forms("central", 24)
+        for r in range(25):
             rebuilt = Polynomial("W", ())
             for t in range(r + 1):
-                rebuilt = rebuilt + boolean.central_coefficient(r, t) * W ** (r - t)
-            assert rebuilt == cm.entries[r], r
+                rebuilt = rebuilt + central_coefficient(r, t) * W ** (r - t)
+            assert rebuilt == cm[r], r
 
 
 class TestGeneralK:
@@ -161,7 +166,7 @@ class TestGeneralK:
             assert lead == Fr(1, math.factorial(k) ** 2 * 2 ** (2 ** (k + 1)))
 
     def test_second_moment_k0_consistent(self):
-        assert boolean.second_moment_k(0) == boolean.raw_moments_k0(2).entries[2]
+        assert boolean.second_moment_k(0) == _forms("raw", 2)[2]
 
     def test_against_oracle(self):
         for k in (1, 2):

@@ -13,7 +13,7 @@ from momentforge import cli, oracle
 from momentforge.errors import SizeGuardError
 from momentforge.exact_core import falling_factorial
 from momentforge.families import FAMILIES, domino, invmaj, moment_vector
-from momentforge.families.common import TGrid, mgf_deviation
+from momentforge.families.common import TGrid, half_binomial_forms, mgf_deviation
 from momentforge.moment_algebra import normality_report, raw_to_central
 from momentforge.oracle import histogram_moments
 
@@ -252,19 +252,19 @@ def test_normality_builds_no_closed_form_texts(monkeypatch, capsys):
                 return _route(*args)
 
             monkeypatch.setitem(FAMILIES, name, dataclasses.replace(entry, closed_forms=spy))
-    domino.central_moments_symbolic.cache_clear()
+    half_binomial_forms.cache_clear()
     for argv in (
         ["normality", "--family", "domino", "--m", "1", "--n-grid", "10,100,1000", "--r-max", "8"],
         ["normality", "--family", "boolean", "--n-grid", "2,3,4", "--r-max", "6"],
     ):
         assert cli.main(argv) == 0
     assert calls == []
-    assert domino.central_moments_symbolic.cache_info().currsize == 0
+    assert half_binomial_forms.cache_info().currsize == 0
     # the same spies see the texts of a moment subcommand
     capsys.readouterr()
     assert cli.main(["central", "--family", "domino", "--m", "1", "--n", "10", "--r", "8"]) == 0
     assert calls == [("central", 8, {"m": 1, "n": 10})]
-    assert domino.central_moments_symbolic.cache_info().currsize == 1
+    assert half_binomial_forms.cache_info().currsize == 1
     assert "closed_forms" in json.loads(capsys.readouterr().out)["result"]
 
 

@@ -6,7 +6,8 @@ from fractions import Fraction as Fr
 import pytest
 
 from momentforge.errors import SizeGuardError
-from momentforge.families import boolean, domino, invmaj
+from momentforge.cli import main
+from momentforge.families import boolean, common, domino, invmaj
 from momentforge.families.common import PGF_GUARD, pgf_total
 from momentforge.poly_series import Polynomial
 
@@ -73,6 +74,17 @@ def test_pgf_total_guard():
 
     with pytest.raises(SizeGuardError, match="PGF_GUARD"):
         pgf_total(PGF_GUARD, never)
+
+
+def test_binomial_pgfs_past_the_guard_are_refused_before_their_row(monkeypatch, capsys):
+    def never(N):
+        raise AssertionError(f"the binomial row of {N} built for a PGF past the guard")
+
+    monkeypatch.setattr(common, "binomial_row", never)
+    for argv in (["pgf", "--family", "domino", "--m", "1", "--n", "50000"], ["pgf", "--family", "boolean", "--n", "13"]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "PGF_GUARD" in err, (argv, err)
 
 
 def test_last_requests_inside_the_guard_are_served():
