@@ -17,8 +17,9 @@ with each exact value (a ``_Text``) left unformatted.  The runner charges
 the integers of those values (``_charge_print``), and only then does
 ``_emit`` format each value and join the pieces.  A PGF is a ``CountRow``:
 its coefficients are reduced and formatted once, and the same strings
-serve both its polynomial text and its coefficient list.  The CSV output
-is built from the same values, after the same charge.
+serve both its polynomial text and its coefficient list.  A body returns
+its CSV output as one table, a header and rows of the same values, which
+the runner writes after the same charge.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import math
 import sys
 import time
 from fractions import Fraction
-from functools import partial
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 import click
 import mpmath
@@ -216,8 +217,8 @@ def _symbols(x) -> set[str]:
     return ({x.symbol} if x.degree >= 1 else set()).union(*map(_symbols, x.coeffs))
 
 
-def _emit(ctx_params: dict, subcommand: str, pieces: list, csv_text, started: float) -> None:
-    """Write the output: the JSON pieces with each leaf formatted, or ``csv_text()``; then the manifest."""
+def _emit(ctx_params: dict, subcommand: str, pieces: list, table: tuple, started: float) -> None:
+    """Write the output: the JSON pieces with each leaf formatted, or the CSV ``table``; then the manifest."""
     fmt = ctx_params["format"]
     out_path = ctx_params["out"]
     # the interpreter's own int-to-str digit limit (4300 on Python >= 3.10.7)
@@ -229,7 +230,7 @@ def _emit(ctx_params: dict, subcommand: str, pieces: list, csv_text, started: fl
         if fmt == "json":
             text = _joined(pieces) + "\n"
         else:
-            text = csv_text()
+            text = _csv_table(*table)
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -252,7 +253,8 @@ def _emit(ctx_params: dict, subcommand: str, pieces: list, csv_text, started: fl
     sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")
 
 
-def _csv_table(header: list[str], rows: list[list]) -> str:
+def _csv_table(header: list[str], rows: Iterable[Sequence]) -> str:
+    """The CSV text of the header and rows, each cell written as its ``str``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -289,10 +291,11 @@ def cli():
 def _subcommand(name: str):
     """Register the decorated body as subcommand ``name``, run by the one runner.
 
-    The body takes its own options and returns the manifest's parameters,
-    the JSON result (exact values as ``_Text``s) and a function for the CSV
-    output.  The runner adds --out and --format, starts the clock, opens the
-    request's budget, walks the result once into its text pieces
+    The body takes its own options and returns data only: the manifest's
+    parameters, the JSON result (exact values as ``_Text``s) and the CSV
+    table, a header and its rows (an iterable, read only for a CSV output).
+    The runner is the one writer of every result.  It adds --out and
+    --format, starts the clock, opens the request's budget, walks the result once into its text pieces
     (``_pieces``), charges what they print (``_charge_print``), maps a
     failure to its exit code (a ConsistencyError to 2 with ``validation failure:``,
     any other MomentForgeError or a ValueError to 1 with ``usage error:``) and
@@ -304,7 +307,7 @@ def _subcommand(name: str):
             started = time.monotonic()
             try:
                 with request_budget():
-                    params, result, csv_text = body(**options)
+                    params, result, table = body(**options)
                     pieces = _pieces({"subcommand": name, "result": result})
                     _charge_print(pieces)
             except ConsistencyError as exc:
@@ -313,7 +316,7 @@ def _subcommand(name: str):
             except (MomentForgeError, ValueError) as exc:
                 sys.stderr.write(f"usage error: {exc} (try: momentforge {name} --help)\n")
                 return 1
-            _emit({"format": format, "out": out, **params}, name, pieces, csv_text, started)
+            _emit({"format": format, "out": out, **params}, name, pieces, table, started)
             return 0
 
         run.__doc__ = body.__doc__
@@ -351,7 +354,7 @@ def _moment_command(kind: str, subcommand: str) -> None:
             result["sample_space_size"] = _Text(space)
             result["scaled_entries"] = [_Text(e * space) for e in vec.entries]
         parameters = {"family": family, **params, "r_max": r_max}
-        return parameters, result, lambda: _csv_table(["r", "value"], enumerate(result["entries"]))
+        return parameters, result, (["r", "value"], enumerate(result["entries"]))
 
 
 _moment_command("raw", "moments")
@@ -373,7 +376,7 @@ def pgf_cmd(family, n, c, m, k):
         "coefficients": coeffs,
         "source": source,
     }
-    return {"family": family, **params}, result, lambda: _csv_table(["degree", "coefficient"], enumerate(coeffs))
+    return {"family": family, **params}, result, (["degree", "coefficient"], enumerate(coeffs))
 
 
 @_subcommand("normality")
@@ -402,10 +405,24 @@ def normality_cmd(family, n_grid, m, k, r_max, threshold, precision):
     for n in reversed(ns):
         grid_point(n)
         grid.append((n, families.moment_vector(family, "central", r_max, {**params, "n": n})))
-    report = normality_report(family, params, grid[::-1], r_max, threshold=threshold, dps=precision)
+    values, verdicts = normality_report(grid[::-1], r_max, threshold=threshold, dps=precision)
+    rows = [
+        {"r": r, "n": n, "m_r": mpmath.nstr(m_r, 17), "target": str(target), "deviation": mpmath.nstr(dev, 17)}
+        for r, n, m_r, target, dev in values
+    ]
+    result = {
+        "family": family,
+        "params": params,
+        "threshold": threshold,
+        "precision_digits": max(precision, 50),
+        "rows": rows,
+        "verdicts": {str(r): ok for r, ok in enumerate(verdicts)},
+    }
     parameters = {"family": family, "n_grid": n_grid, **params, "r_max": r_max,
                   "threshold": threshold, "precision": precision}
-    return parameters, report.to_json_dict(), report.to_csv_text
+    params_text = ";".join(f"{key}={value}" for key, value in sorted(params.items()))
+    header = ["family", "params", "r", "n", "m_r", "target", "deviation", "verdict"]
+    return parameters, result, (header, ([family, params_text, *row.values(), verdicts[row["r"]]] for row in rows))
 
 
 # mgf-limit's --family: a FAMILIES entry with an mgf route and the parameters
@@ -443,7 +460,7 @@ def mgf_limit_cmd(family, n, t_min, t_max, t_steps, precision):
         }
     parameters = {"family": family, "n": n, "t_min": t_min, "t_max": t_max,
                   "t_steps": t_steps, "precision": precision}
-    return parameters, result, partial(_csv_table, ["t", "deviation"], [[r["t"], r["deviation"]] for r in row_dicts])
+    return parameters, result, (["t", "deviation"], ([r["t"], r["deviation"]] for r in row_dicts))
 
 
 @_subcommand("oracle")
@@ -470,12 +487,12 @@ def oracle_cmd(family, n, c, m, k, r_max, samples, seed):
         "seed": seed,
         "samples": samples,
         "total": _Text(hist.total),
-        "histogram": {str(v): cnt for v, cnt in hist.to_csv_rows()},
+        "histogram": {str(v): cnt for v, cnt in hist.counts.items()},
         "moments": [_Text(e) for e in moments.entries],
         **extra,
     }
     parameters = {"family": family, **params, "r_max": r_max, "samples": samples, "seed": seed}
-    return parameters, result, partial(_csv_table, ["value", "count"], hist.to_csv_rows())
+    return parameters, result, (["value", "count"], sorted(hist.counts.items()))
 
 
 @_subcommand("fit")
@@ -509,9 +526,8 @@ def fit_cmd(family, r, c, period, degree, n_min, n_max, verify):
     }
     parameters = {"family": family, "r": r, "c": c, "period": period, "degree": degree,
                   "n_min": n_min, "n_max": n_max, "verify": verify}
-    return parameters, result, lambda: _csv_table(
-        ["residue", "polynomial"], [[b["residue"], b["polynomial"]] for b in result["branches"]]
-    )
+    rows = ([b["residue"], b["polynomial"]] for b in result["branches"])
+    return parameters, result, (["residue", "polynomial"], rows)
 
 
 # Highest --r-max of the identity battery.  Its rows read the coefficients
@@ -548,7 +564,7 @@ def identities_cmd(r_max):
         raise ConsistencyError(f"identity battery found a mismatch at (r, t) in {missed}")
     result = {"r_max": r_max, "rows": rows, "all_ok": True}
     header = ["r", "t", "value", "expected", "ok"]
-    return {"r_max": r_max}, result, lambda: _csv_table(header, [[w[key] for key in header] for w in rows])
+    return {"r_max": r_max}, result, (header, ([w[key] for key in header] for w in rows))
 
 
 @_subcommand("approx-h")
@@ -575,13 +591,9 @@ def approx_h_cmd(n, k, with_polynomial):
         row = boolean.h_polynomial(n, k)
         result["polynomial"] = _Text(row)
         result["probabilities"] = [_Text(row, d) for d in range(len(row.counts))]
-
-    def csv_text() -> str:
-        rows = [[key, result[key]] for key in keys]
-        rows += [[f"q^{d}", v] for d, v in enumerate(result.get("probabilities", ()))]
-        return _csv_table(["key", "value"], rows)
-
-    return {"n": n, "k": k, "with_polynomial": with_polynomial}, result, csv_text
+    probabilities = ([f"q^{d}", v] for d, v in enumerate(result.get("probabilities", ())))
+    rows = chain(([key, result[key]] for key in keys), probabilities)
+    return {"n": n, "k": k, "with_polynomial": with_polynomial}, result, (["key", "value"], rows)
 
 
 def main(argv=None) -> int:

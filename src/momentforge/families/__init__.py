@@ -70,13 +70,15 @@ def _request(family: str, kind: str, r_max: int, params: Mapping) -> tuple[Famil
 def moment_vector(family: str, kind: str, r_max: int, params: Mapping) -> MomentVector:
     """The exact MomentVector of the requested kind, orders 0..r_max.
 
-    The family's ``moments`` route converted about its ``mean``.  Raises
-    ValueError for parameters outside the family and for an order past its
-    routes (the oracle subcommand covers those numerically), and
-    SizeGuardError past a route's size guard.
+    The family's ``moments`` route, converted about its ``mean`` only
+    where the route's kind is not the one asked for.  Raises ValueError for
+    parameters outside the family and for an order past its routes (the
+    oracle subcommand covers those numerically), and SizeGuardError past a
+    route's size guard.
     """
     entry, p = _request(family, kind, r_max, params)
-    return convert(entry.moments(r_max, p), kind, entry.mean(p))
+    vec = entry.moments(r_max, p)
+    return vec if vec.kind == kind else convert(vec, kind, entry.mean(p))
 
 
 def closed_forms(family: str, kind: str, r_max: int, params: Mapping) -> list[Polynomial] | None:

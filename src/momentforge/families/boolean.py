@@ -29,9 +29,11 @@ from functools import lru_cache
 from momentforge import oracle
 from momentforge.exact_core import binomial, falling_factorial
 from momentforge.families.common import (
+    PGF_GUARD,
     Family,
     binomial_row,
     charge,
+    charge_size,
     eval_at_n,
     half_binomial_forms,
     half_binomial_moments,
@@ -244,9 +246,17 @@ def _closed_forms(kind: str, r_max: int, p: dict) -> list[Polynomial]:
 
 
 def _closed_pgf(p: dict) -> CountRow | None:
-    """((1+q)/2)^(2^n) for the 0-cube count: the binomial row C(2^n, d) over 2^(2^n)."""
+    """((1+q)/2)^(2^n) for the 0-cube count: the binomial row C(2^n, d) over 2^(2^n).
+
+    Its 2^n + 1 coefficients are charged from n first, so 2^n is never built past PGF_GUARD.
+    """
     _check_k(p)
-    return half_binomial_pgf(1 << p["n"]) if p["k"] == 0 else None
+    if p["k"]:
+        return None
+    n = p["n"]
+    what = f"a PGF of degree 2^{n}: its coefficients, degree + 1"
+    charge_size(n + 1, lambda: (1 << n) + 1, PGF_GUARD, "PGF_GUARD", what)
+    return half_binomial_pgf(1 << n)
 
 
 FAMILY = Family(

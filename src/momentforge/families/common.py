@@ -106,10 +106,7 @@ def charge(weight, limit, name: str, what: str, summed: bool = True, alone: bool
     order, a dimension, an n) pass summed=False.
     """
     global _grid_total
-    if isinstance(weight, float):
-        shown = f"{weight:.6g}"
-    else:  # exactly, unless too long to print at all
-        shown = weight if weight < 2**64 else f"2^{weight.bit_length() - 1} or more"
+    shown = _shown(weight)
     if alone and weight > limit:
         raise _refusal(what, shown, name, limit)
     if not (summed and _grid):
@@ -126,6 +123,13 @@ def charge(weight, limit, name: str, what: str, summed: bool = True, alone: bool
             f"together, past one; its largest share, {share:.3g} at n = {n}, is {what} = {shown}, "
             f"against the {name} size guard ({name} = {limit})"
         )
+
+
+def _shown(weight) -> str | int:
+    """A weight as a refusal prints it: exactly, unless too long to print at all."""
+    if isinstance(weight, float):
+        return f"{weight:.6g}"
+    return weight if weight < 2**64 else f"2^{weight.bit_length() - 1} or more"
 
 
 def _refusal(what: str, shown, name: str, limit) -> SizeGuardError:
@@ -257,14 +261,13 @@ def pgf_total(degree: int, total: Callable[[], int]) -> int:
     """``total()``, the common denominator of a PGF of this degree, within PGF_GUARD.
 
     A degree past the guard on its own is refused before ``total`` is
-    called, so a huge total is never built.
+    called, so a huge total is never built; a degree too long to print is
+    shown as a bound.
     """
-    charge(degree + 1, PGF_GUARD, "PGF_GUARD", f"a PGF of degree {degree}: its coefficients, degree + 1")
+    pgf = f"a PGF of degree {_shown(degree)}"
+    charge(degree + 1, PGF_GUARD, "PGF_GUARD", f"{pgf}: its coefficients, degree + 1")
     value = total()
-    charge(
-        (degree + 1) * value.bit_length(), PGF_GUARD, "PGF_GUARD",
-        f"a PGF of degree {degree}: (degree + 1) * bit_length(total)",
-    )
+    charge((degree + 1) * value.bit_length(), PGF_GUARD, "PGF_GUARD", f"{pgf}: (degree + 1) * bit_length(total)")
     return value
 
 

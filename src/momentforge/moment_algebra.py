@@ -1,4 +1,4 @@
-"""Conversions among raw, central, and binomial moments, and normality reports.
+"""Conversions among raw, central, and binomial moments, and their normalized values.
 
 ``convert`` is the one way between the kinds: raw and central moments are
 one binomial shift by the mean apart, and binomial moments are taken about
@@ -6,19 +6,18 @@ the mean, from the central ones.  The binomial moment of order r is
 E[C(X - center, r)]; converting to power moments uses Stirling numbers of
 the second kind, the inverse direction the signed first kind, numbers in
 integers (``_combine``).  Gaussian targets are (2s)!/(2^s s!) for even order 2s
-and 0 for odd order.
+and 0 for odd order; ``normality_report`` measures a grid's normalized
+moments against them and returns the values, which the CLI formats.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import operator
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import mpmath
 
@@ -37,14 +36,6 @@ __all__ = [
 ]
 
 KINDS = ("raw", "central", "binomial")
-
-
-def _is_one(v) -> bool:
-    return v == Fraction(1) or (isinstance(v, Polynomial) and v == 1)
-
-
-def _is_zero(v) -> bool:
-    return v == 0 if not isinstance(v, Polynomial) else v.is_zero()
 
 
 @dataclass(frozen=True)
@@ -68,10 +59,10 @@ class MomentVector:
             object.__setattr__(self, "about_mean", True)
         if self.kind == "raw" and self.about_mean:
             raise ValueError("raw moments are about the origin; use kind='central'")
-        if self.entries and not _is_one(self.entries[0]):
+        if self.entries and self.entries[0] != 1:
             raise ValueError(f"moment of order 0 must be 1, got {self.entries[0]!r}")
         centered = self.kind == "central" or (self.kind == "binomial" and self.about_mean)
-        if centered and len(self.entries) > 1 and not _is_zero(self.entries[1]):
+        if centered and len(self.entries) > 1 and self.entries[1]:
             raise ValueError(
                 f"order-1 entry of a mean-centered vector must be 0, got {self.entries[1]!r}"
             )
@@ -201,50 +192,6 @@ def normalized_moments(vec: MomentVector, dps: int = 50) -> list[mpmath.mpf]:
     return out
 
 
-@dataclass(frozen=True)
-class NormalityRow:
-    r: int
-    n: int
-    m_r: str
-    target: str
-    deviation: str
-
-
-@dataclass(frozen=True)
-class NormalityReport:
-    """Per-(r, n) normalized moments against Gaussian targets.
-
-    The verdict for order r is True when the deviation at the largest grid
-    point is below the threshold and the deviations are non-increasing over
-    the last three grid points.
-    """
-
-    family: str
-    params: Mapping
-    threshold: float
-    dps: int
-    rows: tuple[NormalityRow, ...]
-    verdicts: Mapping[int, bool] = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": dict(self.params),
-            "threshold": self.threshold,
-            "precision_digits": self.dps,
-            "rows": [asdict(row) for row in self.rows],
-            "verdicts": {str(r): ok for r, ok in sorted(self.verdicts.items())},
-        }
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["family", "params", "r", "n", "m_r", "target", "deviation", "verdict"])
-        params_text = ";".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        writer.writerows([self.family, params_text, *astuple(row), self.verdicts[row.r]] for row in self.rows)
-        return buf.getvalue()
-
-
 def check_grid(ns: Sequence[int]) -> None:
     """Refuse a normality grid of fewer than 3 points or not strictly increasing in n (ValueError)."""
     if len(ns) < 3:
@@ -254,21 +201,21 @@ def check_grid(ns: Sequence[int]) -> None:
 
 
 def normality_report(
-    family: str,
-    params: Mapping,
-    grid: Sequence[tuple[int, MomentVector]],
-    r_max: int,
-    threshold: float = 0.05,
-    dps: int = 50,
-) -> NormalityReport:
-    """Tabulate |m_r - gaussian target| over an n-grid and flag convergence.
+    grid: Sequence[tuple[int, MomentVector]], r_max: int, threshold: float = 0.05, dps: int = 50
+) -> tuple[list[tuple], list[bool]]:
+    """|m_r - gaussian target| over an n-grid, and a convergence verdict per order.
 
     ``grid`` supplies exact central moments for each n, ascending; at least
-    3 grid points are required.
+    3 grid points are required.  Returns the rows (r, n, m_r, target,
+    deviation), by n and then r, with m_r and the deviation mpmath reals
+    at max(dps, 50) digits and the target exact; and the verdict of each
+    order r, True when the deviation at the largest grid point is below the
+    threshold and the deviations are non-increasing over the last three
+    grid points.
     """
     check_grid([n for n, _ in grid])
-    rows: list[NormalityRow] = []
-    devs: dict[int, list[mpmath.mpf]] = {r: [] for r in range(r_max + 1)}
+    rows = []
+    devs: list[list[mpmath.mpf]] = [[] for _ in range(r_max + 1)]
     with mpmath.workdps(max(dps, 50)):
         for n, vec in grid:
             if vec.r_max < r_max:
@@ -276,28 +223,8 @@ def normality_report(
             ms = normalized_moments(vec, dps=dps)
             for r in range(r_max + 1):
                 target = gaussian_moment(r)
-                tval = mpmath.mpf(target.numerator) / target.denominator
-                dev = abs(ms[r] - tval)
+                dev = abs(ms[r] - mpmath.mpf(target.numerator) / target.denominator)
                 devs[r].append(dev)
-                rows.append(
-                    NormalityRow(
-                        r=r,
-                        n=n,
-                        m_r=mpmath.nstr(ms[r], 17),
-                        target=str(target),
-                        deviation=mpmath.nstr(dev, 17),
-                    )
-                )
-        verdicts = {}
-        for r in range(r_max + 1):
-            d = devs[r]
-            tail_ok = d[-3] >= d[-2] >= d[-1]
-            verdicts[r] = bool(d[-1] < threshold and tail_ok)
-    return NormalityReport(
-        family=family,
-        params=params,
-        threshold=threshold,
-        dps=max(dps, 50),
-        rows=tuple(rows),
-        verdicts=verdicts,
-    )
+                rows.append((r, n, ms[r], target, dev))
+    verdicts = [bool(d[-1] < threshold and d[-3] >= d[-2] >= d[-1]) for d in devs]
+    return rows, verdicts

@@ -126,9 +126,6 @@ class Histogram:
         top = max(self.counts) if self.counts else 0
         return CountRow([self.counts.get(v, 0) for v in range(top + 1)], self.total)
 
-    def to_csv_rows(self) -> list[tuple[int, int]]:
-        return sorted(self.counts.items())
-
 
 def merge_histograms(parts: Iterable[Histogram]) -> Histogram:
     """Exact integer merge; order-independent by associativity of +."""

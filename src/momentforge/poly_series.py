@@ -34,10 +34,6 @@ def _as_coef(value) -> Coef:
     raise TypeError(f"unsupported coefficient type: {type(value).__name__}")
 
 
-def _coef_is_zero(c: Coef) -> bool:
-    return not c
-
-
 class Polynomial:
     """Dense univariate polynomial in a named symbol, canonical form.
 
@@ -50,7 +46,7 @@ class Polynomial:
 
     def __init__(self, symbol: str, coeffs: Iterable = ()):
         cs = [_as_coef(c) for c in coeffs]
-        while cs and _coef_is_zero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "symbol", symbol)
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -148,7 +144,7 @@ class Polynomial:
             return Polynomial(self.symbol, ())
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if _coef_is_zero(ai):
+            if not ai:
                 continue
             for j, bj in enumerate(b):
                 out[i + j] = out[i + j] + ai * bj
@@ -212,7 +208,7 @@ class Polynomial:
         parts: list[str] = []
         for d in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[d]
-            if _coef_is_zero(c):
+            if not c:
                 continue
             if isinstance(c, Polynomial):
                 body, negative = f"({c.to_text()})", False
@@ -450,11 +446,11 @@ class TruncatedSeries:
         o = self._lift(other)
         out = [Fraction(0)] * (self.order + 1)
         for i, ai in enumerate(self.coeffs):
-            if _coef_is_zero(ai):
+            if not ai:
                 continue
             for j in range(self.order + 1 - i):
                 bj = o.coeffs[j]
-                if _coef_is_zero(bj):
+                if not bj:
                     continue
                 out[i + j] = out[i + j] + ai * bj
         return TruncatedSeries(self.var, self.order, out)
@@ -471,7 +467,7 @@ class TruncatedSeries:
             acc = self.coeffs[k]
             for j in range(1, k + 1):
                 bj = o.coeffs[j]
-                if _coef_is_zero(bj):
+                if not bj:
                     continue
                 acc = acc - bj * out[k - j]
             out.append(acc * inv0)
@@ -505,7 +501,7 @@ class TruncatedSeries:
     def to_text(self) -> str:
         parts = []
         for i, c in enumerate(self.coeffs):
-            if _coef_is_zero(c):
+            if not c:
                 continue
             body = f"({c.to_text()})" if isinstance(c, Polynomial) else str(c)
             mono = "" if i == 0 else ("*" + (self.var if i == 1 else f"{self.var}^{i}"))

@@ -180,9 +180,9 @@ def test_normality_report_deviation_decays_like_1_over_n():
     from momentforge.moment_algebra import normality_report, normalized_moments
 
     grid = [(n, invmaj.central_moments(n, 4)) for n in (10, 50, 250)]
-    rep = normality_report("invmaj", {}, grid, 4)
-    assert rep.verdicts[4] is True
-    devs = [float(row.deviation) for row in rep.rows if row.r == 4]
+    rows, verdicts = normality_report(grid, 4)
+    assert verdicts[4] is True
+    devs = [float(deviation) for r, n, m_r, target, deviation in rows if r == 4]
     assert devs[0] > devs[1] > devs[2]
     ratio = devs[1] / devs[2]
     assert 4.0 < ratio < 6.0  # ~5 for a 1/n law between n=50 and n=250

@@ -210,7 +210,7 @@ def test_normality_grid_is_the_central_moment_vector(family, params, ns, r_max, 
     grid = []
 
     def spy(*args, **kwargs):
-        grid.extend(args[2])
+        grid.extend(args[0])
         return normality_report(*args, **kwargs)
 
     monkeypatch.setattr(cli, "normality_report", spy)

@@ -1,6 +1,7 @@
 """The integer-row PGF routes against dense Fraction products rebuilt here."""
 
 import math
+import tracemalloc
 from fractions import Fraction as Fr
 
 import pytest
@@ -74,6 +75,9 @@ def test_pgf_total_guard():
 
     with pytest.raises(SizeGuardError, match="PGF_GUARD"):
         pgf_total(PGF_GUARD, never)
+    # a degree too long to print is shown as a bound
+    with pytest.raises(SizeGuardError, match=r"a PGF of degree 2\^26575 or more: .*PGF_GUARD"):
+        pgf_total(10**8000, never)
 
 
 def test_binomial_pgfs_past_the_guard_are_refused_before_their_row(monkeypatch, capsys):
@@ -85,6 +89,25 @@ def test_binomial_pgfs_past_the_guard_are_refused_before_their_row(monkeypatch, 
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert "PGF_GUARD" in err, (argv, err)
+
+
+def test_boolean_pgfs_far_past_the_guard_are_refused_from_n(monkeypatch, capsys):
+    # 2^14285 has 4301 digits, past the interpreter's int-to-str limit: the
+    # refusal shows the degree as a power of two, and 2^n is never built
+    # (2^(10^9) would take 125 MB)
+    def never(N):
+        raise AssertionError("2^n built for a boolean PGF past the guard")
+
+    monkeypatch.setattr(boolean, "half_binomial_pgf", never)
+    tracemalloc.start()
+    try:
+        for n in (14285, 20000, 10**9):
+            assert main(["pgf", "--family", "boolean", "--n", str(n)]) == 1, n
+            err = capsys.readouterr().err
+            assert "PGF_GUARD" in err and f"a PGF of degree 2^{n}:" in err, (n, err)
+        assert tracemalloc.get_traced_memory()[1] < 10**7
+    finally:
+        tracemalloc.stop()
 
 
 def test_last_requests_inside_the_guard_are_served():

@@ -5,6 +5,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from momentforge import oracle
+from momentforge.cli import main
 from momentforge.errors import SizeGuardError
 from momentforge.oracle import (
     Histogram,
@@ -168,9 +169,13 @@ def test_merge_histograms_exact():
     assert merged.counts == {0: 2, 1: 4, 4: 2} and merged.total == 8
 
 
-def test_histogram_serialization():
-    h = Histogram({2: 1, 0: 3}, 4)
-    assert h.to_csv_rows() == [(0, 3), (2, 1)]
+def test_histogram_serialization(capsys):
+    # the CSV lists the histogram by value as a number: 10 after 9
+    assert main(["oracle", "--family", "invmaj", "--n", "5", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "value,count"
+    rows = [tuple(map(int, line.split(","))) for line in lines[1:]]
+    assert rows == sorted(enumerate_permutations(5).marginal_inv().counts.items()) and rows[-1][0] == 10
 
 
 # The lane-parallel enumerators against the per-configuration loops of
