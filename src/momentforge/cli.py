@@ -9,7 +9,10 @@ error (a command line click refuses, a parameter outside a family's domain,
 a request past a size guard), 2 validation failure (a failed internal
 check, e.g. a fit that misses a verification point).  Families are looked
 up in ``families.FAMILIES``; only ``identities`` and ``approx-h``, which
-serve the boolean family alone, call a family module directly.
+serve the boolean family alone, call a family module directly.  Each is
+weighed by the guard of what it builds: ``identities`` reads one cached
+table, refused past ``SYMBOLIC_ORDER_GUARD``, and H_n(q) is a closed-form
+PGF, refused past ``PGF_GUARD`` before it is built.
 
 The output is written in one walk (``_pieces``): it yields the JSON text
 as ``json.dumps(sort_keys=True, indent=2, default=str)`` writes it, but
@@ -530,23 +533,14 @@ def fit_cmd(family, r, c, period, degree, n_min, n_max, verify):
     return parameters, result, (["residue", "polynomial"], rows)
 
 
-# Highest --r-max of the identity battery.  Its rows read the coefficients
-# of the central moments of the 0-cube count in W, one cached table built
-# to order R (``common.half_binomial_forms``, within SYMBOLIC_ORDER_GUARD):
-# as a whole process on one Intel Xeon core, R = 60 takes 0.3 to 0.45 s,
-# of which the table is 0.09 s in process and start-up about 0.28 s.  The
-# value is kept so that the battery serves and refuses the same requests.
-IDENTITIES_GUARD = 60
-
-
 @_subcommand("identities")
 @click.option("--r-max", type=int, default=10, show_default=True)
 def identities_cmd(r_max):
     """Check the central-coefficient identity battery for the 0-cube count."""
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
-    charge(r_max, IDENTITIES_GUARD, "IDENTITIES_GUARD", "--r-max", summed=False)
-    central = common.half_binomial_forms("W", 1, r_max, True)  # E[(X - mu)^r] in W = 2^n
+    # E[(X - mu)^r] in W = 2^n, one cached table refused past SYMBOLIC_ORDER_GUARD before it is built
+    central = common.half_binomial_forms("W", 1, r_max, True)
     rows = []
     for r in range(r_max + 1):
         for t in range(r + 1):
@@ -573,6 +567,8 @@ def identities_cmd(r_max):
 @click.option("--with-polynomial", is_flag=True, help="Include the full H_n(q) polynomial (small n only).")
 def approx_h_cmd(n, k, with_polynomial):
     """Independence approximation H_n(q): exact moments, optional polynomial."""
+    # the polynomial first: past PGF_GUARD it is refused before the moments' sums run
+    row = boolean.h_polynomial(n, k) if with_polynomial else None
     moments = boolean.h_moments(n, k)
     p = boolean.h_probability(n, k)
     exact_mean = families.moment_vector("boolean", "raw", 1, {"n": n, "k": k}).entries[1]
@@ -587,8 +583,7 @@ def approx_h_cmd(n, k, with_polynomial):
         "exact_mean": _Text(exact_mean),
     }
     keys = ("p", "mean", "mean_closed_form", "second_factorial", "variance", "exact_mean")
-    if with_polynomial:
-        row = boolean.h_polynomial(n, k)
+    if row is not None:
         result["polynomial"] = _Text(row)
         result["probabilities"] = [_Text(row, d) for d in range(len(row.counts))]
     probabilities = ([f"q^{d}", v] for d, v in enumerate(result.get("probabilities", ())))

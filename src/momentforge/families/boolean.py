@@ -18,6 +18,8 @@ printed.  The 0-cube PGF is the binomial row C(2^n, d) over 2^(2^n)
 numerators over 2^(2^n) b^top, top = C(2^n, 2^k), each term
 C(2^n, m) b^(top-M) (a q + b - a)^M with M = C(m, 2^k) expanded by the
 binomial theorem; for k = 0, p = 1 and H_n(q) is the 0-cube PGF itself.
+For k >= 1 a lower bound on its ``PGF_GUARD`` weight is charged before
+its total, a power or a row is built.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from functools import lru_cache
 
 from momentforge import oracle
 from momentforge.exact_core import binomial, falling_factorial
+from momentforge.families import common
 from momentforge.families.common import (
-    PGF_GUARD,
     Family,
     binomial_row,
     charge,
@@ -45,7 +47,6 @@ from momentforge.poly_series import CountRow, Polynomial
 __all__ = ["FAMILY", "h_probability", "h_moments", "h_mean_closed_form", "h_polynomial"]
 
 H_MAX_N = 14  # the 2^n-term sums stay exact; beyond this they are impractical
-H_MAX_DEGREE = 2000  # highest degree of H_n(q) that is built; its moments need no polynomial
 # Highest cube dimension k of the moment routes.  E[X] carries 2^(2^k) and
 # E[X^2] 2^(2^(k+1)) in their denominators, whose bit lengths double per
 # step of k: as a whole process on one Intel Xeon core,
@@ -154,10 +155,7 @@ def h_moments(n: int, k: int) -> dict[str, Fraction]:
     block = 2**k
     ey_num = 0
     eyy_num = 0
-    comb = 1  # C(N, m) running value
-    for m in range(N + 1):
-        if m:
-            comb = comb * (N - m + 1) // m
+    for m, comb in enumerate(binomial_row(N)):
         M = math.comb(m, block)
         ey_num += comb * M
         eyy_num += comb * M * (M - 1)
@@ -176,16 +174,21 @@ def h_mean_closed_form(n: int, k: int) -> Fraction:
 
 
 def h_polynomial(n: int, k: int) -> CountRow:
-    """H_n(q) = sum_m C(2^n, m) (p q + 1 - p)^{C(m, 2^k)} / 2^{2^n}."""
+    """H_n(q) = sum_m C(2^n, m) (p q + 1 - p)^{C(m, 2^k)} / 2^{2^n}; SizeGuardError past PGF_GUARD.
+
+    (degree + 1) * bit_length(total) >= (top + 1) (2^n + top (bit_length(b) - 1) + 1) is charged first.
+    """
     _check_h_n(n)
     p = h_probability(n, k)
     N = 2**n
-    block = 2**k
-    top = math.comb(N, block)
-    charge(top, H_MAX_DEGREE, "H_MAX_DEGREE", f"the degree of H_{n}(q) for k={k}", summed=False)
     if k == 0:  # p = 1
         return half_binomial_pgf(N)
+    block = 2**k
+    top = math.comb(N, block)
     a, b = p.numerator, p.denominator
+    what = f"H_{n}(q) for k={k}, of degree {common._shown(top)}: a lower bound on (degree + 1) * bit_length(total)"
+    charge((top + 1) * (N + top * (b.bit_length() - 1) + 1), common.PGF_GUARD, "PGF_GUARD", what)
+    total = common.pgf_total(top, lambda: b**top << N)
     c = b - a
     a_pow = _powers(a, top)
     b_pow = _powers(b, top)
@@ -195,11 +198,9 @@ def h_polynomial(n: int, k: int) -> CountRow:
     for m, comb in enumerate(binomial_row(N)):
         M = math.comb(m, block)
         weight = comb * b_pow[top - M]
-        choose = 1  # C(M, d)
-        for d in range(M + 1):
+        for d, choose in enumerate(binomial_row(M)):
             numerators[d] += weight * choose * c_pow[M - d]
-            choose = choose * (M - d) // (d + 1)
-    return CountRow([x * a_pow[d] for d, x in enumerate(numerators)], 2**N * b_pow[top])
+    return CountRow([x * a_pow[d] for d, x in enumerate(numerators)], total)
 
 
 def _powers(x: int, top: int) -> list[int]:
@@ -255,7 +256,7 @@ def _closed_pgf(p: dict) -> CountRow | None:
         return None
     n = p["n"]
     what = f"a PGF of degree 2^{n}: its coefficients, degree + 1"
-    charge_size(n + 1, lambda: (1 << n) + 1, PGF_GUARD, "PGF_GUARD", what)
+    charge_size(n + 1, lambda: (1 << n) + 1, common.PGF_GUARD, "PGF_GUARD", what)
     return half_binomial_pgf(1 << n)
 
 

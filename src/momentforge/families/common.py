@@ -280,10 +280,10 @@ def half_binomial_pgf(N: int) -> CountRow:
     return CountRow(binomial_row(N), total)
 
 
-def binomial_row(N: int) -> list[int]:
-    """[C(N, 0), ..., C(N, N)] by the multiplicative recurrence."""
+def binomial_row(N: int, length: int | None = None) -> list[int]:
+    """[C(N, 0), ..., C(N, length - 1)], by default to C(N, N), by the multiplicative recurrence; N may be < 0."""
     row = [1]
-    for d in range(N):
+    for d in range(N if length is None else length - 1):
         row.append(row[-1] * (N - d) // (d + 1))
     return row
 

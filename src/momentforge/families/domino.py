@@ -188,10 +188,7 @@ def binomial_sums(m: int, n: int, r: int) -> tuple[int, ...]:
 
 def _extend(sweep: tuple[tuple[int, ...], ...], w: int, r: int, length: int) -> list[int]:
     """N_0..N_r at ``length`` > 2r+2 rows from the polynomials in the length fitted to ``sweep``."""
-    steps = length - r - 1
-    binomials = [1]  # C(L-r-1, i), shared by every order
-    for i in range(r):
-        binomials.append(binomials[-1] * (steps - i) // (i + 1))
+    binomials = common.binomial_row(length - r - 1, r + 1)  # C(L-r-1, i), shared by every order
     counts = []
     for j in range(r + 1):
         column = [sweep[rows - 1][j] for rows in range(r + 1, 2 * r + 3)]
@@ -225,9 +222,7 @@ def _sums_from_counts(counts, w: int, length: int) -> tuple[int, ...]:
             for i, binomial in enumerate(row):
                 inner[j + i] += counts[j] * binomial
         row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
-    outer = [1]  # C(A-r, i)
-    for i in range(r):
-        outer.append(outer[-1] * (slots - r - i) // (i + 1))
+    outer = common.binomial_row(slots - r, r + 1)  # C(A-r, i)
     sums = []
     for k in range(r + 1):
         total = sum(outer[k - i] * inner[i] for i in range(k + 1))

@@ -76,6 +76,12 @@ def second_moment_grid(ns: Sequence[int], c: int) -> list[tuple[int, Fraction]]:
     return [(n, second_moment(n, c)) for n in ns]
 
 
+def _max_order(p: dict) -> int:
+    """2, the highest order of the closed forms, once n and c are checked."""
+    _counts(p["n"], p["c"])
+    return 2
+
+
 def _moments(r_max: int, p: dict) -> MomentVector:
     n, c = p["n"], p["c"]
     entries = [Fraction(1), first_moment(n, c)]
@@ -90,7 +96,7 @@ FAMILY = Family(
     defaults={"c": 2},
     space_size=lambda p: p["c"] ** p["n"],
     space_bits=lambda p: p["n"] * math.log2(p["c"]),
-    max_order=lambda p: 2,
+    max_order=_max_order,
     moments=_moments,
     mean=lambda p: first_moment(p["n"], p["c"]),
     closed_pgf=lambda p: None,

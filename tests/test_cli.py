@@ -209,18 +209,20 @@ def test_identities_rows_all_ok(schema):
 
 
 def test_identities_guard_edge(capsys):
-    # in process: the battery at the guard is served, one order past it is refused
-    from momentforge.cli import IDENTITIES_GUARD, main
+    # in process: the battery is weighed by its table, served to SYMBOLIC_ORDER_GUARD and refused past it
+    from momentforge.cli import main
+    from momentforge.families.common import SYMBOLIC_ORDER_GUARD
 
-    assert main(["identities", "--r-max", str(IDENTITIES_GUARD)]) == 0
+    assert SYMBOLIC_ORDER_GUARD == 128
+    assert main(["identities", "--r-max", "128"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["result"]["all_ok"] is True
-    assert payload["result"]["rows"][-1]["r"] == IDENTITIES_GUARD
-    for r_max in (IDENTITIES_GUARD + 1, 200):
+    assert payload["result"]["rows"][-1]["r"] == 128
+    for r_max in (129, 200):
         assert main(["identities", "--r-max", str(r_max)]) == 1
         proc = capsys.readouterr()
         assert proc.out == ""
-        assert proc.err.startswith("usage error:") and "IDENTITIES_GUARD = " in proc.err, proc.err
+        assert proc.err.startswith("usage error:") and "SYMBOLIC_ORDER_GUARD = " in proc.err, proc.err
 
 
 def test_identities_lower_edge(capsys):

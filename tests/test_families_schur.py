@@ -147,3 +147,17 @@ def test_parameter_validation():
         schur.first_moment(0, 2)
     with pytest.raises(ValueError):
         schur.second_moment(5, 1)
+
+
+@pytest.mark.parametrize("args, error", [
+    (["--n", "1", "--c", "1"], "need c >= 2"),
+    (["--n", "-5"], "need n >= 1"),
+])
+def test_bad_parameters_are_named_before_the_order(args, error, capsys):
+    # the default order, 4, is past the closed forms' r = 2: the parameter is still the error shown
+    from momentforge.cli import main
+
+    assert main(["moments", "--family", "schur", *args]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage error: {error} "), err

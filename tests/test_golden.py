@@ -1,0 +1,67 @@
+"""CLI stdout pinned byte for byte, one entry per argv of ``data/*_golden``.
+
+Each set's ``index.json`` maps a name to an argv, its exit code and its
+stdout: the file ``<name>.stdout`` or, for a large output, its sha256 and
+length.  The sets pin what earlier implementations printed, before the
+code that prints it now replaced them:
+
+* ``boolean_golden``: Binomial(N, 1/2) as the boolean 0-cube count and the
+  domino forest boards each built their own symbolic tables and
+  ``identities`` summed Stirling products: every boolean kind at
+  ``SYMBOLIC_ORDER_GUARD``'s edge (r = 128) and one past it, numbers at
+  n = 30, the k = 1 and k = 2 forms, the domino mu-forms, ``identities``
+  from 0 to the guard's edge and one past it and as CSV, ``approx-h`` at
+  k = 0 up to ``PGF_GUARD``'s edge and past it, and at k = 2 refused, a
+  boolean ``normality`` grid and the 1-by-n MGF limit.
+* ``domino_golden``: the cell-profile transfer sweep, before the face
+  sweep: every moment subcommand and normality, widths 1 to 17, boards
+  past 2r+2 rows, and the last order the guard served at width 2 (the size
+  term's edge) and at widths 12 and 16 (the sweep term's).
+* ``oracle_golden``: ``oracle --family invmaj`` at n = 1..9, at n = 8 with
+  ``--r-max 8`` and at n = 7 as CSV, from the plain-changes walk; the
+  joint (inv, maj) histogram is printed in full, so a wrong pairing of inv
+  with maj shows even where both marginals are right.
+* ``pgf_golden``: every PGF as a polynomial of Fractions written by
+  ``json.dumps``: the benchmark's ``pgf-dense`` jobs, the oracle route,
+  the boolean k = 1 oracle, the trivial invmaj n = 1, an ``approx-h``
+  polynomial over a total that is not a power of two, two CSV outputs and
+  ``pgf --family boolean --n 12``.
+* ``runner_golden``: ``moment_algebra.NormalityReport`` and per-subcommand
+  CSV writers: the invmaj moment kinds, ``normality`` and ``mgf-limit`` as
+  JSON and as CSV, ``fit``, ``moments``, ``binomial-moments`` and
+  ``oracle`` as CSV, and a grid of two points, refused.
+* ``schur_golden``: the step sweep of pair counts, before the closed form
+  from three floor counts: ``moments`` at small n, both parities, c = 2, 3
+  and 5 and n = 50000, ``central`` and ``binomial-moments``, two fits, a
+  normality grid and one CSV output.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from momentforge.cli import main
+from momentforge.families import domino
+
+DATA = Path(__file__).resolve().parent / "data"
+ENTRIES = [
+    (index.parent, name, entry)
+    for index in sorted(DATA.glob("*_golden/index.json"))
+    for name, entry in sorted(json.loads(index.read_text()).items())
+]
+
+
+@pytest.mark.parametrize(
+    "golden, name, entry", ENTRIES, ids=[f"{golden.name}/{name}" for golden, name, _ in ENTRIES]
+)
+def test_stdout_is_byte_identical(golden, name, entry, monkeypatch, capsys):
+    # a face sweep cached by an earlier argv would serve this one
+    monkeypatch.setattr(domino, "_SWEPT", {})
+    assert main(entry["argv"]) == entry["exit"]
+    out = capsys.readouterr().out.encode()
+    if "sha256" in entry:
+        assert (len(out), hashlib.sha256(out).hexdigest()) == (entry["bytes"], entry["sha256"])
+    else:
+        assert out == (golden / f"{name}.stdout").read_bytes()

@@ -52,7 +52,9 @@ def test_h_polynomial_is_the_sum_of_fraction_powers(n, k):
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 1)])
-def test_h_polynomial_factorial_moments_match_the_sums(n, k):
+def test_h_polynomial_factorial_moments_match_the_sums(n, k, monkeypatch):
+    # H_4(q) at k = 2 weighs about 3.3e7, past PGF_GUARD: raised here, read at call time
+    monkeypatch.setattr(common, "PGF_GUARD", 10**8)
     h = boolean.h_polynomial(n, k)
     # every coefficient is an integer over one power of 2, so sum the numerators
     total = max(c.denominator for c in h.coeffs)
@@ -61,6 +63,46 @@ def test_h_polynomial_factorial_moments_match_the_sums(n, k):
     moments = boolean.h_moments(n, k)
     assert Fr(sum(d * c for d, c in enumerate(counts)), total) == moments["mean"]
     assert Fr(sum(d * (d - 1) * c for d, c in enumerate(counts)), total) == moments["second_factorial"]
+
+
+def test_h4_with_its_polynomial_is_refused_by_the_pgf_guard(capsys):
+    assert main(["approx-h", "--n", "4", "--k", "2", "--with-polynomial"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert (
+        "H_4(q) for k=2, of degree 1820: a lower bound on (degree + 1) * bit_length(total) = 33173157, "
+        "beyond the PGF_GUARD size guard" in err
+    ), err
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 1), (12, 1), (14, 7)])
+def test_h_polynomials_past_the_guard_are_refused_before_their_powers_and_rows(n, k, monkeypatch, capsys):
+    # H_12(q) at k = 1 has degree 8386560: the charge of degree + 1 alone would let it build a
+    # total of 1024^8386560 (10 MB) before the exact charge refuses it
+    def never(*args):
+        raise AssertionError(f"a power or row built for H_{n}(q) at k = {k}, past the guard")
+
+    for module in (boolean, common):
+        monkeypatch.setattr(module, "binomial_row", never)
+    monkeypatch.setattr(boolean, "_powers", never)
+    tracemalloc.start()
+    try:
+        assert main(["approx-h", "--n", str(n), "--k", str(k), "--with-polynomial"]) == 1
+        assert tracemalloc.get_traced_memory()[1] < 10**6
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "beyond the PGF_GUARD size guard" in err, err
+
+
+def test_binomial_row_of_any_length():
+    assert common.binomial_row(5) == [1, 5, 10, 10, 5, 1]
+    assert common.binomial_row(5, 3) == [1, 5, 10]
+    assert common.binomial_row(2, 5) == [1, 2, 1, 0, 0]
+    # a negative N: the coefficients of the series (1 + z)^N
+    for N in range(-6, 0):
+        assert common.binomial_row(N, 8) == [(-1) ** i * math.comb(i - N - 1, i) for i in range(8)], N
 
 
 def test_pgf_total_guard():
@@ -112,6 +154,7 @@ def test_boolean_pgfs_far_past_the_guard_are_refused_from_n(monkeypatch, capsys)
 
 def test_last_requests_inside_the_guard_are_served():
     assert boolean.FAMILY.closed_pgf({"n": 12, "k": 0}).degree == 4096
+    assert boolean.h_polynomial(12, 0) == boolean.FAMILY.closed_pgf({"n": 12, "k": 0})
     assert domino.FAMILY.closed_pgf({"m": 1, "n": 4472}).degree == 4471
     # invmaj n = 187 itself takes about 1 s; its guard check alone passes
     assert pgf_total(187 * 186 // 2, lambda: math.factorial(187)) == math.factorial(187)

@@ -114,10 +114,3 @@ def test_a_refused_output_formats_no_digit(argv, no_formatting, monkeypatch, cap
     out, err = capsys.readouterr()
     assert out == ""
     assert "PRINT_TOTAL_GUARD size guard" in err, err
-
-
-def test_h4_with_its_polynomial_is_refused_by_the_print_total(capsys):
-    assert main(["approx-h", "--n", "4", "--k", "2", "--with-polynomial"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "the 7296 printed integers weigh sum(digits^2) = 171957984415, beyond the PRINT_TOTAL_GUARD" in err, err
