@@ -15,14 +15,18 @@ table, refused past ``SYMBOLIC_ORDER_GUARD``, and H_n(q) is a closed-form
 PGF, refused past ``PGF_GUARD`` before it is built.
 
 The output is written in one walk (``_pieces``): it yields the JSON text
-as ``json.dumps(sort_keys=True, indent=2, default=str)`` writes it, but
-with each exact value (a ``_Text``) left unformatted.  The runner charges
-the integers of those values (``_charge_print``), and only then does
-``_emit`` format each value and join the pieces.  A PGF is a ``CountRow``:
-its coefficients are reduced and formatted once, and the same strings
-serve both its polynomial text and its coefficient list.  A body returns
-its CSV output as one table, a header and rows of the same values, which
-the runner writes after the same charge.
+as ``json.dumps(sort_keys=True, indent=2)`` writes it, but with each exact
+value (a ``_Text``) left unformatted; it writes only what the bodies
+return, and refuses (TypeError) a bare exact value.  The runner charges
+the integers of the exact values to the one print guard,
+``PRINT_TOTAL_GUARD`` (``_charge_print``), and only then does ``_emit``
+format each value and join the pieces.  A bare int (a parameter, an
+order, a count) is written as it is walked, uncharged, so it must stay
+small.  A PGF is a ``CountRow``: its coefficients are reduced
+and formatted once, and the same strings serve both its polynomial text
+and its coefficient list.  A body returns its CSV output as one table, a
+header and rows of the same values, which the runner writes after the
+same charge.
 """
 
 from __future__ import annotations
@@ -53,18 +57,12 @@ from momentforge import oracle as oracle_mod
 _encode = json.encoder.encode_basestring_ascii
 
 
-# Most decimal digits of one printed integer: a count, a numerator or a
-# denominator.  CPython formats an int in time quadratic in its length;
-# 10^5 digits take about 0.18 s on one Intel Xeon core.
-PRINT_GUARD = 10**5
-# 2^332192 has PRINT_GUARD digits and 2^332193 one more: an integer of at
-# most this many bits is inside the guard, one of two bits more is past it.
-_PRINT_GUARD_BITS = int(PRINT_GUARD * math.log2(10))
-# Bound on sum(digits^2) over every integer an output prints, 1.7e-11 to
-# 1.8e-11 s a unit to format on one Intel Xeon core (str of one integer of
-# 10^4 to 10^5 digits): 10 integers at PRINT_GUARD.  moments --family
-# invmaj --n 20000 --r 100, 6.2e11, took 11 s as a whole process before
-# this guard.
+# Bound on sum(digits^2) over every integer an output prints, digits from
+# bit lengths.  CPython formats an int in time quadratic in its length, 1.7e-11
+# to 1.8e-11 s a unit on one Intel Xeon core (str of one integer of 10^4 to
+# 10^5 digits).  moments --family invmaj --n 20000 --r 100, 6.2e11, took
+# 11 s as a whole process before this guard; inside it, moments --family
+# domino --m 1 --n 742804 --r 0 (2^742804 printed twice) takes 2.2-2.3 s.
 PRINT_TOTAL_GUARD = 10**11
 
 
@@ -101,22 +99,16 @@ def _integers(x) -> list[int]:
     return [x.numerator, x.denominator] if parts is None else [i for part in parts for i in _integers(part)]
 
 
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
-
-
 def _walk(o, newline: str, out: list) -> None:
-    """Append to ``out`` the text of o as ``json.dumps(o, sort_keys=True, indent=2, default=str)`` writes it.
+    """Append to ``out`` the text of o as ``json.dumps(o, sort_keys=True, indent=2)`` writes it.
 
     Text is appended as strings, and each ``_Text`` as itself, to be
-    charged and formatted later; any other value JSON cannot write is
-    written as its ``str``.  Types are tried in the encoder's order, dict
-    items are sorted on their own keys, and strings are escaped as it
-    escapes them.
+    charged and formatted later.  Only what the bodies return is written:
+    str, None, bool, int, a finite float, a list, a dict with str keys and
+    a ``_Text``; anything else, a bare exact value included, raises
+    TypeError, so no rational is formatted uncharged (a bare int is, so
+    it must be small).  Dict items are sorted on their keys, and strings
+    are escaped as the encoder escapes them.
     """
     if isinstance(o, str):
         out.append(_encode(o))
@@ -128,9 +120,9 @@ def _walk(o, newline: str, out: list) -> None:
         out.append("false")
     elif isinstance(o, int):
         out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_float_text(o))
-    elif isinstance(o, (list, tuple)):
+    elif isinstance(o, float) and math.isfinite(o):
+        out.append(float.__repr__(o))
+    elif isinstance(o, list):
         if not o:
             out.append("[]")
             return
@@ -153,26 +145,17 @@ def _walk(o, newline: str, out: list) -> None:
         comma = "," + inner
         out.append("{" + inner)
         for i, (key, value) in enumerate(sorted(o.items())):
+            if not isinstance(key, str):
+                raise TypeError(f"an output key must be a str, not {type(key).__name__}")
             if i:
                 out.append(comma)
-            out.append(_encode(_key_text(key)) + ": ")
+            out.append(_encode(key) + ": ")
             _walk(value, inner, out)
         out.append(newline + "}")
     elif isinstance(o, _Text):
         out.append(o)
     else:
-        out.append(_encode(str(o)))
-
-
-def _key_text(key) -> str:
-    """A dict key as JSON writes it: a string as itself, a number, a boolean or None as its JSON text."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        text: list = []
-        _walk(key, "", text)
-        return text[0]
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        raise TypeError(f"an output cannot hold a {type(o).__name__}: exact values go in a _Text")
 
 
 def _pieces(payload) -> list:
@@ -191,24 +174,16 @@ def _joined(pieces: list) -> str:
     return "".join([p if p.__class__ is str else f'"{p}"' for p in pieces])
 
 
-def _digits(bits: float) -> int:
-    """The fewest decimal digits an integer of at least ``bits`` bits has."""
-    return int((math.ceil(bits) - 1) * math.log10(2)) + 1
+def _print_weight(bit_lengths: Iterable[float]) -> int:
+    """sum(digits^2) of integers of these bit lengths, about (bits log10 2)^2 each."""
+    return int(sum(b * b for b in bit_lengths) * math.log10(2) ** 2)
 
 
 def _charge_print(pieces: list) -> None:
-    """Charge the integers the output's leaves print, from bit lengths, before any digit is formatted.
-
-    The longest to PRINT_GUARD (exact at the one bit length that straddles it),
-    the sum of their digits^2, about (bits log10 2)^2 each, to PRINT_TOTAL_GUARD.
-    """
+    """Charge the integers the output's leaves print to PRINT_TOTAL_GUARD, from bit lengths, before any digit is formatted."""
     integers = [i for piece in pieces if piece.__class__ is _Text for i in piece.integers()]
-    bit_lengths = [i.bit_length() for i in integers]
-    bits = max(bit_lengths, default=0)
-    digits = _digits(bits) + (bits == _PRINT_GUARD_BITS + 1 and max(map(abs, integers)) >= 10**PRINT_GUARD)
-    charge(digits, PRINT_GUARD, "PRINT_GUARD", "the longest printed integer's digits", summed=False)
     charge(
-        int(sum(b * b for b in bit_lengths) * math.log10(2) ** 2), PRINT_TOTAL_GUARD, "PRINT_TOTAL_GUARD",
+        _print_weight(i.bit_length() for i in integers), PRINT_TOTAL_GUARD, "PRINT_TOTAL_GUARD",
         f"the {len(integers)} printed integers weigh sum(digits^2)", summed=False,
     )
 
@@ -225,7 +200,7 @@ def _emit(ctx_params: dict, subcommand: str, pieces: list, table: tuple, started
     fmt = ctx_params["format"]
     out_path = ctx_params["out"]
     # the interpreter's own int-to-str digit limit (4300 on Python >= 3.10.7)
-    # is lifted while the output is formatted; PRINT_GUARD takes its place
+    # is lifted while the output is formatted; PRINT_TOTAL_GUARD takes its place
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
@@ -351,8 +326,18 @@ def _moment_command(kind: str, subcommand: str) -> None:
             written = set().union(*(_symbols(t.value) for t in closed_forms))
             result["symbols"] = {s: SYMBOL_LEGEND[s] for s in ("n", "W", "w", "mu") if s in written}
         if kind == "raw":
-            # refuse a size past PRINT_GUARD before building it; _charge_print decides exactly
-            charge(_digits(entry.space_bits(params)), PRINT_GUARD, "PRINT_GUARD", "the space size's digits", summed=False)
+            # printed at least twice (the size and scaled_entries[0]): a lower bound on the
+            # output's weight refuses a size before it is built; _charge_print decides exactly.
+            # A bound past 10^7 bits, alone past the guard, counts as 10^7 so its square stays
+            # finite; so does one past float range, whose space_bits overflows.
+            try:
+                bits = min(entry.space_bits(params), 10**7)
+            except OverflowError:
+                bits = 10**7
+            charge(
+                _print_weight([bits] * 2), PRINT_TOTAL_GUARD, "PRINT_TOTAL_GUARD",
+                "a lower bound on sum(digits^2) of the sample-space size, printed twice", summed=False,
+            )
             space = entry.space_size(params)
             result["sample_space_size"] = _Text(space)
             result["scaled_entries"] = [_Text(e * space) for e in vec.entries]
@@ -570,14 +555,14 @@ def approx_h_cmd(n, k, with_polynomial):
     # the polynomial first: past PGF_GUARD it is refused before the moments' sums run
     row = boolean.h_polynomial(n, k) if with_polynomial else None
     moments = boolean.h_moments(n, k)
-    p = boolean.h_probability(n, k)
     exact_mean = families.moment_vector("boolean", "raw", 1, {"n": n, "k": k}).entries[1]
     result = {
         "n": n,
         "k": k,
-        "p": _Text(p),
+        "p": _Text(moments["p"]),
+        # h_moments' E[Y] is the closed form p C(2^n, 2^k) / 2^(2^k), printed under both keys
         "mean": _Text(moments["mean"]),
-        "mean_closed_form": _Text(boolean.h_mean_closed_form(n, k)),
+        "mean_closed_form": _Text(moments["mean"]),
         "second_factorial": _Text(moments["second_factorial"]),
         "variance": _Text(moments["variance"]),
         "exact_mean": _Text(exact_mean),

@@ -18,7 +18,8 @@ from typing import Sequence
 
 from momentforge.errors import FitVerificationError
 from momentforge.exact_core import binomial, falling_factorial, stirling1_signed, stirling2
-from momentforge.families.common import half_binomial_moments
+from momentforge.families import boolean
+from momentforge.families.common import binomial_row, half_binomial_moments
 from momentforge.fitter import FitSpec
 from momentforge.moment_algebra import MomentVector, raw_to_binomial
 from momentforge.oracle import Histogram, JointHistogram
@@ -367,6 +368,24 @@ def central_coefficient(r: int, t: int) -> Fraction:
             inner += Fraction(stirling2(i, j) * stirling1_signed(j, i - t), 2**j)
         acc += Fraction(-1, 2) ** (r - i) * binomial(r, i) * inner
     return acc
+
+
+def h_moments_by_sum(n: int, k: int) -> dict[str, Fraction]:
+    """p_k, E[Y], E[Y(Y-1)] and Var[Y] of H_n(q) by exact summation over the 2^n + 1 values of m.
+
+    With M = C(m, 2^k):  E[Y] = sum_m C(2^n, m) M p / 2^{2^n}  and
+    E[Y(Y-1)] = sum_m C(2^n, m) M(M-1) p^2 / 2^{2^n}.
+    """
+    p = boolean.h_probability(n, k)
+    N = 2**n
+    ey_num = eyy_num = 0
+    for m, comb in enumerate(binomial_row(N)):
+        M = math.comb(m, 2**k)
+        ey_num += comb * M
+        eyy_num += comb * M * (M - 1)
+    ey = Fraction(ey_num, 2**N) * p
+    eyy = Fraction(eyy_num, 2**N) * p * p
+    return {"p": p, "mean": ey, "second_factorial": eyy, "variance": eyy + ey - ey * ey}
 
 
 def sample_counts(n: int, k: int, count: int, seed: int) -> tuple[dict[int, int], int]:

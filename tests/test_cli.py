@@ -305,17 +305,19 @@ PGF_GUARD_ARGS = [
     ["pgf", "--family", "domino", "--m", "1", "--n", "4473"],
 ]
 
-# past the printed-size guard: 2^(2^19) has 157827 digits, 2^400000 has 120412
-# and 2^332193, the smallest sample-space size past it, 100001;
-# the last three are refused from a bound on the sample-space size, before
-# it is built (10^6! has 5565709 digits, 2^(2^33) and 2^(10^10) billions)
-PRINT_GUARD_ARGS = [
-    ["moments", "--family", "boolean", "--n", "19", "--r", "1"],
-    ["moments", "--family", "domino", "--m", "1", "--n", "400000", "--r", "1"],
-    ["moments", "--family", "domino", "--m", "1", "--n", "332193", "--r", "0"],
+# past the print total: each is refused from a lower bound on its
+# sample-space size, printed twice, before the size is built (10^6! has
+# 5565709 digits, 2^(2^33) and 2^(10^10) billions).  The last five have
+# bounds whose squares, or the bounds themselves, are past float range.
+PRINT_TOTAL_GUARD_ARGS = [
     ["moments", "--family", "invmaj", "--n", "1000000", "--r", "2"],
     ["moments", "--family", "boolean", "--n", "33", "--r", "2"],
     ["moments", "--family", "domino", "--m", "100000", "--n", "100000", "--r", "2"],
+    ["moments", "--family", "boolean", "--n", "512", "--r", "1"],
+    ["moments", "--family", "schur", "--n", str(10**200), "--r", "1"],
+    ["moments", "--family", "domino", "--m", "1", "--n", str(10**200), "--r", "1"],
+    ["moments", "--family", "schur", "--n", str(10**400), "--r", "1"],
+    ["moments", "--family", "invmaj", "--n", str(10**400), "--r", "1"],
 ]
 
 # past MGF_GUARD on the t points' evaluations (17 steps by default), weighed
@@ -410,7 +412,7 @@ def test_usage_errors_exit_1(capsys):
         *FIT_GUARD_ARGS,
         *GRID_GUARD_ARGS,
         *PGF_GUARD_ARGS,
-        *PRINT_GUARD_ARGS,
+        *PRINT_TOTAL_GUARD_ARGS,
         *MGF_GUARD_ARGS,
         *SAMPLER_GUARD_ARGS,
         *ORDER_GUARD_ARGS,
@@ -433,8 +435,8 @@ def test_usage_errors_exit_1(capsys):
             assert "GRID_GUARD = " in proc.err, (args, proc.err)
         if args in PGF_GUARD_ARGS:
             assert "PGF_GUARD" in proc.err, (args, proc.err)
-        if args in PRINT_GUARD_ARGS:
-            assert "PRINT_GUARD" in proc.err, (args, proc.err)
+        if args in PRINT_TOTAL_GUARD_ARGS:
+            assert "PRINT_TOTAL_GUARD size guard" in proc.err, (args, proc.err)
         if args in MGF_GUARD_ARGS:
             assert "MGF_GUARD" in proc.err, (args, proc.err)
         if args in SAMPLER_GUARD_ARGS:
@@ -538,12 +540,30 @@ def test_normality_grid_is_checked_before_any_point_is_built(grid, monkeypatch, 
     assert calls == []
 
 
-def test_integers_of_exactly_print_guard_digits_are_printed(schema):
-    # 2^332192 has exactly 10^5 digits, the most PRINT_GUARD lets through
-    payload, _ = check_json(run_cli("moments", "--family", "domino", "--m", "1", "--n", "332192", "--r", "0"), schema)
-    space = payload["result"]["sample_space_size"]
-    assert len(space) == 10**5
-    assert int(space[-6:]) == pow(2, 332192, 10**6)
+def test_integers_past_ten_to_the_fifth_digits_are_printed(schema):
+    # 2^332193 has 100001 digits, printed twice: inside the print total
+    payload, _ = check_json(run_cli("moments", "--family", "domino", "--m", "1", "--n", "332193", "--r", "0"), schema)
+    result = payload["result"]
+    assert len(result["sample_space_size"]) == 10**5 + 1
+    assert int(result["sample_space_size"][-6:]) == pow(2, 332193, 10**6)
+    assert result["scaled_entries"] == [result["sample_space_size"]]
+
+
+def test_a_sample_space_past_the_print_total_is_refused_before_it_is_built(monkeypatch, capsys):
+    import dataclasses
+
+    from momentforge.cli import main
+    from momentforge.families import FAMILIES
+
+    def never(params):
+        raise AssertionError(f"the sample space of {params} built past the print total")
+
+    monkeypatch.setitem(FAMILIES, "boolean", dataclasses.replace(FAMILIES["boolean"], space_size=never))
+    assert main(["moments", "--family", "boolean", "--n", "33", "--r", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "a lower bound on sum(digits^2) of the sample-space size, printed twice" in err, err
+    assert "PRINT_TOTAL_GUARD size guard" in err, err
 
 
 def test_mgf_guard_refuses_before_the_t_grid_is_built():

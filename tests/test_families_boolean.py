@@ -9,7 +9,7 @@ from momentforge.families.common import eval_at_n
 from momentforge.moment_algebra import MomentVector, raw_to_central
 from momentforge.oracle import enumerate_boolean, histogram_moments
 from momentforge.poly_series import Polynomial
-from reference import central_coefficient, p_series_k0
+from reference import central_coefficient, h_moments_by_sum, p_series_k0
 
 HALF_W = Polynomial("W", (0, Fr(1, 2)))  # w = 2^(n-1) as a polynomial in W = 2^n
 
@@ -240,10 +240,11 @@ class TestHApproximation:
             )
             assert boolean.h_moments(n, 2)["mean"] == expected
 
-    def test_closed_form_matches_sum(self):
-        for k in (0, 1, 2):
-            for n in range(max(k, 1), 9):
-                assert boolean.h_mean_closed_form(n, k) == boolean.h_moments(n, k)["mean"]
+    def test_moments_match_the_sum_over_m(self):
+        for n in range(1, 9):
+            for k in range(n + 1):
+                moments = boolean.h_moments(n, k)
+                assert moments == h_moments_by_sum(n, k), (n, k)
 
     def test_k0_variance(self):
         for n in range(1, 8):

@@ -87,7 +87,7 @@ def test_defaults_and_capabilities():
     "family,members",
     [
         ("schur", [{"n": n, "c": c} for n in range(1, 80) for c in range(2, 9)]),
-        ("invmaj", [{"n": n} for n in (*range(1, 400), 25205, 25206)]),  # PRINT_GUARD edge
+        ("invmaj", [{"n": n} for n in (*range(1, 400), 25205, 25206)]),  # 25206! is the first past 10^5 digits
         ("boolean", [{"n": n, "k": 0} for n in range(0, 14)]),
         ("domino", [{"m": m, "n": n} for m in range(1, 12) for n in range(1, 40)]),
     ],

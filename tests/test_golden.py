@@ -12,11 +12,17 @@ code that prints it now replaced them:
   n = 30, the k = 1 and k = 2 forms, the domino mu-forms, ``identities``
   from 0 to the guard's edge and one past it and as CSV, ``approx-h`` at
   k = 0 up to ``PGF_GUARD``'s edge and past it, and at k = 2 refused, a
-  boolean ``normality`` grid and the 1-by-n MGF limit.
+  boolean ``normality`` grid and the 1-by-n MGF limit.  ``approx-h`` at
+  n = 13, k = 12 as the sum over the 2^n + 1 values of m printed it, and,
+  served since a printed integer past 10^5 digits is charged only to
+  ``PRINT_TOTAL_GUARD``, ``approx-h`` at n = k = 14 (with and without its
+  polynomial) and ``moments`` at n = 19; n = 33 is refused by that total
+  before its sample space is built.
 * ``domino_golden``: the cell-profile transfer sweep, before the face
   sweep: every moment subcommand and normality, widths 1 to 17, boards
   past 2r+2 rows, and the last order the guard served at width 2 (the size
-  term's edge) and at widths 12 and 16 (the sweep term's).
+  term's edge) and at widths 12 and 16 (the sweep term's); and two 1-by-n
+  boards whose sample-space size, past 10^5 digits, is now printed.
 * ``oracle_golden``: ``oracle --family invmaj`` at n = 1..9, at n = 8 with
   ``--r-max 8`` and at n = 7 as CSV, from the plain-changes walk; the
   joint (inv, maj) histogram is printed in full, so a wrong pairing of inv

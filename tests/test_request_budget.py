@@ -166,6 +166,3 @@ def test_a_fit_is_charged_for_what_it_prints(monkeypatch, capsys):
     monkeypatch.setattr(cli, "PRINT_TOTAL_GUARD", 100)
     assert cli.main(argv) == 1
     assert "PRINT_TOTAL_GUARD size guard" in capsys.readouterr().err
-    monkeypatch.setattr(cli, "PRINT_GUARD", 1)
-    assert cli.main(argv) == 1
-    assert "PRINT_GUARD size guard" in capsys.readouterr().err
