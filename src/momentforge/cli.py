@@ -22,11 +22,11 @@ the integers of the exact values to the one print guard,
 ``PRINT_TOTAL_GUARD`` (``_charge_print``), and only then does ``_emit``
 format each value and join the pieces.  A bare int (a parameter, an
 order, a count) is written as it is walked, uncharged, so it must stay
-small.  A PGF is a ``CountRow``: its coefficients are reduced
-and formatted once, and the same strings serve both its polynomial text
-and its coefficient list.  A body returns its CSV output as one table, a
-header and rows of the same values, which the runner writes after the
-same charge.
+small.  A PGF is a ``Polynomial`` of integer counts over one total: its
+coefficients are reduced and formatted once, and the same strings serve
+both its polynomial text and its coefficient list.  A body returns its
+CSV output as one table, a header and rows of the same values, which the
+runner writes after the same charge.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from momentforge.families import boolean, common
 from momentforge.families.common import SYMBOL_LEGEND, TGrid, charge, grid_point, request_budget
 from momentforge.fitter import FitSpec, check_fit_size, fit_quasi_polynomial
 from momentforge.moment_algebra import check_grid, normality_report
-from momentforge.poly_series import CountRow, Polynomial, QuasiPolynomial
+from momentforge.poly_series import Polynomial, QuasiPolynomial
 from momentforge import oracle as oracle_mod
 
 _encode = json.encoder.encode_basestring_ascii
@@ -74,7 +74,7 @@ class _Text:
 
     __slots__ = ("value", "degree")
 
-    def __init__(self, value: int | Fraction | Polynomial | QuasiPolynomial | CountRow, degree: int | None = None):
+    def __init__(self, value: int | Fraction | Polynomial | QuasiPolynomial, degree: int | None = None):
         self.value = value
         self.degree = degree
 
@@ -88,14 +88,14 @@ class _Text:
         x = self.value
         if self.degree is not None:
             return x.texts()[self.degree]
-        return x.to_text() if isinstance(x, (Polynomial, QuasiPolynomial, CountRow)) else str(x)
+        return x.to_text() if isinstance(x, (Polynomial, QuasiPolynomial)) else str(x)
 
 
 def _integers(x) -> list[int]:
     """The numerator and denominator of x, or of its coefficients and branches in turn."""
-    if isinstance(x, CountRow):
+    if isinstance(x, Polynomial) and x.is_numeric():
         return [i for pair in x.reduced() for i in pair]
-    parts = x.coeffs if isinstance(x, Polynomial) else x.branches if isinstance(x, QuasiPolynomial) else None
+    parts = x.nums if isinstance(x, Polynomial) else x.branches if isinstance(x, QuasiPolynomial) else None
     return [x.numerator, x.denominator] if parts is None else [i for part in parts for i in _integers(part)]
 
 
@@ -192,7 +192,7 @@ def _symbols(x) -> set[str]:
     """The symbols written in x's text: those of its polynomials with a term of degree >= 1."""
     if not isinstance(x, Polynomial):
         return set()
-    return ({x.symbol} if x.degree >= 1 else set()).union(*map(_symbols, x.coeffs))
+    return ({x.symbol} if x.degree >= 1 else set()).union(*map(_symbols, x.nums))
 
 
 def _emit(ctx_params: dict, subcommand: str, pieces: list, table: tuple, started: float) -> None:
@@ -356,7 +356,7 @@ def pgf_cmd(family, n, c, m, k):
     """Exact probability generating function in canonical text."""
     entry, params = _family_params(family, n=n, c=c, m=m, k=k)
     row, source = entry.pgf(params)
-    coeffs = [_Text(row, d) for d in range(len(row.counts))]
+    coeffs = [_Text(row, d) for d in range(len(row.nums))]
     result = {
         "family": family,
         "params": params,
@@ -570,7 +570,7 @@ def approx_h_cmd(n, k, with_polynomial):
     keys = ("p", "mean", "mean_closed_form", "second_factorial", "variance", "exact_mean")
     if row is not None:
         result["polynomial"] = _Text(row)
-        result["probabilities"] = [_Text(row, d) for d in range(len(row.counts))]
+        result["probabilities"] = [_Text(row, d) for d in range(len(row.nums))]
     probabilities = ([f"q^{d}", v] for d, v in enumerate(result.get("probabilities", ())))
     rows = chain(([key, result[key]] for key in keys), probabilities)
     return {"n": n, "k": k, "with_polynomial": with_polynomial}, result, (["key", "value"], rows)

@@ -12,7 +12,8 @@ known for k = 1 only.  They are built once per k and order (cached),
 evaluated at n for the numbers and converted to every printed kind as the
 numbers are.  H_n(q) is the independence approximation of the k-cube PGF;
 its moments come from the binomial moments of Binomial(2^n, 1/2)
-(``h_moments``), with no sum over its 2^n + 1 values.
+(``h_moments``), with no sum over its 2^n + 1 values, as integers over
+powers of two.
 
 PGFs are rows of integer counts over one total, reduced only when
 printed.  The 0-cube PGF is the binomial row C(2^n, d) over 2^(2^n)
@@ -44,7 +45,7 @@ from momentforge.families.common import (
     half_binomial_pgf,
 )
 from momentforge.moment_algebra import MomentVector, convert, raw_to_binomial
-from momentforge.poly_series import CountRow, Polynomial
+from momentforge.poly_series import Polynomial
 
 __all__ = ["FAMILY", "h_moments", "h_polynomial"]
 
@@ -155,24 +156,39 @@ def h_moments(n: int, k: int) -> dict[str, Fraction]:
     is Binomial(M, p), M = C(m, B), B = 2^k:  E[Y] = p E[M] and
     E[Y(Y-1)] = p^2 E[M^2] - p E[Y].  C(m, B)^2 = sum_{i <= B} C(B+i, B)
     C(B, i) C(m, B+i) gives 2^(2B) E[M^2] = sum_i C(B+i, B) C(B, i) C(2^n, B+i) 2^(B-i).
+    p = P / 2^e with P = C(n, k) B! and e = k + n (B - 1), so every value is
+    an integer over a power of two, reduced once, by a shift.
     """
     _check_h_n(n)
-    p = h_probability(n, k)
     N = 2**n
     B = 2**k
+    P, e = math.comb(n, k) * math.factorial(B), k + n * (B - 1)
     first = math.comb(N, B)
-    ey = p * Fraction(first, 1 << B)
     # each term is the one before times (B - i) (N - B - i) / (2 (i + 1)^2)
     term, s = first << B, 0
     for i in range(min(B, N - B) + 1):
         s += term
         term = term * (B - i) * (N - B - i) // (2 * (i + 1) ** 2)
-    eyy = p * p * Fraction(s, 1 << 2 * B) - p * ey
-    var = eyy + ey - ey * ey
-    return {"p": p, "mean": ey, "second_factorial": eyy, "variance": var}
+    # E[Y] over 2^(e+B); E[Y(Y-1)] = P^2 (s - 2^B first) and
+    # Var[Y] = E[Y(Y-1)] + E[Y] - E[Y]^2 over 2^(2e+2B)
+    ey = P * first
+    eyy = P * P * (s - (first << B))
+    var = eyy + (ey << e + B) - ey * ey
+    return {
+        "p": h_probability(n, k),
+        "mean": _dyadic(ey, e + B),
+        "second_factorial": _dyadic(eyy, 2 * (e + B)),
+        "variance": _dyadic(var, 2 * (e + B)),
+    }
 
 
-def h_polynomial(n: int, k: int) -> CountRow:
+def _dyadic(num: int, exp: int) -> Fraction:
+    """num / 2^exp, its trailing zero bits cancelled by a shift."""
+    shift = min((num & -num).bit_length() - 1, exp) if num else exp
+    return Fraction(num >> shift, 1 << exp - shift)
+
+
+def h_polynomial(n: int, k: int) -> Polynomial:
     """H_n(q) = sum_m C(2^n, m) (p q + 1 - p)^{C(m, 2^k)} / 2^{2^n}; SizeGuardError past PGF_GUARD.
 
     (degree + 1) * bit_length(total) >= (top + 1) (2^n + top (bit_length(b) - 1) + 1) is charged first.
@@ -203,7 +219,7 @@ def h_polynomial(n: int, k: int) -> CountRow:
         for d, choose in enumerate(binomial_row(M)):
             numerators[d] += weight * choose * c_pow[M - d]
         M = M * (m + 1) // (m + 1 - block)
-    return CountRow([x * a_pow[d] for d, x in enumerate(numerators)], total)
+    return Polynomial("q", [x * a_pow[d] for d, x in enumerate(numerators)], total)
 
 
 def _powers(x: int, top: int) -> list[int]:
@@ -249,7 +265,7 @@ def _closed_forms(kind: str, r_max: int, p: dict) -> list[Polynomial]:
     return list(raw_to_binomial(MomentVector("central", half_binomial_forms("w", 2, r_max, True))).entries)
 
 
-def _closed_pgf(p: dict) -> CountRow | None:
+def _closed_pgf(p: dict) -> Polynomial | None:
     """((1+q)/2)^(2^n) for the 0-cube count: the binomial row C(2^n, d) over 2^(2^n).
 
     Its 2^n + 1 coefficients are charged from n first, so 2^n is never built past PGF_GUARD.

@@ -15,9 +15,9 @@ uniforms, whose cumulants add.  Binomial(N, 1/2) is the law of the boolean
 (``half_binomial_forms``), which stops at ``SYMBOLIC_ORDER_GUARD``, and its
 PGF one binomial row (``half_binomial_pgf``).
 
-Closed-form PGFs are rows of integer counts over one total (a
-``CountRow``): nothing is divided when a PGF is built, and each
-coefficient is reduced once, when it is printed.  ``pgf_total`` refuses a
+Closed-form PGFs are polynomials in q built as integer counts over one
+total (``Polynomial("q", counts, total)``): nothing is divided when a PGF
+is built, and each coefficient is reduced once, when it is printed.  ``pgf_total`` refuses a
 PGF beyond ``PGF_GUARD`` before its row is built.
 
 ``mgf_deviation`` is the one loop of the MGF limits, the distance of
@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Callable, Collection, Iterator, Mapping
 import mpmath
 
 from momentforge.errors import SizeGuardError
-from momentforge.poly_series import CountRow, Polynomial
+from momentforge.poly_series import Polynomial
 
 if TYPE_CHECKING:
     from momentforge.moment_algebra import MomentVector
@@ -198,9 +198,9 @@ def _bits(x: Fraction) -> int:
 
 # Highest order of a moment vector built over polynomials: the boolean
 # 0-cube count in W or w and the domino mu-forms (``half_binomial_forms``).
-# The cost of such a vector grows about as r^3.6; the slowest request
-# inside the guard, moments --family boolean --n 10 --r 128, takes 3.4 s as
-# a whole process on one Intel Xeon core (r = 200 took 12.6 s).
+# The cost of such a vector grows about as r^3.5; the slowest request
+# inside the guard, moments --family boolean --n 10 --r 128, takes 0.4-0.6 s
+# as a whole process on one Intel Xeon core (r = 200 takes 1.5 s).
 SYMBOLIC_ORDER_GUARD = 128
 
 
@@ -271,13 +271,13 @@ def pgf_total(degree: int, total: Callable[[], int]) -> int:
     return value
 
 
-def half_binomial_pgf(N: int) -> CountRow:
+def half_binomial_pgf(N: int) -> Polynomial:
     """((1+q)/2)^N, the PGF of Binomial(N, 1/2): the row C(N, d) over 2^N.
 
     Raises SizeGuardError beyond PGF_GUARD before the row is built.
     """
     total = pgf_total(N, lambda: 1 << N)
-    return CountRow(binomial_row(N), total)
+    return Polynomial("q", binomial_row(N), total)
 
 
 def binomial_row(N: int, length: int | None = None) -> list[int]:
@@ -391,7 +391,7 @@ class Family:
     # E[X] (params), the shift between raw and central moments
     mean: Callable[[dict], Fraction]
     # the closed-form PGF, or None where the oracle's histogram serves it
-    closed_pgf: Callable[[dict], CountRow | None]
+    closed_pgf: Callable[[dict], Polynomial | None]
     # exhaustive histogram plus extra result fields (invmaj: its joint histogram)
     enumerate: Callable[[dict], tuple[Histogram, dict]]
     # seeded sampler (params, samples, seed); None: exhaustive only
@@ -408,7 +408,7 @@ class Family:
         merged = {**self.defaults, **{name: v for name, v in given.items() if v is not None}}
         return {name: int(merged[name]) for name in self.params if name in merged}
 
-    def pgf(self, params: dict) -> tuple[CountRow, str]:
+    def pgf(self, params: dict) -> tuple[Polynomial, str]:
         """The PGF and its source: the closed form where there is one, else the oracle."""
         row = self.closed_pgf(params)
         if row is not None:

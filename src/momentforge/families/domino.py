@@ -42,7 +42,7 @@ from momentforge.exact_core import forward_differences
 from momentforge.families import common
 from momentforge.families.common import Family, charge, half_binomial_forms, half_binomial_moments, half_binomial_pgf
 from momentforge.moment_algebra import MomentVector, binomial_to_raw
-from momentforge.poly_series import CountRow, Polynomial
+from momentforge.poly_series import Polynomial
 
 __all__ = ["FAMILY", "binomial_sums"]
 
@@ -372,7 +372,7 @@ def _closed_forms(kind: str, r_max: int, p: dict) -> list[Polynomial] | None:
     return list(half_binomial_forms("mu", 2, r_max, kind == "central"))
 
 
-def _closed_pgf(p: dict) -> CountRow | None:
+def _closed_pgf(p: dict) -> Polynomial | None:
     """((1+q)/2)^(n-1) on a 1-by-n board: the binomial row C(n-1, d) over 2^(n-1)."""
     _check(p["m"], p["n"])
     return half_binomial_pgf(p["n"] - 1) if p["m"] == 1 else None

@@ -48,12 +48,12 @@ from momentforge import oracle
 from momentforge.families import common
 from momentforge.families.common import Family, bernoulli, pgf_total, uniform_sum_moments
 from momentforge.moment_algebra import MomentVector, raw_to_binomial
-from momentforge.poly_series import CountRow
+from momentforge.poly_series import Polynomial
 
 __all__ = ["FAMILY", "pgf", "binomial_moments", "mgf_deviation"]
 
 
-def pgf(n: int) -> CountRow:
+def pgf(n: int) -> Polynomial:
     """Probability generating function of the inversion number over S_n.
 
     Raises SizeGuardError beyond PGF_GUARD.
@@ -61,7 +61,7 @@ def pgf(n: int) -> CountRow:
     if n < 1:
         raise ValueError("need n >= 1")
     total = pgf_total(n * (n - 1) // 2, lambda: math.factorial(n))
-    return CountRow(_mahonian_row(n), total)
+    return Polynomial("q", _mahonian_row(n), total)
 
 
 def _mahonian_row(n: int) -> list[int]:

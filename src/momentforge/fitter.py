@@ -107,7 +107,7 @@ def fit_quasi_polynomial(spec: FitSpec) -> FitResult:
             c *= (k + 1) * spec.period
             x = pts[k][0]
             acc = [c * diffs[k] - x * acc[0]] + [a - x * b for a, b in zip(acc, acc[1:])] + [acc[-1]]
-        poly = Polynomial("n", [Fraction(a, c * scale) for a in acc])
+        poly = Polynomial("n", acc, c * scale)
         if miss is not None:
             n, v = pts[miss]
             raise FitVerificationError(j, n, v, poly.eval(n))

@@ -74,7 +74,7 @@ from typing import Iterable, Sequence
 
 from momentforge.families.common import charge_size
 from momentforge.moment_algebra import MomentVector
-from momentforge.poly_series import CountRow
+from momentforge.poly_series import Polynomial
 
 __all__ = [
     "Histogram",
@@ -121,10 +121,10 @@ class Histogram:
             Fraction(sum(v * v * c for v, c in self.counts.items()), self.total) - mu * mu
         )
 
-    def pgf(self) -> CountRow:
+    def pgf(self) -> Polynomial:
         """Probability generating function in q, the counts over the total; coefficients sum to 1."""
         top = max(self.counts) if self.counts else 0
-        return CountRow([self.counts.get(v, 0) for v in range(top + 1)], self.total)
+        return Polynomial("q", [self.counts.get(v, 0) for v in range(top + 1)], self.total)
 
 
 def merge_histograms(parts: Iterable[Histogram]) -> Histogram:

@@ -1,12 +1,15 @@
 """Polynomials, quasi-polynomials, and truncated power series over exact rationals.
 
-Polynomials carry the symbolic moments, quasi-polynomials the fitted
-closed forms.  A PGF stays a :class:`CountRow`, its integer counts over one
-total, until it is printed: each coefficient is reduced once, when first
-read, and formatted once.  Truncated series in the shift variable ``z``
-(``q = 1 + z``) multiply and divide up to a fixed order.
+Polynomials carry the symbolic moments and the PGFs, quasi-polynomials the
+fitted closed forms.  A polynomial with number coefficients is integer
+numerators over one denominator: a sum or product cancels one common
+factor, not one per coefficient, and a PGF is its integer counts over
+their total, untouched until it is printed, when each coefficient is
+reduced once, when first read, and formatted once.  Truncated series in
+the shift variable ``z`` (``q = 1 + z``) multiply and divide up to a fixed
+order.
 
-Coefficients are either :class:`fractions.Fraction` scalars or nested
+Coefficients are read as :class:`fractions.Fraction` scalars or as nested
 :class:`Polynomial` values in a different symbol (e.g. series in ``z`` whose
 coefficients are polynomials in ``n``).
 """
@@ -15,11 +18,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Union
 
 from momentforge.errors import SingularSeriesError
 
-__all__ = ["CountRow", "Polynomial", "QuasiPolynomial", "TruncatedSeries"]
+__all__ = ["Polynomial", "QuasiPolynomial", "TruncatedSeries"]
 
 Coef = Union[Fraction, "Polynomial"]
 
@@ -37,19 +41,39 @@ def _as_coef(value) -> Coef:
 class Polynomial:
     """Dense univariate polynomial in a named symbol, canonical form.
 
-    ``coeffs[d]`` is the coefficient of ``symbol**d``; trailing zeros are
-    stripped, so the zero polynomial has an empty coefficient tuple (its
-    degree is the ``-inf`` sentinel).
+    With number coefficients it keeps integer numerators ``nums`` over one
+    denominator ``den`` > 0.  ``Polynomial(symbol, counts, total)`` takes
+    integer counts over their total as they are, with no gcd and no type
+    check; a sum or product cancels its result's common factor in one gcd
+    pass.
+    With a polynomial coefficient (in another symbol) ``nums`` holds the
+    coefficients, Fractions and polynomials, and den = 1.  ``coeffs[d]`` is
+    the coefficient of ``symbol**d``; trailing zeros are stripped, so the
+    zero polynomial has an empty coefficient tuple (its degree is the
+    ``-inf`` sentinel).  A number polynomial is written from ``texts``:
+    each coefficient reduced once, when first read, and formatted once.
     """
 
-    __slots__ = ("symbol", "coeffs")
+    __slots__ = ("symbol", "nums", "den", "_reduced", "_texts")
 
-    def __init__(self, symbol: str, coeffs: Iterable = ()):
-        cs = [_as_coef(c) for c in coeffs]
+    def __init__(self, symbol: str, coeffs: Iterable = (), den: int = 1):
+        """The polynomial with these coefficients or, with ``den`` != 1, these integer numerators over den."""
+        cs = list(coeffs)
         while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "symbol", symbol)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        if den == 1 and any(c.__class__ is not int for c in cs):
+            cs = [_as_coef(c) for c in cs]
+            if not any(isinstance(c, Polynomial) for c in cs):
+                den = math.lcm(*(c.denominator for c in cs))
+                cs = [c.numerator * (den // c.denominator) for c in cs]
+        for name, value in zip(self.__slots__, (symbol, tuple(cs), den, None, None)):
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def _over(symbol: str, nums: list, den: int) -> "Polynomial":
+        """nums / den, their common factor cancelled in one gcd pass."""
+        g = math.gcd(den, *nums) if den != 1 else 1
+        return Polynomial(symbol, [x // g for x in nums] if g != 1 else nums, den // g)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("Polynomial is immutable")
@@ -66,27 +90,68 @@ class Polynomial:
 
     # -- structure ---------------------------------------------------------
 
+    def is_numeric(self) -> bool:
+        """True when every coefficient is a number, kept as an integer over ``den``."""
+        return not self.nums or self.nums[0].__class__ is int
+
+    @property
+    def coeffs(self) -> tuple[Coef, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums) if self.is_numeric() else self.nums
+
     @property
     def degree(self):
         """Degree, with float('-inf') for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
+        return len(self.nums) - 1 if self.nums else float("-inf")
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.nums) <= 1
 
     def constant_value(self) -> Coef:
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coefficient(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def coefficient(self, d: int) -> Coef:
-        return self.coeffs[d] if 0 <= d < len(self.coeffs) else Fraction(0)
+        if not 0 <= d < len(self.nums):
+            return Fraction(0)
+        return Fraction(self.nums[d], self.den) if self.is_numeric() else self.nums[d]
+
+    def reduced(self) -> list[tuple[int, int]]:
+        """(numerator, denominator) of each number coefficient in lowest terms.
+
+        Each is reduced once, when first read: by a shift of its trailing
+        zero bits when ``den`` is a power of two, else by one gcd.
+        """
+        if self._reduced is None:
+            nums, den = self.nums, self.den
+            if den & (den - 1):
+                gcds = [math.gcd(x, den) for x in nums]
+                out = [(x // g, den // g) for x, g in zip(nums, gcds)]
+            else:  # a power of two: cancel the numerator's trailing zero bits, at most den's
+                top = den.bit_length() - 1
+                shifts = [min((x & -x).bit_length() - 1, top) if x else top for x in nums]
+                out = [(x >> s, den >> s) for x, s in zip(nums, shifts)]
+            object.__setattr__(self, "_reduced", out)
+        return self._reduced
+
+    def texts(self) -> list[str]:
+        """Each number coefficient's text as ``str`` writes its Fraction, every denominator formatted once."""
+        if self._texts is None:
+            names = {1: ""}
+            out = []
+            for num, den in self.reduced():
+                name = names.get(den)
+                if name is None:
+                    name = names[den] = f"/{den}"
+                out.append(f"{num}{name}")
+            object.__setattr__(self, "_texts", out)
+        return self._texts
 
     # -- ring operations ---------------------------------------------------
 
@@ -109,20 +174,19 @@ class Polynomial:
             if isinstance(other, Polynomial) and self.is_constant():
                 return other + self.constant_value()
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        n = max(len(a), len(b))
-        out = [
-            (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-            for i in range(n)
-        ]
         symbol = self.symbol if not self.is_constant() else o.symbol
-        return Polynomial(symbol, out)
+        if not (self.is_numeric() and o.is_numeric()):
+            return Polynomial(symbol, [a + b for a, b in zip_longest(self.coeffs, o.coeffs, fillvalue=0)])
+        g = math.gcd(self.den, o.den)
+        sa, sb = o.den // g, self.den // g
+        out = [x * sa + y * sb for x, y in zip_longest(self.nums, o.nums, fillvalue=0)]
+        return Polynomial._over(symbol, out, sa * self.den)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return Polynomial(self.symbol, tuple(-c for c in self.coeffs))
+        return Polynomial._over(self.symbol, [-c for c in self.nums], self.den)
 
     def __sub__(self, other):
         return self.__add__(-other if isinstance(other, Polynomial) else -_as_coef(other))
@@ -131,24 +195,20 @@ class Polynomial:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_coef(other)
-            return Polynomial(self.symbol, tuple(x * c for x in self.coeffs))
         o = self._coerce(other)
         if o is None:
             if isinstance(other, Polynomial) and self.is_constant():
-                return other * (self.constant_value() if self.coeffs else Fraction(0))
+                return other * self.constant_value()
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if not a or not b:
-            return Polynomial(self.symbol, ())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        numeric = self.is_numeric() and o.is_numeric()
+        a, b = (self.nums, o.nums) if numeric else (self.coeffs, o.coeffs)
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
         for i, ai in enumerate(a):
             if not ai:
                 continue
             for j, bj in enumerate(b):
                 out[i + j] = out[i + j] + ai * bj
-        return Polynomial(self.symbol, out)
+        return Polynomial._over(self.symbol, out, self.den * o.den if numeric else 1)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -178,7 +238,11 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
         if isinstance(other, Polynomial):
-            if self.coeffs != other.coeffs:
+            if self.is_numeric() and other.is_numeric():  # cross-multiplied, no coefficient reduced
+                a, b = self.nums, other.nums
+                if len(a) != len(b) or any(x * other.den != y * self.den for x, y in zip(a, b)):
+                    return False
+            elif self.coeffs != other.coeffs:
                 return False
             return self.symbol == other.symbol or self.is_constant()
         return NotImplemented
@@ -203,120 +267,26 @@ class Polynomial:
 
     def to_text(self) -> str:
         """Canonical text, expanded, monomials degree-descending."""
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for d in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[d]
-            if not c:
-                continue
-            if isinstance(c, Polynomial):
-                body, negative = f"({c.to_text()})", False
-            else:
-                negative = c < 0
-                a = -c if negative else c
-                body = str(a)
-            if d == 0:
-                term = body
-            else:
-                mono = self.symbol if d == 1 else f"{self.symbol}^{d}"
-                term = mono if body == "1" else f"{body}*{mono}"
-            if not parts:
-                parts.append(f"-{term}" if negative else term)
-            else:
-                parts.append(f"- {term}" if negative else f"+ {term}")
-        return " ".join(parts) if parts else "0"
-
-    def __repr__(self) -> str:
-        return f"Polynomial[{self.symbol}]({self.to_text()})"
-
-
-class CountRow:
-    """The PGF sum_d (counts[d] / total) q^d, kept as its counts >= 0 over one total > 0.
-
-    Trailing zero counts are dropped.  ``reduced`` gives each coefficient
-    in lowest terms, each reduced once: by a shift of its trailing zero
-    bits when the total is a power of two, else by one gcd.  ``texts``
-    formats each once, and ``to_text`` writes the PGF with them as
-    ``Polynomial.to_text`` writes the same polynomial in q.  The row
-    compares equal to a row, a ``Polynomial`` or a number of the same value.
-    """
-
-    __slots__ = ("counts", "total", "_reduced", "_texts")
-
-    def __init__(self, counts: Iterable[int], total: int):
-        cs = list(counts)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.counts = tuple(cs)
-        self.total = total
-        self._reduced = self._texts = None
-
-    @property
-    def degree(self):
-        """Degree, with float('-inf') for the zero row."""
-        return len(self.counts) - 1 if self.counts else float("-inf")
-
-    def reduced(self) -> list[tuple[int, int]]:
-        """(numerator, denominator) of each coefficient in lowest terms."""
-        if self._reduced is None:
-            counts, total = self.counts, self.total
-            if total & (total - 1):
-                gcds = [math.gcd(c, total) for c in counts]
-                self._reduced = [(c // g, total // g) for c, g in zip(counts, gcds)]
-            else:  # a power of two: cancel the count's trailing zero bits, at most the total's
-                top = total.bit_length() - 1
-                shifts = [min((c & -c).bit_length() - 1, top) if c else top for c in counts]
-                self._reduced = [(c >> s, total >> s) for c, s in zip(counts, shifts)]
-        return self._reduced
-
-    def texts(self) -> list[str]:
-        """Each coefficient's text as ``str`` writes its Fraction, every denominator formatted once."""
-        if self._texts is None:
-            names = {1: ""}
-            out = []
-            for num, den in self.reduced():
-                name = names.get(den)
-                if name is None:
-                    name = names[den] = f"/{den}"
-                out.append(f"{num}{name}")
-            self._texts = out
-        return self._texts
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(num, den) for num, den in self.reduced())
-
-    def coefficient(self, d: int) -> Fraction:
-        return Fraction(*self.reduced()[d]) if 0 <= d < len(self.counts) else Fraction(0)
-
-    def to_text(self) -> str:
-        """Canonical text, as ``Polynomial.to_text`` writes the same polynomial in q."""
-        texts = self.texts()
+        if self.is_numeric():
+            texts = self.texts()
+        else:
+            texts = ["0" if not c else f"({c.to_text()})" if isinstance(c, Polynomial) else str(c) for c in self.nums]
+        symbol = self.symbol
         terms = []
         for d in range(len(texts) - 1, -1, -1):
             text = texts[d]
             if text == "0":
                 continue
             if d:
-                mono = "q" if d == 1 else f"q^{d}"
-                text = mono if text == "1" else f"{text}*{mono}"
+                mono = symbol if d == 1 else f"{symbol}^{d}"
+                text = mono if text == "1" else "-" + mono if text == "-1" else f"{text}*{mono}"
             terms.append(text)
-        return " + ".join(terms) if terms else "0"
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, CountRow):
-            return len(self.counts) == len(other.counts) and all(
-                a * other.total == b * self.total for a, b in zip(self.counts, other.counts)
-            )
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return Polynomial("q", self.coeffs) == other
-        return NotImplemented
-
-    __hash__ = None
+        text = " + ".join(terms) if terms else "0"
+        # a negative term is written "- t" after the first
+        return text.replace("+ -", "- ") if "-" in text else text
 
     def __repr__(self) -> str:
-        return f"CountRow({self.to_text()})"
+        return f"Polynomial[{self.symbol}]({self.to_text()})"
 
 
 class QuasiPolynomial:

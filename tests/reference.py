@@ -23,7 +23,7 @@ from momentforge.families.common import binomial_row, half_binomial_moments
 from momentforge.fitter import FitSpec
 from momentforge.moment_algebra import MomentVector, raw_to_binomial
 from momentforge.oracle import Histogram, JointHistogram
-from momentforge.poly_series import CountRow, Polynomial, QuasiPolynomial, TruncatedSeries
+from momentforge.poly_series import Polynomial, QuasiPolynomial, TruncatedSeries
 
 # -- permutations: inversions and the major index ----------------------------
 
@@ -72,9 +72,9 @@ def _add_rows(a: list[int], b: list[int]) -> list[int]:
     return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
-def maj_pgf(n: int) -> CountRow:
+def maj_pgf(n: int) -> Polynomial:
     """Criterion 3: the PGF of maj over S_n, H_n(q) = F(n+1, n+1) over n!."""
-    return CountRow(maj_rows(n + 1)[-1], math.factorial(n))
+    return Polynomial("q", maj_rows(n + 1)[-1], math.factorial(n))
 
 
 def marginal_maj(joint: JointHistogram) -> Histogram:
@@ -385,6 +385,27 @@ def h_moments_by_sum(n: int, k: int) -> dict[str, Fraction]:
         eyy_num += comb * M * (M - 1)
     ey = Fraction(ey_num, 2**N) * p
     eyy = Fraction(eyy_num, 2**N) * p * p
+    return {"p": p, "mean": ey, "second_factorial": eyy, "variance": eyy + ey - ey * ey}
+
+
+def h_moments_by_fractions(n: int, k: int) -> dict[str, Fraction]:
+    """p_k, E[Y], E[Y(Y-1)] and Var[Y] of H_n(q) from binomial moments of m, in Fraction arithmetic.
+
+    The formulas of ``boolean.h_moments``, which keeps integer numerators
+    over powers of two instead:  E[Y] = p C(2^n, B) / 2^B and
+    E[Y(Y-1)] = p^2 E[M^2] - p E[Y], with B = 2^k and
+    2^(2B) E[M^2] = sum_i C(B+i, B) C(B, i) C(2^n, B+i) 2^(B-i).
+    """
+    p = boolean.h_probability(n, k)
+    N, B = 2**n, 2**k
+    first = math.comb(N, B)
+    ey = p * Fraction(first, 1 << B)
+    # each term is the one before times (B - i) (N - B - i) / (2 (i + 1)^2)
+    term, s = first << B, 0
+    for i in range(min(B, N - B) + 1):
+        s += term
+        term = term * (B - i) * (N - B - i) // (2 * (i + 1) ** 2)
+    eyy = p * p * Fraction(s, 1 << 2 * B) - p * ey
     return {"p": p, "mean": ey, "second_factorial": eyy, "variance": eyy + ey - ey * ey}
 
 

@@ -9,7 +9,7 @@ from momentforge.families.common import eval_at_n
 from momentforge.moment_algebra import MomentVector, raw_to_central
 from momentforge.oracle import enumerate_boolean, histogram_moments
 from momentforge.poly_series import Polynomial
-from reference import central_coefficient, h_moments_by_sum, p_series_k0
+from reference import central_coefficient, h_moments_by_fractions, h_moments_by_sum, p_series_k0
 
 HALF_W = Polynomial("W", (0, Fr(1, 2)))  # w = 2^(n-1) as a polynomial in W = 2^n
 
@@ -245,6 +245,11 @@ class TestHApproximation:
             for k in range(n + 1):
                 moments = boolean.h_moments(n, k)
                 assert moments == h_moments_by_sum(n, k), (n, k)
+
+    def test_dyadic_moments_match_the_fraction_formulas(self):
+        for n in range(1, 11):
+            for k in range(n + 1):
+                assert boolean.h_moments(n, k) == h_moments_by_fractions(n, k), (n, k)
 
     def test_k0_variance(self):
         for n in range(1, 8):

@@ -9,14 +9,14 @@ import pytest
 
 from momentforge import cli
 from momentforge.cli import _joined, _pieces, _Text, main
-from momentforge.poly_series import CountRow, Polynomial, QuasiPolynomial
+from momentforge.poly_series import Polynomial, QuasiPolynomial
 
 
 def _dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, default=str)
 
 
-ROW = CountRow([3, 0, 1, 0, 4, 0, 0], 8)
+ROW = Polynomial("q", [3, 0, 1, 0, 4, 0, 0], 8)
 PAYLOADS = {
     "empty": [{}, [], "", {"a": {}, "b": []}],
     "nested": {"z": [1, [2, [3, {"y": [4, 5]}]], {}], "a": {"b": {"c": {"d": []}}}, "m": [{"k": [[]]}]},
@@ -29,8 +29,8 @@ PAYLOADS = {
         "polynomial": _Text(Polynomial("W", (Fr(1, 2), 0, Polynomial("n", (0, Fr(-3, 4)))))),
         "quasi": _Text(QuasiPolynomial(2, [Polynomial("n", (1, 2)), Polynomial("n", (Fr(1, 3),))])),
         "row": _Text(ROW),
-        "coefficients": [_Text(ROW, d) for d in range(len(ROW.counts))],
-        "zero": _Text(CountRow([0], 5)),
+        "coefficients": [_Text(ROW, d) for d in range(len(ROW.nums))],
+        "zero": _Text(Polynomial("q", [0], 5)),
     },
 }
 
@@ -58,8 +58,8 @@ def no_formatting(monkeypatch):
     def refuse(*args):
         raise AssertionError("formatted before the charge refused the output")
 
-    monkeypatch.setattr(CountRow, "texts", refuse)
-    monkeypatch.setattr(CountRow, "to_text", refuse)
+    monkeypatch.setattr(Polynomial, "texts", refuse)
+    monkeypatch.setattr(Polynomial, "to_text", refuse)
     monkeypatch.setattr(Fr, "__str__", refuse)
 
 
@@ -98,16 +98,16 @@ def test_what_no_body_returns_raises_before_any_value_is_formatted(name, no_form
     ],
 )
 def test_a_row_prints_as_its_polynomial(counts, total):
-    row = CountRow(counts, total)
+    row = Polynomial("q", counts, total)
     poly = Polynomial("q", [Fr(c, total) for c in counts])
     assert row == poly and poly == row
     assert row.to_text() == poly.to_text()
-    assert row.texts() == [str(poly.coefficient(d)) for d in range(len(row.counts))]
+    assert row.texts() == [str(poly.coefficient(d)) for d in range(len(row.nums))]
     assert row.reduced() == [(c.numerator, c.denominator) for c in poly.coeffs]
 
 
 def test_the_walk_leaves_each_value_unformatted():
-    row = CountRow([1, 3, 3, 1], 8)
+    row = Polynomial("q", [1, 3, 3, 1], 8)
     leaves = [_Text(row, 0), _Text(Fr(1, 3)), _Text(row)]  # in the order of their sorted keys
     pieces = _pieces({"coefficients": [leaves[0]], "p": leaves[1], "polynomial": leaves[2]})
     assert [p for p in pieces if not isinstance(p, str)] == leaves

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction as Fr
 
 import pytest
@@ -207,3 +209,134 @@ class TestSeries:
     @given(series_strategy(constant=1))
     def test_exp_log_roundtrip(self, a):
         assert exp_series(log_series(a)) == a
+
+
+# -- integer numerators over one denominator, against Fraction arithmetic --------
+#
+# A reference value is a Fraction or, for a polynomial in n, the list of its
+# Fraction coefficients; a reference polynomial in W is the list of such values.
+
+
+def _ref_add(x, y):
+    if isinstance(x, Fr) and isinstance(y, Fr):
+        return x + y
+    x, y = (v if isinstance(v, list) else [v] for v in (x, y))
+    return [_ref_add(x[i] if i < len(x) else Fr(0), y[i] if i < len(y) else Fr(0)) for i in range(max(len(x), len(y)))]
+
+
+def _ref_mul(x, y):
+    if isinstance(x, Fr) and isinstance(y, Fr):
+        return x * y
+    if isinstance(x, Fr):
+        x, y = y, x
+    if isinstance(y, Fr):
+        return [_ref_mul(c, y) for c in x]
+    out = [Fr(0)] * (len(x) + len(y) - 1) if x and y else []
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] = _ref_add(out[i + j], _ref_mul(a, b))
+    return out
+
+
+def _ref_eval(ref, value):
+    out = Fr(0)
+    for c in reversed(ref):
+        out = _ref_add(_ref_mul(out, value), c)
+    return out
+
+
+def _flat(value):
+    """The reference form of a Fraction or a polynomial: a Fraction, or its coefficients, trailing zeros dropped."""
+    if isinstance(value, Fr):
+        return value
+    out = [_flat(c) for c in (value.coeffs if isinstance(value, Polynomial) else value)]
+    while out and out[-1] in (Fr(0), []):
+        out.pop()
+    return out
+
+
+def _same(got, ref) -> bool:
+    """got (a Fraction or a polynomial) has the value of ref, constants and constant polynomials alike."""
+    a, b = _flat(got), _flat(ref)
+    a, b = ([a] if a else []) if isinstance(a, Fr) else a, ([b] if b else []) if isinstance(b, Fr) else b
+    return len(a) == len(b) and all(_same(x, y) if isinstance(x, list) or isinstance(y, list) else x == y for x, y in zip(a, b))
+
+
+def _random_fraction(rng, zero_share=0.3):
+    """0 with probability zero_share, else a nonzero Fraction."""
+    if rng.random() < zero_share:
+        return Fr(0)
+    return Fr(rng.choice([-1, 1]) * rng.randint(1, 60), rng.choice([1, 2, 3, 4, 6, 8, 12, 64, 97]))
+
+
+def _random_poly(rng, nested: bool):
+    """(Polynomial in W, its reference): Fraction coefficients, or with some coefficients polynomials in n."""
+    ref = []
+    for _ in range(rng.randint(0, 5)):
+        if nested and rng.random() < 0.6:
+            ref.append([_random_fraction(rng) for _ in range(rng.randint(0, 3))])
+        else:
+            ref.append(_random_fraction(rng))
+    poly = Polynomial("W", [Polynomial("n", c) if isinstance(c, list) else c for c in ref])
+    return poly, ref
+
+
+def _check_form(p: Polynomial):
+    assert p.den > 0
+    if p.is_numeric():
+        assert math.gcd(p.den, *p.nums) == 1, p
+        assert p.texts() == [str(p.coefficient(d)) for d in range(len(p.nums))]
+    else:
+        assert p.den == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_numerators_match_fraction_arithmetic(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        (p, pr), (q, qr) = (_random_poly(rng, rng.random() < 0.4) for _ in range(2))
+        c = _random_fraction(rng, zero_share=0) if rng.random() < 0.5 else Fr(rng.randint(1, 9))
+        x = Polynomial("n", [_random_fraction(rng) for _ in range(3)])
+        xr = list(x.coeffs)
+        e = rng.randint(0, 3)
+        power = [Fr(1)]
+        for _ in range(e):
+            power = _ref_mul(power, pr)
+        cases = [
+            (p + q, _ref_add(pr, qr)),
+            (p - q, _ref_add(pr, _ref_mul(qr, Fr(-1)))),
+            (-p, _ref_mul(pr, Fr(-1))),
+            (p * q, _ref_mul(pr, qr)),
+            (p**e, power),
+            (p * c, _ref_mul(pr, c)),
+            (c * p, _ref_mul(pr, c)),
+            (p * int(c.numerator), _ref_mul(pr, Fr(c.numerator))),
+            (p / c, _ref_mul(pr, 1 / c)),
+            (p + c, _ref_add(pr, c)),
+        ]
+        for got, ref in cases:
+            assert _same(got, ref), (got, ref)
+            assert got == Polynomial("W", [Polynomial("n", v) if isinstance(v, list) else v for v in ref])
+            _check_form(got)
+        for value in (rng.randint(-5, 5), _random_fraction(rng, zero_share=0)):
+            got = p.eval(value)
+            assert _same(got, _ref_eval(pr, Fr(value)))
+            if p.is_numeric():
+                assert isinstance(got, Fr)
+        got = p.eval(x)
+        assert _same(got, _ref_eval(pr, xr))
+        if isinstance(got, Polynomial):
+            _check_form(got)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_row_of_counts_is_read_as_its_fractions(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        total = rng.choice([1, 6, 8, 1 << 70, 3**40, 720])
+        counts = [rng.randint(0, total) for _ in range(rng.randint(0, 6))]
+        row = Polynomial("q", counts, total)
+        ref = [Fr(c, total) for c in counts]
+        assert row.coeffs == tuple(_flat(ref)) and row == Polynomial("q", ref)
+        assert row.texts() == [str(v) for v in row.coeffs]
+        _check_form(row * 1)
