@@ -10,9 +10,9 @@ a request past a size guard), 2 validation failure (a failed internal
 check, e.g. a fit that misses a verification point).  Families are looked
 up in ``families.FAMILIES``; only ``identities`` and ``approx-h``, which
 serve the boolean family alone, call a family module directly.  Each is
-weighed by the guard of what it builds: ``identities`` reads one cached
-table, refused past ``SYMBOLIC_ORDER_GUARD``, and H_n(q) is a closed-form
-PGF, refused past ``PGF_GUARD`` before it is built.
+weighed by the guard of what it builds: ``identities`` builds one table
+of polynomials, refused past ``SYMBOLIC_ORDER_GUARD``, and H_n(q) is a
+closed-form PGF, refused past ``PGF_GUARD`` before it is built.
 
 The output is written in one walk (``_pieces``): it yields the JSON text
 as ``json.dumps(sort_keys=True, indent=2)`` writes it, but with each exact
@@ -50,7 +50,7 @@ from momentforge.errors import ConsistencyError, MomentForgeError
 from momentforge.families import boolean, common
 from momentforge.families.common import SYMBOL_LEGEND, TGrid, charge, grid_point, request_budget
 from momentforge.fitter import FitSpec, check_fit_size, fit_quasi_polynomial
-from momentforge.moment_algebra import check_grid, normality_report
+from momentforge.moment_algebra import check_grid, gaussian_moment, normality_report
 from momentforge.poly_series import Polynomial, QuasiPolynomial
 from momentforge import oracle as oracle_mod
 
@@ -324,7 +324,7 @@ def _moment_command(kind: str, subcommand: str) -> None:
         if closed_forms:
             result["closed_forms"] = closed_forms
             written = set().union(*(_symbols(t.value) for t in closed_forms))
-            result["symbols"] = {s: SYMBOL_LEGEND[s] for s in ("n", "W", "w", "mu") if s in written}
+            result["symbols"] = {s: meaning for s, meaning in SYMBOL_LEGEND.items() if s in written}
         if kind == "raw":
             # printed at least twice (the size and scaled_entries[0]): a lower bound on the
             # output's weight refuses a size before it is built; _charge_print decides exactly.
@@ -524,16 +524,15 @@ def identities_cmd(r_max):
     """Check the central-coefficient identity battery for the 0-cube count."""
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
-    # E[(X - mu)^r] in W = 2^n, one cached table refused past SYMBOLIC_ORDER_GUARD before it is built
-    central = common.half_binomial_forms("W", 1, r_max, True)
+    # E[(X - mu)^r] in W = 2^n, refused past SYMBOLIC_ORDER_GUARD before it is built
+    central = common.half_binomial_moments(Polynomial.variable("W"), r_max, central=True)
     rows = []
     for r in range(r_max + 1):
         for t in range(r + 1):
             if r % 2 == 1 or t < r // 2:
                 expected = Fraction(0)
             elif r % 2 == 0 and t == r // 2:
-                kk = r // 2
-                expected = Fraction(math.factorial(2 * kk), 8**kk * math.factorial(kk))
+                expected = gaussian_moment(r) / 4 ** (r // 2)
             else:
                 continue  # nonzero generic coefficients are not identity rows
             value = central[r].coefficient(r - t)

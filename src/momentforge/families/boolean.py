@@ -1,19 +1,19 @@
 """Subcube counts of random boolean functions.
 
 The 0-cube count is Binomial(2^n, 1/2), a sum of 2^n independent fair
-coins, served by the shared Binomial(N, 1/2) helpers of ``common``: its
-numbers are central moments on the integer 2^n
-(``half_binomial_moments``), its printed raw and central moments the
-cached polynomials in W = 2^n (``half_binomial_forms``), and its binomial
-moments the central ones of Binomial(2w, 1/2) in w = 2^(n-1), converted
-when printed.  For k >= 1 the first and second raw moments come from the
-overlap sum over pairs of k-cubes intersecting in an i-cube; the third is
-known for k = 1 only.  They are built once per k and order (cached),
-evaluated at n for the numbers and converted to every printed kind as the
-numbers are.  H_n(q) is the independence approximation of the k-cube PGF;
-its moments come from the binomial moments of Binomial(2^n, 1/2)
-(``h_moments``), with no sum over its 2^n + 1 values, as integers over
-powers of two.
+coins, served by the shared Binomial(N, 1/2) route of ``common``
+(``half_binomial_moments``): its numbers are central moments on the
+integer 2^n, its printed raw and central moments polynomials in W = 2^n,
+and its binomial moments the central ones of Binomial(2w, 1/2) in
+w = 2^(n-1), converted when printed.  For k >= 1 the first and second raw
+moments come from the overlap sum over pairs of k-cubes intersecting in
+an i-cube; the third is known for k = 1 only.  They are built once per k
+and order (cached), evaluated at n for the numbers and converted to every
+printed kind as the numbers are.  Every numeric request, k >= 1 too, is
+charged to ``NUMERIC_ORDER_GUARD`` before 2^n is built.  H_n(q) is the
+independence approximation of the k-cube PGF; its moments come from the
+binomial moments of Binomial(2^n, 1/2) (``h_moments``), with no sum over
+its 2^n + 1 values, as integers over powers of two.
 
 PGFs are rows of integer counts over one total, reduced only when
 printed.  The 0-cube PGF is the binomial row C(2^n, d) over 2^(2^n)
@@ -40,7 +40,6 @@ from momentforge.families.common import (
     charge,
     charge_size,
     eval_at_n,
-    half_binomial_forms,
     half_binomial_moments,
     half_binomial_pgf,
 )
@@ -90,7 +89,6 @@ def first_moment_k(k: int) -> Polynomial:
     return Polynomial("W", (0, coef))
 
 
-@lru_cache(maxsize=None)
 def second_moment_k(k: int) -> Polynomial:
     """E[X_k^2] = Var(X_k) + E[X_k]^2."""
     return variance_k(k) + first_moment_k(k) ** 2
@@ -108,7 +106,6 @@ def variance_k(k: int) -> Polynomial:
     return acc
 
 
-@lru_cache(maxsize=None)
 def third_moment_k1() -> Polynomial:
     """E[X_1^3] = (n^2/2^9) [24 n 2^n + 6(2n+1) 4^n + n 8^n]."""
     nn = _n_poly()
@@ -250,6 +247,10 @@ def _moments(r_max: int, p: dict) -> MomentVector:
         n * n * (r_max**3 + 8), GRID_GUARD, "GRID_GUARD",
         f"normalizing moments to order {r_max}: n^2 (r_max^3 + 8)", alone=False,
     )
+    # alone, before 2^n is built: the weight uniform_sum_moments gives Binomial(2^n, 1/2),
+    # whose kappa_2 = 2^n / 4 has n bits (4 - n below n = 2); a grid point is weighed
+    # by GRID_GUARD above and, at k = 0, by its cumulants as before
+    common.charge_numeric_order(max(r_max, 1), max(1, (n if n > 1 else 4 - n) // 2), summed=False)
     if k == 0:
         return MomentVector("central", half_binomial_moments(1 << n, r_max, central=True))
     return MomentVector("raw", [eval_at_n(e, n) for e in _raw_moments_k(k, r_max).entries])
@@ -261,8 +262,9 @@ def _closed_forms(kind: str, r_max: int, p: dict) -> list[Polynomial]:
     if k != 0:
         return list(convert(_raw_moments_k(k, r_max), kind, first_moment_k(k)).entries)
     if kind != "binomial":
-        return list(half_binomial_forms("W", 1, r_max, kind == "central"))
-    return list(raw_to_binomial(MomentVector("central", half_binomial_forms("w", 2, r_max, True))).entries)
+        return half_binomial_moments(Polynomial.variable("W"), r_max, kind == "central")
+    central = half_binomial_moments(2 * Polynomial.variable("w"), r_max, central=True)
+    return list(raw_to_binomial(MomentVector("central", central)).entries)
 
 
 def _closed_pgf(p: dict) -> Polynomial | None:

@@ -11,9 +11,10 @@ Symbol conventions used by the closed forms:
 and of Binomial(N, 1/2) (``half_binomial_moments``): sums of independent
 uniforms, whose cumulants add.  Binomial(N, 1/2) is the law of the boolean
 0-cube count (N = 2^n), of the domino boards whose slots form a forest
-(N = A) and of H_n(q) at k = 0.  Its symbolic moments are one cached table
-(``half_binomial_forms``), which stops at ``SYMBOLIC_ORDER_GUARD``, and its
-PGF one binomial row (``half_binomial_pgf``).
+(N = A) and of H_n(q) at k = 0.  Its moments are numbers for an integer N
+and polynomials for a polynomial N (in W, w or mu), the latter refused
+past ``SYMBOLIC_ORDER_GUARD`` before any is built; its PGF is one binomial
+row (``half_binomial_pgf``).
 
 Closed-form PGFs are polynomials in q built as integer counts over one
 total (``Polynomial("q", counts, total)``): nothing is divided when a PGF
@@ -57,8 +58,6 @@ if TYPE_CHECKING:
 
 SYMBOL_LEGEND = {
     "n": "size parameter",
-    "q": "generating-function variable",
-    "z": "shift variable (q = 1 + z)",
     "W": "2^n",
     "w": "2^(n-1)",
     "mu": "m*n - m/2 - n/2",
@@ -168,11 +167,7 @@ def uniform_sum_moments(mean, excess: Callable[[int], object], r_max: int) -> li
     for k in range(2, r_max + 1, 2):
         kappa[k] = bernoulli(k) * excess(k) / k
         if k == 2 and not isinstance(kappa[2], Polynomial):
-            scale = max(_bits(mean), _bits(kappa[2]) // 2)
-            charge(
-                r_max**3 * (1000 + scale**1.6), NUMERIC_ORDER_GUARD, "NUMERIC_ORDER_GUARD",
-                f"moments to order {r_max} at a scale of {scale} bits weigh r^3 (1000 + b^1.6)",
-            )
+            charge_numeric_order(r_max, max(_bits(mean), _bits(kappa[2]) // 2))
     moments = [one]
     for j in range(1, r_max + 1):
         moments.append(
@@ -187,8 +182,19 @@ def uniform_sum_moments(mean, excess: Callable[[int], object], r_max: int) -> li
 # fitted in process on one Intel Xeon core, about 4e-11 s a unit from
 # b = 5 to b = 5000 (invmaj n = 10 to 10^1000).  Every numeric request of
 # ``uniform_sum_moments`` (invmaj at every n, boolean k = 0 and the domino
-# 1-by-n board as numbers) is weighed before its cumulants are built.
+# 1-by-n board as numbers) is weighed before its cumulants are built.  A
+# boolean request, k >= 1 too (its forms in W are evaluated at W = 2^n),
+# is weighed as Binomial(2^n, 1/2) at an order of at least 1 before 2^n
+# is built.
 NUMERIC_ORDER_GUARD = 6 * 10**10
+
+
+def charge_numeric_order(r_max: int, scale: int, summed: bool = True) -> None:
+    """``charge`` moments to order r_max at a scale of ``scale`` bits to NUMERIC_ORDER_GUARD."""
+    charge(
+        r_max**3 * (1000 + scale**1.6), NUMERIC_ORDER_GUARD, "NUMERIC_ORDER_GUARD",
+        f"moments to order {r_max} at a scale of {scale} bits weigh r^3 (1000 + b^1.6)", summed=summed,
+    )
 
 
 def _bits(x: Fraction) -> int:
@@ -197,7 +203,7 @@ def _bits(x: Fraction) -> int:
 
 
 # Highest order of a moment vector built over polynomials: the boolean
-# 0-cube count in W or w and the domino mu-forms (``half_binomial_forms``).
+# 0-cube count in W or w and the domino mu-forms (``half_binomial_moments``).
 # The cost of such a vector grows about as r^3.5; the slowest request
 # inside the guard, moments --family boolean --n 10 --r 128, takes 0.4-0.6 s
 # as a whole process on one Intel Xeon core (r = 200 takes 1.5 s).
@@ -215,17 +221,6 @@ def half_binomial_moments(count, r_max: int, central: bool) -> list:
         charge(r_max, SYMBOLIC_ORDER_GUARD, "SYMBOLIC_ORDER_GUARD", f"the order in {count.symbol}", summed=False)
     mean = count * Fraction(0 if central else 1, 2)
     return uniform_sum_moments(mean, lambda k: count * (2**k - 1), r_max)
-
-
-@lru_cache(maxsize=None)
-def half_binomial_forms(symbol: str, scale: int, r_max: int, central: bool) -> tuple[Polynomial, ...]:
-    """``half_binomial_moments`` of Binomial(scale * symbol, 1/2), polynomials in ``symbol``, built once.
-
-    Keyed by the symbol's name and its integer scale, as a Polynomial is
-    unhashable: the boolean 0-cube count is W (scale 1) or 2w, the domino
-    mu-forms 2 mu.  Raises SizeGuardError past SYMBOLIC_ORDER_GUARD.
-    """
-    return tuple(half_binomial_moments(scale * Polynomial.variable(symbol), r_max, central))
 
 
 def eval_at_n(value, n: int) -> Fraction:

@@ -2,8 +2,8 @@
 
 With A = 2mn - m - n domino slots and mu = A/2, treating the slots as
 independent fair coins makes X ~ Binomial(2 mu, 1/2), whose moments are
-polynomials in mu alone (the shared Binomial(N, 1/2) table,
-``common.half_binomial_forms``).  That is exact only for r <= 3 or on a
+polynomials in mu alone (the shared Binomial(N, 1/2) route at N = 2 mu,
+``common.half_binomial_moments``).  That is exact only for r <= 3 or on a
 1-by-n (m-by-1) board, where the slots form a forest.  On a board with
 m, n >= 2 the four slots around a lattice square are all same-number with
 probability 1/2^3, not 1/2^4, so from r = 4 on the moments depend on the
@@ -40,7 +40,7 @@ from momentforge import oracle
 from momentforge.errors import ConsistencyError
 from momentforge.exact_core import forward_differences
 from momentforge.families import common
-from momentforge.families.common import Family, charge, half_binomial_forms, half_binomial_moments, half_binomial_pgf
+from momentforge.families.common import Family, charge, half_binomial_moments, half_binomial_pgf
 from momentforge.moment_algebra import MomentVector, binomial_to_raw
 from momentforge.poly_series import Polynomial
 
@@ -369,7 +369,7 @@ def _closed_forms(kind: str, r_max: int, p: dict) -> list[Polynomial] | None:
     """The mu-polynomials of raw and central moments, only where every order is exact."""
     if kind == "binomial" or not in_closed_form_domain(p["m"], p["n"], r_max):
         return None
-    return list(half_binomial_forms("mu", 2, r_max, kind == "central"))
+    return half_binomial_moments(2 * Polynomial.variable("mu"), r_max, kind == "central")
 
 
 def _closed_pgf(p: dict) -> Polynomial | None:

@@ -69,7 +69,6 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from momentforge.families.common import charge_size
@@ -378,8 +377,7 @@ def enumerate_permutations(n: int) -> JointHistogram:
     return JointHistogram({(v // width, v % width): cnt for v, cnt in enumerate(tally) if cnt}, n)
 
 
-@lru_cache(maxsize=None)
-def _boolean_counts(n: int, k: int) -> tuple[tuple[int, int], ...]:
+def _boolean_counts(n: int, k: int) -> Histogram:
     # vertex v is site v; a k-subcube is a base vertex v, 0 on the free
     # coordinates S, and the 2^k vertices v | T for T <= S
     cubes = []
@@ -387,8 +385,7 @@ def _boolean_counts(n: int, k: int) -> tuple[tuple[int, int], ...]:
         mask = sum(1 << i for i in free)
         offsets = [sum(t) for j in range(k + 1) for t in itertools.combinations([1 << i for i in free], j)]
         cubes += [tuple(sorted(v | t for t in offsets)) for v in range(1 << n) if not v & mask]
-    hist = _pattern_histogram(2, 1 << n, cubes, (1,), 1, 1)
-    return tuple(sorted(hist.counts.items()))
+    return _pattern_histogram(2, 1 << n, cubes, (1,), 1, 1)
 
 
 def enumerate_boolean(n: int, k: int) -> Histogram:
@@ -398,7 +395,7 @@ def enumerate_boolean(n: int, k: int) -> Histogram:
     charge_size(
         (1 << min(n, 64)) + 1, lambda: 1 << (1 << n), BOOLEAN_GUARD, "BOOLEAN_GUARD", f"the functions 2^(2^{n})"
     )
-    return Histogram(dict(_boolean_counts(n, k)), 1 << (1 << n))
+    return _boolean_counts(n, k)
 
 
 def sample_boolean(n: int, k: int, count: int, seed: int) -> Histogram:

@@ -5,9 +5,10 @@ fitted closed forms.  A polynomial with number coefficients is integer
 numerators over one denominator: a sum or product cancels one common
 factor, not one per coefficient, and a PGF is its integer counts over
 their total, untouched until it is printed, when each coefficient is
-reduced once, when first read, and formatted once.  Truncated series in
-the shift variable ``z`` (``q = 1 + z``) multiply and divide up to a fixed
-order.
+reduced once, when first read, and formatted once.  A truncated series in
+the shift variable ``z`` (``q = 1 + z``) is a polynomial in ``z`` cut at a
+fixed order: it adds, multiplies and takes powers as the polynomial does,
+cut again, and divides by the recurrence on its constant term.
 
 Coefficients are read as :class:`fractions.Fraction` scalars or as nested
 :class:`Polynomial` values in a different symbol (e.g. series in ``z`` whose
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from typing import Iterable, Union
 
 from momentforge.errors import SingularSeriesError
@@ -156,16 +157,11 @@ class Polynomial:
     # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other) -> "Polynomial | None":
-        """Bring `other` into this polynomial's symbol, or None if impossible."""
-        if isinstance(other, Polynomial):
-            if other.symbol == self.symbol or other.is_constant() or self.is_constant():
-                if other.symbol != self.symbol and not other.is_constant():
-                    # self is constant: adopt other's symbol by symmetry at call sites
-                    return None
-                return other
-            return None
+        """`other` in this polynomial's symbol: a number, a constant or a polynomial in the same symbol; else None."""
         if isinstance(other, (int, Fraction)):
             return Polynomial.const(self.symbol, other)
+        if isinstance(other, Polynomial) and (other.symbol == self.symbol or other.is_constant()):
+            return other
         return None
 
     def __add__(self, other):
@@ -221,18 +217,7 @@ class Polynomial:
         return NotImplemented
 
     def __pow__(self, exp: int):
-        if not isinstance(exp, int) or exp < 0:
-            raise ValueError("polynomial power must be a nonnegative integer")
-        out = Polynomial.const(self.symbol, 1)
-        base = self
-        e = exp
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        return _power(self, exp, Polynomial.const(self.symbol, 1))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -345,23 +330,22 @@ class QuasiPolynomial:
 
 
 class TruncatedSeries:
-    """Power series in one variable, truncated at a fixed order.
+    """Power series in one variable, a polynomial in ``var`` cut at a fixed order.
 
-    ``coeffs[i]`` is the coefficient of ``var**i`` for ``i = 0..order``;
-    arithmetic never reads beyond the order.  Coefficients may be rational
-    scalars or polynomials in another symbol.
+    ``+``, ``-``, ``*`` and ``**`` are the polynomial's (``poly``), cut
+    again, so nothing past the order is kept; ``coeffs[i]``, the
+    coefficient of ``var**i`` for ``i = 0..order``, is padded to the order.
+    Coefficients may be rational scalars or polynomials in another symbol,
+    which scale the series coefficient by coefficient.
     """
 
-    __slots__ = ("var", "order", "coeffs")
+    __slots__ = ("var", "order", "poly")
 
     def __init__(self, var: str, order: int, coeffs: Iterable = ()):
         if order < 0:
             raise ValueError("series order must be >= 0")
-        cs = [_as_coef(c) for c in coeffs][: order + 1]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        for name, value in zip(self.__slots__, (var, order, Polynomial(var, islice(coeffs, order + 1)))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -374,97 +358,70 @@ class TruncatedSeries:
     def variable(cls, order: int, var: str = "z") -> "TruncatedSeries":
         return cls(var, order, (0, 1))
 
+    @property
+    def coeffs(self) -> tuple[Coef, ...]:
+        cs = self.poly.coeffs
+        return cs + (Fraction(0),) * (self.order + 1 - len(cs))
+
     def coefficient(self, i: int) -> Coef:
         if not 0 <= i <= self.order:
             raise IndexError(f"coefficient index {i} outside order {self.order}")
-        return self.coeffs[i]
+        return self.poly.coefficient(i)
 
-    def _check_compatible(self, other: "TruncatedSeries") -> None:
+    def _lift(self, other) -> Polynomial:
+        """``other`` as a polynomial in ``var``: a series of the same var and order, or a constant coefficient."""
+        if not isinstance(other, TruncatedSeries):
+            return Polynomial(self.var, (_as_coef(other),))
         if self.var != other.var or self.order != other.order:
             raise ValueError(
                 f"series mismatch: ({self.var!r}, order {self.order}) vs "
                 f"({other.var!r}, order {other.order})"
             )
+        return other.poly
 
-    def _lift(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            self._check_compatible(other)
-            return other
-        return TruncatedSeries.constant(_as_coef(other), self.order, self.var)
+    def _cut(self, poly: Polynomial) -> "TruncatedSeries":
+        """The series of ``poly``, a polynomial in ``var``, its terms past the order dropped."""
+        return TruncatedSeries(self.var, self.order, poly.coeffs)
 
     def __add__(self, other):
-        o = self._lift(other)
-        return TruncatedSeries(
-            self.var, self.order, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        return self._cut(self.poly + self._lift(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(self.var, self.order, tuple(-c for c in self.coeffs))
+        return self._cut(-self.poly)
 
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        return self._cut(self.poly - self._lift(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            c = _as_coef(other)
-            return TruncatedSeries(self.var, self.order, tuple(x * c for x in self.coeffs))
-        o = self._lift(other)
-        out = [Fraction(0)] * (self.order + 1)
-        for i, ai in enumerate(self.coeffs):
-            if not ai:
-                continue
-            for j in range(self.order + 1 - i):
-                bj = o.coeffs[j]
-                if not bj:
-                    continue
-                out[i + j] = out[i + j] + ai * bj
-        return TruncatedSeries(self.var, self.order, out)
+        return self._cut(self.poly * self._lift(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / Fraction(other))
-        o = self._lift(other)
-        inv0 = _invert_coef(o.coeffs[0])
+        b = self._lift(other).coeffs
+        inv0 = _invert_coef(b[0] if b else Fraction(0))
         out: list[Coef] = []
-        for k in range(self.order + 1):
-            acc = self.coeffs[k]
-            for j in range(1, k + 1):
-                bj = o.coeffs[j]
-                if not bj:
-                    continue
-                acc = acc - bj * out[k - j]
+        for k, acc in enumerate(self.coeffs):
+            for j in range(1, min(k + 1, len(b))):
+                if b[j]:
+                    acc = acc - b[j] * out[k - j]
             out.append(acc * inv0)
         return TruncatedSeries(self.var, self.order, out)
 
     def __pow__(self, exp: int):
-        if not isinstance(exp, int) or exp < 0:
-            raise ValueError("series power must be a nonnegative integer")
-        out = TruncatedSeries.constant(1, self.order, self.var)
-        base = self
-        e = exp
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        return _power(self, exp, TruncatedSeries.constant(1, self.order, self.var))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (
-            self.var == other.var
-            and self.order == other.order
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self.var == other.var and self.order == other.order and self.poly == other.poly
 
     __hash__ = None
 
@@ -481,6 +438,20 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.to_text()})"
+
+
+def _power(base, exp: int, one):
+    """base**exp for an integer exp >= 0, by repeated squaring from ``one``."""
+    if not isinstance(exp, int) or exp < 0:
+        raise ValueError("power must be a nonnegative integer")
+    out = one
+    while exp:
+        if exp & 1:
+            out = out * base
+        exp >>= 1
+        if exp:
+            base = base * base
+    return out
 
 
 def _invert_coef(c: Coef) -> Coef:

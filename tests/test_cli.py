@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 
@@ -451,6 +452,30 @@ def test_usage_errors_exit_1(capsys):
             assert "need 0 <= k <= n" in proc.err, (args, proc.err)
         if args in DOMINO_RANGE_ARGS:
             assert "need m, n >= 1" in proc.err, (args, proc.err)
+
+
+# boolean moments at a huge n, whose 2^n (125 GB at n = 10^12) is weighed before it is built
+HUGE_BOOLEAN_ARGS = [
+    ["central", "--family", "boolean", "--n", str(10**12), "--r", "2"],
+    ["moments", "--family", "boolean", "--n", str(10**12), "--k", "1", "--r", "1"],
+    ["central", "--family", "boolean", "--n", str(10**12), "--k", "1", "--r", "1"],
+]
+
+
+@pytest.mark.parametrize("args", HUGE_BOOLEAN_ARGS, ids=["central-k0", "moments-k1", "central-k1"])
+def test_boolean_moments_at_a_huge_n_are_refused_before_2_to_the_n_is_built(args, capsys):
+    from momentforge.cli import main
+
+    tracemalloc.start()
+    try:
+        code = main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "NUMERIC_ORDER_GUARD = " in err, err
+    assert peak < 10**6, peak
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from fractions import Fraction as Fr
@@ -200,17 +201,23 @@ class TestGeneralK:
             assert moment_vector("boolean", "central", 3, {"n": n, "k": 1}).entries[3] == central.entries[3], n
 
     @pytest.mark.parametrize("k,r_max", [(1, 3), (2, 2)])
-    def test_normality_grid_builds_each_polynomial_once(self, k, r_max, capsys):
+    def test_normality_grid_builds_each_polynomial_once(self, k, r_max, monkeypatch, capsys):
         from momentforge.cli import main
 
-        cached = [boolean.first_moment_k, boolean.second_moment_k, boolean._raw_moments_k]
-        if k == 1:
-            cached.append(boolean.third_moment_k1)
-        for f in cached:
-            f.cache_clear()
+        builders = ["first_moment_k", "second_moment_k", "_raw_moments_k"] + ["third_moment_k1"] * (k == 1)
+        built = {name: 0 for name in builders}
+        for name in builders:
+            route = getattr(boolean, name)
+
+            def spy(*args, _name=name, _route=getattr(route, "__wrapped__", route)):
+                built[_name] += 1
+                return _route(*args)
+
+            # a cached builder gets a fresh cache around its spy
+            monkeypatch.setattr(boolean, name, functools.lru_cache(spy) if hasattr(route, "cache_info") else spy)
         grid = ",".join(str(n) for n in range(k + 2, k + 8))  # six points
         assert main(["normality", "--family", "boolean", "--k", str(k), "--n-grid", grid, "--r-max", str(r_max)]) == 0
-        assert [f.cache_info().misses for f in cached] == [1] * len(cached)
+        assert list(built.values()) == [1] * len(builders)
         rows = json.loads(capsys.readouterr().out)["result"]["rows"]
         assert len(rows) == 6 * (r_max + 1)
 

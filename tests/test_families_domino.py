@@ -6,7 +6,7 @@ import pytest
 from momentforge.errors import ConsistencyError, SizeGuardError
 from momentforge.exact_core import stirling1_signed, stirling2
 from momentforge.families import domino, moment_vector
-from momentforge.families.common import half_binomial_forms, half_binomial_moments
+from momentforge.families.common import half_binomial_moments
 from momentforge.moment_algebra import raw_to_binomial, raw_to_central
 from momentforge.oracle import enumerate_boards, histogram_moments
 from momentforge.poly_series import Polynomial
@@ -49,7 +49,7 @@ def test_slot_count_and_mean():
 
 
 def test_raw_moments_printed_polynomials():
-    raw = half_binomial_forms("mu", 2, 6, False)
+    raw = half_binomial_moments(2 * MU, 6, central=False)
     assert raw[0] == 1
     assert raw[1] == MU
     assert raw[2] == MU * MU + MU / 2
@@ -60,7 +60,7 @@ def test_raw_moments_printed_polynomials():
 
 
 def test_central_moments_printed_polynomials():
-    cm = half_binomial_forms("mu", 2, 6, True)
+    cm = half_binomial_moments(2 * MU, 6, central=True)
     assert cm[2] == MU / 2
     assert cm[4] == MU * (3 * MU - 1) / 4
     assert cm[6] == MU * (15 * MU * MU - 15 * MU + 4) / 8
@@ -98,7 +98,7 @@ def test_raw_moment_formula_deviates_on_cycles():
     # the Stirling sum undercounts E[X^4] there.  Frozen counterexample:
     mv = histogram_moments(enumerate_boards(2, 2), 4)
     assert mv.entries[4] == 44
-    assert half_binomial_forms("mu", 2, 4, False)[4].eval(domino.mean(2, 2)) == Fr(85, 2)
+    assert half_binomial_moments(2 * MU, 4, central=False)[4].eval(domino.mean(2, 2)) == Fr(85, 2)
 
 
 def test_closed_form_domain():
@@ -315,7 +315,7 @@ def test_transfer_matrix_size_guard():
     assert domino.binomial_sums(12, 400, 8) == domino.binomial_sums(400, 12, 8)
     assert _moments("central", 8, 10**6, 8)[1] == 0
     # the mu-polynomials need no guard
-    assert _moments("raw", 10**6, 10**6, 3)[3] == half_binomial_forms("mu", 2, 3, False)[3].eval(
+    assert _moments("raw", 10**6, 10**6, 3)[3] == half_binomial_moments(2 * MU, 3, central=False)[3].eval(
         domino.mean(10**6, 10**6)
     )
 

@@ -12,10 +12,11 @@ import pytest
 from momentforge import cli, oracle
 from momentforge.errors import SizeGuardError
 from momentforge.exact_core import falling_factorial
-from momentforge.families import FAMILIES, domino, invmaj, moment_vector
-from momentforge.families.common import TGrid, half_binomial_forms, mgf_deviation
+from momentforge.families import FAMILIES, boolean, domino, invmaj, moment_vector
+from momentforge.families.common import TGrid, mgf_deviation
 from momentforge.moment_algebra import normality_report, raw_to_central
 from momentforge.oracle import histogram_moments
+from momentforge.poly_series import Polynomial
 
 # (family, params, source of the PGF route); small enough to enumerate
 MEMBERS = [
@@ -252,19 +253,28 @@ def test_normality_builds_no_closed_form_texts(monkeypatch, capsys):
                 return _route(*args)
 
             monkeypatch.setitem(FAMILIES, name, dataclasses.replace(entry, closed_forms=spy))
-    half_binomial_forms.cache_clear()
+    # a table of polynomials is a moment vector of Binomial(N, 1/2) with N a polynomial
+    tables = []
+    for module in (boolean, domino):
+
+        def moments_spy(count, *args, _route=module.half_binomial_moments, **kwargs):
+            if isinstance(count, Polynomial):
+                tables.append(count)
+            return _route(count, *args, **kwargs)
+
+        monkeypatch.setattr(module, "half_binomial_moments", moments_spy)
     for argv in (
         ["normality", "--family", "domino", "--m", "1", "--n-grid", "10,100,1000", "--r-max", "8"],
         ["normality", "--family", "boolean", "--n-grid", "2,3,4", "--r-max", "6"],
     ):
         assert cli.main(argv) == 0
     assert calls == []
-    assert half_binomial_forms.cache_info().currsize == 0
+    assert tables == []
     # the same spies see the texts of a moment subcommand
     capsys.readouterr()
     assert cli.main(["central", "--family", "domino", "--m", "1", "--n", "10", "--r", "8"]) == 0
     assert calls == [("central", 8, {"m": 1, "n": 10})]
-    assert half_binomial_forms.cache_info().currsize == 1
+    assert len(tables) == 1
     assert "closed_forms" in json.loads(capsys.readouterr().out)["result"]
 
 

@@ -222,13 +222,21 @@ def test_boards_past_one_chunk_match_reference():
 @pytest.mark.parametrize("lane_bits", [oracle.LANE_BITS, 1 << 3])
 def test_boolean_matches_reference(monkeypatch, lane_bits):
     monkeypatch.setattr(oracle, "LANE_BITS", lane_bits)
+    counted = []
+
+    def spy(n, k, _route=oracle._boolean_counts):
+        counted.append((n, k))
+        return _route(n, k)
+
+    monkeypatch.setattr(oracle, "_boolean_counts", spy)
     for n in range(5):
         for k in range(n + 1):
             counts, total = boolean_counts(n, k)
-            # past the cache, so that each width is counted
-            assert dict(oracle._boolean_counts.__wrapped__(n, k)) == counts, (n, k)
             got = enumerate_boolean(n, k)
+            # counted at this lane width, not served from an earlier count
+            assert counted[-1] == (n, k), (n, k)
             assert got.counts == counts and got.total == total, (n, k)
+    assert len(counted) == 15
 
 
 @pytest.mark.parametrize("lane_bits", [oracle.LANE_BITS, 1 << 8, 1 << 6])

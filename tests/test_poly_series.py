@@ -340,3 +340,83 @@ def test_a_row_of_counts_is_read_as_its_fractions(seed):
         assert row.coeffs == tuple(_flat(ref)) and row == Polynomial("q", ref)
         assert row.texts() == [str(v) for v in row.coeffs]
         _check_form(row * 1)
+
+
+# -- truncated series, against coefficient-wise Fraction arithmetic cut at the order --
+#
+# A reference series is the list of its order + 1 coefficients, each a Fraction
+# or, for a polynomial in w, the list of its Fraction coefficients.
+
+
+def _random_series(rng, order: int, nested: bool, unit: bool = False):
+    """(TruncatedSeries in z, its reference): a nonzero number first if ``unit``, some polynomials in w if ``nested``."""
+    ref = []
+    for i in range(order + 1):
+        if unit and i == 0:
+            ref.append(_random_fraction(rng, zero_share=0))
+        elif nested and rng.random() < 0.5:
+            ref.append([_random_fraction(rng) for _ in range(rng.randint(0, 3))])
+        else:
+            ref.append(_random_fraction(rng))
+    return _series(order, ref), ref
+
+
+def _series(order: int, ref) -> TruncatedSeries:
+    return TruncatedSeries("z", order, [Polynomial("w", c) if isinstance(c, list) else c for c in ref])
+
+
+def _ref_series_mul(x, y):
+    """x * y cut at the order, by _ref_mul and _ref_add on each pair of coefficients."""
+    out = [Fr(0)] * len(x)
+    for i, a in enumerate(x):
+        for j in range(len(x) - i):
+            out[i + j] = _ref_add(out[i + j], _ref_mul(a, y[j]))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_series_match_fraction_arithmetic_cut_at_the_order(seed):
+    rng = random.Random(seed)
+    for order in range(9):
+        for _ in range(6):
+            nested = rng.random() < 0.5
+            (a, ar), (b, br) = (_random_series(rng, order, nested) for _ in range(2))
+            u, ur = _random_series(rng, order, nested, unit=True)
+            c = _random_fraction(rng, zero_share=0)
+            i = rng.randint(-9, 9) or 1
+            w = Polynomial("w", [_random_fraction(rng) for _ in range(3)])
+            e = rng.randint(0, 4)
+            power = [Fr(1)] + [Fr(0)] * order
+            for _ in range(e):
+                power = _ref_series_mul(power, ar)
+            cases = [
+                (a + b, [_ref_add(x, y) for x, y in zip(ar, br)]),
+                (a - b, [_ref_add(x, _ref_mul(y, Fr(-1))) for x, y in zip(ar, br)]),
+                (-a, [_ref_mul(x, Fr(-1)) for x in ar]),
+                (a * b, _ref_series_mul(ar, br)),
+                (a * i, [_ref_mul(x, Fr(i)) for x in ar]),
+                (i * a, [_ref_mul(x, Fr(i)) for x in ar]),
+                (a * c, [_ref_mul(x, c) for x in ar]),
+                (a * w, [_ref_mul(x, list(w.coeffs)) for x in ar]),
+                (w * a, [_ref_mul(x, list(w.coeffs)) for x in ar]),
+                (a + c, [_ref_add(ar[0], c)] + ar[1:]),
+                (i - a, [_ref_add(Fr(i), _ref_mul(ar[0], Fr(-1)))] + [_ref_mul(x, Fr(-1)) for x in ar[1:]]),
+                (a / c, [_ref_mul(x, 1 / c) for x in ar]),
+                (a / i, [_ref_mul(x, Fr(1, i)) for x in ar]),
+                (a**e, power),
+            ]
+            for got, ref in cases:
+                assert len(got.coeffs) == order + 1
+                assert all(_same(x, y) for x, y in zip(got.coeffs, ref)), (got, ref)
+                assert got == _series(order, ref)
+                with pytest.raises(IndexError):
+                    got.coefficient(order + 1)
+            # the quotient by a unit series, times that series, is the dividend
+            quotient = a / u
+            assert len(quotient.coeffs) == order + 1
+            product = _ref_series_mul([_flat(x) for x in quotient.coeffs], ur)
+            assert all(_same(x, y) for x, y in zip(product, ar)), (a, u, quotient)
+            for other in (TruncatedSeries("y", order, (1,)), TruncatedSeries("z", order + 1, (1,))):
+                for op in (lambda s, t: s + t, lambda s, t: s - t, lambda s, t: s * t, lambda s, t: s / t):
+                    with pytest.raises(ValueError):
+                        op(a, other)
