@@ -384,9 +384,10 @@ def normality_cmd(family, n_grid, m, k, r_max, threshold, precision):
     if not math.isfinite(threshold):
         raise click.UsageError("need a finite --threshold")
     _, params = _family_params(family, m=m, k=k)
-    # the grid and its point count are checked before any of its points is built
+    # the grid, its point count and its precision are checked before any of its points is built
     check_grid(ns)
     charge(len(ns), common.GRID_POINTS_GUARD, "GRID_POINTS_GUARD", "the normality grid's points", summed=False)
+    digits = common.normality_digits(len(ns), precision)
     # largest n first (the grid ascends): a domino width's longest face sweep serves
     # every shorter board; each point is charged to the grid's one budget
     grid = []
@@ -402,7 +403,7 @@ def normality_cmd(family, n_grid, m, k, r_max, threshold, precision):
         "family": family,
         "params": params,
         "threshold": threshold,
-        "precision_digits": max(precision, 50),
+        "precision_digits": digits,
         "rows": rows,
         "verdicts": {str(r): ok for r, ok in enumerate(verdicts)},
     }
@@ -467,6 +468,15 @@ def oracle_cmd(family, n, c, m, k, r_max, samples, seed):
         raise click.UsageError("sampling mode needs --seed for reproducibility")
     else:
         hist, extra = entry.sample(params, samples, seed), {}
+    # E[X^r] >= max^r / total: before any moment is built, its reduced numerator is
+    # charged as r (bit_length(max) - 1) - bit_length(total) bits.  The bound is summed
+    # to order bit_length(total) + 10^5 at most, where it is past the guard already.
+    top, below = max(hist.counts).bit_length() - 1, hist.total.bit_length()
+    orders = range(below // top + 1, min(r_max, below + 10**5) + 1) if top > 0 else ()
+    charge(
+        _print_weight(r * top - below for r in orders), PRINT_TOTAL_GUARD, "PRINT_TOTAL_GUARD",
+        "a lower bound on sum(digits^2) of the moments' numerators, from max^r / total", summed=False,
+    )
     moments = oracle_mod.histogram_moments(hist, r_max)
     result = {
         "family": family,

@@ -140,10 +140,13 @@ def h_probability(n: int, k: int) -> Fraction:
     return binomial(n, k) * Fraction(math.factorial(2**k), 2**k * 2 ** (n * (2**k - 1)))
 
 
-def _check_h_n(n: int) -> None:
+def _check_h_n(n: int, k: int) -> None:
+    """Refuse n < 1, n past H_MAX_N and k outside 0 <= k <= n, before 2^k or (2^k)! is built."""
     if n < 1:
         raise ValueError("need n >= 1")
     charge(n, H_MAX_N, "H_MAX_N", "H_n(q) sums over 2^n terms: n", summed=False)
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
 
 
 def h_moments(n: int, k: int) -> dict[str, Fraction]:
@@ -156,7 +159,7 @@ def h_moments(n: int, k: int) -> dict[str, Fraction]:
     p = P / 2^e with P = C(n, k) B! and e = k + n (B - 1), so every value is
     an integer over a power of two, reduced once, by a shift.
     """
-    _check_h_n(n)
+    _check_h_n(n, k)
     N = 2**n
     B = 2**k
     P, e = math.comb(n, k) * math.factorial(B), k + n * (B - 1)
@@ -190,7 +193,7 @@ def h_polynomial(n: int, k: int) -> Polynomial:
 
     (degree + 1) * bit_length(total) >= (top + 1) (2^n + top (bit_length(b) - 1) + 1) is charged first.
     """
-    _check_h_n(n)
+    _check_h_n(n, k)
     p = h_probability(n, k)
     N = 2**n
     if k == 0:  # p = 1

@@ -27,6 +27,9 @@ and its evaluations per t point.  The loop refuses a request beyond
 ``MGF_GUARD`` (``mgf_digits``, the work weighed by the precision) before it
 reads a t point, so a ``TGrid`` is never built past the guard.
 
+``normality_digits`` charges a normality grid's precision to the same
+guard, before any of its points is built.
+
 ``charge`` is the one refusal decision of every size guard: a weight over
 its limit is a share of one budget, about 0.3 to 3.7 s of work, refused
 past one; the points of a CLI request's normality grid add their largest,
@@ -111,15 +114,16 @@ def charge(weight, limit, name: str, what: str, summed: bool = True, alone: bool
     if not (summed and _grid):
         return
     point = _grid[-1]
-    share = min(weight, 1e300 * limit) / limit
+    # capped as an int: 1e300 * limit is inf for a limit past 1.8e8, and a huge int over it overflows
+    share = min(weight, 10**300 * limit) / limit
     if share > point[1]:
         _grid_total += share - point[1]
         point[1:] = share, (name, what, shown, limit)
     if _grid_total > 1:
         n, share, (name, what, shown, limit) = max(_grid, key=lambda p: p[1])
         raise SizeGuardError(
-            f"the normality grid's points down to n = {_grid[-1][0]} weigh {_grid_total:.9g} size budgets "
-            f"together, past one; its largest share, {share:.3g} at n = {n}, is {what} = {shown}, "
+            f"the normality grid's points down to n = {_shown(_grid[-1][0])} weigh {_grid_total:.9g} size budgets "
+            f"together, past one; its largest share, {share:.3g} at n = {_shown(n)}, is {what} = {shown}, "
             f"against the {name} size guard ({name} = {limit})"
         )
 
@@ -190,10 +194,15 @@ NUMERIC_ORDER_GUARD = 6 * 10**10
 
 
 def charge_numeric_order(r_max: int, scale: int, summed: bool = True) -> None:
-    """``charge`` moments to order r_max at a scale of ``scale`` bits to NUMERIC_ORDER_GUARD."""
+    """``charge`` moments to order r_max at a scale of ``scale`` bits to NUMERIC_ORDER_GUARD.
+
+    An order or a scale past 2^64, far past the guard, is weighed as 2^64,
+    so that the weight stays within float range.
+    """
     charge(
-        r_max**3 * (1000 + scale**1.6), NUMERIC_ORDER_GUARD, "NUMERIC_ORDER_GUARD",
-        f"moments to order {r_max} at a scale of {scale} bits weigh r^3 (1000 + b^1.6)", summed=summed,
+        min(r_max, 2**64) ** 3 * (1000 + min(scale, 2**64) ** 1.6), NUMERIC_ORDER_GUARD, "NUMERIC_ORDER_GUARD",
+        f"moments to order {_shown(r_max)} at a scale of {_shown(scale)} bits weigh r^3 (1000 + b^1.6)",
+        summed=summed,
     )
 
 
@@ -308,7 +317,25 @@ def mgf_digits(evaluations: int, steps: int, dps: int) -> int:
     digits = max(dps, 50)
     charge(
         -(-(evaluations + 8) * steps * digits**2 // 50**2), MGF_GUARD, "MGF_GUARD",
-        f"{steps} t points of {evaluations + 8} evaluations at {digits} digits weigh",
+        f"{_shown(steps)} t points of {evaluations + 8} evaluations at {_shown(digits)} digits weigh",
+    )
+    return digits
+
+
+def normality_digits(points: int, dps: int) -> int:
+    """The working precision max(dps, 50) of a normality grid of ``points`` points, within MGF_GUARD.
+
+    A point is normalized at d digits in about (d / 350)^1.6 units, its
+    square root and its divisions (fitted in process on one Intel Xeon
+    core: 0.027, 0.085 and 0.25 s a point at 5*10^4, 10^5 and 2*10^5
+    digits, whatever the order).  A precision past 2^64 digits is weighed
+    as 2^64.  Raises SizeGuardError beyond the guard.
+    """
+    digits = max(dps, 50)
+    charge(
+        points * (min(digits, 2**64) / 350) ** 1.6, MGF_GUARD, "MGF_GUARD",
+        f"{points} grid points normalized at {_shown(digits)} digits weigh points * (digits / 350)^1.6",
+        summed=False,
     )
     return digits
 
@@ -339,7 +366,9 @@ def mgf_deviation(
     beyond MGF_GUARD before any t is read.  Returns (sup, rows), where rows
     pair each t with its deviation.
     """
-    digits = mgf_digits(evaluations, len(t_values), dps)
+    # a TGrid may hold more points than len() can return
+    steps = t_values.steps if isinstance(t_values, TGrid) else len(t_values)
+    digits = mgf_digits(evaluations, steps, dps)
     rows = []
     sup = mpmath.mpf(0)
     with mpmath.workdps(digits):

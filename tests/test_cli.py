@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 
 from momentforge.moment_algebra import MomentVector, raw_to_central
+from refusals import FIT_AND_GRID, HUGE_BOOLEAN, REFUSALS, argvs
 
 
 def run_cli(*args):
@@ -117,12 +118,6 @@ def test_domino_central_matches_oracle(schema):
     assert "closed_forms" not in central["result"]
 
 
-def test_domino_transfer_guard_exits_1():
-    proc = run_cli("moments", "--family", "domino", "--m", "20", "--n", "30", "--r", "10")
-    assert proc.returncode == 1
-    assert "TRANSFER_GUARD" in proc.stderr and "size guard" in proc.stderr
-
-
 def test_domino_transfer_guard_weighs_the_length():
     # r = 4 needs a sweep of 10 rows, but the sums b_k have about 2*10^9 bits each
     started = time.monotonic()
@@ -210,7 +205,7 @@ def test_identities_rows_all_ok(schema):
 
 
 def test_identities_guard_edge(capsys):
-    # in process: the battery is weighed by its table, served to SYMBOLIC_ORDER_GUARD and refused past it
+    # in process: the battery is weighed by its table, served to SYMBOLIC_ORDER_GUARD (refused past it: refusals.py)
     from momentforge.cli import main
     from momentforge.families.common import SYMBOLIC_ORDER_GUARD
 
@@ -219,24 +214,15 @@ def test_identities_guard_edge(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["result"]["all_ok"] is True
     assert payload["result"]["rows"][-1]["r"] == 128
-    for r_max in (129, 200):
-        assert main(["identities", "--r-max", str(r_max)]) == 1
-        proc = capsys.readouterr()
-        assert proc.out == ""
-        assert proc.err.startswith("usage error:") and "SYMBOLIC_ORDER_GUARD = " in proc.err, proc.err
 
 
 def test_identities_lower_edge(capsys):
-    # in process: order 0 is one row, a negative order is refused rather than printing no rows
+    # in process: order 0 is one row (a negative order is refused: refusals.py)
     from momentforge.cli import main
 
     assert main(["identities", "--r-max", "0"]) == 0
     rows = json.loads(capsys.readouterr().out)["result"]["rows"]
     assert rows == [{"r": 0, "t": 0, "value": "1", "expected": "1", "ok": True}]
-    assert main(["identities", "--r-max", "-1"]) == 1
-    proc = capsys.readouterr()
-    assert proc.out == ""
-    assert proc.err.startswith("usage error: r_max must be >= 0"), proc.err
 
 
 def test_csv_format_and_out_file(tmp_path):
@@ -273,196 +259,24 @@ def test_oracle_sampling_mode_reproducible(schema):
     assert a["result"]["seed"] == 99
 
 
-def test_oracle_sampling_needs_seed():
-    proc = run_cli("oracle", "--family", "boolean", "--n", "4", "--k", "1",
-                   "--samples", "10")
-    assert proc.returncode == 1
-    assert "seed" in proc.stderr
-
-
-# past FIT_N_GUARD: a fit reads off and checks every n of its range, at r = 1 and 2
-FIT_N_GUARD_ARGS = [
-    ["fit", "--r", "2", "--period", "12", "--degree", "4", "--n-min", "13", "--n-max", "50001"],
-    ["fit", "--r", "1", "--period", "2", "--degree", "2", "--n-min", "1", "--n-max", "50001"],
-]
-
-# the first degree past FIT_GUARD on period * (degree + 1)^2 at periods 1 and 12
-FIT_GUARD_ARGS = [
-    ["fit", "--r", "2", "--period", "1", "--degree", "256", "--n-min", "1", "--n-max", "600"],
-    ["fit", "--r", "2", "--period", "12", "--degree", "73", "--n-min", "1", "--n-max", "1000"],
-]
-
-# past GRID_GUARD on sum(n^2) * (r_max^3 + 8) over a boolean normality grid:
-# the first grid refused at r_max = 2, and one that ran past 100 s before
-GRID_GUARD_ARGS = [
-    ["normality", "--family", "boolean", "--n-grid", "1,2,1000000", "--r-max", "2"],
-    ["normality", "--family", "boolean", "--n-grid", "1000000,2000000,4000000", "--r-max", "4"],
-]
-
-# the first argv beyond PGF_GUARD on each closed-form PGF route
-PGF_GUARD_ARGS = [
-    ["pgf", "--family", "invmaj", "--n", "188"],
-    ["pgf", "--family", "boolean", "--n", "13"],
-    ["pgf", "--family", "domino", "--m", "1", "--n", "4473"],
-]
-
-# past the print total: each is refused from a lower bound on its
-# sample-space size, printed twice, before the size is built (10^6! has
-# 5565709 digits, 2^(2^33) and 2^(10^10) billions).  The last five have
-# bounds whose squares, or the bounds themselves, are past float range.
-PRINT_TOTAL_GUARD_ARGS = [
-    ["moments", "--family", "invmaj", "--n", "1000000", "--r", "2"],
-    ["moments", "--family", "boolean", "--n", "33", "--r", "2"],
-    ["moments", "--family", "domino", "--m", "100000", "--n", "100000", "--r", "2"],
-    ["moments", "--family", "boolean", "--n", "512", "--r", "1"],
-    ["moments", "--family", "schur", "--n", str(10**200), "--r", "1"],
-    ["moments", "--family", "domino", "--m", "1", "--n", str(10**200), "--r", "1"],
-    ["moments", "--family", "schur", "--n", str(10**400), "--r", "1"],
-    ["moments", "--family", "invmaj", "--n", str(10**400), "--r", "1"],
-]
-
-# past MGF_GUARD on the t points' evaluations (17 steps by default), weighed
-# by the precision
-MGF_GUARD_ARGS = [
-    ["mgf-limit", "--family", "invmaj", "--n", "23513"],
-    ["mgf-limit", "--family", "invmaj", "--n", "1000000", "--t-steps", "2"],
-    ["mgf-limit", "--family", "invmaj", "--n", "400", "--precision", "800"],
-    ["mgf-limit", "--family", "board1n", "--n", "11764", "--precision", "20000"],
-    ["mgf-limit", "--family", "board1n", "--n", "10", "--t-steps", "1000000"],
-]
-
-# past SYMBOLIC_ORDER_GUARD: moment vectors built over polynomials (boolean
-# k = 0 in W, the domino mu-forms, which central prints on a 1-by-n board)
-ORDER_GUARD_ARGS = [
-    ["moments", "--family", "boolean", "--n", "10", "--r", "200"],
-    ["central", "--family", "domino", "--m", "1", "--n", "50", "--r", "200"],
-]
-
-# the first order past NUMERIC_ORDER_GUARD on r^3 (1000 + b^1.6) on each
-# numeric cumulant route (invmaj n = 8 at r = 500 took 3 to 4 s unguarded)
-NUMERIC_ORDER_GUARD_ARGS = [
-    ["binomial-moments", "--family", "invmaj", "--n", "8", "--r", "391"],
-    ["moments", "--family", "invmaj", "--n", "8", "--r", "500"],
-    ["central", "--family", "invmaj", "--n", str(10**30), "--r", "248"],
-    ["normality", "--family", "boolean", "--n-grid", "1,2,3", "--r-max", "392"],
-    ["binomial-moments", "--family", "domino", "--m", "1", "--n", "3", "--r", "392"],
-]
-
-# past TRANSFER_GUARD, whose sweep term weighs the packed words' 64-bit limbs
-# (the first took 14 to 17 s before the guard); the last is refused by the
-# size of its sums before the width of a packed word, a binomial in r, is
-# computed
-TRANSFER_GUARD_ARGS = [
-    ["moments", "--family", "domino", "--m", "4", "--n", "1000", "--r", "400"],
-    ["central", "--family", "domino", "--m", "17", "--n", "17", "--r", "14"],
-    ["moments", "--family", "domino", "--m", "2", "--n", "10000000", "--r", "10000000"],
-]
-
-# outside the boolean family, 0 <= k <= n, on every route that takes it
-BOOLEAN_RANGE_ARGS = [
-    ["moments", "--family", "boolean", "--n", "-1"],
-    ["pgf", "--family", "boolean", "--n", "-1"],
-    ["oracle", "--family", "boolean", "--n", "-1"],
-    ["normality", "--family", "boolean", "--n-grid", "-1,2,3"],
-]
-
-# domino boards that do not exist, refused on the PGF route as on every other
-DOMINO_RANGE_ARGS = [
-    ["pgf", "--family", "domino", "--m", "1", "--n", "0"],
-    ["pgf", "--family", "domino", "--m", "1", "--n", "-5"],
-]
-
-# past SAMPLER_GUARD on samples * C(n, k) * max(k, 1) * ceil(2^n / 64) word
-# operations: the first is one sample more than the largest request at
-# n = 14, k = 7; the second would need C(20, 10) masks of 2^20 bits
-SAMPLER_GUARD_ARGS = [
-    ["oracle", "--family", "boolean", "--n", "14", "--k", "7", "--samples", "2", "--seed", "1"],
-    ["oracle", "--family", "boolean", "--n", "20", "--k", "10", "--samples", "1", "--seed", "1"],
-]
-
-
-def test_usage_errors_exit_1(capsys):
-    # in process: the smoke tests above cover python -m momentforge
+@pytest.mark.parametrize("row", REFUSALS, ids=[row.label for row in REFUSALS])
+def test_refused_argv_exits_1(row, alarm, monkeypatch, capsys):
+    # in process: CI runs every row as a whole process too
     from momentforge.cli import main
+    from momentforge.families import domino
 
-    for args in (
-        ["moments", "--family", "nosuch", "--n", "3"],
-        ["moments", "--family", "schur", "--n", "4", "--r", "7"],
-        ["oracle", "--family", "invmaj", "--n", "12"],  # guard: 12! too large
-        ["no-such-command"],
-        ["mgf-limit", "--family", "invmaj", "--n", "1"],
-        ["mgf-limit", "--family", "invmaj", "--n", "10", "--t-min", "nan"],
-        ["mgf-limit", "--family", "invmaj", "--n", "10", "--t-max", "inf"],
-        ["normality", "--family", "invmaj", "--n-grid", "4,6,8", "--threshold", "nan"],
-        ["normality", "--family", "invmaj", "--n-grid", "4,6,8", "--threshold", "inf"],
-        ["normality", "--family", "invmaj", "--n-grid", "4,6,8", "--threshold", "-inf"],
-        ["oracle", "--family", "invmaj", "--n", "3", "--r-max", "-2"],
-        # only boolean has a sampling mode
-        ["oracle", "--family", "domino", "--m", "2", "--n", "2", "--samples", "5", "--seed", "1"],
-        ["oracle", "--family", "boolean", "--n", "3", "--k", "4"],
-        ["fit", "--r", "1", "--period", "2", "--degree", "2", "--n-min", "1",
-         "--n-max", "14", "--verify", "1"],
-        ["fit", "--r", "1", "--c", "1", "--period", "2", "--degree", "2", "--n-min", "1",
-         "--n-max", "14"],
-        # no subcommand takes --threads
-        ["moments", "--family", "invmaj", "--n", "4", "--threads", "2"],
-        ["oracle", "--family", "schur", "--n", "6", "--threads", "2"],
-        ["fit", "--r", "1", "--period", "2", "--degree", "2", "--n-min", "1",
-         "--n-max", "14", "--threads", "2"],
-        *FIT_N_GUARD_ARGS,
-        *FIT_GUARD_ARGS,
-        *GRID_GUARD_ARGS,
-        *PGF_GUARD_ARGS,
-        *PRINT_TOTAL_GUARD_ARGS,
-        *MGF_GUARD_ARGS,
-        *SAMPLER_GUARD_ARGS,
-        *ORDER_GUARD_ARGS,
-        *NUMERIC_ORDER_GUARD_ARGS,
-        *TRANSFER_GUARD_ARGS,
-        *BOOLEAN_RANGE_ARGS,
-        *DOMINO_RANGE_ARGS,
-    ):
-        code = main(list(args))
-        proc = capsys.readouterr()
-        assert code == 1, (args, proc.err)
-        assert proc.out == "", args
-        assert proc.err.startswith("usage error:"), (args, proc.err)
-        assert "Traceback" not in proc.err, (args, proc.err)
-        if args in FIT_N_GUARD_ARGS:
-            assert "FIT_N_GUARD = " in proc.err, (args, proc.err)
-        if args in FIT_GUARD_ARGS:
-            assert "FIT_GUARD = " in proc.err, (args, proc.err)
-        if args in GRID_GUARD_ARGS:
-            assert "GRID_GUARD = " in proc.err, (args, proc.err)
-        if args in PGF_GUARD_ARGS:
-            assert "PGF_GUARD" in proc.err, (args, proc.err)
-        if args in PRINT_TOTAL_GUARD_ARGS:
-            assert "PRINT_TOTAL_GUARD size guard" in proc.err, (args, proc.err)
-        if args in MGF_GUARD_ARGS:
-            assert "MGF_GUARD" in proc.err, (args, proc.err)
-        if args in SAMPLER_GUARD_ARGS:
-            assert "SAMPLER_GUARD" in proc.err, (args, proc.err)
-        if args in ORDER_GUARD_ARGS:
-            assert "SYMBOLIC_ORDER_GUARD" in proc.err, (args, proc.err)
-        if args in NUMERIC_ORDER_GUARD_ARGS:
-            assert "NUMERIC_ORDER_GUARD = " in proc.err, (args, proc.err)
-        if args in TRANSFER_GUARD_ARGS:
-            assert "TRANSFER_GUARD = " in proc.err, (args, proc.err)
-        if args in BOOLEAN_RANGE_ARGS:
-            assert "need 0 <= k <= n" in proc.err, (args, proc.err)
-        if args in DOMINO_RANGE_ARGS:
-            assert "need m, n >= 1" in proc.err, (args, proc.err)
+    monkeypatch.setattr(domino, "_SWEPT", {})
+    code = main(row.argv)
+    proc = capsys.readouterr()
+    assert code == 1, proc.err
+    assert proc.out == ""
+    assert proc.err.startswith("usage error:"), proc.err
+    assert "Traceback" not in proc.err, proc.err
+    for fragment in row.fragments:
+        assert fragment in proc.err.splitlines()[-1], (fragment, proc.err)
 
 
-# boolean moments at a huge n, whose 2^n (125 GB at n = 10^12) is weighed before it is built
-HUGE_BOOLEAN_ARGS = [
-    ["central", "--family", "boolean", "--n", str(10**12), "--r", "2"],
-    ["moments", "--family", "boolean", "--n", str(10**12), "--k", "1", "--r", "1"],
-    ["central", "--family", "boolean", "--n", str(10**12), "--k", "1", "--r", "1"],
-]
-
-
-@pytest.mark.parametrize("args", HUGE_BOOLEAN_ARGS, ids=["central-k0", "moments-k1", "central-k1"])
+@pytest.mark.parametrize("args", argvs(HUGE_BOOLEAN), ids=lambda args: " ".join(args))
 def test_boolean_moments_at_a_huge_n_are_refused_before_2_to_the_n_is_built(args, capsys):
     from momentforge.cli import main
 
@@ -472,9 +286,7 @@ def test_boolean_moments_at_a_huge_n_are_refused_before_2_to_the_n_is_built(args
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    err = capsys.readouterr().err
-    assert code == 1, err
-    assert "NUMERIC_ORDER_GUARD = " in err, err
+    assert code == 1, capsys.readouterr().err
     assert peak < 10**6, peak
 
 
@@ -545,7 +357,7 @@ def test_fit_and_grid_guard_edges(capsys):
     # refused before anything is built
     from momentforge.cli import main
 
-    for args in (*FIT_N_GUARD_ARGS, *FIT_GUARD_ARGS, *GRID_GUARD_ARGS):
+    for args in argvs(FIT_AND_GRID):
         started = time.monotonic()
         assert main(args) == 1
         assert capsys.readouterr().out == ""

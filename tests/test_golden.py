@@ -2,7 +2,9 @@
 
 Each set's ``index.json`` maps a name to an argv, its exit code and its
 stdout: the file ``<name>.stdout`` or, for a large output, its sha256 and
-length.  The sets pin what earlier implementations printed, before the
+length.  Run as a script, this file prints every argv, one a line, for
+CI to check that the console script prints what ``python -m momentforge``
+prints.  The sets pin what earlier implementations printed, before the
 code that prints it now replaced them:
 
 * ``boolean_golden``: Binomial(N, 1/2) as the boolean 0-cube count and the
@@ -18,6 +20,16 @@ code that prints it now replaced them:
   ``PRINT_TOTAL_GUARD``, ``approx-h`` at n = k = 14 (with and without its
   polynomial) and ``moments`` at n = 19; n = 33 is refused by that total
   before its sample space is built.
+* ``console_golden``: the argvs CI compared only between the console
+  script and ``python -m momentforge``, pinned from the code of that time:
+  ``--version``, ``mgf-limit`` at invmaj n = 23512 (the largest n served at
+  17 steps), ``moments`` of boolean k = 1 and ``binomial-moments`` of
+  boolean k = 1 and invmaj n = 8, the domino 2-by-3 board's ``central``
+  and the 2-by-170000 board at r = 291, Schur ``moments`` at n = 9, 20000
+  (c = 3) and 50001, ``central`` at n = 10^100 (c = 3), a Schur
+  ``normality`` grid to 10^8, two fits (c = 5 over n = 1..400, and r = 1
+  at c = 3), the Schur, domino 3-by-4 and seeded boolean k = 2 oracles, and
+  ``pgf --family invmaj --n 28`` as CSV.
 * ``domino_golden``: the cell-profile transfer sweep, before the face
   sweep: every moment subcommand and normality, widths 1 to 17, boards
   past 2r+2 rows, and the last order the guard served at width 2 (the size
@@ -71,3 +83,8 @@ def test_stdout_is_byte_identical(golden, name, entry, monkeypatch, capsys):
         assert (len(out), hashlib.sha256(out).hexdigest()) == (entry["bytes"], entry["sha256"])
     else:
         assert out == (golden / f"{name}.stdout").read_bytes()
+
+
+if __name__ == "__main__":
+    for _, _, entry in ENTRIES:
+        print(" ".join(entry["argv"]))
