@@ -196,7 +196,10 @@ def _symbols(x) -> set[str]:
 
 
 def _emit(ctx_params: dict, subcommand: str, pieces: list, table: tuple, started: float) -> None:
-    """Write the output: the JSON pieces with each leaf formatted, or the CSV ``table``; then the manifest."""
+    """Write the output: the JSON pieces with each leaf formatted, or the CSV ``table``; then the manifest.
+
+    An ``--out`` file that cannot be opened or written is a click.UsageError naming ``--out``.
+    """
     fmt = ctx_params["format"]
     out_path = ctx_params["out"]
     # the interpreter's own int-to-str digit limit (4300 on Python >= 3.10.7)
@@ -213,8 +216,11 @@ def _emit(ctx_params: dict, subcommand: str, pieces: list, table: tuple, started
         if limit:
             sys.set_int_max_str_digits(limit)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
     manifest = {
@@ -277,7 +283,7 @@ def _subcommand(name: str):
     (``_pieces``), charges what they print (``_charge_print``), maps a
     failure to its exit code (a ConsistencyError to 2 with ``validation failure:``,
     any other MomentForgeError or a ValueError to 1 with ``usage error:``) and
-    writes the output through ``_emit``.  A body's click.UsageError goes to ``main``.
+    writes the output through ``_emit``.  A click.UsageError, a body's or ``_emit``'s, goes to ``main``.
     """
 
     def register(body):
@@ -407,7 +413,9 @@ def normality_cmd(family, n_grid, m, k, r_max, threshold, precision):
         "rows": rows,
         "verdicts": {str(r): ok for r, ok in enumerate(verdicts)},
     }
-    parameters = {"family": family, "n_grid": n_grid, **params, "r_max": r_max,
+    # the family parameters normality takes: a Schur grid's c is resolved, not an option
+    taken = {key: value for key, value in params.items() if key in ("m", "k")}
+    parameters = {"family": family, "n_grid": n_grid, **taken, "r_max": r_max,
                   "threshold": threshold, "precision": precision}
     params_text = ";".join(f"{key}={value}" for key, value in sorted(params.items()))
     header = ["family", "params", "r", "n", "m_r", "target", "deviation", "verdict"]

@@ -505,7 +505,11 @@ def histogram_moments(hist: Histogram, r_max: int) -> MomentVector:
     """Exact raw moments sum(value^r * count) / total, r <= r_max; ValueError for r_max < 0."""
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
+    values = list(hist.counts)
+    # each value's count * v^r, carried from order r - 1 by one product with v
+    terms = list(hist.counts.values())
     entries = []
-    for r in range(r_max + 1):
-        entries.append(Fraction(sum(v**r * c for v, c in hist.counts.items()), hist.total))
+    for _ in range(r_max + 1):
+        entries.append(Fraction(sum(terms), hist.total))
+        terms = [t * v for t, v in zip(terms, values)]
     return MomentVector("raw", entries)

@@ -196,6 +196,9 @@ REFUSALS = [
     # every moment was built before the print total weighed them: past 30 s
     *_rows("oracle moments charged a lower bound", ["PRINT_TOTAL_GUARD size guard", "max^r / total"],
         "oracle --family domino --m 4 --n 5 --r-max 20000"),
+    # the result was built, then open() ended in a FileNotFoundError traceback
+    *_rows("an --out file that cannot be opened", ["usage error: cannot write --out", "No such file or directory"],
+        "pgf --family invmaj --n 4 --out /nonexistent/dir/x.json"),
 ]
 
 

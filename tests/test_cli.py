@@ -1,4 +1,10 @@
-"""End-to-end CLI tests via subprocess: exit codes, schema validity, determinism."""
+"""End-to-end CLI tests, run in process through ``conftest.run``: exit codes, schema validity, guards.
+
+Three tests run ``python -m momentforge`` as a process, one per exit code:
+``test_csv_format_and_out_file`` (0),
+``test_mgf_guard_refuses_before_the_t_grid_is_built`` (1) and
+``test_fit_verification_failure_exits_2`` (2).
+"""
 
 import json
 import subprocess
@@ -6,124 +12,41 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
-from importlib import resources
 
-import jsonschema
 import pytest
 
 from momentforge.moment_algebra import MomentVector, raw_to_central
 from refusals import FIT_AND_GRID, HUGE_BOOLEAN, REFUSALS, argvs
 
 
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "momentforge", *args],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-
-
-@pytest.fixture(scope="module")
-def schema():
-    text = resources.files("momentforge").joinpath("schemas/output.schema.json").read_text()
-    return json.loads(text)
-
-
-def check_json(proc, schema):
-    assert proc.returncode == 0, proc.stderr
-    payload = json.loads(proc.stdout)
-    jsonschema.validate(payload, schema)
-    manifest = json.loads(proc.stderr.strip().splitlines()[-1])
-    for key in ("subcommand", "parameters", "tool_version", "output", "wall_time_s"):
-        assert key in manifest
-    return payload, manifest
-
-
-SMOKE_COMMANDS = [
-    ("moments", ["moments", "--family", "domino", "--m", "2", "--n", "3", "--r", "3"]),
-    ("central", ["central", "--family", "boolean", "--n", "3", "--k", "0", "--r", "4"]),
-    (
-        "binomial-moments",
-        ["binomial-moments", "--family", "invmaj", "--n", "6", "--r", "4"],
-    ),
-    ("pgf", ["pgf", "--family", "invmaj", "--n", "4"]),
-    (
-        "normality",
-        ["normality", "--family", "domino", "--n-grid", "11,101,1001", "--r-max", "4"],
-    ),
-    (
-        "mgf-limit",
-        ["mgf-limit", "--family", "board1n", "--n", "500", "--t-steps", "5"],
-    ),
-    ("oracle", ["oracle", "--family", "schur", "--n", "6", "--c", "2"]),
-    (
-        "fit",
-        ["fit", "--family", "schur", "--r", "1", "--c", "2", "--period", "2",
-         "--degree", "2", "--n-min", "1", "--n-max", "14"],
-    ),
-    (
-        "fit-r2",
-        ["fit", "--r", "2", "--period", "12", "--degree", "4", "--n-min", "13",
-         "--n-max", "96", "--verify", "2"],
-    ),
-    ("identities", ["identities", "--r-max", "6"]),
-    ("approx-h", ["approx-h", "--n", "3", "--k", "1", "--with-polynomial"]),
-    ("approx-h-k0", ["approx-h", "--n", "8", "--k", "0", "--with-polynomial"]),
-    ("pgf-domino-1xn", ["pgf", "--family", "domino", "--m", "1", "--n", "300"]),
-]
-
-
-@pytest.mark.parametrize("label,args", SMOKE_COMMANDS, ids=[c[0] for c in SMOKE_COMMANDS])
-def test_every_subcommand_emits_schema_valid_json(label, args, schema):
-    payload, manifest = check_json(run_cli(*args), schema)
-    assert payload["subcommand"] == args[0]
-    assert manifest["subcommand"] == args[0]
-
-
-@pytest.mark.parametrize("label,args", SMOKE_COMMANDS, ids=[c[0] for c in SMOKE_COMMANDS])
-def test_reruns_are_byte_identical(label, args, schema):
-    a = run_cli(*args)
-    b = run_cli(*args)
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout  # manifests differ only in wall time, on stderr
-
-
-def test_domino_moments_table_value(schema):
-    proc = run_cli("moments", "--family", "domino", "--m", "2", "--n", "3", "--r", "3")
-    payload, _ = check_json(proc, schema)
+def test_domino_moments_table_value(run, served):
+    payload, _ = served(run("moments", "--family", "domino", "--m", "2", "--n", "3", "--r", "3"))
     assert payload["result"]["scaled_entries"][3] == "3920"
 
 
-def test_domino_moments_exact_off_the_closed_form_domain(schema):
-    payload, _ = check_json(
-        run_cli("moments", "--family", "domino", "--m", "2", "--n", "2", "--r", "4"), schema
-    )
+def test_domino_moments_exact_off_the_closed_form_domain(run, served):
+    payload, _ = served(run("moments", "--family", "domino", "--m", "2", "--n", "2", "--r", "4"))
     result = payload["result"]
     assert result["entries"][4] == "44"
     assert result["scaled_entries"][4] == "704"
     assert "closed_forms" not in result and "symbols" not in result
 
 
-def test_domino_central_matches_oracle(schema):
-    central, _ = check_json(
-        run_cli("central", "--family", "domino", "--m", "2", "--n", "3", "--r", "4"), schema
-    )
-    oracle, _ = check_json(
-        run_cli("oracle", "--family", "domino", "--m", "2", "--n", "3", "--r-max", "4"), schema
-    )
+def test_domino_central_matches_oracle(run, served):
+    central, _ = served(run("central", "--family", "domino", "--m", "2", "--n", "3", "--r", "4"))
+    oracle, _ = served(run("oracle", "--family", "domino", "--m", "2", "--n", "3", "--r-max", "4"))
     raw = MomentVector("raw", [Fraction(x) for x in oracle["result"]["moments"]])
     expect = [str(e) for e in raw_to_central(raw, raw.entries[1]).entries]
     assert central["result"]["entries"] == expect
     assert "closed_forms" not in central["result"]
 
 
-def test_domino_transfer_guard_weighs_the_length():
+def test_domino_transfer_guard_weighs_the_length(run):
     # r = 4 needs a sweep of 10 rows, but the sums b_k have about 2*10^9 bits each
     started = time.monotonic()
-    proc = run_cli("central", "--family", "domino", "--m", "2", "--n", "1000000000", "--r", "4")
-    assert proc.returncode == 1
-    assert "TRANSFER_GUARD" in proc.stderr and "size guard" in proc.stderr
+    proc = run("central", "--family", "domino", "--m", "2", "--n", "1000000000", "--r", "4")
+    assert proc.code == 1
+    assert "TRANSFER_GUARD" in proc.err and "size guard" in proc.err
     assert time.monotonic() - started < 3
 
 
@@ -136,9 +59,8 @@ def test_domino_transfer_guard_weighs_the_length():
     ],
     ids=["moments", "central", "normality"],
 )
-def test_domino_sweep_off_the_polynomial_exits_2(args, monkeypatch, capsys):
+def test_domino_sweep_off_the_polynomial_exits_2(args, run, monkeypatch):
     # N_1 one 2^{wL} too large on the sweep's last row, the row that checks the fit
-    from momentforge.cli import main
     from momentforge.families import domino
 
     original = domino._face_sweep
@@ -148,19 +70,17 @@ def test_domino_sweep_off_the_polynomial_exits_2(args, monkeypatch, capsys):
         sums[-1][1] += 1 << (w * rows)
         return tuple(tuple(row) for row in sums)
 
-    monkeypatch.setattr(domino, "_SWEPT", {})
     monkeypatch.setattr(domino, "_face_sweep", corrupted)
-    assert main(args) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("validation failure:"), captured.err
+    proc = run(*args)
+    assert proc.code == 2
+    assert proc.out == ""
+    assert proc.err.startswith("validation failure:"), proc.err
 
 
 @pytest.mark.parametrize("perimeter", [3, 4], ids=["odd", "squares"])
-def test_domino_sweep_off_the_grid_invariants_exits_2(perimeter, monkeypatch, capsys):
+def test_domino_sweep_off_the_grid_invariants_exits_2(perimeter, run, monkeypatch):
     # one perimeter count off by one where the sweep reads off its third row:
     # an odd perimeter, or a count of unit squares that is not (w-1)(rows-1)
-    from momentforge.cli import main
     from momentforge.families import domino
 
     original = domino._check_counts
@@ -171,12 +91,11 @@ def test_domino_sweep_off_the_grid_invariants_exits_2(perimeter, monkeypatch, ca
             counts[perimeter] += 1
         original(counts, w, rows)
 
-    monkeypatch.setattr(domino, "_SWEPT", {})
     monkeypatch.setattr(domino, "_check_counts", corrupted)
-    assert main(["moments", "--family", "domino", "--m", "4", "--n", "6", "--r", "4"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("validation failure: width 4, 3 rows:"), captured.err
+    proc = run("moments", "--family", "domino", "--m", "4", "--n", "6", "--r", "4")
+    assert proc.code == 2
+    assert proc.out == ""
+    assert proc.err.startswith("validation failure: width 4, 3 rows:"), proc.err
 
 
 @pytest.mark.parametrize("subcommand", ["central", "binomial-moments"])
@@ -185,50 +104,50 @@ def test_domino_sweep_off_the_grid_invariants_exits_2(perimeter, monkeypatch, ca
     [["domino", "--m", "2"], ["domino", "--m", "1"], ["boolean", "--k", "0"], ["boolean", "--k", "1"]],
     ids=["domino-2x3", "domino-1x3", "boolean-k0", "boolean-k1"],
 )
-def test_order_zero_about_the_mean(subcommand, params, schema):
-    payload, _ = check_json(run_cli(subcommand, "--family", *params, "--n", "3", "--r", "0"), schema)
+def test_order_zero_about_the_mean(subcommand, params, run, served):
+    payload, _ = served(run(subcommand, "--family", *params, "--n", "3", "--r", "0"))
     assert payload["result"]["entries"] == ["1"]
 
 
-def test_pgf_trivial_case():
-    proc = run_cli("pgf", "--family", "invmaj", "--n", "1")
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["result"]["polynomial"] == "1"
+def test_pgf_trivial_case(run):
+    proc = run("pgf", "--family", "invmaj", "--n", "1")
+    assert proc.code == 0
+    assert json.loads(proc.out)["result"]["polynomial"] == "1"
 
 
-def test_identities_rows_all_ok(schema):
-    proc = run_cli("identities", "--r-max", "10")
-    payload, _ = check_json(proc, schema)
+def test_identities_rows_all_ok(run, served):
+    payload, _ = served(run("identities", "--r-max", "10"))
     assert payload["result"]["all_ok"] is True
     rows = payload["result"]["rows"]
     assert {"r": 4, "t": 2, "value": "3/16", "expected": "3/16", "ok": True} in rows
 
 
-def test_identities_guard_edge(capsys):
-    # in process: the battery is weighed by its table, served to SYMBOLIC_ORDER_GUARD (refused past it: refusals.py)
-    from momentforge.cli import main
+def test_identities_guard_edge(run):
+    # the battery is weighed by its table, served to SYMBOLIC_ORDER_GUARD (refused past it: refusals.py)
     from momentforge.families.common import SYMBOLIC_ORDER_GUARD
 
     assert SYMBOLIC_ORDER_GUARD == 128
-    assert main(["identities", "--r-max", "128"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    proc = run("identities", "--r-max", "128")
+    assert proc.code == 0
+    payload = json.loads(proc.out)
     assert payload["result"]["all_ok"] is True
     assert payload["result"]["rows"][-1]["r"] == 128
 
 
-def test_identities_lower_edge(capsys):
-    # in process: order 0 is one row (a negative order is refused: refusals.py)
-    from momentforge.cli import main
-
-    assert main(["identities", "--r-max", "0"]) == 0
-    rows = json.loads(capsys.readouterr().out)["result"]["rows"]
+def test_identities_lower_edge(run):
+    # order 0 is one row (a negative order is refused: refusals.py)
+    proc = run("identities", "--r-max", "0")
+    assert proc.code == 0
+    rows = json.loads(proc.out)["result"]["rows"]
     assert rows == [{"r": 0, "t": 0, "value": "1", "expected": "1", "ok": True}]
 
 
 def test_csv_format_and_out_file(tmp_path):
     out = tmp_path / "hist.csv"
-    proc = run_cli(
-        "oracle", "--family", "invmaj", "--n", "4", "--format", "csv", "--out", str(out)
+    proc = subprocess.run(
+        [sys.executable, "-m", "momentforge", "oracle", "--family", "invmaj", "--n", "4",
+         "--format", "csv", "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0
     assert proc.stdout == ""
@@ -239,36 +158,28 @@ def test_csv_format_and_out_file(tmp_path):
     assert manifest["output"] == str(out)
 
 
-def test_normality_csv_columns():
-    proc = run_cli(
-        "normality", "--family", "invmaj", "--n-grid", "4,6,8", "--r-max", "4",
-        "--format", "csv",
-    )
-    assert proc.returncode == 0
-    header = proc.stdout.splitlines()[0]
+def test_normality_csv_columns(run):
+    proc = run("normality", "--family", "invmaj", "--n-grid", "4,6,8", "--r-max", "4", "--format", "csv")
+    assert proc.code == 0
+    header = proc.out.splitlines()[0]
     assert header == "family,params,r,n,m_r,target,deviation,verdict"
 
 
-def test_oracle_sampling_mode_reproducible(schema):
+def test_oracle_sampling_mode_reproducible(run, served):
     args = ["oracle", "--family", "boolean", "--n", "4", "--k", "1",
             "--samples", "200", "--seed", "99"]
-    a, _ = check_json(run_cli(*args), schema)
-    b, _ = check_json(run_cli(*args), schema)
+    a, _ = served(run(*args))
+    b, _ = served(run(*args))
     assert a == b
     assert a["result"]["mode"] == "sample"
     assert a["result"]["seed"] == 99
 
 
 @pytest.mark.parametrize("row", REFUSALS, ids=[row.label for row in REFUSALS])
-def test_refused_argv_exits_1(row, alarm, monkeypatch, capsys):
-    # in process: CI runs every row as a whole process too
-    from momentforge.cli import main
-    from momentforge.families import domino
-
-    monkeypatch.setattr(domino, "_SWEPT", {})
-    code = main(row.argv)
-    proc = capsys.readouterr()
-    assert code == 1, proc.err
+def test_refused_argv_exits_1(row, run):
+    # CI runs every row as a whole process too
+    proc = run(*row.argv)
+    assert proc.code == 1, proc.err
     assert proc.out == ""
     assert proc.err.startswith("usage error:"), proc.err
     assert "Traceback" not in proc.err, proc.err
@@ -277,16 +188,14 @@ def test_refused_argv_exits_1(row, alarm, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("args", argvs(HUGE_BOOLEAN), ids=lambda args: " ".join(args))
-def test_boolean_moments_at_a_huge_n_are_refused_before_2_to_the_n_is_built(args, capsys):
-    from momentforge.cli import main
-
+def test_boolean_moments_at_a_huge_n_are_refused_before_2_to_the_n_is_built(args, run):
     tracemalloc.start()
     try:
-        code = main(args)
+        proc = run(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 1, capsys.readouterr().err
+    assert proc.code == 1, proc.err
     assert peak < 10**6, peak
 
 
@@ -314,29 +223,29 @@ def test_boolean_moments_at_a_huge_n_are_refused_before_2_to_the_n_is_built(args
          "oracle-schur-n13-c3", "oracle-boolean-sample-n14-k7", "domino-central-8x1000000",
          "domino-central-12x400", "domino-central-8x6100", "invmaj-binomial-r200", "schur-moments-n50001"],
 )
-def test_invmaj_moments_at_large_n_are_quick(args, schema):
+def test_invmaj_moments_at_large_n_are_quick(args, run, served):
     started = time.monotonic()
-    check_json(run_cli(*args), schema)
+    served(run(*args))
     assert time.monotonic() - started < 10, args
 
 
-def test_numbers_past_the_interpreter_digit_limit_are_printed(schema):
+def test_numbers_past_the_interpreter_digit_limit_are_printed(run, served):
     # 2^(2^14) has 4933 digits, past the 4300 that int-to-str allows by default
-    payload, _ = check_json(run_cli("moments", "--family", "boolean", "--n", "14", "--r", "1"), schema)
+    payload, _ = served(run("moments", "--family", "boolean", "--n", "14", "--r", "1"))
     space = payload["result"]["sample_space_size"]
     assert len(space) == 4933
     assert int(space[-6:]) == 2 ** (2**14) % 10**6
 
 
-def test_cube_guard_edge(capsys):
-    # in process: the k-cube moments at the guard are served, with closed
-    # forms past the interpreter's 4300-digit limit (E[X^2] carries
-    # 2^(2^16)), and one dimension more is refused
-    from momentforge.cli import main
+def test_cube_guard_edge(run):
+    # the k-cube moments at the guard are served, with closed forms past
+    # the interpreter's 4300-digit limit (E[X^2] carries 2^(2^16)), and one
+    # dimension more is refused
     from momentforge.families.boolean import CUBE_GUARD
 
-    assert main(["central", "--family", "boolean", "--n", str(CUBE_GUARD), "--k", str(CUBE_GUARD), "--r", "2"]) == 0
-    result = json.loads(capsys.readouterr().out)["result"]
+    proc = run("central", "--family", "boolean", "--n", str(CUBE_GUARD), "--k", str(CUBE_GUARD), "--r", "2")
+    assert proc.code == 0
+    result = json.loads(proc.out)["result"]
     assert max(len(text) for text in result["closed_forms"]) > 4300
     for args in (
         ["central", "--family", "boolean", "--n", str(CUBE_GUARD + 1), "--k", str(CUBE_GUARD + 1), "--r", "0"],
@@ -344,68 +253,68 @@ def test_cube_guard_edge(capsys):
         ["normality", "--family", "boolean", "--k", "16", "--n-grid", "16,17,18", "--r-max", "2"],
     ):
         started = time.monotonic()
-        assert main(args) == 1
-        proc = capsys.readouterr()
+        proc = run(*args)
+        assert proc.code == 1
         assert proc.out == ""
         assert proc.err.startswith("usage error:") and "CUBE_GUARD = " in proc.err, proc.err
         # refused before any moment is built
         assert time.monotonic() - started < 1, args
 
 
-def test_fit_and_grid_guard_edges(capsys):
-    # in process: every argv past the fit and normality grid guards is
-    # refused before anything is built
-    from momentforge.cli import main
-
+def test_fit_and_grid_guard_edges(run):
+    # every argv past the fit and normality grid guards is refused before anything is built
     for args in argvs(FIT_AND_GRID):
         started = time.monotonic()
-        assert main(args) == 1
-        assert capsys.readouterr().out == ""
+        proc = run(*args)
+        assert proc.code == 1
+        assert proc.out == ""
         assert time.monotonic() - started < 1, args
 
 
 @pytest.mark.parametrize("grid", ["299,300", "40,20,60", "20,20,60"])
-def test_normality_grid_is_checked_before_any_point_is_built(grid, monkeypatch, capsys):
+def test_normality_grid_is_checked_before_any_point_is_built(grid, run, monkeypatch):
     import momentforge.families as families
-    from momentforge.cli import main
 
     calls = []
     monkeypatch.setattr(families, "moment_vector", lambda *args: calls.append(args))
-    assert main(["normality", "--family", "schur", "--n-grid", grid, "--r-max", "2"]) == 1
-    err = capsys.readouterr().err
-    assert ("at least 3 points" if grid == "299,300" else "strictly increasing") in err, err
+    proc = run("normality", "--family", "schur", "--n-grid", grid, "--r-max", "2")
+    assert proc.code == 1
+    assert ("at least 3 points" if grid == "299,300" else "strictly increasing") in proc.err, proc.err
     assert calls == []
 
 
-def test_integers_past_ten_to_the_fifth_digits_are_printed(schema):
+def test_integers_past_ten_to_the_fifth_digits_are_printed(run, served):
     # 2^332193 has 100001 digits, printed twice: inside the print total
-    payload, _ = check_json(run_cli("moments", "--family", "domino", "--m", "1", "--n", "332193", "--r", "0"), schema)
+    payload, _ = served(run("moments", "--family", "domino", "--m", "1", "--n", "332193", "--r", "0"))
     result = payload["result"]
     assert len(result["sample_space_size"]) == 10**5 + 1
     assert int(result["sample_space_size"][-6:]) == pow(2, 332193, 10**6)
     assert result["scaled_entries"] == [result["sample_space_size"]]
 
 
-def test_a_sample_space_past_the_print_total_is_refused_before_it_is_built(monkeypatch, capsys):
+def test_a_sample_space_past_the_print_total_is_refused_before_it_is_built(run, monkeypatch):
     import dataclasses
 
-    from momentforge.cli import main
     from momentforge.families import FAMILIES
 
     def never(params):
         raise AssertionError(f"the sample space of {params} built past the print total")
 
     monkeypatch.setitem(FAMILIES, "boolean", dataclasses.replace(FAMILIES["boolean"], space_size=never))
-    assert main(["moments", "--family", "boolean", "--n", "33", "--r", "2"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "a lower bound on sum(digits^2) of the sample-space size, printed twice" in err, err
-    assert "PRINT_TOTAL_GUARD size guard" in err, err
+    proc = run("moments", "--family", "boolean", "--n", "33", "--r", "2")
+    assert proc.code == 1
+    assert proc.out == ""
+    assert "a lower bound on sum(digits^2) of the sample-space size, printed twice" in proc.err, proc.err
+    assert "PRINT_TOTAL_GUARD size guard" in proc.err, proc.err
 
 
 def test_mgf_guard_refuses_before_the_t_grid_is_built():
     started = time.monotonic()
-    proc = run_cli("mgf-limit", "--family", "board1n", "--n", "10", "--t-steps", "1000000")
+    proc = subprocess.run(
+        [sys.executable, "-m", "momentforge", "mgf-limit", "--family", "board1n", "--n", "10",
+         "--t-steps", "1000000"],
+        capture_output=True, text=True, timeout=60,
+    )
     assert proc.returncode == 1 and "MGF_GUARD" in proc.stderr, proc.stderr
     assert time.monotonic() - started < 3
 
@@ -430,41 +339,39 @@ CONTRACT_LAYERS = [
     ids=["consistency-exits-2", "size-guard-exits-1"],
 )
 @pytest.mark.parametrize("args,layer", CONTRACT_LAYERS, ids=[a[0] for a, _ in CONTRACT_LAYERS])
-def test_exit_code_contract(args, layer, error, code, prefix, monkeypatch, capsys):
+def test_exit_code_contract(args, layer, error, code, prefix, run, monkeypatch):
     from momentforge import errors
-    from momentforge.cli import main
 
     def planted(*_, **__):
         raise getattr(errors, error)("planted")
 
     monkeypatch.setattr(layer, planted)
-    assert main(args) == code
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"{prefix} planted"), captured.err
+    proc = run(*args)
+    assert proc.code == code
+    assert proc.out == ""
+    assert proc.err.startswith(f"{prefix} planted"), proc.err
 
 
 def test_fit_verification_failure_exits_2():
-    proc = run_cli(
-        "fit", "--family", "schur", "--r", "2", "--c", "2", "--period", "12",
-        "--degree", "3", "--n-min", "13", "--n-max", "120",
+    proc = subprocess.run(
+        [sys.executable, "-m", "momentforge", "fit", "--family", "schur", "--r", "2", "--c", "2",
+         "--period", "12", "--degree", "3", "--n-min", "13", "--n-max", "120"],
+        capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 2
     assert "verification mismatch" in proc.stderr
 
 
-def test_mgf_limit_json_fields(schema):
-    proc = run_cli("mgf-limit", "--family", "invmaj", "--n", "50", "--t-steps", "9")
-    payload, _ = check_json(proc, schema)
+def test_mgf_limit_json_fields(run, served):
+    payload, _ = served(run("mgf-limit", "--family", "invmaj", "--n", "50", "--t-steps", "9"))
     result = payload["result"]
     assert result["n"] == 50
     assert len(result["rows"]) == 9
     assert float(result["sup_deviation"]) < 0.3
 
 
-def test_approx_h_fields(schema):
-    proc = run_cli("approx-h", "--n", "4", "--k", "1")
-    payload, _ = check_json(proc, schema)
+def test_approx_h_fields(run, served):
+    payload, _ = served(run("approx-h", "--n", "4", "--k", "1"))
     r = payload["result"]
     assert r["p"] == "1/4"
     assert r["mean"] == "15/2"  # n(2^n - 1)/8 at n = 4

@@ -2,10 +2,15 @@
 
 Each set's ``index.json`` maps a name to an argv, its exit code and its
 stdout: the file ``<name>.stdout`` or, for a large output, its sha256 and
-length.  Run as a script, this file prints every argv, one a line, for
-CI to check that the console script prints what ``python -m momentforge``
-prints.  The sets pin what earlier implementations printed, before the
-code that prints it now replaced them:
+length.  Every entry that a subcommand serves (exit 0) must also end its
+stderr with a manifest naming the subcommand, print JSON that
+``output.schema.json`` validates and names it too, and, if its stdout is
+a file, print the same again when re-run from the manifest's parameters.
+Run as a script, this file prints every entry's exit code and argv, one
+a line, for CI to check that the console script and ``python -m
+momentforge`` both exit with that code and print the same.  The sets
+pin what earlier implementations printed, before the code that prints it
+now replaced them:
 
 * ``boolean_golden``: Binomial(N, 1/2) as the boolean 0-cube count and the
   domino forest boards each built their own symbolic tables and
@@ -52,6 +57,13 @@ code that prints it now replaced them:
   from three floor counts: ``moments`` at small n, both parities, c = 2, 3
   and 5 and n = 50000, ``central`` and ``binomial-moments``, two fits, a
   normality grid and one CSV output.
+* ``smoke_golden``: the argvs ``test_cli.py`` ran only as whole processes,
+  for schema validity and run-to-run identity: ``moments`` of the domino
+  2-by-3 board, ``central`` of boolean n = 3, ``binomial-moments`` and
+  ``pgf`` of invmaj (n = 6 and 4), a domino ``normality`` grid, the Schur
+  n = 6 oracle, two fits and ``identities`` to r = 6; and ``oracle --family
+  domino --m 4 --n 5 --r-max 4000`` as printed when each moment raised
+  every value to its power anew.
 """
 
 import hashlib
@@ -60,31 +72,52 @@ from pathlib import Path
 
 import pytest
 
-from momentforge.cli import main
-from momentforge.families import domino
+from momentforge.cli import cli
 
 DATA = Path(__file__).resolve().parent / "data"
-ENTRIES = [
-    (index.parent, name, entry)
+ENTRIES = {
+    f"{index.parent.name}/{name}": (index.parent, name, entry)
     for index in sorted(DATA.glob("*_golden/index.json"))
     for name, entry in sorted(json.loads(index.read_text()).items())
-]
+}
+SERVED = {key for key, (_, _, entry) in ENTRIES.items() if entry["exit"] == 0 and entry["argv"][0] in cli.commands}
+# a served entry whose stdout is a file is re-run from the manifest its run printed
+RERUNS = {key: e for key, e in ENTRIES.items() if key in SERVED and "sha256" not in e[2]}
+MANIFESTS = {}
 
 
-@pytest.mark.parametrize(
-    "golden, name, entry", ENTRIES, ids=[f"{golden.name}/{name}" for golden, name, _ in ENTRIES]
-)
-def test_stdout_is_byte_identical(golden, name, entry, monkeypatch, capsys):
-    # a face sweep cached by an earlier argv would serve this one
-    monkeypatch.setattr(domino, "_SWEPT", {})
-    assert main(entry["argv"]) == entry["exit"]
-    out = capsys.readouterr().out.encode()
+def manifest_argv(manifest):
+    """The argv a manifest records: its subcommand, each parameter as an option, and its format."""
+    argv = [manifest["subcommand"]]
+    for key, value in manifest["parameters"].items():
+        option = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(option)
+        elif value is not False:
+            argv += [option, str(value)]
+    return [*argv, "--format", manifest["format"]]
+
+
+@pytest.mark.parametrize("golden, name, entry", ENTRIES.values(), ids=list(ENTRIES))
+def test_stdout_is_byte_identical(golden, name, entry, run, served):
+    proc = run(*entry["argv"])
+    assert proc.code == entry["exit"], proc.err
+    out = proc.out.encode()
     if "sha256" in entry:
         assert (len(out), hashlib.sha256(out).hexdigest()) == (entry["bytes"], entry["sha256"])
     else:
         assert out == (golden / f"{name}.stdout").read_bytes()
+    if f"{golden.name}/{name}" in SERVED:
+        _, MANIFESTS[f"{golden.name}/{name}"] = served(proc)
+
+
+@pytest.mark.parametrize("golden, name, entry", RERUNS.values(), ids=list(RERUNS))
+def test_manifest_reruns_the_entry(golden, name, entry, run, served):
+    manifest = MANIFESTS.get(f"{golden.name}/{name}") or served(run(*entry["argv"]))[1]
+    rerun = run(*manifest_argv(manifest))
+    assert (rerun.code, rerun.out.encode()) == (0, (golden / f"{name}.stdout").read_bytes()), rerun.err
 
 
 if __name__ == "__main__":
-    for _, _, entry in ENTRIES:
-        print(" ".join(entry["argv"]))
+    for _, _, entry in ENTRIES.values():
+        print(entry["exit"], " ".join(entry["argv"]))
