@@ -17,9 +17,10 @@ the sums b_k = sum over boards of C(X, k) follow from N_j, the number of
 face sets of perimeter j <= r (MacWilliams' identity, at ``binomial_sums``).
 A sparse face sweep across the shorter side w = min(m, n) counts them,
 keeping only the face profiles whose sets can still close within r edges.
-It runs at most 2r+2 rows: for a length L = max(m, n) past that, each N_j
-is a polynomial of degree <= j in L, exact for L >= j+1, fitted on rows
-r+1..2r+2 with an exact check and evaluated at L.  The longest sweep run
+It runs at most S(r) = b + floor(r/4) + 1 rows, b = max(1, floor(r/2) - 1):
+each N_j is a polynomial of degree <= floor(j/4) in the length
+L = max(m, n), exact for L >= b, so for L past S(r) it is fitted on rows
+b..S(r) with an exact check and evaluated at L.  The longest sweep run
 per (w, r) thus serves every board of that width, and a longer board costs
 only the conversion of its r+1 counts into the sums b_k, integers of about
 wL bits.
@@ -89,12 +90,16 @@ def _moments(r_max: int, p: dict) -> MomentVector:
 # Intel Xeon core a pair update costs about 0.6 us plus 0.02 us a limb, so
 # the fixed cost is worth 32 limbs.  The second is the size of the sums:
 # the r+1 sums b_k of the board, integers of about wL bits each, and the
-# counts the sweep keeps for each of its S rows.  The last order served at
-# each width, one sweep of 2r+2 rows (w = 2 at r = 291, w = 8 at r = 129,
-# w = 12 at r = 38, w = 16 at r = 11), takes 0.3 to 2.7 s as a whole
-# process, and a length at the size term's edge 1.4 s (2 x 170000 at
-# r = 291) to 2.8-3.6 s (12 x 210000 at r = 38).  Where r/2 < w-2 the bound P is far
-# above the profiles that survive, and the sweep is faster still.
+# counts a sweep keeps for each of S rows.  S is the height the sweep ran
+# while N_j was only known to be a polynomial of degree <= j in L; it now
+# runs min(L, S(r)) rows (``_fit_rows``), about 3/8 as many, so the sweep
+# term overstates a sweep 3 to 4 times, and the guard still serves and
+# refuses what it did.  At the last order served at each width (w = 2 at
+# r = 291, w = 8 at r = 129, w = 12 at r = 38, w = 16 at r = 11) a fresh
+# sweep and its sums take 0.02 to 0.8 s in process (0.09 to 2.7 s over
+# 2r+2 rows), and a length at the size term's edge 1.4 s (2 x 170000 at
+# r = 291) to 2.8-3.6 s (12 x 210000 at r = 38) as a whole process.  Where r/2 < w-2 the bound P is far above the profiles that
+# survive, and the sweep is faster still.
 TRANSFER_GUARD = 10**8
 
 # N_0..N_r per row count from the longest sweep run so far, per (w, r); a
@@ -118,40 +123,35 @@ def binomial_sums(m: int, n: int, r: int) -> tuple[int, ...]:
     grid graph, has j edges (:func:`_face_sweep`).  The grid is bipartite,
     so N_j = 0 for odd j, and N_4 counts the unit squares.
 
-    Let w = min(m, n) be the width, L = max(m, n) the length and
-    S = min(L, 2r+2).  The sweep runs S rows and records N_0..N_r for each
-    row count; the longest sweep run per (w, r) is kept and read by every
-    later request of at most as many rows.  For L <= S the counts are row
-    L.  Longer boards are served by polynomials in L, N_j exact for
-    L >= j+1:
+    Let w = min(m, n) be the width, L = max(m, n) the length,
+    b = max(1, floor(r/2) - 1) and S(r) = b + floor(r/4) + 1.  The sweep
+    runs min(L, S(r)) rows and records N_0..N_r for each row count; the
+    longest sweep run per (w, r) is kept and read by every later request of
+    at most as many rows.  For L <= S(r) the counts are row L.  Longer
+    boards are served by polynomials in L:
 
-    2^k E_k(L) = 2^k b_k / 2^{wL} is a polynomial of degree <= k in L for
-    L >= k+1.  Proof: with T(z) the row-to-row matrix, T[s, t] =
-    (1+z)^(same-number pairs between rows s and t and inside t), v[s] =
-    (1+z)^(pairs inside s) and u all ones, the generating sum is
-    v T(z)^{L-1} u.  At z = 0, T(0) = J is the all-ones matrix, so T = J + D
-    with D = O(z), and [z^k] of the product is a sum over words in J and D
-    with j <= k letters D.  A run of a >= 1 letters J is 2^{w(a-1)} J, so
-    after the division by 2^{wL} a word depends only on which of its j+1
-    gaps between D letters are nonempty, say g of them, and the number of
-    words with that pattern is the number of ways to split the M = L-1-j
-    letters J into g nonempty runs, C(M-1, g-1): a polynomial in L of degree
-    g-1 <= j for M >= 1 (zero for g = 0).  At M = 0 only the pattern with
-    every gap empty occurs, once, while the polynomials give it 0 and each
-    pattern with g >= 1 the weight C(-1, g-1) = (-1)^(g-1).  The two agree,
-    because the sum of (-1)^g times the words over all patterns replaces
-    every gap by I - J/2^w, which sends u to 0.  So the sum is a polynomial
-    in L whenever M >= 0 for every j <= k, that is for L >= k+1.
+    N_j(L) is a polynomial in L of degree <= floor(j/4) for
+    L >= max(1, j/2 - 1).  Proof: cut a face set into blocks, the maximal
+    runs of consecutive nonempty rows of faces.  Blocks apart by an empty
+    row share no edge, so the perimeter is the sum of the blocks'.  A block
+    of height h has perimeter >= 2h + 2: each of its rows has a run of
+    faces, with a left and a right edge, and its top and bottom rows an edge
+    above and below.  So a set of perimeter j has B <= floor(j/4) blocks,
+    of total height H <= j/2 - B.  The width is fixed, so a block's shape
+    and perimeter do not depend on L, and a given ordered tuple of blocks
+    fits into the L-1 rows of faces, an empty row between neighbours, in
+    C(L - H, B) ways, a polynomial of degree B in L equal to the count
+    wherever L - H >= 0.  Summing over the finitely many tuples of
+    perimeter j proves the bound (N_0 = 1 is the empty set).  Transposing
+    the board gives the same bound in the width.
 
-    N_k = 2^k E_k - sum_{j<k} N_j C(A-j, k-j), and the first term is
-    already proved polynomial, while A = (2w-1)L - w is linear in L.  So by
-    induction N_j is a polynomial of degree <= j in L for L >= j+1.
-
-    Each N_j is fitted at L = r+1..2r+2 by the walk the quasi-polynomial fits
-    use, ``exact_core.forward_differences``: past its first j+1 rows every
-    row is a check, else ConsistencyError.  It is evaluated in Newton form,
-    sum_i Delta^i C(L-r-1, i), with the binomials shared by every order,
-    and the counts are turned into the sums b_k once, at L.
+    Every j <= r is then exact from row b on, and of degree <= floor(r/4),
+    so each N_j is fitted on rows b..S(r) by the walk the quasi-polynomial
+    fits use, ``exact_core.forward_differences``: past its first
+    floor(j/4)+1 rows every row, one at least, is a check, else
+    ConsistencyError.  It is evaluated in Newton form,
+    sum_i Delta^i C(L-b, i), with the binomials shared by every order, and
+    the counts are turned into the sums b_k once, at L.
 
     Both terms of TRANSFER_GUARD are charged, the size first: it needs no
     binomial, so a large r or board is refused after O(1) arithmetic.
@@ -160,10 +160,11 @@ def binomial_sums(m: int, n: int, r: int) -> tuple[int, ...]:
     if r < 0:
         raise ValueError("need r >= 0")
     w, length = min(m, n), max(m, n)
-    rows = min(length, 2 * r + 2)
+    rows = min(length, 2 * r + 2)  # the height the guard weighs
     span = max(length, rows * rows // 2)
+    height = min(length, _fit_rows(r)[1])  # the height swept
     sweep = _SWEPT.get((w, r), ())
-    runs = len(sweep) < rows
+    runs = len(sweep) < height
     # a sweep served from the cache is bounded as one that runs, but a grid is charged only the sums
     charge(
         w * span * r, TRANSFER_GUARD, "TRANSFER_GUARD",
@@ -181,25 +182,32 @@ def binomial_sums(m: int, n: int, r: int) -> tuple[int, ...]:
         summed=runs,
     )
     if runs:
-        sweep = _SWEPT[w, r] = _face_sweep(w, rows, r)
-    counts = sweep[length - 1] if length <= rows else _extend(sweep, w, r, length)
+        sweep = _SWEPT[w, r] = _face_sweep(w, height, r)
+    counts = sweep[length - 1] if length <= height else _extend(sweep, w, r, length)
     return _sums_from_counts(counts, w, length)
 
 
+def _fit_rows(r: int) -> tuple[int, int]:
+    """(b, S(r)): the first and last rows the polynomials in the length are fitted on at order r."""
+    first = max(1, r // 2 - 1)
+    return first, first + r // 4 + 1
+
+
 def _extend(sweep: tuple[tuple[int, ...], ...], w: int, r: int, length: int) -> list[int]:
-    """N_0..N_r at ``length`` > 2r+2 rows from the polynomials in the length fitted to ``sweep``."""
-    binomials = common.binomial_row(length - r - 1, r + 1)  # C(L-r-1, i), shared by every order
+    """N_0..N_r at ``length`` > S(r) rows from the polynomials in the length fitted to ``sweep``."""
+    first, last = _fit_rows(r)
+    binomials = common.binomial_row(length - first, r // 4 + 1)  # C(L-b, i), shared by every order
     counts = []
     for j in range(r + 1):
-        column = [sweep[rows - 1][j] for rows in range(r + 1, 2 * r + 3)]
+        column = [sweep[rows - 1][j] for rows in range(first, last + 1)]
         if not any(column):  # every odd j: the grid is bipartite
             counts.append(0)
             continue
-        diffs, miss = forward_differences(column, j)
+        diffs, miss = forward_differences(column, j // 4)
         if miss is not None:
             raise ConsistencyError(
-                f"width {w} at r = {r}: N_{j} on rows {r + 1}..{2 * r + 2} "
-                f"is not a polynomial of degree <= {j} in the number of rows"
+                f"width {w} at r = {r}: N_{j} on rows {first}..{last} "
+                f"is not a polynomial of degree <= {j // 4} in the number of rows"
             )
         counts.append(sum(d * binomial for d, binomial in zip(diffs, binomials)))
     return counts

@@ -116,7 +116,7 @@ def mgf_deviation(n: int, t_values, dps: int = 50):
     G_n(e^{t/sigma}) = e^{-u n(n-1)/2} (1/n!) prod_i s_i, where s_1 = 1 and
     s_i = 1 + q s_{i-1}; every factor is positive, so nothing cancels.  The
     inversion count is symmetric about its mean, so G_n is even in u and is
-    read at u = -|u|, where q <= 1 and s_i <= i.
+    read at u = -|u|, where q <= 1 and s_i <= i, once per |u|.
 
     The loop runs in plain Python integers, in fixed point with
     p = prec + 2 bit_length(n) + 16 fractional bits (prec the working
@@ -145,9 +145,12 @@ def mgf_deviation(n: int, t_values, dps: int = 50):
         bits = mpmath.mp.prec + 2 * n.bit_length() + 16
         one = 1 << bits
         limit = 2 * bits
+        seen = {}  # G at -|u|: a grid symmetric in t reads each point twice
 
         def at(u):
             u = -abs(u)
+            if u in seen:
+                return seen[u]
             q = to_fixed(mpmath.exp(2 * u)._mpf_, bits)
             s = product = one
             exponent = -bits
@@ -157,7 +160,8 @@ def mgf_deviation(n: int, t_values, dps: int = 50):
                 if product.bit_length() > limit:
                     product >>= bits
                     exponent += bits
-            return mpmath.mpf((product, exponent)) / (factorial * mpmath.exp(degree * u))
+            seen[u] = mpmath.mpf((product, exponent)) / (factorial * mpmath.exp(degree * u))
+            return seen[u]
 
         return at
 

@@ -209,7 +209,7 @@ def test_boolean_moments_at_a_huge_n_are_refused_before_2_to_the_n_is_built(args
         # oracle requests that took 35-65 s before the oracles were word-parallel
         ["oracle", "--family", "schur", "--n", "13", "--c", "3"],
         ["oracle", "--family", "boolean", "--n", "14", "--k", "7", "--samples", "1", "--seed", "1"],
-        # domino boards past 2r+2 rows, served by the polynomial in the length
+        # domino boards past the face sweep's S(r) rows, served by the polynomial in the length
         # (8 x 6100 took 6.3 s and 12 x 400 was past the transfer guard before)
         ["central", "--family", "domino", "--m", "8", "--n", "1000000", "--r", "8"],
         ["central", "--family", "domino", "--m", "12", "--n", "400", "--r", "8"],

@@ -201,9 +201,7 @@ class TestGeneralK:
             assert moment_vector("boolean", "central", 3, {"n": n, "k": 1}).entries[3] == central.entries[3], n
 
     @pytest.mark.parametrize("k,r_max", [(1, 3), (2, 2)])
-    def test_normality_grid_builds_each_polynomial_once(self, k, r_max, monkeypatch, capsys):
-        from momentforge.cli import main
-
+    def test_normality_grid_builds_each_polynomial_once(self, k, r_max, monkeypatch, run):
         builders = ["first_moment_k", "second_moment_k", "_raw_moments_k"] + ["third_moment_k1"] * (k == 1)
         built = {name: 0 for name in builders}
         for name in builders:
@@ -216,9 +214,10 @@ class TestGeneralK:
             # a cached builder gets a fresh cache around its spy
             monkeypatch.setattr(boolean, name, functools.lru_cache(spy) if hasattr(route, "cache_info") else spy)
         grid = ",".join(str(n) for n in range(k + 2, k + 8))  # six points
-        assert main(["normality", "--family", "boolean", "--k", str(k), "--n-grid", grid, "--r-max", str(r_max)]) == 0
+        proc = run("normality", "--family", "boolean", "--k", str(k), "--n-grid", grid, "--r-max", str(r_max))
+        assert proc.code == 0
         assert list(built.values()) == [1] * len(builders)
-        rows = json.loads(capsys.readouterr().out)["result"]["rows"]
+        rows = json.loads(proc.out)["result"]["rows"]
         assert len(rows) == 6 * (r_max + 1)
 
     def test_out_of_scope_orders_rejected(self):

@@ -140,7 +140,7 @@ def test_transfer_matrix_symmetries():
 
 def test_binomial_sums_equal_a_sweep_run_to_the_length():
     # every board of width <= 6 up to 3r+6 rows, including lengths outside
-    # the fit rows r+1..2r+2, against one reference sweep run over all of them
+    # the fit rows, against one reference sweep run over all of them
     for r in range(11):
         for w in range(1, 7):
             full = _reference_sweep(w, 3 * r + 6, r)
@@ -245,38 +245,68 @@ def test_binomial_sums_on_a_long_board_match_the_mu_form_through_r3():
     assert raw == half_binomial_moments(domino.slot_count(m, n), r, central=False)
 
 
-@pytest.mark.parametrize("row_offset", [0, 3, 5, 6], ids=lambda o: f"row-r+1+{o}")
-def test_binomial_sums_refuse_a_sweep_off_the_polynomial(monkeypatch, row_offset):
-    # r = 5, width 3: the fit reads rows 6..12; N_k one or 2^{wL} too large
+def _rows_swept(r):
+    """S(r) = b + floor(r/4) + 1, b = max(1, floor(r/2) - 1): the height of the sweep at order r."""
+    return max(1, r // 2 - 1) + r // 4 + 1
+
+
+def _perimeter_counts(sums, w, rows):
+    """N_0..N_r from the sums b_k of a board of ``rows`` rows of ``w`` cells: b_k = 2^{mn-k} sum_j N_j C(A-j, k-j)."""
+    slots = 2 * w * rows - w - rows
+    counts = []
+    for k, b in enumerate(sums):
+        count = Fr(b << k, 2 ** (w * rows)) - sum(n * math.comb(slots - j, k - j) for j, n in enumerate(counts) if n)
+        assert count.denominator == 1, (w, rows, k)
+        counts.append(int(count))
+    return counts
+
+
+def test_perimeter_counts_are_polynomials_of_degree_j_over_4_in_the_length():
+    # the bound on its own, no fit: differences of order floor(j/4)+1 of
+    # each N_j vanish from row max(1, j/2 - 1) on, read off a sweep of 2r+4 rows
+    for w in range(1, 8):
+        for r in range(0, 13, 2):
+            sums = _reference_sweep(w, 2 * r + 4, r)
+            sweep = [_perimeter_counts(row, w, rows) for rows, row in enumerate(sums, 1)]
+            for j in range(0, r + 1, 2):
+                column = [counts[j] for counts in sweep[max(1, j // 2 - 1) - 1 :]]
+                for _ in range(j // 4 + 1):
+                    column = [b - a for a, b in zip(column, column[1:])]
+                assert not any(column), (w, r, j)
+
+
+@pytest.mark.parametrize("row", [3, 4, 5, 6])
+def test_binomial_sums_refuse_a_sweep_off_the_polynomial(monkeypatch, row):
+    # r = 8, width 3: the fit reads rows 3..6; N_k one or 2^{wL} too large
     # on any of them is refused
     original = domino._face_sweep
-    for k in range(6):
+    for k in range(9):
         for shift in (lambda w, rows: w * rows, lambda w, rows: 0):
 
             def corrupted(w, rows, r, k=k, shift=shift):
-                sums = [list(row) for row in original(w, rows, r)]
-                sums[r + row_offset][k] += 1 << shift(w, r + 1 + row_offset)
-                return tuple(tuple(row) for row in sums)
+                sums = [list(counts) for counts in original(w, rows, r)]
+                sums[row - 1][k] += 1 << shift(w, row)
+                return tuple(tuple(counts) for counts in sums)
 
             monkeypatch.setattr(domino, "_SWEPT", {})
             monkeypatch.setattr(domino, "_face_sweep", corrupted)
             with pytest.raises(ConsistencyError):
-                domino.binomial_sums(3, 40, 5)
+                domino.binomial_sums(3, 40, 8)
     monkeypatch.setattr(domino, "_SWEPT", {})
     monkeypatch.setattr(domino, "_face_sweep", original)
-    assert domino.binomial_sums(3, 40, 5) == _reference_sweep(3, 40, 5)[-1]
+    assert domino.binomial_sums(3, 40, 8) == _reference_sweep(3, 40, 8)[-1]
 
 
-@pytest.mark.parametrize("row", [6, 9, 12])
+@pytest.mark.parametrize("row", [3, 4, 5, 6])
 def test_binomial_sums_refuse_a_cached_count_off_the_polynomial(monkeypatch, row):
-    # width 3 at r = 5: N_4 read on rows 6..12, one count off by one on row ``row``
-    sweep = [list(counts) for counts in domino._face_sweep(3, 12, 5)]
-    sweep[row - 1][4] += 1
-    monkeypatch.setattr(domino, "_SWEPT", {(3, 5): tuple(tuple(counts) for counts in sweep)})
+    # width 3 at r = 8: N_8 read on rows 3..6, one count off by one on row ``row``
+    sweep = [list(counts) for counts in domino._face_sweep(3, 6, 8)]
+    sweep[row - 1][8] += 1
+    monkeypatch.setattr(domino, "_SWEPT", {(3, 8): tuple(tuple(counts) for counts in sweep)})
     with pytest.raises(ConsistencyError) as err:
-        domino.binomial_sums(3, 40, 5)
+        domino.binomial_sums(3, 40, 8)
     assert str(err.value) == (
-        "width 3 at r = 5: N_4 on rows 6..12 is not a polynomial of degree <= 4 in the number of rows"
+        "width 3 at r = 8: N_8 on rows 3..6 is not a polynomial of degree <= 2 in the number of rows"
     )
 
 
@@ -290,14 +320,16 @@ def test_binomial_sums_read_the_longest_sweep_for_their_width_and_order(monkeypa
         return original(w, rows, r)
 
     monkeypatch.setattr(domino, "_face_sweep", spy)
-    sums = [domino.binomial_sums(4, length, 5) for length in (12, 40, 7, 5)]
-    sums.append(domino.binomial_sums(9, 4, 5))
-    assert calls == [(4, 12, 5)]
-    expect = _reference_sweep(4, 40, 5)
-    assert sums == [expect[length - 1] for length in (12, 40, 7, 5, 9)]
+    # at r = 12 the sweep stops at S(12) = 9 rows: a 6-row board runs 6, the
+    # next longer one all 9, and they serve every later board of width 4
+    sums = [domino.binomial_sums(4, length, 12) for length in (6, 12, 40, 7, 5, 9)]
+    sums.append(domino.binomial_sums(9, 4, 12))
+    assert calls == [(4, 6, 12), (4, 9, 12)]
+    expect = _reference_sweep(4, 40, 12)
+    assert sums == [expect[length - 1] for length in (6, 12, 40, 7, 5, 9, 9)]
     domino.binomial_sums(4, 5, 6)
     domino.binomial_sums(3, 5, 5)
-    assert calls == [(4, 12, 5), (4, 5, 6), (3, 5, 5)]
+    assert calls == [(4, 6, 12), (4, 9, 12), (4, 4, 6), (3, 3, 5)]
 
 
 def test_transfer_matrix_size_guard():
@@ -308,7 +340,7 @@ def test_transfer_matrix_size_guard():
         domino.binomial_sums(2, 10**9, 4)
     with pytest.raises(SizeGuardError, match="TRANSFER_GUARD"):
         domino.binomial_sums(8, 1562501, 8)
-    # the sweep runs 2r+2 rows, whatever the length: 10 x 40, 12 x 400 and 8 x 10^6 are served
+    # the sweep runs S(r) rows, whatever the length: 10 x 40, 12 x 400 and 8 x 10^6 are served
     assert domino.binomial_sums(10, 40, 8) == domino.binomial_sums(40, 10, 8)
     # at r = 4 a set of faces has at most two of them in its profile, so 20 x 30 is served
     assert _moments("raw", 20, 30, 4)[4] == _moments("raw", 30, 20, 4)[4]
@@ -323,7 +355,7 @@ def test_transfer_matrix_size_guard():
 # (w, r): the highest order the transfer guard serves at width w; one more is
 # refused.  A unit of the face sweep is one 64-bit limb of a pair update, so a
 # long packed word weighs more (4 x 1000 at r = 400 took 14 to 17 s before the
-# guard); at w <= 6 the sums the sweep keeps for its 2r+2 rows bind first.
+# guard); at w <= 6 the sums the guard weighs for 2r+2 rows bind first.
 TRANSFER_EDGES = [(2, 291), (3, 254), (4, 231), (6, 202), (8, 129), (12, 38), (14, 17), (16, 11), (17, 11), (40, 5)]
 
 # (w, r): the highest order served at each width before the face sweep, when
@@ -352,7 +384,7 @@ def test_transfer_guard_weighs_the_packed_words(w, r, monkeypatch):
     swept = _stub_sweep(monkeypatch)
     length = max(w, 2 * r + 2)
     domino.binomial_sums(w, length, r)
-    assert swept == [(w, min(length, 2 * r + 2), r)]
+    assert swept == [(w, _rows_swept(r), r)]
     with pytest.raises(SizeGuardError, match="TRANSFER_GUARD = "):
         domino.binomial_sums(w, max(w, 2 * r + 4), r + 1)
     assert len(swept) == 1
@@ -362,7 +394,7 @@ def test_transfer_guard_weighs_the_packed_words(w, r, monkeypatch):
 def test_transfer_guard_serves_every_order_served_before_the_face_sweep(w, r, monkeypatch):
     swept = _stub_sweep(monkeypatch)
     domino.binomial_sums(w, max(w, 2 * r + 2), r)
-    assert swept == [(w, 2 * r + 2, r)]
+    assert swept == [(w, _rows_swept(r), r)]
 
 
 def test_transfer_guard_refuses_a_large_order_before_any_binomial(monkeypatch):

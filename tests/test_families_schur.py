@@ -105,11 +105,10 @@ def test_second_moment_equals_the_step_sweep():
         assert all(schur.second_moment(n, c) == swept[n] for n in range(1, 50001)), c
 
 
-def test_normality_grid_keeps_its_order(capsys):
-    from momentforge.cli import main
-
-    assert main(["normality", "--family", "schur", "--n-grid", "20,40,60", "--r-max", "2"]) == 0
-    rows = json.loads(capsys.readouterr().out)["result"]["rows"]
+def test_normality_grid_keeps_its_order(run):
+    proc = run("normality", "--family", "schur", "--n-grid", "20,40,60", "--r-max", "2")
+    assert proc.code == 0
+    rows = json.loads(proc.out)["result"]["rows"]
     assert [row["n"] for row in rows] == [20] * 3 + [40] * 3 + [60] * 3  # grid order kept
 
 
@@ -133,12 +132,11 @@ def test_second_moment_grid_matches_printed_branch_beyond_fit_range():
     ["central", "--family", "schur", "--n", str(10**100), "--r", "2"],
     ["moments", "--family", "schur", "--n", "50001", "--r", "2"],
 ])
-def test_schur_is_served_at_any_n(args, capsys):
-    from momentforge.cli import main
-
+def test_schur_is_served_at_any_n(args, run):
     started = time.monotonic()
-    assert main(args) == 0
-    assert json.loads(capsys.readouterr().out)["result"]["params"]["n"] == int(args[4])
+    proc = run(*args)
+    assert proc.code == 0
+    assert json.loads(proc.out)["result"]["params"]["n"] == int(args[4])
     assert time.monotonic() - started < 1, args
 
 
@@ -153,11 +151,9 @@ def test_parameter_validation():
     (["--n", "1", "--c", "1"], "need c >= 2"),
     (["--n", "-5"], "need n >= 1"),
 ])
-def test_bad_parameters_are_named_before_the_order(args, error, capsys):
+def test_bad_parameters_are_named_before_the_order(args, error, run):
     # the default order, 4, is past the closed forms' r = 2: the parameter is still the error shown
-    from momentforge.cli import main
-
-    assert main(["moments", "--family", "schur", *args]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith(f"usage error: {error} "), err
+    proc = run("moments", "--family", "schur", *args)
+    assert proc.code == 1
+    assert proc.out == ""
+    assert proc.err.startswith(f"usage error: {error} "), proc.err

@@ -207,7 +207,7 @@ def _normality_argv(family, params, ns, r_max):
 @pytest.mark.parametrize(
     "family,params,ns,r_max", NORMALITY_MEMBERS, ids=[f"{f}-{p}" for f, p, _, _ in NORMALITY_MEMBERS]
 )
-def test_normality_grid_is_the_central_moment_vector(family, params, ns, r_max, monkeypatch, capsys):
+def test_normality_grid_is_the_central_moment_vector(family, params, ns, r_max, monkeypatch, run):
     grid = []
 
     def spy(*args, **kwargs):
@@ -215,8 +215,9 @@ def test_normality_grid_is_the_central_moment_vector(family, params, ns, r_max, 
         return normality_report(*args, **kwargs)
 
     monkeypatch.setattr(cli, "normality_report", spy)
-    assert cli.main(_normality_argv(family, params, ns, r_max)) == 0
-    assert json.loads(capsys.readouterr().out)["result"]["params"] == params
+    proc = run(*_normality_argv(family, params, ns, r_max))
+    assert proc.code == 0
+    assert json.loads(proc.out)["result"]["params"] == params
     assert [n for n, _ in grid] == ns
     entry = FAMILIES[family]
     for n, vec in grid:
@@ -236,14 +237,15 @@ def test_normality_grid_is_the_central_moment_vector(family, params, ns, r_max, 
     ],
     ids=["schur-r3", "boolean-k1-r4", "boolean-k2-r3", "boolean-n-1"],
 )
-def test_normality_refuses_what_central_refuses(family, params, ns, r_max, capsys):
-    assert cli.main(_normality_argv(family, params, ns, r_max)) == 1
-    assert capsys.readouterr().out == ""
+def test_normality_refuses_what_central_refuses(family, params, ns, r_max, run):
+    proc = run(*_normality_argv(family, params, ns, r_max))
+    assert proc.code == 1
+    assert proc.out == ""
     with pytest.raises(ValueError):
         moment_vector(family, "central", r_max, {**params, "n": ns[0]})
 
 
-def test_normality_builds_no_closed_form_texts(monkeypatch, capsys):
+def test_normality_builds_no_closed_form_texts(monkeypatch, run):
     calls = []
     for name, entry in FAMILIES.items():
         if entry.closed_forms:
@@ -267,15 +269,15 @@ def test_normality_builds_no_closed_form_texts(monkeypatch, capsys):
         ["normality", "--family", "domino", "--m", "1", "--n-grid", "10,100,1000", "--r-max", "8"],
         ["normality", "--family", "boolean", "--n-grid", "2,3,4", "--r-max", "6"],
     ):
-        assert cli.main(argv) == 0
+        assert run(*argv).code == 0
     assert calls == []
     assert tables == []
     # the same spies see the texts of a moment subcommand
-    capsys.readouterr()
-    assert cli.main(["central", "--family", "domino", "--m", "1", "--n", "10", "--r", "8"]) == 0
+    proc = run("central", "--family", "domino", "--m", "1", "--n", "10", "--r", "8")
+    assert proc.code == 0
     assert calls == [("central", 8, {"m": 1, "n": 10})]
     assert len(tables) == 1
-    assert "closed_forms" in json.loads(capsys.readouterr().out)["result"]
+    assert "closed_forms" in json.loads(proc.out)["result"]
 
 
 def _evaluate(text: str, symbols: dict) -> Fraction:
@@ -298,13 +300,14 @@ CLOSED_FORM_MEMBERS = [
 @pytest.mark.parametrize(
     "family,params,r_max", CLOSED_FORM_MEMBERS, ids=[f"{f}-{p}" for f, p, _ in CLOSED_FORM_MEMBERS]
 )
-def test_printed_closed_forms_are_the_moment_vector(family, params, r_max, kind, capsys):
+def test_printed_closed_forms_are_the_moment_vector(family, params, r_max, kind, run):
     command = {"raw": "moments", "central": "central", "binomial": "binomial-moments"}[kind]
     argv = [command, "--family", family, "--r", str(r_max)]
     for name, value in params.items():
         argv += [f"--{name}", str(value)]
-    assert cli.main(argv) == 0
-    result = json.loads(capsys.readouterr().out)["result"]
+    proc = run(*argv)
+    assert proc.code == 0
+    result = json.loads(proc.out)["result"]
     entries = moment_vector(family, kind, r_max, params).entries
     assert [Fraction(e) for e in result["entries"]] == list(entries)
     if family == "domino" and kind == "binomial":

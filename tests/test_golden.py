@@ -37,9 +37,11 @@ now replaced them:
   ``pgf --family invmaj --n 28`` as CSV.
 * ``domino_golden``: the cell-profile transfer sweep, before the face
   sweep: every moment subcommand and normality, widths 1 to 17, boards
-  past 2r+2 rows, and the last order the guard served at width 2 (the size
-  term's edge) and at widths 12 and 16 (the sweep term's); and two 1-by-n
-  boards whose sample-space size, past 10^5 digits, is now printed.
+  past 2r+2 rows (the face sweep now stops sooner, at the S(r) rows of
+  ``domino.binomial_sums``), and the last order the guard served at width
+  2 (the size term's edge) and at widths 12 and 16 (the sweep term's); and
+  two 1-by-n boards whose sample-space size, past 10^5 digits, is now
+  printed.
 * ``oracle_golden``: ``oracle --family invmaj`` at n = 1..9, at n = 8 with
   ``--r-max 8`` and at n = 7 as CSV, from the plain-changes walk; the
   joint (inv, maj) histogram is printed in full, so a wrong pairing of inv

@@ -7,7 +7,6 @@ from fractions import Fraction as Fr
 import pytest
 
 from momentforge.errors import SizeGuardError
-from momentforge.cli import main
 from momentforge.families import boolean, common, domino, invmaj
 from momentforge.families.common import PGF_GUARD, pgf_total
 from momentforge.poly_series import Polynomial
@@ -65,18 +64,18 @@ def test_h_polynomial_factorial_moments_match_the_sums(n, k, monkeypatch):
     assert Fr(sum(d * (d - 1) * c for d, c in enumerate(counts)), total) == moments["second_factorial"]
 
 
-def test_h4_with_its_polynomial_is_refused_by_the_pgf_guard(capsys):
-    assert main(["approx-h", "--n", "4", "--k", "2", "--with-polynomial"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
+def test_h4_with_its_polynomial_is_refused_by_the_pgf_guard(run):
+    proc = run("approx-h", "--n", "4", "--k", "2", "--with-polynomial")
+    assert proc.code == 1
+    assert proc.out == ""
     assert (
         "H_4(q) for k=2, of degree 1820: a lower bound on (degree + 1) * bit_length(total) = 33173157, "
-        "beyond the PGF_GUARD size guard" in err
-    ), err
+        "beyond the PGF_GUARD size guard" in proc.err
+    ), proc.err
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (6, 1), (12, 1), (14, 7)])
-def test_h_polynomials_past_the_guard_are_refused_before_their_powers_and_rows(n, k, monkeypatch, capsys):
+def test_h_polynomials_past_the_guard_are_refused_before_their_powers_and_rows(n, k, monkeypatch, run):
     # H_12(q) at k = 1 has degree 8386560: the charge of degree + 1 alone would let it build a
     # total of 1024^8386560 (10 MB) before the exact charge refuses it
     def never(*args):
@@ -87,13 +86,13 @@ def test_h_polynomials_past_the_guard_are_refused_before_their_powers_and_rows(n
     monkeypatch.setattr(boolean, "_powers", never)
     tracemalloc.start()
     try:
-        assert main(["approx-h", "--n", str(n), "--k", str(k), "--with-polynomial"]) == 1
+        proc = run("approx-h", "--n", str(n), "--k", str(k), "--with-polynomial")
+        assert proc.code == 1
         assert tracemalloc.get_traced_memory()[1] < 10**6
     finally:
         tracemalloc.stop()
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "beyond the PGF_GUARD size guard" in err, err
+    assert proc.out == ""
+    assert "beyond the PGF_GUARD size guard" in proc.err, proc.err
 
 
 def test_binomial_row_of_any_length():
@@ -122,18 +121,18 @@ def test_pgf_total_guard():
         pgf_total(10**8000, never)
 
 
-def test_binomial_pgfs_past_the_guard_are_refused_before_their_row(monkeypatch, capsys):
+def test_binomial_pgfs_past_the_guard_are_refused_before_their_row(monkeypatch, run):
     def never(N):
         raise AssertionError(f"the binomial row of {N} built for a PGF past the guard")
 
     monkeypatch.setattr(common, "binomial_row", never)
     for argv in (["pgf", "--family", "domino", "--m", "1", "--n", "50000"], ["pgf", "--family", "boolean", "--n", "13"]):
-        assert main(argv) == 1, argv
-        err = capsys.readouterr().err
-        assert "PGF_GUARD" in err, (argv, err)
+        proc = run(*argv)
+        assert proc.code == 1, argv
+        assert "PGF_GUARD" in proc.err, (argv, proc.err)
 
 
-def test_boolean_pgfs_far_past_the_guard_are_refused_from_n(monkeypatch, capsys):
+def test_boolean_pgfs_far_past_the_guard_are_refused_from_n(monkeypatch, run):
     # 2^14285 has 4301 digits, past the interpreter's int-to-str limit: the
     # refusal shows the degree as a power of two, and 2^n is never built
     # (2^(10^9) would take 125 MB)
@@ -144,9 +143,9 @@ def test_boolean_pgfs_far_past_the_guard_are_refused_from_n(monkeypatch, capsys)
     tracemalloc.start()
     try:
         for n in (14285, 20000, 10**9):
-            assert main(["pgf", "--family", "boolean", "--n", str(n)]) == 1, n
-            err = capsys.readouterr().err
-            assert "PGF_GUARD" in err and f"a PGF of degree 2^{n}:" in err, (n, err)
+            proc = run("pgf", "--family", "boolean", "--n", str(n))
+            assert proc.code == 1, n
+            assert "PGF_GUARD" in proc.err and f"a PGF of degree 2^{n}:" in proc.err, (n, proc.err)
         assert tracemalloc.get_traced_memory()[1] < 10**7
     finally:
         tracemalloc.stop()

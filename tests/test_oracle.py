@@ -5,7 +5,6 @@ from fractions import Fraction as Fr
 import pytest
 
 from momentforge import oracle
-from momentforge.cli import main
 from momentforge.errors import SizeGuardError
 from momentforge.oracle import (
     Histogram,
@@ -169,10 +168,11 @@ def test_merge_histograms_exact():
     assert merged.counts == {0: 2, 1: 4, 4: 2} and merged.total == 8
 
 
-def test_histogram_serialization(capsys):
+def test_histogram_serialization(run):
     # the CSV lists the histogram by value as a number: 10 after 9
-    assert main(["oracle", "--family", "invmaj", "--n", "5", "--format", "csv"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    proc = run("oracle", "--family", "invmaj", "--n", "5", "--format", "csv")
+    assert proc.code == 0
+    lines = proc.out.splitlines()
     assert lines[0] == "value,count"
     rows = [tuple(map(int, line.split(","))) for line in lines[1:]]
     assert rows == sorted(enumerate_permutations(5).marginal_inv().counts.items()) and rows[-1][0] == 10

@@ -8,7 +8,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from momentforge import cli
-from momentforge.cli import _joined, _pieces, _Text, main
+from momentforge.cli import _joined, _pieces, _Text
 from momentforge.poly_series import Polynomial, QuasiPolynomial
 
 
@@ -123,9 +123,9 @@ def test_the_walk_leaves_each_value_unformatted():
         ["approx-h", "--n", "3", "--k", "1", "--with-polynomial", "--format", "csv"],
     ],
 )
-def test_a_refused_output_formats_no_digit(argv, no_formatting, monkeypatch, capsys):
+def test_a_refused_output_formats_no_digit(argv, no_formatting, monkeypatch, run):
     monkeypatch.setattr(cli, "PRINT_TOTAL_GUARD", 10)
-    assert main(argv) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "PRINT_TOTAL_GUARD size guard" in err, err
+    proc = run(*argv)
+    assert proc.code == 1
+    assert proc.out == ""
+    assert "PRINT_TOTAL_GUARD size guard" in proc.err, proc.err

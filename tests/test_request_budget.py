@@ -23,20 +23,21 @@ INSIDE_THE_SUM = [
 
 
 @pytest.mark.parametrize("args", argvs(PAST_THE_SUM), ids=lambda a: " ".join(a[:3]) + f" {a[-1]}")
-def test_a_request_past_the_sum_is_refused_naming_the_dominant_term(args, capsys):
+def test_a_request_past_the_sum_is_refused_naming_the_dominant_term(args, run):
     # the guard each names: its row's fragment, checked with every row
-    assert cli.main(args) == 1
-    err = capsys.readouterr()
+    proc = run(*args)
+    assert proc.code == 1
     if args[0] == "normality":
-        assert "normality grid" in err.err and "size budgets together" in err.err, err.err
+        assert "normality grid" in proc.err and "size budgets together" in proc.err, proc.err
     else:
-        assert "sum(digits^2)" in err.err, err.err
+        assert "sum(digits^2)" in proc.err, proc.err
 
 
 @pytest.mark.parametrize("args", INSIDE_THE_SUM, ids=[" ".join(a[:3]) + f" {a[-1]}" for a in INSIDE_THE_SUM])
-def test_a_request_just_inside_the_sum_is_served(args, capsys):
-    assert cli.main(args) == 0
-    assert json.loads(capsys.readouterr().out)["result"]
+def test_a_request_just_inside_the_sum_is_served(args, run):
+    proc = run(*args)
+    assert proc.code == 0
+    assert json.loads(proc.out)["result"]
 
 
 def test_a_single_charge_past_its_limit_is_refused_with_its_guard_alone():
@@ -49,22 +50,24 @@ def test_a_single_charge_past_its_limit_is_refused_with_its_guard_alone():
         charge(10**400, 10, "X_GUARD", "a share past every float", alone=False)
 
 
-def test_a_long_grid_is_refused_before_any_point_is_built(monkeypatch, capsys):
+def test_a_long_grid_is_refused_before_any_point_is_built(monkeypatch, run):
     # refused at its floor shares (its row of refusals.py)
     import momentforge.families as families
 
     built = []
     monkeypatch.setattr(families, "moment_vector", lambda *args: built.append(args))
-    assert cli.main(argvs(LONG_GRID)[0]) == 1
-    assert "GRID_POINTS_GUARD size guard" in capsys.readouterr().err
+    proc = run(*argvs(LONG_GRID)[0])
+    assert proc.code == 1
+    assert "GRID_POINTS_GUARD size guard" in proc.err
     assert built == []
 
 
-def test_the_floor_shares_are_summed_apart_from_the_size_shares(monkeypatch, capsys):
+def test_the_floor_shares_are_summed_apart_from_the_size_shares(monkeypatch, run):
     monkeypatch.setattr(common, "GRID_POINTS_GUARD", 3)
-    assert cli.main(["normality", "--family", "invmaj", "--n-grid", "10,11,12", "--r-max", "270"]) == 0
-    assert cli.main(["normality", "--family", "invmaj", "--n-grid", "10,11,12,13", "--r-max", "4"]) == 1
-    assert "GRID_POINTS_GUARD size guard (GRID_POINTS_GUARD = 3)" in capsys.readouterr().err
+    assert run("normality", "--family", "invmaj", "--n-grid", "10,11,12", "--r-max", "270").code == 0
+    proc = run("normality", "--family", "invmaj", "--n-grid", "10,11,12,13", "--r-max", "4")
+    assert proc.code == 1
+    assert "GRID_POINTS_GUARD size guard (GRID_POINTS_GUARD = 3)" in proc.err
 
 
 def test_only_a_grid_adds_shares_up():
@@ -92,9 +95,8 @@ def test_only_a_grid_adds_shares_up():
     charge(9, 10, "X_GUARD", "w")
 
 
-def test_a_request_refused_by_its_grid_leaves_no_grid_behind(capsys):
-    assert cli.main(argvs(PAST_THE_SUM)[2]) == 1
-    capsys.readouterr()
+def test_a_request_refused_by_its_grid_leaves_no_grid_behind(run):
+    assert run(*argvs(PAST_THE_SUM)[2]).code == 1
     for _ in range(3):
         charge(9, 10, "X_GUARD", "w")
 
@@ -109,8 +111,8 @@ def test_a_cached_domino_sweep_is_charged_only_for_its_sums(monkeypatch):
         grid_point(400)
         domino.binomial_sums(4, 400, 200)
         grid_point(399)
-        domino.binomial_sums(4, 399, 200)  # the sweep of 400 rows serves it
-    assert swept == [(4, 400, 200)]
+        domino.binomial_sums(4, 399, 200)  # the sweep of S(200) = 150 rows serves it
+    assert swept == [(4, 150, 200)]
     domino._SWEPT.clear()
     with request_budget(), pytest.raises(SizeGuardError, match="TRANSFER_GUARD size guard"):
         grid_point(400)
@@ -121,10 +123,12 @@ def test_a_cached_domino_sweep_is_charged_only_for_its_sums(monkeypatch):
     assert len(swept) == 2
 
 
-def test_a_fit_is_charged_for_what_it_prints(monkeypatch, capsys):
+def test_a_fit_is_charged_for_what_it_prints(monkeypatch, run):
     argv = ["fit", "--r", "2", "--period", "12", "--degree", "4", "--n-min", "13", "--n-max", "96", "--verify", "2"]
-    assert cli.main(argv) == 0
-    assert "/" in json.loads(capsys.readouterr().out)["result"]["quasi_polynomial"]
+    proc = run(*argv)
+    assert proc.code == 0
+    assert "/" in json.loads(proc.out)["result"]["quasi_polynomial"]
     monkeypatch.setattr(cli, "PRINT_TOTAL_GUARD", 100)
-    assert cli.main(argv) == 1
-    assert "PRINT_TOTAL_GUARD size guard" in capsys.readouterr().err
+    proc = run(*argv)
+    assert proc.code == 1
+    assert "PRINT_TOTAL_GUARD size guard" in proc.err
