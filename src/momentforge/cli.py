@@ -394,8 +394,8 @@ def normality_cmd(family, n_grid, m, k, r_max, threshold, precision):
     check_grid(ns)
     charge(len(ns), common.GRID_POINTS_GUARD, "GRID_POINTS_GUARD", "the normality grid's points", summed=False)
     digits = common.normality_digits(len(ns), precision)
-    # largest n first (the grid ascends): a domino width's longest face sweep serves
-    # every shorter board; each point is charged to the grid's one budget
+    # largest n first (the grid ascends), so that a grid past its budget stops at the same
+    # point, "down to n = ...", whatever its routes; each point is charged to the grid's one budget
     grid = []
     for n in reversed(ns):
         grid_point(n)

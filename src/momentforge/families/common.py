@@ -43,7 +43,6 @@ each family module defines its own entry as ``FAMILY``.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,6 +52,7 @@ from typing import TYPE_CHECKING, Callable, Collection, Iterator, Mapping
 import mpmath
 
 from momentforge.errors import SizeGuardError
+from momentforge.moment_algebra import cumulants_to_moments
 from momentforge.poly_series import Polynomial
 
 if TYPE_CHECKING:
@@ -161,23 +161,18 @@ def uniform_sum_moments(mean, excess: Callable[[int], object], r_max: int) -> li
 
     kappa_1 = ``mean`` and kappa_k = B_k excess(k) / k for even k >= 2 (odd
     ones vanish), with excess(k) = sum_i (i^k - 1) over the uniforms' sizes
-    i; then m_j = sum_k C(j-1, k-1) kappa_k m_{j-k}.  With mean = E[X] the
-    moments are raw, with a zero mean central.  Entries are Fractions or
-    Polynomials, in the ring of ``mean`` and ``excess``; a negative r_max
-    gives none.
+    i; the moments follow by ``moment_algebra.cumulants_to_moments``.  With
+    mean = E[X] the moments are raw, with a zero mean central.  Entries are
+    Fractions or Polynomials, in the ring of ``mean`` and ``excess``; a
+    negative r_max gives none.
     """
-    one = mean**0  # 1 in the ring of the entries
-    kappa = {1: mean} if mean else {}
-    for k in range(2, r_max + 1, 2):
-        kappa[k] = bernoulli(k) * excess(k) / k
+    zero = mean * 0  # 0 in the ring of the entries
+    kappa = [zero, mean]
+    for k in range(2, r_max + 1):
+        kappa.append(zero if k % 2 else bernoulli(k) * excess(k) / k)
         if k == 2 and not isinstance(kappa[2], Polynomial):
-            charge_numeric_order(r_max, max(_bits(mean), _bits(kappa[2]) // 2))
-    moments = [one]
-    for j in range(1, r_max + 1):
-        moments.append(
-            sum((math.comb(j - 1, k - 1) * kappa[k] * moments[j - k] for k in kappa if k <= j), one * 0)
-        )
-    return moments[: r_max + 1]
+            charge_cumulant_recursion(r_max, mean, kappa[2])
+    return cumulants_to_moments(kappa[: r_max + 1]) if r_max >= 0 else []
 
 
 # Bound on r^3 (1000 + b^1.6) for a moment vector of numbers to order r,
@@ -186,10 +181,11 @@ def uniform_sum_moments(mean, excess: Callable[[int], object], r_max: int) -> li
 # fitted in process on one Intel Xeon core, about 4e-11 s a unit from
 # b = 5 to b = 5000 (invmaj n = 10 to 10^1000).  Every numeric request of
 # ``uniform_sum_moments`` (invmaj at every n, boolean k = 0 and the domino
-# 1-by-n board as numbers) is weighed before its cumulants are built.  A
-# boolean request, k >= 1 too (its forms in W are evaluated at W = 2^n),
-# is weighed as Binomial(2^n, 1/2) at an order of at least 1 before 2^n
-# is built.
+# 1-by-n board as numbers), and every domino board past b + 2 rows, whose
+# extrapolated cumulants take the same recursion, is weighed before its
+# cumulants are built.  A boolean request, k >= 1 too (its forms in W are
+# evaluated at W = 2^n), is weighed as Binomial(2^n, 1/2) at an order of at
+# least 1 before 2^n is built.
 NUMERIC_ORDER_GUARD = 6 * 10**10
 
 
@@ -204,6 +200,11 @@ def charge_numeric_order(r_max: int, scale: int, summed: bool = True) -> None:
         f"moments to order {_shown(r_max)} at a scale of {_shown(scale)} bits weigh r^3 (1000 + b^1.6)",
         summed=summed,
     )
+
+
+def charge_cumulant_recursion(r_max: int, mean: Fraction, variance: Fraction, summed: bool = True) -> None:
+    """``charge_numeric_order`` moments of numbers from cumulants, at the scale max(|mean|, sqrt(variance))."""
+    charge_numeric_order(r_max, max(_bits(mean), _bits(variance) // 2), summed)
 
 
 def _bits(x: Fraction) -> int:
@@ -284,10 +285,10 @@ def half_binomial_pgf(N: int) -> Polynomial:
     return Polynomial("q", binomial_row(N), total)
 
 
-def binomial_row(N: int, length: int | None = None) -> list[int]:
-    """[C(N, 0), ..., C(N, length - 1)], by default to C(N, N), by the multiplicative recurrence; N may be < 0."""
+def binomial_row(N: int) -> list[int]:
+    """[C(N, 0), ..., C(N, N)], by the multiplicative recurrence."""
     row = [1]
-    for d in range(N if length is None else length - 1):
+    for d in range(N):
         row.append(row[-1] * (N - d) // (d + 1))
     return row
 

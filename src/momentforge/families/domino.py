@@ -10,20 +10,26 @@ probability 1/2^3, not 1/2^4, so from r = 4 on the moments depend on the
 board and not on mu alone (2x2 at r = 4: the mu-form gives 85/2, the true
 value is 44).  The mu-polynomials are kept as the printed closed forms on
 that domain, where the numeric moments are those of Binomial(A, 1/2).
-Everywhere else the moments come from the board's even subgraphs: only
-unions of cycles of at most r slots move E[X^r] away from the independent
-case, and each is the boundary of one set of unit faces of the grid, so
-the sums b_k = sum over boards of C(X, k) follow from N_j, the number of
-face sets of perimeter j <= r (MacWilliams' identity, at ``binomial_sums``).
-A sparse face sweep across the shorter side w = min(m, n) counts them,
-keeping only the face profiles whose sets can still close within r edges.
-It runs at most S(r) = b + floor(r/4) + 1 rows, b = max(1, floor(r/2) - 1):
-each N_j is a polynomial of degree <= floor(j/4) in the length
-L = max(m, n), exact for L >= b, so for L past S(r) it is fitted on rows
-b..S(r) with an exact check and evaluated at L.  The longest sweep run
-per (w, r) thus serves every board of that width, and a longer board costs
-only the conversion of its r+1 counts into the sums b_k, integers of about
-wL bits.
+
+Everywhere else only unions of cycles of at most r slots move E[X^r] away
+from the independent case, each the boundary of one set of unit faces, so
+a small board's sums b_k = sum over boards of C(X, k) follow from N_j, the
+face sets of perimeter j <= r that a sparse face sweep counts row by row
+(MacWilliams' identity, at ``binomial_sums``).
+
+Larger boards need no larger sweep: with w = min(m, n), L = max(m, n) and
+b = max(1, floor(r/2) - 1), each cumulant kappa_k, k <= r, is affine in L
+for L >= b and in w for w >= b.  Sketch (the overlapping-stage approach):
+X sums the slot indicators [x_u = x_v], affine forms over GF(2) in iid
+fair cells; slot sets that no cycle of the tuple's slots joins are
+independent, and a joint cumulant of two independent families vanishes
+(Leonov and Shiryaev 1959; Janson 1988).  So only a repeated slot, or
+distinct slots forming one 2-connected block, contribute; a block over
+H + 1 rows and H' + 1 columns holds a cycle of at least 2H + 2 <= r slots,
+so H <= b, and has (L - H)(w - H') translates, each of the same cumulant.
+A board past b + 2 rows extrapolates the cumulants of boards of b and
+b + 1 rows and columns (:func:`_cumulants`); the grid is bipartite, so the
+odd central cumulants vanish.
 
 The 1-by-n board is Binomial(n - 1, 1/2): its PGF is the binomial row
 over 2^(n-1) (``common.half_binomial_pgf``), and its MGF deviation reads
@@ -39,10 +45,9 @@ import mpmath
 
 from momentforge import oracle
 from momentforge.errors import ConsistencyError
-from momentforge.exact_core import forward_differences
 from momentforge.families import common
-from momentforge.families.common import Family, charge, half_binomial_moments, half_binomial_pgf
-from momentforge.moment_algebra import MomentVector, binomial_to_raw
+from momentforge.families.common import Family, charge, charge_cumulant_recursion, half_binomial_moments, half_binomial_pgf
+from momentforge.moment_algebra import MomentVector, binomial_to_raw, cumulants_to_moments, moments_to_cumulants
 from momentforge.poly_series import Polynomial
 
 __all__ = ["FAMILY", "binomial_sums"]
@@ -65,10 +70,10 @@ def in_closed_form_domain(m: int, n: int, r: int) -> bool:
 
 
 def _moments(r_max: int, p: dict) -> MomentVector:
-    """Central moments of Binomial(A, 1/2) on the domain of the mu-polynomials, else raw ones.
+    """Central moments of Binomial(A, 1/2) on the domain of the mu-polynomials, else the board's own.
 
-    The raw ones come from the face sweep's E[C(X, k)] = b_k / 2^{mn} (:func:`binomial_sums`),
-    a shift for k <= mn, where b_k is 2^{mn-k} times an integer.
+    Raw ones off the board's own sweep up to b + 2 rows, central ones from
+    extrapolated cumulants past them (:func:`_cumulants`).
     """
     m, n = p["m"], p["n"]
     _check(m, n)
@@ -76,40 +81,78 @@ def _moments(r_max: int, p: dict) -> MomentVector:
         raise ValueError("need r >= 0")
     if in_closed_form_domain(m, n, r_max):
         return MomentVector("central", half_binomial_moments(slot_count(m, n), r_max, central=True))
-    cells, b = m * n, binomial_sums(m, n, r_max)
+    w, length = min(m, n), max(m, n)
+    if length <= max(1, r_max // 2 - 1) + 2:  # b + 2
+        return _raw_moments(w, length, r_max, length)
+    # before any sweep runs, alone so that no grid's edge moves; kappa_2 = A/4, no cycle has under 4 slots
+    charge_cumulant_recursion(r_max, Fraction(0), Fraction(slot_count(m, n), 4), summed=False)
+    kappa = _cumulants(w, length, r_max)
+    return MomentVector("central", cumulants_to_moments([kappa[0], Fraction(0), *kappa[2:]]))  # about the mean
+
+
+def _raw_moments(w: int, rows: int, r: int, swept: int) -> MomentVector:
+    """Raw moments of the board of ``rows`` rows of ``w`` cells from E[C(X, k)] = b_k / 2^{mn}, a shift for k <= mn."""
+    cells, b = w * rows, binomial_sums(w, rows, r, swept)
     binomial = [Fraction(b_k >> max(cells - k, 0), 1 << min(k, cells)) for k, b_k in enumerate(b)]
     return binomial_to_raw(MomentVector("binomial", binomial))
 
 
-# Bound on max(F P (limbs + 32), w max(L, S^2/2) r) for w = min(m, n),
-# L = max(m, n) and S = min(L, 2r+2).  The first term is the work of one
-# face sweep (:func:`_face_sweep`): F = (w-1)(S-1) faces, each updating at
-# most P pairs of profiles, P the number of ways to set at most r/2 of the
-# w-2 faces outside the pair, on packed words of r/2+1 counts of
-# ``_count_bits`` bits, ``limbs`` 64-bit limbs long.  In process on one
-# Intel Xeon core a pair update costs about 0.6 us plus 0.02 us a limb, so
-# the fixed cost is worth 32 limbs.  The second is the size of the sums:
-# the r+1 sums b_k of the board, integers of about wL bits each, and the
-# counts a sweep keeps for each of S rows.  S is the height the sweep ran
-# while N_j was only known to be a polynomial of degree <= j in L; it now
-# runs min(L, S(r)) rows (``_fit_rows``), about 3/8 as many, so the sweep
-# term overstates a sweep 3 to 4 times, and the guard still serves and
-# refuses what it did.  At the last order served at each width (w = 2 at
-# r = 291, w = 8 at r = 129, w = 12 at r = 38, w = 16 at r = 11) a fresh
-# sweep and its sums take 0.02 to 0.8 s in process (0.09 to 2.7 s over
-# 2r+2 rows), and a length at the size term's edge 1.4 s (2 x 170000 at
-# r = 291) to 2.8-3.6 s (12 x 210000 at r = 38) as a whole process.  Where r/2 < w-2 the bound P is far above the profiles that
-# survive, and the sweep is faster still.
+def _cumulants(w: int, length: int, r: int) -> list:
+    """kappa_0..kappa_r of the w-by-``length`` board, w <= length, length > b + 2, from boards of <= b + 2 rows.
+
+    Affine in the length from rows b and b + 1 of width w, or, past width
+    b + 2, of widths b and b + 1 and then affine in the width.  The check
+    board, the widest, is read first, so that its sweep's charge refuses
+    before any sweep runs; off the extrapolation it raises ConsistencyError.
+    """
+    first = max(1, r // 2 - 1)  # b
+    top = first + 2
+
+    def along(low, high, steps):
+        return [a + steps * (c - a) for a, c in zip(low, high)]
+
+    def from_rows(width, rows):
+        return along(_board_cumulants(width, first, r), _board_cumulants(width, first + 1, r), rows - first)
+
+    def from_widths(width, rows):
+        return along(from_rows(first, rows), from_rows(first + 1, rows), width - first)
+
+    extrapolate = from_rows if w <= top else from_widths
+    check = min(w, top)
+    for k, (got, want) in enumerate(zip(_board_cumulants(check, top, r), extrapolate(check, top))):
+        if got != want:
+            raise ConsistencyError(f"r = {r}: kappa_{k} of the {check}x{top} board is {got}, "
+                                   f"not the {want} extrapolated from {first} and {first + 1} rows")
+    return extrapolate(w, length)
+
+
+# kappa_0..kappa_r of each small board :func:`_cumulants` reads, by (w, rows, r): the requests at
+# one order, such as a grid's points, convert each small board once
+_CUMULANTS: dict[tuple[int, int, int], list] = {}
+
+
+def _board_cumulants(w: int, rows: int, r: int) -> list:
+    """kappa_0..kappa_r of the board of ``rows`` <= b + 2 rows of ``w`` cells, off the sweep of b + 2 rows."""
+    if (w, rows, r) not in _CUMULANTS:
+        _CUMULANTS[w, rows, r] = moments_to_cumulants(_raw_moments(w, rows, r, max(1, r // 2 - 1) + 2).entries)
+    return _CUMULANTS[w, rows, r]
+
+
+# Bound on F P (limbs + 32), the work of one face sweep (:func:`_face_sweep`)
+# of w cells a row: F faces, each updating at most P pairs of profiles (P the
+# ways to set at most r/2 of the w-2 faces outside the pair, far above the
+# profiles that survive where r/2 < w-2), on packed words of ``limbs`` 64-bit
+# limbs.  In process on one Intel Xeon core a pair update costs about 0.6 us
+# plus 0.02 us a limb, so the fixed cost is worth 32 limbs.  No sweep of the
+# moment route is wider than its board or longer than min(L, b + 2) rows.
 TRANSFER_GUARD = 10**8
 
-# N_0..N_r per row count from the longest sweep run so far, per (w, r); a
-# sweep's rows do not depend on where it stops, so it serves every shorter
-# board.
-_SWEPT: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+# N_0..N_r per row count of each face sweep run, by (w, rows, r)
+_SWEEPS: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
 
 
-def binomial_sums(m: int, n: int, r: int) -> tuple[int, ...]:
-    """b_k = sum over all 2^{mn} boards of C(X, k), for k = 0..r.
+def binomial_sums(m: int, n: int, r: int, swept: int | None = None) -> tuple[int, ...]:
+    """b_k = sum over all 2^{mn} boards of C(X, k), for k = 0..r, for the board of n rows of m cells.
 
     The slots are the edges of the m-by-n grid graph.  A board's
     disagreeing slots form a uniform element of the graph's cut space, whose
@@ -120,120 +163,41 @@ def binomial_sums(m: int, n: int, r: int) -> tuple[int, ...]:
         b_k = 2^{mn-k} sum_{j<=k} N_j C(A-j, k-j),
 
     with N_j the number of face sets whose perimeter, their boundary in the
-    grid graph, has j edges (:func:`_face_sweep`).  The grid is bipartite,
-    so N_j = 0 for odd j, and N_4 counts the unit squares.
-
-    Let w = min(m, n) be the width, L = max(m, n) the length,
-    b = max(1, floor(r/2) - 1) and S(r) = b + floor(r/4) + 1.  The sweep
-    runs min(L, S(r)) rows and records N_0..N_r for each row count; the
-    longest sweep run per (w, r) is kept and read by every later request of
-    at most as many rows.  For L <= S(r) the counts are row L.  Longer
-    boards are served by polynomials in L:
-
-    N_j(L) is a polynomial in L of degree <= floor(j/4) for
-    L >= max(1, j/2 - 1).  Proof: cut a face set into blocks, the maximal
-    runs of consecutive nonempty rows of faces.  Blocks apart by an empty
-    row share no edge, so the perimeter is the sum of the blocks'.  A block
-    of height h has perimeter >= 2h + 2: each of its rows has a run of
-    faces, with a left and a right edge, and its top and bottom rows an edge
-    above and below.  So a set of perimeter j has B <= floor(j/4) blocks,
-    of total height H <= j/2 - B.  The width is fixed, so a block's shape
-    and perimeter do not depend on L, and a given ordered tuple of blocks
-    fits into the L-1 rows of faces, an empty row between neighbours, in
-    C(L - H, B) ways, a polynomial of degree B in L equal to the count
-    wherever L - H >= 0.  Summing over the finitely many tuples of
-    perimeter j proves the bound (N_0 = 1 is the empty set).  Transposing
-    the board gives the same bound in the width.
-
-    Every j <= r is then exact from row b on, and of degree <= floor(r/4),
-    so each N_j is fitted on rows b..S(r) by the walk the quasi-polynomial
-    fits use, ``exact_core.forward_differences``: past its first
-    floor(j/4)+1 rows every row, one at least, is a check, else
-    ConsistencyError.  It is evaluated in Newton form,
-    sum_i Delta^i C(L-b, i), with the binomials shared by every order, and
-    the counts are turned into the sums b_k once, at L.
-
-    Both terms of TRANSFER_GUARD are charged, the size first: it needs no
-    binomial, so a large r or board is refused after O(1) arithmetic.
+    grid graph, has j edges, read off row n of the face sweep of width m run
+    to ``swept`` >= n rows (by default n; :func:`_face_sweep`).  The grid is
+    bipartite, so N_j = 0 for odd j, and N_4 counts the unit squares.  Each
+    sweep runs once, charged to TRANSFER_GUARD before it runs.
     """
     _check(m, n)
     if r < 0:
         raise ValueError("need r >= 0")
-    w, length = min(m, n), max(m, n)
-    rows = min(length, 2 * r + 2)  # the height the guard weighs
-    span = max(length, rows * rows // 2)
-    height = min(length, _fit_rows(r)[1])  # the height swept
-    sweep = _SWEPT.get((w, r), ())
-    runs = len(sweep) < height
-    # a sweep served from the cache is bounded as one that runs, but a grid is charged only the sums
-    charge(
-        w * span * r, TRANSFER_GUARD, "TRANSFER_GUARD",
-        f"face sweep for the {m}x{n} board at r = {r} keeps sums of size w*max(L, S^2/2)*r = {w}*{span}*{r}",
-        summed=runs,
-    )
-    charge(w * length * r, TRANSFER_GUARD, "TRANSFER_GUARD", f"the sums of the {m}x{n} board at r = {r}", alone=False)
-    faces = (w - 1) * (rows - 1)
-    pairs = sum(math.comb(w - 2, i) for i in range(min(w - 2, r // 2) + 1))
-    # only now is w*S^2*r small enough for the binomial inside _count_bits to be cheap
-    limbs = -(-_count_bits(w, rows, r) * (r // 2 + 1) // 64)
-    charge(
-        faces * pairs * (limbs + 32), TRANSFER_GUARD, "TRANSFER_GUARD",
-        f"face sweep for the {m}x{n} board at r = {r} needs work F*P*(limbs + 32) = {faces}*{pairs}*{limbs + 32}",
-        summed=runs,
-    )
-    if runs:
-        sweep = _SWEPT[w, r] = _face_sweep(w, height, r)
-    counts = sweep[length - 1] if length <= height else _extend(sweep, w, r, length)
-    return _sums_from_counts(counts, w, length)
-
-
-def _fit_rows(r: int) -> tuple[int, int]:
-    """(b, S(r)): the first and last rows the polynomials in the length are fitted on at order r."""
-    first = max(1, r // 2 - 1)
-    return first, first + r // 4 + 1
-
-
-def _extend(sweep: tuple[tuple[int, ...], ...], w: int, r: int, length: int) -> list[int]:
-    """N_0..N_r at ``length`` > S(r) rows from the polynomials in the length fitted to ``sweep``."""
-    first, last = _fit_rows(r)
-    binomials = common.binomial_row(length - first, r // 4 + 1)  # C(L-b, i), shared by every order
-    counts = []
-    for j in range(r + 1):
-        column = [sweep[rows - 1][j] for rows in range(first, last + 1)]
-        if not any(column):  # every odd j: the grid is bipartite
-            counts.append(0)
-            continue
-        diffs, miss = forward_differences(column, j // 4)
-        if miss is not None:
-            raise ConsistencyError(
-                f"width {w} at r = {r}: N_{j} on rows {first}..{last} "
-                f"is not a polynomial of degree <= {j // 4} in the number of rows"
-            )
-        counts.append(sum(d * binomial for d, binomial in zip(diffs, binomials)))
-    return counts
+    rows = n if swept is None else swept
+    if (m, rows, r) not in _SWEEPS:
+        faces = (m - 1) * (rows - 1)
+        # a byte a count at least: a large r or board is refused on this bound, before any binomial
+        pairs, limbs = 1, -(-(r // 2 + 1) // 8)
+        if faces * (limbs + 32) <= TRANSFER_GUARD:
+            pairs = sum(math.comb(m - 2, i) for i in range(min(m - 2, r // 2) + 1))
+            limbs = -(-_count_bits(m, rows, r) * (r // 2 + 1) // 64)
+        charge(
+            faces * pairs * (limbs + 32), TRANSFER_GUARD, "TRANSFER_GUARD",
+            f"face sweep of {rows} rows of {m} cells at r = {r} needs work F*P*(limbs + 32) = "
+            f"{faces}*{pairs}*{limbs + 32}",
+        )
+        _SWEEPS[m, rows, r] = _face_sweep(m, rows, r)
+    return _sums_from_counts(_SWEEPS[m, rows, r][n - 1], m, n)
 
 
 def _sums_from_counts(counts, w: int, length: int) -> tuple[int, ...]:
-    """b_k = 2^{wL-k} sum_j N_j C(A-j, k-j), k <= r, from the perimeter counts of a w-by-L board.
-
-    The inner sum is [z^k] of sum_j N_j z^j (1+z)^(A-j), computed as
-    (1+z)^(A-r) times sum_j N_j z^j (1+z)^(r-j), so that only the r+1
-    binomials C(A-r, i) involve A (for A < r they are the coefficients of a
-    power series; the product is still the polynomial).
-    """
-    r = len(counts) - 1
-    slots = 2 * w * length - w - length
-    inner = [0] * (r + 1)
-    row = [1]  # C(r-j, i) for j = r, r-1, ..., 0
-    for j in range(r, -1, -1):
-        if counts[j]:
-            for i, binomial in enumerate(row):
-                inner[j + i] += counts[j] * binomial
-        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
-    outer = common.binomial_row(slots - r, r + 1)  # C(A-r, i)
+    """b_k = 2^{wL-k} sum_j N_j C(A-j, k-j), k <= r, from the perimeter counts N_0..N_r of a w-by-L board."""
+    slots, r = 2 * w * length - w - length, len(counts) - 1
+    totals = [0] * (r + 1)
+    for j, term in enumerate(counts[: slots + 1]):  # a perimeter is a set of slots: N_j = 0 for j > A
+        for k in range(j, r + 1):  # term = N_j C(A-j, k-j), and C(A-j, i+1) = C(A-j, i) (A-j-i) / (i+1)
+            totals[k] += term
+            term = term * (slots - k) // (k - j + 1)
     sums = []
-    for k in range(r + 1):
-        total = sum(outer[k - i] * inner[i] for i in range(k + 1))
+    for k, total in enumerate(totals):
         shift = w * length - k
         if shift < 0 and total & ((1 << -shift) - 1):
             raise ConsistencyError(

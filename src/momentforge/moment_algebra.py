@@ -5,9 +5,10 @@ one binomial shift by the mean apart, and binomial moments are taken about
 the mean, from the central ones.  The binomial moment of order r is
 E[C(X - center, r)]; converting to power moments uses Stirling numbers of
 the second kind, the inverse direction the signed first kind, numbers in
-integers (``_combine``).  Gaussian targets are (2s)!/(2^s s!) for even order 2s
-and 0 for odd order; ``normality_report`` measures a grid's normalized
-moments against them and returns the values, which the CLI formats.
+integers (``_combine``), as is the recursion between moments and cumulants.
+Gaussian targets are (2s)!/(2^s s!) for even order 2s and 0 for odd order;
+``normality_report`` measures a grid's normalized moments against them and
+returns the values, which the CLI formats.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ __all__ = [
     "raw_to_binomial",
     "raw_to_central",
     "central_to_raw",
+    "cumulants_to_moments",
+    "moments_to_cumulants",
     "convert",
     "check_grid",
     "normality_report",
@@ -116,6 +119,36 @@ def _shift(vec: MomentVector, mu) -> list:
     p_powers = list(accumulate([p] * vec.r_max, operator.mul, initial=p**0))
     q_powers = list(accumulate([q] * vec.r_max, operator.mul, initial=1))
     return _combine(vec, lambda r, i: math.comb(r, i) * q_powers[i] * p_powers[r - i], q_powers.__getitem__)
+
+
+def _sum_of_products(terms: list, zero):
+    """sum c x y over the (c, x, y) of ``terms``, ``zero`` if none: numbers in integers over one denominator."""
+    if not terms or any(isinstance(x, Polynomial) or isinstance(y, Polynomial) for _, x, y in terms):
+        return sum((c * x * y for c, x, y in terms), zero)
+    d = math.lcm(*(x.denominator * y.denominator for _, x, y in terms))
+    return Fraction(sum(c * x.numerator * y.numerator * (d // (x.denominator * y.denominator)) for c, x, y in terms), d)
+
+
+def cumulants_to_moments(kappa: Sequence) -> list:
+    """Moments m_0..m_r from cumulants kappa_0..kappa_r: m_j = sum_k C(j-1, k-1) kappa_k m_{j-k}.
+
+    kappa_0 = 0 in the ring of the entries, numbers or Polynomials; kappa_1,
+    the mean or 0, makes them raw or central.  A zero cumulant costs nothing.
+    """
+    moments = [kappa[0] ** 0]
+    for j in range(1, len(kappa)):
+        terms = [(math.comb(j - 1, k - 1), kappa[k], moments[j - k]) for k in range(1, j + 1) if kappa[k]]
+        moments.append(_sum_of_products(terms, kappa[0]))
+    return moments
+
+
+def moments_to_cumulants(moments: Sequence) -> list:
+    """Cumulants kappa_0..kappa_r from raw or central moments, the inverse of :func:`cumulants_to_moments`."""
+    kappa = [moments[0] * 0]
+    for j in range(1, len(moments)):
+        terms = [(-math.comb(j - 1, k - 1), kappa[k], moments[j - k]) for k in range(1, j) if kappa[k]]
+        kappa.append(_sum_of_products([(1, moments[j], moments[0]), *terms], kappa[0]))
+    return kappa
 
 
 def raw_to_central(vec: MomentVector, mu) -> MomentVector:

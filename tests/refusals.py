@@ -145,6 +145,13 @@ REFUSALS = [
         f"central --family invmaj --n {10**30} --r 248",
         "normality --family boolean --n-grid 1,2,3 --r-max 392",
         "binomial-moments --family domino --m 1 --n 3 --r 392"),
+    # a domino board past b + 2 rows, b = max(1, r/2 - 1), converts cumulants extrapolated from
+    # smaller boards, weighed as the cumulant routes above before any sweep runs (4-by-1000 at
+    # r = 400 took 14 to 17 s before any guard)
+    *_rows("past NUMERIC_ORDER_GUARD", ["NUMERIC_ORDER_GUARD = "],
+        "moments --family domino --m 4 --n 1000 --r 400",
+        "central --family domino --m 2 --n 203 --r 392",
+        "moments --family domino --m 2 --n 10000000 --r 10000000"),
     *_rows(HUGE_BOOLEAN, ["NUMERIC_ORDER_GUARD = "],
         f"central --family boolean --n {10**12} --r 2",
         f"moments --family boolean --n {10**12} --k 1 --r 1",
@@ -152,14 +159,14 @@ REFUSALS = [
         "central --family boolean --n 100000000000 --r 2",
         "moments --family boolean --n 100000000000 --k 1 --r 1",
         "central --family boolean --n 1000000000 --k 1 --r 1"),
-    # the sweep term weighs the packed words' 64-bit limbs (4-by-1000 took 14 to
-    # 17 s before the guard); the last is refused by the size of its sums before
-    # the width of a packed word, a binomial in r, is computed
+    # the face sweep's work: the first order past it on a wide board, whose widest sweep
+    # (b + 2 = 15 cells) runs b + 2 rows, and on a board of that size read off its own
+    # sweep; the last is refused on a bound that needs no binomial, before the width of a
+    # packed word, a binomial in r, is computed
     *_rows("past TRANSFER_GUARD", ["TRANSFER_GUARD = ", "size guard"],
-        "moments --family domino --m 20 --n 30 --r 10",
-        "moments --family domino --m 4 --n 1000 --r 400",
-        "central --family domino --m 17 --n 17 --r 14",
-        "moments --family domino --m 2 --n 10000000 --r 10000000"),
+        "central --family domino --m 100 --n 100 --r 28",
+        "moments --family domino --m 15 --n 15 --r 28",
+        "moments --family domino --m 2 --n 10 --r 10000000000"),
     *_rows("the first cube dimension past CUBE_GUARD", ["CUBE_GUARD = "],
         "moments --family boolean --n 16 --k 16 --r 1"),
     *_rows(PAST_THE_SUM, ["NUMERIC_ORDER_GUARD size guard (NUMERIC_ORDER_GUARD = "],

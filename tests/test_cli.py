@@ -41,12 +41,11 @@ def test_domino_central_matches_oracle(run, served):
     assert "closed_forms" not in central["result"]
 
 
-def test_domino_transfer_guard_weighs_the_length(run):
-    # r = 4 needs a sweep of 10 rows, but the sums b_k have about 2*10^9 bits each
+def test_domino_length_costs_only_its_digits(run, served):
+    # r = 4 reads boards of at most 3 rows: a board of 2*10^9 cells is served at once
     started = time.monotonic()
-    proc = run("central", "--family", "domino", "--m", "2", "--n", "1000000000", "--r", "4")
-    assert proc.code == 1
-    assert "TRANSFER_GUARD" in proc.err and "size guard" in proc.err
+    payload, _ = served(run("central", "--family", "domino", "--m", "2", "--n", "1000000000", "--r", "4"))
+    assert payload["result"]["entries"][2] == "1499999999/2"  # A/4, A = 3*10^9 - 2 slots
     assert time.monotonic() - started < 3
 
 
@@ -60,7 +59,7 @@ def test_domino_transfer_guard_weighs_the_length(run):
     ids=["moments", "central", "normality"],
 )
 def test_domino_sweep_off_the_polynomial_exits_2(args, run, monkeypatch):
-    # N_1 one 2^{wL} too large on the sweep's last row, the row that checks the fit
+    # N_1 one 2^{wL} too large on the sweep's last row, the row that checks the extrapolation
     from momentforge.families import domino
 
     original = domino._face_sweep
@@ -79,8 +78,9 @@ def test_domino_sweep_off_the_polynomial_exits_2(args, run, monkeypatch):
 
 @pytest.mark.parametrize("perimeter", [3, 4], ids=["odd", "squares"])
 def test_domino_sweep_off_the_grid_invariants_exits_2(perimeter, run, monkeypatch):
-    # one perimeter count off by one where the sweep reads off its third row:
-    # an odd perimeter, or a count of unit squares that is not (w-1)(rows-1)
+    # one perimeter count off by one where the sweep of width 4 (4 rows at r = 6)
+    # reads off its third row: an odd perimeter, or a count of unit squares that is
+    # not (w-1)(rows-1)
     from momentforge.families import domino
 
     original = domino._check_counts
@@ -92,7 +92,7 @@ def test_domino_sweep_off_the_grid_invariants_exits_2(perimeter, run, monkeypatc
         original(counts, w, rows)
 
     monkeypatch.setattr(domino, "_check_counts", corrupted)
-    proc = run("moments", "--family", "domino", "--m", "4", "--n", "6", "--r", "4")
+    proc = run("moments", "--family", "domino", "--m", "4", "--n", "6", "--r", "6")
     assert proc.code == 2
     assert proc.out == ""
     assert proc.err.startswith("validation failure: width 4, 3 rows:"), proc.err
@@ -209,8 +209,8 @@ def test_boolean_moments_at_a_huge_n_are_refused_before_2_to_the_n_is_built(args
         # oracle requests that took 35-65 s before the oracles were word-parallel
         ["oracle", "--family", "schur", "--n", "13", "--c", "3"],
         ["oracle", "--family", "boolean", "--n", "14", "--k", "7", "--samples", "1", "--seed", "1"],
-        # domino boards past the face sweep's S(r) rows, served by the polynomial in the length
-        # (8 x 6100 took 6.3 s and 12 x 400 was past the transfer guard before)
+        # domino boards past b + 2 rows, served by cumulants extrapolated from small boards
+        # (8 x 6100 took 6.3 s and 12 x 400 was past the transfer guard before the face sweep)
         ["central", "--family", "domino", "--m", "8", "--n", "1000000", "--r", "8"],
         ["central", "--family", "domino", "--m", "12", "--n", "400", "--r", "8"],
         ["central", "--family", "domino", "--m", "8", "--n", "6100", "--r", "8"],

@@ -4,10 +4,12 @@ from fractions import Fraction as Fr
 import pytest
 
 from momentforge.errors import ConsistencyError, SizeGuardError
-from momentforge.exact_core import stirling1_signed, stirling2
-from momentforge.families import domino, moment_vector
+from momentforge.exact_core import stirling1_signed
+from momentforge.families import common, domino, moment_vector
 from momentforge.families.common import half_binomial_moments
-from momentforge.moment_algebra import raw_to_binomial, raw_to_central
+from momentforge.moment_algebra import (
+    MomentVector, binomial_to_raw, moments_to_cumulants, raw_to_binomial, raw_to_central,
+)
 from momentforge.oracle import enumerate_boards, histogram_moments
 from momentforge.poly_series import Polynomial
 from reference import board1n_binomial_moments_symbolic, board1n_p_series, perimeter_counts
@@ -132,22 +134,37 @@ def test_transfer_matrix_matches_closed_forms_on_their_domain():
 
 
 def test_transfer_matrix_symmetries():
+    # a sweep across either side: 8 rows of 3 cells, or 3 rows of 8
     assert domino.binomial_sums(3, 8, 6) == domino.binomial_sums(8, 3, 6)
     # the grid is bipartite: flipping one colour class maps X to A - X
     cm = moment_vector("domino", "central", 9, {"m": 4, "n": 6})
     assert all(cm.entries[r] == 0 for r in (1, 3, 5, 7, 9))
 
 
-def test_binomial_sums_equal_a_sweep_run_to_the_length():
-    # every board of width <= 6 up to 3r+6 rows, including lengths outside
-    # the fit rows, against one reference sweep run over all of them
+def test_moments_equal_a_sweep_run_to_the_length():
+    # every board of width <= 6 up to 3r+6 rows, read off its own sweep up to
+    # b + 2 rows and extrapolated past them, against one reference sweep run
+    # over all of them
     for r in range(11):
         for w in range(1, 7):
             full = _reference_sweep(w, 3 * r + 6, r)
             for length in range(1, 3 * r + 7):
-                expect = full[length - 1]
-                assert domino.binomial_sums(w, length, r) == expect, (w, length, r)
-                assert domino.binomial_sums(length, w, r) == expect, (length, w, r)
+                expect = _raw_from_sums(full[length - 1], w, length)
+                assert _moments("raw", w, length, r) == expect, (w, length, r)
+                assert _moments("raw", length, w, r) == expect, (length, w, r)
+                if length <= _first_row(r) + 2:
+                    assert domino.binomial_sums(w, length, r) == full[length - 1], (w, length, r)
+
+
+def _first_row(r):
+    """b = max(1, floor(r/2) - 1): every cumulant of order <= r is affine in each side from b on."""
+    return max(1, r // 2 - 1)
+
+
+def _raw_from_sums(sums, w, rows):
+    """E[X^k], k <= r, of the board of ``rows`` rows of ``w`` cells from its sums b_k = 2^{mn} E[C(X, k)]."""
+    binomial = [Fr(b, 2 ** (w * rows)) for b in sums]
+    return binomial_to_raw(MomentVector("binomial", binomial)).entries
 
 
 def _reference_sweep(w, rows, r):
@@ -234,20 +251,12 @@ def test_sweep_refuses_counts_off_the_grid_invariants():
         domino._check_counts((1, 0, 0, 0, 7, 0, 7), 4, 3)
 
 
-def test_binomial_sums_on_a_long_board_match_the_mu_form_through_r3():
-    # 8 x 10^6: E[X^q] for q <= 3 is the moment of Binomial(A, 1/2)
-    m, n, r = 8, 10**6, 3
-    b = domino.binomial_sums(m, n, r)
-    raw = [
-        Fr(sum(stirling2(q, k) * math.factorial(k) * b[k] for k in range(q + 1)), 2 ** (m * n))
-        for q in range(r + 1)
-    ]
-    assert raw == half_binomial_moments(domino.slot_count(m, n), r, central=False)
-
-
-def _rows_swept(r):
-    """S(r) = b + floor(r/4) + 1, b = max(1, floor(r/2) - 1): the height of the sweep at order r."""
-    return max(1, r // 2 - 1) + r // 4 + 1
+def test_moments_of_a_long_board_match_the_mu_form_through_r3():
+    # 8 x 10^6 extrapolated at r = 4 (and 10^6 x 8 at r = 8): E[X^q] for q <= 3 is the
+    # moment of Binomial(A, 1/2), where the mu-forms and the cumulant route overlap
+    for m, n, r in [(8, 10**6, 4), (10**6, 8, 8)]:
+        raw = _moments("raw", m, n, r)[:4]
+        assert list(raw) == half_binomial_moments(domino.slot_count(m, n), 3, central=False), (m, n, r)
 
 
 def _perimeter_counts(sums, w, rows):
@@ -275,76 +284,130 @@ def test_perimeter_counts_are_polynomials_of_degree_j_over_4_in_the_length():
                 assert not any(column), (w, r, j)
 
 
-@pytest.mark.parametrize("row", [3, 4, 5, 6])
-def test_binomial_sums_refuse_a_sweep_off_the_polynomial(monkeypatch, row):
-    # r = 8, width 3: the fit reads rows 3..6; N_k one or 2^{wL} too large
-    # on any of them is refused
+def _cumulant_table(r, widths, rows):
+    """kappa_0..kappa_r of every board of w in ``widths`` cells and 1..``rows`` rows, from reference sweeps."""
+    table = {}
+    for w in widths:
+        for length, sums in enumerate(_reference_sweep(w, rows, r), 1):
+            table[w, length] = moments_to_cumulants(_raw_from_sums(sums, w, length))
+    return table
+
+
+def _second_differences(column):
+    return [c - 2 * b + a for a, b, c in zip(column, column[1:], column[2:])]
+
+
+@pytest.mark.parametrize("r", range(4, 13))
+def test_cumulants_are_affine_in_each_side_from_row_b(r):
+    # the fact the route rests on, read off reference sweeps and not the route:
+    # every kappa_k, k <= r, has vanishing second differences in the length L from
+    # L = b on, at every width w <= b + 4, and in the width from w = b on; from
+    # b - 1 on (b > 1 from r = 6 on), some second difference is not zero
+    first, last = _first_row(r), _first_row(r) + 4
+    table = _cumulant_table(r, range(1, last + 1), last)
+    for k in range(r + 1):
+        for w in range(1, last + 1):
+            assert not any(_second_differences([table[w, length][k] for length in range(first, last + 1)])), (w, k)
+        for length in range(1, last + 1):
+            assert not any(_second_differences([table[w, length][k] for w in range(first, last + 1)])), (length, k)
+    if first > 1:
+        assert any(
+            any(_second_differences([table[w, length][k] for length in range(first - 1, last + 1)]))
+            for k in range(r + 1) for w in range(1, last + 1)
+        ), r
+
+
+# (board, sweep width, row): each row the route reads.  At r = 8, b = 3: a 3-by-40
+# board reads rows 3 and 4 of one sweep of width 3 and checks row 5; a 10-by-40
+# board reads rows 3 and 4 of widths 3 and 4 and checks row 5 of width 5.
+READ_ROWS = [
+    ((3, 40), 3, 3), ((3, 40), 3, 4), ((3, 40), 3, 5),
+    ((10, 40), 3, 3), ((10, 40), 3, 4), ((10, 40), 4, 3), ((10, 40), 4, 4), ((10, 40), 5, 5),
+]
+
+
+def _count_off(monkeypatch, width, row):
+    """Make the face sweep of ``width`` cells count one face set of perimeter 8 too many on ``row`` rows."""
     original = domino._face_sweep
-    for k in range(9):
-        for shift in (lambda w, rows: w * rows, lambda w, rows: 0):
 
-            def corrupted(w, rows, r, k=k, shift=shift):
-                sums = [list(counts) for counts in original(w, rows, r)]
-                sums[row - 1][k] += 1 << shift(w, row)
-                return tuple(tuple(counts) for counts in sums)
+    def corrupted(w, rows, r):
+        counts = [list(c) for c in original(w, rows, r)]
+        if w == width:
+            counts[row - 1][8] += 1
+        return tuple(tuple(c) for c in counts)
 
-            monkeypatch.setattr(domino, "_SWEPT", {})
-            monkeypatch.setattr(domino, "_face_sweep", corrupted)
-            with pytest.raises(ConsistencyError):
-                domino.binomial_sums(3, 40, 8)
-    monkeypatch.setattr(domino, "_SWEPT", {})
-    monkeypatch.setattr(domino, "_face_sweep", original)
-    assert domino.binomial_sums(3, 40, 8) == _reference_sweep(3, 40, 8)[-1]
+    monkeypatch.setattr(domino, "_SWEEPS", {})
+    monkeypatch.setattr(domino, "_CUMULANTS", {})
+    monkeypatch.setattr(domino, "_face_sweep", corrupted)
 
 
-@pytest.mark.parametrize("row", [3, 4, 5, 6])
-def test_binomial_sums_refuse_a_cached_count_off_the_polynomial(monkeypatch, row):
-    # width 3 at r = 8: N_8 read on rows 3..6, one count off by one on row ``row``
-    sweep = [list(counts) for counts in domino._face_sweep(3, 6, 8)]
-    sweep[row - 1][8] += 1
-    monkeypatch.setattr(domino, "_SWEPT", {(3, 8): tuple(tuple(counts) for counts in sweep)})
-    with pytest.raises(ConsistencyError) as err:
-        domino.binomial_sums(3, 40, 8)
-    assert str(err.value) == (
-        "width 3 at r = 8: N_8 on rows 3..6 is not a polynomial of degree <= 2 in the number of rows"
-    )
+@pytest.mark.parametrize("board, width, row", READ_ROWS)
+def test_a_count_off_a_row_the_route_reads_is_refused(board, width, row, monkeypatch):
+    _count_off(monkeypatch, width, row)
+    with pytest.raises(ConsistencyError, match=r"^r = 8: kappa_8 of the [35]x5 board is "):
+        _moments("central", *board, 8)
 
 
-def test_binomial_sums_read_the_longest_sweep_for_their_width_and_order(monkeypatch):
-    monkeypatch.setattr(domino, "_SWEPT", {})
-    calls = []
+@pytest.mark.parametrize("board, width, row", READ_ROWS)
+def test_a_count_off_a_row_the_route_reads_exits_2(board, width, row, run, monkeypatch):
+    # the fixture clears the kept sweeps and cumulants, and leaves the corrupted sweep in place
+    _count_off(monkeypatch, width, row)
+    proc = run("central", "--family", "domino", "--m", str(board[0]), "--n", str(board[1]), "--r", "8")
+    assert proc.code == 2
+    assert proc.out == ""
+    assert proc.err.startswith("validation failure: r = 8: kappa_8 of the "), proc.err
+
+
+def _spy_sweeps(monkeypatch):
+    """Record each face sweep run, by (w, rows, r), with nothing kept from earlier."""
+    swept = []
     original = domino._face_sweep
 
     def spy(w, rows, r):
-        calls.append((w, rows, r))
+        swept.append((w, rows, r))
         return original(w, rows, r)
 
+    monkeypatch.setattr(domino, "_SWEEPS", {})
+    monkeypatch.setattr(domino, "_CUMULANTS", {})
     monkeypatch.setattr(domino, "_face_sweep", spy)
-    # at r = 12 the sweep stops at S(12) = 9 rows: a 6-row board runs 6, the
-    # next longer one all 9, and they serve every later board of width 4
-    sums = [domino.binomial_sums(4, length, 12) for length in (6, 12, 40, 7, 5, 9)]
-    sums.append(domino.binomial_sums(9, 4, 12))
-    assert calls == [(4, 6, 12), (4, 9, 12)]
-    expect = _reference_sweep(4, 40, 12)
-    assert sums == [expect[length - 1] for length in (6, 12, 40, 7, 5, 9, 9)]
-    domino.binomial_sums(4, 5, 6)
-    domino.binomial_sums(3, 5, 5)
-    assert calls == [(4, 6, 12), (4, 9, 12), (4, 4, 6), (3, 3, 5)]
+    return swept
+
+
+def test_requests_at_one_order_share_their_small_sweeps(monkeypatch):
+    # the five domino requests of a moments-exact round, widest sweep first; narrow
+    # boards of widths 3 and 5 read the same sweeps, and a board of b + 2 rows or
+    # fewer sweeps its own rows
+    swept = _spy_sweeps(monkeypatch)
+    for m, n in [(10, 40), (8, 120), (8, 240), (8, 80), (8, 20)]:
+        moment_vector("domino", "central", 8, {"m": m, "n": n})
+    assert swept == [(5, 5, 8), (3, 5, 8), (4, 5, 8)]
+    moment_vector("domino", "central", 8, {"m": 3, "n": 100})
+    moment_vector("domino", "central", 8, {"m": 40, "n": 5})
+    moment_vector("domino", "central", 8, {"m": 4, "n": 4})
+    assert swept[3:] == [(4, 4, 8)]
+    swept.clear()
+    moment_vector("domino", "central", 38, {"m": 12, "n": 210000})
+    assert swept == [(12, 20, 38)]
 
 
 def test_transfer_matrix_size_guard():
+    # the first order whose widest sweep, 15 cells by 15 rows, is past the guard
     with pytest.raises(SizeGuardError, match="TRANSFER_GUARD"):
-        _moments("raw", 20, 30, 10)[4]
-    # the sums b_k have about wL bits each, so the length counts as well
+        _moments("raw", 100, 100, 28)[4]
+    # a sweep run to the whole length is weighed as it is
     with pytest.raises(SizeGuardError, match="TRANSFER_GUARD"):
         domino.binomial_sums(2, 10**9, 4)
     with pytest.raises(SizeGuardError, match="TRANSFER_GUARD"):
         domino.binomial_sums(8, 1562501, 8)
-    # the sweep runs S(r) rows, whatever the length: 10 x 40, 12 x 400 and 8 x 10^6 are served
-    assert domino.binomial_sums(10, 40, 8) == domino.binomial_sums(40, 10, 8)
+    # the route sweeps at most b + 2 rows, whatever the length: 2 x 10^9 at r = 4,
+    # 8 x 1562501 at r = 8 and 20 x 30 at r = 10 are served
+    assert _moments("central", 2, 10**9, 4)[1] == 0
+    assert _moments("central", 8, 1562501, 8)[1] == 0
+    assert _moments("raw", 20, 30, 10) == _moments("raw", 30, 20, 10)
+    assert _moments("raw", 10, 40, 8) == _moments("raw", 40, 10, 8)
     # at r = 4 a set of faces has at most two of them in its profile, so 20 x 30 is served
     assert _moments("raw", 20, 30, 4)[4] == _moments("raw", 30, 20, 4)[4]
-    assert domino.binomial_sums(12, 400, 8) == domino.binomial_sums(400, 12, 8)
+    assert _moments("raw", 12, 400, 8) == _moments("raw", 400, 12, 8)
     assert _moments("central", 8, 10**6, 8)[1] == 0
     # the mu-polynomials need no guard
     assert _moments("raw", 10**6, 10**6, 3)[3] == half_binomial_moments(2 * MU, 3, central=False)[3].eval(
@@ -352,10 +415,8 @@ def test_transfer_matrix_size_guard():
     )
 
 
-# (w, r): the highest order the transfer guard serves at width w; one more is
-# refused.  A unit of the face sweep is one 64-bit limb of a pair update, so a
-# long packed word weighs more (4 x 1000 at r = 400 took 14 to 17 s before the
-# guard); at w <= 6 the sums the guard weighs for 2r+2 rows bind first.
+# (w, r): the highest order the transfer guard served at width w, on a board of
+# max(w, 2r+2) rows, when it weighed the whole width and the sums of the length
 TRANSFER_EDGES = [(2, 291), (3, 254), (4, 231), (6, 202), (8, 129), (12, 38), (14, 17), (16, 11), (17, 11), (40, 5)]
 
 # (w, r): the highest order served at each width before the face sweep, when
@@ -366,35 +427,30 @@ CELL_SWEEP_EDGES = [
 ]
 
 
-def _stub_sweep(monkeypatch):
-    """Replace the face sweep by one that records its calls and returns zero counts."""
+class _Swept(Exception):
+    """Raised by a stub face sweep once it has recorded the first sweep the route asks for."""
+
+
+@pytest.mark.parametrize("w, r", TRANSFER_EDGES + CELL_SWEEP_EDGES)
+def test_every_edge_served_before_is_weighed_within_the_guards(w, r, monkeypatch):
+    # the widest sweep runs first, after the numeric charge: it is no wider than
+    # the board and no longer than min(L, b + 2) rows, and the numeric weight
+    # stays below half of NUMERIC_ORDER_GUARD
     swept = []
 
-    def sweep(w, rows, r):
-        swept.append((w, rows, r))
-        return ((0,) * (r + 1),) * rows
+    def sweep(*args):
+        swept.append(args)
+        raise _Swept
 
-    monkeypatch.setattr(domino, "_SWEPT", {})
+    monkeypatch.setattr(domino, "_SWEEPS", {})
+    monkeypatch.setattr(domino, "_CUMULANTS", {})
     monkeypatch.setattr(domino, "_face_sweep", sweep)
-    return swept
-
-
-@pytest.mark.parametrize("w, r", TRANSFER_EDGES)
-def test_transfer_guard_weighs_the_packed_words(w, r, monkeypatch):
-    swept = _stub_sweep(monkeypatch)
+    monkeypatch.setattr(common, "NUMERIC_ORDER_GUARD", 3 * 10**10)
     length = max(w, 2 * r + 2)
-    domino.binomial_sums(w, length, r)
-    assert swept == [(w, _rows_swept(r), r)]
-    with pytest.raises(SizeGuardError, match="TRANSFER_GUARD = "):
-        domino.binomial_sums(w, max(w, 2 * r + 4), r + 1)
-    assert len(swept) == 1
-
-
-@pytest.mark.parametrize("w, r", CELL_SWEEP_EDGES)
-def test_transfer_guard_serves_every_order_served_before_the_face_sweep(w, r, monkeypatch):
-    swept = _stub_sweep(monkeypatch)
-    domino.binomial_sums(w, max(w, 2 * r + 2), r)
-    assert swept == [(w, _rows_swept(r), r)]
+    top = _first_row(r) + 2
+    with pytest.raises(_Swept):
+        _moments("central", w, length, r)
+    assert swept == [(min(w, top), min(length, top), r)]
 
 
 def test_transfer_guard_refuses_a_large_order_before_any_binomial(monkeypatch):

@@ -1,19 +1,24 @@
+import random
 from fractions import Fraction as Fr
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentforge.families.common import bernoulli
 from momentforge.moment_algebra import (
     MomentVector,
     binomial_to_raw,
     central_to_raw,
+    cumulants_to_moments,
     gaussian_moment,
+    moments_to_cumulants,
     normality_report,
     normalized_moments,
     raw_to_binomial,
     raw_to_central,
 )
+from momentforge.oracle import enumerate_permutations, histogram_moments
 from momentforge.poly_series import Polynomial
 
 
@@ -106,6 +111,41 @@ def test_binomial_raw_roundtrip_random(tail):
     m = MomentVector("raw", [Fr(1)] + tail)
     b = raw_to_binomial(m)
     assert binomial_to_raw(b).entries == m.entries
+
+
+@settings(derandomize=True, max_examples=50)
+@given(st.lists(st.fractions(min_value=Fr(-50), max_value=Fr(50), max_denominator=20), min_size=12, max_size=12),
+       st.booleans())
+def test_cumulant_roundtrip_random(tail, central):
+    # raw -> kappa -> raw, and central (m_1 = 0, so kappa_1 = 0) -> kappa -> central, through r = 12
+    moments = [Fr(1), Fr(0) if central else tail[0], *tail[1:]]
+    kappa = moments_to_cumulants(moments)
+    assert kappa[0] == 0 and kappa[1] == moments[1]
+    assert cumulants_to_moments(kappa) == moments
+
+
+def test_cumulant_roundtrip_over_polynomials():
+    rng = random.Random(2020)
+    for central in (False, True):
+        for _ in range(4):
+            moments = [Polynomial.const("n", 1)] + [
+                Polynomial("n", [Fr(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]) for _ in range(12)
+            ]
+            if central:
+                moments[1] = Polynomial("n", ())
+            kappa = moments_to_cumulants(moments)
+            assert kappa[0].is_zero() and kappa[1] == moments[1]
+            assert cumulants_to_moments(kappa) == moments
+
+
+def test_cumulants_of_the_inversion_number_are_faulhaber():
+    # from the oracle's raw moments: kappa_1 = n(n-1)/4, kappa_k = B_k (S_k(n) - n) / k for even k >= 2, else 0
+    for n in range(1, 8):
+        kappa = moments_to_cumulants(histogram_moments(enumerate_permutations(n).marginal_inv(), 12).entries)
+        expect = [Fr(0), Fr(n * (n - 1), 4)] + [
+            bernoulli(k) * (sum(i**k for i in range(1, n + 1)) - n) / k if k % 2 == 0 else 0 for k in range(2, 13)
+        ]
+        assert kappa == expect, n
 
 
 def test_normality_report_board():

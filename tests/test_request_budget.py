@@ -101,25 +101,24 @@ def test_a_request_refused_by_its_grid_leaves_no_grid_behind(run):
         charge(9, 10, "X_GUARD", "w")
 
 
-def test_a_cached_domino_sweep_is_charged_only_for_its_sums(monkeypatch):
-    # 4 x 400 at r = 200: the sweep keeps sums worth 0.65 of TRANSFER_GUARD, the board's own 0.0032
-    monkeypatch.setattr(domino, "_SWEPT", {})
+def test_a_kept_domino_sweep_is_charged_once(monkeypatch):
+    # 17 rows of 14 cells at r = 32, the sweep of every 14-by-L board past 17 rows, weighs 0.66 of TRANSFER_GUARD
     swept = []
-    real_sweep = domino._face_sweep
-    monkeypatch.setattr(domino, "_face_sweep", lambda *args: swept.append(args) or real_sweep(*args))
+    monkeypatch.setattr(domino, "_SWEEPS", {})
+    monkeypatch.setattr(domino, "_face_sweep", lambda w, rows, r: swept.append((w, rows, r)) or ((0,) * (r + 1),) * rows)
     with request_budget():
         grid_point(400)
-        domino.binomial_sums(4, 400, 200)
+        domino.binomial_sums(14, 15, 32, 17)
         grid_point(399)
-        domino.binomial_sums(4, 399, 200)  # the sweep of S(200) = 150 rows serves it
-    assert swept == [(4, 150, 200)]
-    domino._SWEPT.clear()
+        domino.binomial_sums(14, 16, 32, 17)  # the same sweep, kept
+    assert swept == [(14, 17, 32)]
+    domino._SWEEPS.clear()
     with request_budget(), pytest.raises(SizeGuardError, match="TRANSFER_GUARD size guard"):
         grid_point(400)
-        domino.binomial_sums(4, 400, 200)
-        domino._SWEPT.clear()  # as if each point ran a sweep of its own
+        domino.binomial_sums(14, 15, 32, 17)
+        domino._SWEEPS.clear()  # as if each point ran a sweep of its own
         grid_point(399)
-        domino.binomial_sums(4, 399, 200)
+        domino.binomial_sums(14, 16, 32, 17)
     assert len(swept) == 2
 
 
