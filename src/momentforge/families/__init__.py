@@ -11,10 +11,10 @@ domino on a 1-by-n board, both through the shared loop
 ``common.mgf_deviation``).  ``moment_vector`` is the one checked way to
 the moments: the moment subcommands, ``fit`` and every point of a
 normality grid go through it.  It converts the one vector a family's route
-computes (raw: schur, a domino board's own face sweep, boolean k >= 1;
-central: invmaj, the domino mu-domain and extrapolated cumulants, boolean
-k = 0) in one place, ``moment_algebra.convert``; ``closed_forms`` checks a
-request for the printed texts as it does.  The functions below and every CLI subcommand
+computes (raw: schur, the domino perimeter counts, boolean k >= 1;
+central: invmaj, the domino mu-domain, boolean k = 0) in one place,
+``moment_algebra.convert``; ``closed_forms`` checks a request for the
+printed texts as it does.  The functions below and every CLI subcommand
 are lookups in this table.
 
 IDs and parameters:

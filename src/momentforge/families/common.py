@@ -171,7 +171,7 @@ def uniform_sum_moments(mean, excess: Callable[[int], object], r_max: int) -> li
     for k in range(2, r_max + 1):
         kappa.append(zero if k % 2 else bernoulli(k) * excess(k) / k)
         if k == 2 and not isinstance(kappa[2], Polynomial):
-            charge_cumulant_recursion(r_max, mean, kappa[2])
+            charge_numeric_order(r_max, max(_bits(mean), _bits(kappa[2]) // 2))
     return cumulants_to_moments(kappa[: r_max + 1]) if r_max >= 0 else []
 
 
@@ -181,11 +181,10 @@ def uniform_sum_moments(mean, excess: Callable[[int], object], r_max: int) -> li
 # fitted in process on one Intel Xeon core, about 4e-11 s a unit from
 # b = 5 to b = 5000 (invmaj n = 10 to 10^1000).  Every numeric request of
 # ``uniform_sum_moments`` (invmaj at every n, boolean k = 0 and the domino
-# 1-by-n board as numbers), and every domino board past b + 2 rows, whose
-# extrapolated cumulants take the same recursion, is weighed before its
-# cumulants are built.  A boolean request, k >= 1 too (its forms in W are
-# evaluated at W = 2^n), is weighed as Binomial(2^n, 1/2) at an order of at
-# least 1 before 2^n is built.
+# 1-by-n board as numbers) is weighed before its cumulants are built.  A
+# boolean request, k >= 1 too (its forms in W are evaluated at W = 2^n),
+# is weighed as Binomial(2^n, 1/2) at an order of at least 1 before 2^n
+# is built.
 NUMERIC_ORDER_GUARD = 6 * 10**10
 
 
@@ -200,11 +199,6 @@ def charge_numeric_order(r_max: int, scale: int, summed: bool = True) -> None:
         f"moments to order {_shown(r_max)} at a scale of {_shown(scale)} bits weigh r^3 (1000 + b^1.6)",
         summed=summed,
     )
-
-
-def charge_cumulant_recursion(r_max: int, mean: Fraction, variance: Fraction, summed: bool = True) -> None:
-    """``charge_numeric_order`` moments of numbers from cumulants, at the scale max(|mean|, sqrt(variance))."""
-    charge_numeric_order(r_max, max(_bits(mean), _bits(variance) // 2), summed)
 
 
 def _bits(x: Fraction) -> int:

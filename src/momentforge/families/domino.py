@@ -12,9 +12,9 @@ value is 44).  The mu-polynomials are kept as the printed closed forms on
 that domain, where the numeric moments are those of Binomial(A, 1/2).
 
 Everywhere else only unions of cycles of at most r slots move E[X^r] away
-from the independent case, each the boundary of one set of unit faces, so
-a small board's sums b_k = sum over boards of C(X, k) follow from N_j, the
-face sets of perimeter j <= r that a sparse face sweep counts row by row
+from the independent case, each the boundary of one set of unit faces:
+with N_j the face sets of perimeter j, which a sparse face sweep counts row
+by row, and F(u) = sum_j N_j u^j, E[(1+t)^X] = (1 + t/2)^A F(t/(2+t))
 (MacWilliams' identity, at ``binomial_sums``).
 
 Larger boards need no larger sweep: with w = min(m, n), L = max(m, n) and
@@ -27,9 +27,11 @@ independent, and a joint cumulant of two independent families vanishes
 distinct slots forming one 2-connected block, contribute; a block over
 H + 1 rows and H' + 1 columns holds a cycle of at least 2H + 2 <= r slots,
 so H <= b, and has (L - H)(w - H') translates, each of the same cumulant.
-A board past b + 2 rows extrapolates the cumulants of boards of b and
-b + 1 rows and columns (:func:`_cumulants`); the grid is bipartite, so the
-odd central cumulants vanish.
+By the identity, log F(u) to order r is a fixed linear image of
+kappa_1..kappa_r less A log(1 + t/2), t = 2u/(1-u), and A is affine in
+each side: so are the coefficients of log F(u), each an integer over its
+order (N_0 = 1).  A board past b + 2 rows extrapolates them from boards of
+b and b + 1 rows and columns (:func:`_counts`).
 
 The 1-by-n board is Binomial(n - 1, 1/2): its PGF is the binomial row
 over 2^(n-1) (``common.half_binomial_pgf``), and its MGF deviation reads
@@ -46,8 +48,8 @@ import mpmath
 from momentforge import oracle
 from momentforge.errors import ConsistencyError
 from momentforge.families import common
-from momentforge.families.common import Family, charge, charge_cumulant_recursion, half_binomial_moments, half_binomial_pgf
-from momentforge.moment_algebra import MomentVector, binomial_to_raw, cumulants_to_moments, moments_to_cumulants
+from momentforge.families.common import Family, charge, half_binomial_moments, half_binomial_pgf
+from momentforge.moment_algebra import MomentVector, binomial_to_raw
 from momentforge.poly_series import Polynomial
 
 __all__ = ["FAMILY", "binomial_sums"]
@@ -70,10 +72,10 @@ def in_closed_form_domain(m: int, n: int, r: int) -> bool:
 
 
 def _moments(r_max: int, p: dict) -> MomentVector:
-    """Central moments of Binomial(A, 1/2) on the domain of the mu-polynomials, else the board's own.
+    """Central moments of Binomial(A, 1/2) on the domain of the mu-polynomials, else the board's raw ones.
 
-    Raw ones off the board's own sweep up to b + 2 rows, central ones from
-    extrapolated cumulants past them (:func:`_cumulants`).
+    The raw ones come from E[C(X, k)] = s_k / 2^k (:func:`binomial_sums`),
+    charged to TRANSFER_GUARD before any sweep runs.
     """
     m, n = p["m"], p["n"]
     _check(m, n)
@@ -81,78 +83,93 @@ def _moments(r_max: int, p: dict) -> MomentVector:
         raise ValueError("need r >= 0")
     if in_closed_form_domain(m, n, r_max):
         return MomentVector("central", half_binomial_moments(slot_count(m, n), r_max, central=True))
-    w, length = min(m, n), max(m, n)
-    if length <= max(1, r_max // 2 - 1) + 2:  # b + 2
-        return _raw_moments(w, length, r_max, length)
-    # before any sweep runs, alone so that no grid's edge moves; kappa_2 = A/4, no cycle has under 4 slots
-    charge_cumulant_recursion(r_max, Fraction(0), Fraction(slot_count(m, n), 4), summed=False)
-    kappa = _cumulants(w, length, r_max)
-    return MomentVector("central", cumulants_to_moments([kappa[0], Fraction(0), *kappa[2:]]))  # about the mean
-
-
-def _raw_moments(w: int, rows: int, r: int, swept: int) -> MomentVector:
-    """Raw moments of the board of ``rows`` rows of ``w`` cells from E[C(X, k)] = b_k / 2^{mn}, a shift for k <= mn."""
-    cells, b = w * rows, binomial_sums(w, rows, r, swept)
-    binomial = [Fraction(b_k >> max(cells - k, 0), 1 << min(k, cells)) for k, b_k in enumerate(b)]
+    bits = slot_count(m, n).bit_length() + 1
+    charge(
+        r_max * r_max * (r_max * bits // 128 + 8), TRANSFER_GUARD, "TRANSFER_GUARD",
+        f"the moments of the {m}x{n} board to order {r_max} need work r^2 (r (bits(A) + 1)/128 + 8) = "
+        f"{r_max}^2*({r_max}*{bits}//128 + 8)",
+    )
+    binomial = [Fraction(s_k, 1 << k) for k, s_k in enumerate(binomial_sums(m, n, r_max))]
     return binomial_to_raw(MomentVector("binomial", binomial))
 
 
-def _cumulants(w: int, length: int, r: int) -> list:
-    """kappa_0..kappa_r of the w-by-``length`` board, w <= length, length > b + 2, from boards of <= b + 2 rows.
+def _counts(w: int, length: int, r: int) -> list[int]:
+    """N_0..N_r of the w-by-``length`` board, w <= length: its own sweep's last row up to b + 2 rows, else extrapolated.
 
-    Affine in the length from rows b and b + 1 of width w, or, past width
-    b + 2, of widths b and b + 1 and then affine in the width.  The check
-    board, the widest, is read first, so that its sweep's charge refuses
-    before any sweep runs; off the extrapolation it raises ConsistencyError.
+    Past b + 2 rows the d_j of log F (:func:`_logs`) are affine in the
+    length from rows b and b + 1 of width w, or, past width b + 2, of widths
+    b and b + 1 and then in the width.  The check board, the widest, is read
+    first, so that its sweep's charge refuses before any sweep runs.
     """
-    first = max(1, r // 2 - 1)  # b
+    first = max(1, r // 2 - 1)  # b: from b rows and columns on, log F to order r is affine in each side
     top = first + 2
+    if length <= top:
+        return _sweep(w, length, r)[length - 1]
+
+    def logs(width, rows):
+        return _logs(_sweep(width, top, r)[rows - 1])
 
     def along(low, high, steps):
         return [a + steps * (c - a) for a, c in zip(low, high)]
 
     def from_rows(width, rows):
-        return along(_board_cumulants(width, first, r), _board_cumulants(width, first + 1, r), rows - first)
+        return along(logs(width, first), logs(width, first + 1), rows - first)
 
     def from_widths(width, rows):
         return along(from_rows(first, rows), from_rows(first + 1, rows), width - first)
 
     extrapolate = from_rows if w <= top else from_widths
     check = min(w, top)
-    for k, (got, want) in enumerate(zip(_board_cumulants(check, top, r), extrapolate(check, top))):
+    for j, (got, want) in enumerate(zip(logs(check, top), extrapolate(check, top))):
         if got != want:
-            raise ConsistencyError(f"r = {r}: kappa_{k} of the {check}x{top} board is {got}, "
+            raise ConsistencyError(f"r = {r}: d_{j} of the {check}x{top} board is {got}, "
                                    f"not the {want} extrapolated from {first} and {first + 1} rows")
-    return extrapolate(w, length)
+    counts = _exps(extrapolate(w, length), w, length)
+    _check_counts(counts, w, length)
+    return counts
 
 
-# kappa_0..kappa_r of each small board :func:`_cumulants` reads, by (w, rows, r): the requests at
-# one order, such as a grid's points, convert each small board once
-_CUMULANTS: dict[tuple[int, int, int], list] = {}
+def _logs(counts) -> list[int]:
+    """d_0..d_r, d_j = j [u^j] log F(u), integers by u F' = F sum_j d_j u^j: d_j = j N_j - sum_{0<i<j} d_i N_{j-i}."""
+    d = [0] * len(counts)
+    for j in range(1, len(counts)):
+        d[j] = j * counts[j] - sum(d[i] * counts[j - i] for i in range(1, j))
+    return d
 
 
-def _board_cumulants(w: int, rows: int, r: int) -> list:
-    """kappa_0..kappa_r of the board of ``rows`` <= b + 2 rows of ``w`` cells, off the sweep of b + 2 rows."""
-    if (w, rows, r) not in _CUMULANTS:
-        _CUMULANTS[w, rows, r] = moments_to_cumulants(_raw_moments(w, rows, r, max(1, r // 2 - 1) + 2).entries)
-    return _CUMULANTS[w, rows, r]
+def _exps(d: list[int], w: int, length: int) -> list[int]:
+    """N_0..N_r from d_0..d_r, the inverse of :func:`_logs`: j N_j = sum_{0<i<=j} d_i N_{j-i}, exactly."""
+    counts = [1] + [0] * (len(d) - 1)
+    for j in range(1, len(d)):
+        counts[j], rest = divmod(sum(d[i] * counts[j - i] for i in range(1, j + 1)), j)
+        if rest:
+            raise ConsistencyError(f"width {w}, {length} rows: the extrapolated {j} N_{j} is not a multiple of {j}")
+    return counts
 
 
-# Bound on F P (limbs + 32), the work of one face sweep (:func:`_face_sweep`)
-# of w cells a row: F faces, each updating at most P pairs of profiles (P the
-# ways to set at most r/2 of the w-2 faces outside the pair, far above the
-# profiles that survive where r/2 < w-2), on packed words of ``limbs`` 64-bit
-# limbs.  In process on one Intel Xeon core a pair update costs about 0.6 us
-# plus 0.02 us a limb, so the fixed cost is worth 32 limbs.  No sweep of the
-# moment route is wider than its board or longer than min(L, b + 2) rows.
+# Bound on the work of the moment route off the mu-domain, in units of about
+# 0.02 us in process on one Intel Xeon core (a budget of about 2 s), on two
+# terms, each charged before its work runs:
+# - F P (limbs + 32), one face sweep (:func:`_face_sweep`) of w cells a row:
+#   F faces, each updating at most P pairs of profiles (P the ways to set at
+#   most r/2 of the w-2 faces outside the pair, far above the profiles that
+#   survive where r/2 < w-2), on packed words of ``limbs`` 64-bit limbs.  A
+#   pair update costs about 0.6 us plus 0.02 us a limb, so the fixed cost is
+#   worth 32 limbs.  No sweep of the route is wider than its board or longer
+#   than min(L, b + 2) rows.
+# - r^2 (r (bits(A) + 1) / 128 + 8), the board's sums s_k and its moments of
+#   orders <= r in any kind (:func:`_moments`, then ``moment_vector``): each
+#   takes r^2/2 steps on numbers of about r (bits(A) + 1) bits.  Sums,
+#   raw, central and binomial moments together took 14 to 27 ns a unit from
+#   r = 200 on (0.8 s for 2 x 369 at r = 734, 0.06 s for 2 x 10^9 at r = 200).
 TRANSFER_GUARD = 10**8
 
 # N_0..N_r per row count of each face sweep run, by (w, rows, r)
 _SWEEPS: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
 
 
-def binomial_sums(m: int, n: int, r: int, swept: int | None = None) -> tuple[int, ...]:
-    """b_k = sum over all 2^{mn} boards of C(X, k), for k = 0..r, for the board of n rows of m cells.
+def binomial_sums(m: int, n: int, r: int) -> tuple[int, ...]:
+    """s_k = 2^k E[C(X, k)] = b_k / 2^{mn-k}, k <= r, b_k summing C(X, k) over the boards of n rows of m cells.
 
     The slots are the edges of the m-by-n grid graph.  A board's
     disagreeing slots form a uniform element of the graph's cut space, whose
@@ -160,50 +177,53 @@ def binomial_sums(m: int, n: int, r: int, swept: int | None = None) -> tuple[int
     of exactly one set of unit faces.  So, summing 2^(components) over the
     k-sets of slots that agree (MacWilliams 1963, at x = 1+z, y = 1),
 
-        b_k = 2^{mn-k} sum_{j<=k} N_j C(A-j, k-j),
+        s_k = sum_{j<=k} N_j C(A-j, k-j),
 
     with N_j the number of face sets whose perimeter, their boundary in the
-    grid graph, has j edges, read off row n of the face sweep of width m run
-    to ``swept`` >= n rows (by default n; :func:`_face_sweep`).  The grid is
-    bipartite, so N_j = 0 for odd j, and N_4 counts the unit squares.  Each
-    sweep runs once, charged to TRANSFER_GUARD before it runs.
+    grid graph, has j edges (:func:`_counts`): 0 for odd j (the grid is
+    bipartite), and N_4 counts the unit squares.
     """
     _check(m, n)
     if r < 0:
         raise ValueError("need r >= 0")
-    rows = n if swept is None else swept
-    if (m, rows, r) not in _SWEEPS:
-        faces = (m - 1) * (rows - 1)
+    w, length = min(m, n), max(m, n)
+    return _sums_from_counts(_counts(w, length, r), w, length)
+
+
+def _sweep(w: int, rows: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """The face sweep of ``rows`` rows of ``w`` cells at order r (:func:`_face_sweep`), run once, charged first."""
+    if (w, rows, r) not in _SWEEPS:
+        faces = (w - 1) * (rows - 1)
         # a byte a count at least: a large r or board is refused on this bound, before any binomial
         pairs, limbs = 1, -(-(r // 2 + 1) // 8)
         if faces * (limbs + 32) <= TRANSFER_GUARD:
-            pairs = sum(math.comb(m - 2, i) for i in range(min(m - 2, r // 2) + 1))
-            limbs = -(-_count_bits(m, rows, r) * (r // 2 + 1) // 64)
+            pairs = sum(math.comb(w - 2, i) for i in range(min(w - 2, r // 2) + 1))
+            limbs = -(-_count_bits(w, rows, r) * (r // 2 + 1) // 64)
         charge(
             faces * pairs * (limbs + 32), TRANSFER_GUARD, "TRANSFER_GUARD",
-            f"face sweep of {rows} rows of {m} cells at r = {r} needs work F*P*(limbs + 32) = "
+            f"face sweep of {rows} rows of {w} cells at r = {r} needs work F*P*(limbs + 32) = "
             f"{faces}*{pairs}*{limbs + 32}",
         )
-        _SWEEPS[m, rows, r] = _face_sweep(m, rows, r)
-    return _sums_from_counts(_SWEEPS[m, rows, r][n - 1], m, n)
+        _SWEEPS[w, rows, r] = _face_sweep(w, rows, r)
+    return _SWEEPS[w, rows, r]
 
 
 def _sums_from_counts(counts, w: int, length: int) -> tuple[int, ...]:
-    """b_k = 2^{wL-k} sum_j N_j C(A-j, k-j), k <= r, from the perimeter counts N_0..N_r of a w-by-L board."""
+    """s_k = sum_j N_j C(A-j, k-j), k <= r, from the perimeter counts N_0..N_r of a w-by-L board.
+
+    2^{wL-k} s_k counts boards, so 2^(k-wL) divides s_k for k > wL.
+    """
     slots, r = 2 * w * length - w - length, len(counts) - 1
-    totals = [0] * (r + 1)
+    sums = [0] * (r + 1)
     for j, term in enumerate(counts[: slots + 1]):  # a perimeter is a set of slots: N_j = 0 for j > A
         for k in range(j, r + 1):  # term = N_j C(A-j, k-j), and C(A-j, i+1) = C(A-j, i) (A-j-i) / (i+1)
-            totals[k] += term
+            sums[k] += term
             term = term * (slots - k) // (k - j + 1)
-    sums = []
-    for k, total in enumerate(totals):
-        shift = w * length - k
-        if shift < 0 and total & ((1 << -shift) - 1):
+    for k in range(w * length + 1, r + 1):
+        if sums[k] & ((1 << (k - w * length)) - 1):
             raise ConsistencyError(
                 f"width {w}, {length} rows: the sum of C(X, {k}) over the boards is not an integer"
             )
-        sums.append(total << shift if shift >= 0 else total >> -shift)
     return tuple(sums)
 
 

@@ -3,9 +3,8 @@
 ``convert`` is the one way between the kinds: raw and central moments are
 one binomial shift by the mean apart, and binomial moments are taken about
 the mean, from the central ones.  The binomial moment of order r is
-E[C(X - center, r)]; converting to power moments uses Stirling numbers of
-the second kind, the inverse direction the signed first kind, numbers in
-integers (``_combine``), as is the recursion between moments and cumulants.
+E[C(X - center, r)]; each conversion, the shift too, is r steps of one
+three-term recurrence over the vector, numbers in integers (``_walk``).
 Gaussian targets are (2s)!/(2^s s!) for even order 2s and 0 for odd order;
 ``normality_report`` measures a grid's normalized moments against them and
 returns the values, which the CLI formats.
@@ -14,15 +13,12 @@ returns the values, which the CLI formats.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, Sequence
 
 import mpmath
 
-from momentforge.exact_core import stirling1_signed, stirling2
 from momentforge.poly_series import Polynomial
 
 __all__ = [
@@ -32,7 +28,6 @@ __all__ = [
     "raw_to_central",
     "central_to_raw",
     "cumulants_to_moments",
-    "moments_to_cumulants",
     "convert",
     "check_grid",
     "normality_report",
@@ -75,58 +70,53 @@ class MomentVector:
         return len(self.entries) - 1
 
 
-def _combine(vec: MomentVector, weight: Callable[[int, int], object], divisor=lambda r: 1) -> list:
-    """[sum_i weight(r, i) e_i / divisor(r) for r <= r_max], over the entries e_i of ``vec``.
+def _walk(vec: MomentVector, step: Callable[[int, list], list], scale=lambda r: 1) -> list:
+    """[g_0 / scale(r) for r <= r_max], g after r steps g <- step(r, g) from the entries of ``vec``.
 
-    Numbers are summed in integers over their common denominator, one division per result.
+    Each step maps g_0..g_k to g_0..g_{k-1}, a g_{i+1} + b g_i with small a
+    and b: no products of two entries.  Numbers are walked in integers over
+    their common denominator, one division per result.
     """
-    e, d = vec.entries, 1
-    if not any(isinstance(x, Polynomial) for x in e):
-        d = math.lcm(*(x.denominator for x in e))
-        e = [x.numerator * (d // x.denominator) for x in e]
-    return [Fraction(1, d * divisor(r)) * sum(weight(r, i) * e[i] for i in range(r + 1)) for r in range(vec.r_max + 1)]
+    g, d = list(vec.entries), 1
+    if not any(isinstance(x, Polynomial) for x in g):
+        d = math.lcm(*(x.denominator for x in g))
+        g = [x.numerator * (d // x.denominator) for x in g]
+    out = []
+    for r in range(vec.r_max + 1):
+        g = step(r, g) if r else g
+        out.append(Fraction(1, d * scale(r)) * g[0])
+    return out
 
 
 def binomial_to_raw(vec: MomentVector) -> MomentVector:
-    """Power moments from binomial moments: M_r = sum_i {r brace i} B_i i!.
+    """Power moments from binomial moments: M_r = sum_i {r brace i} B_i i!, by x C(x, i) = (i+1) C(x, i+1) + i C(x, i).
 
     The result is about the same center as the input, so a mean-centered
     binomial vector converts to central power moments.
     """
     if vec.kind != "binomial":
         raise ValueError("binomial_to_raw expects a binomial MomentVector")
-    factorials = [math.factorial(i) for i in range(vec.r_max + 1)]
-    out = _combine(vec, lambda r, i: stirling2(r, i) * factorials[i])
+    out = _walk(vec, lambda r, g: [(i + 1) * x + i * y for i, (y, x) in enumerate(zip(g, g[1:]))])
     return MomentVector("central" if vec.about_mean else "raw", out, vec.about_mean)
 
 
 def raw_to_binomial(vec: MomentVector) -> MomentVector:
-    """Inverse of :func:`binomial_to_raw` via signed Stirling numbers."""
+    """Inverse of :func:`binomial_to_raw`: B_r = E[(X)_r] / r!, by (x)_r = (x)_(r-1) (x - r + 1)."""
     if vec.kind == "binomial":
         raise ValueError("raw_to_binomial expects power moments")
-    out = _combine(vec, stirling1_signed, math.factorial)
+    out = _walk(vec, lambda r, g: [x - (r - 1) * y for y, x in zip(g, g[1:])], math.factorial)
     return MomentVector("binomial", out, about_mean=(vec.kind == "central"))
 
 
 def _shift(vec: MomentVector, mu) -> list:
-    """E[(Y + mu)^r] = sum_i C(r, i) E[Y^i] mu^(r-i), r <= r_max, from the entries E[Y^i] of ``vec``.
+    """E[(Y + mu)^r], r <= r_max, from the entries E[Y^i] of ``vec``.
 
     The one binomial shift between raw and central moments: with mu = p/q,
-    the sum of C(r, i) E[Y^i] q^i p^(r-i) over q^r, by running powers of p
-    and q; over numbers or Polynomials alike.
+    E[(qY + p)^r] over q^r, by (q y + p) y^i = q y^(i+1) + p y^i; over
+    numbers or Polynomials alike.
     """
     p, q = (mu.numerator, mu.denominator) if isinstance(mu, Fraction) else (mu, 1)
-    p_powers = list(accumulate([p] * vec.r_max, operator.mul, initial=p**0))
-    q_powers = list(accumulate([q] * vec.r_max, operator.mul, initial=1))
-    return _combine(vec, lambda r, i: math.comb(r, i) * q_powers[i] * p_powers[r - i], q_powers.__getitem__)
-
-
-def _sum_of_products(terms: list, zero):
-    """sum c x y over the (c, x, y) of ``terms``, ``zero`` if none: numbers in integers over one denominator."""
-    if not terms or any(isinstance(x, Polynomial) or isinstance(y, Polynomial) for _, x, y in terms):
-        return sum((c * x * y for c, x, y in terms), zero)
-    d = math.lcm(*(x.denominator * y.denominator for _, x, y in terms))
-    return Fraction(sum(c * x.numerator * y.numerator * (d // (x.denominator * y.denominator)) for c, x, y in terms), d)
+    return _walk(vec, lambda r, g: [q * x + p * y for y, x in zip(g, g[1:])], lambda r: q**r)
 
 
 def cumulants_to_moments(kappa: Sequence) -> list:
@@ -137,18 +127,9 @@ def cumulants_to_moments(kappa: Sequence) -> list:
     """
     moments = [kappa[0] ** 0]
     for j in range(1, len(kappa)):
-        terms = [(math.comb(j - 1, k - 1), kappa[k], moments[j - k]) for k in range(1, j + 1) if kappa[k]]
-        moments.append(_sum_of_products(terms, kappa[0]))
+        terms = (math.comb(j - 1, k - 1) * kappa[k] * moments[j - k] for k in range(1, j + 1) if kappa[k])
+        moments.append(sum(terms, kappa[0]))
     return moments
-
-
-def moments_to_cumulants(moments: Sequence) -> list:
-    """Cumulants kappa_0..kappa_r from raw or central moments, the inverse of :func:`cumulants_to_moments`."""
-    kappa = [moments[0] * 0]
-    for j in range(1, len(moments)):
-        terms = [(-math.comb(j - 1, k - 1), kappa[k], moments[j - k]) for k in range(1, j) if kappa[k]]
-        kappa.append(_sum_of_products([(1, moments[j], moments[0]), *terms], kappa[0]))
-    return kappa
 
 
 def raw_to_central(vec: MomentVector, mu) -> MomentVector:

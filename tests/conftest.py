@@ -36,9 +36,8 @@ def run(alarm, monkeypatch, capsys):
     """Run the CLI in process, ``main(argv)`` within the test's 30 s: its argv, exit code, stdout and stderr."""
 
     def run(*argv: str) -> Run:
-        # a face sweep, or small-board cumulants, kept from an earlier argv would serve this one
+        # a face sweep kept from an earlier argv would serve this one
         monkeypatch.setattr(domino, "_SWEEPS", {})
-        monkeypatch.setattr(domino, "_CUMULANTS", {})
         code = main(list(argv))
         out, err = capsys.readouterr()
         return Run(list(argv), code, out, err)

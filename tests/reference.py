@@ -423,6 +423,19 @@ def sample_counts(n: int, k: int, count: int, seed: int) -> tuple[dict[int, int]
 # -- series: the centered generating functions --------------------------------
 
 
+def moments_to_cumulants(moments: Sequence) -> list:
+    """Cumulant checks of ``moment_algebra.cumulants_to_moments``: kappa_0..kappa_r from moments m_0 = 1, ..., m_r.
+
+    The recursion m_j = sum_k C(j-1, k-1) kappa_k m_{j-k} solved for
+    kappa_j, over numbers or Polynomials.
+    """
+    kappa = [moments[0] * 0]
+    for j in range(1, len(moments)):
+        terms = (math.comb(j - 1, k - 1) * kappa[k] * moments[j - k] for k in range(1, j) if kappa[k])
+        kappa.append(moments[j] - sum(terms, kappa[0]))
+    return kappa
+
+
 def generalized_binomial_series(alpha, order: int, var: str = "z") -> TruncatedSeries:
     """Criteria 4 and 12: (1 + var)^alpha for a rational or polynomial alpha, to var^order.
 

@@ -145,13 +145,6 @@ REFUSALS = [
         f"central --family invmaj --n {10**30} --r 248",
         "normality --family boolean --n-grid 1,2,3 --r-max 392",
         "binomial-moments --family domino --m 1 --n 3 --r 392"),
-    # a domino board past b + 2 rows, b = max(1, r/2 - 1), converts cumulants extrapolated from
-    # smaller boards, weighed as the cumulant routes above before any sweep runs (4-by-1000 at
-    # r = 400 took 14 to 17 s before any guard)
-    *_rows("past NUMERIC_ORDER_GUARD", ["NUMERIC_ORDER_GUARD = "],
-        "moments --family domino --m 4 --n 1000 --r 400",
-        "central --family domino --m 2 --n 203 --r 392",
-        "moments --family domino --m 2 --n 10000000 --r 10000000"),
     *_rows(HUGE_BOOLEAN, ["NUMERIC_ORDER_GUARD = "],
         f"central --family boolean --n {10**12} --r 2",
         f"moments --family boolean --n {10**12} --k 1 --r 1",
@@ -161,11 +154,14 @@ REFUSALS = [
         "central --family boolean --n 1000000000 --k 1 --r 1"),
     # the face sweep's work: the first order past it on a wide board, whose widest sweep
     # (b + 2 = 15 cells) runs b + 2 rows, and on a board of that size read off its own
-    # sweep; the last is refused on a bound that needs no binomial, before the width of a
-    # packed word, a binomial in r, is computed
+    # sweep; then the work of a board's moments, charged before any sweep (the 2-by-10
+    # board's central moments at r = 1000 took 12.7 s when each order was a sum of r
+    # products, 0.5 to 0.8 s by the recurrences)
     *_rows("past TRANSFER_GUARD", ["TRANSFER_GUARD = ", "size guard"],
         "central --family domino --m 100 --n 100 --r 28",
         "moments --family domino --m 15 --n 15 --r 28",
+        "central --family domino --m 2 --n 400 --r 1100",
+        "moments --family domino --m 2 --n 10000000 --r 10000000",
         "moments --family domino --m 2 --n 10 --r 10000000000"),
     *_rows("the first cube dimension past CUBE_GUARD", ["CUBE_GUARD = "],
         "moments --family boolean --n 16 --k 16 --r 1"),
@@ -174,6 +170,8 @@ REFUSALS = [
         f"normality --family domino --m 1 --n-grid {_grid(10, 19)} --r-max 380",
         "normality --family invmaj --n-grid 10,11,12 --r-max 271",
         "normality --family domino --n-grid 10,11,12 --r-max 272"),
+    *_rows(PAST_THE_SUM, ["TRANSFER_GUARD size guard (TRANSFER_GUARD = "],
+        f"normality --family domino --m 2 --n-grid {_grid(582, 641)} --r-max 291"),
     *_rows(PAST_THE_SUM, ["PRINT_TOTAL_GUARD size guard (PRINT_TOTAL_GUARD = "],
         "moments --family invmaj --n 20000 --r 100",
         "moments --family invmaj --n 25000 --r 9"),

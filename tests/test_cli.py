@@ -209,8 +209,8 @@ def test_boolean_moments_at_a_huge_n_are_refused_before_2_to_the_n_is_built(args
         # oracle requests that took 35-65 s before the oracles were word-parallel
         ["oracle", "--family", "schur", "--n", "13", "--c", "3"],
         ["oracle", "--family", "boolean", "--n", "14", "--k", "7", "--samples", "1", "--seed", "1"],
-        # domino boards past b + 2 rows, served by cumulants extrapolated from small boards
-        # (8 x 6100 took 6.3 s and 12 x 400 was past the transfer guard before the face sweep)
+        # domino boards past b + 2 rows, served by log F coefficients extrapolated from small
+        # boards (8 x 6100 took 6.3 s and 12 x 400 was past the transfer guard before the face sweep)
         ["central", "--family", "domino", "--m", "8", "--n", "1000000", "--r", "8"],
         ["central", "--family", "domino", "--m", "12", "--n", "400", "--r", "8"],
         ["central", "--family", "domino", "--m", "8", "--n", "6100", "--r", "8"],
@@ -227,6 +227,15 @@ def test_invmaj_moments_at_large_n_are_quick(args, run, served):
     started = time.monotonic()
     served(run(*args))
     assert time.monotonic() - started < 10, args
+
+
+def test_domino_moments_at_a_high_order_are_quick(run, served):
+    # 2 x 584 at r = 291: three small boards' log F coefficients, one board's sums and
+    # r^2 steps a conversion took 0.1-0.2 s; the length fit took 0.2-0.3 s, and
+    # cumulants of three small boards, each off r^2 products, 0.8-1.0 s
+    started = time.monotonic()
+    served(run("central", "--family", "domino", "--m", "2", "--n", "584", "--r", "291"))
+    assert time.monotonic() - started < 0.6
 
 
 def test_numbers_past_the_interpreter_digit_limit_are_printed(run, served):

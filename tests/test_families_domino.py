@@ -4,15 +4,15 @@ from fractions import Fraction as Fr
 import pytest
 
 from momentforge.errors import ConsistencyError, SizeGuardError
-from momentforge.exact_core import stirling1_signed
+from momentforge.exact_core import stirling1_signed, stirling2
 from momentforge.families import common, domino, moment_vector
 from momentforge.families.common import half_binomial_moments
 from momentforge.moment_algebra import (
-    MomentVector, binomial_to_raw, moments_to_cumulants, raw_to_binomial, raw_to_central,
+    MomentVector, binomial_to_raw, raw_to_binomial, raw_to_central,
 )
 from momentforge.oracle import enumerate_boards, histogram_moments
 from momentforge.poly_series import Polynomial
-from reference import board1n_binomial_moments_symbolic, board1n_p_series, perimeter_counts
+from reference import board1n_binomial_moments_symbolic, board1n_p_series, moments_to_cumulants, perimeter_counts
 
 MU = Polynomial.variable("mu")
 N = Polynomial.variable("n")
@@ -130,7 +130,7 @@ def test_transfer_matrix_matches_closed_forms_on_their_domain():
             mean_ck = sum(
                 stirling1_signed(k, r) * _moments("raw", m, n, r)[r] for r in range(k + 1)
             ) / math.factorial(k)
-            assert Fr(b[k], 2 ** (m * n)) == mean_ck, (m, n, k)
+            assert Fr(b[k], 2**k) == mean_ck, (m, n, k)
 
 
 def test_transfer_matrix_symmetries():
@@ -141,7 +141,7 @@ def test_transfer_matrix_symmetries():
     assert all(cm.entries[r] == 0 for r in (1, 3, 5, 7, 9))
 
 
-def test_moments_equal_a_sweep_run_to_the_length():
+def test_binomial_sums_equal_a_sweep_run_to_the_length():
     # every board of width <= 6 up to 3r+6 rows, read off its own sweep up to
     # b + 2 rows and extrapolated past them, against one reference sweep run
     # over all of them
@@ -149,11 +149,17 @@ def test_moments_equal_a_sweep_run_to_the_length():
         for w in range(1, 7):
             full = _reference_sweep(w, 3 * r + 6, r)
             for length in range(1, 3 * r + 7):
-                expect = _raw_from_sums(full[length - 1], w, length)
-                assert _moments("raw", w, length, r) == expect, (w, length, r)
-                assert _moments("raw", length, w, r) == expect, (length, w, r)
-                if length <= _first_row(r) + 2:
-                    assert domino.binomial_sums(w, length, r) == full[length - 1], (w, length, r)
+                expect = _scaled(full[length - 1], w, length)
+                assert domino.binomial_sums(w, length, r) == expect, (w, length, r)
+                assert domino.binomial_sums(length, w, r) == expect, (length, w, r)
+                if r >= 4 and w >= 2:
+                    raw = _raw_from_sums(full[length - 1], w, length)
+                    assert _moments("raw", w, length, r) == raw, (w, length, r)
+
+
+def _scaled(sums, w, rows):
+    """s_k = b_k / 2^{mn-k}, the sums ``binomial_sums`` returns, from the sums b_k over the boards."""
+    return tuple(Fr(b << k, 2 ** (w * rows)) for k, b in enumerate(sums))
 
 
 def _first_row(r):
@@ -227,7 +233,7 @@ def test_sweep_equals_the_reference_sweep():
             expect = _reference_sweep(w, rows, r)
             for length in range(1, rows + 1):
                 got = domino._sums_from_counts(counts[length - 1], w, length)
-                assert got == expect[length - 1], (w, length, r)
+                assert got == _scaled(expect[length - 1], w, length), (w, length, r)
 
 
 def test_face_sweep_equals_the_face_sets_enumerated():
@@ -251,9 +257,13 @@ def test_sweep_refuses_counts_off_the_grid_invariants():
         domino._check_counts((1, 0, 0, 0, 7, 0, 7), 4, 3)
 
 
-def test_moments_of_a_long_board_match_the_mu_form_through_r3():
-    # 8 x 10^6 extrapolated at r = 4 (and 10^6 x 8 at r = 8): E[X^q] for q <= 3 is the
-    # moment of Binomial(A, 1/2), where the mu-forms and the cumulant route overlap
+def test_binomial_sums_on_a_long_board_match_the_mu_form_through_r3():
+    # 8 x 10^6 extrapolated at r = 3, 4 (and 10^6 x 8 at r = 8): E[X^q] for q <= 3 is the
+    # moment of Binomial(A, 1/2), where the mu-forms and the extrapolation overlap
+    m, n, r = 8, 10**6, 3
+    b = domino.binomial_sums(m, n, r)
+    raw = [sum(stirling2(q, k) * math.factorial(k) * Fr(b[k], 2**k) for k in range(q + 1)) for q in range(r + 1)]
+    assert raw == half_binomial_moments(domino.slot_count(m, n), r, central=False)
     for m, n, r in [(8, 10**6, 4), (10**6, 8, 8)]:
         raw = _moments("raw", m, n, r)[:4]
         assert list(raw) == half_binomial_moments(domino.slot_count(m, n), 3, central=False), (m, n, r)
@@ -285,11 +295,15 @@ def test_perimeter_counts_are_polynomials_of_degree_j_over_4_in_the_length():
 
 
 def _cumulant_table(r, widths, rows):
-    """kappa_0..kappa_r of every board of w in ``widths`` cells and 1..``rows`` rows, from reference sweeps."""
+    """kappa_0..kappa_r, then d_0..d_r of log F, of every board of w in ``widths`` cells and 1..``rows`` rows.
+
+    Both from reference sweeps; d_j = j [u^j] log F(u), F(u) = sum_j N_j u^j, by ``domino._logs``.
+    """
     table = {}
     for w in widths:
         for length, sums in enumerate(_reference_sweep(w, rows, r), 1):
-            table[w, length] = moments_to_cumulants(_raw_from_sums(sums, w, length))
+            kappa = moments_to_cumulants(_raw_from_sums(sums, w, length))
+            table[w, length] = kappa + domino._logs(_perimeter_counts(sums, w, length))
     return table
 
 
@@ -300,12 +314,13 @@ def _second_differences(column):
 @pytest.mark.parametrize("r", range(4, 13))
 def test_cumulants_are_affine_in_each_side_from_row_b(r):
     # the fact the route rests on, read off reference sweeps and not the route:
-    # every kappa_k, k <= r, has vanishing second differences in the length L from
-    # L = b on, at every width w <= b + 4, and in the width from w = b on; from
-    # b - 1 on (b > 1 from r = 6 on), some second difference is not zero
+    # every kappa_k, k <= r, and every coefficient d_j of log F that the route
+    # extrapolates, has vanishing second differences in the length L from L = b
+    # on, at every width w <= b + 4, and in the width from w = b on; from b - 1
+    # on (b > 1 from r = 6 on), some second difference is not zero
     first, last = _first_row(r), _first_row(r) + 4
     table = _cumulant_table(r, range(1, last + 1), last)
-    for k in range(r + 1):
+    for k in range(2 * r + 2):
         for w in range(1, last + 1):
             assert not any(_second_differences([table[w, length][k] for length in range(first, last + 1)])), (w, k)
         for length in range(1, last + 1):
@@ -313,7 +328,7 @@ def test_cumulants_are_affine_in_each_side_from_row_b(r):
     if first > 1:
         assert any(
             any(_second_differences([table[w, length][k] for length in range(first - 1, last + 1)]))
-            for k in range(r + 1) for w in range(1, last + 1)
+            for k in range(2 * r + 2) for w in range(1, last + 1)
         ), r
 
 
@@ -337,25 +352,24 @@ def _count_off(monkeypatch, width, row):
         return tuple(tuple(c) for c in counts)
 
     monkeypatch.setattr(domino, "_SWEEPS", {})
-    monkeypatch.setattr(domino, "_CUMULANTS", {})
     monkeypatch.setattr(domino, "_face_sweep", corrupted)
 
 
 @pytest.mark.parametrize("board, width, row", READ_ROWS)
 def test_a_count_off_a_row_the_route_reads_is_refused(board, width, row, monkeypatch):
     _count_off(monkeypatch, width, row)
-    with pytest.raises(ConsistencyError, match=r"^r = 8: kappa_8 of the [35]x5 board is "):
+    with pytest.raises(ConsistencyError, match=r"^r = 8: d_8 of the [35]x5 board is "):
         _moments("central", *board, 8)
 
 
 @pytest.mark.parametrize("board, width, row", READ_ROWS)
 def test_a_count_off_a_row_the_route_reads_exits_2(board, width, row, run, monkeypatch):
-    # the fixture clears the kept sweeps and cumulants, and leaves the corrupted sweep in place
+    # the fixture clears the kept sweeps, and leaves the corrupted sweep in place
     _count_off(monkeypatch, width, row)
     proc = run("central", "--family", "domino", "--m", str(board[0]), "--n", str(board[1]), "--r", "8")
     assert proc.code == 2
     assert proc.out == ""
-    assert proc.err.startswith("validation failure: r = 8: kappa_8 of the "), proc.err
+    assert proc.err.startswith("validation failure: r = 8: d_8 of the "), proc.err
 
 
 def _spy_sweeps(monkeypatch):
@@ -368,7 +382,6 @@ def _spy_sweeps(monkeypatch):
         return original(w, rows, r)
 
     monkeypatch.setattr(domino, "_SWEEPS", {})
-    monkeypatch.setattr(domino, "_CUMULANTS", {})
     monkeypatch.setattr(domino, "_face_sweep", spy)
     return swept
 
@@ -394,13 +407,9 @@ def test_transfer_matrix_size_guard():
     # the first order whose widest sweep, 15 cells by 15 rows, is past the guard
     with pytest.raises(SizeGuardError, match="TRANSFER_GUARD"):
         _moments("raw", 100, 100, 28)[4]
-    # a sweep run to the whole length is weighed as it is
-    with pytest.raises(SizeGuardError, match="TRANSFER_GUARD"):
-        domino.binomial_sums(2, 10**9, 4)
-    with pytest.raises(SizeGuardError, match="TRANSFER_GUARD"):
-        domino.binomial_sums(8, 1562501, 8)
     # the route sweeps at most b + 2 rows, whatever the length: 2 x 10^9 at r = 4,
     # 8 x 1562501 at r = 8 and 20 x 30 at r = 10 are served
+    assert domino.binomial_sums(2, 10**9, 4)[:2] == (1, domino.slot_count(2, 10**9))
     assert _moments("central", 2, 10**9, 4)[1] == 0
     assert _moments("central", 8, 1562501, 8)[1] == 0
     assert _moments("raw", 20, 30, 10) == _moments("raw", 30, 20, 10)
@@ -433,24 +442,28 @@ class _Swept(Exception):
 
 @pytest.mark.parametrize("w, r", TRANSFER_EDGES + CELL_SWEEP_EDGES)
 def test_every_edge_served_before_is_weighed_within_the_guards(w, r, monkeypatch):
-    # the widest sweep runs first, after the numeric charge: it is no wider than
-    # the board and no longer than min(L, b + 2) rows, and the numeric weight
-    # stays below half of NUMERIC_ORDER_GUARD
-    swept = []
+    # the widest sweep runs first, after the charge for the moments, which a fifth
+    # of TRANSFER_GUARD passes: it is no wider than the board and no longer than
+    # min(L, b + 2) rows
+    swept, weights = [], []
 
     def sweep(*args):
         swept.append(args)
         raise _Swept
 
+    def charge(weight, *args, **kwargs):
+        weights.append(weight)
+        common.charge(weight, *args, **kwargs)
+
     monkeypatch.setattr(domino, "_SWEEPS", {})
-    monkeypatch.setattr(domino, "_CUMULANTS", {})
     monkeypatch.setattr(domino, "_face_sweep", sweep)
-    monkeypatch.setattr(common, "NUMERIC_ORDER_GUARD", 3 * 10**10)
+    monkeypatch.setattr(domino, "charge", charge)
     length = max(w, 2 * r + 2)
     top = _first_row(r) + 2
     with pytest.raises(_Swept):
         _moments("central", w, length, r)
     assert swept == [(min(w, top), min(length, top), r)]
+    assert weights[0] < domino.TRANSFER_GUARD / 5
 
 
 def test_transfer_guard_refuses_a_large_order_before_any_binomial(monkeypatch):
@@ -461,7 +474,7 @@ def test_transfer_guard_refuses_a_large_order_before_any_binomial(monkeypatch):
     with pytest.raises(SizeGuardError, match="TRANSFER_GUARD = "):
         domino.binomial_sums(2, 10**7, 10**7)
     with pytest.raises(SizeGuardError, match="TRANSFER_GUARD = "):
-        domino.binomial_sums(10**4, 10**4, 4)
+        domino.binomial_sums(10**4, 10**4, 40000)
 
 
 def test_board1n_p_series_printed():

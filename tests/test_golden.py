@@ -37,13 +37,15 @@ now replaced them:
   ``pgf --family invmaj --n 28`` as CSV.
 * ``domino_golden``: the cell-profile transfer sweep, before the face
   sweep: every moment subcommand and normality, widths 1 to 17, boards
-  past 2r+2 rows (boards past b + 2 rows now extrapolate the cumulants of
-  smaller ones), and the last order the guard served at width 2 (the size
-  term's edge) and at widths 12 and 16 (the sweep term's); two 1-by-n
-  boards whose sample-space size, past 10^5 digits, is now printed; and,
-  from the fit in the board length with its guard lifted, five boards that
-  guard refused and the cumulant route serves: 20x30 at r = 10, 17x17 at
-  r = 14, 30x30 and 3x10^7 at r = 8 and 12x300000 at r = 38.
+  past 2r+2 rows (boards past b + 2 rows now extrapolate the log F
+  coefficients of smaller ones), and the last order the guard served at
+  width 2 (the size term's edge) and at widths 12 and 16 (the sweep
+  term's); two 1-by-n boards whose sample-space size, past 10^5 digits, is
+  now printed; from the fit in the board length with its guard lifted,
+  six boards that guard refused and the extrapolation serves: 20x30 at
+  r = 10, 17x17 at r = 14, 30x30 and 3x10^7 at r = 8, 12x300000 at r = 38
+  and 4x1000 at r = 400; and two high orders just past b + 2 rows that it
+  served, 2x202 at r = 391 and 3x300 at r = 590.
 * ``oracle_golden``: ``oracle --family invmaj`` at n = 1..9, at n = 8 with
   ``--r-max 8`` and at n = 7 as CSV, from the plain-changes walk; the
   joint (inv, maj) histogram is printed in full, so a wrong pairing of inv

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Fr
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentforge.exact_core import stirling1_signed, stirling2
 from momentforge.families.common import bernoulli
 from momentforge.moment_algebra import (
     MomentVector,
@@ -12,7 +14,6 @@ from momentforge.moment_algebra import (
     central_to_raw,
     cumulants_to_moments,
     gaussian_moment,
-    moments_to_cumulants,
     normality_report,
     normalized_moments,
     raw_to_binomial,
@@ -20,6 +21,7 @@ from momentforge.moment_algebra import (
 )
 from momentforge.oracle import enumerate_permutations, histogram_moments
 from momentforge.poly_series import Polynomial
+from reference import moments_to_cumulants
 
 
 def test_kind_validation():
@@ -111,6 +113,43 @@ def test_binomial_raw_roundtrip_random(tail):
     m = MomentVector("raw", [Fr(1)] + tail)
     b = raw_to_binomial(m)
     assert binomial_to_raw(b).entries == m.entries
+
+
+def _by_sums(entries, mu):
+    """binomial -> power moments by Stirling numbers of the second kind, power -> binomial by the signed first kind,
+    and the shift by mu by the binomial theorem: each as a sum over the entries."""
+    r_max = len(entries) - 1
+    raw = [sum(stirling2(r, i) * math.factorial(i) * entries[i] for i in range(r + 1)) for r in range(r_max + 1)]
+    binomial = [
+        sum(stirling1_signed(r, i) * entries[i] for i in range(r + 1)) / math.factorial(r) for r in range(r_max + 1)
+    ]
+    shifted = [sum(math.comb(r, i) * entries[i] * mu ** (r - i) for i in range(r + 1)) for r in range(r_max + 1)]
+    return raw, binomial, shifted
+
+
+@settings(derandomize=True, max_examples=50)
+@given(st.lists(st.fractions(min_value=Fr(-50), max_value=Fr(50), max_denominator=20), min_size=0, max_size=14),
+       st.fractions(min_value=Fr(-30), max_value=Fr(30), max_denominator=12))
+def test_conversions_equal_their_sums(tail, mu):
+    entries = [Fr(1)] + tail
+    raw, binomial, shifted = _by_sums(entries, mu)
+    assert list(binomial_to_raw(MomentVector("binomial", entries)).entries) == raw
+    assert list(raw_to_binomial(MomentVector("raw", entries)).entries) == binomial
+    central = [Fr(1), Fr(0), *tail[1:]][: len(entries)]
+    assert list(central_to_raw(MomentVector("central", central), mu).entries) == _by_sums(central, mu)[2]
+
+
+def test_conversions_equal_their_sums_over_polynomials():
+    rng = random.Random(36)
+    mu = Polynomial("mu", [Fr(1, 3), Fr(2)])
+    for _ in range(3):
+        entries = [Polynomial.const("mu", 1), Polynomial("mu", ())] + [
+            Polynomial("mu", [Fr(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]) for _ in range(10)
+        ]
+        raw, binomial, shifted = _by_sums(entries, mu)
+        assert list(binomial_to_raw(MomentVector("binomial", entries)).entries) == raw
+        assert list(raw_to_binomial(MomentVector("central", entries)).entries) == binomial
+        assert list(central_to_raw(MomentVector("central", entries), mu).entries) == shifted
 
 
 @settings(derandomize=True, max_examples=50)

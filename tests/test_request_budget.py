@@ -102,24 +102,40 @@ def test_a_request_refused_by_its_grid_leaves_no_grid_behind(run):
 
 
 def test_a_kept_domino_sweep_is_charged_once(monkeypatch):
-    # 17 rows of 14 cells at r = 32, the sweep of every 14-by-L board past 17 rows, weighs 0.66 of TRANSFER_GUARD
+    # 17 rows of 14 cells at r = 32, the sweep of every 14-by-L board past b + 2 = 17 rows,
+    # weighs 0.66 of TRANSFER_GUARD
     swept = []
     monkeypatch.setattr(domino, "_SWEEPS", {})
-    monkeypatch.setattr(domino, "_face_sweep", lambda w, rows, r: swept.append((w, rows, r)) or ((0,) * (r + 1),) * rows)
+
+    def sweep(w, rows, r):
+        swept.append((w, rows, r))
+        return ((0,) * (r + 1),) * rows
+
+    monkeypatch.setattr(domino, "_face_sweep", sweep)
     with request_budget():
         grid_point(400)
-        domino.binomial_sums(14, 15, 32, 17)
+        domino._sweep(14, 17, 32)
         grid_point(399)
-        domino.binomial_sums(14, 16, 32, 17)  # the same sweep, kept
+        domino._sweep(14, 17, 32)  # the same sweep, kept
     assert swept == [(14, 17, 32)]
     domino._SWEEPS.clear()
     with request_budget(), pytest.raises(SizeGuardError, match="TRANSFER_GUARD size guard"):
         grid_point(400)
-        domino.binomial_sums(14, 15, 32, 17)
+        domino._sweep(14, 17, 32)
         domino._SWEEPS.clear()  # as if each point ran a sweep of its own
         grid_point(399)
-        domino.binomial_sums(14, 16, 32, 17)
+        domino._sweep(14, 17, 32)
     assert len(swept) == 2
+
+
+def test_each_domino_point_adds_its_moments_to_the_grid(run):
+    # at r = 291 a 2-by-L board's moments weigh 0.03 to 0.05 of TRANSFER_GUARD: three points are
+    # served, and a grid of 2 x 582..641 is refused on the sum of its points, no one of them past the guard
+    assert run("normality", "--family", "domino", "--m", "2", "--n-grid", "582,583,170000", "--r-max", "291").code == 0
+    grid = ",".join(map(str, range(582, 642)))
+    proc = run("normality", "--family", "domino", "--m", "2", "--n-grid", grid, "--r-max", "291")
+    assert proc.code == 1
+    assert "size budgets together, past one" in proc.err and "the moments of the 2x" in proc.err, proc.err
 
 
 def test_a_fit_is_charged_for_what_it_prints(monkeypatch, run):
