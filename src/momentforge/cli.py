@@ -392,7 +392,7 @@ def normality_cmd(family, n_grid, m, k, r_max, threshold, precision):
     _, params = _family_params(family, m=m, k=k)
     # the grid, its point count and its precision are checked before any of its points is built
     check_grid(ns)
-    charge(len(ns), common.GRID_POINTS_GUARD, "GRID_POINTS_GUARD", "the normality grid's points", summed=False)
+    charge(len(ns), common.GRID_POINTS_GUARD, "GRID_POINTS_GUARD", "the normality grid's points")
     digits = common.normality_digits(len(ns), precision)
     # largest n first (the grid ascends), so that a grid past its budget stops at the same
     # point, "down to n = ...", whatever its routes; each point is charged to the grid's one budget

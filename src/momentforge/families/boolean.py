@@ -250,10 +250,9 @@ def _moments(r_max: int, p: dict) -> MomentVector:
         n * n * (r_max**3 + 8), GRID_GUARD, "GRID_GUARD",
         f"normalizing moments to order {r_max}: n^2 (r_max^3 + 8)", alone=False,
     )
-    # alone, before 2^n is built: the weight uniform_sum_moments gives Binomial(2^n, 1/2),
-    # whose kappa_2 = 2^n / 4 has n bits (4 - n below n = 2); a grid point is weighed
-    # by GRID_GUARD above and, at k = 0, by its cumulants as before
-    common.charge_numeric_order(max(r_max, 1), max(1, (n if n > 1 else 4 - n) // 2), summed=False)
+    # the route's one charge, before 2^n is built: Binomial(2^n, 1/2) at an order of at
+    # least 1, whose kappa_2 = 2^n / 4 has n bits (4 - n below n = 2)
+    common.charge_numeric_order(max(r_max, 1), max(1, (n if n > 1 else 4 - n) // 2))
     if k == 0:
         return MomentVector("central", half_binomial_moments(1 << n, r_max, central=True))
     return MomentVector("raw", [eval_at_n(e, n) for e in _raw_moments_k(k, r_max).entries])

@@ -9,9 +9,11 @@ Symbol conventions used by the closed forms:
 
 ``uniform_sum_moments`` is the one moment route of the inversion number
 and of Binomial(N, 1/2) (``half_binomial_moments``): sums of independent
-uniforms, whose cumulants add.  Binomial(N, 1/2) is the law of the boolean
-0-cube count (N = 2^n), of the domino boards whose slots form a forest
-(N = A) and of H_n(q) at k = 0.  Its moments are numbers for an integer N
+uniforms, whose cumulants add; it charges nothing, its numeric callers
+charge first (``charge_numeric_order``).  Binomial(N, 1/2) is the law of
+the boolean 0-cube count (N = 2^n), of the domino boards whose slots form
+a forest (N = A, printed only: their numbers come from the perimeter
+counts) and of H_n(q) at k = 0.  Its moments are numbers for an integer N
 and polynomials for a polynomial N (in W, w or mu), the latter refused
 past ``SYMBOLIC_ORDER_GUARD`` before any is built; its PGF is one binomial
 row (``half_binomial_pgf``).
@@ -164,14 +166,12 @@ def uniform_sum_moments(mean, excess: Callable[[int], object], r_max: int) -> li
     i; the moments follow by ``moment_algebra.cumulants_to_moments``.  With
     mean = E[X] the moments are raw, with a zero mean central.  Entries are
     Fractions or Polynomials, in the ring of ``mean`` and ``excess``; a
-    negative r_max gives none.
+    negative r_max gives none.  Nothing is charged, as in ``cumulants_to_moments``.
     """
     zero = mean * 0  # 0 in the ring of the entries
     kappa = [zero, mean]
     for k in range(2, r_max + 1):
         kappa.append(zero if k % 2 else bernoulli(k) * excess(k) / k)
-        if k == 2 and not isinstance(kappa[2], Polynomial):
-            charge_numeric_order(r_max, max(_bits(mean), _bits(kappa[2]) // 2))
     return cumulants_to_moments(kappa[: r_max + 1]) if r_max >= 0 else []
 
 
@@ -179,16 +179,15 @@ def uniform_sum_moments(mean, excess: Callable[[int], object], r_max: int) -> li
 # with b the bit length of its scale max(|mean|, sqrt(kappa_2)): building
 # it takes about r^2 products of entries of up to r b bits.  The cost was
 # fitted in process on one Intel Xeon core, about 4e-11 s a unit from
-# b = 5 to b = 5000 (invmaj n = 10 to 10^1000).  Every numeric request of
-# ``uniform_sum_moments`` (invmaj at every n, boolean k = 0 and the domino
-# 1-by-n board as numbers) is weighed before its cumulants are built.  A
-# boolean request, k >= 1 too (its forms in W are evaluated at W = 2^n),
-# is weighed as Binomial(2^n, 1/2) at an order of at least 1 before 2^n
-# is built.
+# b = 5 to b = 5000 (invmaj n = 10 to 10^1000).  The two numeric cumulant
+# routes charge it before they build anything: invmaj at every n
+# (``invmaj.central_moments``, from sigma^2), and boolean at every k as
+# Binomial(2^n, 1/2) at an order of at least 1, before 2^n is built (its
+# forms in W are evaluated at W = 2^n).
 NUMERIC_ORDER_GUARD = 6 * 10**10
 
 
-def charge_numeric_order(r_max: int, scale: int, summed: bool = True) -> None:
+def charge_numeric_order(r_max: int, scale: int) -> None:
     """``charge`` moments to order r_max at a scale of ``scale`` bits to NUMERIC_ORDER_GUARD.
 
     An order or a scale past 2^64, far past the guard, is weighed as 2^64,
@@ -197,13 +196,7 @@ def charge_numeric_order(r_max: int, scale: int, summed: bool = True) -> None:
     charge(
         min(r_max, 2**64) ** 3 * (1000 + min(scale, 2**64) ** 1.6), NUMERIC_ORDER_GUARD, "NUMERIC_ORDER_GUARD",
         f"moments to order {_shown(r_max)} at a scale of {_shown(scale)} bits weigh r^3 (1000 + b^1.6)",
-        summed=summed,
     )
-
-
-def _bits(x: Fraction) -> int:
-    """Bit length of the numerator and denominator of x together."""
-    return abs(x.numerator).bit_length() + x.denominator.bit_length()
 
 
 # Highest order of a moment vector built over polynomials: the boolean
@@ -330,7 +323,6 @@ def normality_digits(points: int, dps: int) -> int:
     charge(
         points * (min(digits, 2**64) / 350) ** 1.6, MGF_GUARD, "MGF_GUARD",
         f"{points} grid points normalized at {_shown(digits)} digits weigh points * (digits / 350)^1.6",
-        summed=False,
     )
     return digits
 

@@ -2,20 +2,22 @@
 
 With A = 2mn - m - n domino slots and mu = A/2, treating the slots as
 independent fair coins makes X ~ Binomial(2 mu, 1/2), whose moments are
-polynomials in mu alone (the shared Binomial(N, 1/2) route at N = 2 mu,
+polynomials in mu alone (the shared Binomial(N, 1/2) forms at N = 2 mu,
 ``common.half_binomial_moments``).  That is exact only for r <= 3 or on a
 1-by-n (m-by-1) board, where the slots form a forest.  On a board with
 m, n >= 2 the four slots around a lattice square are all same-number with
 probability 1/2^3, not 1/2^4, so from r = 4 on the moments depend on the
 board and not on mu alone (2x2 at r = 4: the mu-form gives 85/2, the true
-value is 44).  The mu-polynomials are kept as the printed closed forms on
-that domain, where the numeric moments are those of Binomial(A, 1/2).
+value is 44).  The mu-polynomials are kept only as the printed closed
+forms on that domain.
 
-Everywhere else only unions of cycles of at most r slots move E[X^r] away
-from the independent case, each the boundary of one set of unit faces:
-with N_j the face sets of perimeter j, which a sparse face sweep counts row
-by row, and F(u) = sum_j N_j u^j, E[(1+t)^X] = (1 + t/2)^A F(t/(2+t))
-(MacWilliams' identity, at ``binomial_sums``).
+Every board's numbers, that domain's included, come from one route: only
+unions of cycles of at most r slots move E[X^r] away from the independent
+case, each the boundary of one set of unit faces: with N_j the face sets
+of perimeter j, which a sparse face sweep counts row by row, and F(u) =
+sum_j N_j u^j, E[(1+t)^X] = (1 + t/2)^A F(t/(2+t)) (MacWilliams'
+identity, at ``binomial_sums``).  On a forest board every N_j, j >= 1, is
+0 and the route gives Binomial(A, 1/2) itself.
 
 Larger boards need no larger sweep: with w = min(m, n), L = max(m, n) and
 b = max(1, floor(r/2) - 1), each cumulant kappa_k, k <= r, is affine in L
@@ -72,17 +74,14 @@ def in_closed_form_domain(m: int, n: int, r: int) -> bool:
 
 
 def _moments(r_max: int, p: dict) -> MomentVector:
-    """Central moments of Binomial(A, 1/2) on the domain of the mu-polynomials, else the board's raw ones.
+    """The board's raw moments from E[C(X, k)] = s_k / 2^k (:func:`binomial_sums`).
 
-    The raw ones come from E[C(X, k)] = s_k / 2^k (:func:`binomial_sums`),
-    charged to TRANSFER_GUARD before any sweep runs.
+    Charged to TRANSFER_GUARD before any sweep runs, on every board.
     """
     m, n = p["m"], p["n"]
     _check(m, n)
     if r_max < 0:
         raise ValueError("need r >= 0")
-    if in_closed_form_domain(m, n, r_max):
-        return MomentVector("central", half_binomial_moments(slot_count(m, n), r_max, central=True))
     bits = slot_count(m, n).bit_length() + 1
     charge(
         r_max * r_max * (r_max * bits // 128 + 8), TRANSFER_GUARD, "TRANSFER_GUARD",
@@ -147,7 +146,7 @@ def _exps(d: list[int], w: int, length: int) -> list[int]:
     return counts
 
 
-# Bound on the work of the moment route off the mu-domain, in units of about
+# Bound on the work of the moment route of every board, in units of about
 # 0.02 us in process on one Intel Xeon core (a budget of about 2 s), on two
 # terms, each charged before its work runs:
 # - F P (limbs + 32), one face sweep (:func:`_face_sweep`) of w cells a row:

@@ -7,8 +7,9 @@ cumulants are therefore sums of theirs, kappa_k = B_k (S_k(n) - n) / k for
 k >= 2 (B_k the Bernoulli numbers, zero for odd k, and S_k(n) = 1^k + ... +
 n^k by Faulhaber's formula).  ``central_moments`` feeds them to the
 shared cumulant route ``common.uniform_sum_moments``, at a cost that does
-not grow with n.  They are the family's moment route; the raw and the
-binomial moments are converted from them once, by ``families.moment_vector``.
+not grow with n, charged to ``common.NUMERIC_ORDER_GUARD`` first.  They
+are the family's moment route; the raw and the binomial moments are
+converted from them once, by ``families.moment_vector``.
 
 The paper's route, the recurrence of the centered Taylor coefficients
 B_r(n) (binomial moments)
@@ -96,10 +97,15 @@ def central_moments(n: int, r_max: int) -> MomentVector:
     """Exact central moments E[(X-mu)^r], r <= r_max, from the cumulants of inv.
 
     kappa_k = B_k (S_k(n) - n) / k for even k >= 2 and 0 otherwise (see the
-    module docstring), by ``common.uniform_sum_moments``.
+    module docstring), by ``common.uniform_sum_moments``; from r_max = 2 on,
+    charged first to NUMERIC_ORDER_GUARD at the scale sigma.
     """
     if n < 1 or r_max < 0:
         raise ValueError("need n >= 1 and r_max >= 0")
+    if r_max >= 2:
+        variance = mean_variance(n)[1]  # kappa_2: sigma has half the bits of its numerator and denominator
+        bits = variance.numerator.bit_length() + variance.denominator.bit_length()
+        common.charge_numeric_order(r_max, max(1, bits // 2))
     entries = uniform_sum_moments(Fraction(0), lambda k: _power_sum(k, n) - n, r_max)
     return MomentVector("central", entries)
 

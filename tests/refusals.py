@@ -3,9 +3,9 @@
 A row is an argv, the fragments its one-line ``usage error:`` must hold
 and the reason for the row.  ``test_cli.test_refused_argv_exits_1`` runs
 each row in process; tests of what only some rows show read them by their
-reason.  CI runs each row as a whole process under ``timeout 10``, from
-the lines this file prints as a script: the argv, then each fragment,
-tab-separated.
+reason.  ``whole_process.sh`` (run by CI) runs each row as a whole process
+under ``timeout 10``, from the lines this file prints as a script: the
+argv, then each fragment, tab-separated.
 """
 
 from typing import NamedTuple
@@ -137,14 +137,13 @@ REFUSALS = [
         "central --family domino --m 1 --n 50 --r 200",
         "identities --r-max 129",
         "identities --r-max 200"),
-    # the first order past r^3 (1000 + b^1.6) on each numeric cumulant route
-    # (invmaj n = 8 at r = 500 took 3 to 4 s unguarded)
+    # the first order past r^3 (1000 + b^1.6) on each numeric cumulant route, invmaj
+    # and boolean (invmaj n = 8 at r = 500 took 3 to 4 s unguarded)
     *_rows("past NUMERIC_ORDER_GUARD", ["NUMERIC_ORDER_GUARD = "],
         "binomial-moments --family invmaj --n 8 --r 391",
         "moments --family invmaj --n 8 --r 500",
         f"central --family invmaj --n {10**30} --r 248",
-        "normality --family boolean --n-grid 1,2,3 --r-max 392",
-        "binomial-moments --family domino --m 1 --n 3 --r 392"),
+        "normality --family boolean --n-grid 1,2,3 --r-max 392"),
     *_rows(HUGE_BOOLEAN, ["NUMERIC_ORDER_GUARD = "],
         f"central --family boolean --n {10**12} --r 2",
         f"moments --family boolean --n {10**12} --k 1 --r 1",
@@ -156,20 +155,21 @@ REFUSALS = [
     # (b + 2 = 15 cells) runs b + 2 rows, and on a board of that size read off its own
     # sweep; then the work of a board's moments, charged before any sweep (the 2-by-10
     # board's central moments at r = 1000 took 12.7 s when each order was a sum of r
-    # products, 0.5 to 0.8 s by the recurrences)
+    # products, 0.5 to 0.8 s by the recurrences), the first order past it on a short
+    # and a long 1-by-n board among them (one order less takes 1.0 s and 1.7 s)
     *_rows("past TRANSFER_GUARD", ["TRANSFER_GUARD = ", "size guard"],
         "central --family domino --m 100 --n 100 --r 28",
         "moments --family domino --m 15 --n 15 --r 28",
         "central --family domino --m 2 --n 400 --r 1100",
+        "binomial-moments --family domino --m 1 --n 3 --r 1525",
+        "binomial-moments --family domino --m 1 --n 1000000000 --r 735",
         "moments --family domino --m 2 --n 10000000 --r 10000000",
         "moments --family domino --m 2 --n 10 --r 10000000000"),
     *_rows("the first cube dimension past CUBE_GUARD", ["CUBE_GUARD = "],
         "moments --family boolean --n 16 --k 16 --r 1"),
     *_rows(PAST_THE_SUM, ["NUMERIC_ORDER_GUARD size guard (NUMERIC_ORDER_GUARD = "],
         f"normality --family invmaj --n-grid {_grid(10, 29)} --r-max 380",
-        f"normality --family domino --m 1 --n-grid {_grid(10, 19)} --r-max 380",
-        "normality --family invmaj --n-grid 10,11,12 --r-max 271",
-        "normality --family domino --n-grid 10,11,12 --r-max 272"),
+        "normality --family invmaj --n-grid 10,11,12 --r-max 271"),
     *_rows(PAST_THE_SUM, ["TRANSFER_GUARD size guard (TRANSFER_GUARD = "],
         f"normality --family domino --m 2 --n-grid {_grid(582, 641)} --r-max 291"),
     *_rows(PAST_THE_SUM, ["PRINT_TOTAL_GUARD size guard (PRINT_TOTAL_GUARD = "],

@@ -8,7 +8,7 @@ from momentforge.exact_core import stirling1_signed, stirling2
 from momentforge.families import common, domino, moment_vector
 from momentforge.families.common import half_binomial_moments
 from momentforge.moment_algebra import (
-    MomentVector, binomial_to_raw, raw_to_binomial, raw_to_central,
+    MomentVector, binomial_to_raw, convert, raw_to_binomial, raw_to_central,
 )
 from momentforge.oracle import enumerate_boards, histogram_moments
 from momentforge.poly_series import Polynomial
@@ -125,12 +125,22 @@ def test_transfer_matrix_matches_closed_forms_on_their_domain():
     for m, n in [(5, 7), (7, 5), (6, 40), (1, 30), (30, 1)]:
         r_max = 3 if min(m, n) > 1 else 8
         b = domino.binomial_sums(m, n, r_max)
+        raw = half_binomial_moments(domino.slot_count(m, n), r_max, central=False)
         for k in range(r_max + 1):
-            # E[C(X, k)] from the mu-polynomials via E[(X)_k] = sum_r s(k, r) E[X^r]
-            mean_ck = sum(
-                stirling1_signed(k, r) * _moments("raw", m, n, r)[r] for r in range(k + 1)
-            ) / math.factorial(k)
+            # E[C(X, k)] of Binomial(A, 1/2) via E[(X)_k] = sum_r s(k, r) E[X^r]
+            mean_ck = sum(stirling1_signed(k, r) * raw[r] for r in range(k + 1)) / math.factorial(k)
             assert Fr(b[k], 2**k) == mean_ck, (m, n, k)
+
+
+def test_the_route_gives_binomial_where_the_slots_form_a_forest_or_r_is_at_most_3():
+    # every kind of the perimeter-count route equals Binomial(A, 1/2)'s, by the cumulant route
+    requests = [(1, n, 12) for n in range(1, 41)] + [(m, n, 3) for m in range(1, 13) for n in range(1, 13)]
+    for m, n, r_max in requests + [(1, 10**9, 128), (10**9, 10**9, 3)]:
+        slots = domino.slot_count(m, n)
+        central = MomentVector("central", half_binomial_moments(slots, r_max, central=True))
+        for kind in ("raw", "central", "binomial"):
+            want = convert(central, kind, Fr(slots, 2)).entries
+            assert list(_moments(kind, m, n, r_max)) == list(want), (m, n, r_max, kind)
 
 
 def test_transfer_matrix_symmetries():
@@ -418,7 +428,7 @@ def test_transfer_matrix_size_guard():
     assert _moments("raw", 20, 30, 4)[4] == _moments("raw", 30, 20, 4)[4]
     assert _moments("raw", 12, 400, 8) == _moments("raw", 400, 12, 8)
     assert _moments("central", 8, 10**6, 8)[1] == 0
-    # the mu-polynomials need no guard
+    # at r = 3 no sweep is wider or longer than 3 cells by 3 rows
     assert _moments("raw", 10**6, 10**6, 3)[3] == half_binomial_moments(2 * MU, 3, central=False)[3].eval(
         domino.mean(10**6, 10**6)
     )

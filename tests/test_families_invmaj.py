@@ -201,7 +201,7 @@ def test_numeric_order_guard_refuses_before_any_moment_is_built(monkeypatch):
     built.clear()
     with pytest.raises(SizeGuardError, match="NUMERIC_ORDER_GUARD = "):
         invmaj.central_moments(8, 391)
-    assert built == [2]  # only kappa_2, which sets the scale
+    assert built == []  # charged from sigma^2, before kappa_2
 
 
 def test_mgf_deviation_decreases():

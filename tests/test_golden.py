@@ -7,10 +7,10 @@ stderr with a manifest naming the subcommand, print JSON that
 ``output.schema.json`` validates and names it too, and, if its stdout is
 a file, print the same again when re-run from the manifest's parameters.
 Run as a script, this file prints every entry's exit code and argv, one
-a line, for CI to check that the console script and ``python -m
-momentforge`` both exit with that code and print the same.  The sets
-pin what earlier implementations printed, before the code that prints it
-now replaced them:
+a line, for ``whole_process.sh`` (run by CI) to check that the console
+script and ``python -m momentforge`` both exit with that code and print
+the same.  The sets pin what earlier implementations printed, before the
+code that prints it now replaced them:
 
 * ``boolean_golden``: Binomial(N, 1/2) as the boolean 0-cube count and the
   domino forest boards each built their own symbolic tables and
@@ -44,8 +44,12 @@ now replaced them:
   now printed; from the fit in the board length with its guard lifted,
   six boards that guard refused and the extrapolation serves: 20x30 at
   r = 10, 17x17 at r = 14, 30x30 and 3x10^7 at r = 8, 12x300000 at r = 38
-  and 4x1000 at r = 400; and two high orders just past b + 2 rows that it
-  served, 2x202 at r = 391 and 3x300 at r = 590.
+  and 4x1000 at r = 400; two high orders just past b + 2 rows that it
+  served, 2x202 at r = 391 and 3x300 at r = 590; and three 1-by-n argvs
+  that NUMERIC_ORDER_GUARD refused while those boards took the cumulant
+  route, served by the perimeter counts as whole processes in 0.15 s
+  (``binomial-moments`` of 1x3 at r = 392), 0.53-0.73 s (``normality``
+  over 1 x 10..19 at r = 380) and 0.25-0.28 s (1 x 10, 11, 12 at r = 272).
 * ``oracle_golden``: ``oracle --family invmaj`` at n = 1..9, at n = 8 with
   ``--r-max 8`` and at n = 7 as CSV, from the plain-changes walk; the
   joint (inv, maj) histogram is printed in full, so a wrong pairing of inv

@@ -17,7 +17,6 @@ pytestmark = pytest.mark.usefixtures("alarm")
 # the last order each summed term serves: one more is a PAST_THE_SUM row of refusals.py
 INSIDE_THE_SUM = [
     ["normality", "--family", "invmaj", "--n-grid", "10,11,12", "--r-max", "270"],
-    ["normality", "--family", "domino", "--n-grid", "10,11,12", "--r-max", "271"],
     ["moments", "--family", "invmaj", "--n", "25000", "--r", "8"],
 ]
 
